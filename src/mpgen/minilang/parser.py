@@ -445,9 +445,13 @@ class _Parser:
         return mod
 
 
-def parse(source: str, path: str = "<source>") -> Module:
-    """Parse MiniPy source into a Module; errors are collected, not raised."""
-    toks, lex_diags = lex(source, collect_errors=True)
+def parse(source: str, path: str = "<source>", *, lexed=None) -> Module:
+    """Parse MiniPy source into a Module; errors are collected, not raised.
+
+    lexed, when given, must be `lex(source, collect_errors=True)`; passing
+    it saves lexing the same text a second time.
+    """
+    toks, lex_diags = lexed if lexed is not None else lex(source, collect_errors=True)
     parser = _Parser([t for t in toks if t.kind != tk.ERROR], path)
     parser.diags.extend(ParseDiagnostic(d.message, d.line, d.column) for d in lex_diags)
     return parser.parse_module()

@@ -262,26 +262,6 @@ def derive_tasks(config: RunConfig) -> list[Task]:
     return tasks
 
 
-def save_tasks(tasks: Sequence[Task], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for t in tasks:
-            fh.write(
-                json.dumps(
-                    {
-                        "label": t.label,
-                        "repo": t.repo_name,
-                        "file": t.file,
-                        "line": t.pos.line,
-                        "column": t.pos.column,
-                        "description": t.description,
-                        "gt": t.gt,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-
-
 def load_tasks(path: str, config: RunConfig) -> list[Task]:
     repos = dict(collect_repos(config.eval_roots))
     tasks: list[Task] = []

@@ -1,16 +1,21 @@
 """In-memory repositories of MiniPy files and caret positions into them.
 
 A Repository is an immutable mapping of repository-relative paths to file
-text. Edits produce copy-on-write snapshots; lex and parse results are
-cached per file and shared with snapshots for the files that did not change,
-which keeps per-step tool invocations cheap during generation.
+text. Edits produce copy-on-write snapshots. Lex and parse results are pure
+functions of (path, text) and are cached per file, lazily, on the repository
+that first held that text: a snapshot answers `lex` and `module` for every
+file it did not edit by asking the ancestor it inherited the text from, so
+a text is lexed and parsed once however many snapshots inherit it. A
+snapshot caches only its own edited files, which are freed with it.
+Generation makes one snapshot per completion trigger and so re-analyses
+only the file being written.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .minilang import lexer as _lexer
 from .minilang import parser as _parser
@@ -35,6 +40,8 @@ class Repository:
         self.root = root
         self._lex_cache: dict[str, tuple[list, list]] = {}
         self._module_cache: dict[str, _parser.Module] = {}
+        # path -> the ancestor whose caches hold this path's (unchanged) text
+        self._origin: dict[str, Repository] = {}
         self._index = None  # built lazily by analysis.build_scope_index
 
     @classmethod
@@ -65,29 +72,44 @@ class Repository:
 
     def lex(self, path: str):
         """Cached (tokens, lex diagnostics) for one file, tolerant mode."""
-        if path not in self._lex_cache:
-            self._lex_cache[path] = _lexer.lex(self.text(path), collect_errors=True)
-        return self._lex_cache[path]
+        origin = self._origin.get(path)
+        if origin is not None:
+            return origin.lex(path)
+        lexed = self._lex_cache.get(path)
+        if lexed is None:
+            lexed = _lexer.lex(self.text(path), collect_errors=True)
+            # setdefault: threads racing on a shared ancestor keep one result
+            lexed = self._lex_cache.setdefault(path, lexed)
+        return lexed
 
     def module(self, path: str) -> _parser.Module:
-        if path not in self._module_cache:
-            self._module_cache[path] = _parser.parse(self.text(path), path)
-        return self._module_cache[path]
+        """Cached parse of one file, built from the cached lex."""
+        origin = self._origin.get(path)
+        if origin is not None:
+            return origin.module(path)
+        mod = self._module_cache.get(path)
+        if mod is None:
+            mod = _parser.parse(self.text(path), path, lexed=self.lex(path))
+            mod = self._module_cache.setdefault(path, mod)
+        return mod
 
     def modules(self) -> dict[str, _parser.Module]:
         return {p: self.module(p) for p in self._files}
 
     def with_text(self, path: str, text: str) -> "Repository":
-        """Copy-on-write snapshot with one file replaced (or added)."""
+        """Copy-on-write snapshot with one file replaced (or added).
+
+        Every other file keeps its text, so the snapshot delegates its lex and
+        parse to the ancestor that first held that text: the parent's own
+        origin when it has one, else the parent. Chains therefore point
+        straight at that ancestor and keep no intermediate snapshot alive.
+        The replaced file is always analysed, and cached, on the snapshot
+        itself, even when its new text equals an ancestor's.
+        """
         files = dict(self._files)
         files[path] = text
         snap = Repository(files, root=self.root)
-        for p in files:
-            if p != path:
-                if p in self._lex_cache:
-                    snap._lex_cache[p] = self._lex_cache[p]
-                if p in self._module_cache:
-                    snap._module_cache[p] = self._module_cache[p]
+        snap._origin = {p: self._origin.get(p, self) for p in self._files if p != path}
         return snap
 
     def validate_caret(self, caret: CaretPosition) -> None:
@@ -128,8 +150,3 @@ def load_repositories(root: str) -> list[tuple[str, Repository]]:
             repos.append((name, Repository.from_dir(full)))
     return repos
 
-
-def iter_source_texts(repos: Iterable[Repository]) -> Iterable[str]:
-    for repo in repos:
-        for path in repo.paths():
-            yield repo.text(path)

@@ -19,7 +19,7 @@ from oracles import (
     random_selection_case,
 )
 
-from conftest import CORPUS, make_config
+from conftest import CORPUS, ROOT, make_config
 from mpgen.analysis.complete import tool_complete
 from mpgen.decode import GenerationConfig, build_trie, select_suggestion
 from mpgen.lm.tokenizer import detokenize, tokenize
@@ -241,7 +241,23 @@ def test_criterion_8_pipeline_determinism(tmp_path_factory):
             )
         )
     assert blobs[0] == blobs[1]
-    _ok(8, "two consecutive pipeline runs produced byte-identical dataset, models and report")
+    golden = ROOT / "out"
+    committed = tuple(
+        (golden / rel).read_bytes()
+        for rel in (
+            "dataset.jsonl",
+            "dataset.jsonl.meta.json",
+            "models/model_tool.json",
+            "models/model_vanilla.json",
+            "report.json",
+        )
+    )
+    assert blobs[0] == committed, "pipeline output differs from the committed out/ golden"
+    _ok(
+        8,
+        "two consecutive pipeline runs produced byte-identical dataset, models and report, "
+        "equal to the committed out/ files",
+    )
 
 
 def test_criterion_9_normalization_and_trigger_support(bench):

@@ -1,0 +1,196 @@
+"""Snapshot caches: every snapshot analyses a file exactly as a fresh parse
+would, unchanged files are shared with the repository that first held their
+text, and generation over shared caches matches cache-free repositories."""
+
+import gc
+import sys
+import threading
+import weakref
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from mpgen import decode
+from mpgen.decode import GenerationConfig
+from mpgen.minilang import lexer, parser
+from mpgen.pipeline import derive_tasks, run_evaluate, run_model_over_tasks
+from mpgen.repo import Repository
+
+from conftest import CORPUS, make_config
+
+ROOT_REPO = Repository.from_dir(str(CORPUS / "train" / "repo00"))
+PATHS = ROOT_REPO.paths()
+TEXT_POOL = [ROOT_REPO.text(p) for p in PATHS] + [
+    Repository.from_dir(str(CORPUS / "train" / "repo01")).text(p) for p in ("core.mp", "utils.mp")
+]
+
+
+@st.composite
+def edit_trees(draw):
+    """A root plus snapshots, each made by one edit of an earlier repository.
+
+    Returns (snapshots, parents, edits): snapshots[0] is a fresh root,
+    parents[i] the index each snapshot was derived from and edits[i] the
+    path it replaced. Edits replace a file with (a prefix of) some corpus
+    text, revert a file to its root text, or add a new path.
+    """
+    root = Repository(ROOT_REPO.files)
+    snaps, parents, edits = [root], [None], [None]
+    for _ in range(draw(st.integers(1, 6))):
+        i = draw(st.integers(0, len(snaps) - 1))
+        base = snaps[i]
+        kind = draw(st.sampled_from(["edit", "revert", "add"]))
+        if kind == "add":
+            path = f"new{len(snaps)}.mp"
+        else:
+            path = draw(st.sampled_from(PATHS))
+        if kind == "revert":
+            text = root.text(path)
+        else:
+            full = draw(st.sampled_from(TEXT_POOL))
+            text = full[: draw(st.integers(0, len(full)))]
+        snaps.append(base.with_text(path, text))
+        parents.append(i)
+        edits.append(path)
+    return snaps, parents, edits
+
+
+def _holder(k, path, parents, edits):
+    """Index of the nearest repository on k's lineage that set path's text."""
+    while parents[k] is not None and edits[k] != path:
+        k = parents[k]
+    return k
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(tree=edit_trees(), data=st.data())
+def test_with_text_chains_share_exactly(tree, data):
+    snaps, parents, edits = tree
+    order = data.draw(st.permutations(range(len(snaps))))
+    for k in order:  # fill the caches in a random snapshot order
+        snap = snaps[k]
+        for path in data.draw(st.permutations(snap.paths())):
+            text = snap.text(path)
+            assert snap.lex(path) == lexer.lex(text, collect_errors=True)
+            assert snap.module(path) == parser.parse(text, path)
+
+    for k, snap in enumerate(snaps):
+        for path in snap.paths():
+            h = _holder(k, path, parents, edits)
+            if h != k:
+                # an unchanged file answers with its holder's very objects,
+                # the root's for every file no ancestor edited
+                assert snap.lex(path) is snaps[h].lex(path)
+                assert snap.module(path) is snaps[h].module(path)
+                assert snap._origin[path] is snaps[h]
+        # a snapshot caches its own edits only (the root: its own files)
+        own = set(snap.paths()) if k == 0 else {edits[k]}
+        assert set(snap._lex_cache) <= own
+        assert set(snap._module_cache) <= own
+
+    for k in range(1, len(snaps)):
+        path, a = edits[k], parents[k]
+        while a is not None:  # no ancestor holds the result of k's edit
+            assert snaps[a]._lex_cache.get(path) is not snaps[k].lex(path)
+            assert snaps[a]._module_cache.get(path) is not snaps[k].module(path)
+            a = parents[a]
+
+
+def test_chain_keeps_no_intermediate_snapshot_alive():
+    root = Repository(ROOT_REPO.files)
+    first, second = PATHS[0], PATHS[1]
+    mid = root.with_text(first, "x = 1\n")
+    mid.module(first)
+    tip = mid.with_text(first, "x = 2\n").with_text(second, "y = 3\n")
+    ref = weakref.ref(mid)
+    del mid
+    gc.collect()
+    assert ref() is None
+    assert tip.module(PATHS[2]) is root.module(PATHS[2])
+
+
+def test_threads_filling_a_shared_root_see_one_result():
+    """Snapshots on several threads fill their common root's caches at once;
+    every thread must get the one object the root keeps."""
+    root = Repository(ROOT_REPO.files)
+    n_threads, rounds = 4, 20
+    barrier = threading.Barrier(n_threads)
+    seen = [[] for _ in range(n_threads)]
+
+    def work(i):
+        snap = root.with_text(PATHS[i % len(PATHS)], f"x{i} = {i}\n")
+        barrier.wait(timeout=10)
+        for _ in range(rounds):
+            for path in PATHS:
+                if path != PATHS[i % len(PATHS)]:
+                    seen[i].append((path, snap.lex(path), snap.module(path)))
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(t.is_alive() for t in threads)
+    assert all(seen)
+    for records in seen:
+        for path, lexed, module in records:
+            assert lexed is root.lex(path)
+            assert module is root.module(path)
+    assert root.module(PATHS[0]) == parser.parse(root.text(PATHS[0]), PATHS[0])
+
+
+def test_parse_reuses_given_lex():
+    text = ROOT_REPO.text(PATHS[0])
+    lexed = lexer.lex(text, collect_errors=True)
+    module = parser.parse(text, PATHS[0], lexed=lexed)
+    assert module == parser.parse(text, PATHS[0])
+    assert all(a is b for a, b in zip(module.tokens, lexed[0]))
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # generate turns tool errors into no suggestions
+        return "error", exc
+
+
+def test_tool_complete_matches_cache_free_oracle(trained_models, monkeypatch):
+    """At every trigger of the benchmark, the shared-cache snapshot answers
+    exactly as a fresh repository with no caches does."""
+    config, tool, _vanilla = trained_models
+    real = decode.tool_complete
+    checked = []
+
+    def compared(snapshot, caret):
+        got = _outcome(real, snapshot, caret)
+        want = _outcome(real, Repository(dict(snapshot.files)), caret)
+        if got[0] == "error":
+            assert want[0] == "error" and type(want[1]) is type(got[1]), (caret, got, want)
+            checked.append(caret)
+            raise got[1]
+        assert got == want, (caret, got, want)
+        checked.append(caret)
+        return got[1]
+
+    monkeypatch.setattr(decode, "tool_complete", compared)
+    tasks = derive_tasks(config)
+    run_model_over_tasks(tool, tasks, GenerationConfig(max_tokens=config.max_tokens))
+    assert len(checked) == 732
+
+
+def test_threaded_evaluate_writes_same_report(trained_models, tmp_path):
+    config, _tool, _vanilla = trained_models
+    blobs = []
+    for jobs in (1, 2):
+        report = tmp_path / f"report_jobs{jobs}.json"
+        run = make_config(
+            tmp_path, dataset=config.dataset, model_dir=config.model_dir,
+            report=str(report), jobs=jobs,
+        )
+        run_evaluate(run)
+        blobs.append(report.read_bytes())
+    assert blobs[0] == blobs[1]
