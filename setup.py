@@ -1,20 +1,6 @@
-import os
-
+# Package metadata lives in pyproject.toml. This shim keeps the legacy
+# `python setup.py develop` install working where the `wheel` package, which
+# `pip install -e .` needs, is not available.
 from setuptools import setup
 
-ext_modules = []
-if os.environ.get("MPGEN_NO_EXTENSION") != "1":
-    try:
-        from Cython.Build import cythonize
-        from setuptools import Extension
-
-        ext_modules = cythonize(
-            [Extension("mpgen._kernels._native", ["src/mpgen/_kernels/_native.pyx"])],
-            compiler_directives={"language_level": "3"},
-        )
-    except ImportError:
-        # No Cython available: install pure-Python only; mpgen._kernels falls
-        # back to the pure backend at import time.
-        ext_modules = []
-
-setup(ext_modules=ext_modules)
+setup()

@@ -16,6 +16,7 @@ from . import pipeline
 from .analysis.complete import tool_complete
 from .analysis.lint import lint_check, serialize_lint_errors
 from .decode import GenerationConfig, InternalInvariantError, generate
+from .lm.ngram import ModelCorruptError, ModelVersionError, load_model
 from .pipeline import DataError, RunConfig, load_config
 from .repo import CaretError, CaretPosition, Repository
 
@@ -105,8 +106,6 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    from .lm.ngram import load_model
-
     config = load_config(args.config)
     model_path = config.vanilla_model_path if args.vanilla else config.tool_model_path
     if not os.path.exists(model_path):
@@ -187,7 +186,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, CaretError, OSError) as exc:
+    except (
+        DataError, CaretError, OSError, ModelCorruptError, ModelVersionError, UnicodeDecodeError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalInvariantError as exc:

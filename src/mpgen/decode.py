@@ -1,15 +1,22 @@
 """Tool-integrated generation: greedy decoding with trie-constrained selection.
 
-The outer loop predicts one token at a time and appends the argmax. When the
-trigger token is emitted, the partial function (markers stripped) is spliced
-into the repository, the completion tool is asked for suggestions at the
-resulting caret, and a prefix-trie constrained greedy walk picks one
-suggestion: at every trie node a 0/1 mask over the vocabulary keeps only the
-node's children, the model distribution is multiplied element-wise by the
-mask, and the argmax descends until the first terminal node. The walk stops
+The outer loop appends the model's most likely next token, one at a time.
+When the trigger token is emitted, the partial function (markers stripped)
+is spliced into the repository, the completion tool is asked for
+suggestions at the resulting caret, and a prefix-trie constrained greedy
+walk picks one suggestion: at every trie node the most likely of the node's
+children is taken, descending until the first terminal node. The walk stops
 at the first terminal it reaches, so a suggestion whose token sequence
 extends another suggestion is unreachable; tries report how many suggestions
 are shadowed this way.
+
+Every choice is made from the n-gram counts, not from a dense distribution:
+additive smoothing, (count + alpha) / denominator with alpha > 0, is
+strictly increasing in the count (in floating point too, while alpha and
+the counts stay far below 2**52), so among the legal ids the most likely
+one is the one with the highest count, ties going to the lowest id, and an
+id never seen in the context counts zero. This picks exactly what the
+argmax of the masked `NGramModel.predict` vector would.
 
 With tool_enabled=False the loop is plain greedy decoding (the vanilla
 baseline). A per-generation cache keyed on the receiver (and invalidated
@@ -21,13 +28,11 @@ output because the key pins everything the list depends on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Iterable, Optional, Sequence
 
 from .analysis.complete import tool_complete
 from .analysis.insert import insert
-from .lm.ngram import NGramModel
+from .lm.ngram import NGramModel, description_bucket
 from .lm.tokenizer import NL_TOKEN, _classify, detokenize, split_identifier, tokenize
 from .lm.vocab import COMP_ID, CONTROL_IDS, EOS_ID, BOS_ID, Vocab
 from .minilang import render as rnd
@@ -136,24 +141,12 @@ def build_trie(suggestions: Sequence[str], vocab: Vocab) -> PrefixTrie:
     return trie
 
 
-def mask_distribution(dist: np.ndarray, allowed) -> np.ndarray:
-    """Zero every entry outside `allowed`; no renormalization (argmax only)."""
-    idx = sorted(allowed)
-    if not idx:
-        raise ValueError("allowed index set must not be empty")
-    out = np.zeros_like(dist)
-    out[idx] = dist[idx]
-    return out
+def greedy_choice(counts: dict[int, int], candidates: Iterable[int]) -> int:
+    """The candidate the smoothed distribution ranks highest.
 
-
-def argmax(vocab: Vocab, dist: np.ndarray) -> int:
-    """Index of the maximum entry; ties break toward the lowest index."""
-    if len(dist) != vocab.size:
-        raise ValueError("distribution size does not match vocabulary")
-    best = int(np.argmax(dist))
-    if dist[best] <= 0.0:
-        raise ValueError("cannot take the argmax of an all-zero distribution")
-    return best
+    Highest count first, then lowest id; ids missing from `counts` count 0.
+    """
+    return max(candidates, key=lambda tok: (counts.get(tok, 0), -tok))
 
 
 def select_suggestion(
@@ -161,23 +154,23 @@ def select_suggestion(
     description: Sequence[int],
     prefix: Sequence[int],
     trie: PrefixTrie,
+    bucket: Optional[int] = None,
 ) -> list[int]:
     """Constrained greedy walk from the trie root to its first terminal.
 
     Returns the appended token ids; the result always spells a complete
-    suggestion from the list the trie was built from.
+    suggestion from the list the trie was built from. `bucket`, when given,
+    must be the description's `description_bucket`.
     """
+    if bucket is None:
+        bucket = description_bucket(description, model.vocab, model.buckets)
     node = trie.root
     work = list(prefix)
     appended: list[int] = []
     while not node.is_terminal:
         if not node.children:
             raise InternalInvariantError("non-terminal trie node with no children")
-        dist = model.predict(description, work)
-        masked = mask_distribution(dist, node.children.keys())
-        tok = int(np.argmax(masked))
-        if masked[tok] <= 0.0:
-            raise InternalInvariantError("masked distribution lost all support")
+        tok = greedy_choice(model.next_counts(bucket, work), node.children)
         appended.append(tok)
         work.append(tok)
         node = node.children[tok]
@@ -214,6 +207,15 @@ def _trigger_cache_key(prefix: Sequence[int], vocab: Vocab) -> tuple:
     return ("scope", n_assign)
 
 
+def _choose_next(counts: dict[int, int], excluded: tuple[int, ...]) -> int:
+    """Greedy outer-loop token: every id but `excluded` is legal.
+
+    Unseen ids all tie at count 0, so the only one that can win is the
+    lowest legal id, <EOS>; the observed ids are the other candidates.
+    """
+    return greedy_choice(counts, [EOS_ID] + [t for t in counts if t not in excluded])
+
+
 def generate(
     model: NGramModel,
     repo: Repository,
@@ -224,18 +226,16 @@ def generate(
     """Generate a function body at pos, returning (canonical text, trace)."""
     vocab = model.vocab
     desc_ids = tokenize(description, vocab)
+    bucket = description_bucket(desc_ids, vocab, model.buckets)
     seq: list[int] = [BOS_ID]
     trace = GenerationTrace()
     cache: dict[tuple, list[str]] = {}
 
     while True:
-        dist = model.predict(desc_ids, seq)
-        # The sequence-start token is never a legal continuation; without
-        # this, smoothing ties (which break toward the lowest index) would
-        # select it. Fully unseen contexts therefore tie-break to <EOS>.
-        dist = dist.copy()
-        dist[BOS_ID] = 0.0
-        tok = argmax(vocab, dist)
+        counts = model.next_counts(bucket, seq)
+        # The sequence-start token is never a legal continuation. <EOS> is
+        # the lowest legal id, so fully unseen contexts tie-break to it.
+        tok = _choose_next(counts, excluded=(BOS_ID,))
         trace.steps += 1
         seq.append(tok)
         trace.tags.append("model")
@@ -270,9 +270,7 @@ def generate(
             seq.pop()
             trace.tags.pop()
             trace.dropped_triggers += 1
-            masked = dist.copy()
-            masked[COMP_ID] = 0.0
-            tok2 = argmax(vocab, masked)
+            tok2 = _choose_next(counts, excluded=(BOS_ID, COMP_ID))
             seq.append(tok2)
             trace.tags.append("model")
             if tok2 == EOS_ID:
@@ -281,7 +279,7 @@ def generate(
 
         trie = build_trie(suggestions, vocab)
         trace.shadowed_suggestions += trie.shadowed_count
-        appended = select_suggestion(model, desc_ids, seq, trie)
+        appended = select_suggestion(model, desc_ids, seq, trie, bucket=bucket)
         seq.extend(appended)
         trace.tags.extend(["tool-selection"] * len(appended))
 

@@ -8,6 +8,12 @@ bucket, falling back order by order and finally across buckets; the counts
 are additively smoothed over the whole vocabulary, so every token (the
 trigger token included) always has positive probability and the result sums
 to one.
+
+`predict` returns that dense distribution (likelihoods and perplexity need
+it). Greedy decoding needs only its argmax, which `next_counts` gives
+straight from the matched counts, without building the vector. Both take
+the description's bucket; callers that score many prefixes of one
+description compute it once.
 """
 
 from __future__ import annotations
@@ -90,15 +96,29 @@ class NGramModel:
                     return table[ctx], self.totals[(b, k)][ctx]
         return None
 
+    def next_counts(self, bucket: int, prefix: Sequence[int]) -> dict[int, int]:
+        """Observed next-token counts of the context `predict` would use.
+
+        Empty when no context matches, i.e. the distribution is pure
+        smoothing. The dict is the model's own table: do not mutate it.
+        """
+        hit = self._lookup(bucket, prefix)
+        return {} if hit is None else hit[0]
+
     def predict(
         self,
         description: Sequence[int],
         prefix: Sequence[int],
         max_order: Optional[int] = None,
+        bucket: Optional[int] = None,
     ) -> np.ndarray:
-        """Smoothed next-token distribution over the full vocabulary."""
+        """Smoothed next-token distribution over the full vocabulary.
+
+        `bucket`, when given, must be the description's `description_bucket`.
+        """
         max_k = None if max_order is None else max_order - 1
-        bucket = description_bucket(description, self.vocab, self.buckets)
+        if bucket is None:
+            bucket = description_bucket(description, self.vocab, self.buckets)
         hit = self._lookup(bucket, prefix, max_k)
         if hit is None:
             counts: dict[int, int] = {}
@@ -112,9 +132,10 @@ class NGramModel:
 
     def sequence_nll(self, description: Sequence[int], target: Sequence[int]) -> float:
         """Negative log-likelihood of a <BOS>...<EOS> target, in nats."""
+        bucket = description_bucket(description, self.vocab, self.buckets)
         nll = 0.0
         for i in range(1, len(target)):
-            dist = self.predict(description, target[:i])
+            dist = self.predict(description, target[:i], bucket=bucket)
             nll -= log(float(dist[target[i]]))
         return nll
 
@@ -138,6 +159,8 @@ def train(
     """Count-based maximum-likelihood training over (description, target) pairs."""
     if not dataset:
         raise ValueError("training dataset is empty")
+    if not alpha > 0:
+        raise ValueError("smoothing alpha must be positive")
     model = NGramModel(vocab=vocab, order=order, alpha=alpha, buckets=buckets, variant=variant)
     for desc, target in dataset:
         if not target or target[0] != BOS_ID or target[-1] != EOS_ID:
@@ -227,4 +250,6 @@ def load_model(path: str) -> NGramModel:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelCorruptError(f"malformed model file {path!r}: {exc}") from exc
+    if not model.alpha > 0:
+        raise ModelCorruptError(f"model file {path!r} has non-positive smoothing alpha")
     return model

@@ -53,8 +53,12 @@ class Repository:
                 if fn.endswith(SOURCE_SUFFIX):
                     full = os.path.join(dirpath, fn)
                     rel = os.path.relpath(full, root)
-                    with open(full, "r", encoding="utf-8") as fh:
-                        files[rel] = fh.read()
+                    try:
+                        with open(full, "r", encoding="utf-8") as fh:
+                            files[rel] = fh.read()
+                    except UnicodeDecodeError as exc:
+                        exc.reason = f"{exc.reason} in {full}"
+                        raise
         return cls(files, root=root)
 
     @property

@@ -65,29 +65,57 @@ def naive_dep_cov(dep_exp_sets):
     return covered / total if total else None
 
 
-def greedy_path_oracle(model, desc, prefix, suggestions, vocab):
-    """Enumerate suggestion token paths and replay the same greedy argmax.
+def mask_distribution(dist: np.ndarray, allowed) -> np.ndarray:
+    """Zero every entry outside `allowed`; no renormalization (argmax only)."""
+    idx = sorted(allowed)
+    if not idx:
+        raise ValueError("allowed index set must not be empty")
+    out = np.zeros_like(dist)
+    out[idx] = dist[idx]
+    return out
 
-    Structure-free reimplementation of the constrained walk: candidate paths
-    are plain tuples, the walk stops as soon as the chosen prefix equals a
+
+def argmax(vocab, dist: np.ndarray) -> int:
+    """Index of the maximum entry of a dense distribution; ties break low."""
+    if len(dist) != vocab.size:
+        raise ValueError("distribution size does not match vocabulary")
+    best = int(np.argmax(dist))
+    if dist[best] <= 0.0:
+        raise ValueError("cannot take the argmax of an all-zero distribution")
+    return best
+
+
+def dense_next_token(model, desc, prefix, excluded=(BOS_ID,)) -> int:
+    """Greedy outer-loop choice from the full predicted distribution."""
+    dist = model.predict(desc, prefix)
+    dist[list(excluded)] = 0.0
+    return argmax(model.vocab, dist)
+
+
+def dense_path_walk(model, desc, prefix, paths):
+    """Constrained greedy walk over plain token paths, by dense argmax.
+
+    Structure-free reimplementation of the trie walk: candidate paths are
+    plain tuples, the walk stops as soon as the chosen prefix equals a
     complete path (first-terminal rule).
     """
-    paths = sorted({tuple(vocab.id(s) for s in split_identifier(sug)) for sug in suggestions})
+    paths = sorted({tuple(p) for p in paths})
     path_set = set(paths)
     work = list(prefix)
     chosen = ()
     while chosen not in path_set:
         depth = len(chosen)
-        allowed = sorted(
-            {p[depth] for p in paths if len(p) > depth and p[:depth] == chosen}
-        )
-        dist = model.predict(desc, work)
-        masked = np.zeros_like(dist)
-        masked[allowed] = dist[allowed]
-        tok = int(np.argmax(masked))
+        allowed = {p[depth] for p in paths if len(p) > depth and p[:depth] == chosen}
+        tok = argmax(model.vocab, mask_distribution(model.predict(desc, work), allowed))
         chosen += (tok,)
         work.append(tok)
     return list(chosen)
+
+
+def greedy_path_oracle(model, desc, prefix, suggestions, vocab):
+    """Dense constrained walk over the suggestions' subword token paths."""
+    paths = [[vocab.id(s) for s in split_identifier(sug)] for sug in suggestions]
+    return dense_path_walk(model, desc, prefix, paths)
 
 
 def random_selection_case(rng: random.Random):

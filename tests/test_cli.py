@@ -137,6 +137,43 @@ def test_evaluate_report_shape(cli_workspace, capsys):
         assert entry["n"] == report["n_tasks"]
 
 
+GOLDEN_MODELS = ROOT / "out" / "models"
+
+
+def _model_dir(tmp_path: Path, tool_bytes: bytes) -> Path:
+    models = tmp_path / "models"
+    models.mkdir()
+    (models / "model_tool.json").write_bytes(tool_bytes)
+    (models / "model_vanilla.json").write_bytes((GOLDEN_MODELS / "model_vanilla.json").read_bytes())
+    return models
+
+
+def test_evaluate_truncated_model_is_data_error(tmp_path, capsys):
+    blob = (GOLDEN_MODELS / "model_tool.json").read_bytes()
+    models = _model_dir(tmp_path, blob[: len(blob) // 2])
+    cfg = write_config(tmp_path, model_dir=str(models))
+    assert main(["evaluate", "--config", cfg]) == 2
+    assert "cannot read model file" in capsys.readouterr().err
+
+
+def test_evaluate_wrong_model_version_is_data_error(tmp_path, capsys):
+    payload = json.loads((GOLDEN_MODELS / "model_tool.json").read_text())
+    payload["version"] = 99
+    models = _model_dir(tmp_path, json.dumps(payload).encode())
+    cfg = write_config(tmp_path, model_dir=str(models))
+    assert main(["evaluate", "--config", cfg]) == 2
+    assert "version 99 unsupported" in capsys.readouterr().err
+
+
+def test_lint_non_utf8_source_is_data_error(tmp_path, capsys):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    (repo / "latin1.mp").write_bytes("x = 'caf\xe9'\n".encode("latin-1"))
+    assert main(["lint", "--repo", str(repo)]) == 2
+    err = capsys.readouterr().err
+    assert "can't decode" in err and "latin1.mp" in err
+
+
 def test_lint_outputs_line_delimited_records(tmp_path, capsys):
     repo = tmp_path / "repo"
     repo.mkdir()

@@ -2,22 +2,33 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from mpgen import decode
 from mpgen.decode import (
     GenerationConfig,
-    argmax,
+    PrefixTrie,
     build_trie,
     generate,
-    mask_distribution,
+    greedy_choice,
     select_suggestion,
     tokenize_suggestion,
 )
 from mpgen.lm import build_vocab, tokenize, train
-from mpgen.lm.vocab import BOS_ID, COMP_ID, EOS_ID, Vocab
+from mpgen.lm.ngram import description_bucket
+from mpgen.lm.vocab import BOS_ID, COMP_ID, EOS_ID, RESERVED_TOKENS, Vocab
+from mpgen.pipeline import derive_tasks, run_model_over_tasks
 from mpgen.repo import CaretPosition, Repository
 
 
-from oracles import greedy_path_oracle, random_selection_case as random_case
+from oracles import (
+    argmax,
+    dense_next_token,
+    dense_path_walk,
+    greedy_path_oracle,
+    mask_distribution,
+    random_selection_case as random_case,
+)
 
 
 # --- trie --------------------------------------------------------------------
@@ -115,6 +126,157 @@ def test_argmax_all_zero_rejected():
     v = _vocab_of_size(4)
     with pytest.raises(ValueError):
         argmax(v, np.zeros(4))
+
+
+# --- count-based choice against the dense argmax -----------------------------
+
+def test_greedy_choice_ranks_by_count_then_lowest_id():
+    assert greedy_choice({5: 2, 7: 3}, [5, 7, 9]) == 7
+    assert greedy_choice({5: 3, 7: 3}, [7, 5]) == 5
+    assert greedy_choice({5: 3}, [6, 4]) == 4  # no candidate seen: lowest id
+
+
+def _vocab_with_words(n):
+    return Vocab(tokens=RESERVED_TOKENS + tuple(f"w{i}" for i in range(n)))
+
+
+def _forget_unigrams(model):
+    for key in [k for k in model.tables if k[1] == 0]:
+        del model.tables[key], model.totals[key]
+
+
+def _model_case(bodies, prefix=(), paths=((4,),), forget_unigrams=False):
+    """Order-2, one-bucket model over the words 4, 5, 6, trained on `bodies`."""
+    pairs = [([], [BOS_ID] + list(b) + [EOS_ID]) for b in bodies]
+    model = train(pairs, order=2, alpha=0.1, vocab=_vocab_with_words(3), buckets=1)
+    if forget_unigrams:
+        _forget_unigrams(model)
+    return model, [], [BOS_ID] + list(prefix), [tuple(p) for p in paths]
+
+
+@st.composite
+def count_cases(draw):
+    """A small random model, description, prefix and trie paths.
+
+    Tiny vocabularies make count ties common; <COMP> is an ordinary body
+    token, so contexts seen only before <COMP> occur; forgetting the
+    unigram tables leaves some prefixes with no matching context at all.
+    """
+    n_words = draw(st.integers(1, 4))
+    vocab = _vocab_with_words(n_words)
+    body_ids = st.integers(2, vocab.size - 1)  # <UNK>, <COMP> and the words
+    pairs = draw(
+        st.lists(
+            st.tuples(st.lists(body_ids, max_size=2), st.lists(body_ids, max_size=6)),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    model = train(
+        [(d, [BOS_ID] + b + [EOS_ID]) for d, b in pairs],
+        order=draw(st.integers(1, 3)),
+        alpha=draw(st.sampled_from([0.1, 1.0, 1e-6])),
+        vocab=vocab,
+        buckets=draw(st.sampled_from([1, 3])),
+    )
+    if draw(st.booleans()):
+        _forget_unigrams(model)
+    desc = draw(st.lists(body_ids, max_size=2))
+    prefix = [BOS_ID] + draw(st.lists(body_ids, max_size=4))
+    paths = draw(
+        st.lists(st.lists(st.integers(1, vocab.size - 1), min_size=1, max_size=3), min_size=1, max_size=6)
+    )
+    return model, desc, prefix, [tuple(p) for p in paths]
+
+
+@settings(max_examples=300, deadline=None)
+@given(count_cases())
+# unseen context: no table matches, every id ties at pure smoothing
+@example(_model_case([[4, 5]], prefix=[COMP_ID], paths=[(6,), (5, 4)], forget_unigrams=True))
+# count ties: w0 and w1 each follow <BOS> once; the trie root ties too
+@example(_model_case([[5], [4]], paths=[(5,), (4, 5), (6,)]))
+# <COMP>-only context: dropping the trigger leaves no legal count
+@example(_model_case([[COMP_ID, 4], [COMP_ID, 5]], paths=[(4,), (5,)]))
+def test_count_choices_equal_dense_argmax(case):
+    model, desc, prefix, paths = case
+    bucket = description_bucket(desc, model.vocab, model.buckets)
+    counts = model.next_counts(bucket, prefix)
+    assert decode._choose_next(counts, (BOS_ID,)) == dense_next_token(model, desc, prefix)
+    assert decode._choose_next(counts, (BOS_ID, COMP_ID)) == dense_next_token(
+        model, desc, prefix, excluded=(BOS_ID, COMP_ID)
+    )
+    trie = PrefixTrie()
+    for p in paths:
+        trie.insert(p)
+    got = select_suggestion(model, desc, prefix, trie, bucket=bucket)
+    assert got == dense_path_walk(model, desc, prefix, paths)
+    assert got == select_suggestion(model, desc, prefix, trie)
+
+
+def test_examples_hit_the_edge_cases():
+    unseen, ties, comp_only = (
+        _model_case([[4, 5]], prefix=[COMP_ID], forget_unigrams=True),
+        _model_case([[5], [4]]),
+        _model_case([[COMP_ID, 4], [COMP_ID, 5]]),
+    )
+    assert unseen[0].next_counts(0, unseen[2]) == {}
+    assert ties[0].next_counts(0, ties[2]) == {4: 1, 5: 1}
+    assert comp_only[0].next_counts(0, comp_only[2]) == {COMP_ID: 2}
+    assert decode._choose_next({COMP_ID: 2}, (BOS_ID, COMP_ID)) == EOS_ID
+
+
+def test_benchmark_choices_equal_dense_argmax(trained_models, monkeypatch):
+    """Every decision of every tool and vanilla generation on the bundled
+    benchmark equals the argmax of the dense predicted distribution: outer
+    steps with <BOS> zeroed (and <COMP> too where a trigger was dropped),
+    trie steps with everything but the node's children zeroed."""
+    config, tool, vanilla = trained_models
+    real_select = decode.select_suggestion
+    trie_steps = []
+
+    def checked_select(model, description, prefix, trie, bucket=None):
+        appended = real_select(model, description, prefix, trie, bucket=bucket)
+        node, work = trie.root, list(prefix)
+        for tok in appended:
+            dist = model.predict(description, work)
+            assert tok == argmax(model.vocab, mask_distribution(dist, node.children)), work
+            node = node.children[tok]
+            work.append(tok)
+            trie_steps.append(tok)
+        assert node.is_terminal
+        return appended
+
+    monkeypatch.setattr(decode, "select_suggestion", checked_select)
+    tasks = derive_tasks(config)
+    outer_steps = 0
+    for model, tool_enabled in ((tool, True), (vanilla, False)):
+        cfg = GenerationConfig(max_tokens=config.max_tokens, tool_enabled=tool_enabled)
+        _pairs, traces = run_model_over_tasks(model, tasks, cfg)
+        for task, trace in zip(tasks, traces):
+            _check_outer_choices(model, task.description, trace, tool_enabled)
+            outer_steps += trace.steps
+    assert (outer_steps, len(trie_steps)) == (9804, 2670)
+
+
+def _check_outer_choices(model, description, trace, tool_enabled):
+    """Replay every model-tagged token of a trace against the dense argmax.
+
+    A token that differs from it must be a dropped trigger's replacement:
+    the dense argmax was <COMP>, and the token is the argmax with <COMP>
+    zeroed too. The number of those must match the trace's count.
+    """
+    desc = tokenize(description, model.vocab)
+    dropped = 0
+    for i, tag in enumerate(trace.tags):
+        if tag != "model":
+            continue
+        prefix, tok = trace.tokens[: i + 1], trace.tokens[i + 1]
+        want = dense_next_token(model, desc, prefix)
+        if want != tok:
+            assert tool_enabled and want == COMP_ID, (description, i)
+            assert tok == dense_next_token(model, desc, prefix, (BOS_ID, COMP_ID))
+            dropped += 1
+    assert dropped == trace.dropped_triggers
 
 
 # --- select_suggestion -------------------------------------------------------
@@ -255,6 +417,22 @@ def test_empty_completion_drops_trigger_and_continues():
     assert trace.dropped_triggers == 1
     assert "<COMP>" not in text
     assert text == "return a.b"
+
+
+def test_dropped_trigger_replacement_is_dense_argmax_without_comp():
+    src = "def f(a):\n    \"doc\"\n    \n"
+    repo = Repository({"f.mp": src})
+    pos = CaretPosition("f.mp", 3, 4)
+    vocab = build_vocab(["return a.b c", "<COMP>"])
+    marked = tokenize("return a.<COMP>b", vocab)
+    plain = tokenize("return a.c", vocab)
+    pairs = [([], [BOS_ID] + marked + [EOS_ID])] * 5 + [([], [BOS_ID] + plain + [EOS_ID])] * 3
+    model = train(pairs, order=3, alpha=0.1, vocab=vocab)
+    text, trace = generate(model, repo, "d", pos, GenerationConfig())
+    assert trace.dropped_triggers == 1
+    assert COMP_ID not in trace.tokens
+    assert text == "return a.c"
+    _check_outer_choices(model, "d", trace, tool_enabled=True)
 
 
 def test_marker_hygiene_and_termination():

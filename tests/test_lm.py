@@ -215,6 +215,50 @@ def test_description_conditioning_separates_buckets():
     assert int(np.argmax(m.predict(d2, [BOS_ID]))) == b
 
 
+def test_next_counts_are_the_counts_predict_smooths():
+    m, ids = _demo_model()
+    bucket = description_bucket([ids[0], ids[1]], m.vocab, m.buckets)
+    counts = m.next_counts(bucket, [BOS_ID, ids[0]])
+    assert counts == {ids[1]: 4}
+    dist = m.predict([ids[0], ids[1]], [BOS_ID, ids[0]], bucket=bucket)
+    denom = 4 + 0.1 * m.vocab.size
+    assert dist[ids[1]] == (0.1 + 4.0) / denom
+    m.tables.clear()
+    m.totals.clear()
+    assert m.next_counts(bucket, [BOS_ID]) == {}
+
+
+def test_train_rejects_non_positive_alpha():
+    v = _tiny_vocab("a")
+    for alpha in (0.0, -0.5, float("nan")):
+        with pytest.raises(ValueError):
+            train([([], [BOS_ID, EOS_ID])], order=2, alpha=alpha, vocab=v)
+
+
+def test_hoisted_bucket_nll_is_bit_identical(trained_models):
+    """sequence_nll/corpus_nll compute the bucket once per description; the
+    sum must equal, bit for bit, the per-step predict(description, prefix)
+    sum on every training pair of the bundled corpus."""
+    from math import log
+
+    from mpgen.pipeline import training_pairs
+    from mpgen.trigger import load_dataset_records
+
+    config, tool, vanilla = trained_models
+    records = load_dataset_records(config.dataset)
+    for model in (tool, vanilla):
+        pairs = training_pairs(records, model.vocab, model.variant)
+        total, n_tokens = 0.0, 0
+        for desc, target in pairs:
+            nll = 0.0
+            for i in range(1, len(target)):
+                nll -= log(float(model.predict(desc, target[:i])[target[i]]))
+            assert model.sequence_nll(desc, target) == nll
+            total += nll
+            n_tokens += len(target) - 1
+        assert model.corpus_nll(pairs) == (total, n_tokens)
+
+
 # --- persistence -------------------------------------------------------------
 
 def _demo_model():
@@ -265,6 +309,19 @@ def test_version_bump_is_version_error(tmp_path):
     payload["version"] = 99
     json.dump(payload, open(path, "w"))
     with pytest.raises(ModelVersionError):
+        load_model(path)
+
+
+def test_non_positive_alpha_is_corrupt(tmp_path):
+    import json
+
+    m, _ = _demo_model()
+    path = str(tmp_path / "m.json")
+    save_model(m, path)
+    payload = json.load(open(path))
+    payload["alpha"] = 0.0
+    json.dump(payload, open(path, "w"))
+    with pytest.raises(ModelCorruptError):
         load_model(path)
 
 
