@@ -17,7 +17,7 @@ from .analysis.complete import tool_complete
 from .analysis.lint import lint_check, serialize_lint_errors
 from .decode import GenerationConfig, InternalInvariantError, generate
 from .lm.ngram import ModelCorruptError, ModelVersionError, load_model
-from .pipeline import DataError, RunConfig, load_config
+from .pipeline import DataError, load_config
 from .repo import CaretError, CaretPosition, Repository
 
 
@@ -36,7 +36,6 @@ def _build_parser() -> _ArgumentParser:
 
     p_aug = sub.add_parser("augment", help="build the trigger-augmented dataset")
     p_aug.add_argument("--config", required=True)
-    p_aug.add_argument("--jobs", type=int, default=None)
 
     p_train = sub.add_parser("train", help="train the tool and vanilla models")
     p_train.add_argument("--config", required=True)
@@ -55,7 +54,6 @@ def _build_parser() -> _ArgumentParser:
     p_eval = sub.add_parser("evaluate", help="run the benchmark for both models")
     p_eval.add_argument("--config", required=True)
     p_eval.add_argument("--tasks", default=None, help="JSONL tasks file (default: derive)")
-    p_eval.add_argument("--jobs", type=int, default=None)
     p_eval.add_argument("--out", default=None, help="report path override")
 
     p_lint = sub.add_parser("lint", help="lint a repository")
@@ -78,7 +76,7 @@ def _load_repo(path: str) -> Repository:
 
 
 def _cmd_augment(args) -> int:
-    config = load_config(args.config, {"jobs": args.jobs})
+    config = load_config(args.config)
     dataset = pipeline.run_augment(config)
     stats = dataset.stats
     if stats["pair_count"] == 0:
@@ -131,7 +129,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    overrides = {"jobs": args.jobs, "tasks": args.tasks, "report": args.out}
+    overrides = {"tasks": args.tasks, "report": args.out}
     config = load_config(args.config, overrides)
     report = pipeline.run_evaluate(config)
     print(f"report: {config.report}")

@@ -46,15 +46,12 @@ class InternalInvariantError(RuntimeError):
 @dataclass(frozen=True)
 class GenerationConfig:
     max_tokens: int = 256
-    tie_break: str = "lowest-index"
     cache_enabled: bool = True
     tool_enabled: bool = True
 
     def __post_init__(self):
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be >= 1")
-        if self.tie_break != "lowest-index":
-            raise ValueError("only lowest-index tie-breaking is supported")
 
 
 @dataclass

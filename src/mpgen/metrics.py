@@ -101,23 +101,6 @@ def identify_dependencies(gt: str, repo: Repository, pos: CaretPosition) -> set[
     return deps
 
 
-def dependency_coverage(pairs: Sequence[EvalPair]) -> Optional[float]:
-    """Micro-averaged coverage: sum of intersections over sum of DEP sizes.
-
-    Returns None (not applicable) when no pair has dependencies.
-    """
-    covered = 0
-    total = 0
-    for pair in pairs:
-        dep = identify_dependencies(pair.gt, pair.repo, pair.pos)
-        exp_set = extract_expressions(pair.pred)
-        covered += len(exp_set & dep)
-        total += len(dep)
-    if total == 0:
-        return None
-    return covered / total
-
-
 def pair_is_valid(pair: EvalPair) -> bool:
     """True iff the inserted prediction's span lints clean."""
     snapshot, caret = insert_text(pair.repo, pair.pos, pair.pred)
@@ -128,31 +111,9 @@ def pair_is_valid(pair: EvalPair) -> bool:
     return not any(span_start <= e.line <= span_end for e in errors)
 
 
-def static_validity_rate(pairs: Sequence[EvalPair]) -> tuple[float, Optional[float]]:
-    """(ValRate over all pairs, ValRate over dependency-bearing pairs)."""
-    if not pairs:
-        return 0.0, None
-    valid = []
-    dep_flags = []
-    for pair in pairs:
-        valid.append(pair_is_valid(pair))
-        dep_flags.append(bool(identify_dependencies(pair.gt, pair.repo, pair.pos)))
-    rate = sum(valid) / len(pairs)
-    dep_pairs = [v for v, d in zip(valid, dep_flags) if d]
-    rate_dep = sum(dep_pairs) / len(dep_pairs) if dep_pairs else None
-    return rate, rate_dep
-
-
 def canonical_text(text: str) -> str:
     toks, _ = lex(text, collect_errors=True)
     return render_tokens(toks)
-
-
-def exact_match(pairs: Sequence[EvalPair]) -> float:
-    if not pairs:
-        return 0.0
-    hits = sum(1 for p in pairs if canonical_text(p.pred) == canonical_text(p.gt))
-    return hits / len(pairs)
 
 
 def edit_similarity(a: str, b: str) -> float:
@@ -194,17 +155,6 @@ def corpus_bleu(token_pairs: Sequence[tuple[Sequence[int], Sequence[int]]]) -> f
     return bp * exp(sum(logs) / len(logs))
 
 
-def bleu4(pairs: Sequence[EvalPair], vocab: Vocab) -> float:
-    token_pairs = [
-        (tokenize(p.pred, vocab), tokenize(p.gt, vocab)) for p in pairs
-    ]
-    return corpus_bleu(token_pairs)
-
-
-def sentence_bleu(pred: str, gt: str, vocab: Vocab) -> float:
-    return corpus_bleu([(tokenize(pred, vocab), tokenize(gt, vocab))])
-
-
 @dataclass
 class EvalReport:
     n: int
@@ -229,54 +179,70 @@ class EvalReport:
         }
 
 
-def evaluate_pairs(pairs: Sequence[EvalPair], vocab: Vocab) -> EvalReport:
-    """All six headline metrics plus the per-pair breakdown."""
-    per_pair: list[dict] = []
-    covered_sum = 0
-    dep_sum = 0
-    valid_flags: list[bool] = []
-    dep_flags: list[bool] = []
-    em_flags: list[bool] = []
-    edit_sims: list[float] = []
-    token_pairs = []
-    for pair in pairs:
-        dep = identify_dependencies(pair.gt, pair.repo, pair.pos)
-        exp_set = extract_expressions(pair.pred)
-        covered = len(exp_set & dep)
-        covered_sum += covered
-        dep_sum += len(dep)
-        valid = pair_is_valid(pair)
-        valid_flags.append(valid)
-        dep_flags.append(bool(dep))
-        em = canonical_text(pair.pred) == canonical_text(pair.gt)
-        em_flags.append(em)
-        sim = edit_similarity(pair.pred, pair.gt)
-        edit_sims.append(sim)
-        pred_ids = tokenize(pair.pred, vocab)
-        gt_ids = tokenize(pair.gt, vocab)
-        token_pairs.append((pred_ids, gt_ids))
-        per_pair.append(
-            {
-                "label": pair.label,
-                "file": pair.file,
-                "line": pair.pos.line,
-                "dep_total": len(dep),
-                "dep_covered": covered,
-                "valid": valid,
-                "exact_match": em,
-                "edit_sim": sim,
-                "bleu4": corpus_bleu([(pred_ids, gt_ids)]),
-            }
-        )
-    n = len(pairs)
-    dep_pairs_valid = [v for v, d in zip(valid_flags, dep_flags) if d]
+@dataclass(frozen=True)
+class GroundTruth:
+    """The task side of a pair, the same for every model scored on the task."""
+
+    deps: set[str]
+    canonical: str
+    ids: list[int]
+
+
+def ground_truth(pair: EvalPair, vocab: Vocab) -> GroundTruth:
+    return GroundTruth(
+        deps=identify_dependencies(pair.gt, pair.repo, pair.pos),
+        canonical=canonical_text(pair.gt),
+        ids=tokenize(pair.gt, vocab),
+    )
+
+
+def _score_pair(pair: EvalPair, truth: GroundTruth, vocab: Vocab) -> tuple[dict, list[int]]:
+    """The report row of one prediction, and its token ids for corpus BLEU."""
+    pred_ids = tokenize(pair.pred, vocab)
+    row = {
+        "label": pair.label,
+        "file": pair.file,
+        "line": pair.pos.line,
+        "dep_total": len(truth.deps),
+        "dep_covered": len(extract_expressions(pair.pred) & truth.deps),
+        "valid": pair_is_valid(pair),
+        "exact_match": canonical_text(pair.pred) == truth.canonical,
+        "edit_sim": edit_similarity(pair.pred, pair.gt),
+        "bleu4": corpus_bleu([(pred_ids, truth.ids)]),
+    }
+    return row, pred_ids
+
+
+def _aggregate(rows: list[dict], token_pairs: list[tuple[list[int], list[int]]]) -> EvalReport:
+    n = len(rows)
+    dep_total = sum(r["dep_total"] for r in rows)
+    dep_rows = [r for r in rows if r["dep_total"]]
     return EvalReport(
         n=n,
-        dep_cov=(covered_sum / dep_sum) if dep_sum else None,
-        val_rate=(sum(valid_flags) / n) if n else 0.0,
-        val_rate_dep=(sum(dep_pairs_valid) / len(dep_pairs_valid)) if dep_pairs_valid else None,
-        exact_match=(sum(em_flags) / n) if n else 0.0,
-        edit_sim=mean(edit_sims) if edit_sims else 0.0,
+        dep_cov=sum(r["dep_covered"] for r in rows) / dep_total if dep_total else None,
+        val_rate=sum(r["valid"] for r in rows) / n if n else 0.0,
+        val_rate_dep=sum(r["valid"] for r in dep_rows) / len(dep_rows) if dep_rows else None,
+        exact_match=sum(r["exact_match"] for r in rows) / n if n else 0.0,
+        edit_sim=mean(r["edit_sim"] for r in rows) if rows else 0.0,
         bleu4=corpus_bleu(token_pairs),
-        per_pair=per_pair,
+        per_pair=rows,
     )
+
+
+def evaluate_pairs(
+    pairs: Sequence[EvalPair], vocab: Vocab, truths: Optional[Sequence[GroundTruth]] = None
+) -> EvalReport:
+    """All six headline metrics plus the per-pair breakdown.
+
+    `truths[i]` is `ground_truth(pairs[i], vocab)`; pass them in to score
+    several models on the same tasks without recomputing the task side.
+    """
+    if truths is None:
+        truths = [ground_truth(pair, vocab) for pair in pairs]
+    rows: list[dict] = []
+    token_pairs: list[tuple[list[int], list[int]]] = []
+    for pair, truth in zip(pairs, truths, strict=True):
+        row, pred_ids = _score_pair(pair, truth, vocab)
+        rows.append(row)
+        token_pairs.append((pred_ids, truth.ids))
+    return _aggregate(rows, token_pairs)

@@ -8,24 +8,20 @@ artifact, and repeated runs produce byte-identical outputs.
 from __future__ import annotations
 
 import json
+import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Iterable, Optional, Sequence
 
-from . import __version__
 from .decode import GenerationConfig, GenerationTrace, generate
 from .lm.ngram import NGramModel, train
 from .lm.tokenizer import tokenize
 from .lm.vocab import BOS_ID, COMP_ID, EOS_ID, Vocab, build_vocab
-from .metrics import EvalPair, EvalReport, evaluate_pairs
+from .metrics import EvalPair, evaluate_pairs, ground_truth
 from .minilang.parser import FunctionDef, extract_functions
 from .minilang.render import render_body
 from .repo import CaretPosition, Repository, load_repositories
-from .trigger import AugmentedDataset, augment_corpus, corpus_id_of, save_dataset
-
-T = TypeVar("T")
-U = TypeVar("U")
+from .trigger import AugmentedDataset, augment_corpus, save_dataset
 
 
 class DataError(Exception):
@@ -45,14 +41,19 @@ class RunConfig:
     model_dir: str = "out/models"
     report: str = "out/report.json"
     tasks: Optional[str] = None
-    jobs: int = 1
-    deterministic: bool = True
 
     def __post_init__(self):
-        if not self.deterministic:
-            raise ValueError("the pipeline only supports deterministic runs")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
+        for name in ("train_roots", "eval_roots"):
+            # a bare string would be read as one root per character
+            roots = getattr(self, name)
+            if type(roots) is not list or not all(type(r) is str for r in roots):
+                raise DataError(f"config field {name!r} must be a list of paths, not {roots!r}")
+        for name in ("order", "buckets", "max_tokens"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:  # bools are rejected too
+                raise DataError(f"config field {name!r} must be an integer >= 1, not {value!r}")
+        if type(self.alpha) not in (int, float) or not 0 < self.alpha < math.inf:
+            raise DataError(f"config field 'alpha' must be a finite number > 0, not {self.alpha!r}")
 
     @property
     def dataset_meta(self) -> str:
@@ -79,8 +80,6 @@ class RunConfig:
             "model_dir": self.model_dir,
             "report": self.report,
             "tasks": self.tasks,
-            "jobs": self.jobs,
-            "deterministic": self.deterministic,
         }
 
 
@@ -116,14 +115,6 @@ def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
     return cfg
 
 
-def _ordered_map(fn: Callable[[T], U], items: Sequence[T], jobs: int) -> list[U]:
-    """Apply fn preserving input order; jobs > 1 uses a thread pool."""
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def collect_repos(roots: Iterable[str]) -> list[tuple[str, Repository]]:
     out: list[tuple[str, Repository]] = []
     for root in sorted(roots):
@@ -154,17 +145,7 @@ def corpus_vocab(config: RunConfig) -> Vocab:
 
 
 def run_augment(config: RunConfig) -> AugmentedDataset:
-    repos = [repo for _, repo in collect_repos(config.train_roots)]
-    if config.jobs > 1:
-        # Per-repository parallelism with an order-preserving merge; each
-        # repository's analysis is read-only and independent.
-        parts = _ordered_map(lambda r: augment_corpus([r]).pairs, repos, config.jobs)
-        pairs = [p for part in parts for p in part]
-        dataset = AugmentedDataset(
-            pairs=pairs, corpus_id=corpus_id_of(repos), tool_version=__version__
-        )
-    else:
-        dataset = augment_corpus(repos)
+    dataset = augment_corpus([repo for _, repo in collect_repos(config.train_roots)])
     os.makedirs(os.path.dirname(os.path.abspath(config.dataset)), exist_ok=True)
     save_dataset(dataset, config.dataset, config.dataset_meta)
     return dataset
@@ -203,8 +184,6 @@ def run_train(config: RunConfig) -> tuple[NGramModel, NGramModel, dict]:
             pairs, config.order, config.alpha, vocab, buckets=config.buckets, variant=variant
         )
         nll, n_tokens = model.corpus_nll(pairs)
-        import math
-
         stats[variant] = {
             "train_nll_per_token": nll / n_tokens,
             "uniform_nll_per_token": math.log(vocab.size),
@@ -301,23 +280,24 @@ def run_model_over_tasks(
     model: NGramModel,
     tasks: Sequence[Task],
     gen_cfg: GenerationConfig,
-    jobs: int = 1,
 ) -> tuple[list[EvalPair], list[GenerationTrace]]:
-    def one(task: Task) -> tuple[EvalPair, GenerationTrace]:
+    pairs: list[EvalPair] = []
+    traces: list[GenerationTrace] = []
+    for task in tasks:
         pred, trace = generate(model, task.snapshot, task.description, task.pos, gen_cfg)
-        pair = EvalPair(
-            description=task.description,
-            gt=task.gt,
-            pred=pred,
-            repo=task.snapshot,
-            file=task.file,
-            pos=task.pos,
-            label=task.label,
+        pairs.append(
+            EvalPair(
+                description=task.description,
+                gt=task.gt,
+                pred=pred,
+                repo=task.snapshot,
+                file=task.file,
+                pos=task.pos,
+                label=task.label,
+            )
         )
-        return pair, trace
-
-    results = _ordered_map(one, list(tasks), jobs)
-    return [r[0] for r in results], [r[1] for r in results]
+        traces.append(trace)
+    return pairs, traces
 
 
 def trace_summary(traces: Sequence[GenerationTrace]) -> dict:
@@ -350,7 +330,7 @@ def run_evaluate(config: RunConfig) -> dict:
     if not tasks:
         raise DataError("no benchmark tasks found in the eval corpus")
 
-    report: dict = {"n_tasks": len(tasks), "models": {}}
+    runs = {}
     for variant, model, tool_enabled in (
         ("tool", tool_model, True),
         ("vanilla", vanilla_model, False),
@@ -360,9 +340,13 @@ def run_evaluate(config: RunConfig) -> dict:
             cache_enabled=config.cache,
             tool_enabled=tool_enabled,
         )
-        pairs, traces = run_model_over_tasks(model, tasks, gen_cfg, jobs=config.jobs)
-        result: EvalReport = evaluate_pairs(pairs, tool_model.vocab)
-        entry = result.to_dict()
+        runs[variant] = run_model_over_tasks(model, tasks, gen_cfg)
+    vocab = tool_model.vocab
+    # Both models are scored on the same tasks, so the task side is computed once.
+    truths = [ground_truth(pair, vocab) for pair in runs["tool"][0]]
+    report: dict = {"n_tasks": len(tasks), "models": {}}
+    for variant, (pairs, traces) in runs.items():
+        entry = evaluate_pairs(pairs, vocab, truths).to_dict()
         entry["traces"] = trace_summary(traces)
         report["models"][variant] = entry
 

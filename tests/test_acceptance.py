@@ -20,13 +20,13 @@ from oracles import (
 )
 
 from conftest import CORPUS, ROOT, make_config
+from mpgen import metrics
 from mpgen.analysis.complete import tool_complete
 from mpgen.decode import GenerationConfig, build_trie, select_suggestion
 from mpgen.lm.tokenizer import detokenize, tokenize
 from mpgen.lm.vocab import BOS_ID, COMP_ID
 from mpgen.metrics import (
     corpus_bleu,
-    dependency_coverage,
     edit_similarity,
     extract_expressions,
     identify_dependencies,
@@ -182,7 +182,7 @@ def test_criterion_6_metric_oracle_equivalence(bench):
         (extract_expressions(p.pred), identify_dependencies(p.gt, p.repo, p.pos))
         for p in pairs
     ]
-    got_cov = dependency_coverage(pairs)
+    got_cov = evaluate_pairs(pairs, vocab).dep_cov
     want_cov = naive_dep_cov(dep_exp)
     assert abs(got_cov - want_cov) <= 1e-9
 
@@ -220,14 +220,25 @@ def test_criterion_7_cache_transparency(bench):
     )
 
 
-def test_criterion_8_pipeline_determinism(tmp_path_factory):
+def test_criterion_8_pipeline_determinism(tmp_path_factory, monkeypatch):
+    calls = []
+    counted = metrics.identify_dependencies
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return counted(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "identify_dependencies", counting)
     blobs = []
     for tag in ("one", "two"):
         out = tmp_path_factory.mktemp(f"determinism_{tag}")
         config = make_config(out)
         run_augment(config)
         run_train(config)
+        calls.clear()
         run_evaluate(config)
+        # the ground-truth side is computed once per task, not once per model
+        assert len(calls) == 126
         blobs.append(
             tuple(
                 open(p, "rb").read()

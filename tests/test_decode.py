@@ -510,5 +510,3 @@ def test_generation_trace_tags_cover_all_tokens():
 def test_generation_config_validation():
     with pytest.raises(ValueError):
         GenerationConfig(max_tokens=0)
-    with pytest.raises(ValueError):
-        GenerationConfig(tie_break="random")

@@ -1,3 +1,7 @@
+import json
+import statistics
+from pathlib import Path
+
 import pytest
 
 from mpgen.lm import build_vocab, tokenize
@@ -5,15 +9,11 @@ from mpgen.metrics import (
     EvalPair,
     canonical_text,
     corpus_bleu,
-    dependency_coverage,
     edit_similarity,
     evaluate_pairs,
-    exact_match,
     extract_expressions,
     identify_dependencies,
     pair_is_valid,
-    sentence_bleu,
-    static_validity_rate,
 )
 from mpgen.repo import CaretPosition, Repository
 
@@ -34,6 +34,14 @@ COUNTER = (
     '        "Increase by amount"\n'
     "        \n"
 )
+
+
+VOCAB = build_vocab([COUNTER])
+
+
+def score(pairs: list[EvalPair]):
+    """The aggregate report of the fixture pairs."""
+    return evaluate_pairs(pairs, VOCAB)
 
 
 def counter_pair(pred: str, gt: str = "self._value = self._value + 1") -> EvalPair:
@@ -123,7 +131,7 @@ def test_extract_expressions_unparseable_prefix():
 
 def test_identity_prediction_full_coverage():
     pair = counter_pair("self._value = self._value + 1")
-    assert dependency_coverage([pair]) == 1.0
+    assert score([pair]).dep_cov == 1.0
 
 
 def test_partial_coverage_quarter():
@@ -145,7 +153,7 @@ def test_partial_coverage_quarter():
     pair = EvalPair("d", gt, "return self._a", repo, "q.mp", pos)
     deps = identify_dependencies(gt, repo, pos)
     assert len(deps) == 4
-    assert dependency_coverage([pair]) == 0.25
+    assert score([pair]).dep_cov == 0.25
 
 
 def test_micro_average_not_macro():
@@ -173,18 +181,18 @@ def test_micro_average_not_macro():
         pos,
     )
     p2 = EvalPair("d", "return self._a", "return 0", repo, "q.mp", pos)
-    assert dependency_coverage([p1, p2]) == pytest.approx(0.4)
+    assert score([p1, p2]).dep_cov == pytest.approx(0.4)
 
 
 def test_all_dep_empty_is_not_applicable():
     pair = counter_pair("return 1", gt="return 1")
-    assert dependency_coverage([pair]) is None
+    assert score([pair]).dep_cov is None
 
 
 def test_coverage_monotonicity():
     pair_low = counter_pair("return 0")
     pair_high = counter_pair("return self._value")
-    assert dependency_coverage([pair_high]) >= dependency_coverage([pair_low])
+    assert score([pair_high]).dep_cov >= score([pair_low]).dep_cov
 
 
 # --- static validity --------------------------------------------------------------
@@ -222,9 +230,9 @@ def test_validity_rates_overall_and_dependency_only():
     invalid_dep = counter_pair("return self._updates")
     valid_plain = counter_pair("return amount", gt="return amount")
     invalid_plain = counter_pair("return ghost", gt="return amount")
-    rate, rate_dep = static_validity_rate([valid_dep, invalid_dep, valid_plain, invalid_plain])
-    assert rate == pytest.approx(0.5)
-    assert rate_dep == pytest.approx(0.5)
+    report = score([valid_dep, invalid_dep, valid_plain, invalid_plain])
+    assert report.val_rate == pytest.approx(0.5)
+    assert report.val_rate_dep == pytest.approx(0.5)
 
 
 # --- exact match -------------------------------------------------------------------
@@ -233,9 +241,9 @@ def test_exact_match_identity_and_whitespace():
     a = counter_pair("self._value = self._value + 1")
     b = counter_pair("self._value   =  self._value + 1")  # whitespace-only difference
     c = counter_pair("self._value = self._value + 2")
-    assert exact_match([a]) == 1.0
-    assert exact_match([b]) == 1.0
-    assert exact_match([c]) == 0.0
+    assert score([a]).exact_match == 1.0
+    assert score([b]).exact_match == 1.0
+    assert score([c]).exact_match == 0.0
     assert canonical_text(b.pred) == canonical_text(b.gt)
 
 
@@ -302,7 +310,8 @@ def test_bleu_matches_oracle_on_mixed_corpus():
 
 def test_sentence_bleu_perfect_pair():
     v = build_vocab(["return 1 + 2"])
-    assert sentence_bleu("return 1 + 2", "return 1 + 2", v) == pytest.approx(1.0)
+    pair = counter_pair("return 1 + 2", gt="return 1 + 2")
+    assert evaluate_pairs([pair], v).per_pair[0]["bleu4"] == pytest.approx(1.0)
 
 
 # --- aggregate report ------------------------------------------------------------------
@@ -339,7 +348,7 @@ def test_dep_cov_oracle_equivalence_on_fixture_pairs():
         (extract_expressions(p.pred), identify_dependencies(p.gt, p.repo, p.pos))
         for p in pairs
     ]
-    assert dependency_coverage(pairs) == pytest.approx(naive_dep_cov(dep_exp), abs=1e-12)
+    assert score(pairs).dep_cov == pytest.approx(naive_dep_cov(dep_exp), abs=1e-12)
 
 
 def test_validity_rate_seven_of_ten_and_four_of_five():
@@ -348,6 +357,49 @@ def test_validity_rate_seven_of_ten_and_four_of_five():
     dep_invalid = [counter_pair("return self._updates")]
     plain_valid = [counter_pair("return amount", gt="return amount") for _ in range(3)]
     plain_invalid = [counter_pair("return ghost", gt="return amount") for _ in range(2)]
-    rate, rate_dep = static_validity_rate(dep_valid + dep_invalid + plain_valid + plain_invalid)
-    assert rate == pytest.approx(0.7)
-    assert rate_dep == pytest.approx(0.8)
+    report = score(dep_valid + dep_invalid + plain_valid + plain_invalid)
+    assert report.val_rate == pytest.approx(0.7)
+    assert report.val_rate_dep == pytest.approx(0.8)
+
+
+# --- committed golden report -------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# README metric-table row -> report key
+README_ROWS = {
+    "DepCov": "dep_cov",
+    "ValRate": "val_rate",
+    "ValRate-dep": "val_rate_dep",
+    "ExactMatch": "exact_match",
+    "EditSim": "edit_sim",
+    "BLEU-4": "bleu4",
+}
+
+
+def test_golden_aggregates_follow_rows_and_readme():
+    # out/report.json: each aggregate is the one its own rows give, and the
+    # README table prints the golden aggregates
+    report = json.loads((ROOT / "out" / "report.json").read_text(encoding="utf-8"))
+    for entry in report["models"].values():
+        rows = entry["pairs"]
+        dep_rows = [r for r in rows if r["dep_total"]]
+        assert entry["n"] == len(rows) == report["n_tasks"]
+        covered = sum(r["dep_covered"] for r in rows)
+        assert entry["dep_cov"] == covered / sum(r["dep_total"] for r in rows)
+        assert entry["val_rate"] == sum(r["valid"] for r in rows) / len(rows)
+        assert entry["val_rate_dep"] == sum(r["valid"] for r in dep_rows) / len(dep_rows)
+        assert entry["exact_match"] == sum(r["exact_match"] for r in rows) / len(rows)
+        assert entry["edit_sim"] == statistics.mean(r["edit_sim"] for r in rows)
+
+    table = {}
+    for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if line.startswith("|") and cells[0] in README_ROWS:
+            table[cells[0]] = dict(zip(("tool", "vanilla"), cells[1:], strict=True))
+    assert set(table) == set(README_ROWS)
+    for label, printed in table.items():
+        for variant, cell in printed.items():
+            value = report["models"][variant][README_ROWS[label]]
+            decimals = len(cell.split(".")[1])
+            assert f"{value:.{decimals}f}" == cell, (label, variant, value)

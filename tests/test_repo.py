@@ -12,10 +12,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from mpgen import decode
 from mpgen.decode import GenerationConfig
 from mpgen.minilang import lexer, parser
-from mpgen.pipeline import derive_tasks, run_evaluate, run_model_over_tasks
+from mpgen.pipeline import derive_tasks, run_model_over_tasks
 from mpgen.repo import Repository
 
-from conftest import CORPUS, make_config
+from conftest import CORPUS
 
 ROOT_REPO = Repository.from_dir(str(CORPUS / "train" / "repo00"))
 PATHS = ROOT_REPO.paths()
@@ -180,17 +180,3 @@ def test_tool_complete_matches_cache_free_oracle(trained_models, monkeypatch):
     tasks = derive_tasks(config)
     run_model_over_tasks(tool, tasks, GenerationConfig(max_tokens=config.max_tokens))
     assert len(checked) == 732
-
-
-def test_threaded_evaluate_writes_same_report(trained_models, tmp_path):
-    config, _tool, _vanilla = trained_models
-    blobs = []
-    for jobs in (1, 2):
-        report = tmp_path / f"report_jobs{jobs}.json"
-        run = make_config(
-            tmp_path, dataset=config.dataset, model_dir=config.model_dir,
-            report=str(report), jobs=jobs,
-        )
-        run_evaluate(run)
-        blobs.append(report.read_bytes())
-    assert blobs[0] == blobs[1]
