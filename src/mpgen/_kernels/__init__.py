@@ -1,8 +1,9 @@
 """The two numeric kernels: smoothed next-token distribution and edit distance.
 
 Both are exact pure Python/numpy. `levenshtein` scores every evaluated pair;
-`smoothed_distribution` fills the dense distribution that `predict` returns
-(NLL, perplexity; greedy decoding reads the counts directly, see `decode`).
+`smoothed_distribution` fills the dense distribution that `predict` returns.
+Greedy decoding and the training NLL read the counts directly (see `decode`
+and `NGramModel.sequence_nll`); the dense vector is their reference.
 
 `BACKEND` names the implementation. There is only one now, but benchmark
 records carry it so that results from different kernel implementations are

@@ -78,10 +78,9 @@ class GenerationTrace:
 
 
 class TrieNode:
-    __slots__ = ("token_id", "children", "is_terminal")
+    __slots__ = ("children", "is_terminal")
 
-    def __init__(self, token_id: Optional[int]):
-        self.token_id = token_id
+    def __init__(self):
         self.children: dict[int, TrieNode] = {}
         self.is_terminal = False
 
@@ -90,8 +89,7 @@ class PrefixTrie:
     """Trie over suggestion token sequences; shared prefixes share nodes."""
 
     def __init__(self):
-        self.root = TrieNode(None)
-        self.n_suggestions = 0
+        self.root = TrieNode()
         self.node_count = 1
         self._sequences: list[tuple[int, ...]] = []
 
@@ -102,12 +100,11 @@ class PrefixTrie:
         for tok in seq:
             child = node.children.get(tok)
             if child is None:
-                child = TrieNode(tok)
+                child = TrieNode()
                 node.children[tok] = child
                 self.node_count += 1
             node = child
         node.is_terminal = True
-        self.n_suggestions += 1
         self._sequences.append(tuple(seq))
 
     @property

@@ -9,11 +9,13 @@ are additively smoothed over the whole vocabulary, so every token (the
 trigger token included) always has positive probability and the result sums
 to one.
 
-`predict` returns that dense distribution (likelihoods and perplexity need
-it). Greedy decoding needs only its argmax, which `next_counts` gives
-straight from the matched counts, without building the vector. Both take
-the description's bucket; callers that score many prefixes of one
-description compute it once.
+The model stores only the counts; a context's total is summed from them
+where it is read. `next_counts` returns the matched counts, and everything
+else is computed from them: greedy decoding takes its argmax straight from
+the counts, `sequence_nll` smooths the one count it scores, and `predict`
+builds the dense distribution, the reference the other two agree with bit
+for bit. All take the description's bucket; callers that score many
+prefixes of one description compute it once.
 """
 
 from __future__ import annotations
@@ -69,23 +71,22 @@ class NGramModel:
     tables: dict[tuple[int, int], dict[tuple[int, ...], dict[int, int]]] = field(
         default_factory=dict
     )
-    totals: dict[tuple[int, int], dict[tuple[int, ...], int]] = field(default_factory=dict)
 
     def _bump(self, bucket: int, k: int, ctx: tuple[int, ...], tok: int) -> None:
         table = self.tables.setdefault((bucket, k), {})
         counts = table.setdefault(ctx, {})
         counts[tok] = counts.get(tok, 0) + 1
-        totals = self.totals.setdefault((bucket, k), {})
-        totals[ctx] = totals.get(ctx, 0) + 1
 
-    def _lookup(
+    def next_counts(
         self, bucket: int, prefix: Sequence[int], max_k: Optional[int] = None
-    ) -> Optional[tuple[dict[int, int], int]]:
-        """Longest-context match, preferring the bucket over the global pool.
+    ) -> dict[int, int]:
+        """Next-token counts of the longest matching context, at most `max_k` long.
 
-        Context length dominates conditioning specificity: an order is only
-        shortened once neither the bucket nor the cross-bucket table has the
-        context at the current length.
+        The bucket is preferred over the global pool, but context length
+        dominates conditioning specificity: an order is only shortened once
+        neither the bucket nor the cross-bucket table has the context at the
+        current length. Empty when no context matches, i.e. the distribution
+        is pure smoothing. The dict is the model's own table: do not mutate it.
         """
         top = self.order - 1 if max_k is None else max_k
         for k in range(min(top, len(prefix)), -1, -1):
@@ -93,17 +94,8 @@ class NGramModel:
             for b in (bucket, GLOBAL_BUCKET):
                 table = self.tables.get((b, k))
                 if table is not None and ctx in table:
-                    return table[ctx], self.totals[(b, k)][ctx]
-        return None
-
-    def next_counts(self, bucket: int, prefix: Sequence[int]) -> dict[int, int]:
-        """Observed next-token counts of the context `predict` would use.
-
-        Empty when no context matches, i.e. the distribution is pure
-        smoothing. The dict is the model's own table: do not mutate it.
-        """
-        hit = self._lookup(bucket, prefix)
-        return {} if hit is None else hit[0]
+                    return table[ctx]
+        return {}
 
     def predict(
         self,
@@ -119,24 +111,27 @@ class NGramModel:
         max_k = None if max_order is None else max_order - 1
         if bucket is None:
             bucket = description_bucket(description, self.vocab, self.buckets)
-        hit = self._lookup(bucket, prefix, max_k)
-        if hit is None:
-            counts: dict[int, int] = {}
-            total = 0
-        else:
-            counts, total = hit
+        counts = self.next_counts(bucket, prefix, max_k)
         items = sorted(counts.items())
         ids = np.fromiter((i for i, _ in items), dtype=np.int64, count=len(items))
         vals = np.fromiter((c for _, c in items), dtype=np.float64, count=len(items))
-        return smoothed_distribution(self.vocab.size, ids, vals, self.alpha, float(total))
+        total = float(sum(counts.values()))
+        return smoothed_distribution(self.vocab.size, ids, vals, self.alpha, total)
 
     def sequence_nll(self, description: Sequence[int], target: Sequence[int]) -> float:
-        """Negative log-likelihood of a <BOS>...<EOS> target, in nats."""
+        """Negative log-likelihood of a <BOS>...<EOS> target, in nats.
+
+        Each step reads only the target token's probability, with the float
+        operations `smoothed_distribution` uses for that entry.
+        """
         bucket = description_bucket(description, self.vocab, self.buckets)
+        alpha = float(self.alpha)
+        smoothing = alpha * self.vocab.size
         nll = 0.0
         for i in range(1, len(target)):
-            dist = self.predict(description, target[:i], bucket=bucket)
-            nll -= log(float(dist[target[i]]))
+            counts = self.next_counts(bucket, target[:i])
+            denom = float(sum(counts.values())) + smoothing
+            nll -= log((alpha + counts.get(target[i], 0)) / denom)
         return nll
 
     def corpus_nll(self, dataset: Iterable[tuple[Sequence[int], Sequence[int]]]) -> tuple[float, int]:
@@ -189,22 +184,17 @@ def _tables_to_json(model: NGramModel) -> dict:
     return out
 
 
-def _tables_from_json(data: dict) -> tuple[dict, dict]:
+def _tables_from_json(data: dict) -> dict:
     tables: dict = {}
-    totals: dict = {}
     for bk, ctxs in data.items():
         bucket_s, k_s = bk.split(":")
         key = (int(bucket_s), int(k_s))
         table: dict = {}
-        tot: dict = {}
         for ctx_s, counts in ctxs.items():
             ctx = tuple(int(x) for x in ctx_s.split(",")) if ctx_s else ()
-            parsed = {int(t): int(c) for t, c in counts.items()}
-            table[ctx] = parsed
-            tot[ctx] = sum(parsed.values())
+            table[ctx] = {int(t): int(c) for t, c in counts.items()}
         tables[key] = table
-        totals[key] = tot
-    return tables, totals
+    return tables
 
 
 def save_model(model: NGramModel, path: str) -> None:
@@ -238,15 +228,13 @@ def load_model(path: str) -> NGramModel:
         )
     try:
         vocab = Vocab(tokens=tuple(payload["vocab"]))
-        tables, totals = _tables_from_json(payload["tables"])
         model = NGramModel(
             vocab=vocab,
             order=int(payload["order"]),
             alpha=float(payload["alpha"]),
             buckets=int(payload["buckets"]),
             variant=str(payload.get("variant", "model")),
-            tables=tables,
-            totals=totals,
+            tables=_tables_from_json(payload["tables"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelCorruptError(f"malformed model file {path!r}: {exc}") from exc

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Iterable, Optional, Sequence
 
 from .decode import GenerationConfig, GenerationTrace, generate
@@ -92,6 +92,8 @@ def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read config {path!r}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise DataError(f"config {path!r} must be a JSON object")
     if overrides:
         raw.update({k: v for k, v in overrides.items() if v is not None})
     base = os.path.dirname(os.path.abspath(path))
@@ -100,10 +102,12 @@ def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
     def resolve(p: str, root: str) -> str:
         return p if os.path.isabs(p) else os.path.join(root, p)
 
-    known = {f.name for f in RunConfig.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-    unknown = set(raw) - known
+    unknown = set(raw) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise DataError(f"unknown config fields: {sorted(unknown)}")
+    missing = [f.name for f in fields(RunConfig) if f.default is MISSING and f.name not in raw]
+    if missing:
+        raise DataError(f"missing config fields: {missing}")
     cfg = RunConfig(**raw)
     cfg.train_roots = [resolve(p, corpus_base) for p in cfg.train_roots]
     cfg.eval_roots = [resolve(p, corpus_base) for p in cfg.eval_roots]
@@ -323,7 +327,7 @@ def run_evaluate(config: RunConfig) -> dict:
             raise DataError(f"model {path!r} not found; run train first")
     tool_model = load_model(config.tool_model_path)
     vanilla_model = load_model(config.vanilla_model_path)
-    if config.tasks and os.path.exists(config.tasks):
+    if config.tasks:
         tasks = load_tasks(config.tasks, config)
     else:
         tasks = derive_tasks(config)

@@ -97,9 +97,6 @@ class Repository:
             mod = self._module_cache.setdefault(path, mod)
         return mod
 
-    def modules(self) -> dict[str, _parser.Module]:
-        return {p: self.module(p) for p in self._files}
-
     def with_text(self, path: str, text: str) -> "Repository":
         """Copy-on-write snapshot with one file replaced (or added).
 

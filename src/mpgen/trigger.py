@@ -7,10 +7,10 @@ emitted immediately before it. All body tokens, identifier or not, are
 appended in order, so stripping the markers recovers the original body
 exactly.
 
-Completion calls are memoized per (file, resolved receiver) for attribute
-contexts and per (file, function, names-in-scope) for scope contexts; both
-keys capture everything the suggestion list depends on, so memoization
-cannot change results.
+Each eligible identifier asks `tool_complete` once, with no cache of its
+own in front: the analysis a completion needs is already shared, since the
+repository lexes and parses each file once and `scope_index_for` builds one
+scope index per repository.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from typing import Iterable, Optional
 
 from . import __version__
 from .analysis.builtins import is_builtin
-from .analysis.complete import classify_caret, tool_complete
-from .analysis.scope import locals_before, scope_index_for
+from .analysis.complete import tool_complete
 from .minilang import tokens as tk
 from .minilang.parser import FunctionDef, extract_functions
 from .minilang.render import render_tokens
@@ -88,58 +87,9 @@ class AugmentedDataset:
         }
 
 
-class _CompletionMemo:
-    def __init__(self, repo: Repository):
-        self.repo = repo
-        self.cache: dict[tuple, list[str]] = {}
-        self.calls = 0
-        self.hits = 0
-
-    def _key(self, caret: CaretPosition) -> Optional[tuple]:
-        ctx = classify_caret(self.repo, caret)
-        index = scope_index_for(self.repo)
-        _, func = index.enclosing(caret.file, caret.line)
-        if ctx.kind == "attribute":
-            if ctx.receiver is None:
-                return ("unresolvable",)
-            resolved = index.resolve_receiver(
-                caret.file, func, ctx.receiver, (caret.line, caret.column)
-            )
-            if resolved is None:
-                return ("unresolvable",)
-            kind, target = resolved
-            if kind == "class":
-                return ("class", target.file, target.name)
-            return ("module", target.path)
-        if func is None:
-            return ("scope", caret.file, None, ())
-        visible = frozenset(func.params) | frozenset(
-            locals_before(func, (caret.line, caret.column))
-        )
-        return ("scope", caret.file, (func.line, func.name), tuple(sorted(visible)))
-
-    def complete(self, caret: CaretPosition) -> list[str]:
-        key = self._key(caret)
-        if key is not None and key in self.cache:
-            self.hits += 1
-            return self.cache[key]
-        self.calls += 1
-        result = tool_complete(self.repo, caret)
-        if key is not None:
-            self.cache[key] = result
-        return result
-
-
-def insert_triggers(
-    repo: Repository,
-    file: str,
-    func: FunctionDef,
-    memo: Optional[_CompletionMemo] = None,
-) -> AugmentedFunction:
+def insert_triggers(repo: Repository, file: str, func: FunctionDef) -> AugmentedFunction:
     if func.docstring is None:
         raise MissingDocstringError(f"{file}:{func.line}: {func.name} has no docstring")
-    if memo is None:
-        memo = _CompletionMemo(repo)
     description = func.signature_text + " " + func.docstring
     out: list[LexToken] = []
     count = 0
@@ -148,7 +98,7 @@ def insert_triggers(
         if t.kind == tk.IDENTIFIER and not is_builtin(t.text):
             caret = CaretPosition(file, t.line, t.column)
             try:
-                suggestions = memo.complete(caret)
+                suggestions = tool_complete(repo, caret)
             except Exception as exc:  # completion-tool failure: treat as no match
                 suggestions = []
                 diags.append(f"{file}:{t.line}:{t.column}: completion failed: {exc}")
@@ -200,13 +150,12 @@ def augment_corpus(repos: list[Repository]) -> AugmentedDataset:
     pairs: list[AugmentedFunction] = []
     for repo in repos:
         label = _repo_label(repo)
-        memo = _CompletionMemo(repo)
         for path in repo.paths():
             module = repo.module(path)
             for func in extract_functions(module):
                 if func.docstring is None:
                     continue
-                aug = insert_triggers(repo, path, func, memo=memo)
+                aug = insert_triggers(repo, path, func)
                 if label:
                     aug.file = f"{label}/{path}"
                 pairs.append(aug)

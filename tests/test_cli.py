@@ -165,6 +165,14 @@ def test_evaluate_wrong_model_version_is_data_error(tmp_path, capsys):
     assert "version 99 unsupported" in capsys.readouterr().err
 
 
+def test_evaluate_missing_tasks_file_is_data_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, model_dir=str(GOLDEN_MODELS))
+    missing = tmp_path / "no-such-tasks.jsonl"
+    assert main(["evaluate", "--config", cfg, "--tasks", str(missing)]) == 2
+    assert "cannot read tasks file" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_lint_non_utf8_source_is_data_error(tmp_path, capsys):
     repo = tmp_path / "repo"
     repo.mkdir()
@@ -228,6 +236,24 @@ def test_unknown_config_field_is_data_error(tmp_path):
     for field in ("bogus", "jobs", "deterministic"):
         path.write_text(json.dumps({"train_roots": [], "eval_roots": [], field: 1}))
         assert main(["augment", "--config", str(path)]) == 2, field
+
+
+@pytest.mark.parametrize("field", ["train_roots", "eval_roots"])
+def test_missing_config_field_is_data_error(tmp_path, capsys, field):
+    path = Path(write_config(tmp_path))
+    cfg = json.loads(path.read_text())
+    del cfg[field]
+    path.write_text(json.dumps(cfg))
+    assert main(["augment", "--config", str(path)]) == 2
+    assert f"missing config fields: [{field!r}]" in capsys.readouterr().err
+    assert not (tmp_path / "dataset.jsonl").exists()
+
+
+def test_config_that_is_not_an_object_is_data_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text("[]")
+    assert main(["augment", "--config", str(path)]) == 2
+    assert "must be a JSON object" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -142,7 +142,7 @@ def _vocab_with_words(n):
 
 def _forget_unigrams(model):
     for key in [k for k in model.tables if k[1] == 0]:
-        del model.tables[key], model.totals[key]
+        del model.tables[key]
 
 
 def _model_case(bodies, prefix=(), paths=((4,),), forget_unigrams=False):

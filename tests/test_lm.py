@@ -1,6 +1,8 @@
+from math import log
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mpgen.lm import (
     ModelCorruptError,
@@ -139,7 +141,6 @@ def test_untrained_model_uniform():
     v = _tiny_vocab("a b c d")
     m = train([([], [BOS_ID, v.id_strict("a"), EOS_ID])], order=2, alpha=0.1, vocab=v)
     m.tables.clear()
-    m.totals.clear()
     dist = m.predict([], [BOS_ID])
     assert np.allclose(dist, 1.0 / v.size)
 
@@ -166,11 +167,12 @@ def test_backoff_monotonicity():
     pairs = [([], [BOS_ID, a, b, c, EOS_ID]), ([], [BOS_ID, b, c, d, EOS_ID])]
     m = train(pairs, order=3, alpha=0.1, vocab=v)
     prefix = [BOS_ID, a, b]
+    # (a, b) -> c was seen once and (b,) -> c twice, so the order cap matters
+    assert not np.array_equal(m.predict([], prefix), m.predict([], prefix, max_order=2))
     bucket = description_bucket([], v, m.buckets)
     ctx = (a, b)
     for bk in (bucket, -1):
         m.tables.get((bk, 2), {}).pop(ctx, None)
-        m.totals.get((bk, 2), {}).pop(ctx, None)
     np.testing.assert_array_equal(m.predict([], prefix), m.predict([], prefix, max_order=2))
 
 
@@ -224,7 +226,6 @@ def test_next_counts_are_the_counts_predict_smooths():
     denom = 4 + 0.1 * m.vocab.size
     assert dist[ids[1]] == (0.1 + 4.0) / denom
     m.tables.clear()
-    m.totals.clear()
     assert m.next_counts(bucket, [BOS_ID]) == {}
 
 
@@ -257,6 +258,74 @@ def test_hoisted_bucket_nll_is_bit_identical(trained_models):
             total += nll
             n_tokens += len(target) - 1
         assert model.corpus_nll(pairs) == (total, n_tokens)
+
+
+def _nll_case(bodies, targets, forget=()):
+    """Order-2, one-bucket model over the words 4 and 5, trained on `bodies`,
+    with the (context length, context) entries in `forget` removed."""
+    vocab = Vocab(tokens=RESERVED_TOKENS + ("w0", "w1"))
+    m = train([([], [BOS_ID] + b + [EOS_ID]) for b in bodies], order=2, alpha=0.1, vocab=vocab, buckets=1)
+    for k, ctx in forget:
+        for bk in (0, -1):
+            m.tables[(bk, k)].pop(ctx, None)
+    return m, [([], [BOS_ID] + t + [EOS_ID]) for t in targets]
+
+
+@st.composite
+def nll_cases(draw):
+    """A small random model with some contexts removed, and random targets.
+
+    The targets are drawn independently of the training pairs, so next
+    tokens unseen in their context are common, and the removed contexts
+    leave some prefixes with no matching context at all.
+    """
+    vocab = Vocab(tokens=RESERVED_TOKENS + tuple(f"w{i}" for i in range(draw(st.integers(1, 4)))))
+    ids = st.integers(2, vocab.size - 1)  # <UNK>, <COMP> and the words
+    pair = st.tuples(st.lists(ids, max_size=2), st.lists(ids, max_size=6)).map(
+        lambda p: (p[0], [BOS_ID] + p[1] + [EOS_ID])
+    )
+    m = train(
+        draw(st.lists(pair, min_size=1, max_size=5)),
+        order=draw(st.integers(1, 3)),
+        alpha=draw(st.sampled_from([0.1, 1.0, 1e-6, 2.5])),
+        vocab=vocab,
+        buckets=draw(st.sampled_from([1, 3])),
+    )
+    for table in m.tables.values():
+        for ctx in sorted(table):
+            if draw(st.booleans()):
+                del table[ctx]
+    return m, draw(st.lists(pair, min_size=1, max_size=4))
+
+
+def _dense_nll(model, desc, target):
+    nll = 0.0
+    for i in range(1, len(target)):
+        nll -= log(float(model.predict(desc, target[:i])[target[i]]))
+    return nll
+
+
+@settings(max_examples=300, deadline=None)
+@given(nll_cases())
+# w1 never follows <BOS>, and after w1 no context is left at any length
+@example(_nll_case([[4]], [[5, 4]], forget=[(0, ())]))
+def test_count_nll_equals_dense_predict_nll(case):
+    """sequence_nll reads the counts, not the dense vector; it must still
+    equal the per-step predict sum bit for bit, whichever branch each step
+    takes: observed next token, unseen next token, or no matching context."""
+    model, pairs = case
+    total = 0.0
+    for desc, target in pairs:
+        nll = _dense_nll(model, desc, target)
+        assert model.sequence_nll(desc, target) == nll
+        total += nll
+    assert model.corpus_nll(pairs)[0] == total
+
+
+def test_nll_example_hits_both_branches():
+    model, [(_desc, target)] = _nll_case([[4]], [[5, 4]], forget=[(0, ())])
+    assert 5 not in model.next_counts(0, target[:1])
+    assert model.next_counts(0, target[:2]) == {}
 
 
 # --- persistence -------------------------------------------------------------

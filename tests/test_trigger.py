@@ -1,12 +1,16 @@
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
+from mpgen.analysis import complete
 from mpgen.analysis.builtins import is_builtin
 from mpgen.analysis.complete import tool_complete
 from mpgen.minilang import tokens as tk
 from mpgen.minilang.parser import extract_functions
 from mpgen.minilang.render import render_body
+from mpgen.pipeline import collect_repos
 from mpgen.repo import CaretPosition, Repository
 from mpgen.trigger import (
     MissingDocstringError,
@@ -221,3 +225,31 @@ def test_bundled_corpus_marker_density_window(corpus_repos):
     ds = augment_corpus([repo for _name, repo in corpus_repos])
     mean = ds.stats["mean_comp_count"]
     assert 5.54 - 2 <= mean <= 5.54 + 2
+
+
+def test_augment_classifies_each_caret_once(monkeypatch):
+    """Trigger insertion asks the completion tool once per non-builtin body
+    identifier, so no caret is classified twice. Every binding of
+    `classify_caret` in the package is counted, not only the one
+    `tool_complete` reads."""
+    real = complete.classify_caret
+    calls = 0
+
+    def counting(repo, caret):
+        nonlocal calls
+        calls += 1
+        return real(repo, caret)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("mpgen") and getattr(module, "classify_caret", None) is real:
+            monkeypatch.setattr(module, "classify_caret", counting)
+    train_root = Path(__file__).resolve().parent.parent / "corpus" / "train"
+    ds = augment_corpus([repo for _name, repo in collect_repos([str(train_root)])])
+    identifiers = sum(
+        1
+        for p in ds.pairs
+        for t in p.augmented_body
+        if t.kind == tk.IDENTIFIER and not is_builtin(t.text)
+    )
+    assert identifiers > 1000
+    assert calls <= identifiers
