@@ -1,9 +1,9 @@
 """The two numeric kernels: smoothed next-token distribution and edit distance.
 
-Both are exact pure Python/numpy. `levenshtein` scores every evaluated pair;
+Both are exact pure Python. `levenshtein` scores every evaluated pair;
 `smoothed_distribution` fills the dense distribution that `predict` returns.
 Greedy decoding and the training NLL read the counts directly (see `decode`
-and `NGramModel.sequence_nll`); the dense vector is their reference.
+and `NGramModel.sequence_nll`); the dense list is their reference.
 
 `BACKEND` names the implementation. There is only one now, but benchmark
 records carry it so that results from different kernel implementations are
@@ -12,29 +12,21 @@ never compared as like for like.
 
 from __future__ import annotations
 
-import numpy as np
-
 BACKEND = "pure"
 
 
-def smoothed_distribution(
-    vocab_size: int,
-    ids: np.ndarray,
-    counts: np.ndarray,
-    alpha: float,
-    total: float,
-) -> np.ndarray:
+def smoothed_distribution(vocab_size: int, counts: dict[int, int], alpha: float) -> list[float]:
     """(count + alpha) / (total + alpha*|V|) over the whole vocabulary.
 
-    ids/counts hold the observed next-token counts for one context; every
-    other entry gets the pure-smoothing value. The result sums to 1 up to
-    float rounding.
+    counts maps token id to the observed next-token count for one context;
+    every other entry gets the pure-smoothing value. The result sums to 1 up
+    to float rounding.
     """
     alpha = float(alpha)
-    denom = total + alpha * vocab_size
-    out = np.full(vocab_size, alpha / denom, dtype=np.float64)
-    if len(ids):
-        out[np.asarray(ids, dtype=np.int64)] = (alpha + np.asarray(counts, dtype=np.float64)) / denom
+    denom = float(sum(counts.values())) + alpha * vocab_size
+    out = [alpha / denom] * vocab_size
+    for tok, count in counts.items():
+        out[tok] = (alpha + count) / denom
     return out
 
 

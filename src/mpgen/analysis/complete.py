@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,12 +34,14 @@ class CaretContext:
 def classify_caret(repo: Repository, caret: CaretPosition) -> CaretContext:
     repo.validate_caret(caret)
     toks, _ = repo.lex(caret.file)
-    left = [
-        t
-        for t in toks
-        if (t.line, t.column) < (caret.line, caret.column)
-        and t.kind not in (tk.INDENT, tk.DEDENT)
-    ]
+    # Tokens strictly increase in (line, column), so the ones left of the
+    # caret are toks[:i]; only the last three that are not indentation matter.
+    i = bisect_left(toks, (caret.line, caret.column), key=lambda t: (t.line, t.column))
+    left: list[LexToken] = []
+    while i > 0 and len(left) < 3:
+        i -= 1
+        if toks[i].kind not in (tk.INDENT, tk.DEDENT):
+            left.insert(0, toks[i])
     if left and left[-1].kind == tk.PUNCTUATOR and left[-1].text == ".":
         if len(left) >= 2 and left[-2].kind == tk.IDENTIFIER:
             if len(left) >= 3 and left[-3].kind == tk.PUNCTUATOR and left[-3].text == ".":

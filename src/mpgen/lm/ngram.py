@@ -13,8 +13,9 @@ The model stores only the counts; a context's total is summed from them
 where it is read. `next_counts` returns the matched counts, and everything
 else is computed from them: greedy decoding takes its argmax straight from
 the counts, `sequence_nll` smooths the one count it scores, and `predict`
-builds the dense distribution, the reference the other two agree with bit
-for bit. All take the description's bucket; callers that score many
+builds the dense distribution, a plain list indexed by token id. No
+production path calls `predict`: it is the reference the other two agree
+with bit for bit, and the module needs no numpy. All take the description's bucket; callers that score many
 prefixes of one description compute it once.
 """
 
@@ -24,8 +25,6 @@ import json
 from dataclasses import dataclass, field
 from math import log
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
 
 from .._kernels import smoothed_distribution
 from .vocab import BOS_ID, EOS_ID, Vocab
@@ -103,8 +102,8 @@ class NGramModel:
         prefix: Sequence[int],
         max_order: Optional[int] = None,
         bucket: Optional[int] = None,
-    ) -> np.ndarray:
-        """Smoothed next-token distribution over the full vocabulary.
+    ) -> list[float]:
+        """Smoothed next-token distribution over the full vocabulary, by token id.
 
         `bucket`, when given, must be the description's `description_bucket`.
         """
@@ -112,11 +111,7 @@ class NGramModel:
         if bucket is None:
             bucket = description_bucket(description, self.vocab, self.buckets)
         counts = self.next_counts(bucket, prefix, max_k)
-        items = sorted(counts.items())
-        ids = np.fromiter((i for i, _ in items), dtype=np.int64, count=len(items))
-        vals = np.fromiter((c for _, c in items), dtype=np.float64, count=len(items))
-        total = float(sum(counts.values()))
-        return smoothed_distribution(self.vocab.size, ids, vals, self.alpha, total)
+        return smoothed_distribution(self.vocab.size, counts, self.alpha)
 
     def sequence_nll(self, description: Sequence[int], target: Sequence[int]) -> float:
         """Negative log-likelihood of a <BOS>...<EOS> target, in nats.
@@ -236,7 +231,7 @@ def load_model(path: str) -> NGramModel:
             variant=str(payload.get("variant", "model")),
             tables=_tables_from_json(payload["tables"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ModelCorruptError(f"malformed model file {path!r}: {exc}") from exc
     if not model.alpha > 0:
         raise ModelCorruptError(f"model file {path!r} has non-positive smoothing alpha")

@@ -48,7 +48,7 @@ def split_identifier(name: str) -> list[str]:
 
 def token_strings(text: str) -> list[str]:
     """The tokenizer's string stream for a text (pre-vocabulary)."""
-    toks, _ = lex(text, collect_errors=True)
+    toks, _ = lex(text)
     out: list[str] = []
     for t in toks:
         if t.kind == tk.NEWLINE:

@@ -112,7 +112,7 @@ def pair_is_valid(pair: EvalPair) -> bool:
 
 
 def canonical_text(text: str) -> str:
-    toks, _ = lex(text, collect_errors=True)
+    toks, _ = lex(text)
     return render_tokens(toks)
 
 

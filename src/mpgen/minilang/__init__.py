@@ -1,20 +1,1 @@
 """Lexer, parser, AST and canonical rendering for the MiniPy mini-language."""
-
-from .tokens import LexToken
-from .lexer import LexError, lex
-from .parser import Module, ClassDef, FunctionDef, parse, parse_body, extract_functions
-from .render import render_body, render_tokens
-
-__all__ = [
-    "LexToken",
-    "LexError",
-    "lex",
-    "Module",
-    "ClassDef",
-    "FunctionDef",
-    "parse",
-    "parse_body",
-    "extract_functions",
-    "render_body",
-    "render_tokens",
-]

@@ -1,4 +1,9 @@
-"""Indentation-aware lexer for MiniPy source text."""
+"""Indentation-aware lexer for MiniPy source text.
+
+`lex` never raises: the completion tool and the linter run on half-written
+code, so an illegal character or an unterminated string literal becomes an
+error token plus a diagnostic, and lexing goes on.
+"""
 
 from __future__ import annotations
 
@@ -7,16 +12,6 @@ from dataclasses import dataclass
 
 from . import tokens as tk
 from .tokens import LexToken
-
-
-class LexError(Exception):
-    """Raised for illegal characters when lexing in strict mode."""
-
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"{line}:{column}: {message}")
-        self.message = message
-        self.line = line
-        self.column = column
 
 
 @dataclass(frozen=True)
@@ -40,15 +35,25 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
+# Token kind of each regex group; a name in KEYWORDS becomes a keyword, and
+# spaces yield no token.
+_GROUP_KIND = {
+    "marker": tk.MARKER,
+    "name": tk.IDENTIFIER,
+    "number": tk.NUMBER,
+    "string": tk.STRING,
+    "unterminated": tk.ERROR,
+    "op": tk.OPERATOR,
+    "punct": tk.PUNCTUATOR,
+    "space": None,
+}
 
-def lex(source: str, *, collect_errors: bool = False):
-    """Lex MiniPy source into a token list.
 
-    In strict mode (the default) an illegal character raises LexError. With
-    collect_errors=True the function never raises: illegal characters become
-    error tokens and the return value is a (tokens, diagnostics) pair.
-    Unterminated string literals always yield an error token plus a
-    diagnostic, per the lexer contract.
+def lex(source: str) -> tuple[list[LexToken], list[LexDiagnostic]]:
+    """Lex MiniPy source into a (tokens, diagnostics) pair.
+
+    Illegal characters and unterminated string literals become error tokens,
+    each with a diagnostic at its position.
 
     Indentation is encoded as indent/dedent tokens. Blank (or all-space)
     lines produce no tokens. Every content line is terminated by a newline
@@ -90,32 +95,18 @@ def lex(source: str, *, collect_errors: bool = False):
             m = _TOKEN_RE.match(raw, pos)
             if m is None:
                 ch = raw[pos]
-                if not collect_errors:
-                    raise LexError(f"illegal character {ch!r}", lineno, pos)
                 diags.append(LexDiagnostic(f"illegal character {ch!r}", lineno, pos))
                 out.append(LexToken(tk.ERROR, ch, lineno, pos))
                 pos += 1
                 continue
-            kind = m.lastgroup
-            text = m.group()
-            if kind == "space":
-                pass
-            elif kind == "marker":
-                out.append(LexToken(tk.MARKER, text, lineno, pos))
-            elif kind == "name":
-                k = tk.KEYWORD if text in tk.KEYWORDS else tk.IDENTIFIER
-                out.append(LexToken(k, text, lineno, pos))
-            elif kind == "number":
-                out.append(LexToken(tk.NUMBER, text, lineno, pos))
-            elif kind == "string":
-                out.append(LexToken(tk.STRING, text, lineno, pos))
-            elif kind == "unterminated":
-                diags.append(LexDiagnostic("unterminated string literal", lineno, pos))
-                out.append(LexToken(tk.ERROR, text, lineno, pos))
-            elif kind == "op":
-                out.append(LexToken(tk.OPERATOR, text, lineno, pos))
-            elif kind == "punct":
-                out.append(LexToken(tk.PUNCTUATOR, text, lineno, pos))
+            kind = _GROUP_KIND[m.lastgroup]
+            if kind is not None:
+                text = m.group()
+                if kind == tk.IDENTIFIER and text in tk.KEYWORDS:
+                    kind = tk.KEYWORD
+                elif kind == tk.ERROR:
+                    diags.append(LexDiagnostic("unterminated string literal", lineno, pos))
+                out.append(LexToken(kind, text, lineno, pos))
             pos = m.end()
 
         out.append(LexToken(tk.NEWLINE, "", lineno, len(raw)))
@@ -128,6 +119,4 @@ def lex(source: str, *, collect_errors: bool = False):
         out.append(LexToken(tk.DEDENT, "", last_line, last_col + 1 + n))
         n += 1
 
-    if collect_errors:
-        return out, diags
-    return out
+    return out, diags

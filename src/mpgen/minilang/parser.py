@@ -4,17 +4,17 @@ Parse errors are collected as diagnostics, never raised: a file containing
 one broken function must still yield usable definitions for the rest, since
 the lint checker and the completion tool run on files holding partially
 generated code. Recovery skips to the next line (inside a block) or to the
-next top-level definition (at module level).
+next top-level definition (at module level). `parse` and `parse_body` share
+the parser set-up, the statement rules and the one recovery rule `_recover`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from . import nodes, tokens as tk
 from .lexer import lex
-from .render import render_tokens
 from .tokens import LexToken
 
 
@@ -40,10 +40,6 @@ class FunctionDef:
     body_start_column: int
     end_line: int
     owner_class: Optional[str] = None
-
-    @property
-    def has_docstring(self) -> bool:
-        return self.docstring is not None
 
     @property
     def is_method(self) -> bool:
@@ -80,12 +76,15 @@ class Module:
     functions: list[FunctionDef] = field(default_factory=list)
     body: list[nodes.Stmt] = field(default_factory=list)  # module-level simple statements
     diagnostics: list[ParseDiagnostic] = field(default_factory=list)
-    tokens: list[LexToken] = field(default_factory=list)
 
 
 class _Recover(Exception):
     def __init__(self, diag: ParseDiagnostic):
         self.diag = diag
+
+
+# Binding level of each binary operator; all of them are left-associative.
+_LEVEL = {"==": 1, "!=": 1, "<": 1, ">": 1, "+": 2, "-": 2, "*": 3, "/": 3}
 
 
 class _Parser:
@@ -112,34 +111,32 @@ class _Parser:
     def expect(self, kind: str, text: Optional[str] = None) -> LexToken:
         t = self.peek()
         if t is None:
-            last = self.toks[-1] if self.toks else None
-            line = last.line if last else 1
-            raise _Recover(ParseDiagnostic(f"unexpected end of file, expected {text or kind}", line, 0))
+            raise self._eof(f"unexpected end of file, expected {text or kind}")
         if t.kind != kind or (text is not None and t.text != text):
             want = text or kind
             raise _Recover(ParseDiagnostic(f"expected {want!r}, found {t.text or t.kind!r}", t.line, t.column))
         return self.advance()
 
-    def _skip_to_newline(self) -> None:
-        while self.peek() is not None and not self.at(tk.NEWLINE):
-            if self.at(tk.INDENT) or self.at(tk.DEDENT):
-                return
+    def _eof(self, message: str) -> _Recover:
+        return _Recover(ParseDiagnostic(message, self.toks[-1].line if self.toks else 1, 0))
+
+    def _recover(self, r: _Recover) -> None:
+        """Record the diagnostic, skip to the next line and any block it opens."""
+        self.diags.append(r.diag)
+        while (t := self.peek()) is not None and t.kind not in (tk.NEWLINE, tk.INDENT, tk.DEDENT):
             self.advance()
         if self.at(tk.NEWLINE):
             self.advance()
-
-    def _skip_block(self) -> None:
-        """Skip a balanced indent region starting at the current INDENT."""
-        depth = 0
-        while self.peek() is not None:
-            if self.at(tk.INDENT):
-                depth += 1
-            elif self.at(tk.DEDENT):
-                depth -= 1
-                if depth <= 0:
-                    self.advance()
-                    return
-            self.advance()
+        if self.at(tk.INDENT):
+            depth = 0
+            while (t := self.peek()) is not None:
+                self.advance()
+                if t.kind == tk.INDENT:
+                    depth += 1
+                elif t.kind == tk.DEDENT:
+                    depth -= 1
+                    if depth == 0:
+                        return
 
     def _sync_top_level(self) -> None:
         depth = 0
@@ -155,30 +152,14 @@ class _Parser:
 
     # --- expressions ----------------------------------------------------
     def parse_expr(self) -> nodes.Expr:
-        return self._comparison()
+        return self._binary(1)
 
-    def _comparison(self) -> nodes.Expr:
-        left = self._additive()
-        while self.at(tk.OPERATOR) and self.peek().text in ("==", "!=", "<", ">"):
-            op = self.advance().text
-            right = self._additive()
-            left = nodes.BinOp(left, op, right)
-        return left
-
-    def _additive(self) -> nodes.Expr:
-        left = self._multiplicative()
-        while self.at(tk.OPERATOR) and self.peek().text in ("+", "-"):
-            op = self.advance().text
-            right = self._multiplicative()
-            left = nodes.BinOp(left, op, right)
-        return left
-
-    def _multiplicative(self) -> nodes.Expr:
+    def _binary(self, min_level: int) -> nodes.Expr:
+        """Precedence climbing: a chain of operators binding at least min_level."""
         left = self._postfix()
-        while self.at(tk.OPERATOR) and self.peek().text in ("*", "/"):
+        while self.at(tk.OPERATOR) and _LEVEL.get(self.peek().text, 0) >= min_level:
             op = self.advance().text
-            right = self._postfix()
-            left = nodes.BinOp(left, op, right)
+            left = nodes.BinOp(left, op, self._binary(_LEVEL[op] + 1))
         return left
 
     def _postfix(self) -> nodes.Expr:
@@ -204,7 +185,7 @@ class _Parser:
     def _atom(self) -> nodes.Expr:
         t = self.peek()
         if t is None:
-            raise _Recover(ParseDiagnostic("unexpected end of file in expression", self.toks[-1].line if self.toks else 1, 0))
+            raise self._eof("unexpected end of file in expression")
         if t.kind == tk.IDENTIFIER:
             self.advance()
             return nodes.Name(t.text, t.line, t.column)
@@ -263,18 +244,24 @@ class _Parser:
             return nodes.While(test, body)
         return self.parse_simple_stmt()
 
+    def _statements(self, parse_item: Callable[[], Any]) -> list:
+        """Items up to the block's DEDENT, which is left unconsumed.
+
+        A malformed item is dropped by `_recover` and parsing resumes on the
+        next line; items are statements, or methods in a class body.
+        """
+        items = []
+        while self.peek() is not None and not self.at(tk.DEDENT):
+            try:
+                items.append(parse_item())
+            except _Recover as r:
+                self._recover(r)
+        return items
+
     def parse_block(self) -> list[nodes.Stmt]:
         self.expect(tk.NEWLINE)
         self.expect(tk.INDENT)
-        stmts: list[nodes.Stmt] = []
-        while self.peek() is not None and not self.at(tk.DEDENT):
-            try:
-                stmts.append(self.parse_stmt())
-            except _Recover as r:
-                self.diags.append(r.diag)
-                self._skip_to_newline()
-                if self.at(tk.INDENT):
-                    self._skip_block()
+        stmts = self._statements(self.parse_stmt)
         if self.at(tk.DEDENT):
             self.advance()
         return stmts
@@ -302,15 +289,7 @@ class _Parser:
             self.advance()  # the newline
 
         body_start_idx = self.i
-        body: list[nodes.Stmt] = []
-        while self.peek() is not None and not self.at(tk.DEDENT):
-            try:
-                body.append(self.parse_stmt())
-            except _Recover as r:
-                self.diags.append(r.diag)
-                self._skip_to_newline()
-                if self.at(tk.INDENT):
-                    self._skip_block()
+        body = self._statements(self.parse_stmt)
         body_end_idx = self.i
         if self.at(tk.DEDENT):
             self.advance()
@@ -345,24 +324,7 @@ class _Parser:
         self.expect(tk.PUNCTUATOR, ":")
         self.expect(tk.NEWLINE)
         self.expect(tk.INDENT)
-        methods: list[FunctionDef] = []
-        while self.peek() is not None and not self.at(tk.DEDENT):
-            if self.at(tk.KEYWORD, "def"):
-                try:
-                    methods.append(self.parse_def(owner=name.text))
-                except _Recover as r:
-                    self.diags.append(r.diag)
-                    self._skip_to_newline()
-                    if self.at(tk.INDENT):
-                        self._skip_block()
-            else:
-                t = self.peek()
-                self.diags.append(
-                    ParseDiagnostic(f"only method definitions allowed in class body, found {t.text or t.kind!r}", t.line, t.column)
-                )
-                self._skip_to_newline()
-                if self.at(tk.INDENT):
-                    self._skip_block()
+        methods: list[FunctionDef] = self._statements(lambda: self._method(name.text))
         end_line = methods[-1].end_line if methods else name.line
         if self.at(tk.DEDENT):
             self.advance()
@@ -380,6 +342,14 @@ class _Parser:
                 ):
                     attributes.add(stmt.target.attr)
         return ClassDef(name.text, methods, attributes, c.line, c.column, end_line)
+
+    def _method(self, owner: str) -> FunctionDef:
+        t = self.peek()
+        if not (t.kind == tk.KEYWORD and t.text == "def"):
+            raise _Recover(
+                ParseDiagnostic(f"only method definitions allowed in class body, found {t.text or t.kind!r}", t.line, t.column)
+            )
+        return self.parse_def(owner)
 
     def parse_import(self) -> ImportDecl:
         t = self.peek()
@@ -400,7 +370,7 @@ class _Parser:
 
     # --- module ---------------------------------------------------------
     def parse_module(self) -> Module:
-        mod = Module(path=self.path, tokens=list(self.toks))
+        mod = Module(path=self.path)
         seen: dict[str, tuple[int, int]] = {}
 
         def declare(name: str, line: int, col: int) -> None:
@@ -445,16 +415,22 @@ class _Parser:
         return mod
 
 
+def _parser_for(source: str, path: str, lexed) -> _Parser:
+    """A parser over the tokens of `source` (or `lexed`, its given lex), error
+    tokens dropped and lexer diagnostics already recorded."""
+    toks, lex_diags = lexed if lexed is not None else lex(source)
+    parser = _Parser([t for t in toks if t.kind != tk.ERROR], path)
+    parser.diags.extend(ParseDiagnostic(d.message, d.line, d.column) for d in lex_diags)
+    return parser
+
+
 def parse(source: str, path: str = "<source>", *, lexed=None) -> Module:
     """Parse MiniPy source into a Module; errors are collected, not raised.
 
-    lexed, when given, must be `lex(source, collect_errors=True)`; passing
-    it saves lexing the same text a second time.
+    lexed, when given, must be `lex(source)`; passing it saves lexing the
+    same text a second time.
     """
-    toks, lex_diags = lexed if lexed is not None else lex(source, collect_errors=True)
-    parser = _Parser([t for t in toks if t.kind != tk.ERROR], path)
-    parser.diags.extend(ParseDiagnostic(d.message, d.line, d.column) for d in lex_diags)
-    return parser.parse_module()
+    return _parser_for(source, path, lexed).parse_module()
 
 
 def parse_body(source: str):
@@ -462,9 +438,7 @@ def parse_body(source: str):
 
     Returns (stmts, diagnostics); recovery keeps whatever prefix parsed.
     """
-    toks, lex_diags = lex(source, collect_errors=True)
-    parser = _Parser([t for t in toks if t.kind != tk.ERROR], "<body>")
-    parser.diags.extend(ParseDiagnostic(d.message, d.line, d.column) for d in lex_diags)
+    parser = _parser_for(source, "<body>", None)
     stmts: list[nodes.Stmt] = []
     while parser.peek() is not None:
         if parser.at(tk.NEWLINE):
@@ -477,10 +451,7 @@ def parse_body(source: str):
         try:
             stmts.append(parser.parse_stmt())
         except _Recover as r:
-            parser.diags.append(r.diag)
-            parser._skip_to_newline()
-            if parser.at(tk.INDENT):
-                parser._skip_block()
+            parser._recover(r)
     return stmts, parser.diags
 
 
@@ -491,7 +462,3 @@ def extract_functions(module: Module) -> list[FunctionDef]:
         out.extend((m.line, m) for m in cls.methods)
     out.sort(key=lambda p: p[0])
     return [f for _, f in out]
-
-
-def module_render(module: Module) -> str:
-    return render_tokens(module.tokens)

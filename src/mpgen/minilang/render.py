@@ -9,7 +9,7 @@ spaces between tokens, no space around '.', none inside call parentheses,
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import tokens as tk
 from .tokens import LexToken
@@ -100,15 +100,9 @@ def render_items(items: Iterable[tuple[str, str]]) -> str:
     return text_out.rstrip("\n")
 
 
-def token_items(tokens: Iterable[LexToken]) -> list[tuple[str, str]]:
-    return [(_KIND_TO_CAT[t.kind], t.text) for t in tokens]
-
-
 def render_tokens(tokens: Iterable[LexToken]) -> str:
-    """Canonical text for any LexToken sequence (markers included verbatim)."""
-    return render_items(token_items(tokens))
+    """Canonical text for any LexToken sequence (markers included verbatim).
 
-
-def render_body(body_tokens: Sequence[LexToken]) -> str:
-    """Canonical text of a function body token sequence, at indent level 0."""
-    return render_tokens(body_tokens)
+    A function's body tokens render at indent level 0.
+    """
+    return render_items((_KIND_TO_CAT[t.kind], t.text) for t in tokens)

@@ -15,7 +15,7 @@ INDENT = "indent"
 DEDENT = "dedent"
 # Two kinds beyond the plain-source taxonomy: "marker" for the reserved
 # control-token literals that may appear in augmented code, "error" for
-# unterminated strings and (in tolerant mode) illegal characters.
+# unterminated strings and illegal characters.
 MARKER = "marker"
 ERROR = "error"
 

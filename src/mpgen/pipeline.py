@@ -19,7 +19,7 @@ from .lm.tokenizer import tokenize
 from .lm.vocab import BOS_ID, COMP_ID, EOS_ID, Vocab, build_vocab
 from .metrics import EvalPair, evaluate_pairs, ground_truth
 from .minilang.parser import FunctionDef, extract_functions
-from .minilang.render import render_body
+from .minilang.render import render_tokens
 from .repo import CaretPosition, Repository, load_repositories
 from .trigger import AugmentedDataset, augment_corpus, save_dataset
 
@@ -239,7 +239,7 @@ def derive_tasks(config: RunConfig) -> list[Task]:
                         file=path,
                         pos=pos,
                         description=func.signature_text + " " + func.docstring,
-                        gt=render_body(func.body_tokens),
+                        gt=render_tokens(func.body_tokens),
                     )
                 )
     return tasks

@@ -75,13 +75,13 @@ class Repository:
             raise CaretError(f"no such file in repository: {path!r}") from None
 
     def lex(self, path: str):
-        """Cached (tokens, lex diagnostics) for one file, tolerant mode."""
+        """Cached (tokens, lex diagnostics) for one file."""
         origin = self._origin.get(path)
         if origin is not None:
             return origin.lex(path)
         lexed = self._lex_cache.get(path)
         if lexed is None:
-            lexed = _lexer.lex(self.text(path), collect_errors=True)
+            lexed = _lexer.lex(self.text(path))
             # setdefault: threads racing on a shared ancestor keep one result
             lexed = self._lex_cache.setdefault(path, lexed)
         return lexed

@@ -9,9 +9,11 @@ import random
 
 import numpy as np
 
+from mpgen.analysis.complete import CaretContext
 from mpgen.lm import build_vocab, train
 from mpgen.lm.tokenizer import split_identifier
 from mpgen.lm.vocab import BOS_ID, COMP_ID, EOS_ID
+from mpgen.minilang import tokens as tk
 
 
 def naive_levenshtein(a: str, b: str) -> int:
@@ -24,6 +26,25 @@ def naive_levenshtein(a: str, b: str) -> int:
                 rows[i - 1][j - 1] + (a[i - 1] != b[j - 1]),
             )
     return rows[len(a)][len(b)]
+
+
+def scan_classify_caret(repo, caret) -> CaretContext:
+    """Caret context from the list of every non-indentation token left of it."""
+    repo.validate_caret(caret)
+    toks, _ = repo.lex(caret.file)
+    left = [
+        t
+        for t in toks
+        if (t.line, t.column) < (caret.line, caret.column)
+        and t.kind not in (tk.INDENT, tk.DEDENT)
+    ]
+    if left and left[-1].kind == tk.PUNCTUATOR and left[-1].text == ".":
+        if len(left) >= 2 and left[-2].kind == tk.IDENTIFIER:
+            if len(left) >= 3 and left[-3].kind == tk.PUNCTUATOR and left[-3].text == ".":
+                return CaretContext("attribute", receiver=None)  # chained: a.b.
+            return CaretContext("attribute", receiver=left[-2].text)
+        return CaretContext("attribute", receiver=None)
+    return CaretContext("scope")
 
 
 def naive_edit_similarity(a: str, b: str) -> float:
@@ -87,7 +108,7 @@ def argmax(vocab, dist: np.ndarray) -> int:
 
 def dense_next_token(model, desc, prefix, excluded=(BOS_ID,)) -> int:
     """Greedy outer-loop choice from the full predicted distribution."""
-    dist = model.predict(desc, prefix)
+    dist = np.asarray(model.predict(desc, prefix))
     dist[list(excluded)] = 0.0
     return argmax(model.vocab, dist)
 
@@ -106,7 +127,7 @@ def dense_path_walk(model, desc, prefix, paths):
     while chosen not in path_set:
         depth = len(chosen)
         allowed = {p[depth] for p in paths if len(p) > depth and p[:depth] == chosen}
-        tok = argmax(model.vocab, mask_distribution(model.predict(desc, work), allowed))
+        tok = argmax(model.vocab, mask_distribution(np.asarray(model.predict(desc, work)), allowed))
         chosen += (tok,)
         work.append(tok)
     return list(chosen)

@@ -34,7 +34,7 @@ from mpgen.metrics import (
 )
 from mpgen.minilang import tokens as tk
 from mpgen.minilang.parser import extract_functions
-from mpgen.minilang.render import render_body
+from mpgen.minilang.render import render_tokens
 from mpgen.pipeline import (
     collect_repos,
     derive_tasks,
@@ -95,7 +95,7 @@ def test_criterion_1_round_trip_suite():
                 if fn.docstring is None:
                     continue
                 aug = insert_triggers(repo, path, fn)
-                assert strip_triggers(aug) == render_body(fn.body_tokens), (path, fn.name)
+                assert strip_triggers(aug) == render_tokens(fn.body_tokens), (path, fn.name)
                 total += 1
     elapsed = time.monotonic() - t0
     assert total >= 200
@@ -279,7 +279,7 @@ def test_criterion_9_normalization_and_trigger_support(bench):
     for _ in range(1000):
         prefix = [BOS_ID] + [int(t) for t in rng.choice(ids, size=rng.randint(0, 8))]
         desc = [int(t) for t in rng.choice(ids, size=rng.randint(0, 6))]
-        dist = model.predict(desc, prefix)
+        dist = np.asarray(model.predict(desc, prefix))
         assert abs(dist.sum() - 1.0) <= 1e-9
         assert dist[COMP_ID] > 0.0
     _ok(9, "1000 predictions sum to 1 ± 1e-9 and always give the trigger token positive mass")

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mpgen.analysis import (
     build_scope_index,
@@ -10,10 +11,13 @@ from mpgen.analysis import (
     serialize_lint_errors,
     tool_complete,
 )
+from mpgen.analysis.complete import classify_caret
 from mpgen.analysis.lint import NO_MEMBER, SYNTAX_ERROR, UNDEFINED_VARIABLE
 from mpgen.minilang.lexer import lex
 from mpgen.minilang import tokens as tk
 from mpgen.repo import CaretError, CaretPosition, Repository
+
+from oracles import scan_classify_caret
 
 COUNTER = (
     "class Counter:\n"
@@ -186,7 +190,7 @@ def test_is_builtin_table():
 
 
 def test_is_identifier():
-    toks = {t.text: t for t in lex("return add .")}
+    toks = {t.text: t for t in lex("return add .")[0]}
     assert not is_identifier(toks["return"])
     assert is_identifier(toks["add"])
     assert not is_identifier(toks["."])
@@ -359,3 +363,48 @@ def test_insert_invalid_position():
     repo, pos = _blank_fixture()
     with pytest.raises(CaretError):
         insert_text(repo, CaretPosition("c.mp", 99, 0), "x = 1")
+
+
+# --- caret classification ----------------------------------------------------
+
+def test_classify_caret_matches_scan_at_every_corpus_identifier(corpus_repos):
+    kinds = set()
+    checked = 0
+    for _name, repo in corpus_repos:
+        for path in repo.paths():
+            for t in repo.lex(path)[0]:
+                if t.kind != tk.IDENTIFIER:
+                    continue
+                for column in (t.column, t.column + len(t.text)):
+                    caret = CaretPosition(path, t.line, column)
+                    want = scan_classify_caret(repo, caret)
+                    assert classify_caret(repo, caret) == want, caret
+                    kinds.add((want.kind, want.receiver is None))
+                    checked += 1
+    assert checked > 6_000
+    assert kinds >= {("scope", True), ("attribute", False)}
+
+
+_CARET_LINES = st.builds(
+    lambda indent, frag: indent + frag,
+    st.sampled_from(["", "  ", "    ", "        "]),
+    st.sampled_from([
+        "", "x = a.", "y = self.b.", "return obj.", "def f(a):", "class C:",
+        "z = f(a.", "a.b.c", "self.x = 1", "return self.", "if x.", "w = (1 + q.",
+        's = "ab.', "$.", "<COMP>self.", ".", ". x", "else:", "k = 1 .", "u.v.",
+    ]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_CARET_LINES, min_size=1, max_size=8))
+@example(["def f(a):", "    y = self.b.", "        .", "$."])
+def test_classify_caret_matches_scan_at_chosen_carets(lines):
+    # line starts, line ends, and just after every "." (a dangling one
+    # included), on half-written code
+    repo = Repository({"h.mp": "\n".join(lines)})
+    for lineno, line in enumerate(lines, start=1):
+        columns = {0, len(line)} | {i + 1 for i, ch in enumerate(line) if ch == "."}
+        for column in sorted(columns):
+            caret = CaretPosition("h.mp", lineno, column)
+            assert classify_caret(repo, caret) == scan_classify_caret(repo, caret), caret

@@ -165,6 +165,17 @@ def test_evaluate_wrong_model_version_is_data_error(tmp_path, capsys):
     assert "version 99 unsupported" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", [{"": 5}, ["x"]], ids=["count-not-object", "list"])
+def test_evaluate_malformed_table_entry_is_data_error(tmp_path, capsys, entry):
+    payload = json.loads((GOLDEN_MODELS / "model_tool.json").read_text())
+    payload["tables"] = {"0:1": entry}
+    models = _model_dir(tmp_path, json.dumps(payload).encode())
+    cfg = write_config(tmp_path, model_dir=str(models))
+    assert main(["evaluate", "--config", cfg]) == 2
+    assert "malformed model file" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_evaluate_missing_tasks_file_is_data_error(tmp_path, capsys):
     cfg = write_config(tmp_path, model_dir=str(GOLDEN_MODELS))
     missing = tmp_path / "no-such-tasks.jsonl"

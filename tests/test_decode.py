@@ -238,7 +238,7 @@ def test_benchmark_choices_equal_dense_argmax(trained_models, monkeypatch):
         appended = real_select(model, description, prefix, trie, bucket=bucket)
         node, work = trie.root, list(prefix)
         for tok in appended:
-            dist = model.predict(description, work)
+            dist = np.asarray(model.predict(description, work))
             assert tok == argmax(model.vocab, mask_distribution(dist, node.children)), work
             node = node.children[tok]
             work.append(tok)

@@ -1,8 +1,7 @@
-import pytest
 from hypothesis import given, strategies as st
 
 from mpgen.minilang import lexer, tokens as tk
-from mpgen.minilang.lexer import LexError, lex
+from mpgen.minilang.lexer import LexDiagnostic, lex
 from mpgen.minilang.render import render_tokens
 
 
@@ -11,7 +10,7 @@ def kinds_texts(toks):
 
 
 def test_minimal_statement():
-    assert kinds_texts(lex("x = 1")) == [
+    assert kinds_texts(lex("x = 1")[0]) == [
         (tk.IDENTIFIER, "x"),
         (tk.OPERATOR, "="),
         (tk.NUMBER, "1"),
@@ -20,7 +19,7 @@ def test_minimal_statement():
 
 def test_identifiers_are_maximal_runs():
     # identifiers are maximal [A-Za-z_][A-Za-z0-9_]* runs
-    assert kinds_texts(lex("self._registered_updates")) == [
+    assert kinds_texts(lex("self._registered_updates")[0]) == [
         (tk.IDENTIFIER, "self"),
         (tk.PUNCTUATOR, "."),
         (tk.IDENTIFIER, "_registered_updates"),
@@ -28,47 +27,47 @@ def test_identifiers_are_maximal_runs():
 
 
 def test_empty_input():
-    assert lex("") == []
+    assert lex("")[0] == []
 
 
 def test_keywords_vs_identifiers():
-    toks = kinds_texts(lex("return returned"))
+    toks = kinds_texts(lex("return returned")[0])
     assert toks == [(tk.KEYWORD, "return"), (tk.IDENTIFIER, "returned")]
 
 
 def test_indentation_tokens():
-    toks = lex("if x:\n    y = 1\nz = 2")
+    toks = lex("if x:\n    y = 1\nz = 2")[0]
     kinds = [t.kind for t in toks]
     assert tk.INDENT in kinds and tk.DEDENT in kinds
     assert kinds.index(tk.INDENT) < kinds.index(tk.DEDENT)
 
 
 def test_marker_literal_lexes_as_marker():
-    toks = kinds_texts(lex("<COMP>self"))
+    toks = kinds_texts(lex("<COMP>self")[0])
     assert toks[0] == (tk.MARKER, "<COMP>")
     assert toks[1] == (tk.IDENTIFIER, "self")
 
 
 def test_illegal_character_raises_with_position():
-    with pytest.raises(LexError) as exc:
-        lex("x = $")
-    assert exc.value.line == 1 and exc.value.column == 4
+    toks, diags = lex("x = $")
+    assert [t for t in toks if t.kind == tk.ERROR] == [tk.LexToken(tk.ERROR, "$", 1, 4)]
+    assert diags == [LexDiagnostic("illegal character '$'", 1, 4)]
 
 
 def test_illegal_character_collected_in_tolerant_mode():
-    toks, diags = lex("x = $", collect_errors=True)
+    toks, diags = lex("x = $")
     assert any(t.kind == tk.ERROR for t in toks)
     assert len(diags) == 1
 
 
 def test_unterminated_string_yields_error_token_and_diagnostic():
-    toks, diags = lex('x = "abc', collect_errors=True)
+    toks, diags = lex('x = "abc')
     assert any(t.kind == tk.ERROR and t.text.startswith('"') for t in toks)
     assert any("unterminated" in d.message for d in diags)
 
 
 def test_positions_point_at_first_character():
-    toks = lex("ab = cd")
+    toks = lex("ab = cd")[0]
     ident = [t for t in toks if t.kind == tk.IDENTIFIER]
     assert (ident[0].line, ident[0].column) == (1, 0)
     assert (ident[1].line, ident[1].column) == (1, 5)
@@ -76,16 +75,16 @@ def test_positions_point_at_first_character():
 
 def test_positions_strictly_increase():
     src = "def f(a):\n    if a > 1:\n        return a\n    return 0\nx = 1"
-    toks = lex(src)
+    toks = lex(src)[0]
     positions = [(t.line, t.column) for t in toks]
     assert positions == sorted(positions)
     assert len(set(positions)) == len(positions)
 
 
 def test_blank_lines_produce_no_tokens():
-    assert lex("\n   \n") == []
-    a = lex("x = 1\n\n\ny = 2")
-    b = lex("x = 1\ny = 2")
+    assert lex("\n   \n")[0] == []
+    a = lex("x = 1\n\n\ny = 2")[0]
+    b = lex("x = 1\ny = 2")[0]
     assert kinds_texts(a) == kinds_texts(b)
 
 
@@ -104,7 +103,7 @@ _SNIPPETS = st.sampled_from(
 @given(_SNIPPETS)
 def test_render_lex_fixpoint(src):
     # rendering a token stream and re-lexing it reproduces the same tokens
-    toks = lex(src)
+    toks = lex(src)[0]
     rendered = render_tokens(toks)
-    again = lex(rendered)
+    again = lex(rendered)[0]
     assert [(t.kind, t.text) for t in toks] == [(t.kind, t.text) for t in again]

@@ -18,7 +18,7 @@ from mpgen.lm import (
 from mpgen.lm.ngram import description_bucket
 from mpgen.lm.vocab import BOS_ID, COMP_ID, EOS_ID, UNK_ID, RESERVED_TOKENS, Vocab
 from mpgen.minilang.parser import extract_functions
-from mpgen.minilang.render import render_body
+from mpgen.minilang.render import render_tokens
 
 
 # --- vocabulary --------------------------------------------------------------
@@ -94,7 +94,7 @@ def test_round_trip_over_corpus_functions(corpus_repos):
     for _name, repo in corpus_repos:
         for path in repo.paths():
             for fn in extract_functions(repo.module(path)):
-                body = render_body(fn.body_tokens)
+                body = render_tokens(fn.body_tokens)
                 assert detokenize(tokenize(body, v), v) == body
                 checked += 1
     assert checked >= 200
@@ -154,7 +154,7 @@ def test_distribution_normalization_and_trigger_support():
     for _ in range(200):
         prefix = [BOS_ID] + [int(rng.choice(ids)) for _ in range(rng.randint(0, 5))]
         desc = [int(rng.choice(ids)) for _ in range(rng.randint(0, 4))]
-        dist = m.predict(desc, prefix)
+        dist = np.asarray(m.predict(desc, prefix))
         assert abs(dist.sum() - 1.0) <= 1e-9
         assert dist[COMP_ID] > 0
         assert np.all(dist >= 0) and np.all(np.isfinite(dist))

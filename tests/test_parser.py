@@ -1,6 +1,9 @@
-from mpgen.minilang import nodes
-from mpgen.minilang.parser import extract_functions, module_render, parse, parse_body
-from mpgen.minilang.render import render_body
+from mpgen.analysis.lint import lint_check
+from mpgen.minilang import nodes, tokens as tk
+from mpgen.minilang.parser import extract_functions, parse, parse_body
+from mpgen.minilang.render import render_tokens
+from mpgen.minilang.tokens import LexToken
+from mpgen.repo import Repository
 
 
 def test_single_function_no_docstring():
@@ -16,7 +19,7 @@ def test_first_statement_string_literal_is_docstring():
     fn = m.functions[0]
     assert fn.docstring == "adds"
     # body excludes the docstring statement
-    assert render_body(fn.body_tokens) == "return 1"
+    assert render_tokens(fn.body_tokens) == "return 1"
     texts = [t.text for t in fn.body_tokens]
     assert '"adds"' not in texts
 
@@ -55,7 +58,7 @@ def test_extract_functions_source_order_and_docstring_flags():
     m = parse(src, "t.mp")
     fns = extract_functions(m)
     assert [f.name for f in fns] == ["f", "m1", "m2"]
-    assert [f.has_docstring for f in fns] == [False, True, True]
+    assert [f.docstring is not None for f in fns] == [False, True, True]
 
 
 def test_empty_module():
@@ -148,7 +151,83 @@ def test_round_trip_structural_equality(corpus_repos):
     for _name, repo in corpus_repos:
         for path in repo.paths():
             m1 = repo.module(path)
-            m2 = parse(module_render(m1), path)
+            m2 = parse(render_tokens(repo.lex(path)[0]), path)
             assert summary(m1) == summary(m2), path
             checked += 1
     assert checked >= 30
+
+
+# One malformed snippet per recovery site, with the exact lint records
+# (kind, line, column, message) that `mpgen lint` prints for it.
+_RECOVERY_SITES = {
+    "if_block.mp": (
+        "def f(a):\n    if a:\n        b = = 1\n        a = 2\n    return a\n",
+        [("syntax-error", 3, 12, "unexpected '=' in expression")],
+    ),
+    "def_body.mp": (
+        "def g(a):\n    b = )\n    return a\n",
+        [("syntax-error", 2, 8, "unexpected ')' in expression")],
+    ),
+    "class_body.mp": (
+        "class C:\n    x = 1\n        y = 2\n    def m(self):\n        return self\n",
+        [("syntax-error", 2, 4, "only method definitions allowed in class body, found 'x'")],
+    ),
+    "stray_indent.mp": (
+        "x = 1\n    y = 2\nz = x\n",
+        [("syntax-error", 2, 0, "unexpected indentation")],
+    ),
+    "eof_expr.mp": (
+        "x = 1\ny = f(x,",
+        [("syntax-error", 2, 8, "unexpected 'newline' in expression")],
+    ),
+    "eof_expect.mp": (
+        "def h(a):",
+        [("syntax-error", 1, 0, "unexpected end of file, expected indent")],
+    ),
+    "unterminated.mp": (
+        'def k():\n    s = "abc\n    return s\n',
+        [
+            ("syntax-error", 2, 8, "unterminated string literal"),
+            ("syntax-error", 2, 12, "unexpected 'newline' in expression"),
+            ("undefined-variable", 3, 11, "undefined variable 's'"),
+        ],
+    ),
+    "illegal.mp": (
+        "w = 1 $ 2\n",
+        [
+            ("syntax-error", 1, 6, "illegal character '$'"),
+            ("syntax-error", 1, 8, "expected 'newline', found '2'"),
+        ],
+    ),
+}
+
+
+def test_recovery_sites_pin_lint_records_and_precedence():
+    repo = Repository({path: src for path, (src, _) in _RECOVERY_SITES.items()})
+    for path, (_, want) in _RECOVERY_SITES.items():
+        got = [(e.kind, e.line, e.column, e.message) for e in lint_check(repo, path)]
+        assert got == want, path
+
+    # Recovery resumes where it should: after the bad line of a block, and
+    # at the next method after a non-def line (and its indented block).
+    (if_stmt, ret) = repo.module("if_block.mp").functions[0].body
+    assert [type(s) for s in if_stmt.body] == [nodes.Assign] and isinstance(ret, nodes.Return)
+    assert [type(s) for s in repo.module("def_body.mp").functions[0].body] == [nodes.Return]
+    assert [m.name for m in repo.module("class_body.mp").classes[0].methods] == ["m"]
+
+    # A token stream that stops inside an expression (no closing newline).
+    x, eq = (LexToken(tk.IDENTIFIER, "x", 3, 0), LexToken(tk.OPERATOR, "=", 3, 2))
+    m = parse("", "t.mp", lexed=([x, eq], []))
+    assert [(d.line, d.column, d.message) for d in m.diagnostics] == [
+        (3, 0, "unexpected end of file in expression")
+    ]
+
+    # Precedence and left associativity: ((a - b) - (c * d)) == e.
+    (stmt,), diags = parse_body("a - b - c * d == e\n")
+    assert not diags
+    e = stmt.value
+    assert e.op == "==" and isinstance(e.right, nodes.Name) and e.right.id == "e"
+    outer = e.left
+    assert outer.op == "-"
+    assert (outer.left.op, outer.left.left.id, outer.left.right.id) == ("-", "a", "b")
+    assert (outer.right.op, outer.right.left.id, outer.right.right.id) == ("*", "c", "d")

@@ -70,7 +70,7 @@ def test_with_text_chains_share_exactly(tree, data):
         snap = snaps[k]
         for path in data.draw(st.permutations(snap.paths())):
             text = snap.text(path)
-            assert snap.lex(path) == lexer.lex(text, collect_errors=True)
+            assert snap.lex(path) == lexer.lex(text)
             assert snap.module(path) == parser.parse(text, path)
 
     for k, snap in enumerate(snaps):
@@ -143,12 +143,20 @@ def test_threads_filling_a_shared_root_see_one_result():
     assert root.module(PATHS[0]) == parser.parse(root.text(PATHS[0]), PATHS[0])
 
 
-def test_parse_reuses_given_lex():
+def test_parse_reuses_given_lex(monkeypatch):
     text = ROOT_REPO.text(PATHS[0])
-    lexed = lexer.lex(text, collect_errors=True)
+    lexed = lexer.lex(text)
+    calls = []
+
+    def counting_lex(source):
+        calls.append(source)
+        return lexer.lex(source)
+
+    monkeypatch.setattr(parser, "lex", counting_lex)
     module = parser.parse(text, PATHS[0], lexed=lexed)
+    assert calls == []
     assert module == parser.parse(text, PATHS[0])
-    assert all(a is b for a, b in zip(module.tokens, lexed[0]))
+    assert calls == [text]
 
 
 def _outcome(fn, *args):

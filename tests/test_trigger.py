@@ -9,7 +9,7 @@ from mpgen.analysis.builtins import is_builtin
 from mpgen.analysis.complete import tool_complete
 from mpgen.minilang import tokens as tk
 from mpgen.minilang.parser import extract_functions
-from mpgen.minilang.render import render_body
+from mpgen.minilang.render import render_tokens
 from mpgen.pipeline import collect_repos
 from mpgen.repo import CaretPosition, Repository
 from mpgen.trigger import (
@@ -132,7 +132,7 @@ def test_strip_insert_round_trip_single():
     repo = Repository({"u.mp": UPDATER})
     fn = _function(repo, "u.mp", "register_updates")
     aug = insert_triggers(repo, "u.mp", fn)
-    assert strip_triggers(aug) == render_body(fn.body_tokens)
+    assert strip_triggers(aug) == render_tokens(fn.body_tokens)
 
 
 def test_marker_validity_recheck():
@@ -203,7 +203,7 @@ def test_strip_round_trip_over_full_corpus(corpus_repos):
                 if fn.docstring is None:
                     continue
                 aug = insert_triggers(repo, path, fn)
-                assert strip_triggers(aug) == render_body(fn.body_tokens)
+                assert strip_triggers(aug) == render_tokens(fn.body_tokens)
                 total += 1
     assert total >= 200
 
