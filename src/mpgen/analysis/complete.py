@@ -1,4 +1,6 @@
-"""The autocompletion tool: identifier suggestions at a caret position."""
+"""The autocompletion tool: identifier suggestions at any caret position
+(`tool_complete`), or inside the function being written at a blanked task's
+caret (`TaskContext`, which answers as `tool_complete` would)."""
 
 from __future__ import annotations
 
@@ -7,10 +9,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..minilang import tokens as tk
+from ..minilang.lexer import lex
+from ..minilang.parser import ClassDef, FunctionDef, extract_functions, parse
 from ..minilang.tokens import LexToken
 from ..repo import CaretPosition, Repository
 from .builtins import is_builtin
-from .scope import locals_before, scope_index_for
+from .insert import indent_body
+from .scope import ScopeIndex, build_scope_index, locals_before, scope_index_for
 
 
 def is_identifier(tok: LexToken) -> bool:
@@ -31,17 +36,16 @@ class CaretContext:
     receiver: Optional[str] = None
 
 
-def classify_caret(repo: Repository, caret: CaretPosition) -> CaretContext:
-    repo.validate_caret(caret)
-    toks, _ = repo.lex(caret.file)
-    # Tokens strictly increase in (line, column), so the ones left of the
-    # caret are toks[:i]; only the last three that are not indentation matter.
-    i = bisect_left(toks, (caret.line, caret.column), key=lambda t: (t.line, t.column))
-    left: list[LexToken] = []
-    while i > 0 and len(left) < 3:
-        i -= 1
-        if toks[i].kind not in (tk.INDENT, tk.DEDENT):
-            left.insert(0, toks[i])
+def caret_context(toks: list[LexToken], line: int, column: int) -> CaretContext:
+    """Caret context from a file's tokens, read off the last three left of it.
+
+    Tokens strictly increase in (line, column), so the ones left of the caret
+    are a prefix. Indentation tokens need no skipping: a newline precedes
+    every indent or dedent, so neither can stand where a receiver or a `.`
+    would decide the context.
+    """
+    i = bisect_left(toks, (line, column), key=lambda t: (t.line, t.column))
+    left = toks[max(0, i - 3):i]
     if left and left[-1].kind == tk.PUNCTUATOR and left[-1].text == ".":
         if len(left) >= 2 and left[-2].kind == tk.IDENTIFIER:
             if len(left) >= 3 and left[-3].kind == tk.PUNCTUATOR and left[-3].text == ".":
@@ -49,6 +53,11 @@ def classify_caret(repo: Repository, caret: CaretPosition) -> CaretContext:
             return CaretContext("attribute", receiver=left[-2].text)
         return CaretContext("attribute", receiver=None)
     return CaretContext("scope")
+
+
+def classify_caret(repo: Repository, caret: CaretPosition) -> CaretContext:
+    repo.validate_caret(caret)
+    return caret_context(repo.lex(caret.file)[0], caret.line, caret.column)
 
 
 def tool_complete(repo: Repository, caret: CaretPosition) -> list[str]:
@@ -63,18 +72,26 @@ def tool_complete(repo: Repository, caret: CaretPosition) -> list[str]:
     ctx = classify_caret(repo, caret)
     index = scope_index_for(repo)
     _, func = index.enclosing(caret.file, caret.line)
+    return _suggestions(index, caret, ctx, func)
 
+
+def _suggestions(
+    index: ScopeIndex, caret: CaretPosition, ctx: CaretContext, func: Optional[FunctionDef],
+    own_class: Optional[ClassDef] = None, own_attributes: frozenset = frozenset(),
+) -> list[str]:
+    """Suggestions at the caret inside func; a class resolved to the node
+    own_class also has own_attributes, which index does not hold."""
     if ctx.kind == "attribute":
         if ctx.receiver is None:
             return []
-        resolved = index.resolve_receiver(
-            caret.file, func, ctx.receiver, (caret.line, caret.column)
-        )
+        resolved = index.resolve_receiver(caret.file, func, ctx.receiver, (caret.line, caret.column))
         if resolved is None:
             return []
         kind, target = resolved
         if kind == "class":
             names = target.members
+            if target.node is own_class:
+                names |= own_attributes
         else:
             names = target.defined_names
         return sorted(n for n in names if not is_builtin(n))
@@ -87,3 +104,55 @@ def tool_complete(repo: Repository, caret: CaretPosition) -> list[str]:
         names |= set(func.params)
         names |= locals_before(func, (caret.line, caret.column))
     return sorted(n for n in names if not is_builtin(n))
+
+
+@dataclass
+class TaskContext:
+    """Completion inside the one function being written at a blanked caret.
+
+    Holds the blanked repository's scope index and a head text of the lines
+    the function needs (class header, def line, docstring) at their own line
+    numbers; `complete` lexes and parses only the head plus the partial body.
+    That is exact: lexing is line-local but for the indent stack, a def's
+    parse ends at the dedent closing its body, and every later line of the
+    blanked file sits below the body's indentation.
+    """
+
+    index: ScopeIndex
+    pos: CaretPosition
+    head: str
+    own_class: Optional[ClassDef]  # the enclosing class in index, if any
+
+    @classmethod
+    def at(cls, repo: Repository, pos: CaretPosition) -> Optional["TaskContext"]:
+        """The context at pos, or None unless pos is a blanked task's caret: a
+        line of exactly pos.column spaces directly below the docstring, also at
+        pos.column, of a function with no body."""
+        lines = repo.files.get(pos.file, "").split("\n")
+        if not 2 <= pos.line <= len(lines) or lines[pos.line - 1] != " " * pos.column:
+            return None
+        # a transient view, so the blanked file's analysis dies with the context
+        index = build_scope_index(repo.with_text(pos.file, repo.text(pos.file)))
+        owner, func = index.enclosing(pos.file, pos.line)
+        if func is None or func.body_tokens or func.docstring is None:
+            return None
+        if lines[pos.line - 2] != " " * pos.column + f'"{func.docstring}"':
+            return None
+        keep = set(range(func.line, pos.line))
+        if owner is not None:
+            keep.add(owner.node.line)
+        head = [lines[n - 1] if n in keep else "" for n in range(1, pos.line)]
+        return cls(index, pos, "\n".join(head + [" " * pos.column]), owner.node if owner else None)
+
+    def complete(self, body_text: str) -> list[str]:
+        """tool_complete's suggestions after splicing level-0 body text at pos."""
+        text = self.head + indent_body(body_text, self.pos.column)
+        lexed = lex(text)
+        module = parse(text, self.pos.file, lexed=lexed)
+        caret = CaretPosition(self.pos.file, text.count("\n") + 1, len(text) - text.rfind("\n") - 1)
+        ctx = caret_context(lexed[0], caret.line, caret.column)
+        (func,) = extract_functions(module)
+        if self.own_class is None:
+            return _suggestions(self.index, caret, ctx, func)
+        (written,) = module.classes
+        return _suggestions(self.index, caret, ctx, func, self.own_class, written.attributes)

@@ -13,6 +13,11 @@ from typing import Sequence
 from ..repo import CaretPosition, Repository
 
 
+def indent_body(body_text: str, column: int) -> str:
+    """Level-0 body text with every line after the first indented to column."""
+    return body_text.replace("\n", "\n" + " " * column)
+
+
 def insert_text(
     repo: Repository, pos: CaretPosition, body_text: str
 ) -> tuple[Repository, CaretPosition]:
@@ -23,7 +28,7 @@ def insert_text(
     """
     offset = repo.offset_of(pos)
     text = repo.text(pos.file)
-    indented = body_text.replace("\n", "\n" + " " * pos.column)
+    indented = indent_body(body_text, pos.column)
     new_text = text[:offset] + indented + text[offset:]
     snap = repo.with_text(pos.file, new_text)
     caret = snap.position_at(pos.file, offset + len(indented))

@@ -1,14 +1,13 @@
 """Tool-integrated generation: greedy decoding with trie-constrained selection.
 
 The outer loop appends the model's most likely next token, one at a time.
-When the trigger token is emitted, the partial function (markers stripped)
-is spliced into the repository, the completion tool is asked for
-suggestions at the resulting caret, and a prefix-trie constrained greedy
-walk picks one suggestion: at every trie node the most likely of the node's
-children is taken, descending until the first terminal node. The walk stops
-at the first terminal it reaches, so a suggestion whose token sequence
-extends another suggestion is unreachable; tries report how many suggestions
-are shadowed this way.
+When the trigger token is emitted, the completion tool is asked for
+suggestions at the end of the partial function (markers stripped), and a
+prefix-trie constrained greedy walk picks one suggestion: at every trie
+node the most likely of the node's children is taken, descending until the
+first terminal node. The walk stops at the first terminal it reaches, so
+a suggestion whose token sequence extends another suggestion is
+unreachable; tries report how many suggestions are shadowed this way.
 
 Every choice is made from the n-gram counts, not from a dense distribution:
 additive smoothing, (count + alpha) / denominator with alpha > 0, is
@@ -17,6 +16,11 @@ the counts stay far below 2**52), so among the legal ids the most likely
 one is the one with the highest count, ties going to the lowest id, and an
 id never seen in the context counts zero. This picks exactly what the
 argmax of the masked `NGramModel.predict` vector would.
+
+At a blanked task's caret the tool runs through a `TaskContext`, built at
+the first cache miss, that re-reads only the function being written; at any
+other caret each trigger splices the partial function into a snapshot for
+`tool_complete`. Both give the same suggestions.
 
 With tool_enabled=False the loop is plain greedy decoding (the vanilla
 baseline). A per-generation cache keyed on the receiver (and invalidated
@@ -30,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .analysis.complete import tool_complete
+from .analysis.complete import TaskContext, tool_complete
 from .analysis.insert import insert
 from .lm.ngram import NGramModel, description_bucket
 from .lm.tokenizer import NL_TOKEN, _classify, detokenize, split_identifier, tokenize
@@ -224,6 +228,7 @@ def generate(
     seq: list[int] = [BOS_ID]
     trace = GenerationTrace()
     cache: dict[tuple, list[str]] = {}
+    task: Optional[TaskContext | bool] = None  # False: ask the whole-file tool
 
     while True:
         counts = model.next_counts(bucket, seq)
@@ -249,10 +254,16 @@ def generate(
             suggestions = cache[key]
             trace.cache_hits += 1
         else:
-            snapshot, caret = insert(repo, pos, seq, vocab)
+            if task is None:  # decided once per call, at the first miss
+                task = TaskContext.at(repo, pos) or False
+            if task:
+                body = detokenize([t for t in seq if t not in CONTROL_IDS], vocab)
+                tool, args = task.complete, (body,)
+            else:
+                tool, args = tool_complete, insert(repo, pos, seq, vocab)
             trace.tool_invocations += 1
             try:
-                suggestions = tool_complete(snapshot, caret)
+                suggestions = tool(*args)
             except Exception:
                 suggestions = []
             if cfg.cache_enabled:

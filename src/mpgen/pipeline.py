@@ -155,18 +155,26 @@ def run_augment(config: RunConfig) -> AugmentedDataset:
     return dataset
 
 
-def training_pairs(
-    records: Sequence[dict], vocab: Vocab, variant: str
-) -> list[tuple[list[int], list[int]]]:
+Pairs = list[tuple[list[int], list[int]]]
+
+
+def tokenize_records(records: Sequence[dict], vocab: Vocab) -> Pairs:
+    """(description ids, augmented body ids) of every dataset record."""
+    return [(tokenize(r["description"], vocab), tokenize(r["augmented_body"], vocab)) for r in records]
+
+
+def variant_pairs(tokenized: Pairs, variant: str) -> Pairs:
     """(description ids, <BOS>...<EOS> target ids) for one model variant."""
     pairs = []
-    for rec in records:
-        desc = tokenize(rec["description"], vocab)
-        body = tokenize(rec["augmented_body"], vocab)
+    for desc, body in tokenized:
         if variant == "vanilla":
             body = [t for t in body if t != COMP_ID]
         pairs.append((desc, [BOS_ID] + body + [EOS_ID]))
     return pairs
+
+
+def training_pairs(records: Sequence[dict], vocab: Vocab, variant: str) -> Pairs:
+    return variant_pairs(tokenize_records(records, vocab), variant)
 
 
 def run_train(config: RunConfig) -> tuple[NGramModel, NGramModel, dict]:
@@ -182,8 +190,9 @@ def run_train(config: RunConfig) -> tuple[NGramModel, NGramModel, dict]:
     os.makedirs(config.model_dir, exist_ok=True)
     stats: dict = {}
     models = []
+    tokenized = tokenize_records(records, vocab)  # once, for both variants
     for variant in ("tool", "vanilla"):
-        pairs = training_pairs(records, vocab, variant)
+        pairs = variant_pairs(tokenized, variant)
         model = train(
             pairs, config.order, config.alpha, vocab, buckets=config.buckets, variant=variant
         )

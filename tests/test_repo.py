@@ -10,9 +10,11 @@ import weakref
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mpgen import decode
-from mpgen.decode import GenerationConfig
+from mpgen.analysis.complete import TaskContext, tool_complete
+from mpgen.analysis.insert import insert_text
+from mpgen.decode import GenerationConfig, generate
 from mpgen.minilang import lexer, parser
-from mpgen.pipeline import derive_tasks, run_model_over_tasks
+from mpgen.pipeline import derive_tasks
 from mpgen.repo import Repository
 
 from conftest import CORPUS
@@ -167,24 +169,28 @@ def _outcome(fn, *args):
 
 
 def test_tool_complete_matches_cache_free_oracle(trained_models, monkeypatch):
-    """At every trigger of the benchmark, the shared-cache snapshot answers
-    exactly as a fresh repository with no caches does."""
+    """At every trigger of the benchmark, the task context answers exactly as
+    `tool_complete` does on a fresh repository with no caches and the
+    partial body spliced in, and the whole-file tool is never called."""
     config, tool, _vanilla = trained_models
-    real = decode.tool_complete
+    real = TaskContext.complete
     checked = []
 
-    def compared(snapshot, caret):
-        got = _outcome(real, snapshot, caret)
-        want = _outcome(real, Repository(dict(snapshot.files)), caret)
+    def compared(context, body):
+        got = _outcome(real, context, body)
+        fresh = Repository(dict(task.snapshot.files))
+        want = _outcome(tool_complete, *insert_text(fresh, task.pos, body))
         if got[0] == "error":
-            assert want[0] == "error" and type(want[1]) is type(got[1]), (caret, got, want)
-            checked.append(caret)
+            assert want[0] == "error" and type(want[1]) is type(got[1]), (body, got, want)
+            checked.append(body)
             raise got[1]
-        assert got == want, (caret, got, want)
-        checked.append(caret)
+        assert got == want, (task.label, body, got, want)
+        checked.append(body)
         return got[1]
 
-    monkeypatch.setattr(decode, "tool_complete", compared)
-    tasks = derive_tasks(config)
-    run_model_over_tasks(tool, tasks, GenerationConfig(max_tokens=config.max_tokens))
+    monkeypatch.setattr(TaskContext, "complete", compared)
+    monkeypatch.setattr(decode, "tool_complete", None)  # a call would raise
+    gen_cfg = GenerationConfig(max_tokens=config.max_tokens)
+    for task in derive_tasks(config):
+        generate(tool, task.snapshot, task.description, task.pos, gen_cfg)
     assert len(checked) == 732

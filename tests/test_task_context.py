@@ -1,0 +1,191 @@
+"""The task context answers every trigger exactly as the whole-file tool
+does, is used only at the caret of a blanked task, and leaves the task
+snapshot's caches as they were."""
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from mpgen import decode
+from mpgen.analysis.complete import TaskContext, tool_complete
+from mpgen.analysis.insert import insert
+from mpgen.decode import GenerationConfig, generate
+from mpgen.lm.tokenizer import detokenize
+from mpgen.lm.vocab import BOS_ID, CONTROL_IDS, RESERVED_TOKENS, Vocab
+from mpgen.minilang.parser import extract_functions
+from mpgen.pipeline import _blank_function, derive_tasks
+from mpgen.repo import CaretPosition, Repository
+
+from conftest import CORPUS
+
+UTILS = (
+    "class Box:\n"
+    "    def boot(self):\n"
+    '        "Prepare the box"\n'
+    "        self.size = 1\n"
+    "def helper(a):\n"
+    '    "Help"\n'
+    "    return a\n"
+)
+CORE = (
+    "import utils\n"
+    "from utils import Box, helper\n"
+    "LIMIT = 3\n"
+    "class Counter:\n"
+    "    def boot(self):\n"
+    '        "Prepare the counter"\n'
+    "        self._value = 0\n"
+    "    def bump(self, amount):\n"
+    '        "Increase the counter"\n'
+    "        self.last = amount\n"
+    "        return self._value\n"
+    "    def reset(self):\n"
+    '        "Reset the counter"\n'
+    "        self._value = 0\n"
+    "def total(items, scale):\n"
+    '    "Sum the items"\n'
+    "    x = Counter()\n"
+    "    return x\n"
+    "def tail(b):\n"
+    '    "Last"\n'
+    "    return b\n"
+)
+FULL = Repository({"utils.mp": UTILS, "core.mp": CORE})
+
+
+def _blanked(name):
+    func = next(f for f in extract_functions(FULL.module("core.mp")) if f.name == name)
+    return _blank_function(FULL, "core.mp", func)
+
+
+METHOD_TASK = _blanked("bump")
+FUNCTION_TASK = _blanked("total")
+
+WORDS = (
+    "self", "_", "value", "last", "size", "x", "b", "a", "amount", "items", "Box",
+    "Counter", "utils", "helper", "LIMIT", "return", "if", "else", "while", "def",
+    "=", "+", "==", ".", "(", ")", ",", ":", "1", '"s"', '"ab',
+    "<NL>", "<INDENT>", "<DEDENT>",
+)
+VOCAB = Vocab(tokens=RESERVED_TOKENS + tuple(sorted(set(WORDS))))
+TAILS = ([], ["."], ["self", "."], ["x", "."], ["b", "."], ["Box", "."], ["utils", "."],
+         ["self", ".", "size", "."])
+
+
+def _ids(words):
+    return [BOS_ID] + [VOCAB.id(w) for w in words] + [VOCAB.id("<COMP>")]
+
+
+@pytest.mark.parametrize("task", [METHOD_TASK, FUNCTION_TASK], ids=["method", "function"])
+@settings(max_examples=300, deadline=None)
+@given(
+    body=st.lists(st.sampled_from(WORDS + ("<UNK>", "<COMP>")), max_size=30),
+    tail=st.sampled_from(TAILS),
+)
+@example(body=["<INDENT>", "x", "=", "Box", "(", ")", "<NL>"], tail=["x", "."])
+@example(body=["x", "=", "1", "<NL>", "y", "=", '"ab'], tail=[])
+@example(body=["self", ".", "x", "=", "<NL>"], tail=["self", "."])
+@example(body=["self", ".", "x", "=", "1", "<NL>"], tail=["self", "."])
+def test_task_context_matches_whole_file_tool(task, body, tail):
+    repo, pos = task
+    ids = _ids(body + tail)
+    context = TaskContext.at(repo, pos)
+    assert context is not None
+    got = context.complete(detokenize([t for t in ids if t not in CONTROL_IDS], VOCAB))
+    assert got == tool_complete(*insert(repo, pos, ids, VOCAB))
+
+
+def test_context_adds_the_partial_bodys_attributes():
+    repo, pos = METHOD_TASK
+    context = TaskContext.at(repo, pos)
+    assert context.complete("self.fresh = 1\nreturn self.") == [
+        "_value", "boot", "bump", "fresh", "reset"
+    ]
+
+
+def _tool_calls(monkeypatch):
+    calls = []
+    real = decode.tool_complete
+
+    def counting(snapshot, caret):
+        calls.append(caret)
+        return real(snapshot, caret)
+
+    monkeypatch.setattr(decode, "tool_complete", counting)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def demo_tasks(demo_config):
+    return derive_tasks(demo_config)
+
+
+def _unblanked_caret(tasks, case):
+    """(repo, pos, description) with no blanked-task shape, as `mpgen
+    generate` may get: at the live body of a getter, one line below a blank
+    line under its docstring, or at column 0 of its blanked caret line, with
+    or without that line's spaces."""
+    task = next(
+        t for t in tasks
+        if t.repo_name == "repo14" and "core.mp" in t.label and t.gt.startswith("return self._")
+    )
+    pos = task.pos
+    if case == "live-body":
+        repo = Repository.from_dir(str(CORPUS / "eval" / "repo14"))
+    elif case == "blank-line-above":
+        lines = task.snapshot.text(task.file).split("\n")
+        lines.insert(pos.line - 1, "")
+        repo = task.snapshot.with_text(task.file, "\n".join(lines))
+        pos = CaretPosition(pos.file, pos.line + 1, pos.column)
+    elif case == "column-0":
+        repo, pos = task.snapshot, CaretPosition(pos.file, pos.line, 0)
+    else:  # an empty caret line: its column is not the docstring's
+        lines = task.snapshot.text(task.file).split("\n")
+        lines[pos.line - 1] = ""
+        repo = task.snapshot.with_text(task.file, "\n".join(lines))
+        pos = CaretPosition(pos.file, pos.line, 0)
+    return repo, pos, task.description
+
+
+class _NoContext:
+    @staticmethod
+    def at(repo, pos):
+        return None
+
+
+@pytest.mark.parametrize(
+    "case", ["live-body", "blank-line-above", "column-0", "empty-caret-line"]
+)
+def test_unblanked_caret_takes_the_whole_file_path(trained_models, demo_tasks, monkeypatch, case):
+    _config, tool, _vanilla = trained_models
+    repo, pos, desc = _unblanked_caret(demo_tasks, case)
+    assert TaskContext.at(repo, pos) is None
+    calls = _tool_calls(monkeypatch)
+    text, trace = generate(tool, repo, desc, pos, GenerationConfig())
+    assert len(calls) == trace.tool_invocations > 0
+
+    monkeypatch.setattr(decode, "TaskContext", _NoContext)
+    whole_text, whole_trace = generate(tool, repo, desc, pos, GenerationConfig())
+    assert (text, trace.to_dict()) == (whole_text, whole_trace.to_dict())
+
+
+def test_blanked_caret_never_calls_the_whole_file_tool(trained_models, demo_tasks, monkeypatch):
+    _config, tool, _vanilla = trained_models
+    calls = _tool_calls(monkeypatch)
+    invocations = 0
+    for task in demo_tasks[:20]:
+        _text, trace = generate(tool, task.snapshot, task.description, task.pos)
+        invocations += trace.tool_invocations
+    assert invocations > 0
+    assert calls == []
+
+
+def test_generate_leaves_the_task_snapshot_caches_alone(trained_models, demo_tasks):
+    _config, tool, _vanilla = trained_models
+    for task in demo_tasks[:20]:
+        snap = task.snapshot
+        before = (snap._index, dict(snap._lex_cache), dict(snap._module_cache))
+        generate(tool, snap, task.description, task.pos)
+        assert snap._index is before[0]
+        for cache, old in ((snap._lex_cache, before[1]), (snap._module_cache, before[2])):
+            assert cache.keys() == old.keys()
+            assert all(cache[k] is old[k] for k in old)
