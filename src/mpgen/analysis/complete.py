@@ -84,16 +84,10 @@ def _suggestions(
     if ctx.kind == "attribute":
         if ctx.receiver is None:
             return []
-        resolved = index.resolve_receiver(caret.file, func, ctx.receiver, (caret.line, caret.column))
-        if resolved is None:
+        target = index.resolve_receiver(caret.file, func, ctx.receiver, (caret.line, caret.column))
+        if target is None:
             return []
-        kind, target = resolved
-        if kind == "class":
-            names = target.members
-            if target.node is own_class:
-                names |= own_attributes
-        else:
-            names = target.defined_names
+        names = target.members | own_attributes if target is own_class else target.members
         return sorted(n for n in names if not is_builtin(n))
 
     names: set[str] = set()
@@ -140,9 +134,9 @@ class TaskContext:
             return None
         keep = set(range(func.line, pos.line))
         if owner is not None:
-            keep.add(owner.node.line)
+            keep.add(owner.line)
         head = [lines[n - 1] if n in keep else "" for n in range(1, pos.line)]
-        return cls(index, pos, "\n".join(head + [" " * pos.column]), owner.node if owner else None)
+        return cls(index, pos, "\n".join(head + [" " * pos.column]), owner)
 
     def complete(self, body_text: str) -> list[str]:
         """tool_complete's suggestions after splicing level-0 body text at pos."""

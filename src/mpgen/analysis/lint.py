@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from ..minilang import nodes
-from ..minilang.parser import FunctionDef
+from ..minilang.parser import FunctionDef, extract_functions
 from ..repo import Repository
 from .builtins import BUILTIN_NAMES, is_builtin
-from .scope import ScopeIndex, scope_index_for
+from .scope import ScopeIndex, name_assignments, scope_index_for
 
 SYNTAX_ERROR = "syntax-error"
 UNDEFINED_VARIABLE = "undefined-variable"
@@ -59,22 +59,17 @@ def _check_expressions(
                 continue
             if is_builtin(expr.attr):
                 continue
-            resolved = index.resolve_receiver(
+            target = index.resolve_receiver(
                 path, func, expr.value.id, (expr.line, expr.column)
             )
-            if resolved is None:
-                continue
-            kind, target = resolved
-            members = target.members if kind == "class" else target.defined_names
-            if expr.attr not in members:
-                owner = target.name if kind == "class" else target.path
+            if target is not None and expr.attr not in target.members:
                 errors.append(
                     LintError(
                         NO_MEMBER,
                         path,
                         expr.line,
                         expr.column,
-                        f"{owner!r} has no member {expr.attr!r}",
+                        f"{target.name!r} has no member {expr.attr!r}",
                     )
                 )
 
@@ -94,15 +89,8 @@ def lint_check(repo: Repository, file: str) -> list[LintError]:
 
     _check_expressions(module.body, base_defined, index, file, None, errors)
 
-    funcs: list[FunctionDef] = list(module.functions)
-    for cls in module.classes:
-        funcs.extend(cls.methods)
-    for fn in funcs:
-        local_targets = {
-            stmt.target.id
-            for stmt in nodes.walk_statements(fn.body)
-            if isinstance(stmt, nodes.Assign) and isinstance(stmt.target, nodes.Name)
-        }
+    for fn in extract_functions(module):
+        local_targets = {stmt.target.id for stmt in name_assignments(fn.body)}
         defined = base_defined | set(fn.params) | local_targets
         _check_expressions(fn.body, defined, index, file, fn, errors)
 

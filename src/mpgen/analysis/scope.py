@@ -1,92 +1,101 @@
-"""Scope index: per-file symbol tables, class member tables, import edges.
+"""Scope index: per-file symbol tables and the lookups that read them.
+
+Each rule is decided in one place:
+
+- `ScopeIndex.enclosing` says which class and function hold a line. It walks
+  each file's functions and methods in source order, so an earlier
+  definition of a redefined name still encloses its own lines. `span_end` is
+  where a function's span ends.
+- A receiver's members are `ClassDef.members` for a class and
+  `ModuleScope.members` for a module.
+- A name resolves to its last definition in the file, as at run time.
+- `name_assignments` lists the plain-name assignments that make locals and
+  module variables.
 
 Type resolution is deliberately flow-insensitive and single-hop, the level
 of inference a static tool can honestly sustain for a dynamically typed
 mini-language: the receiver `self` (a method's first parameter) resolves to
-the enclosing class, a local resolves to the class it was most recently
-constructed from, a class or module name resolves to itself, and everything
-else is unresolvable.
+the class that encloses the method, a local resolves to the class it was
+most recently constructed from, a class or module name resolves to itself,
+and everything else is unresolvable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterator, Optional
 
 from ..minilang import nodes
-from ..minilang.parser import ClassDef, FunctionDef, Module
-from ..repo import Repository
+from ..minilang.parser import ClassDef, FunctionDef, Module, extract_functions
+from ..repo import SOURCE_SUFFIX, Repository
 
 
-@dataclass
-class ClassInfo:
-    name: str
-    file: str
-    node: ClassDef
+def span_end(fn: FunctionDef) -> int:
+    """Last line of a function's span. The span reaches the reserved
+    body-start line even when the body is empty, so a freshly blanked
+    insertion point still lies inside the function."""
+    return max(fn.end_line, fn.body_start_line)
 
-    @property
-    def members(self) -> set[str]:
-        return set(m.name for m in self.node.methods) | set(self.node.attributes)
+
+def name_assignments(stmts: list[nodes.Stmt]) -> Iterator[nodes.Assign]:
+    """Every assignment to a plain name among the statements, nested ones
+    too, in source order."""
+    for stmt in nodes.walk_statements(stmts):
+        if isinstance(stmt, nodes.Assign) and isinstance(stmt.target, nodes.Name):
+            yield stmt
 
 
 @dataclass
 class ModuleScope:
-    path: str
     module: Module
-    functions: dict[str, FunctionDef] = field(default_factory=dict)
-    classes: dict[str, ClassInfo] = field(default_factory=dict)
-    variables: set[str] = field(default_factory=set)
+    members: set[str]             # the functions, classes and variables it defines
+    classes: dict[str, ClassDef]  # each class name's last definition
     # alias -> ("module", path) or ("name", path, name); unresolved imports
     # map to ("unresolved",).
-    imports: dict[str, tuple] = field(default_factory=dict)
+    imports: dict[str, tuple]
+
+    @cached_property
+    def functions(self) -> list[FunctionDef]:
+        """Every function and method, in source order."""
+        return extract_functions(self.module)
 
     @property
-    def defined_names(self) -> set[str]:
-        return set(self.functions) | set(self.classes) | set(self.variables)
+    def name(self) -> str:
+        """The module as a receiver is named by its path."""
+        return self.module.path
 
     @property
     def visible_names(self) -> set[str]:
-        return self.defined_names | set(self.imports)
+        return self.members | set(self.imports)
 
 
 @dataclass
 class ScopeIndex:
     modules: dict[str, ModuleScope]
-    import_edges: list[tuple[str, str]]
-    diagnostics: list[str]
 
     def module_scope(self, path: str) -> Optional[ModuleScope]:
         return self.modules.get(path)
 
-    def enclosing(self, path: str, line: int) -> tuple[Optional[ClassInfo], Optional[FunctionDef]]:
+    def enclosing(self, path: str, line: int) -> tuple[Optional[ClassDef], Optional[FunctionDef]]:
         """Class and function whose span contains the given line.
 
-        A function's span extends to its reserved body-start line even when
-        the body is currently empty, so completions at a freshly blanked
-        insertion point still see the function's scope.
+        The function is the first in source order whose span holds the line;
+        the class is the one holding that function, or, outside every
+        function, the line itself.
         """
         scope = self.modules.get(path)
         if scope is None:
             return None, None
+        func = next((fn for fn in scope.functions if fn.line <= line <= span_end(fn)), None)
+        return self._class_at(path, func.line if func is not None else line), func
 
-        def fn_end(fn: FunctionDef) -> int:
-            return max(fn.end_line, fn.body_start_line)
+    def _class_at(self, path: str, line: int) -> Optional[ClassDef]:
+        """The class whose header or methods' lines hold the line."""
+        classes = self.modules[path].module.classes
+        return next((c for c in classes if c.line <= line <= c.end_line), None)
 
-        for cls in scope.classes.values():
-            cls_end = max(
-                [cls.node.end_line] + [fn_end(m) for m in cls.node.methods]
-            )
-            if cls.node.line <= line <= cls_end:
-                for m in cls.node.methods:
-                    if m.line <= line <= fn_end(m):
-                        return cls, m
-                return cls, None
-        for fn in scope.functions.values():
-            if fn.line <= line <= fn_end(fn):
-                return None, fn
-        return None, None
-
-    def resolve_class_name(self, path: str, name: str) -> Optional[ClassInfo]:
+    def resolve_class_name(self, path: str, name: str) -> Optional[ClassDef]:
         scope = self.modules.get(path)
         if scope is None:
             return None
@@ -115,128 +124,50 @@ class ScopeIndex:
         func: Optional[FunctionDef],
         name: str,
         before: tuple[int, int],
-    ):
-        """Resolve the receiver of a dotted access at a given position.
+    ) -> Optional[ClassDef | ModuleScope]:
+        """The class or module that the receiver of `name.` resolves to, or None.
 
-        Returns ("class", ClassInfo), ("module", ModuleScope) or None.
-        `before` bounds the local-assignment search: only constructor
-        assignments lexically preceding the access are considered.
+        `before` bounds the local-assignment search: only assignments
+        lexically preceding the access count, and the latest of them decides
+        (`name_assignments` yields them in source order).
         """
         if func is not None and func.is_method and func.params and name == func.params[0]:
-            scope = self.modules.get(path)
-            if scope and func.owner_class in scope.classes:
-                return ("class", scope.classes[func.owner_class])
-            return None
+            return self._class_at(path, func.line)
         if func is not None:
-            latest: Optional[ClassInfo] = None
-            latest_pos = (-1, -1)
-            for stmt in nodes.walk_statements(func.body):
-                if not isinstance(stmt, nodes.Assign):
-                    continue
-                if not isinstance(stmt.target, nodes.Name) or stmt.target.id != name:
-                    continue
-                tpos = (stmt.target.line, stmt.target.column)
-                if tpos >= before:
-                    continue
-                value = stmt.value
-                if isinstance(value, nodes.Call) and isinstance(value.func, nodes.Name):
-                    cls = self.resolve_class_name(path, value.func.id)
-                    if cls is not None and tpos > latest_pos:
-                        latest, latest_pos = cls, tpos
-                    elif cls is None and tpos > latest_pos:
-                        latest, latest_pos = None, tpos
-                elif tpos > latest_pos:
-                    latest, latest_pos = None, tpos
+            latest: Optional[nodes.Assign] = None
+            for stmt in name_assignments(func.body):
+                if stmt.target.id == name and (stmt.target.line, stmt.target.column) < before:
+                    latest = stmt
             if latest is not None:
-                return ("class", latest)
-            if latest_pos != (-1, -1):
+                value = latest.value
+                if isinstance(value, nodes.Call) and isinstance(value.func, nodes.Name):
+                    return self.resolve_class_name(path, value.func.id)
                 return None
-        cls = self.resolve_class_name(path, name)
-        if cls is not None:
-            return ("class", cls)
-        mod = self.resolve_module_alias(path, name)
-        if mod is not None:
-            return ("module", mod)
-        return None
-
-    def to_dict(self) -> dict:
-        """Deterministic structural summary used for equality checks."""
-        out = {}
-        for path in sorted(self.modules):
-            scope = self.modules[path]
-            out[path] = {
-                "functions": sorted(scope.functions),
-                "classes": {
-                    name: sorted(info.members) for name, info in sorted(scope.classes.items())
-                },
-                "variables": sorted(scope.variables),
-                "imports": {k: list(v) for k, v in sorted(scope.imports.items())},
-            }
-        return {"modules": out, "edges": sorted(self.import_edges)}
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ScopeIndex) and self.to_dict() == other.to_dict()
-
-
-def _module_path_for(name: str, files: dict[str, str]) -> Optional[str]:
-    candidate = name + ".mp"
-    return candidate if candidate in files else None
+        return self.resolve_class_name(path, name) or self.resolve_module_alias(path, name)
 
 
 def build_scope_index(repo: Repository) -> ScopeIndex:
-    """Build the repository-wide scope index; diagnostics are collected."""
+    """Build the repository-wide scope index."""
     modules: dict[str, ModuleScope] = {}
-    edges: list[tuple[str, str]] = []
-    diagnostics: list[str] = []
-
     for path in repo.paths():
         mod = repo.module(path)
-        scope = ModuleScope(path=path, module=mod)
-        for fn in mod.functions:
-            scope.functions[fn.name] = fn
-        for cls in mod.classes:
-            scope.classes[cls.name] = ClassInfo(cls.name, path, cls)
-        for stmt in mod.body:
-            if isinstance(stmt, nodes.Assign) and isinstance(stmt.target, nodes.Name):
-                scope.variables.add(stmt.target.id)
-        modules[path] = scope
-
-    for path, scope in modules.items():
-        for imp in scope.module.imports:
-            target_path = _module_path_for(imp.module, repo.files)
-            if target_path is None:
-                for alias in imp.bound_names:
-                    scope.imports[alias] = ("unresolved",)
-                diagnostics.append(f"{path}: unresolved import {imp.module!r}")
-                continue
-            edges.append((path, target_path))
-            if imp.names:
-                for n in imp.names:
-                    scope.imports[n] = ("name", target_path, n)
+        imports: dict[str, tuple] = {}
+        for imp in mod.imports:
+            target = imp.module + SOURCE_SUFFIX
+            if target not in repo.files:
+                imports.update(dict.fromkeys(imp.bound_names, ("unresolved",)))
+            elif imp.names:
+                imports.update((n, ("name", target, n)) for n in imp.names)
             else:
-                scope.imports[imp.module] = ("module", target_path)
-
-    # Cycle check over import edges.
-    adj: dict[str, list[str]] = {}
-    for a, b in edges:
-        adj.setdefault(a, []).append(b)
-    state: dict[str, int] = {}
-
-    def visit(node: str, trail: list[str]) -> None:
-        state[node] = 1
-        for nxt in adj.get(node, ()):
-            if state.get(nxt) == 1:
-                cycle = trail[trail.index(nxt):] + [nxt] if nxt in trail else [node, nxt]
-                diagnostics.append("import cycle: " + " -> ".join(cycle))
-            elif state.get(nxt) is None:
-                visit(nxt, trail + [nxt])
-        state[node] = 2
-
-    for node in sorted(adj):
-        if state.get(node) is None:
-            visit(node, [node])
-
-    return ScopeIndex(modules=modules, import_edges=edges, diagnostics=diagnostics)
+                imports[imp.module] = ("module", target)
+        classes = {cls.name: cls for cls in mod.classes}
+        members = (
+            {fn.name for fn in mod.functions}
+            | set(classes)
+            | {stmt.target.id for stmt in name_assignments(mod.body)}
+        )
+        modules[path] = ModuleScope(mod, members, classes, imports)
+    return ScopeIndex(modules)
 
 
 def scope_index_for(repo: Repository) -> ScopeIndex:
@@ -248,9 +179,8 @@ def scope_index_for(repo: Repository) -> ScopeIndex:
 
 def locals_before(func: FunctionDef, before: tuple[int, int]) -> set[str]:
     """Names assigned in the function strictly before a position."""
-    out: set[str] = set()
-    for stmt in nodes.walk_statements(func.body):
-        if isinstance(stmt, nodes.Assign) and isinstance(stmt.target, nodes.Name):
-            if (stmt.target.line, stmt.target.column) < before:
-                out.add(stmt.target.id)
-    return out
+    return {
+        stmt.target.id
+        for stmt in name_assignments(func.body)
+        if (stmt.target.line, stmt.target.column) < before
+    }

@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 from ._kernels import levenshtein
 from .analysis.insert import insert_text
 from .analysis.lint import lint_check
+from .analysis.scope import scope_index_for
 from .lm.tokenizer import tokenize
 from .lm.vocab import Vocab
 from .minilang import nodes
@@ -68,20 +69,10 @@ def extract_expressions(pred: str) -> set[str]:
     return {text for text, _ in _access_candidates(stmts)}
 
 
-def _enclosing_function(repo: Repository, file: str, line: int):
-    module = repo.module(file)
-    from .minilang.parser import extract_functions
-
-    for fn in extract_functions(module):
-        if fn.line <= line <= max(fn.end_line, fn.body_start_line):
-            return fn
-    return None
-
-
 def identify_dependencies(gt: str, repo: Repository, pos: CaretPosition) -> set[str]:
     """DEP(gt): minimal access expressions covering trigger-marked identifiers."""
     snapshot, _caret = insert_text(repo, pos, gt)
-    func = _enclosing_function(snapshot, pos.file, pos.line)
+    _, func = scope_index_for(snapshot).enclosing(pos.file, pos.line)
     if func is None:
         raise ValueError(
             f"ground truth at {pos.file}:{pos.line} does not parse into a function"
@@ -104,7 +95,7 @@ def identify_dependencies(gt: str, repo: Repository, pos: CaretPosition) -> set[
 def pair_is_valid(pair: EvalPair) -> bool:
     """True iff the inserted prediction's span lints clean."""
     snapshot, caret = insert_text(pair.repo, pair.pos, pair.pred)
-    func = _enclosing_function(snapshot, pair.file, pair.pos.line)
+    _, func = scope_index_for(snapshot).enclosing(pair.file, pair.pos.line)
     span_start = func.line if func is not None else pair.pos.line
     span_end = caret.line
     errors = lint_check(snapshot, pair.file)

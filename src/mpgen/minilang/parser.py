@@ -55,6 +55,11 @@ class ClassDef:
     column: int
     end_line: int
 
+    @property
+    def members(self) -> set[str]:
+        """What `obj.` offers on an instance: methods and assigned attributes."""
+        return {m.name for m in self.methods} | self.attributes
+
 
 @dataclass
 class ImportDecl:
@@ -248,10 +253,14 @@ class _Parser:
         """Items up to the block's DEDENT, which is left unconsumed.
 
         A malformed item is dropped by `_recover` and parsing resumes on the
-        next line; items are statements, or methods in a class body.
+        next line; items are statements, or methods in a class body. A bare
+        newline, left by a line that held only error tokens, is skipped.
         """
         items = []
         while self.peek() is not None and not self.at(tk.DEDENT):
+            if self.at(tk.NEWLINE):
+                self.advance()
+                continue
             try:
                 items.append(parse_item())
             except _Recover as r:

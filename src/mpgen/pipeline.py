@@ -67,21 +67,6 @@ class RunConfig:
     def vanilla_model_path(self) -> str:
         return os.path.join(self.model_dir, "model_vanilla.json")
 
-    def to_dict(self) -> dict:
-        return {
-            "train_roots": self.train_roots,
-            "eval_roots": self.eval_roots,
-            "order": self.order,
-            "alpha": self.alpha,
-            "buckets": self.buckets,
-            "max_tokens": self.max_tokens,
-            "cache": self.cache,
-            "dataset": self.dataset,
-            "model_dir": self.model_dir,
-            "report": self.report,
-            "tasks": self.tasks,
-        }
-
 
 CORPUS_ROOT_ENV = "MPGEN_CORPUS_ROOT"
 

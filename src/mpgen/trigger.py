@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import mean
 from typing import Iterable, Optional
 
@@ -42,7 +42,6 @@ class AugmentedFunction:
     file: str
     line: int
     comp_count: int
-    diagnostics: list[str] = field(default_factory=list)
 
     def marked_positions(self) -> set[tuple[int, int]]:
         """Positions of the identifiers that directly follow a marker."""
@@ -93,16 +92,9 @@ def insert_triggers(repo: Repository, file: str, func: FunctionDef) -> Augmented
     description = func.signature_text + " " + func.docstring
     out: list[LexToken] = []
     count = 0
-    diags: list[str] = []
     for t in func.body_tokens:
         if t.kind == tk.IDENTIFIER and not is_builtin(t.text):
-            caret = CaretPosition(file, t.line, t.column)
-            try:
-                suggestions = tool_complete(repo, caret)
-            except Exception as exc:  # completion-tool failure: treat as no match
-                suggestions = []
-                diags.append(f"{file}:{t.line}:{t.column}: completion failed: {exc}")
-            if t.text in suggestions:
+            if t.text in tool_complete(repo, CaretPosition(file, t.line, t.column)):
                 out.append(LexToken(tk.MARKER, tk.COMP_TEXT, t.line, t.column))
                 count += 1
         out.append(t)
@@ -112,7 +104,6 @@ def insert_triggers(repo: Repository, file: str, func: FunctionDef) -> Augmented
         file=file,
         line=func.line,
         comp_count=count,
-        diagnostics=diags,
     )
 
 
@@ -145,7 +136,8 @@ def augment_corpus(repos: list[Repository]) -> AugmentedDataset:
 
     Output order is deterministic: repositories in the given order, files by
     path, functions by source position. Functions without docstrings are
-    omitted; per-file parse failures surface as diagnostics on the pairs.
+    omitted. The parser recovers from syntax errors, so a file that does not
+    fully parse still yields the functions it could read.
     """
     pairs: list[AugmentedFunction] = []
     for repo in repos:

@@ -47,6 +47,17 @@ def scan_classify_caret(repo, caret) -> CaretContext:
     return CaretContext("scope")
 
 
+def first_enclosing_function(repo, file, line):
+    """The first function or method, in source order, whose lines (up to its
+    reserved body-start line when the body is empty) hold the given line."""
+    module = repo.module(file)
+    functions = module.functions + [m for cls in module.classes for m in cls.methods]
+    for fn in sorted(functions, key=lambda fn: fn.line):
+        if fn.line <= line <= max(fn.end_line, fn.body_start_line):
+            return fn
+    return None
+
+
 def naive_edit_similarity(a: str, b: str) -> float:
     if not a and not b:
         return 100.0

@@ -17,7 +17,7 @@ from mpgen.minilang.lexer import lex
 from mpgen.minilang import tokens as tk
 from mpgen.repo import CaretError, CaretPosition, Repository
 
-from oracles import scan_classify_caret
+from oracles import first_enclosing_function, scan_classify_caret
 
 COUNTER = (
     "class Counter:\n"
@@ -38,14 +38,14 @@ def make_repo(**files):
 def test_module_table_contains_function():
     repo = make_repo(**{"a.mp": "def f():\n    return 1\n"})
     idx = build_scope_index(repo)
-    assert "f" in idx.modules["a.mp"].functions
+    assert "f" in idx.modules["a.mp"].members
 
 
 def test_counter_value_attribute_table():
     # the member _value in the class Counter
     repo = make_repo(**{"core.mp": COUNTER})
     idx = build_scope_index(repo)
-    assert idx.modules["core.mp"].classes["Counter"].node.attributes == {"_value"}
+    assert idx.modules["core.mp"].classes["Counter"].attributes == {"_value"}
 
 
 def test_import_edge_resolution():
@@ -54,22 +54,110 @@ def test_import_edge_resolution():
         "app.mp": "from utils import g\ndef h():\n    return g()\n",
     })
     idx = build_scope_index(repo)
-    assert ("app.mp", "utils.mp") in idx.import_edges
+    assert idx.modules["app.mp"].imports == {"g": ("name", "utils.mp", "g")}
     assert not [e for e in lint_check(repo, "app.mp")]
 
 
-def test_import_cycle_reported():
+def test_import_cycle_resolves_both_ways():
     repo = make_repo(**{
-        "a.mp": "import b\n",
-        "b.mp": "import a\n",
+        "a.mp": "import b\ndef f():\n    return b.\n",
+        "b.mp": "import a\ndef g():\n    return a.f\n",
     })
     idx = build_scope_index(repo)
-    assert any("cycle" in d for d in idx.diagnostics)
+    assert idx.modules["a.mp"].imports == {"b": ("module", "b.mp")}
+    assert idx.modules["b.mp"].imports == {"a": ("module", "a.mp")}
+    assert tool_complete(repo, CaretPosition("a.mp", 3, len("    return b."))) == ["g"]
+    assert lint_check(repo, "b.mp") == []
 
 
-def test_index_rebuild_is_equal():
-    repo = make_repo(**{"core.mp": COUNTER})
-    assert build_scope_index(repo) == build_scope_index(repo)
+# --- redefined names -------------------------------------------------------
+
+TWO_CLASSES_A = (
+    "class A:\n"
+    "    def m(self):\n"
+    "        self.x = 1\n"
+    "        return self.x\n"
+    "class A:\n"
+    "    def n(self):\n"
+    "        return self.n\n"
+)
+
+
+def test_redefined_function_keeps_its_own_params():
+    repo = make_repo(**{"f.mp": "def f(a):\n    return a\n\ndef f(b):\n    return b\n"})
+    assert tool_complete(repo, CaretPosition("f.mp", 2, 11)) == ["a", "f"]
+    assert tool_complete(repo, CaretPosition("f.mp", 5, 11)) == ["b", "f"]
+
+
+def test_self_in_first_of_two_same_named_classes():
+    repo = make_repo(**{"a.mp": TWO_CLASSES_A})
+    caret = CaretPosition("a.mp", 4, len("        return self."))
+    assert tool_complete(repo, caret) == ["m", "x"]
+    caret = CaretPosition("a.mp", 7, len("        return self."))
+    assert tool_complete(repo, caret) == ["n"]
+
+
+def test_lint_checks_self_against_its_own_class():
+    repo = make_repo(**{"a.mp": TWO_CLASSES_A})
+    assert lint_check(repo, "a.mp") == []
+    src = TWO_CLASSES_A + "    def k(self):\n        return self.x\n"
+    errors = lint_check(make_repo(**{"b.mp": src}), "b.mp")
+    assert [(e.kind, e.line, e.message) for e in errors] == [
+        (NO_MEMBER, 9, "'A' has no member 'x'")
+    ]
+
+
+def _assert_enclosing_matches_oracle(repo, path):
+    index = build_scope_index(repo)
+    for line in range(1, repo.text(path).count("\n") + 2):
+        cls, func = index.enclosing(path, line)
+        assert func is first_enclosing_function(repo, path, line), (path, line)
+        if func is not None and func.is_method:
+            assert any(m is func for m in cls.methods), (path, line)
+
+
+def test_enclosing_matches_oracle_on_corpus_and_tasks(corpus_repos, demo_config):
+    from mpgen.pipeline import derive_tasks
+
+    checked = 0
+    for _name, repo in corpus_repos:
+        for path in repo.paths():
+            _assert_enclosing_matches_oracle(repo, path)
+            checked += 1
+    for task in derive_tasks(demo_config):
+        _assert_enclosing_matches_oracle(task.snapshot, task.pos.file)
+        checked += 1
+    assert checked == 60 + 126
+
+
+def _def_lines(indent, name, params, doc, body):
+    lines = [f"{indent}def {name}({', '.join(params)}):"]
+    if doc:
+        lines.append(f'{indent}    "{name} doc"')
+    lines += [f"{indent}    {stmt}" for stmt in body]
+    return lines if doc or body else lines + [f"{indent}    return 1"]
+
+
+_BODIES = st.lists(st.sampled_from(["x = 1", "return x", "self.y = x", "z = self.y"]), max_size=3)
+_FUNCTIONS = st.builds(
+    lambda name, doc, body, gap: _def_lines("", name, ["a"], doc, body) + [""] * gap,
+    st.sampled_from(["f", "g"]), st.booleans(), _BODIES, st.integers(0, 1),
+)
+_METHODS = st.builds(
+    lambda name, doc, body: _def_lines("    ", name, ["self"], doc, body),
+    st.sampled_from(["m", "n"]), st.booleans(), _BODIES,
+)
+_CLASSES = st.builds(
+    lambda name, methods: [f"class {name}:"] + sum(methods, []),
+    st.sampled_from(["A", "B"]), st.lists(_METHODS, min_size=1, max_size=3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_FUNCTIONS, _CLASSES), min_size=1, max_size=6))
+def test_enclosing_matches_oracle_with_redefined_names(defs):
+    src = "\n".join(sum(defs, [])) + "\n"
+    _assert_enclosing_matches_oracle(make_repo(**{"r.mp": src}), "r.mp")
 
 
 # --- tool_complete ---------------------------------------------------------

@@ -309,11 +309,13 @@ def test_corpus_root_env_override(tmp_path, monkeypatch, capsys):
 
 
 def test_config_round_trips_losslessly(tmp_path):
+    from dataclasses import asdict
+
     from mpgen.pipeline import load_config
 
     cfg_path = write_config(tmp_path)
     first = load_config(cfg_path)
     rewritten = tmp_path / "again.json"
-    rewritten.write_text(json.dumps(first.to_dict()))
+    rewritten.write_text(json.dumps(asdict(first)))
     second = load_config(str(rewritten))
-    assert first.to_dict() == second.to_dict()
+    assert asdict(first) == asdict(second)

@@ -199,6 +199,19 @@ _RECOVERY_SITES = {
             ("syntax-error", 1, 8, "expected 'newline', found '2'"),
         ],
     ),
+    # A line of error tokens alone leaves a bare newline, which is skipped.
+    "error_line_block.mp": (
+        'def f(a):\n    if a:\n        "abc\n        a = 1\n    return a\n',
+        [("syntax-error", 3, 8, "unterminated string literal")],
+    ),
+    "error_line_def.mp": (
+        "def g(a):\n    b = a\n    $\n    return b\n",
+        [("syntax-error", 3, 4, "illegal character '$'")],
+    ),
+    "error_line_class.mp": (
+        "class C:\n    $\n    def m(self):\n        return self\n",
+        [("syntax-error", 2, 4, "illegal character '$'")],
+    ),
 }
 
 

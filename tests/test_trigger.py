@@ -148,6 +148,15 @@ def test_marker_validity_recheck():
             assert nxt.text in tool_complete(repo, caret)
 
 
+def test_augment_corpus_propagates_tool_errors(monkeypatch):
+    def failing(repo, caret):
+        raise RuntimeError("tool broke")
+
+    monkeypatch.setattr("mpgen.trigger.tool_complete", failing)
+    with pytest.raises(RuntimeError, match="tool broke"):
+        augment_corpus([Repository({"u.mp": UPDATER})])
+
+
 def test_augment_corpus_counts_and_order(corpus_repos):
     repos = [repo for _name, repo in corpus_repos[:2]]
     ds = augment_corpus(repos)
