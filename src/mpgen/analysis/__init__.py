@@ -1,23 +1,1 @@
 """Static analysis: scope resolution, autocompletion, lint, and insertion."""
-
-from .builtins import BUILTIN_NAMES, is_builtin
-from .scope import ScopeIndex, build_scope_index
-from .complete import CaretContext, classify_caret, is_identifier, tool_complete
-from .lint import LintError, lint_check, serialize_lint_errors
-from .insert import insert, insert_text
-
-__all__ = [
-    "BUILTIN_NAMES",
-    "is_builtin",
-    "ScopeIndex",
-    "build_scope_index",
-    "CaretContext",
-    "classify_caret",
-    "is_identifier",
-    "tool_complete",
-    "LintError",
-    "lint_check",
-    "serialize_lint_errors",
-    "insert",
-    "insert_text",
-]

@@ -2,10 +2,13 @@
 
 Each rule is decided in one place:
 
-- `ScopeIndex.enclosing` says which class and function hold a line. It walks
-  each file's functions and methods in source order, so an earlier
-  definition of a redefined name still encloses its own lines. `span_end` is
-  where a function's span ends.
+- `ScopeIndex.enclosing` says which class and function hold a line: the
+  latest-starting function or method whose span holds it. It walks each
+  file's definitions, not its names, so an earlier definition of a redefined
+  name still encloses its own lines. `span_end` is where a function's span
+  ends. Spans overlap only where a docstring-only function's reserved
+  body-start line is the next definition's header, and that line belongs to
+  the next definition.
 - A receiver's members are `ClassDef.members` for a class and
   `ModuleScope.members` for a module.
 - A name resolves to its last definition in the file, as at run time.
@@ -80,14 +83,16 @@ class ScopeIndex:
     def enclosing(self, path: str, line: int) -> tuple[Optional[ClassDef], Optional[FunctionDef]]:
         """Class and function whose span contains the given line.
 
-        The function is the first in source order whose span holds the line;
+        The function is the latest-starting one whose span holds the line;
         the class is the one holding that function, or, outside every
         function, the line itself.
         """
         scope = self.modules.get(path)
         if scope is None:
             return None, None
-        func = next((fn for fn in scope.functions if fn.line <= line <= span_end(fn)), None)
+        func = next(
+            (fn for fn in reversed(scope.functions) if fn.line <= line <= span_end(fn)), None
+        )
         return self._class_at(path, func.line if func is not None else line), func
 
     def _class_at(self, path: str, line: int) -> Optional[ClassDef]:

@@ -37,9 +37,9 @@ from typing import Iterable, Optional, Sequence
 from .analysis.complete import TaskContext, tool_complete
 from .analysis.insert import insert
 from .lm.ngram import NGramModel, description_bucket
-from .lm.tokenizer import NL_TOKEN, _classify, detokenize, split_identifier, tokenize
+from .lm.tokenizer import detokenize, split_identifier, tokenize
 from .lm.vocab import COMP_ID, CONTROL_IDS, EOS_ID, BOS_ID, Vocab
-from .minilang import render as rnd
+from .minilang import tokens as tk
 from .repo import CaretPosition, Repository
 
 
@@ -175,10 +175,6 @@ def select_suggestion(
     return appended
 
 
-def _is_wordlike(token_str: str) -> bool:
-    return _classify(token_str)[0] == rnd.WORD
-
-
 def _trigger_cache_key(prefix: Sequence[int], vocab: Vocab) -> tuple:
     """Cache key for the completion list at a trigger.
 
@@ -189,17 +185,17 @@ def _trigger_cache_key(prefix: Sequence[int], vocab: Vocab) -> tuple:
     once their line is closed: the recovering parser ignores the statement
     still being generated, so a mid-line `=` has no effect on scope yet.
     """
-    strs = [vocab.token(t) for t in prefix[:-1]]  # exclude the trigger itself
-    last_nl = max((i for i, s in enumerate(strs) if s == NL_TOKEN), default=-1)
-    n_assign = sum(1 for s in strs[: last_nl + 1] if s == "=")
-    if strs and strs[-1] == ".":
-        j = len(strs) - 2
+    items = [vocab.item(t) for t in prefix[:-1]]  # exclude the trigger itself
+    last_nl = max((i for i, (kind, _) in enumerate(items) if kind == tk.NEWLINE), default=-1)
+    n_assign = sum(1 for _, s in items[: last_nl + 1] if s == "=")
+    if items and items[-1][1] == ".":
+        j = len(items) - 2
         run: list[str] = []
-        while j >= 0 and _is_wordlike(strs[j]):
-            run.append(strs[j])
+        while j >= 0 and items[j][0] == tk.IDENTIFIER:
+            run.append(items[j][1])
             j -= 1
         receiver = "".join(reversed(run))
-        if not run or (j >= 0 and strs[j] == "."):
+        if not run or (j >= 0 and items[j][1] == "."):
             return ("attr-chain", receiver, n_assign)
         return ("attr", receiver, n_assign)
     return ("scope", n_assign)
@@ -221,7 +217,11 @@ def generate(
     pos: CaretPosition,
     cfg: GenerationConfig = GenerationConfig(),
 ) -> tuple[str, GenerationTrace]:
-    """Generate a function body at pos, returning (canonical text, trace)."""
+    """Generate a function body at pos, returning (canonical text, trace).
+
+    Raises CaretError when pos does not lie in the repository.
+    """
+    repo.validate_caret(pos)
     vocab = model.vocab
     desc_ids = tokenize(description, vocab)
     bucket = description_bucket(desc_ids, vocab, model.buckets)
@@ -262,10 +262,7 @@ def generate(
             else:
                 tool, args = tool_complete, insert(repo, pos, seq, vocab)
             trace.tool_invocations += 1
-            try:
-                suggestions = tool(*args)
-            except Exception:
-                suggestions = []
+            suggestions = tool(*args)
             if cfg.cache_enabled:
                 cache[key] = suggestions
 

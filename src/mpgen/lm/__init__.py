@@ -1,31 +1,1 @@
 """Vocabulary, tokenizer, and the trainable count-based language model."""
-
-from .vocab import BOS_ID, COMP_ID, EOS_ID, RESERVED_TOKENS, UNK_ID, Vocab, build_vocab
-from .tokenizer import detokenize, token_strings, tokenize
-from .ngram import (
-    ModelCorruptError,
-    ModelVersionError,
-    NGramModel,
-    load_model,
-    save_model,
-    train,
-)
-
-__all__ = [
-    "BOS_ID",
-    "EOS_ID",
-    "UNK_ID",
-    "COMP_ID",
-    "RESERVED_TOKENS",
-    "Vocab",
-    "build_vocab",
-    "tokenize",
-    "detokenize",
-    "token_strings",
-    "NGramModel",
-    "train",
-    "save_model",
-    "load_model",
-    "ModelCorruptError",
-    "ModelVersionError",
-]

@@ -222,7 +222,10 @@ def load_model(path: str) -> NGramModel:
             f"(expected {FORMAT_VERSION})"
         )
     try:
-        vocab = Vocab(tokens=tuple(payload["vocab"]))
+        tokens = tuple(payload["vocab"])
+        if not all(isinstance(t, str) for t in tokens):
+            raise ValueError("vocabulary entries must be strings")
+        vocab = Vocab(tokens=tokens)
         model = NGramModel(
             vocab=vocab,
             order=int(payload["order"]),

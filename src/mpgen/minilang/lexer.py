@@ -22,8 +22,8 @@ class LexDiagnostic:
 
 
 _TOKEN_RE = re.compile(
-    r"""
-      (?P<marker><BOS>|<EOS>|<UNK>|<COMP>)
+    "(?P<marker>" + "|".join(map(re.escape, tk.MARKER_TEXTS)) + ")"
+    + r"""
     | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<number>[0-9]+(?:\.[0-9]+)?)
     | (?P<string>"[^"\n]*")

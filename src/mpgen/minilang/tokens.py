@@ -1,4 +1,9 @@
-"""Token kinds and the lexical token record shared across the package."""
+"""Token kinds and the lexical token record shared across the package.
+
+These kinds are the only lexeme taxonomy from the lexer to the decoder: the
+renderer spaces (kind, text) pairs by them, and the model vocabulary gives
+each of its tokens one of them when it is built.
+"""
 
 from __future__ import annotations
 
@@ -25,11 +30,10 @@ KEYWORDS = frozenset({"def", "class", "return", "if", "else", "while", "import",
 OPERATORS = ("==", "!=", "<", ">", "+", "-", "*", "/", "=")
 PUNCTUATORS = ("(", ")", ",", ".", ":")
 
-BOS_TEXT = "<BOS>"
-EOS_TEXT = "<EOS>"
-UNK_TEXT = "<UNK>"
+# The reserved marker literals, in vocabulary id order; the only spelling of
+# each. The lexer reads them as marker tokens, and they open every vocabulary.
 COMP_TEXT = "<COMP>"
-MARKER_TEXTS = (BOS_TEXT, EOS_TEXT, UNK_TEXT, COMP_TEXT)
+MARKER_TEXTS = ("<BOS>", "<EOS>", "<UNK>", COMP_TEXT)
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,9 @@ import random
 import numpy as np
 
 from mpgen.analysis.complete import CaretContext
-from mpgen.lm import build_vocab, train
+from mpgen.lm.ngram import train
 from mpgen.lm.tokenizer import split_identifier
-from mpgen.lm.vocab import BOS_ID, COMP_ID, EOS_ID
+from mpgen.lm.vocab import BOS_ID, COMP_ID, EOS_ID, build_vocab
 from mpgen.minilang import tokens as tk
 
 
@@ -47,12 +47,12 @@ def scan_classify_caret(repo, caret) -> CaretContext:
     return CaretContext("scope")
 
 
-def first_enclosing_function(repo, file, line):
-    """The first function or method, in source order, whose lines (up to its
-    reserved body-start line when the body is empty) hold the given line."""
+def latest_enclosing_function(repo, file, line):
+    """The latest-starting function or method whose lines (up to its reserved
+    body-start line when the body is empty) hold the given line."""
     module = repo.module(file)
     functions = module.functions + [m for cls in module.classes for m in cls.methods]
-    for fn in sorted(functions, key=lambda fn: fn.line):
+    for fn in sorted(functions, key=lambda fn: fn.line, reverse=True):
         if fn.line <= line <= max(fn.end_line, fn.body_start_line):
             return fn
     return None

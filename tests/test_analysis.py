@@ -1,23 +1,22 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mpgen.analysis import (
-    build_scope_index,
-    insert,
-    insert_text,
-    is_builtin,
-    is_identifier,
+from mpgen.analysis.builtins import is_builtin
+from mpgen.analysis.complete import classify_caret, is_identifier, tool_complete
+from mpgen.analysis.insert import insert, insert_text
+from mpgen.analysis.lint import (
+    NO_MEMBER,
+    SYNTAX_ERROR,
+    UNDEFINED_VARIABLE,
     lint_check,
     serialize_lint_errors,
-    tool_complete,
 )
-from mpgen.analysis.complete import classify_caret
-from mpgen.analysis.lint import NO_MEMBER, SYNTAX_ERROR, UNDEFINED_VARIABLE
+from mpgen.analysis.scope import build_scope_index
 from mpgen.minilang.lexer import lex
 from mpgen.minilang import tokens as tk
 from mpgen.repo import CaretError, CaretPosition, Repository
 
-from oracles import first_enclosing_function, scan_classify_caret
+from oracles import latest_enclosing_function, scan_classify_caret
 
 COUNTER = (
     "class Counter:\n"
@@ -111,7 +110,7 @@ def _assert_enclosing_matches_oracle(repo, path):
     index = build_scope_index(repo)
     for line in range(1, repo.text(path).count("\n") + 2):
         cls, func = index.enclosing(path, line)
-        assert func is first_enclosing_function(repo, path, line), (path, line)
+        assert func is latest_enclosing_function(repo, path, line), (path, line)
         if func is not None and func.is_method:
             assert any(m is func for m in cls.methods), (path, line)
 
@@ -158,6 +157,14 @@ _CLASSES = st.builds(
 def test_enclosing_matches_oracle_with_redefined_names(defs):
     src = "\n".join(sum(defs, [])) + "\n"
     _assert_enclosing_matches_oracle(make_repo(**{"r.mp": src}), "r.mp")
+
+
+def test_docstring_only_function_leaves_the_next_header_to_its_function():
+    # f's reserved body-start line is g's header: the line is g's
+    src = 'def f(a):\n    "doc"\ndef g(b):\n    return b\n'
+    repo = make_repo(**{"r.mp": src})
+    assert tool_complete(repo, CaretPosition("r.mp", 3, 4)) == ["b", "f", "g"]
+    assert tool_complete(repo, CaretPosition("r.mp", 2, 9)) == ["a", "f", "g"]
 
 
 # --- tool_complete ---------------------------------------------------------
@@ -407,8 +414,8 @@ def test_insert_empty_tokens_is_identity():
 
 
 def test_insert_strips_markers():
-    from mpgen.lm import build_vocab, tokenize
-    from mpgen.lm.vocab import BOS_ID
+    from mpgen.lm.tokenizer import tokenize
+    from mpgen.lm.vocab import BOS_ID, build_vocab
 
     repo, pos = _blank_fixture()
     vocab = build_vocab(["self.z = 1"])
@@ -419,8 +426,8 @@ def test_insert_strips_markers():
 
 
 def test_insert_caret_supports_attribute_context():
-    from mpgen.lm import build_vocab, tokenize
-    from mpgen.lm.vocab import BOS_ID
+    from mpgen.lm.tokenizer import tokenize
+    from mpgen.lm.vocab import BOS_ID, build_vocab
 
     repo, pos = _blank_fixture()
     vocab = build_vocab(["self."])

@@ -8,6 +8,7 @@ from mpgen.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
+GOLDEN_MODELS = ROOT / "out" / "models"
 
 
 def write_config(tmp_path: Path, **overrides) -> str:
@@ -125,6 +126,45 @@ def test_generate_missing_model_is_data_error(tmp_path, capsys):
     assert code == 2
 
 
+def _generate_args(cfg: str, file: str, line: int, *extra: str) -> list[str]:
+    return [
+        "generate",
+        "--config", cfg,
+        "--repo", str(CORPUS / "eval" / "repo14"),
+        "--file", file,
+        "--line", str(line),
+        "--column", "0",
+        "--desc", "d",
+        *extra,
+    ]
+
+
+@pytest.mark.parametrize("mode", [[], ["--vanilla"]], ids=["tool", "vanilla"])
+@pytest.mark.parametrize(
+    "file,line,message",
+    [("nope.mp", 1, "no such file"), ("core.mp", 999, "line 999 out of range")],
+    ids=["missing-file", "line-out-of-range"],
+)
+def test_generate_caret_outside_repository_is_data_error(tmp_path, capsys, mode, file, line, message):
+    cfg = write_config(tmp_path, model_dir=str(GOLDEN_MODELS))
+    assert main(_generate_args(cfg, file, line, *mode)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
+
+
+def test_generate_model_with_non_string_vocab_entry_is_data_error(tmp_path, capsys):
+    models = tmp_path / "models"
+    models.mkdir()
+    for name in ("model_tool.json", "model_vanilla.json"):
+        payload = json.loads((GOLDEN_MODELS / name).read_text())
+        payload["vocab"][payload["vocab"].index("return")] = 7
+        (models / name).write_text(json.dumps(payload))
+    cfg = write_config(tmp_path, model_dir=str(models))
+    assert main(_generate_args(cfg, "core.mp", 1, "--vanilla")) == 2
+    assert "vocabulary entries must be strings" in capsys.readouterr().err
+
+
 def test_evaluate_report_shape(cli_workspace, capsys):
     tmp, cfg = cli_workspace
     assert main(["evaluate", "--config", cfg]) == 0
@@ -135,9 +175,6 @@ def test_evaluate_report_shape(cli_workspace, capsys):
         for key in ("dep_cov", "val_rate", "val_rate_dep", "exact_match", "edit_sim", "bleu4"):
             assert key in entry
         assert entry["n"] == report["n_tasks"]
-
-
-GOLDEN_MODELS = ROOT / "out" / "models"
 
 
 def _model_dir(tmp_path: Path, tool_bytes: bytes) -> Path:

@@ -14,9 +14,9 @@ from mpgen.decode import (
     select_suggestion,
     tokenize_suggestion,
 )
-from mpgen.lm import build_vocab, tokenize, train
-from mpgen.lm.ngram import description_bucket
-from mpgen.lm.vocab import BOS_ID, COMP_ID, EOS_ID, RESERVED_TOKENS, Vocab
+from mpgen.lm.ngram import description_bucket, train
+from mpgen.lm.tokenizer import tokenize
+from mpgen.lm.vocab import BOS_ID, COMP_ID, EOS_ID, RESERVED_TOKENS, Vocab, build_vocab
 from mpgen.pipeline import derive_tasks, run_model_over_tasks
 from mpgen.repo import CaretPosition, Repository
 
@@ -344,6 +344,12 @@ def _blank_repo():
     return Repository({"k.mp": src}), CaretPosition("k.mp", 7, 8)
 
 
+def _member_trigger_model():
+    vocab = build_vocab(["return self.x", "<COMP>"])
+    body = tokenize("return <COMP>self.<COMP>x", vocab)
+    return train([([], [BOS_ID] + body + [EOS_ID])] * 5, order=3, alpha=0.1, vocab=vocab)
+
+
 def test_immediate_eos_gives_empty_output():
     vocab = build_vocab(["x"])
     model = train([([], [BOS_ID, EOS_ID])] * 3, order=2, alpha=0.1, vocab=vocab)
@@ -355,9 +361,7 @@ def test_immediate_eos_gives_empty_output():
 
 def test_single_candidate_trigger_inserts_member():
     repo, pos = _blank_repo()
-    vocab = build_vocab(["return self.x", "<COMP>"])
-    body = tokenize("return <COMP>self.<COMP>x", vocab)
-    model = train([([], [BOS_ID] + body + [EOS_ID])] * 5, order=3, alpha=0.1, vocab=vocab)
+    model = _member_trigger_model()
     text, trace = generate(model, repo, "Return the stored x", pos, GenerationConfig())
     assert text == "return self.x"
     assert trace.tool_invocations >= 1
@@ -417,6 +421,30 @@ def test_empty_completion_drops_trigger_and_continues():
     assert trace.dropped_triggers == 1
     assert "<COMP>" not in text
     assert text == "return a.b"
+
+
+class _ToolFailure(RuntimeError):
+    pass
+
+
+def _failing_tool(*_args):
+    raise _ToolFailure("completion tool failed")
+
+
+def test_task_context_error_propagates_out_of_generate(monkeypatch):
+    repo, pos = _blank_repo()
+    monkeypatch.setattr(decode.TaskContext, "complete", _failing_tool)
+    with pytest.raises(_ToolFailure):
+        generate(_member_trigger_model(), repo, "d", pos, GenerationConfig())
+
+
+def test_whole_file_tool_error_propagates_out_of_generate(monkeypatch):
+    repo, _blank_pos = _blank_repo()
+    live = CaretPosition("k.mp", 7, 4)  # not a blanked caret: the line holds 8 spaces
+    assert decode.TaskContext.at(repo, live) is None
+    monkeypatch.setattr(decode, "tool_complete", _failing_tool)
+    with pytest.raises(_ToolFailure):
+        generate(_member_trigger_model(), repo, "d", live, GenerationConfig())
 
 
 def test_dropped_trigger_replacement_is_dense_argmax_without_comp():
@@ -499,10 +527,7 @@ def test_cache_hit_on_repeated_receiver():
 
 def test_generation_trace_tags_cover_all_tokens():
     repo, pos = _blank_repo()
-    vocab = build_vocab(["return self.x", "<COMP>"])
-    body = tokenize("return <COMP>self.<COMP>x", vocab)
-    model = train([([], [BOS_ID] + body + [EOS_ID])] * 5, order=3, alpha=0.1, vocab=vocab)
-    _text, trace = generate(model, repo, "d", pos, GenerationConfig())
+    _text, trace = generate(_member_trigger_model(), repo, "d", pos, GenerationConfig())
     assert len(trace.tags) == len(trace.tokens) - 1  # BOS carries no tag
     assert set(trace.tags) <= {"model", "tool-selection"}
 

@@ -4,21 +4,29 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mpgen.lm import (
+from mpgen.lm.ngram import (
     ModelCorruptError,
     ModelVersionError,
-    build_vocab,
-    detokenize,
+    description_bucket,
     load_model,
     save_model,
-    token_strings,
-    tokenize,
     train,
 )
-from mpgen.lm.ngram import description_bucket
-from mpgen.lm.vocab import BOS_ID, COMP_ID, EOS_ID, UNK_ID, RESERVED_TOKENS, Vocab
+from mpgen.lm.tokenizer import detokenize, token_strings, tokenize
+from mpgen.lm.vocab import (
+    BOS_ID,
+    COMP_ID,
+    EOS_ID,
+    RESERVED_TOKENS,
+    STRUCTURE_TOKENS,
+    UNK_ID,
+    Vocab,
+    build_vocab,
+)
+from mpgen.minilang import tokens as tk
 from mpgen.minilang.parser import extract_functions
 from mpgen.minilang.render import render_tokens
+from mpgen.minilang.tokens import LexToken
 
 
 # --- vocabulary --------------------------------------------------------------
@@ -80,8 +88,72 @@ def test_detokenize_marker_alone():
 
 def test_detokenize_unknown_id_rejected():
     v = build_vocab(["x"])
-    with pytest.raises(ValueError):
-        detokenize([10_000], v)
+    for bad in (10_000, v.size, -1):
+        with pytest.raises(ValueError):
+            detokenize([bad], v)
+
+
+@pytest.mark.parametrize(
+    "token,kind",
+    [
+        ("<COMP>", tk.MARKER), ("<UNK>", tk.MARKER), ("<NL>", tk.NEWLINE),
+        ("<INDENT>", tk.INDENT), ("<DEDENT>", tk.DEDENT), ("return", tk.KEYWORD),
+        ("==", tk.OPERATOR), ("=", tk.OPERATOR), ("(", tk.PUNCTUATOR), ("7", tk.NUMBER),
+        ("1.5", tk.NUMBER), ('"s"', tk.STRING), ('"ab', tk.STRING), ("x", tk.IDENTIFIER),
+        ("_", tk.IDENTIFIER), ("2a", tk.IDENTIFIER), ("$", tk.IDENTIFIER),
+    ],
+)
+def test_vocab_gives_each_token_one_kind(token, kind):
+    v = Vocab(tokens=tuple(dict.fromkeys(RESERVED_TOKENS + (token,))))
+    assert v.item(v.id_strict(token)) == (kind, token)
+
+
+I, N, S, K, O, P = tk.IDENTIFIER, tk.NUMBER, tk.STRING, tk.KEYWORD, tk.OPERATOR, tk.PUNCTUATOR
+E, M, NL, IN, DE = tk.ERROR, tk.MARKER, tk.NEWLINE, tk.INDENT, tk.DEDENT
+
+# (kind, text) lexemes, their render_tokens text, and the detokenize text of
+# the same spellings as model tokens, which the vocabulary classifies itself
+# (None: the same text).
+_RENDER_TABLE = [
+    ("word-word", [(I, "get"), (I, "Value")], "getValue", None),
+    ("subwords", [(I, "_"), (I, "registered"), (I, "_"), (I, "x")], "_registered_x", None),
+    ("number-after-word", [(I, "x"), (N, "2")], "x2", None),
+    ("word-after-number", [(N, "2"), (I, "x")], "2x", None),
+    ("error-in-identifiers", [(I, "x"), (E, "$"), (I, "y")], "x$y", None),
+    # an unterminated string lexes as an error token, a model token "ab as a string
+    ("open-string-after-word", [(I, "x"), (E, '"ab')], 'x"ab', 'x "ab'),
+    ("string-after-keyword", [(K, "return"), (S, '"s"')], 'return "s"', None),
+    ("operator", [(I, "x"), (O, "=="), (N, "1")], "x == 1", None),
+    (
+        "call-punctuation",
+        [(K, "def"), (I, "f"), (P, "("), (I, "a"), (P, ","), (I, "b"), (P, ")"), (P, ":")],
+        "def f(a, b):",
+        None,
+    ),
+    ("attribute", [(I, "self"), (P, "."), (I, "x"), (P, "."), (I, "y")], "self.x.y", None),
+    ("call-after-attribute", [(I, "a"), (P, "."), (I, "f"), (P, "("), (P, ")")], "a.f()", None),
+    ("marker-before-word", [(M, "<COMP>"), (I, "self")], "<COMP>self", None),
+    ("marker-before-punctuator", [(M, "<COMP>"), (P, "(")], "<COMP>(", None),
+    ("word-before-marker", [(I, "x"), (M, "<COMP>")], "x <COMP>", None),
+    (
+        "line-structure",
+        [(I, "x"), (NL, ""), (IN, ""), (I, "y"), (NL, ""), (DE, ""), (I, "z"), (NL, "")],
+        "x\n    y\nz",
+        None,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "items,rendered,detokenized", [row[1:] for row in _RENDER_TABLE], ids=[row[0] for row in _RENDER_TABLE]
+)
+def test_renderer_separator_table(items, rendered, detokenized):
+    lexemes = [LexToken(kind, text, 1, col) for col, (kind, text) in enumerate(items)]
+    assert render_tokens(lexemes) == rendered
+    strs = [STRUCTURE_TOKENS.get(kind, text) for kind, text in items]
+    vocab = Vocab(tokens=RESERVED_TOKENS + tuple(sorted(set(strs) - set(RESERVED_TOKENS))))
+    got = detokenize([vocab.id_strict(s) for s in strs], vocab)
+    assert got == (rendered if detokenized is None else detokenized)
 
 
 def test_round_trip_over_corpus_functions(corpus_repos):

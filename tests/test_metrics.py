@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from mpgen.lm import build_vocab, tokenize
+from mpgen.lm.tokenizer import tokenize
+from mpgen.lm.vocab import build_vocab
 from mpgen.metrics import (
     EvalPair,
     canonical_text,
