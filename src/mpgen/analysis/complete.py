@@ -18,10 +18,6 @@ from .insert import indent_body
 from .scope import ScopeIndex, build_scope_index, locals_before, scope_index_for
 
 
-def is_identifier(tok: LexToken) -> bool:
-    return tok.kind == tk.IDENTIFIER
-
-
 @dataclass(frozen=True)
 class CaretContext:
     """What the token stream immediately left of the caret looks like.

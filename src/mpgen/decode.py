@@ -94,7 +94,6 @@ class PrefixTrie:
 
     def __init__(self):
         self.root = TrieNode()
-        self.node_count = 1
         self._sequences: list[tuple[int, ...]] = []
 
     def insert(self, seq: Sequence[int]) -> None:
@@ -106,7 +105,6 @@ class PrefixTrie:
             if child is None:
                 child = TrieNode()
                 node.children[tok] = child
-                self.node_count += 1
             node = child
         node.is_terminal = True
         self._sequences.append(tuple(seq))
@@ -148,20 +146,14 @@ def greedy_choice(counts: dict[int, int], candidates: Iterable[int]) -> int:
 
 
 def select_suggestion(
-    model: NGramModel,
-    description: Sequence[int],
-    prefix: Sequence[int],
-    trie: PrefixTrie,
-    bucket: Optional[int] = None,
+    model: NGramModel, bucket: int, prefix: Sequence[int], trie: PrefixTrie
 ) -> list[int]:
     """Constrained greedy walk from the trie root to its first terminal.
 
-    Returns the appended token ids; the result always spells a complete
-    suggestion from the list the trie was built from. `bucket`, when given,
-    must be the description's `description_bucket`.
+    `bucket` is the description's `description_bucket`, which the caller
+    computes once per generation. Returns the appended token ids; the result
+    always spells a complete suggestion from the list the trie was built from.
     """
-    if bucket is None:
-        bucket = description_bucket(description, model.vocab, model.buckets)
     node = trie.root
     work = list(prefix)
     appended: list[int] = []
@@ -223,8 +215,7 @@ def generate(
     """
     repo.validate_caret(pos)
     vocab = model.vocab
-    desc_ids = tokenize(description, vocab)
-    bucket = description_bucket(desc_ids, vocab, model.buckets)
+    bucket = description_bucket(tokenize(description, vocab), vocab, model.buckets)
     seq: list[int] = [BOS_ID]
     trace = GenerationTrace()
     cache: dict[tuple, list[str]] = {}
@@ -281,7 +272,7 @@ def generate(
 
         trie = build_trie(suggestions, vocab)
         trace.shadowed_suggestions += trie.shadowed_count
-        appended = select_suggestion(model, desc_ids, seq, trie, bucket=bucket)
+        appended = select_suggestion(model, bucket, seq, trie)
         seq.extend(appended)
         trace.tags.extend(["tool-selection"] * len(appended))
 

@@ -10,13 +10,20 @@ trigger token included) always has positive probability and the result sums
 to one.
 
 The model stores only the counts; a context's total is summed from them
-where it is read. `next_counts` returns the matched counts, and everything
-else is computed from them: greedy decoding takes its argmax straight from
-the counts, `sequence_nll` smooths the one count it scores, and `predict`
-builds the dense distribution, a plain list indexed by token id. No
-production path calls `predict`: it is the reference the other two agree
-with bit for bit, and the module needs no numpy. All take the description's bucket; callers that score many
-prefixes of one description compute it once.
+where it is read. `next_counts` returns the counts of the longest matching
+context of the full order, and everything else is computed from them: greedy
+decoding takes its argmax straight from the counts, `sequence_nll` smooths
+the one count it scores, and `predict` builds the dense distribution, a
+plain list indexed by token id. No production path calls `predict`: it is
+the reference the other two agree with bit for bit, and the module needs no
+numpy. `next_counts` takes the description's bucket, so a caller that reads
+many prefixes of one description computes it once; `predict` and
+`sequence_nll` take the description's ids.
+
+`load_model` checks the layout a model file brings in from outside: the
+vocabulary opens with the reserved tokens in id order and repeats no entry,
+the order and bucket count are at least 1, and every table key, context and
+token id is in range, so no count can name a token the vocabulary lacks.
 """
 
 from __future__ import annotations
@@ -24,10 +31,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from math import log
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .._kernels import smoothed_distribution
-from .vocab import BOS_ID, EOS_ID, Vocab
+from .vocab import BOS_ID, EOS_ID, RESERVED_TOKENS, Vocab
 
 GLOBAL_BUCKET = -1
 
@@ -76,10 +83,8 @@ class NGramModel:
         counts = table.setdefault(ctx, {})
         counts[tok] = counts.get(tok, 0) + 1
 
-    def next_counts(
-        self, bucket: int, prefix: Sequence[int], max_k: Optional[int] = None
-    ) -> dict[int, int]:
-        """Next-token counts of the longest matching context, at most `max_k` long.
+    def next_counts(self, bucket: int, prefix: Sequence[int]) -> dict[int, int]:
+        """Next-token counts of the longest matching context, at most order - 1 long.
 
         The bucket is preferred over the global pool, but context length
         dominates conditioning specificity: an order is only shortened once
@@ -87,8 +92,7 @@ class NGramModel:
         current length. Empty when no context matches, i.e. the distribution
         is pure smoothing. The dict is the model's own table: do not mutate it.
         """
-        top = self.order - 1 if max_k is None else max_k
-        for k in range(min(top, len(prefix)), -1, -1):
+        for k in range(min(self.order - 1, len(prefix)), -1, -1):
             ctx = tuple(prefix[len(prefix) - k:])
             for b in (bucket, GLOBAL_BUCKET):
                 table = self.tables.get((b, k))
@@ -96,21 +100,10 @@ class NGramModel:
                     return table[ctx]
         return {}
 
-    def predict(
-        self,
-        description: Sequence[int],
-        prefix: Sequence[int],
-        max_order: Optional[int] = None,
-        bucket: Optional[int] = None,
-    ) -> list[float]:
-        """Smoothed next-token distribution over the full vocabulary, by token id.
-
-        `bucket`, when given, must be the description's `description_bucket`.
-        """
-        max_k = None if max_order is None else max_order - 1
-        if bucket is None:
-            bucket = description_bucket(description, self.vocab, self.buckets)
-        counts = self.next_counts(bucket, prefix, max_k)
+    def predict(self, description: Sequence[int], prefix: Sequence[int]) -> list[float]:
+        """Smoothed next-token distribution over the full vocabulary, by token id."""
+        bucket = description_bucket(description, self.vocab, self.buckets)
+        counts = self.next_counts(bucket, prefix)
         return smoothed_distribution(self.vocab.size, counts, self.alpha)
 
     def sequence_nll(self, description: Sequence[int], target: Sequence[int]) -> float:
@@ -179,16 +172,25 @@ def _tables_to_json(model: NGramModel) -> dict:
     return out
 
 
-def _tables_from_json(data: dict) -> dict:
+def _tables_from_json(data: dict, order: int, buckets: int, vocab_size: int) -> dict:
+    """The count tables of a model file; raises ValueError on a table key,
+    context or token id out of range for the model's order, buckets and
+    vocabulary."""
+    ids = frozenset(range(vocab_size))
     tables: dict = {}
     for bk, ctxs in data.items():
         bucket_s, k_s = bk.split(":")
-        key = (int(bucket_s), int(k_s))
+        bucket, k = int(bucket_s), int(k_s)
+        if not (GLOBAL_BUCKET <= bucket < buckets and 0 <= k < order):
+            raise ValueError(f"table key {bk!r} out of range")
         table: dict = {}
         for ctx_s, counts in ctxs.items():
             ctx = tuple(int(x) for x in ctx_s.split(",")) if ctx_s else ()
-            table[ctx] = {int(t): int(c) for t, c in counts.items()}
-        tables[key] = table
+            row = {int(t): int(c) for t, c in counts.items()}
+            if len(ctx) != k or not ids.issuperset(ctx) or not row.keys() <= ids:
+                raise ValueError(f"table {bk!r} context {ctx_s!r} is out of range")
+            table[ctx] = row
+        tables[(bucket, k)] = table
     return tables
 
 
@@ -225,14 +227,18 @@ def load_model(path: str) -> NGramModel:
         tokens = tuple(payload["vocab"])
         if not all(isinstance(t, str) for t in tokens):
             raise ValueError("vocabulary entries must be strings")
-        vocab = Vocab(tokens=tokens)
+        if tokens[: len(RESERVED_TOKENS)] != RESERVED_TOKENS or len(set(tokens)) != len(tokens):
+            raise ValueError("vocabulary must open with the reserved tokens and repeat no entry")
+        order, buckets = int(payload["order"]), int(payload["buckets"])
+        if order < 1 or buckets < 1:
+            raise ValueError("order and buckets must be at least 1")
         model = NGramModel(
-            vocab=vocab,
-            order=int(payload["order"]),
+            vocab=Vocab(tokens=tokens),
+            order=order,
             alpha=float(payload["alpha"]),
-            buckets=int(payload["buckets"]),
+            buckets=buckets,
             variant=str(payload.get("variant", "model")),
-            tables=_tables_from_json(payload["tables"]),
+            tables=_tables_from_json(payload["tables"], order, buckets, len(tokens)),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ModelCorruptError(f"malformed model file {path!r}: {exc}") from exc

@@ -78,12 +78,6 @@ class Vocab:
         """Token id, falling back to <UNK> for unknown subwords."""
         return self._index.get(token, UNK_ID)
 
-    def id_strict(self, token: str) -> int:
-        return self._index[token]
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._index
-
     def token(self, idx: int) -> str:
         return self.item(idx)[1]
 

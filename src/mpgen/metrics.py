@@ -34,11 +34,9 @@ from .trigger import insert_triggers
 
 @dataclass
 class EvalPair:
-    description: str
     gt: str
     pred: str
     repo: Repository          # snapshot with the target body blanked
-    file: str
     pos: CaretPosition
     label: str = ""
 
@@ -95,10 +93,10 @@ def identify_dependencies(gt: str, repo: Repository, pos: CaretPosition) -> set[
 def pair_is_valid(pair: EvalPair) -> bool:
     """True iff the inserted prediction's span lints clean."""
     snapshot, caret = insert_text(pair.repo, pair.pos, pair.pred)
-    _, func = scope_index_for(snapshot).enclosing(pair.file, pair.pos.line)
+    _, func = scope_index_for(snapshot).enclosing(pair.pos.file, pair.pos.line)
     span_start = func.line if func is not None else pair.pos.line
     span_end = caret.line
-    errors = lint_check(snapshot, pair.file)
+    errors = lint_check(snapshot, pair.pos.file)
     return not any(span_start <= e.line <= span_end for e in errors)
 
 
@@ -192,7 +190,7 @@ def _score_pair(pair: EvalPair, truth: GroundTruth, vocab: Vocab) -> tuple[dict,
     pred_ids = tokenize(pair.pred, vocab)
     row = {
         "label": pair.label,
-        "file": pair.file,
+        "file": pair.pos.file,
         "line": pair.pos.line,
         "dep_total": len(truth.deps),
         "dep_covered": len(extract_expressions(pair.pred) & truth.deps),

@@ -2,7 +2,9 @@
 
 `lex` never raises: the completion tool and the linter run on half-written
 code, so an illegal character or an unterminated string literal becomes an
-error token plus a diagnostic, and lexing goes on.
+error token plus a diagnostic, and lexing goes on. `Diagnostic` is the one
+diagnostic record of the front end: the parser reports in it too, and keeps
+the lexer's records as they are.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from .tokens import LexToken
 
 
 @dataclass(frozen=True)
-class LexDiagnostic:
+class Diagnostic:
+    """A lex or parse error at a 1-based line and 0-based column."""
+
     message: str
     line: int
     column: int
@@ -49,7 +53,7 @@ _GROUP_KIND = {
 }
 
 
-def lex(source: str) -> tuple[list[LexToken], list[LexDiagnostic]]:
+def lex(source: str) -> tuple[list[LexToken], list[Diagnostic]]:
     """Lex MiniPy source into a (tokens, diagnostics) pair.
 
     Illegal characters and unterminated string literals become error tokens,
@@ -60,7 +64,7 @@ def lex(source: str) -> tuple[list[LexToken], list[LexDiagnostic]]:
     token whether or not the source ends with one.
     """
     out: list[LexToken] = []
-    diags: list[LexDiagnostic] = []
+    diags: list[Diagnostic] = []
     indents = [0]
     # Position for synthetic dedent tokens: just past the previous newline,
     # keeping positions strictly increasing.
@@ -85,7 +89,7 @@ def lex(source: str) -> tuple[list[LexToken], list[LexDiagnostic]]:
                 n += 1
             if indents[-1] != indent:
                 diags.append(
-                    LexDiagnostic("unindent does not match any outer level", lineno, 0)
+                    Diagnostic("unindent does not match any outer level", lineno, 0)
                 )
                 indents.append(indent)
                 out.append(LexToken(tk.INDENT, "", lineno, 0))
@@ -95,7 +99,7 @@ def lex(source: str) -> tuple[list[LexToken], list[LexDiagnostic]]:
             m = _TOKEN_RE.match(raw, pos)
             if m is None:
                 ch = raw[pos]
-                diags.append(LexDiagnostic(f"illegal character {ch!r}", lineno, pos))
+                diags.append(Diagnostic(f"illegal character {ch!r}", lineno, pos))
                 out.append(LexToken(tk.ERROR, ch, lineno, pos))
                 pos += 1
                 continue
@@ -105,7 +109,7 @@ def lex(source: str) -> tuple[list[LexToken], list[LexDiagnostic]]:
                 if kind == tk.IDENTIFIER and text in tk.KEYWORDS:
                     kind = tk.KEYWORD
                 elif kind == tk.ERROR:
-                    diags.append(LexDiagnostic("unterminated string literal", lineno, pos))
+                    diags.append(Diagnostic("unterminated string literal", lineno, pos))
                 out.append(LexToken(kind, text, lineno, pos))
             pos = m.end()
 

@@ -22,14 +22,9 @@ class Num:
 
 @dataclass
 class Str:
-    # Raw literal including quotes; .content strips them.
-    raw: str
+    raw: str  # the literal including its quotes
     line: int
     column: int
-
-    @property
-    def content(self) -> str:
-        return self.raw[1:-1]
 
 
 @dataclass

@@ -6,6 +6,10 @@ the lint checker and the completion tool run on files holding partially
 generated code. Recovery skips to the next line (inside a block) or to the
 next top-level definition (at module level). `parse` and `parse_body` share
 the parser set-up, the statement rules and the one recovery rule `_recover`.
+
+Every diagnostic, the lexer's included, is a syntax error in the lexer's one
+record type, `Diagnostic`. The parser checks syntax only: redefining a name
+is not an error, and a later definition simply shadows an earlier one.
 """
 
 from __future__ import annotations
@@ -14,16 +18,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from . import nodes, tokens as tk
-from .lexer import lex
+from .lexer import Diagnostic, lex
 from .tokens import LexToken
-
-
-@dataclass(frozen=True)
-class ParseDiagnostic:
-    message: str
-    line: int
-    column: int
-    category: str = "syntax"  # syntax | redefinition
 
 
 @dataclass
@@ -35,7 +31,6 @@ class FunctionDef:
     body_tokens: list[LexToken]       # excludes the docstring statement
     signature_text: str
     line: int
-    column: int
     body_start_line: int              # first non-docstring body line
     body_start_column: int
     end_line: int
@@ -45,6 +40,12 @@ class FunctionDef:
     def is_method(self) -> bool:
         return self.owner_class is not None
 
+    @property
+    def description(self) -> str:
+        """The natural-language description of a docstring-bearing function:
+        its signature, then its docstring."""
+        return self.signature_text + " " + self.docstring
+
 
 @dataclass
 class ClassDef:
@@ -52,7 +53,6 @@ class ClassDef:
     methods: list[FunctionDef]
     attributes: set[str]
     line: int
-    column: int
     end_line: int
 
     @property
@@ -65,8 +65,6 @@ class ClassDef:
 class ImportDecl:
     module: str
     names: list[str]   # empty for plain `import m`; bound names for `from m import a, b`
-    line: int
-    column: int
 
     @property
     def bound_names(self) -> list[str]:
@@ -80,11 +78,11 @@ class Module:
     classes: list[ClassDef] = field(default_factory=list)
     functions: list[FunctionDef] = field(default_factory=list)
     body: list[nodes.Stmt] = field(default_factory=list)  # module-level simple statements
-    diagnostics: list[ParseDiagnostic] = field(default_factory=list)
+    diagnostics: list[Diagnostic] = field(default_factory=list)
 
 
 class _Recover(Exception):
-    def __init__(self, diag: ParseDiagnostic):
+    def __init__(self, diag: Diagnostic):
         self.diag = diag
 
 
@@ -97,7 +95,7 @@ class _Parser:
         self.toks = toks
         self.i = 0
         self.path = path
-        self.diags: list[ParseDiagnostic] = []
+        self.diags: list[Diagnostic] = []
 
     # --- cursor helpers -------------------------------------------------
     def peek(self, ahead: int = 0) -> Optional[LexToken]:
@@ -119,11 +117,11 @@ class _Parser:
             raise self._eof(f"unexpected end of file, expected {text or kind}")
         if t.kind != kind or (text is not None and t.text != text):
             want = text or kind
-            raise _Recover(ParseDiagnostic(f"expected {want!r}, found {t.text or t.kind!r}", t.line, t.column))
+            raise _Recover(Diagnostic(f"expected {want!r}, found {t.text or t.kind!r}", t.line, t.column))
         return self.advance()
 
     def _eof(self, message: str) -> _Recover:
-        return _Recover(ParseDiagnostic(message, self.toks[-1].line if self.toks else 1, 0))
+        return _Recover(Diagnostic(message, self.toks[-1].line if self.toks else 1, 0))
 
     def _recover(self, r: _Recover) -> None:
         """Record the diagnostic, skip to the next line and any block it opens."""
@@ -205,7 +203,7 @@ class _Parser:
             e = self.parse_expr()
             self.expect(tk.PUNCTUATOR, ")")
             return e
-        raise _Recover(ParseDiagnostic(f"unexpected {t.text or t.kind!r} in expression", t.line, t.column))
+        raise _Recover(Diagnostic(f"unexpected {t.text or t.kind!r} in expression", t.line, t.column))
 
     # --- statements -----------------------------------------------------
     def parse_simple_stmt(self) -> nodes.Stmt:
@@ -221,7 +219,7 @@ class _Parser:
         if self.at(tk.OPERATOR, "="):
             eq = self.advance()
             if not isinstance(expr, (nodes.Name, nodes.Attribute)):
-                raise _Recover(ParseDiagnostic("invalid assignment target", eq.line, eq.column))
+                raise _Recover(Diagnostic("invalid assignment target", eq.line, eq.column))
             value = self.parse_expr()
             self.expect(tk.NEWLINE)
             return nodes.Assign(expr, value, t.line, t.column)
@@ -320,7 +318,6 @@ class _Parser:
             body_tokens=body_tokens,
             signature_text=signature,
             line=d.line,
-            column=d.column,
             body_start_line=start_line,
             body_start_column=start_col,
             end_line=end_line,
@@ -350,13 +347,13 @@ class _Parser:
                     and stmt.target.value.id == recv
                 ):
                     attributes.add(stmt.target.attr)
-        return ClassDef(name.text, methods, attributes, c.line, c.column, end_line)
+        return ClassDef(name.text, methods, attributes, c.line, end_line)
 
     def _method(self, owner: str) -> FunctionDef:
         t = self.peek()
         if not (t.kind == tk.KEYWORD and t.text == "def"):
             raise _Recover(
-                ParseDiagnostic(f"only method definitions allowed in class body, found {t.text or t.kind!r}", t.line, t.column)
+                Diagnostic(f"only method definitions allowed in class body, found {t.text or t.kind!r}", t.line, t.column)
             )
         return self.parse_def(owner)
 
@@ -366,7 +363,7 @@ class _Parser:
             self.advance()
             mod = self.expect(tk.IDENTIFIER)
             self.expect(tk.NEWLINE)
-            return ImportDecl(mod.text, [], t.line, t.column)
+            return ImportDecl(mod.text, [])
         self.expect(tk.KEYWORD, "from")
         mod = self.expect(tk.IDENTIFIER)
         self.expect(tk.KEYWORD, "import")
@@ -375,48 +372,28 @@ class _Parser:
             self.advance()
             names.append(self.expect(tk.IDENTIFIER).text)
         self.expect(tk.NEWLINE)
-        return ImportDecl(mod.text, names, t.line, t.column)
+        return ImportDecl(mod.text, names)
 
     # --- module ---------------------------------------------------------
     def parse_module(self) -> Module:
         mod = Module(path=self.path)
-        seen: dict[str, tuple[int, int]] = {}
-
-        def declare(name: str, line: int, col: int) -> None:
-            if name in seen:
-                self.diags.append(
-                    ParseDiagnostic(f"redefinition of {name!r}", line, col, category="redefinition")
-                )
-            else:
-                seen[name] = (line, col)
-
         while self.peek() is not None:
             t = self.peek()
             try:
                 if t.kind == tk.NEWLINE:
                     self.advance()
                 elif t.kind == tk.KEYWORD and t.text in ("import", "from"):
-                    imp = self.parse_import()
-                    mod.imports.append(imp)
-                    for n in imp.bound_names:
-                        declare(n, imp.line, imp.column)
+                    mod.imports.append(self.parse_import())
                 elif t.kind == tk.KEYWORD and t.text == "class":
-                    cls = self.parse_class()
-                    mod.classes.append(cls)
-                    declare(cls.name, cls.line, cls.column)
+                    mod.classes.append(self.parse_class())
                 elif t.kind == tk.KEYWORD and t.text == "def":
-                    fn = self.parse_def(owner=None)
-                    mod.functions.append(fn)
-                    declare(fn.name, fn.line, fn.column)
+                    mod.functions.append(self.parse_def(owner=None))
                 elif t.kind in (tk.INDENT, tk.DEDENT):
-                    self.diags.append(ParseDiagnostic("unexpected indentation", t.line, t.column))
+                    self.diags.append(Diagnostic("unexpected indentation", t.line, t.column))
                     self.advance()
                     self._sync_top_level()
                 else:
-                    stmt = self.parse_simple_stmt()
-                    mod.body.append(stmt)
-                    if isinstance(stmt, nodes.Assign) and isinstance(stmt.target, nodes.Name):
-                        declare(stmt.target.id, stmt.target.line, stmt.target.column)
+                    mod.body.append(self.parse_simple_stmt())
             except _Recover as r:
                 self.diags.append(r.diag)
                 self._sync_top_level()
@@ -429,7 +406,7 @@ def _parser_for(source: str, path: str, lexed) -> _Parser:
     tokens dropped and lexer diagnostics already recorded."""
     toks, lex_diags = lexed if lexed is not None else lex(source)
     parser = _Parser([t for t in toks if t.kind != tk.ERROR], path)
-    parser.diags.extend(ParseDiagnostic(d.message, d.line, d.column) for d in lex_diags)
+    parser.diags.extend(lex_diags)
     return parser
 
 
@@ -454,7 +431,7 @@ def parse_body(source: str):
             parser.advance()
             continue
         if parser.at(tk.INDENT) or parser.at(tk.DEDENT):
-            parser.diags.append(ParseDiagnostic("unexpected indentation", parser.peek().line, parser.peek().column))
+            parser.diags.append(Diagnostic("unexpected indentation", parser.peek().line, parser.peek().column))
             parser.advance()
             continue
         try:

@@ -49,7 +49,3 @@ class LexToken:
     text: str
     line: int
     column: int
-
-    @property
-    def pos(self) -> tuple[int, int]:
-        return (self.line, self.column)

@@ -127,7 +127,7 @@ def corpus_vocab(config: RunConfig) -> Vocab:
             texts.append(repo.text(path))
             for func in extract_functions(repo.module(path)):
                 if func.docstring is not None:
-                    texts.append(func.signature_text + " " + func.docstring)
+                    texts.append(func.description)
     if not texts:
         raise DataError("no source files found under the configured corpus roots")
     return build_vocab(texts)
@@ -232,7 +232,7 @@ def derive_tasks(config: RunConfig) -> list[Task]:
                         snapshot=snap,
                         file=path,
                         pos=pos,
-                        description=func.signature_text + " " + func.docstring,
+                        description=func.description,
                         gt=render_tokens(func.body_tokens),
                     )
                 )
@@ -284,15 +284,7 @@ def run_model_over_tasks(
     for task in tasks:
         pred, trace = generate(model, task.snapshot, task.description, task.pos, gen_cfg)
         pairs.append(
-            EvalPair(
-                description=task.description,
-                gt=task.gt,
-                pred=pred,
-                repo=task.snapshot,
-                file=task.file,
-                pos=task.pos,
-                label=task.label,
-            )
+            EvalPair(gt=task.gt, pred=pred, repo=task.snapshot, pos=task.pos, label=task.label)
         )
         traces.append(trace)
     return pairs, traces

@@ -135,9 +135,6 @@ class Repository:
         col = len(head) - (head.rfind("\n") + 1)
         return CaretPosition(path, line, col)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Repository) and self._files == other._files
-
     def __repr__(self) -> str:
         return f"Repository({len(self._files)} files, root={self.root!r})"
 

@@ -41,7 +41,11 @@ class AugmentedFunction:
     augmented_body: list[LexToken]  # body tokens with marker tokens interleaved
     file: str
     line: int
-    comp_count: int
+
+    @property
+    def comp_count(self) -> int:
+        """The number of markers inserted."""
+        return sum(1 for t in self.augmented_body if t.kind == tk.MARKER)
 
     def marked_positions(self) -> set[tuple[int, int]]:
         """Positions of the identifiers that directly follow a marker."""
@@ -89,27 +93,18 @@ class AugmentedDataset:
 def insert_triggers(repo: Repository, file: str, func: FunctionDef) -> AugmentedFunction:
     if func.docstring is None:
         raise MissingDocstringError(f"{file}:{func.line}: {func.name} has no docstring")
-    description = func.signature_text + " " + func.docstring
     out: list[LexToken] = []
-    count = 0
     for t in func.body_tokens:
         if t.kind == tk.IDENTIFIER and not is_builtin(t.text):
             if t.text in tool_complete(repo, CaretPosition(file, t.line, t.column)):
                 out.append(LexToken(tk.MARKER, tk.COMP_TEXT, t.line, t.column))
-                count += 1
         out.append(t)
     return AugmentedFunction(
-        description=description,
+        description=func.description,
         augmented_body=out,
         file=file,
         line=func.line,
-        comp_count=count,
     )
-
-
-def strip_triggers(aug: AugmentedFunction) -> str:
-    """Canonical body text with every marker removed."""
-    return render_tokens([t for t in aug.augmented_body if t.kind != tk.MARKER])
 
 
 def corpus_id_of(repos: Iterable[Repository]) -> str:

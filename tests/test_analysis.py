@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mpgen.analysis.builtins import is_builtin
-from mpgen.analysis.complete import classify_caret, is_identifier, tool_complete
+from mpgen.analysis.complete import classify_caret, tool_complete
 from mpgen.analysis.insert import insert, insert_text
 from mpgen.analysis.lint import (
     NO_MEMBER,
@@ -12,7 +12,6 @@ from mpgen.analysis.lint import (
     serialize_lint_errors,
 )
 from mpgen.analysis.scope import build_scope_index
-from mpgen.minilang.lexer import lex
 from mpgen.minilang import tokens as tk
 from mpgen.repo import CaretError, CaretPosition, Repository
 
@@ -276,19 +275,12 @@ def test_caret_out_of_bounds_raises():
         tool_complete(repo, CaretPosition("missing.mp", 1, 0))
 
 
-# --- is_builtin / is_identifier --------------------------------------------
+# --- is_builtin -------------------------------------------------------------
 
 def test_is_builtin_table():
     assert is_builtin("__dict__")
     assert is_builtin("print")
     assert not is_builtin("_registered_updates")
-
-
-def test_is_identifier():
-    toks = {t.text: t for t in lex("return add .")[0]}
-    assert not is_identifier(toks["return"])
-    assert is_identifier(toks["add"])
-    assert not is_identifier(toks["."])
 
 
 # --- lint -------------------------------------------------------------------

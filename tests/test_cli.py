@@ -106,7 +106,7 @@ def test_generate_tool_mode_lints_clean(cli_workspace, capsys):
     from mpgen.metrics import EvalPair, pair_is_valid
 
     pred = out.rstrip("\n")
-    pair = EvalPair(task.description, task.gt, pred, task.snapshot, task.file, task.pos)
+    pair = EvalPair(task.gt, pred, task.snapshot, task.pos)
     assert pair_is_valid(pair)
 
 
@@ -153,16 +153,51 @@ def test_generate_caret_outside_repository_is_data_error(tmp_path, capsys, mode,
     assert message in err
 
 
-def test_generate_model_with_non_string_vocab_entry_is_data_error(tmp_path, capsys):
+def _edited_models(tmp_path: Path, edit) -> Path:
+    """A model directory with both golden models, each changed by edit(payload)."""
     models = tmp_path / "models"
     models.mkdir()
     for name in ("model_tool.json", "model_vanilla.json"):
         payload = json.loads((GOLDEN_MODELS / name).read_text())
-        payload["vocab"][payload["vocab"].index("return")] = 7
+        edit(payload)
         (models / name).write_text(json.dumps(payload))
+    return models
+
+
+def _replace_vocab_entry(old: str, new):
+    def edit(payload):
+        payload["vocab"][payload["vocab"].index(old)] = new
+
+    return edit
+
+
+def _swap_vocab_entries(a: str, b: str):
+    def edit(payload):
+        vocab = payload["vocab"]
+        i, j = vocab.index(a), vocab.index(b)
+        vocab[i], vocab[j] = b, a
+
+    return edit
+
+
+def test_generate_model_with_non_string_vocab_entry_is_data_error(tmp_path, capsys):
+    models = _edited_models(tmp_path, _replace_vocab_entry("return", 7))
     cfg = write_config(tmp_path, model_dir=str(models))
     assert main(_generate_args(cfg, "core.mp", 1, "--vanilla")) == 2
     assert "vocabulary entries must be strings" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_swap_vocab_entries("<COMP>", "return"), _replace_vocab_entry("self", "return")],
+    ids=["reserved-token-moved", "repeated-entry"],
+)
+def test_generate_model_with_bad_vocabulary_layout_is_data_error(tmp_path, capsys, edit):
+    cfg = write_config(tmp_path, model_dir=str(_edited_models(tmp_path, edit)))
+    assert main(_generate_args(cfg, "core.mp", 1)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "must open with the reserved tokens and repeat no entry" in err
 
 
 def test_evaluate_report_shape(cli_workspace, capsys):
@@ -210,6 +245,51 @@ def test_evaluate_malformed_table_entry_is_data_error(tmp_path, capsys, entry):
     cfg = write_config(tmp_path, model_dir=str(models))
     assert main(["evaluate", "--config", cfg]) == 2
     assert "malformed model file" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("field", ["order", "buckets"])
+def test_evaluate_model_scalar_below_one_is_data_error(tmp_path, capsys, field):
+    payload = json.loads((GOLDEN_MODELS / "model_tool.json").read_text())
+    payload[field] = 0
+    models = _model_dir(tmp_path, json.dumps(payload).encode())
+    cfg = write_config(tmp_path, model_dir=str(models))
+    assert main(["evaluate", "--config", cfg]) == 2
+    assert "order and buckets must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+# The golden models have order 3, 16 buckets and 639 vocabulary entries.
+@pytest.mark.parametrize(
+    "key,context,row",
+    [
+        ("16:1", "0", {"5": 1}),
+        ("-2:1", "0", {"5": 1}),
+        ("0:3", "0,5,6", {"5": 1}),
+        ("0:-1", "", {"5": 1}),
+        ("0:2", "0", {"5": 1}),
+        ("0:1", "639", {"5": 1}),
+        ("0:1", "-1", {"5": 1}),
+        ("0:1", "0", {"99999": 3}),
+    ],
+    ids=[
+        "bucket-past-last",
+        "bucket-below-global",
+        "context-as-long-as-order",
+        "negative-context-length",
+        "context-shorter-than-key",
+        "context-id-past-vocab",
+        "negative-context-id",
+        "next-id-past-vocab",
+    ],
+)
+def test_evaluate_model_table_out_of_range_is_data_error(tmp_path, capsys, key, context, row):
+    payload = json.loads((GOLDEN_MODELS / "model_tool.json").read_text())
+    payload["tables"].setdefault(key, {})[context] = row
+    models = _model_dir(tmp_path, json.dumps(payload).encode())
+    cfg = write_config(tmp_path, model_dir=str(models))
+    assert main(["evaluate", "--config", cfg]) == 2
+    assert "out of range" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
 
 

@@ -17,7 +17,7 @@ from mpgen.decode import (
 from mpgen.lm.ngram import description_bucket, train
 from mpgen.lm.tokenizer import tokenize
 from mpgen.lm.vocab import BOS_ID, COMP_ID, EOS_ID, RESERVED_TOKENS, Vocab, build_vocab
-from mpgen.pipeline import derive_tasks, run_model_over_tasks
+from mpgen.pipeline import derive_tasks
 from mpgen.repo import CaretPosition, Repository
 
 
@@ -61,7 +61,11 @@ def test_trie_shares_prefixes_and_bounds_node_count():
     vocab = build_vocab(["_ax _ay _b"])
     trie = build_trie(["_ax", "_ay", "_b"], vocab)
     lengths = [len(tokenize_suggestion(s, vocab)) for s in ("_ax", "_ay", "_b")]
-    assert trie.node_count <= 1 + sum(lengths)
+    nodes, stack = 0, [trie.root]
+    while stack:
+        nodes += 1
+        stack.extend(stack.pop().children.values())
+    assert nodes <= 1 + sum(lengths)
     assert len(trie.root.children) == 1  # all three share the leading underscore
 
 
@@ -208,9 +212,8 @@ def test_count_choices_equal_dense_argmax(case):
     trie = PrefixTrie()
     for p in paths:
         trie.insert(p)
-    got = select_suggestion(model, desc, prefix, trie, bucket=bucket)
+    got = select_suggestion(model, bucket, prefix, trie)
     assert got == dense_path_walk(model, desc, prefix, paths)
-    assert got == select_suggestion(model, desc, prefix, trie)
 
 
 def test_examples_hit_the_edge_cases():
@@ -233,9 +236,11 @@ def test_benchmark_choices_equal_dense_argmax(trained_models, monkeypatch):
     config, tool, vanilla = trained_models
     real_select = decode.select_suggestion
     trie_steps = []
+    description: list[int] = []  # the ids of the task being generated
 
-    def checked_select(model, description, prefix, trie, bucket=None):
-        appended = real_select(model, description, prefix, trie, bucket=bucket)
+    def checked_select(model, bucket, prefix, trie):
+        assert bucket == description_bucket(description, model.vocab, model.buckets)
+        appended = real_select(model, bucket, prefix, trie)
         node, work = trie.root, list(prefix)
         for tok in appended:
             dist = np.asarray(model.predict(description, work))
@@ -251,8 +256,9 @@ def test_benchmark_choices_equal_dense_argmax(trained_models, monkeypatch):
     outer_steps = 0
     for model, tool_enabled in ((tool, True), (vanilla, False)):
         cfg = GenerationConfig(max_tokens=config.max_tokens, tool_enabled=tool_enabled)
-        _pairs, traces = run_model_over_tasks(model, tasks, cfg)
-        for task, trace in zip(tasks, traces):
+        for task in tasks:
+            description[:] = tokenize(task.description, model.vocab)
+            _text, trace = generate(model, task.snapshot, task.description, task.pos, cfg)
             _check_outer_choices(model, task.description, trace, tool_enabled)
             outer_steps += trace.steps
     assert (outer_steps, len(trie_steps)) == (9804, 2670)
@@ -288,7 +294,8 @@ def test_single_suggestion_forced_regardless_of_model():
     # rebuild with the case vocab so ids align
     vocab2 = build_vocab(["_only_one"])
     model2 = train([([], [BOS_ID, 4, EOS_ID])], order=2, alpha=0.1, vocab=vocab2)
-    out = select_suggestion(model2, [], [BOS_ID, COMP_ID], build_trie(["_only_one"], vocab2))
+    bucket = description_bucket([], vocab2, model2.buckets)
+    out = select_suggestion(model2, bucket, [BOS_ID, COMP_ID], build_trie(["_only_one"], vocab2))
     from mpgen.lm.tokenizer import detokenize
 
     assert detokenize(out, vocab2) == "_only_one"
@@ -296,10 +303,11 @@ def test_single_suggestion_forced_regardless_of_model():
 
 def test_model_bias_picks_between_two_suggestions():
     vocab = build_vocab(["left right"])
-    left, right = vocab.id_strict("left"), vocab.id_strict("right")
+    left, right = vocab.tokens.index("left"), vocab.tokens.index("right")
     pairs = [([], [BOS_ID, COMP_ID, right, EOS_ID])] * 5
     model = train(pairs, order=3, alpha=0.1, vocab=vocab)
-    out = select_suggestion(model, [], [BOS_ID, COMP_ID], build_trie(["left", "right"], vocab))
+    bucket = description_bucket([], vocab, model.buckets)
+    out = select_suggestion(model, bucket, [BOS_ID, COMP_ID], build_trie(["left", "right"], vocab))
     assert out == [right]
 
 
@@ -311,7 +319,7 @@ def test_sixty_eight_candidate_selection_finds_trained_path():
     pairs = [([], [BOS_ID, COMP_ID] + target + [EOS_ID])] * 10
     model = train(pairs, order=3, alpha=0.1, vocab=vocab)
     trie = build_trie(names, vocab)
-    out = select_suggestion(model, [], [BOS_ID, COMP_ID], trie)
+    out = select_suggestion(model, description_bucket([], vocab, model.buckets), [BOS_ID, COMP_ID], trie)
     from mpgen.lm.tokenizer import detokenize
 
     assert detokenize(out, vocab) == "_registered_updates"
@@ -322,7 +330,7 @@ def test_selection_soundness_and_oracle_equivalence_randomized():
     for _ in range(200):
         model, desc, prefix, suggestions, vocab = random_case(rng)
         trie = build_trie(suggestions, vocab)
-        got = select_suggestion(model, desc, prefix, trie)
+        got = select_suggestion(model, description_bucket(desc, vocab, model.buckets), prefix, trie)
         from mpgen.lm.tokenizer import detokenize
 
         assert detokenize(got, vocab) in suggestions
@@ -465,7 +473,7 @@ def test_dropped_trigger_replacement_is_dense_argmax_without_comp():
 
 def test_marker_hygiene_and_termination():
     vocab = build_vocab(["a b"])
-    a = vocab.id_strict("a")
+    a = vocab.tokens.index("a")
     # degenerate model that loops on `a`
     model = train([([], [BOS_ID] + [a] * 30 + [EOS_ID])], order=2, alpha=0.1, vocab=vocab)
     repo, pos = _blank_repo()

@@ -1,7 +1,7 @@
 from hypothesis import given, strategies as st
 
 from mpgen.minilang import lexer, tokens as tk
-from mpgen.minilang.lexer import LexDiagnostic, lex
+from mpgen.minilang.lexer import Diagnostic, lex
 from mpgen.minilang.render import render_tokens
 
 
@@ -51,7 +51,7 @@ def test_marker_literal_lexes_as_marker():
 def test_illegal_character_raises_with_position():
     toks, diags = lex("x = $")
     assert [t for t in toks if t.kind == tk.ERROR] == [tk.LexToken(tk.ERROR, "$", 1, 4)]
-    assert diags == [LexDiagnostic("illegal character '$'", 1, 4)]
+    assert diags == [Diagnostic("illegal character '$'", 1, 4)]
 
 
 def test_illegal_character_collected_in_tolerant_mode():

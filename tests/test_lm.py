@@ -34,7 +34,7 @@ from mpgen.minilang.tokens import LexToken
 def test_vocab_reserved_tokens_at_fixed_indices():
     v = build_vocab(["x = 1"])
     assert v.tokens[:4] == ("<BOS>", "<EOS>", "<UNK>", "<COMP>")
-    assert v.id_strict("<COMP>") == 3
+    assert v.tokens.index("<COMP>") == 3
     assert {"x", "=", "1"} <= set(v.tokens)
 
 
@@ -63,7 +63,7 @@ def test_subword_split_underscores_and_case():
 
 def test_marker_text_maps_to_comp_id():
     v = build_vocab(["self"])
-    assert tokenize("<COMP>self", v) == [COMP_ID, v.id_strict("self")]
+    assert tokenize("<COMP>self", v) == [COMP_ID, v.tokens.index("self")]
 
 
 def test_tokenize_empty():
@@ -105,7 +105,7 @@ def test_detokenize_unknown_id_rejected():
 )
 def test_vocab_gives_each_token_one_kind(token, kind):
     v = Vocab(tokens=tuple(dict.fromkeys(RESERVED_TOKENS + (token,))))
-    assert v.item(v.id_strict(token)) == (kind, token)
+    assert v.item(v.tokens.index(token)) == (kind, token)
 
 
 I, N, S, K, O, P = tk.IDENTIFIER, tk.NUMBER, tk.STRING, tk.KEYWORD, tk.OPERATOR, tk.PUNCTUATOR
@@ -152,7 +152,7 @@ def test_renderer_separator_table(items, rendered, detokenized):
     assert render_tokens(lexemes) == rendered
     strs = [STRUCTURE_TOKENS.get(kind, text) for kind, text in items]
     vocab = Vocab(tokens=RESERVED_TOKENS + tuple(sorted(set(strs) - set(RESERVED_TOKENS))))
-    got = detokenize([vocab.id_strict(s) for s in strs], vocab)
+    got = detokenize([vocab.tokens.index(s) for s in strs], vocab)
     assert got == (rendered if detokenized is None else detokenized)
 
 
@@ -180,7 +180,7 @@ def _tiny_vocab(*texts):
 
 def test_single_pair_puts_maximal_mass_on_observed_token():
     v = _tiny_vocab("a b")
-    a = v.id_strict("a")
+    a = v.tokens.index("a")
     m = train([([], [BOS_ID, a, EOS_ID])], order=2, alpha=0.1, vocab=v)
     dist = m.predict([], [BOS_ID])
     assert int(np.argmax(dist)) == a
@@ -189,7 +189,7 @@ def test_single_pair_puts_maximal_mass_on_observed_token():
 def test_trigger_ranks_first_after_observed_contexts():
     # corpus where <COMP> always follows ["self", "."]
     v = _tiny_vocab("self . x <COMP>")
-    ids = [v.id_strict(t) for t in ("self", ".", "<COMP>", "x")]
+    ids = [v.tokens.index(t) for t in ("self", ".", "<COMP>", "x")]
     pairs = []
     for _ in range(20):
         pairs.append(([], [BOS_ID, ids[0], ids[1], ids[2], ids[3], EOS_ID]))
@@ -201,7 +201,7 @@ def test_trigger_ranks_first_after_observed_contexts():
 def test_counts_dominate_smoothing():
     # context seen 9 times with next=a, once with next=b -> p(a) ~ 0.9
     v = _tiny_vocab("a b c")
-    a, b, c = (v.id_strict(t) for t in "abc")
+    a, b, c = (v.tokens.index(t) for t in "abc")
     pairs = [([], [BOS_ID, c, a, EOS_ID])] * 9 + [([], [BOS_ID, c, b, EOS_ID])]
     m = train(pairs, order=2, alpha=1e-9, vocab=v)
     dist = m.predict([], [BOS_ID, c])
@@ -211,7 +211,7 @@ def test_counts_dominate_smoothing():
 
 def test_untrained_model_uniform():
     v = _tiny_vocab("a b c d")
-    m = train([([], [BOS_ID, v.id_strict("a"), EOS_ID])], order=2, alpha=0.1, vocab=v)
+    m = train([([], [BOS_ID, v.tokens.index("a"), EOS_ID])], order=2, alpha=0.1, vocab=v)
     m.tables.clear()
     dist = m.predict([], [BOS_ID])
     assert np.allclose(dist, 1.0 / v.size)
@@ -219,7 +219,7 @@ def test_untrained_model_uniform():
 
 def test_distribution_normalization_and_trigger_support():
     v = _tiny_vocab("a b c d e f g")
-    ids = [v.id_strict(t) for t in "abcdefg"]
+    ids = [v.tokens.index(t) for t in "abcdefg"]
     pairs = [([ids[0]], [BOS_ID] + ids + [EOS_ID])] * 3
     m = train(pairs, order=3, alpha=0.1, vocab=v)
     rng = np.random.RandomState(7)
@@ -235,24 +235,25 @@ def test_distribution_normalization_and_trigger_support():
 def test_backoff_monotonicity():
     # removing a full-order context makes predict equal the next-shorter order
     v = _tiny_vocab("a b c d")
-    a, b, c, d = (v.id_strict(t) for t in "abcd")
+    a, b, c, d = (v.tokens.index(t) for t in "abcd")
     pairs = [([], [BOS_ID, a, b, c, EOS_ID]), ([], [BOS_ID, b, c, d, EOS_ID])]
     m = train(pairs, order=3, alpha=0.1, vocab=v)
+    shorter = train(pairs, order=2, alpha=0.1, vocab=v)
     prefix = [BOS_ID, a, b]
-    # (a, b) -> c was seen once and (b,) -> c twice, so the order cap matters
-    assert not np.array_equal(m.predict([], prefix), m.predict([], prefix, max_order=2))
+    # (a, b) -> c was seen once and (b,) -> c twice, so the order matters
+    assert not np.array_equal(m.predict([], prefix), shorter.predict([], prefix))
     bucket = description_bucket([], v, m.buckets)
     ctx = (a, b)
     for bk in (bucket, -1):
         m.tables.get((bk, 2), {}).pop(ctx, None)
-    np.testing.assert_array_equal(m.predict([], prefix), m.predict([], prefix, max_order=2))
+    np.testing.assert_array_equal(m.predict([], prefix), shorter.predict([], prefix))
 
 
 def test_training_beats_uniform_nll():
     import math
 
     v = _tiny_vocab("a b c d e")
-    ids = [v.id_strict(t) for t in "abcde"]
+    ids = [v.tokens.index(t) for t in "abcde"]
     pairs = [([], [BOS_ID] + ids + [EOS_ID])] * 5
     m = train(pairs, order=3, alpha=0.1, vocab=v)
     nll, n = m.corpus_nll(pairs)
@@ -261,7 +262,7 @@ def test_training_beats_uniform_nll():
 
 def test_order_two_not_worse_than_unigram_on_training_set():
     v = _tiny_vocab("a b a c a b")
-    a, b, c = (v.id_strict(t) for t in "abc")
+    a, b, c = (v.tokens.index(t) for t in "abc")
     pairs = [([], [BOS_ID, a, b, a, c, a, b, EOS_ID])] * 2
     m1 = train(pairs, order=1, alpha=0.1, vocab=v)
     m2 = train(pairs, order=2, alpha=0.1, vocab=v)
@@ -270,7 +271,7 @@ def test_order_two_not_worse_than_unigram_on_training_set():
 
 def test_train_rejects_missing_bos_eos():
     v = _tiny_vocab("a")
-    a = v.id_strict("a")
+    a = v.tokens.index("a")
     with pytest.raises(ValueError):
         train([([], [a, EOS_ID])], order=2, alpha=0.1, vocab=v)
     with pytest.raises(ValueError):
@@ -279,9 +280,9 @@ def test_train_rejects_missing_bos_eos():
 
 def test_description_conditioning_separates_buckets():
     v = _tiny_vocab("a b go left right")
-    a, b = v.id_strict("a"), v.id_strict("b")
-    d1 = [v.id_strict("left")]
-    d2 = [v.id_strict("right")]
+    a, b = v.tokens.index("a"), v.tokens.index("b")
+    d1 = [v.tokens.index("left")]
+    d2 = [v.tokens.index("right")]
     assert description_bucket(d1, v, 16) != description_bucket(d2, v, 16)
     pairs = [(d1, [BOS_ID, a, EOS_ID])] * 5 + [(d2, [BOS_ID, b, EOS_ID])] * 5
     m = train(pairs, order=2, alpha=0.1, vocab=v)
@@ -294,7 +295,7 @@ def test_next_counts_are_the_counts_predict_smooths():
     bucket = description_bucket([ids[0], ids[1]], m.vocab, m.buckets)
     counts = m.next_counts(bucket, [BOS_ID, ids[0]])
     assert counts == {ids[1]: 4}
-    dist = m.predict([ids[0], ids[1]], [BOS_ID, ids[0]], bucket=bucket)
+    dist = m.predict([ids[0], ids[1]], [BOS_ID, ids[0]])
     denom = 4 + 0.1 * m.vocab.size
     assert dist[ids[1]] == (0.1 + 4.0) / denom
     m.tables.clear()
@@ -404,7 +405,7 @@ def test_nll_example_hits_both_branches():
 
 def _demo_model():
     v = _tiny_vocab("a b c d e f")
-    ids = [v.id_strict(t) for t in "abcdef"]
+    ids = [v.tokens.index(t) for t in "abcdef"]
     pairs = [([ids[0], ids[1]], [BOS_ID] + ids + [EOS_ID])] * 4
     return train(pairs, order=3, alpha=0.1, vocab=v), ids
 

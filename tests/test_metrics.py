@@ -48,14 +48,7 @@ def score(pairs: list[EvalPair]):
 def counter_pair(pred: str, gt: str = "self._value = self._value + 1") -> EvalPair:
     repo = Repository({"core.mp": COUNTER})
     pos = CaretPosition("core.mp", 7, 8)
-    return EvalPair(
-        description="def bump(self, amount): Increase by amount",
-        gt=gt,
-        pred=pred,
-        repo=repo,
-        file="core.mp",
-        pos=pos,
-    )
+    return EvalPair(gt=gt, pred=pred, repo=repo, pos=pos)
 
 
 # --- dependency identification -------------------------------------------------
@@ -151,7 +144,7 @@ def test_partial_coverage_quarter():
     repo = Repository({"q.mp": src})
     pos = CaretPosition("q.mp", 10, 8)
     gt = "return self._a + self._b + self._c + self._d"
-    pair = EvalPair("d", gt, "return self._a", repo, "q.mp", pos)
+    pair = EvalPair(gt, "return self._a", repo, pos)
     deps = identify_dependencies(gt, repo, pos)
     assert len(deps) == 4
     assert score([pair]).dep_cov == 0.25
@@ -174,14 +167,9 @@ def test_micro_average_not_macro():
     repo = Repository({"q.mp": src})
     pos = CaretPosition("q.mp", 10, 8)
     p1 = EvalPair(
-        "d",
-        "return self._a + self._b + self._c + self._d",
-        "return self._a + self._b",
-        repo,
-        "q.mp",
-        pos,
+        "return self._a + self._b + self._c + self._d", "return self._a + self._b", repo, pos
     )
-    p2 = EvalPair("d", "return self._a", "return 0", repo, "q.mp", pos)
+    p2 = EvalPair("return self._a", "return 0", repo, pos)
     assert score([p1, p2]).dep_cov == pytest.approx(0.4)
 
 
@@ -222,7 +210,7 @@ def test_errors_outside_span_do_not_count():
     broken = COUNTER + "def broken():\n    return ghost\n"
     repo = Repository({"core.mp": broken})
     pos = CaretPosition("core.mp", 7, 8)
-    pair = EvalPair("d", "return amount", "return amount", repo, "core.mp", pos)
+    pair = EvalPair("return amount", "return amount", repo, pos)
     assert pair_is_valid(pair)
 
 

