@@ -1,6 +1,7 @@
 """The autocompletion tool: identifier suggestions at any caret position
 (`tool_complete`), or inside the function being written at a blanked task's
-caret (`TaskContext`, which answers as `tool_complete` would)."""
+caret (`TaskContext`, which answers as `tool_complete` would, and lints that
+function as `lint_check` would)."""
 
 from __future__ import annotations
 
@@ -9,13 +10,16 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..minilang import tokens as tk
-from ..minilang.lexer import lex
+from ..minilang.lexer import Diagnostic, lex
 from ..minilang.parser import ClassDef, FunctionDef, extract_functions, parse
 from ..minilang.tokens import LexToken
 from ..repo import CaretPosition, Repository
 from .builtins import is_builtin
 from .insert import indent_body
-from .scope import ScopeIndex, build_scope_index, locals_before, scope_index_for
+from .lint import LintError, function_errors, syntax_errors
+from .scope import (
+    ScopeIndex, build_scope_index, locals_before, receiver_members, scope_index_for,
+)
 
 
 @dataclass(frozen=True)
@@ -83,7 +87,7 @@ def _suggestions(
         target = index.resolve_receiver(caret.file, func, ctx.receiver, (caret.line, caret.column))
         if target is None:
             return []
-        names = target.members | own_attributes if target is own_class else target.members
+        names = receiver_members(target, own_class, own_attributes)
         return sorted(n for n in names if not is_builtin(n))
 
     names: set[str] = set()
@@ -98,14 +102,17 @@ def _suggestions(
 
 @dataclass
 class TaskContext:
-    """Completion inside the one function being written at a blanked caret.
+    """The one function being written at a blanked caret, analysed alone.
 
     Holds the blanked repository's scope index and a head text of the lines
     the function needs (class header, def line, docstring) at their own line
-    numbers; `complete` lexes and parses only the head plus the partial body.
-    That is exact: lexing is line-local but for the indent stack, a def's
-    parse ends at the dedent closing its body, and every later line of the
-    blanked file sits below the body's indentation.
+    numbers; `analyse` lexes and parses only the head plus a body. That is
+    exact: lexing is line-local but for the indent stack, a def's parse ends
+    at the dedent closing its body, and every later line of the blanked file
+    sits below the body's indentation. Nor can a body change what the index
+    holds, since every body line is indented past the module level; the one
+    exception, the attributes a method assigns to its class, the analysis
+    adds.
     """
 
     index: ScopeIndex
@@ -134,15 +141,49 @@ class TaskContext:
         head = [lines[n - 1] if n in keep else "" for n in range(1, pos.line)]
         return cls(index, pos, "\n".join(head + [" " * pos.column]), owner)
 
-    def complete(self, body_text: str) -> list[str]:
-        """tool_complete's suggestions after splicing level-0 body text at pos."""
+    def analyse(self, body_text: str) -> "TaskAnalysis":
+        """One lex and parse of the head plus level-0 body text spliced at pos."""
         text = self.head + indent_body(body_text, self.pos.column)
         lexed = lex(text)
         module = parse(text, self.pos.file, lexed=lexed)
-        caret = CaretPosition(self.pos.file, text.count("\n") + 1, len(text) - text.rfind("\n") - 1)
-        ctx = caret_context(lexed[0], caret.line, caret.column)
         (func,) = extract_functions(module)
-        if self.own_class is None:
-            return _suggestions(self.index, caret, ctx, func)
-        (written,) = module.classes
-        return _suggestions(self.index, caret, ctx, func, self.own_class, written.attributes)
+        written = module.classes[0].attributes if self.own_class is not None else ()
+        end = CaretPosition(self.pos.file, text.count("\n") + 1, len(text) - text.rfind("\n") - 1)
+        return TaskAnalysis(self, lexed[0], module.diagnostics, func, frozenset(written), end)
+
+    def complete(self, body_text: str) -> list[str]:
+        """tool_complete's suggestions after splicing level-0 body text at pos."""
+        analysis = self.analyse(body_text)
+        return analysis.complete_at(analysis.end.line, analysis.end.column)
+
+
+@dataclass
+class TaskAnalysis:
+    """A task's function with a whole body written, as the blanked file with
+    that body spliced in would show it; positions are that file's."""
+
+    task: TaskContext
+    tokens: list[LexToken]
+    diagnostics: list[Diagnostic]  # the lexer's and the parser's
+    function: FunctionDef
+    own_attributes: frozenset      # what the function assigns to its class
+    end: CaretPosition             # just past the body
+
+    def complete_at(self, line: int, column: int) -> list[str]:
+        """tool_complete's suggestions at a caret inside the function."""
+        task = self.task
+        caret = CaretPosition(task.pos.file, line, column)
+        ctx = caret_context(self.tokens, line, column)
+        return _suggestions(
+            task.index, caret, ctx, self.function, task.own_class, self.own_attributes
+        )
+
+    def lint(self) -> list[LintError]:
+        """The records `lint_check` gives the spliced file from the def line
+        to the end of the body, in no particular order."""
+        task, path = self.task, self.task.pos.file
+        errors = syntax_errors(path, self.diagnostics)
+        errors += function_errors(
+            task.index, path, self.function, task.own_class, self.own_attributes
+        )
+        return [e for e in errors if self.function.line <= e.line <= self.end.line]

@@ -4,7 +4,9 @@ Unresolvable receivers stay silent: flagging what the analyzer cannot prove
 would flood dynamically typed code with false positives. The three error
 kinds reported here are exactly the categories the validity-rate metric
 inspects. Every lex or parse diagnostic of a file is one syntax-error record;
-redefining a name is not an error.
+redefining a name is not an error. `function_errors` holds the rule for the
+names and members in one function, which `lint_check` applies to every
+function of a file and the task analysis to the function being written.
 """
 
 from __future__ import annotations
@@ -14,10 +16,11 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from ..minilang import nodes
-from ..minilang.parser import FunctionDef, extract_functions
+from ..minilang.lexer import Diagnostic
+from ..minilang.parser import ClassDef, FunctionDef, extract_functions
 from ..repo import Repository
 from .builtins import BUILTIN_NAMES, is_builtin
-from .scope import ScopeIndex, name_assignments, scope_index_for
+from .scope import ScopeIndex, name_assignments, receiver_members, scope_index_for
 
 SYNTAX_ERROR = "syntax-error"
 UNDEFINED_VARIABLE = "undefined-variable"
@@ -40,6 +43,8 @@ def _check_expressions(
     path: str,
     func: Optional[FunctionDef],
     errors: list[LintError],
+    own_class: Optional[ClassDef] = None,
+    own_attributes: frozenset = frozenset(),
 ) -> None:
     for expr, is_store in nodes.walk_expressions(stmts):
         if isinstance(expr, nodes.Name):
@@ -63,7 +68,9 @@ def _check_expressions(
             target = index.resolve_receiver(
                 path, func, expr.value.id, (expr.line, expr.column)
             )
-            if target is not None and expr.attr not in target.members:
+            if target is None:
+                continue
+            if expr.attr not in receiver_members(target, own_class, own_attributes):
                 errors.append(
                     LintError(
                         NO_MEMBER,
@@ -75,25 +82,40 @@ def _check_expressions(
                 )
 
 
+def syntax_errors(path: str, diagnostics: Iterable[Diagnostic]) -> list[LintError]:
+    """One syntax-error record per lex or parse diagnostic."""
+    return [LintError(SYNTAX_ERROR, path, d.line, d.column, d.message) for d in diagnostics]
+
+
+def _module_names(index: ScopeIndex, path: str) -> set[str]:
+    """Every name a file's code may read without defining it."""
+    scope = index.module_scope(path)
+    return (scope.visible_names if scope is not None else set()) | BUILTIN_NAMES
+
+
+def function_errors(
+    index: ScopeIndex,
+    path: str,
+    fn: FunctionDef,
+    own_class: Optional[ClassDef] = None,
+    own_attributes: frozenset = frozenset(),
+) -> list[LintError]:
+    """Undefined-variable and no-member records of one function. A receiver
+    resolved to own_class also has own_attributes (see `receiver_members`)."""
+    local_targets = {stmt.target.id for stmt in name_assignments(fn.body)}
+    defined = _module_names(index, path) | set(fn.params) | local_targets
+    errors: list[LintError] = []
+    _check_expressions(fn.body, defined, index, path, fn, errors, own_class, own_attributes)
+    return errors
+
+
 def lint_check(repo: Repository, file: str) -> list[LintError]:
     module = repo.module(file)
     index = scope_index_for(repo)
-    scope = index.module_scope(file)
-    errors: list[LintError] = []
-
-    for diag in module.diagnostics:
-        errors.append(LintError(SYNTAX_ERROR, file, diag.line, diag.column, diag.message))
-
-    module_names = scope.visible_names if scope is not None else set()
-    base_defined = module_names | BUILTIN_NAMES
-
-    _check_expressions(module.body, base_defined, index, file, None, errors)
-
+    errors = syntax_errors(file, module.diagnostics)
+    _check_expressions(module.body, _module_names(index, file), index, file, None, errors)
     for fn in extract_functions(module):
-        local_targets = {stmt.target.id for stmt in name_assignments(fn.body)}
-        defined = base_defined | set(fn.params) | local_targets
-        _check_expressions(fn.body, defined, index, file, fn, errors)
-
+        errors += function_errors(index, file, fn)
     errors.sort(key=lambda e: (e.line, e.column, e.kind, e.message))
     return errors
 

@@ -10,7 +10,9 @@ Each rule is decided in one place:
   body-start line is the next definition's header, and that line belongs to
   the next definition.
 - A receiver's members are `ClassDef.members` for a class and
-  `ModuleScope.members` for a module.
+  `ModuleScope.members` for a module (`receiver_members`), plus, for the
+  class that holds the function being written at a task's caret, the
+  attributes that function assigns.
 - A name resolves to its last definition in the file, as at run time.
 - `name_assignments` lists the plain-name assignments that make locals and
   module variables.
@@ -149,6 +151,16 @@ class ScopeIndex:
                     return self.resolve_class_name(path, value.func.id)
                 return None
         return self.resolve_class_name(path, name) or self.resolve_module_alias(path, name)
+
+
+def receiver_members(
+    target: ClassDef | ModuleScope,
+    own_class: Optional[ClassDef] = None,
+    own_attributes: frozenset = frozenset(),
+) -> set[str]:
+    """The members of a resolved receiver. The class own_class also has
+    own_attributes: those assigned by a function the index does not hold."""
+    return target.members | own_attributes if target is own_class else target.members
 
 
 def build_scope_index(repo: Repository) -> ScopeIndex:

@@ -41,9 +41,13 @@ def split_identifier(name: str) -> list[str]:
     return parts
 
 
-def token_strings(text: str) -> list[str]:
-    """The tokenizer's string stream for a text (pre-vocabulary)."""
-    toks, _ = lex(text)
+def token_strings(text: str, *, lexed=None) -> list[str]:
+    """The tokenizer's string stream for a text (pre-vocabulary).
+
+    lexed, when given, must be `lex(text)`; passing it saves lexing the same
+    text a second time.
+    """
+    toks, _ = lexed if lexed is not None else lex(text)
     out: list[str] = []
     for t in toks:
         if t.kind == tk.IDENTIFIER:
@@ -60,8 +64,8 @@ def token_strings(text: str) -> list[str]:
     return out
 
 
-def tokenize(text: str, vocab: Vocab) -> list[int]:
-    return [vocab.id(s) for s in token_strings(text)]
+def tokenize(text: str, vocab: Vocab, *, lexed=None) -> list[int]:
+    return [vocab.id(s) for s in token_strings(text, lexed=lexed)]
 
 
 def detokenize(ids, vocab: Vocab) -> str:

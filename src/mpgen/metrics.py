@@ -1,13 +1,30 @@
 """Evaluation metrics over (generated, ground-truth) pairs.
 
+Both repository-aware metrics read one function of a benchmark task: the
+one whose body the task blanked. Scoring therefore builds one
+`TaskContext` per task at the blanked caret and asks it, through
+`TaskContext.analyse`, about that function with a ground truth or a
+prediction written in; the context is dropped before the next task.
+
 Dependency Coverage follows the micro-averaged formula: the dependency set
-of a ground truth is found by running trigger insertion on it in its
-repository context and keeping, for each marked identifier, the minimal
+of a ground truth is found by running the trigger-insertion rule on it in
+its repository context and keeping, for each marked identifier, the minimal
 enclosing access expression (attribute chains and call targets); the
 expression set of a prediction is every attribute access and call target in
-its AST. Static validity splices each prediction into its repository
-snapshot and passes iff the inserted span produces no syntax-error,
-undefined-variable, or no-member lint records.
+its AST. Static validity passes a prediction iff its function, from the def
+line to the end of the prediction, has no syntax-error, undefined-variable
+or no-member lint record.
+
+Both equal what splicing the text into the blanked file and analysing the
+whole file gives (`tests/oracles.py` keeps that computation). The spliced
+text sits at the caret, indented past the module level, so it changes no
+name the rest of the file defines; a whole-file lint records nothing from
+the rest of the file on the function's lines; and the analysis adds the
+class attributes the function assigns, the one thing the splice changes in
+the scope index.
+
+Each prediction and ground truth is lexed once on its own, and that lex
+feeds `tokenize`, `canonical_text` and `extract_expressions`.
 """
 
 from __future__ import annotations
@@ -19,9 +36,7 @@ from statistics import mean
 from typing import Optional, Sequence
 
 from ._kernels import levenshtein
-from .analysis.insert import insert_text
-from .analysis.lint import lint_check
-from .analysis.scope import scope_index_for
+from .analysis.complete import TaskContext
 from .lm.tokenizer import tokenize
 from .lm.vocab import Vocab
 from .minilang import nodes
@@ -29,7 +44,7 @@ from .minilang.lexer import lex
 from .minilang.parser import parse_body
 from .minilang.render import render_tokens
 from .repo import CaretPosition, Repository
-from .trigger import insert_triggers
+from .trigger import is_trigger
 
 
 @dataclass
@@ -39,6 +54,14 @@ class EvalPair:
     repo: Repository          # snapshot with the target body blanked
     pos: CaretPosition
     label: str = ""
+
+
+def task_context(repo: Repository, pos: CaretPosition) -> TaskContext:
+    """The task context at a blanked task's caret; ValueError at any other."""
+    task = TaskContext.at(repo, pos)
+    if task is None:
+        raise ValueError(f"{pos.file}:{pos.line}:{pos.column} is not a blanked task's caret")
+    return task
 
 
 def _access_candidates(stmts: list[nodes.Stmt]) -> list[tuple[str, tuple[tuple[int, int], ...]]]:
@@ -58,25 +81,27 @@ def _access_candidates(stmts: list[nodes.Stmt]) -> list[tuple[str, tuple[tuple[i
     return list(out.keys())
 
 
-def extract_expressions(pred: str) -> set[str]:
+def extract_expressions(pred: str, *, lexed=None) -> set[str]:
     """All attribute-access and call-target expressions in prediction text.
 
     Unparseable predictions contribute whatever the recovering parser keeps.
+    lexed, when given, must be `lex(pred)`.
     """
-    stmts, _diags = parse_body(pred)
+    stmts, _diags = parse_body(pred, lexed=lexed)
     return {text for text, _ in _access_candidates(stmts)}
 
 
-def identify_dependencies(gt: str, repo: Repository, pos: CaretPosition) -> set[str]:
-    """DEP(gt): minimal access expressions covering trigger-marked identifiers."""
-    snapshot, _caret = insert_text(repo, pos, gt)
-    _, func = scope_index_for(snapshot).enclosing(pos.file, pos.line)
-    if func is None:
-        raise ValueError(
-            f"ground truth at {pos.file}:{pos.line} does not parse into a function"
-        )
-    aug = insert_triggers(snapshot, pos.file, func)
-    marked = aug.marked_positions()
+def identify_dependencies(
+    gt: str, repo: Repository, pos: CaretPosition, *, task: Optional[TaskContext] = None
+) -> set[str]:
+    """DEP(gt): minimal access expressions covering trigger-marked identifiers.
+
+    task, when given, must be `task_context(repo, pos)`; passing it saves
+    building it a second time.
+    """
+    analysis = (task or task_context(repo, pos)).analyse(gt)
+    func = analysis.function
+    marked = [(t.line, t.column) for t in func.body_tokens if is_trigger(t, analysis.complete_at)]
     candidates = _access_candidates(func.body)
     deps: set[str] = set()
     for p in marked:
@@ -90,18 +115,14 @@ def identify_dependencies(gt: str, repo: Repository, pos: CaretPosition) -> set[
     return deps
 
 
-def pair_is_valid(pair: EvalPair) -> bool:
-    """True iff the inserted prediction's span lints clean."""
-    snapshot, caret = insert_text(pair.repo, pair.pos, pair.pred)
-    _, func = scope_index_for(snapshot).enclosing(pair.pos.file, pair.pos.line)
-    span_start = func.line if func is not None else pair.pos.line
-    span_end = caret.line
-    errors = lint_check(snapshot, pair.pos.file)
-    return not any(span_start <= e.line <= span_end for e in errors)
+def pair_is_valid(pair: EvalPair, *, task: Optional[TaskContext] = None) -> bool:
+    """True iff the prediction's function, up to the end of the prediction,
+    lints clean; task is as for `identify_dependencies`."""
+    return not (task or task_context(pair.repo, pair.pos)).analyse(pair.pred).lint()
 
 
-def canonical_text(text: str) -> str:
-    toks, _ = lex(text)
+def canonical_text(text: str, *, lexed=None) -> str:
+    toks, _ = lexed if lexed is not None else lex(text)
     return render_tokens(toks)
 
 
@@ -170,32 +191,43 @@ class EvalReport:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """The task side of a pair, the same for every model scored on the task."""
+    """The task side of a pair, the same for every model scored on the task,
+    and the validity verdict of each prediction made for the task."""
 
     deps: set[str]
     canonical: str
     ids: list[int]
+    valid: dict[str, bool]  # prediction text -> `pair_is_valid`
 
 
-def ground_truth(pair: EvalPair, vocab: Vocab) -> GroundTruth:
+def ground_truth(pairs: Sequence[EvalPair], vocab: Vocab) -> GroundTruth:
+    """The task side of one task's pairs (one per model, say) and each
+    prediction's verdict, all from one task context."""
+    gt, repo, pos = pairs[0].gt, pairs[0].repo, pairs[0].pos
+    if any((p.gt, p.pos) != (gt, pos) or p.repo is not repo for p in pairs):
+        raise ValueError(f"pairs of more than one task at {pos.file}:{pos.line}")
+    task = task_context(repo, pos)
+    lexed = lex(gt)
     return GroundTruth(
-        deps=identify_dependencies(pair.gt, pair.repo, pair.pos),
-        canonical=canonical_text(pair.gt),
-        ids=tokenize(pair.gt, vocab),
+        deps=identify_dependencies(gt, repo, pos, task=task),
+        canonical=canonical_text(gt, lexed=lexed),
+        ids=tokenize(gt, vocab, lexed=lexed),
+        valid={p.pred: pair_is_valid(p, task=task) for p in pairs},
     )
 
 
 def _score_pair(pair: EvalPair, truth: GroundTruth, vocab: Vocab) -> tuple[dict, list[int]]:
     """The report row of one prediction, and its token ids for corpus BLEU."""
-    pred_ids = tokenize(pair.pred, vocab)
+    lexed = lex(pair.pred)
+    pred_ids = tokenize(pair.pred, vocab, lexed=lexed)
     row = {
         "label": pair.label,
         "file": pair.pos.file,
         "line": pair.pos.line,
         "dep_total": len(truth.deps),
-        "dep_covered": len(extract_expressions(pair.pred) & truth.deps),
-        "valid": pair_is_valid(pair),
-        "exact_match": canonical_text(pair.pred) == truth.canonical,
+        "dep_covered": len(extract_expressions(pair.pred, lexed=lexed) & truth.deps),
+        "valid": truth.valid[pair.pred],
+        "exact_match": canonical_text(pair.pred, lexed=lexed) == truth.canonical,
         "edit_sim": edit_similarity(pair.pred, pair.gt),
         "bleu4": corpus_bleu([(pred_ids, truth.ids)]),
     }
@@ -223,11 +255,12 @@ def evaluate_pairs(
 ) -> EvalReport:
     """All six headline metrics plus the per-pair breakdown.
 
-    `truths[i]` is `ground_truth(pairs[i], vocab)`; pass them in to score
-    several models on the same tasks without recomputing the task side.
+    `truths[i]` is `ground_truth` of pairs[i] and the pairs of other models
+    on the same task; pass them in to score several models on the same tasks
+    without recomputing the task side.
     """
     if truths is None:
-        truths = [ground_truth(pair, vocab) for pair in pairs]
+        truths = [ground_truth([pair], vocab) for pair in pairs]
     rows: list[dict] = []
     token_pairs: list[tuple[list[int], list[int]]] = []
     for pair, truth in zip(pairs, truths, strict=True):

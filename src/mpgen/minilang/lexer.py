@@ -35,12 +35,14 @@ _TOKEN_RE = re.compile(
     | (?P<op>==|!=|[<>+\-*/=])
     | (?P<punct>[(),.:])
     | (?P<space>\ +)
+    | (?P<illegal>.)
     """,
     re.VERBOSE,
 )
 
 # Token kind of each regex group; a name in KEYWORDS becomes a keyword, and
-# spaces yield no token.
+# spaces yield no token. The last group takes any one character no other
+# group matches, so one scan covers a whole line.
 _GROUP_KIND = {
     "marker": tk.MARKER,
     "name": tk.IDENTIFIER,
@@ -50,6 +52,7 @@ _GROUP_KIND = {
     "op": tk.OPERATOR,
     "punct": tk.PUNCTUATOR,
     "space": None,
+    "illegal": tk.ERROR,
 }
 
 
@@ -94,24 +97,22 @@ def lex(source: str) -> tuple[list[LexToken], list[Diagnostic]]:
                 indents.append(indent)
                 out.append(LexToken(tk.INDENT, "", lineno, 0))
 
-        pos = indent
-        while pos < len(raw):
-            m = _TOKEN_RE.match(raw, pos)
-            if m is None:
-                ch = raw[pos]
-                diags.append(Diagnostic(f"illegal character {ch!r}", lineno, pos))
-                out.append(LexToken(tk.ERROR, ch, lineno, pos))
-                pos += 1
+        for m in _TOKEN_RE.finditer(raw, indent):
+            group = m.lastgroup
+            kind = _GROUP_KIND[group]
+            if kind is None:
                 continue
-            kind = _GROUP_KIND[m.lastgroup]
-            if kind is not None:
-                text = m.group()
-                if kind == tk.IDENTIFIER and text in tk.KEYWORDS:
+            text = m.group()
+            if kind == tk.IDENTIFIER:
+                if text in tk.KEYWORDS:
                     kind = tk.KEYWORD
-                elif kind == tk.ERROR:
-                    diags.append(Diagnostic("unterminated string literal", lineno, pos))
-                out.append(LexToken(kind, text, lineno, pos))
-            pos = m.end()
+            elif kind == tk.ERROR:
+                message = (
+                    f"illegal character {text!r}" if group == "illegal"
+                    else "unterminated string literal"
+                )
+                diags.append(Diagnostic(message, lineno, m.start()))
+            out.append(LexToken(kind, text, lineno, m.start()))
 
         out.append(LexToken(tk.NEWLINE, "", lineno, len(raw)))
         last_line = lineno

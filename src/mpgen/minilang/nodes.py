@@ -90,62 +90,61 @@ Stmt = Union[Assign, ExprStmt, Return, If, While]
 
 
 def walk_statements(stmts: list[Stmt]):
-    """Yield every statement, including those nested in if/while blocks."""
-    for s in stmts:
+    """Yield every statement, including those nested in if/while blocks, in
+    pre-order. The walk keeps its own stack, so no nesting depth can exhaust
+    the interpreter's recursion limit; the same holds for the walks below."""
+    stack = stmts[::-1]
+    while stack:
+        s = stack.pop()
         yield s
         if isinstance(s, If):
-            yield from walk_statements(s.body)
-            yield from walk_statements(s.orelse)
+            stack += s.orelse[::-1]
+            stack += s.body[::-1]
         elif isinstance(s, While):
-            yield from walk_statements(s.body)
+            stack += s.body[::-1]
 
 
 def walk_expressions(stmts: list[Stmt]):
-    """Yield (expr, is_store_target) for every expression in the statements."""
-
-    def visit(e: Expr, store: bool):
-        yield e, store
-        if isinstance(e, Attribute):
-            yield from visit(e.value, False)
-        elif isinstance(e, Call):
-            yield from visit(e.func, False)
-            for a in e.args:
-                yield from visit(a, False)
-        elif isinstance(e, BinOp):
-            yield from visit(e.left, False)
-            yield from visit(e.right, False)
-
+    """Yield (expr, is_store_target) for every expression in the statements,
+    each statement's expressions in pre-order."""
     for s in walk_statements(stmts):
         if isinstance(s, Assign):
-            yield from visit(s.target, True)
-            yield from visit(s.value, False)
-        elif isinstance(s, ExprStmt):
-            yield from visit(s.value, False)
-        elif isinstance(s, Return):
-            if s.value is not None:
-                yield from visit(s.value, False)
-        elif isinstance(s, If):
-            yield from visit(s.test, False)
-        elif isinstance(s, While):
-            yield from visit(s.test, False)
+            stack = [(s.value, False), (s.target, True)]
+        elif isinstance(s, (ExprStmt, Return)):
+            stack = [] if s.value is None else [(s.value, False)]
+        else:  # If, While
+            stack = [(s.test, False)]
+        while stack:
+            e, store = stack.pop()
+            yield e, store
+            if isinstance(e, Attribute):
+                stack.append((e.value, False))
+            elif isinstance(e, Call):
+                stack += [(a, False) for a in reversed(e.args)]
+                stack.append((e.func, False))
+            elif isinstance(e, BinOp):
+                stack.append((e.right, False))
+                stack.append((e.left, False))
 
 
 def expr_text(e: Expr) -> Optional[str]:
     """Canonical dotted text for Name/Attribute chains; None for anything else."""
-    if isinstance(e, Name):
-        return e.id
-    if isinstance(e, Attribute):
-        base = expr_text(e.value)
-        if base is None:
-            return None
-        return base + "." + e.attr
-    return None
+    attrs: list[str] = []
+    while isinstance(e, Attribute):
+        attrs.append(e.attr)
+        e = e.value
+    if not isinstance(e, Name):
+        return None
+    attrs.append(e.id)
+    return ".".join(reversed(attrs))
 
 
 def chain_positions(e: Expr) -> list[tuple[int, int]]:
     """Positions of every identifier in a Name/Attribute chain."""
+    out: list[tuple[int, int]] = []
+    while isinstance(e, Attribute):
+        out.append((e.line, e.column))
+        e = e.value
     if isinstance(e, Name):
-        return [(e.line, e.column)]
-    if isinstance(e, Attribute):
-        return chain_positions(e.value) + [(e.line, e.column)]
-    return []
+        out.append((e.line, e.column))
+    return out[::-1]

@@ -419,12 +419,13 @@ def parse(source: str, path: str = "<source>", *, lexed=None) -> Module:
     return _parser_for(source, path, lexed).parse_module()
 
 
-def parse_body(source: str):
+def parse_body(source: str, *, lexed=None):
     """Parse statement-sequence text (a rendered function body).
 
     Returns (stmts, diagnostics); recovery keeps whatever prefix parsed.
+    lexed, when given, must be `lex(source)`, as for `parse`.
     """
-    parser = _parser_for(source, "<body>", None)
+    parser = _parser_for(source, "<body>", lexed)
     stmts: list[nodes.Stmt] = []
     while parser.peek() is not None:
         if parser.at(tk.NEWLINE):

@@ -36,13 +36,18 @@ COMP_TEXT = "<COMP>"
 MARKER_TEXTS = ("<BOS>", "<EOS>", "<UNK>", COMP_TEXT)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class LexToken:
     """One lexeme with its source position.
 
     line is 1-based, column is 0-based; both point at the first character of
     the lexeme. Synthetic tokens (newline/indent/dedent) carry positions
     chosen so that the token stream stays strictly increasing.
+
+    Tokens are values: nothing assigns to a field once one is built, so the
+    hash holds. The class is slotted and not frozen because the lexer builds
+    one per lexeme, and a frozen dataclass's initializer costs several times
+    as much.
     """
 
     kind: str

@@ -332,8 +332,12 @@ def run_evaluate(config: RunConfig) -> dict:
         )
         runs[variant] = run_model_over_tasks(model, tasks, gen_cfg)
     vocab = tool_model.vocab
-    # Both models are scored on the same tasks, so the task side is computed once.
-    truths = [ground_truth(pair, vocab) for pair in runs["tool"][0]]
+    # Both models are scored on the same tasks, so the task side is computed
+    # once, with both verdicts, from one task context alive at a time.
+    truths = [
+        ground_truth(task_pairs, vocab)
+        for task_pairs in zip(runs["tool"][0], runs["vanilla"][0], strict=True)
+    ]
     report: dict = {"n_tasks": len(tasks), "models": {}}
     for variant, (pairs, traces) in runs.items():
         entry = evaluate_pairs(pairs, vocab, truths).to_dict()

@@ -10,7 +10,8 @@ exactly.
 Each eligible identifier asks `tool_complete` once, with no cache of its
 own in front: the analysis a completion needs is already shared, since the
 repository lexes and parses each file once and `scope_index_for` builds one
-scope index per repository.
+scope index per repository. `is_trigger` is the marking rule; the metrics
+apply it, with a task analysis's completions, to mark a ground truth.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from statistics import mean
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from . import __version__
 from .analysis.builtins import is_builtin
@@ -46,16 +47,6 @@ class AugmentedFunction:
     def comp_count(self) -> int:
         """The number of markers inserted."""
         return sum(1 for t in self.augmented_body if t.kind == tk.MARKER)
-
-    def marked_positions(self) -> set[tuple[int, int]]:
-        """Positions of the identifiers that directly follow a marker."""
-        out: set[tuple[int, int]] = set()
-        toks = self.augmented_body
-        for i, t in enumerate(toks):
-            if t.kind == tk.MARKER and i + 1 < len(toks):
-                nxt = toks[i + 1]
-                out.add((nxt.line, nxt.column))
-        return out
 
     def body_text(self) -> str:
         return render_tokens(self.augmented_body)
@@ -90,14 +81,25 @@ class AugmentedDataset:
         }
 
 
+def is_trigger(t: LexToken, complete: Callable[[int, int], list[str]]) -> bool:
+    """Whether a marker goes before the body token: an identifier, not a
+    builtin, that complete(line, column) suggests at its start."""
+    return (
+        t.kind == tk.IDENTIFIER and not is_builtin(t.text) and t.text in complete(t.line, t.column)
+    )
+
+
 def insert_triggers(repo: Repository, file: str, func: FunctionDef) -> AugmentedFunction:
     if func.docstring is None:
         raise MissingDocstringError(f"{file}:{func.line}: {func.name} has no docstring")
+
+    def complete(line: int, column: int) -> list[str]:
+        return tool_complete(repo, CaretPosition(file, line, column))
+
     out: list[LexToken] = []
     for t in func.body_tokens:
-        if t.kind == tk.IDENTIFIER and not is_builtin(t.text):
-            if t.text in tool_complete(repo, CaretPosition(file, t.line, t.column)):
-                out.append(LexToken(tk.MARKER, tk.COMP_TEXT, t.line, t.column))
+        if is_trigger(t, complete):
+            out.append(LexToken(tk.MARKER, tk.COMP_TEXT, t.line, t.column))
         out.append(t)
     return AugmentedFunction(
         description=func.description,

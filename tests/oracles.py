@@ -1,19 +1,28 @@
 """Independent brute-force oracles used by the unit and acceptance suites.
 
 Everything here recomputes results straight from definitions, sharing no
-code path with the implementations it checks.
+code path with the implementations it checks. The whole-file scoring
+oracles splice a text into the blanked file and run the whole-file
+completion tool and linter on it, where scoring reads one task analysis.
 """
 
 import math
 import random
+import re
 
 import numpy as np
 
 from mpgen.analysis.complete import CaretContext
+from mpgen.analysis.insert import insert_text
+from mpgen.analysis.lint import lint_check
 from mpgen.lm.ngram import train
 from mpgen.lm.tokenizer import split_identifier
 from mpgen.lm.vocab import BOS_ID, COMP_ID, EOS_ID, build_vocab
+from mpgen.minilang import nodes
 from mpgen.minilang import tokens as tk
+from mpgen.minilang.lexer import Diagnostic
+from mpgen.minilang.tokens import LexToken
+from mpgen.trigger import insert_triggers
 
 
 def naive_levenshtein(a: str, b: str) -> int:
@@ -56,6 +65,180 @@ def latest_enclosing_function(repo, file, line):
         if fn.line <= line <= max(fn.end_line, fn.body_start_line):
             return fn
     return None
+
+
+# --- the lexer, one regex match per lexeme ------------------------------------
+
+_LEXEME_RE = re.compile(
+    "(?P<marker>" + "|".join(map(re.escape, tk.MARKER_TEXTS)) + ")"
+    + r"""
+    | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<number>[0-9]+(?:\.[0-9]+)?)
+    | (?P<string>"[^"\n]*")
+    | (?P<unterminated>"[^"\n]*)
+    | (?P<op>==|!=|[<>+\-*/=])
+    | (?P<punct>[(),.:])
+    | (?P<space>\ +)
+    """,
+    re.VERBOSE,
+)
+_LEXEME_KIND = {
+    "marker": tk.MARKER,
+    "name": tk.IDENTIFIER,
+    "number": tk.NUMBER,
+    "string": tk.STRING,
+    "unterminated": tk.ERROR,
+    "op": tk.OPERATOR,
+    "punct": tk.PUNCTUATOR,
+    "space": None,
+}
+
+
+def match_loop_lex(source: str):
+    """`lex` as one `match` per lexeme: a position no lexeme matches holds an
+    illegal character."""
+    out, diags = [], []
+    indents = [0]
+    last_line = 0
+    last_col = 0
+    for lineno, raw in enumerate(source.split("\n"), start=1):
+        stripped = raw.lstrip(" ")
+        if stripped == "":
+            continue
+        indent = len(raw) - len(stripped)
+        if indent > indents[-1]:
+            indents.append(indent)
+            out.append(LexToken(tk.INDENT, "", lineno, 0))
+        elif indent < indents[-1]:
+            n = 0
+            while indents[-1] > indent:
+                indents.pop()
+                out.append(LexToken(tk.DEDENT, "", last_line, last_col + 1 + n))
+                n += 1
+            if indents[-1] != indent:
+                diags.append(Diagnostic("unindent does not match any outer level", lineno, 0))
+                indents.append(indent)
+                out.append(LexToken(tk.INDENT, "", lineno, 0))
+        pos = indent
+        while pos < len(raw):
+            m = _LEXEME_RE.match(raw, pos)
+            if m is None:
+                ch = raw[pos]
+                diags.append(Diagnostic(f"illegal character {ch!r}", lineno, pos))
+                out.append(LexToken(tk.ERROR, ch, lineno, pos))
+                pos += 1
+                continue
+            kind = _LEXEME_KIND[m.lastgroup]
+            if kind is not None:
+                text = m.group()
+                if kind == tk.IDENTIFIER and text in tk.KEYWORDS:
+                    kind = tk.KEYWORD
+                elif kind == tk.ERROR:
+                    diags.append(Diagnostic("unterminated string literal", lineno, pos))
+                out.append(LexToken(kind, text, lineno, pos))
+            pos = m.end()
+        out.append(LexToken(tk.NEWLINE, "", lineno, len(raw)))
+        last_line = lineno
+        last_col = len(raw)
+    n = 0
+    while len(indents) > 1:
+        indents.pop()
+        out.append(LexToken(tk.DEDENT, "", last_line, last_col + 1 + n))
+        n += 1
+    return out, diags
+
+
+# --- recursive tree walks ------------------------------------------------------
+
+def recursive_walk_expressions(stmts):
+    """(expr, is_store_target) of every expression, statements and
+    expressions both in pre-order, by recursion."""
+
+    def statements(ss):
+        for s in ss:
+            yield s
+            if isinstance(s, nodes.If):
+                yield from statements(s.body)
+                yield from statements(s.orelse)
+            elif isinstance(s, nodes.While):
+                yield from statements(s.body)
+
+    def visit(e, store):
+        yield e, store
+        children = {
+            nodes.Attribute: lambda: [e.value],
+            nodes.Call: lambda: [e.func, *e.args],
+            nodes.BinOp: lambda: [e.left, e.right],
+        }.get(type(e), list)()
+        for c in children:
+            yield from visit(c, False)
+
+    for s in statements(stmts):
+        if isinstance(s, nodes.Assign):
+            yield from visit(s.target, True)
+            yield from visit(s.value, False)
+        elif isinstance(s, (nodes.If, nodes.While)):
+            yield from visit(s.test, False)
+        elif s.value is not None:
+            yield from visit(s.value, False)
+
+
+def _dotted(e):
+    """(dotted text, identifier positions) of a Name/Attribute chain; text is
+    None when the chain does not start at a name."""
+    if isinstance(e, nodes.Name):
+        return e.id, [(e.line, e.column)]
+    if isinstance(e, nodes.Attribute):
+        text, positions = _dotted(e.value)
+        return (None if text is None else text + "." + e.attr), positions + [(e.line, e.column)]
+    return None, []
+
+
+def access_expressions(stmts):
+    """(text, identifier positions) of every attribute chain starting at a name,
+    every level of it, and of every bare-name call target."""
+    out = set()
+    for e, _store in recursive_walk_expressions(stmts):
+        if isinstance(e, nodes.Attribute):
+            text, positions = _dotted(e)
+            if text is not None:
+                out.add((text, tuple(positions)))
+        elif isinstance(e, nodes.Call) and isinstance(e.func, nodes.Name):
+            out.add((e.func.id, ((e.func.line, e.func.column),)))
+    return out
+
+
+# --- whole-file scoring: splice the text in, analyse the whole file -------------
+
+def whole_file_lint_in_span(pair):
+    """`lint_check` records of the blanked file with the prediction spliced in,
+    from the def line of its function to the end of the prediction."""
+    snapshot, caret = insert_text(pair.repo, pair.pos, pair.pred)
+    func = latest_enclosing_function(snapshot, pair.pos.file, pair.pos.line)
+    start = func.line if func is not None else pair.pos.line
+    return [e for e in lint_check(snapshot, pair.pos.file) if start <= e.line <= caret.line]
+
+
+def whole_file_pair_is_valid(pair) -> bool:
+    return not whole_file_lint_in_span(pair)
+
+
+def whole_file_dependencies(gt, repo, pos) -> set:
+    """For each identifier trigger insertion marks in the spliced file, the
+    shortest access expression holding it. Expressions holding one position
+    are nested chains, or a call target's name alone, so no two are equally
+    short."""
+    snapshot, _caret = insert_text(repo, pos, gt)
+    func = latest_enclosing_function(snapshot, pos.file, pos.line)
+    body = insert_triggers(snapshot, pos.file, func).augmented_body
+    marked = {(b.line, b.column) for a, b in zip(body, body[1:]) if a.kind == tk.MARKER}
+    candidates = access_expressions(func.body)
+    deps = set()
+    for p in marked:
+        holding = [(len(ps), text) for text, ps in candidates if p in ps]
+        if holding:
+            deps.add(min(holding)[1])
+    return deps
 
 
 def naive_edit_similarity(a: str, b: str) -> float:

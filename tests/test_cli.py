@@ -320,6 +320,14 @@ def test_lint_outputs_line_delimited_records(tmp_path, capsys):
     assert rec["kind"] == "undefined-variable"
 
 
+def test_lint_reads_a_long_attribute_chain(tmp_path, capsys):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    (repo / "chain.mp").write_text("def f(a):\n    return a" + ".b" * 1000 + "\n")
+    assert main(["lint", "--repo", str(repo)]) == 0
+    assert capsys.readouterr().out == ""
+
+
 def test_complete_prints_sorted_members(capsys):
     repo = str(CORPUS / "eval" / "repo14")
     text = (CORPUS / "eval" / "repo14" / "core.mp").read_text()

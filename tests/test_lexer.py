@@ -1,8 +1,13 @@
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mpgen.minilang import lexer, tokens as tk
 from mpgen.minilang.lexer import Diagnostic, lex
 from mpgen.minilang.render import render_tokens
+
+from conftest import CORPUS
+from oracles import match_loop_lex
+
+CORPUS_TEXTS = [p.read_text(encoding="utf-8") for p in sorted(CORPUS.glob("*/*/*.mp"))]
 
 
 def kinds_texts(toks):
@@ -107,3 +112,31 @@ def test_render_lex_fixpoint(src):
     rendered = render_tokens(toks)
     again = lex(rendered)[0]
     assert [(t.kind, t.text) for t in toks] == [(t.kind, t.text) for t in again]
+
+
+def _same_lex(text):
+    got, want = lex(text), match_loop_lex(text)
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+def test_one_scan_per_line_equals_one_match_per_lexeme_on_the_corpus():
+    assert len(CORPUS_TEXTS) == 60
+    for text in CORPUS_TEXTS:
+        _same_lex(text)
+
+
+_NOISE = st.sampled_from(
+    list(tk.MARKER_TEXTS)
+    + ["<COM", "$", '"', '"ab', "\t", "\t\t", "\n   ", "\n  ", "\n ", "   ", "?", "\u00e9", "\r",
+       ".", "1.", "==", "!", "<", "\n"]
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.sampled_from(CORPUS_TEXTS), data=st.data())
+def test_one_scan_per_line_equals_one_match_per_lexeme_on_mutants(text, data):
+    for _ in range(data.draw(st.integers(1, 8))):
+        i = data.draw(st.integers(0, len(text)))
+        text = text[:i] + data.draw(_NOISE) + text[i:]
+    _same_lex(text)

@@ -239,3 +239,36 @@ def test_recovery_sites_pin_lint_records_and_precedence():
     assert outer.op == "-"
     assert (outer.left.op, outer.left.left.id, outer.left.right.id) == ("-", "a", "b")
     assert (outer.right.op, outer.right.left.id, outer.right.right.id) == ("*", "c", "d")
+
+
+def test_walks_keep_the_recursive_pre_order(corpus_repos):
+    from oracles import recursive_walk_expressions
+
+    nested = (
+        "if a.b(c, d.e) + f:\n"
+        "    while g:\n"
+        "        h.i = j(k)\n"
+        "    l = m\n"
+        "else:\n"
+        "    return n.o.p\n"
+        "q = r\n"
+    )
+    bodies = [parse_body(nested)[0]]
+    for _name, repo in corpus_repos:
+        for path in repo.paths():
+            module = repo.module(path)
+            bodies += [module.body] + [fn.body for fn in extract_functions(module)]
+    for stmts in bodies:
+        assert list(nodes.walk_expressions(stmts)) == list(recursive_walk_expressions(stmts))
+    assert [type(s).__name__ for s in nodes.walk_statements(bodies[0])] == [
+        "If", "While", "Assign", "Assign", "Return", "Assign"
+    ]
+
+
+def test_walks_take_a_chain_longer_than_the_recursion_limit():
+    (stmt,), diags = parse_body("return a" + ".b" * 5000)
+    assert not diags
+    exprs = list(nodes.walk_expressions([stmt]))
+    assert len(exprs) == 5001
+    assert nodes.expr_text(stmt.value) == "a" + ".b" * 5000
+    assert nodes.chain_positions(stmt.value) == [(1, 7 + 2 * i) for i in range(5001)]

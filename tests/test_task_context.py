@@ -7,10 +7,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from mpgen import decode
 from mpgen.analysis.complete import TaskContext, tool_complete
-from mpgen.analysis.insert import insert
+from mpgen.analysis.insert import insert, insert_text
 from mpgen.decode import GenerationConfig, generate
 from mpgen.lm.tokenizer import detokenize
 from mpgen.lm.vocab import BOS_ID, CONTROL_IDS, RESERVED_TOKENS, Vocab
+from mpgen.minilang import tokens as tk
 from mpgen.minilang.parser import extract_functions
 from mpgen.pipeline import _blank_function, derive_tasks
 from mpgen.repo import CaretPosition, Repository
@@ -100,6 +101,23 @@ def test_context_adds_the_partial_bodys_attributes():
     assert context.complete("self.fresh = 1\nreturn self.") == [
         "_value", "boot", "bump", "fresh", "reset"
     ]
+
+
+def test_analysis_completes_every_ground_truth_identifier_as_the_whole_file_tool(demo_tasks):
+    """At each identifier of each benchmark ground truth, the analysis of the
+    whole body answers as `tool_complete` does on a fresh repository with
+    no caches and that body spliced in."""
+    checked = 0
+    for task in demo_tasks:
+        analysis = TaskContext.at(task.snapshot, task.pos).analyse(task.gt)
+        fresh = Repository(dict(task.snapshot.files))
+        spliced, _caret = insert_text(fresh, task.pos, task.gt)
+        for t in analysis.function.body_tokens:
+            if t.kind == tk.IDENTIFIER:
+                caret = CaretPosition(task.pos.file, t.line, t.column)
+                assert analysis.complete_at(t.line, t.column) == tool_complete(spliced, caret)
+                checked += 1
+    assert len(demo_tasks) == 126 and checked == 492
 
 
 def _tool_calls(monkeypatch):
