@@ -124,7 +124,8 @@ class TaskContext:
     def at(cls, repo: Repository, pos: CaretPosition) -> Optional["TaskContext"]:
         """The context at pos, or None unless pos is a blanked task's caret: a
         line of exactly pos.column spaces directly below the docstring, also at
-        pos.column, of a function with no body."""
+        pos.column and alone on its line, of a function with no body. Every
+        task `pipeline._blank_function` makes has this shape."""
         lines = repo.files.get(pos.file, "").split("\n")
         if not 2 <= pos.line <= len(lines) or lines[pos.line - 1] != " " * pos.column:
             return None

@@ -24,7 +24,7 @@ class attributes the function assigns, the one thing the splice changes in
 the scope index.
 
 Each prediction and ground truth is lexed once on its own, and that lex
-feeds `tokenize`, `canonical_text` and `extract_expressions`.
+feeds its token ids, its canonical text and its parse.
 """
 
 from __future__ import annotations
@@ -81,25 +81,17 @@ def _access_candidates(stmts: list[nodes.Stmt]) -> list[tuple[str, tuple[tuple[i
     return list(out.keys())
 
 
-def extract_expressions(pred: str, *, lexed=None) -> set[str]:
-    """All attribute-access and call-target expressions in prediction text.
-
-    Unparseable predictions contribute whatever the recovering parser keeps.
-    lexed, when given, must be `lex(pred)`.
-    """
-    stmts, _diags = parse_body(pred, lexed=lexed)
+def extract_expressions(stmts: list[nodes.Stmt]) -> set[str]:
+    """All attribute-access and call-target expressions in a prediction's
+    parse (`parse_body`); an unparseable prediction contributes whatever the
+    recovering parser keeps."""
     return {text for text, _ in _access_candidates(stmts)}
 
 
-def identify_dependencies(
-    gt: str, repo: Repository, pos: CaretPosition, *, task: Optional[TaskContext] = None
-) -> set[str]:
-    """DEP(gt): minimal access expressions covering trigger-marked identifiers.
-
-    task, when given, must be `task_context(repo, pos)`; passing it saves
-    building it a second time.
-    """
-    analysis = (task or task_context(repo, pos)).analyse(gt)
+def identify_dependencies(gt: str, task: TaskContext) -> set[str]:
+    """DEP(gt): minimal access expressions covering trigger-marked
+    identifiers, with gt written in at the task's caret."""
+    analysis = task.analyse(gt)
     func = analysis.function
     marked = [(t.line, t.column) for t in func.body_tokens if is_trigger(t, analysis.complete_at)]
     candidates = _access_candidates(func.body)
@@ -115,15 +107,10 @@ def identify_dependencies(
     return deps
 
 
-def pair_is_valid(pair: EvalPair, *, task: Optional[TaskContext] = None) -> bool:
+def pair_is_valid(pair: EvalPair, task: TaskContext) -> bool:
     """True iff the prediction's function, up to the end of the prediction,
-    lints clean; task is as for `identify_dependencies`."""
-    return not (task or task_context(pair.repo, pair.pos)).analyse(pair.pred).lint()
-
-
-def canonical_text(text: str, *, lexed=None) -> str:
-    toks, _ = lexed if lexed is not None else lex(text)
-    return render_tokens(toks)
+    lints clean; task is `task_context(pair.repo, pair.pos)`."""
+    return not task.analyse(pair.pred).lint()
 
 
 def edit_similarity(a: str, b: str) -> float:
@@ -191,43 +178,44 @@ class EvalReport:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """The task side of a pair, the same for every model scored on the task,
-    and the validity verdict of each prediction made for the task."""
+    """The task side of a pair, the same for every model scored on the task."""
 
     deps: set[str]
     canonical: str
     ids: list[int]
-    valid: dict[str, bool]  # prediction text -> `pair_is_valid`
 
 
-def ground_truth(pairs: Sequence[EvalPair], vocab: Vocab) -> GroundTruth:
-    """The task side of one task's pairs (one per model, say) and each
-    prediction's verdict, all from one task context."""
+def ground_truth(pairs: Sequence[EvalPair], vocab: Vocab) -> tuple[GroundTruth, list[bool]]:
+    """The task side of one task's pairs (one per model, say), and each
+    pair's `pair_is_valid` verdict in pair order, all from one task context."""
     gt, repo, pos = pairs[0].gt, pairs[0].repo, pairs[0].pos
     if any((p.gt, p.pos) != (gt, pos) or p.repo is not repo for p in pairs):
         raise ValueError(f"pairs of more than one task at {pos.file}:{pos.line}")
     task = task_context(repo, pos)
     lexed = lex(gt)
-    return GroundTruth(
-        deps=identify_dependencies(gt, repo, pos, task=task),
-        canonical=canonical_text(gt, lexed=lexed),
+    truth = GroundTruth(
+        deps=identify_dependencies(gt, task),
+        canonical=render_tokens(lexed[0]),
         ids=tokenize(gt, vocab, lexed=lexed),
-        valid={p.pred: pair_is_valid(p, task=task) for p in pairs},
     )
+    return truth, [pair_is_valid(p, task) for p in pairs]
 
 
-def _score_pair(pair: EvalPair, truth: GroundTruth, vocab: Vocab) -> tuple[dict, list[int]]:
+def _score_pair(
+    pair: EvalPair, truth: GroundTruth, valid: bool, vocab: Vocab
+) -> tuple[dict, list[int]]:
     """The report row of one prediction, and its token ids for corpus BLEU."""
     lexed = lex(pair.pred)
     pred_ids = tokenize(pair.pred, vocab, lexed=lexed)
+    stmts, _diags = parse_body(pair.pred, lexed=lexed)
     row = {
         "label": pair.label,
         "file": pair.pos.file,
         "line": pair.pos.line,
         "dep_total": len(truth.deps),
-        "dep_covered": len(extract_expressions(pair.pred, lexed=lexed) & truth.deps),
-        "valid": truth.valid[pair.pred],
-        "exact_match": canonical_text(pair.pred, lexed=lexed) == truth.canonical,
+        "dep_covered": len(extract_expressions(stmts) & truth.deps),
+        "valid": valid,
+        "exact_match": render_tokens(lexed[0]) == truth.canonical,
         "edit_sim": edit_similarity(pair.pred, pair.gt),
         "bleu4": corpus_bleu([(pred_ids, truth.ids)]),
     }
@@ -251,20 +239,26 @@ def _aggregate(rows: list[dict], token_pairs: list[tuple[list[int], list[int]]])
 
 
 def evaluate_pairs(
-    pairs: Sequence[EvalPair], vocab: Vocab, truths: Optional[Sequence[GroundTruth]] = None
+    pairs: Sequence[EvalPair],
+    vocab: Vocab,
+    judged: Optional[Sequence[tuple[GroundTruth, bool]]] = None,
 ) -> EvalReport:
     """All six headline metrics plus the per-pair breakdown.
 
-    `truths[i]` is `ground_truth` of pairs[i] and the pairs of other models
-    on the same task; pass them in to score several models on the same tasks
-    without recomputing the task side.
+    `judged[i]` is the task side of pairs[i] and its verdict, as `ground_truth`
+    gives them for pairs[i] and the pairs of other models on the same task;
+    pass them in to score several models on the same tasks without
+    recomputing the task side.
     """
-    if truths is None:
-        truths = [ground_truth([pair], vocab) for pair in pairs]
+    if judged is None:
+        judged = []
+        for pair in pairs:
+            truth, (valid,) = ground_truth([pair], vocab)
+            judged.append((truth, valid))
     rows: list[dict] = []
     token_pairs: list[tuple[list[int], list[int]]] = []
-    for pair, truth in zip(pairs, truths, strict=True):
-        row, pred_ids = _score_pair(pair, truth, vocab)
+    for pair, (truth, valid) in zip(pairs, judged, strict=True):
+        row, pred_ids = _score_pair(pair, truth, valid, vocab)
         rows.append(row)
         token_pairs.append((pred_ids, truth.ids))
     return _aggregate(rows, token_pairs)

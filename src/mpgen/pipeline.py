@@ -205,14 +205,28 @@ class Task:
 
 
 def _blank_function(repo: Repository, file: str, func: FunctionDef) -> tuple[Repository, CaretPosition]:
-    """Snapshot with the function body removed and one reserved blank line."""
+    """Snapshot with the function body removed, and the caret on its one
+    reserved line.
+
+    Every task has the shape `TaskContext.at` accepts: the def line, the
+    docstring alone on the next line, then the reserved line, both at the
+    block's indentation. Blank lines around the docstring, and anything else
+    on its line (trailing spaces, illegal characters the parser drops), are
+    not kept. The docstring's line is the first non-blank one below the def
+    line, since a function whose block opens with anything else has none.
+    """
     lines = repo.text(file).split("\n")
-    start = func.body_start_line
-    end = func.end_line
-    indent = func.body_start_column
-    blanked = lines[: start - 1] + [" " * indent] + lines[end:]
+    doc_line = next(line for line in lines[func.line:] if line.strip(" "))
+    indent = " " * (len(doc_line) - len(doc_line.lstrip(" ")))
+    blanked = lines[: func.line] + [f'{indent}"{func.docstring}"', indent] + lines[func.end_line:]
     snap = repo.with_text(file, "\n".join(blanked))
-    return snap, CaretPosition(file, start, indent)
+    return snap, CaretPosition(file, func.line + 2, len(indent))
+
+
+def _is_task(func: FunctionDef) -> bool:
+    """Whether the function makes a benchmark task: it has a docstring and a
+    body below it."""
+    return func.docstring is not None and bool(func.body_tokens)
 
 
 def derive_tasks(config: RunConfig) -> list[Task]:
@@ -222,7 +236,7 @@ def derive_tasks(config: RunConfig) -> list[Task]:
         for path in repo.paths():
             module = repo.module(path)
             for func in extract_functions(module):
-                if func.docstring is None or not func.body_tokens:
+                if not _is_task(func):
                     continue
                 snap, pos = _blank_function(repo, path, func)
                 tasks.append(
@@ -252,10 +266,11 @@ def load_tasks(path: str, config: RunConfig) -> list[Task]:
             rec = json.loads(line)
             repo = repos[rec["repo"]]
             module = repo.module(rec["file"])
+            # a record's line is its task's caret line, two below the def
             func = next(
                 f
                 for f in extract_functions(module)
-                if f.body_start_line == rec["line"]
+                if _is_task(f) and f.line + 2 == rec["line"]
             )
         except (KeyError, StopIteration, json.JSONDecodeError) as exc:
             raise DataError(f"malformed task record {line!r}: {exc}") from exc
@@ -334,13 +349,14 @@ def run_evaluate(config: RunConfig) -> dict:
     vocab = tool_model.vocab
     # Both models are scored on the same tasks, so the task side is computed
     # once, with both verdicts, from one task context alive at a time.
-    truths = [
-        ground_truth(task_pairs, vocab)
-        for task_pairs in zip(runs["tool"][0], runs["vanilla"][0], strict=True)
-    ]
+    judged: dict[str, list] = {variant: [] for variant in runs}
+    for task_pairs in zip(*(pairs for pairs, _traces in runs.values()), strict=True):
+        truth, verdicts = ground_truth(task_pairs, vocab)
+        for variant, valid in zip(runs, verdicts, strict=True):
+            judged[variant].append((truth, valid))
     report: dict = {"n_tasks": len(tasks), "models": {}}
     for variant, (pairs, traces) in runs.items():
-        entry = evaluate_pairs(pairs, vocab, truths).to_dict()
+        entry = evaluate_pairs(pairs, vocab, judged[variant]).to_dict()
         entry["traces"] = trace_summary(traces)
         report["models"][variant] = entry
 

@@ -32,9 +32,10 @@ from mpgen.metrics import (
     extract_expressions,
     identify_dependencies,
     evaluate_pairs,
+    task_context,
 )
 from mpgen.minilang import tokens as tk
-from mpgen.minilang.parser import extract_functions
+from mpgen.minilang.parser import extract_functions, parse_body
 from mpgen.minilang.render import render_tokens
 from mpgen.pipeline import (
     collect_repos,
@@ -182,7 +183,10 @@ def test_criterion_6_metric_oracle_equivalence(bench):
     vocab = bench["tool"].vocab
 
     dep_exp = [
-        (extract_expressions(p.pred), identify_dependencies(p.gt, p.repo, p.pos))
+        (
+            extract_expressions(parse_body(p.pred)[0]),
+            identify_dependencies(p.gt, task_context(p.repo, p.pos)),
+        )
         for p in pairs
     ]
     got_cov = evaluate_pairs(pairs, vocab).dep_cov

@@ -103,11 +103,11 @@ def test_generate_tool_mode_lints_clean(cli_workspace, capsys):
     assert set(trace["tags"]) <= {"model", "tool-selection"}
 
     # the tool-mode output lints clean when spliced into the demo repo
-    from mpgen.metrics import EvalPair, pair_is_valid
+    from mpgen.metrics import EvalPair, pair_is_valid, task_context
 
     pred = out.rstrip("\n")
     pair = EvalPair(task.gt, pred, task.snapshot, task.pos)
-    assert pair_is_valid(pair)
+    assert pair_is_valid(pair, task_context(task.snapshot, task.pos))
 
 
 def test_generate_missing_model_is_data_error(tmp_path, capsys):

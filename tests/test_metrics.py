@@ -8,14 +8,17 @@ from mpgen.lm.tokenizer import tokenize
 from mpgen.lm.vocab import build_vocab
 from mpgen.metrics import (
     EvalPair,
-    canonical_text,
     corpus_bleu,
     edit_similarity,
     evaluate_pairs,
     extract_expressions,
     identify_dependencies,
     pair_is_valid,
+    task_context,
 )
+from mpgen.minilang.lexer import lex
+from mpgen.minilang.parser import parse_body
+from mpgen.minilang.render import render_tokens
 from mpgen.repo import CaretPosition, Repository
 
 
@@ -45,6 +48,18 @@ def score(pairs: list[EvalPair]):
     return evaluate_pairs(pairs, VOCAB)
 
 
+def deps_of(gt: str, repo: Repository, pos: CaretPosition) -> set[str]:
+    return identify_dependencies(gt, task_context(repo, pos))
+
+
+def is_valid(pair: EvalPair) -> bool:
+    return pair_is_valid(pair, task_context(pair.repo, pair.pos))
+
+
+def expressions_of(text: str) -> set[str]:
+    return extract_expressions(parse_body(text)[0])
+
+
 def counter_pair(pred: str, gt: str = "self._value = self._value + 1") -> EvalPair:
     repo = Repository({"core.mp": COUNTER})
     pos = CaretPosition("core.mp", 7, 8)
@@ -55,13 +70,13 @@ def counter_pair(pred: str, gt: str = "self._value = self._value + 1") -> EvalPa
 
 def test_no_marked_identifiers_yields_empty_dep_set():
     pair = counter_pair("", gt="return 1")
-    assert identify_dependencies(pair.gt, pair.repo, pair.pos) == set()
+    assert deps_of(pair.gt, pair.repo, pair.pos) == set()
 
 
 def test_counter_value_dependency():
     # self._value = self._value + 1 depends on the Counter member _value
     pair = counter_pair("")
-    deps = identify_dependencies(pair.gt, pair.repo, pair.pos)
+    deps = deps_of(pair.gt, pair.repo, pair.pos)
     assert deps == {"self._value"}
 
 
@@ -81,7 +96,7 @@ def test_three_distinct_marked_accesses():
     repo = Repository({"w.mp": src, "core.mp": core})
     pos = CaretPosition("w.mp", 9, 8)
     gt = "return helper_fn(self._a) + self._b"
-    deps = identify_dependencies(gt, repo, pos)
+    deps = deps_of(gt, repo, pos)
     assert deps == {"helper_fn", "self._a", "self._b"}
 
 
@@ -98,26 +113,26 @@ def test_minimal_enclosing_expression_is_used():
     )
     repo = Repository({"r.mp": src})
     pos = CaretPosition("r.mp", 7, 8)
-    deps = identify_dependencies("self._items = self._items + v", repo, pos)
+    deps = deps_of("self._items = self._items + v", repo, pos)
     assert deps == {"self._items"}
 
 
 # --- expression extraction ------------------------------------------------------
 
 def test_extract_expressions_literal_only():
-    assert extract_expressions("return 1") == set()
+    assert expressions_of("return 1") == set()
 
 
 def test_extract_expressions_call_target():
-    assert extract_expressions("self.add(update)") == {"self.add"}
+    assert expressions_of("self.add(update)") == {"self.add"}
 
 
 def test_extract_expressions_bare_call_and_chain():
-    assert extract_expressions("helper(x)\nreturn obj.attr") == {"helper", "obj.attr"}
+    assert expressions_of("helper(x)\nreturn obj.attr") == {"helper", "obj.attr"}
 
 
 def test_extract_expressions_unparseable_prefix():
-    out = extract_expressions("x = self.good\nreturn ???\n")
+    out = expressions_of("x = self.good\nreturn ???\n")
     assert "self.good" in out
 
 
@@ -145,7 +160,7 @@ def test_partial_coverage_quarter():
     pos = CaretPosition("q.mp", 10, 8)
     gt = "return self._a + self._b + self._c + self._d"
     pair = EvalPair(gt, "return self._a", repo, pos)
-    deps = identify_dependencies(gt, repo, pos)
+    deps = deps_of(gt, repo, pos)
     assert len(deps) == 4
     assert score([pair]).dep_cov == 0.25
 
@@ -188,22 +203,22 @@ def test_coverage_monotonicity():
 
 def test_identity_is_valid():
     pair = counter_pair("self._value = self._value + 1")
-    assert pair_is_valid(pair)
+    assert is_valid(pair)
 
 
 def test_undefined_name_invalid():
     pair = counter_pair("return z")
-    assert not pair_is_valid(pair)
+    assert not is_valid(pair)
 
 
 def test_missing_member_invalid():
     pair = counter_pair("return self._updates")
-    assert not pair_is_valid(pair)
+    assert not is_valid(pair)
 
 
 def test_unparseable_prediction_invalid():
     pair = counter_pair("return ???")
-    assert not pair_is_valid(pair)
+    assert not is_valid(pair)
 
 
 def test_errors_outside_span_do_not_count():
@@ -211,7 +226,7 @@ def test_errors_outside_span_do_not_count():
     repo = Repository({"core.mp": broken})
     pos = CaretPosition("core.mp", 7, 8)
     pair = EvalPair("return amount", "return amount", repo, pos)
-    assert pair_is_valid(pair)
+    assert is_valid(pair)
 
 
 def test_validity_rates_overall_and_dependency_only():
@@ -233,7 +248,7 @@ def test_exact_match_identity_and_whitespace():
     assert score([a]).exact_match == 1.0
     assert score([b]).exact_match == 1.0
     assert score([c]).exact_match == 0.0
-    assert canonical_text(b.pred) == canonical_text(b.gt)
+    assert render_tokens(lex(b.pred)[0]) == render_tokens(lex(b.gt)[0])
 
 
 # --- edit similarity ----------------------------------------------------------------
@@ -334,7 +349,7 @@ def test_dep_cov_oracle_equivalence_on_fixture_pairs():
     ]
     pairs = [counter_pair(p) for p in preds]
     dep_exp = [
-        (extract_expressions(p.pred), identify_dependencies(p.gt, p.repo, p.pos))
+        (expressions_of(p.pred), deps_of(p.gt, p.repo, p.pos))
         for p in pairs
     ]
     assert score(pairs).dep_cov == pytest.approx(naive_dep_cov(dep_exp), abs=1e-12)

@@ -2,13 +2,16 @@
 splicing the text into the blanked file and analysing the whole file gives
 (`tests/oracles.py`), on the benchmark and on mutated predictions."""
 
+import json
 import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mpgen.analysis import complete, lint, scope
+from mpgen.analysis.complete import TaskContext
 from mpgen.decode import GenerationConfig
+from mpgen.lm.vocab import RESERVED_TOKENS, Vocab
 from mpgen.metrics import (
     EvalPair,
     ground_truth,
@@ -16,9 +19,14 @@ from mpgen.metrics import (
     pair_is_valid,
     task_context,
 )
-from mpgen.pipeline import derive_tasks, run_evaluate, run_model_over_tasks
+from mpgen.minilang.parser import extract_functions
+from mpgen.minilang.render import render_tokens
+from mpgen.pipeline import (
+    _blank_function, derive_tasks, load_tasks, run_evaluate, run_model_over_tasks,
+)
 from mpgen.repo import CaretPosition, Repository
 
+from conftest import make_config
 from oracles import whole_file_dependencies, whole_file_lint_in_span, whole_file_pair_is_valid
 
 
@@ -49,12 +57,12 @@ def test_task_scoring_equals_the_whole_file_on_the_benchmark(task_pairs):
     for pairs in task_pairs:
         gt, repo, pos = pairs[0].gt, pairs[0].repo, pairs[0].pos
         task = task_context(repo, pos)
-        deps = identify_dependencies(gt, repo, pos, task=task)
+        deps = identify_dependencies(gt, task)
         assert deps == whole_file_dependencies(gt, repo, pos)
         dep_counts.append(len(deps))
         for pair in pairs:
             assert _records(task, pair.pred) == whole_file_lint_in_span(pair), pair.label
-            verdicts.append(pair_is_valid(pair, task=task))
+            verdicts.append(pair_is_valid(pair, task))
             assert verdicts[-1] == whole_file_pair_is_valid(pair)
     assert len(dep_counts) == 126 and len(verdicts) == 252
     # both sides of each comparison occur
@@ -98,8 +106,8 @@ def test_task_scoring_equals_the_whole_file_on_mutants(sampled_tasks, data):
             text = text[:i] + text[i + data.draw(st.integers(1, 6)):]
     pair = EvalPair(pairs[0].gt, text, pairs[0].repo, pairs[0].pos)
     assert _records(task, text) == whole_file_lint_in_span(pair)
-    assert pair_is_valid(pair, task=task) == whole_file_pair_is_valid(pair)
-    assert identify_dependencies(text, pair.repo, pair.pos, task=task) == (
+    assert pair_is_valid(pair, task) == whole_file_pair_is_valid(pair)
+    assert identify_dependencies(text, task) == (
         whole_file_dependencies(text, pair.repo, pair.pos)
     )
 
@@ -123,7 +131,7 @@ def test_records_outside_the_function_do_not_count(pred):
     pair = EvalPair("return self._n", pred, repo, CaretPosition("c.mp", 7, 8))
     task = task_context(pair.repo, pair.pos)
     assert _records(task, pred) == whole_file_lint_in_span(pair)
-    assert pair_is_valid(pair) == whole_file_pair_is_valid(pair) == (pred != "return self._m")
+    assert pair_is_valid(pair, task) == whole_file_pair_is_valid(pair) == (pred != "return self._m")
 
 
 def test_scoring_refuses_a_caret_that_is_not_a_blanked_tasks():
@@ -131,9 +139,9 @@ def test_scoring_refuses_a_caret_that_is_not_a_blanked_tasks():
     repo = Repository({"f.mp": src})
     live = CaretPosition("f.mp", 3, 4)
     with pytest.raises(ValueError, match="not a blanked task's caret"):
-        identify_dependencies("return a", repo, live)
+        task_context(repo, live)
     with pytest.raises(ValueError, match="not a blanked task's caret"):
-        pair_is_valid(EvalPair("return a", "return a", repo, live))
+        ground_truth([EvalPair("return a", "return a", repo, live)], Vocab(RESERVED_TOKENS))
 
 
 def test_ground_truth_takes_the_pairs_of_one_task(task_pairs, trained_models):
@@ -170,3 +178,99 @@ def test_evaluate_builds_one_index_per_task_per_stage(trained_models, tmp_path, 
     monkeypatch.setattr(config, "report", str(tmp_path / "report.json"))
     run_evaluate(config)
     assert counts == {"build_scope_index": 252, "tool_complete": 0, "lint_check": 0}
+
+
+# Ordinary source that the bundled corpus does not hold: trailing spaces, a
+# dropped illegal character or a tab after a docstring, and blank lines
+# between the def line, the docstring and the first statement.
+SHAPES = (
+    "class KaleDesk:\n"
+    "    def setup_fiber_ash(self):\n"
+    '        "Prepare the kale tern"   \n'
+    "        self._kale_tern = 0\n"
+    "\n"
+    "    def read_kale_tern(self):\n"
+    '        "Return the stored kale tern"\n'
+    "\n"
+    "        return self._kale_tern\n"
+    "\n"
+    "    def put_kale_tern(self, value):\n"
+    "\n"
+    '        "Replace the stored kale tern with value"\n'
+    "  \n"
+    "        self._kale_tern = value\n"
+    "        return value\n"
+    "def bump_kale_tern(desk, amount):\n"
+    '    "Increase the kale tern of desk by amount" $\n'
+    "    return desk.read_kale_tern() + amount\n"
+    "def scale_kale_tern(desk, factor):\n"
+    '    "Scale the kale tern of desk by factor"\t\n'
+    "\n"
+    "    return desk.read_kale_tern() * factor\n"
+)
+
+
+def test_tasks_of_every_shape_are_scored_as_the_whole_file(trained_models, tmp_path):
+    """Each derived or loaded task has a task context, and `run_evaluate`
+    scores it as splicing into the whole file does."""
+    config, tool, vanilla = trained_models
+    (tmp_path / "eval" / "shapes").mkdir(parents=True)
+    (tmp_path / "eval" / "shapes" / "core.mp").write_text(SHAPES)
+    shaped = make_config(tmp_path, eval_roots=[str(tmp_path / "eval")], model_dir=config.model_dir)
+    tasks = derive_tasks(shaped)
+    assert len(tasks) == 5
+    assert all(TaskContext.at(t.snapshot, t.pos) is not None for t in tasks)
+
+    records = [
+        {"label": t.label, "repo": t.repo_name, "file": t.file, "line": t.pos.line,
+         "column": t.pos.column, "description": t.description, "gt": t.gt}
+        for t in tasks
+    ]
+    (tmp_path / "tasks.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+    loaded = load_tasks(str(tmp_path / "tasks.jsonl"), shaped)
+    assert [(t.pos, t.snapshot.files) for t in loaded] == [(t.pos, t.snapshot.files) for t in tasks]
+
+    report = run_evaluate(shaped)
+    for variant, model, enabled in (("tool", tool, True), ("vanilla", vanilla, False)):
+        pairs, _traces = run_model_over_tasks(
+            model, tasks, GenerationConfig(max_tokens=shaped.max_tokens, tool_enabled=enabled)
+        )
+        rows = report["models"][variant]["pairs"]
+        for pair, row in zip(pairs, rows, strict=True):
+            assert row["valid"] == whole_file_pair_is_valid(pair), pair.label
+            assert row["dep_total"] == len(whole_file_dependencies(pair.gt, pair.repo, pair.pos))
+
+
+_DOC_TAILS = ("", " ", "   ", " $", "$", "\t", " \t ")
+_GAPS = ("", "\n", "\n  ", "\n\n        ")
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_every_blanked_function_has_a_task_context(corpus_repos, data):
+    """Blanking a function yields a caret `TaskContext.at` accepts, whatever
+    follows the docstring on its line and whatever blank lines surround it,
+    and the ground truth is scored there as in the whole file."""
+    _name, repo = data.draw(st.sampled_from(corpus_repos))
+    path = data.draw(st.sampled_from(repo.paths()))
+    out = []
+    for line in repo.text(path).split("\n"):
+        stripped = line.strip(" ")
+        if stripped.startswith('"'):
+            line += data.draw(st.sampled_from(_DOC_TAILS))
+        if stripped.startswith(('"', "def ")):
+            line += data.draw(st.sampled_from(_GAPS))
+        out.append(line)
+    mutated = repo.with_text(path, "\n".join(out))
+    funcs = [
+        f for f in extract_functions(mutated.module(path)) if f.docstring and f.body_tokens
+    ]
+    assert funcs
+    for func in funcs:
+        snap, pos = _blank_function(mutated, path, func)
+        task = TaskContext.at(snap, pos)
+        assert task is not None, (path, func.name)
+        gt = render_tokens(func.body_tokens)
+        pair = EvalPair(gt, gt, snap, pos)
+        assert pair_is_valid(pair, task) == whole_file_pair_is_valid(pair)
+        assert identify_dependencies(gt, task) == whole_file_dependencies(gt, snap, pos)
