@@ -6,11 +6,11 @@ function as `lint_check` would)."""
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from ..minilang import tokens as tk
-from ..minilang.lexer import Diagnostic, lex
+from ..minilang.lexer import Diagnostic, LineLexer
 from ..minilang.parser import ClassDef, FunctionDef, extract_functions, parse
 from ..minilang.tokens import LexToken
 from ..repo import CaretPosition, Repository
@@ -113,12 +113,26 @@ class TaskContext:
     holds, since every body line is indented past the module level; the one
     exception, the attributes a method assigns to its class, the analysis
     adds.
+
+    Lexing resumes from a checkpoint: the `LineLexer` state after the closed
+    lines of the head, and after the closed lines of the text last analysed
+    (every line but its last). A checkpoint whose text the new text extends
+    lexes only the lines after it, so a body growing during generation has
+    each closed line lexed once, and the head is lexed once per context. That
+    is exact too: between lines a lexer's whole state is its tokens and
+    diagnostics, its indent stack and its dedent position, which the
+    checkpoint copies, and the same lines fed after the same state give the
+    same tokens. A text that does not extend the last one, as scoring's
+    ground truth and predictions do not, resumes from the head.
     """
 
     index: ScopeIndex
     pos: CaretPosition
     head: str
     own_class: Optional[ClassDef]  # the enclosing class in index, if any
+    # (closed text, its line count, the lexer after it): head, last analysed
+    _head_checkpoint: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _checkpoint: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def at(cls, repo: Repository, pos: CaretPosition) -> Optional["TaskContext"]:
@@ -142,10 +156,36 @@ class TaskContext:
         head = [lines[n - 1] if n in keep else "" for n in range(1, pos.line)]
         return cls(index, pos, "\n".join(head + [" " * pos.column]), owner)
 
+    def _lex(self, text: str) -> tuple[list[LexToken], list[Diagnostic]]:
+        """`lex(text)` for a text that starts with the head, resumed from the
+        last checkpoint when text extends it and from the head's otherwise."""
+        if self._head_checkpoint is None:
+            closed = self.head[: self.head.rfind("\n") + 1]
+            self._head_checkpoint = self._lex_lines(closed, ("", 0, LineLexer()))
+        start = self._checkpoint
+        if start is None or not text.startswith(start[0]):
+            start = self._head_checkpoint
+        cut = text.rfind("\n") + 1
+        if cut > len(start[0]):
+            start = self._checkpoint = self._lex_lines(text[:cut], start)
+        lexer = start[2].copy()
+        lexer.line(start[1] + 1, text[cut:])
+        return lexer.finish()
+
+    @staticmethod
+    def _lex_lines(closed: str, start: tuple) -> tuple:
+        """The checkpoint after closed, a text of whole lines extending start's."""
+        done, lineno, lexer = start
+        lexer = lexer.copy()
+        for raw in closed[len(done):].split("\n")[:-1]:
+            lineno += 1
+            lexer.line(lineno, raw)
+        return closed, lineno, lexer
+
     def analyse(self, body_text: str) -> "TaskAnalysis":
         """One lex and parse of the head plus level-0 body text spliced at pos."""
         text = self.head + indent_body(body_text, self.pos.column)
-        lexed = lex(text)
+        lexed = self._lex(text)
         module = parse(text, self.pos.file, lexed=lexed)
         (func,) = extract_functions(module)
         written = module.classes[0].attributes if self.own_class is not None else ()

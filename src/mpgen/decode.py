@@ -17,16 +17,26 @@ one is the one with the highest count, ties going to the lowest id, and an
 id never seen in the context counts zero. This picks exactly what the
 argmax of the masked `NGramModel.predict` vector would.
 
+The sequence is kept in a `Prefix` that updates, as each token is
+appended, its rendering without control tokens and its count of `=` items on
+closed lines. The partial function the tool reads and the text `generate`
+returns are that rendering, so no trigger re-renders the prefix; a trigger's
+cache key is the count plus a backward scan over the receiver before a
+trailing `.`.
+
 At a blanked task's caret the tool runs through a `TaskContext`, built at
-the first cache miss, that re-reads only the function being written; at any
-other caret each trigger splices the partial function into a snapshot for
-`tool_complete`. Both give the same suggestions.
+the first cache miss, that re-reads only the function being written and
+re-lexes only its lines since the last trigger; at any other caret each
+trigger splices the partial function into a snapshot for `tool_complete`.
+Both give the same suggestions.
 
 With tool_enabled=False the loop is plain greedy decoding (the vanilla
 baseline). A per-generation cache keyed on the receiver (and invalidated
-whenever the partial function gains an assignment) recalls suggestion lists
-for repeatedly accessed objects; cached and uncached runs produce identical
-output because the key pins everything the list depends on.
+whenever the partial function gains an assignment) holds, per key, the
+prefix trie built from the suggestion list and its shadowed count, or None
+for an empty list; a hit neither asks the tool nor builds a trie. Cached and
+uncached runs produce identical output because the key pins everything the
+list depends on.
 """
 
 from __future__ import annotations
@@ -37,9 +47,10 @@ from typing import Iterable, Optional, Sequence
 from .analysis.complete import TaskContext, tool_complete
 from .analysis.insert import insert
 from .lm.ngram import NGramModel, description_bucket
-from .lm.tokenizer import detokenize, split_identifier, tokenize
+from .lm.tokenizer import split_identifier, tokenize
 from .lm.vocab import COMP_ID, CONTROL_IDS, EOS_ID, BOS_ID, Vocab
 from .minilang import tokens as tk
+from .minilang.render import Renderer
 from .repo import CaretPosition, Repository
 
 
@@ -167,30 +178,60 @@ def select_suggestion(
     return appended
 
 
-def _trigger_cache_key(prefix: Sequence[int], vocab: Vocab) -> tuple:
-    """Cache key for the completion list at a trigger.
+class Prefix:
+    """The sequence generated so far, kept rendered and counted as it grows.
 
-    The key pins the resolved-receiver identity (by name) for attribute
-    contexts and folds in the number of assignments on completed lines,
-    which invalidates the entry whenever the partial function could have
-    gained a member, a local, or a rebound receiver. Assignments only count
-    once their line is closed: the recovering parser ignores the statement
-    still being generated, so a mid-line `=` has no effect on scope yet.
+    `body` renders the sequence without its control tokens, which is the
+    partial function the completion tool reads. `closed_assigns` counts the
+    `=` items on lines a newline has closed. Only `append` adds tokens; a
+    dropped trigger pops its `<COMP>` alone, which is a control token, so it
+    touches neither the rendering nor the counts.
     """
-    items = [vocab.item(t) for t in prefix[:-1]]  # exclude the trigger itself
-    last_nl = max((i for i, (kind, _) in enumerate(items) if kind == tk.NEWLINE), default=-1)
-    n_assign = sum(1 for _, s in items[: last_nl + 1] if s == "=")
-    if items and items[-1][1] == ".":
-        j = len(items) - 2
+
+    def __init__(self, vocab: Vocab):
+        self.vocab = vocab
+        self.ids: list[int] = [BOS_ID]
+        self.body = Renderer()
+        self.closed_assigns = 0
+        self._open_assigns = 0
+
+    def append(self, tok: int) -> None:
+        self.ids.append(tok)
+        if tok in CONTROL_IDS:
+            return
+        kind, text = self.vocab.item(tok)
+        self.body.add(kind, text)
+        if kind == tk.NEWLINE:
+            self.closed_assigns += self._open_assigns
+            self._open_assigns = 0
+        elif text == "=":
+            self._open_assigns += 1
+
+    def cache_key(self) -> tuple:
+        """Cache key for the completion list at the trigger ending the sequence.
+
+        The key pins the resolved-receiver identity (by name) for attribute
+        contexts and folds in the number of assignments on completed lines,
+        which invalidates the entry whenever the partial function could have
+        gained a member, a local, or a rebound receiver. Assignments only
+        count once their line is closed: the recovering parser ignores the
+        statement still being generated, so a mid-line `=` has no effect on
+        scope yet. The receiver is the run of identifier items before a `.`
+        that precedes the trigger, read backwards over the sequence.
+        """
+        ids, item = self.ids, self.vocab.item
+        j = len(ids) - 2  # the item before the trigger
+        if j < 0 or item(ids[j])[1] != ".":
+            return ("scope", self.closed_assigns)
+        j -= 1
         run: list[str] = []
-        while j >= 0 and items[j][0] == tk.IDENTIFIER:
-            run.append(items[j][1])
+        while j >= 0 and (kind_text := item(ids[j]))[0] == tk.IDENTIFIER:
+            run.append(kind_text[1])
             j -= 1
         receiver = "".join(reversed(run))
-        if not run or (j >= 0 and items[j][1] == "."):
-            return ("attr-chain", receiver, n_assign)
-        return ("attr", receiver, n_assign)
-    return ("scope", n_assign)
+        if not run or (j >= 0 and item(ids[j])[1] == "."):
+            return ("attr-chain", receiver, self.closed_assigns)
+        return ("attr", receiver, self.closed_assigns)
 
 
 def _choose_next(counts: dict[int, int], excluded: tuple[int, ...]) -> int:
@@ -216,9 +257,11 @@ def generate(
     repo.validate_caret(pos)
     vocab = model.vocab
     bucket = description_bucket(tokenize(description, vocab), vocab, model.buckets)
-    seq: list[int] = [BOS_ID]
+    prefix = Prefix(vocab)
+    seq = prefix.ids
     trace = GenerationTrace()
-    cache: dict[tuple, list[str]] = {}
+    # a trie and its shadowed count per key; None for an empty suggestion list
+    cache: dict[tuple, Optional[tuple[PrefixTrie, int]]] = {}
     task: Optional[TaskContext | bool] = None  # False: ask the whole-file tool
 
     while True:
@@ -227,7 +270,7 @@ def generate(
         # the lowest legal id, so fully unseen contexts tie-break to it.
         tok = _choose_next(counts, excluded=(BOS_ID,))
         trace.steps += 1
-        seq.append(tok)
+        prefix.append(tok)
         trace.tags.append("model")
         if tok == EOS_ID:
             break
@@ -239,43 +282,44 @@ def generate(
             # (the vanilla model never learns it) and is stripped from output.
             continue
 
-        key = _trigger_cache_key(seq, vocab)
-        suggestions: Optional[list[str]] = None
+        key = prefix.cache_key()
         if cfg.cache_enabled and key in cache:
-            suggestions = cache[key]
+            entry = cache[key]
             trace.cache_hits += 1
         else:
             if task is None:  # decided once per call, at the first miss
                 task = TaskContext.at(repo, pos) or False
             if task:
-                body = detokenize([t for t in seq if t not in CONTROL_IDS], vocab)
-                tool, args = task.complete, (body,)
+                suggestions = task.complete(prefix.body.text())
             else:
-                tool, args = tool_complete, insert(repo, pos, seq, vocab)
+                suggestions = tool_complete(*insert(repo, pos, seq, vocab))
             trace.tool_invocations += 1
-            suggestions = tool(*args)
+            entry = None
+            if suggestions:
+                trie = build_trie(suggestions, vocab)
+                entry = (trie, trie.shadowed_count)
             if cfg.cache_enabled:
-                cache[key] = suggestions
+                cache[key] = entry
 
-        if not suggestions:
+        if entry is None:
             # Failed trigger: drop the marker and take the best non-trigger
             # token from the same distribution instead.
             seq.pop()
             trace.tags.pop()
             trace.dropped_triggers += 1
             tok2 = _choose_next(counts, excluded=(BOS_ID, COMP_ID))
-            seq.append(tok2)
+            prefix.append(tok2)
             trace.tags.append("model")
             if tok2 == EOS_ID:
                 break
             continue
 
-        trie = build_trie(suggestions, vocab)
-        trace.shadowed_suggestions += trie.shadowed_count
+        trie, shadowed = entry
+        trace.shadowed_suggestions += shadowed
         appended = select_suggestion(model, bucket, seq, trie)
-        seq.extend(appended)
+        for t in appended:
+            prefix.append(t)
         trace.tags.extend(["tool-selection"] * len(appended))
 
     trace.tokens = list(seq)
-    text = detokenize([t for t in seq if t not in CONTROL_IDS], vocab)
-    return text, trace
+    return prefix.body.text(), trace

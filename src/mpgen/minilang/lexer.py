@@ -56,30 +56,43 @@ _GROUP_KIND = {
 }
 
 
-def lex(source: str) -> tuple[list[LexToken], list[Diagnostic]]:
-    """Lex MiniPy source into a (tokens, diagnostics) pair.
+class LineLexer:
+    """`lex`'s engine, fed one source line at a time.
 
-    Illegal characters and unterminated string literals become error tokens,
-    each with a diagnostic at its position.
-
-    Indentation is encoded as indent/dedent tokens. Blank (or all-space)
-    lines produce no tokens. Every content line is terminated by a newline
-    token whether or not the source ends with one.
+    Between lines its whole state is the tokens and diagnostics so far, the
+    indent stack, and the position of the last newline, where synthetic
+    dedent tokens go; `copy` saves that state, so lexing can resume from it.
     """
-    out: list[LexToken] = []
-    diags: list[Diagnostic] = []
-    indents = [0]
-    # Position for synthetic dedent tokens: just past the previous newline,
-    # keeping positions strictly increasing.
-    last_line = 0
-    last_col = 0
 
-    lines = source.split("\n")
-    for lineno, raw in enumerate(lines, start=1):
+    __slots__ = ("tokens", "diagnostics", "_indents", "_last_line", "_last_col")
+
+    def __init__(self):
+        self.tokens: list[LexToken] = []
+        self.diagnostics: list[Diagnostic] = []
+        self._indents = [0]
+        # Position for synthetic dedent tokens: just past the previous
+        # newline, keeping positions strictly increasing.
+        self._last_line = 0
+        self._last_col = 0
+
+    def copy(self) -> "LineLexer":
+        other = LineLexer()
+        other.tokens = self.tokens[:]
+        other.diagnostics = self.diagnostics[:]
+        other._indents = self._indents[:]
+        other._last_line = self._last_line
+        other._last_col = self._last_col
+        return other
+
+    def line(self, lineno: int, raw: str) -> None:
+        """Lex line number lineno (1-based), raw without its newline."""
         stripped = raw.lstrip(" ")
         if stripped == "":
             # Blank or whitespace-only line: no tokens, no indent change.
-            continue
+            return
+        out = self.tokens
+        diags = self.diagnostics
+        indents = self._indents
         indent = len(raw) - len(stripped)
         if indent > indents[-1]:
             indents.append(indent)
@@ -88,7 +101,7 @@ def lex(source: str) -> tuple[list[LexToken], list[Diagnostic]]:
             n = 0
             while indents[-1] > indent:
                 indents.pop()
-                out.append(LexToken(tk.DEDENT, "", last_line, last_col + 1 + n))
+                out.append(LexToken(tk.DEDENT, "", self._last_line, self._last_col + 1 + n))
                 n += 1
             if indents[-1] != indent:
                 diags.append(
@@ -115,13 +128,31 @@ def lex(source: str) -> tuple[list[LexToken], list[Diagnostic]]:
             out.append(LexToken(kind, text, lineno, m.start()))
 
         out.append(LexToken(tk.NEWLINE, "", lineno, len(raw)))
-        last_line = lineno
-        last_col = len(raw)
+        self._last_line = lineno
+        self._last_col = len(raw)
 
-    n = 0
-    while len(indents) > 1:
-        indents.pop()
-        out.append(LexToken(tk.DEDENT, "", last_line, last_col + 1 + n))
-        n += 1
+    def finish(self) -> tuple[list[LexToken], list[Diagnostic]]:
+        """Close every open indentation level; the (tokens, diagnostics) pair."""
+        indents = self._indents
+        n = 0
+        while len(indents) > 1:
+            indents.pop()
+            self.tokens.append(LexToken(tk.DEDENT, "", self._last_line, self._last_col + 1 + n))
+            n += 1
+        return self.tokens, self.diagnostics
 
-    return out, diags
+
+def lex(source: str) -> tuple[list[LexToken], list[Diagnostic]]:
+    """Lex MiniPy source into a (tokens, diagnostics) pair.
+
+    Illegal characters and unterminated string literals become error tokens,
+    each with a diagnostic at its position.
+
+    Indentation is encoded as indent/dedent tokens. Blank (or all-space)
+    lines produce no tokens. Every content line is terminated by a newline
+    token whether or not the source ends with one.
+    """
+    lexer = LineLexer()
+    for lineno, raw in enumerate(source.split("\n"), start=1):
+        lexer.line(lineno, raw)
+    return lexer.finish()

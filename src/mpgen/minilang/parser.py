@@ -89,6 +89,13 @@ class _Recover(Exception):
 # Binding level of each binary operator; all of them are left-associative.
 _LEVEL = {"==": 1, "!=": 1, "<": 1, ">": 1, "+": 2, "-": 2, "*": 3, "/": 3}
 
+# The most `if`/`else`/`while` blocks and brackets (grouping parentheses and
+# call argument lists) open at once. The recursive descent takes at most 7
+# frames a level, so 100 levels stay well inside the interpreter's default
+# recursion limit of 1,000. The corpus nests 1 deep, and the 252 benchmark
+# predictions at most 23.
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, toks: list[LexToken], path: str):
@@ -96,6 +103,7 @@ class _Parser:
         self.i = 0
         self.path = path
         self.diags: list[Diagnostic] = []
+        self.depth = 0  # blocks and brackets open, at most MAX_NESTING
 
     # --- cursor helpers -------------------------------------------------
     def peek(self, ahead: int = 0) -> Optional[LexToken]:
@@ -141,6 +149,16 @@ class _Parser:
                     if depth == 0:
                         return
 
+    def _descend(self, opener: LexToken) -> None:
+        """Open one more level of nesting at opener. Past MAX_NESTING levels
+        the diagnostic drops the statement, as `_recover` drops any
+        malformed one; the caller closes the level in a `finally`."""
+        if self.depth == MAX_NESTING:
+            raise _Recover(Diagnostic(
+                f"more than {MAX_NESTING} nested blocks and brackets", opener.line, opener.column
+            ))
+        self.depth += 1
+
     def _sync_top_level(self) -> None:
         depth = 0
         while self.peek() is not None:
@@ -175,12 +193,16 @@ class _Parser:
             elif self.at(tk.PUNCTUATOR, "("):
                 lp = self.advance()
                 args: list[nodes.Expr] = []
-                if not self.at(tk.PUNCTUATOR, ")"):
-                    args.append(self.parse_expr())
-                    while self.at(tk.PUNCTUATOR, ","):
-                        self.advance()
+                self._descend(lp)
+                try:
+                    if not self.at(tk.PUNCTUATOR, ")"):
                         args.append(self.parse_expr())
-                self.expect(tk.PUNCTUATOR, ")")
+                        while self.at(tk.PUNCTUATOR, ","):
+                            self.advance()
+                            args.append(self.parse_expr())
+                    self.expect(tk.PUNCTUATOR, ")")
+                finally:
+                    self.depth -= 1
                 e = nodes.Call(e, args, lp.line, lp.column)
             else:
                 return e
@@ -200,8 +222,12 @@ class _Parser:
             return nodes.Str(t.text, t.line, t.column)
         if t.kind == tk.PUNCTUATOR and t.text == "(":
             self.advance()
-            e = self.parse_expr()
-            self.expect(tk.PUNCTUATOR, ")")
+            self._descend(t)
+            try:
+                e = self.parse_expr()
+                self.expect(tk.PUNCTUATOR, ")")
+            finally:
+                self.depth -= 1
             return e
         raise _Recover(Diagnostic(f"unexpected {t.text or t.kind!r} in expression", t.line, t.column))
 
@@ -232,18 +258,18 @@ class _Parser:
             self.advance()
             test = self.parse_expr()
             self.expect(tk.PUNCTUATOR, ":")
-            body = self.parse_block()
+            body = self.parse_block(t)
             orelse: list[nodes.Stmt] = []
             if self.at(tk.KEYWORD, "else"):
-                self.advance()
+                orelse_kw = self.advance()
                 self.expect(tk.PUNCTUATOR, ":")
-                orelse = self.parse_block()
+                orelse = self.parse_block(orelse_kw)
             return nodes.If(test, body, orelse)
         if t.kind == tk.KEYWORD and t.text == "while":
             self.advance()
             test = self.parse_expr()
             self.expect(tk.PUNCTUATOR, ":")
-            body = self.parse_block()
+            body = self.parse_block(t)
             return nodes.While(test, body)
         return self.parse_simple_stmt()
 
@@ -265,10 +291,15 @@ class _Parser:
                 self._recover(r)
         return items
 
-    def parse_block(self) -> list[nodes.Stmt]:
-        self.expect(tk.NEWLINE)
-        self.expect(tk.INDENT)
-        stmts = self._statements(self.parse_stmt)
+    def parse_block(self, opener: LexToken) -> list[nodes.Stmt]:
+        """The block that the line of the keyword opener opens."""
+        self._descend(opener)
+        try:
+            self.expect(tk.NEWLINE)
+            self.expect(tk.INDENT)
+            stmts = self._statements(self.parse_stmt)
+        finally:
+            self.depth -= 1
         if self.at(tk.DEDENT):
             self.advance()
         return stmts
@@ -291,8 +322,10 @@ class _Parser:
         self.expect(tk.NEWLINE)
         self.expect(tk.INDENT)
         docstring: Optional[str] = None
+        doc_line = name.line
         if self.at(tk.STRING) and self.peek(1) is not None and self.peek(1).kind == tk.NEWLINE:
-            docstring = self.advance().text[1:-1]
+            doc = self.advance()
+            docstring, doc_line = doc.text[1:-1], doc.line
             self.advance()  # the newline
 
         body_start_idx = self.i
@@ -307,9 +340,10 @@ class _Parser:
             start_line, start_col = first.line, first.column
             end_line = max(t.line for t in body_tokens)
         else:
-            # Docstring-only (or empty) body: point just past the def line.
-            start_line, start_col = name.line + (2 if docstring is not None else 1), 0
-            end_line = name.line + (1 if docstring is not None else 0)
+            # Docstring-only (or empty) body: it ends on the docstring's line
+            # (or the def line), and the first statement would go below it.
+            start_line, start_col = doc_line + 1, 0
+            end_line = doc_line
         return FunctionDef(
             name=name.text,
             params=params,

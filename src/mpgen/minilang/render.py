@@ -44,39 +44,52 @@ def _separator(prev_kind: str, prev_text: str, kind: str, text: str) -> str:
     return " "
 
 
-def render_items(items: Iterable[tuple[str, str]]) -> str:
-    """Render (token kind, text) items to canonical source text.
+class Renderer:
+    """Canonical text built up one (token kind, text) item at a time.
 
     Kinds are those of `tokens`. Indentation state is tracked from indent and
     dedent items; a newline item emits "\\n" and the next content item is
     prefixed with the current indentation. The text of line-structure items
-    is ignored. Output has no trailing newline.
+    is ignored. A renderer can be read at any point, so a growing sequence
+    is rendered once, not once per read.
     """
-    parts: list[str] = []
-    level = 0
-    at_line_start = True
-    prev: tuple[str, str] | None = None
-    for kind, text in items:
+
+    __slots__ = ("_parts", "_level", "_prev")
+
+    def __init__(self):
+        self._parts: list[str] = []
+        self._level = 0
+        # The line's last content item; None at the start of a line.
+        self._prev: tuple[str, str] | None = None
+
+    def add(self, kind: str, text: str) -> None:
         if kind == tk.NEWLINE:
-            parts.append("\n")
-            at_line_start = True
-            prev = None
-            continue
-        if kind == tk.INDENT:
-            level += 1
-            continue
-        if kind == tk.DEDENT:
-            level = max(0, level - 1)
-            continue
-        if at_line_start:
-            parts.append(" " * (INDENT_WIDTH * level))
-            at_line_start = False
-        elif prev is not None:
-            parts.append(_separator(prev[0], prev[1], kind, text))
-        parts.append(text)
-        prev = (kind, text)
-    text_out = "".join(parts)
-    return text_out.rstrip("\n")
+            self._parts.append("\n")
+            self._prev = None
+        elif kind == tk.INDENT:
+            self._level += 1
+        elif kind == tk.DEDENT:
+            self._level = max(0, self._level - 1)
+        else:
+            prev = self._prev
+            if prev is None:
+                self._parts.append(" " * (INDENT_WIDTH * self._level) + text)
+            else:
+                self._parts.append(_separator(prev[0], prev[1], kind, text) + text)
+            self._prev = (kind, text)
+
+    def text(self) -> str:
+        """The text of the items added so far, with no trailing newline."""
+        return "".join(self._parts).rstrip("\n")
+
+
+def render_items(items: Iterable[tuple[str, str]]) -> str:
+    """Render (token kind, text) items to canonical source text, as a
+    `Renderer` fed them in order does."""
+    renderer = Renderer()
+    for kind, text in items:
+        renderer.add(kind, text)
+    return renderer.text()
 
 
 def render_tokens(tokens: Iterable[LexToken]) -> str:

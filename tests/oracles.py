@@ -4,6 +4,8 @@ Everything here recomputes results straight from definitions, sharing no
 code path with the implementations it checks. The whole-file scoring
 oracles splice a text into the blanked file and run the whole-file
 completion tool and linter on it, where scoring reads one task analysis.
+The trigger-path oracles recompute from the whole prefix what generation
+keeps up to date as the prefix grows.
 """
 
 import math
@@ -16,8 +18,8 @@ from mpgen.analysis.complete import CaretContext
 from mpgen.analysis.insert import insert_text
 from mpgen.analysis.lint import lint_check
 from mpgen.lm.ngram import train
-from mpgen.lm.tokenizer import split_identifier
-from mpgen.lm.vocab import BOS_ID, COMP_ID, EOS_ID, build_vocab
+from mpgen.lm.tokenizer import detokenize, split_identifier
+from mpgen.lm.vocab import BOS_ID, COMP_ID, CONTROL_IDS, EOS_ID, build_vocab
 from mpgen.minilang import nodes
 from mpgen.minilang import tokens as tk
 from mpgen.minilang.lexer import Diagnostic
@@ -146,6 +148,34 @@ def match_loop_lex(source: str):
         out.append(LexToken(tk.DEDENT, "", last_line, last_col + 1 + n))
         n += 1
     return out, diags
+
+
+# --- the trigger path, from the whole prefix -----------------------------------
+
+def detokenized_body(prefix, vocab) -> str:
+    """The partial function a prefix of model token ids spells: every id but
+    the control ids, detokenized at once."""
+    return detokenize([t for t in prefix if t not in CONTROL_IDS], vocab)
+
+
+def trigger_cache_key(prefix, vocab) -> tuple:
+    """The generation cache's key at the trigger ending prefix, from a scan of
+    the whole prefix: the receiver run before a `.` that precedes the
+    trigger, and the `=` items before the prefix's last newline."""
+    items = [vocab.item(t) for t in prefix[:-1]]  # exclude the trigger itself
+    last_nl = max((i for i, (kind, _) in enumerate(items) if kind == tk.NEWLINE), default=-1)
+    n_assign = sum(1 for _, s in items[: last_nl + 1] if s == "=")
+    if items and items[-1][1] == ".":
+        j = len(items) - 2
+        run = []
+        while j >= 0 and items[j][0] == tk.IDENTIFIER:
+            run.append(items[j][1])
+            j -= 1
+        receiver = "".join(reversed(run))
+        if not run or (j >= 0 and items[j][1] == "."):
+            return ("attr-chain", receiver, n_assign)
+        return ("attr", receiver, n_assign)
+    return ("scope", n_assign)
 
 
 # --- recursive tree walks ------------------------------------------------------

@@ -328,6 +328,28 @@ def test_lint_reads_a_long_attribute_chain(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def _lint_records(tmp_path, capsys, text):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    (repo / "deep.mp").write_text(text)
+    assert main(["lint", "--repo", str(repo)]) == 0
+    return [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+
+
+def test_lint_reports_300_nested_parentheses_as_a_syntax_error(tmp_path, capsys):
+    text = "def f(a):\n    return " + "(" * 300 + "a" + ")" * 300 + "\n"
+    (rec,) = _lint_records(tmp_path, capsys, text)
+    assert (rec["kind"], rec["line"]) == ("syntax-error", 2)
+    assert "nested" in rec["message"]
+
+
+def test_lint_reports_400_nested_if_blocks_as_a_syntax_error(tmp_path, capsys):
+    text = "def f(a):\n" + "".join("    " * i + "if a:\n" for i in range(1, 401))
+    text += "    " * 401 + "return a\n"
+    (rec,) = _lint_records(tmp_path, capsys, text)
+    assert rec["kind"] == "syntax-error" and "nested" in rec["message"]
+
+
 def test_complete_prints_sorted_members(capsys):
     repo = str(CORPUS / "eval" / "repo14")
     text = (CORPUS / "eval" / "repo14" / "core.mp").read_text()

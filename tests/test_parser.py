@@ -1,6 +1,6 @@
 from mpgen.analysis.lint import lint_check
 from mpgen.minilang import nodes, tokens as tk
-from mpgen.minilang.parser import extract_functions, parse, parse_body
+from mpgen.minilang.parser import MAX_NESTING, extract_functions, parse, parse_body
 from mpgen.minilang.render import render_tokens
 from mpgen.minilang.tokens import LexToken
 from mpgen.repo import Repository
@@ -272,3 +272,29 @@ def test_walks_take_a_chain_longer_than_the_recursion_limit():
     assert len(exprs) == 5001
     assert nodes.expr_text(stmt.value) == "a" + ".b" * 5000
     assert nodes.chain_positions(stmt.value) == [(1, 7 + 2 * i) for i in range(5001)]
+
+
+def test_a_docstring_only_function_ends_on_its_docstrings_line():
+    (fn,) = parse('def f(a):\n\n    "doc"\n', "t.mp").functions
+    assert (fn.line, fn.end_line, fn.body_start_line) == (1, 3, 4)
+    (fn,) = parse('def f(a):\n    "doc"\n', "t.mp").functions
+    assert (fn.line, fn.end_line, fn.body_start_line) == (1, 2, 3)
+
+
+def _nested_parens(n):
+    return "return " + "a * (" * n + "a" + ")" * n
+
+
+def _nested_ifs(n):
+    return "".join("    " * i + "if a:\n" for i in range(n)) + "    " * n + "x = 1"
+
+
+def test_nesting_past_the_limit_drops_the_statement_with_a_diagnostic():
+    for nested in (_nested_parens, _nested_ifs):
+        stmts, diags = parse_body(nested(MAX_NESTING) + "\ny = 2")
+        assert not diags and len(stmts) == 2
+        stmts, diags = parse_body(nested(MAX_NESTING + 1) + "\ny = 2")
+        assert [d.message for d in diags] == [f"more than {MAX_NESTING} nested blocks and brackets"]
+        assert diags[0].line == (1 if nested is _nested_parens else MAX_NESTING + 1)
+        # the statement opening level 101 is dropped, and parsing resumes
+        assert isinstance(stmts[-1], nodes.Assign) and stmts[-1].target.id == "y"
