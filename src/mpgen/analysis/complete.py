@@ -7,11 +7,14 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..minilang import tokens as tk
 from ..minilang.lexer import Diagnostic, LineLexer
-from ..minilang.parser import ClassDef, FunctionDef, extract_functions, parse
+from ..minilang.parser import (
+    BodyCheckpoint, ClassDef, FunctionDef, assigned_attributes, extract_functions, parse,
+    parser_tokens, resume_body,
+)
 from ..minilang.tokens import LexToken
 from ..repo import CaretPosition, Repository
 from .builtins import is_builtin
@@ -100,6 +103,17 @@ def _suggestions(
     return sorted(n for n in names if not is_builtin(n))
 
 
+class _Checkpoint(NamedTuple):
+    """The analysis of a text's closed lines (all but its last), to resume
+    from in a text that extends them."""
+
+    closed: str               # the text up to its last newline
+    lines: int                # the number of closed lines
+    lexer: LineLexer          # the lexer after them
+    body: BodyCheckpoint      # the body's parse at its last settled statement
+    attributes: frozenset     # what the settled statements assign to the class
+
+
 @dataclass
 class TaskContext:
     """The one function being written at a blanked caret, analysed alone.
@@ -114,25 +128,39 @@ class TaskContext:
     exception, the attributes a method assigns to its class, the analysis
     adds.
 
-    Lexing resumes from a checkpoint: the `LineLexer` state after the closed
-    lines of the head, and after the closed lines of the text last analysed
-    (every line but its last). A checkpoint whose text the new text extends
-    lexes only the lines after it, so a body growing during generation has
-    each closed line lexed once, and the head is lexed once per context. That
-    is exact too: between lines a lexer's whole state is its tokens and
-    diagnostics, its indent stack and its dedent position, which the
-    checkpoint copies, and the same lines fed after the same state give the
-    same tokens. A text that does not extend the last one, as scoring's
-    ground truth and predictions do not, resumes from the head.
+    The analysis resumes from a checkpoint: the one after the closed lines
+    of the head, or the one after the closed lines of the text last analysed
+    (every line but its last) when the new text extends them. A body growing
+    during generation therefore has each closed line lexed once, and each
+    statement parsed again only until it settles; the head is lexed and
+    parsed once per context. A text that does not extend the last one, as
+    scoring's ground truth and predictions do not, resumes from the head.
+    Resuming is exact:
+
+    - Lexing. Between lines a lexer's whole state is its tokens and
+      diagnostics, its indent stack and its dedent position, which the
+      checkpoint copies, and the same lines fed after the same state give
+      the same tokens.
+    - Parsing. A body statement is settled once the next body-level
+      statement starts on a closed line, and the checkpoint holds the body's
+      statement loop at the start of that next statement. Every token the
+      loop has read until then, the DEDENTs closing earlier blocks and the
+      token an `if` peeks at for its `else` included, comes from closed
+      lines, which resumed lexing gives again. Nor can appended text attach
+      to a settled statement: `else` binds only directly after its `if`
+      block, and `_recover` skips only to the next line, or past the block
+      that line opens. The body's parse ends at the dedent closing it; what
+      follows is that dedent and the class's, which the whole parse reads
+      without a diagnostic. A method assigns to its class what its settled
+      statements assign plus what the statements after them do.
     """
 
     index: ScopeIndex
     pos: CaretPosition
     head: str
     own_class: Optional[ClassDef]  # the enclosing class in index, if any
-    # (closed text, its line count, the lexer after it): head, last analysed
-    _head_checkpoint: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-    _checkpoint: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _head_checkpoint: Optional[_Checkpoint] = field(default=None, init=False, repr=False, compare=False)
+    _checkpoint: Optional[_Checkpoint] = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def at(cls, repo: Repository, pos: CaretPosition) -> Optional["TaskContext"]:
@@ -156,41 +184,56 @@ class TaskContext:
         head = [lines[n - 1] if n in keep else "" for n in range(1, pos.line)]
         return cls(index, pos, "\n".join(head + [" " * pos.column]), owner)
 
-    def _lex(self, text: str) -> tuple[list[LexToken], list[Diagnostic]]:
-        """`lex(text)` for a text that starts with the head, resumed from the
-        last checkpoint when text extends it and from the head's otherwise."""
+    def _head(self) -> _Checkpoint:
+        """The checkpoint after the head's closed lines, where the body starts."""
         if self._head_checkpoint is None:
             closed = self.head[: self.head.rfind("\n") + 1]
-            self._head_checkpoint = self._lex_lines(closed, ("", 0, LineLexer()))
-        start = self._checkpoint
-        if start is None or not text.startswith(start[0]):
-            start = self._head_checkpoint
-        cut = text.rfind("\n") + 1
-        if cut > len(start[0]):
-            start = self._checkpoint = self._lex_lines(text[:cut], start)
-        lexer = start[2].copy()
-        lexer.line(start[1] + 1, text[cut:])
-        return lexer.finish()
-
-    @staticmethod
-    def _lex_lines(closed: str, start: tuple) -> tuple:
-        """The checkpoint after closed, a text of whole lines extending start's."""
-        done, lineno, lexer = start
-        lexer = lexer.copy()
-        for raw in closed[len(done):].split("\n")[:-1]:
-            lineno += 1
-            lexer.line(lineno, raw)
-        return closed, lineno, lexer
+            lines, lexer = self._lex_lines(LineLexer(), 0, closed)
+            # The head's last line, the caret's, is blank and adds no token.
+            lexed = lexer.copy().finish()
+            module = parse(self.head, self.pos.file, lexed=lexed)
+            (func,) = extract_functions(module)
+            start = len(parser_tokens(lexer.tokens, lexer.diagnostics))
+            head_diags = tuple(module.diagnostics[len(lexed[1]):])
+            body = BodyCheckpoint(func, start, start, (), head_diags)
+            self._head_checkpoint = _Checkpoint(closed, lines, lexer, body, frozenset())
+        return self._head_checkpoint
 
     def analyse(self, body_text: str) -> "TaskAnalysis":
-        """One lex and parse of the head plus level-0 body text spliced at pos."""
+        """The head plus level-0 body text spliced at pos, lexed and parsed
+        from the last checkpoint that the text extends."""
         text = self.head + indent_body(body_text, self.pos.column)
-        lexed = self._lex(text)
-        module = parse(text, self.pos.file, lexed=lexed)
-        (func,) = extract_functions(module)
-        written = module.classes[0].attributes if self.own_class is not None else ()
-        end = CaretPosition(self.pos.file, text.count("\n") + 1, len(text) - text.rfind("\n") - 1)
-        return TaskAnalysis(self, lexed[0], module.diagnostics, func, frozenset(written), end)
+        start = self._checkpoint
+        if start is None or not text.startswith(start.closed):
+            start = self._head()
+        cut = text.rfind("\n") + 1
+        lines, closed_lexer = start.lines, start.lexer
+        if cut > len(start.closed):
+            lines, closed_lexer = self._lex_lines(closed_lexer, lines, text[len(start.closed):cut])
+        lexer = closed_lexer.copy()
+        lexer.line(lines + 1, text[cut:])
+        toks, lex_diags = lexer.finish()
+        func, parse_diags, body = resume_body(start.body, (toks, lex_diags), lines)
+
+        settled, written = start.attributes, frozenset()
+        if self.own_class is not None:  # walk only the statements after start's
+            k, m = len(start.body.body), len(body.body)
+            settled = settled | assigned_attributes(func, func.body[k:m])
+            written = settled | assigned_attributes(func, func.body[m:])
+        if cut > len(start.closed):
+            self._checkpoint = _Checkpoint(text[:cut], lines, closed_lexer, body, settled)
+        end = CaretPosition(self.pos.file, lines + 1, len(text) - cut)
+        return TaskAnalysis(self, toks, lex_diags + parse_diags, func, written, end)
+
+    @staticmethod
+    def _lex_lines(lexer: LineLexer, lineno: int, lines: str) -> tuple[int, LineLexer]:
+        """A copy of lexer, whose last line was number lineno, fed lines, whole
+        lines each ending in a newline; and the number of its last line."""
+        lexer = lexer.copy()
+        for raw in lines.split("\n")[:-1]:
+            lineno += 1
+            lexer.line(lineno, raw)
+        return lineno, lexer
 
     def complete(self, body_text: str) -> list[str]:
         """tool_complete's suggestions after splicing level-0 body text at pos."""

@@ -22,13 +22,16 @@ appended, its rendering without control tokens and its count of `=` items on
 closed lines. The partial function the tool reads and the text `generate`
 returns are that rendering, so no trigger re-renders the prefix; a trigger's
 cache key is the count plus a backward scan over the receiver before a
-trailing `.`.
+trailing `.`, which passes over control tokens as the tool, reading the
+text without them, does.
 
 At a blanked task's caret the tool runs through a `TaskContext`, built at
-the first cache miss, that re-reads only the function being written and
-re-lexes only its lines since the last trigger; at any other caret each
-trigger splices the partial function into a snapshot for `tool_complete`.
-Both give the same suggestions.
+the first cache miss, that analyses only the function being written, and
+resumes from what the last trigger left: it lexes only the lines closed
+since then and the open one, and parses the body only from its last
+settled statement on. At any other caret each trigger splices the partial
+function into a snapshot for `tool_complete`. Both give the same
+suggestions.
 
 With tool_enabled=False the loop is plain greedy decoding (the vanilla
 baseline). A per-generation cache keyed on the receiver (and invalidated
@@ -42,6 +45,7 @@ list depends on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 from .analysis.complete import TaskContext, tool_complete
@@ -217,19 +221,23 @@ class Prefix:
         count once their line is closed: the recovering parser ignores the
         statement still being generated, so a mid-line `=` has no effect on
         scope yet. The receiver is the run of identifier items before a `.`
-        that precedes the trigger, read backwards over the sequence.
+        that precedes the trigger, read backwards over the sequence. Control
+        tokens are passed over, since the tool reads the text without them:
+        `self.<COMP>foo.` is the chain `self.foo.`.
         """
-        ids, item = self.ids, self.vocab.item
-        j = len(ids) - 2  # the item before the trigger
-        if j < 0 or item(ids[j])[1] != ".":
+        item = self.vocab.item
+        before = (item(t) for t in islice(reversed(self.ids), 1, None) if t not in CONTROL_IDS)
+        if next(before, (None, None))[1] != ".":
             return ("scope", self.closed_assigns)
-        j -= 1
         run: list[str] = []
-        while j >= 0 and (kind_text := item(ids[j]))[0] == tk.IDENTIFIER:
-            run.append(kind_text[1])
-            j -= 1
+        stop = None  # the item before the run
+        for kind, text in before:
+            if kind != tk.IDENTIFIER:
+                stop = text
+                break
+            run.append(text)
         receiver = "".join(reversed(run))
-        if not run or (j >= 0 and item(ids[j])[1] == "."):
+        if not run or stop == ".":
             return ("attr-chain", receiver, self.closed_assigns)
         return ("attr", receiver, self.closed_assigns)
 

@@ -4,8 +4,11 @@ Parse errors are collected as diagnostics, never raised: a file containing
 one broken function must still yield usable definitions for the rest, since
 the lint checker and the completion tool run on files holding partially
 generated code. Recovery skips to the next line (inside a block) or to the
-next top-level definition (at module level). `parse` and `parse_body` share
-the parser set-up, the statement rules and the one recovery rule `_recover`.
+next top-level definition (at module level). `parse`, `parse_body` and
+`resume_body` share the parser set-up, the statement rules and the one
+recovery rule `_recover`. `resume_body` runs the statement loop of a def's
+body from a `BodyCheckpoint`, so a body that grows at its end is parsed from
+its last settled statement on, not from its first.
 
 Every diagnostic, the lexer's included, is a syntax error in the lexer's one
 record type, `Diagnostic`. The parser checks syntax only: redefining a name
@@ -14,7 +17,7 @@ is not an error, and a later definition simply shadows an earlier one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional
 
 from . import nodes, tokens as tk
@@ -273,18 +276,23 @@ class _Parser:
             return nodes.While(test, body)
         return self.parse_simple_stmt()
 
-    def _statements(self, parse_item: Callable[[], Any]) -> list:
+    def _statements(self, parse_item: Callable[[], Any], starts: Optional[list] = None) -> list:
         """Items up to the block's DEDENT, which is left unconsumed.
 
         A malformed item is dropped by `_recover` and parsing resumes on the
         next line; items are statements, or methods in a class body. A bare
         newline, left by a line that held only error tokens, is skipped.
+        starts, when given, gets the cursor, the item count and the
+        diagnostic count at the start of each item: there the loop has read
+        no token past the cursor.
         """
         items = []
         while self.peek() is not None and not self.at(tk.DEDENT):
             if self.at(tk.NEWLINE):
                 self.advance()
                 continue
+            if starts is not None:
+                starts.append((self.i, len(items), len(self.diags)))
             try:
                 items.append(parse_item())
             except _Recover as r:
@@ -306,6 +314,14 @@ class _Parser:
 
     # --- definitions ----------------------------------------------------
     def parse_def(self, owner: Optional[str]) -> FunctionDef:
+        func = self._def_header(owner)
+        start = self.i
+        return self._with_body(func, start, self._statements(self.parse_stmt))
+
+    def _def_header(self, owner: Optional[str]) -> FunctionDef:
+        """A def up to its body, as a function whose body is empty: that body
+        ends on the docstring's line (or the def line), and its first
+        statement would go below it."""
         d = self.expect(tk.KEYWORD, "def")
         name = self.expect(tk.IDENTIFIER)
         self.expect(tk.PUNCTUATOR, "(")
@@ -327,36 +343,33 @@ class _Parser:
             doc = self.advance()
             docstring, doc_line = doc.text[1:-1], doc.line
             self.advance()  # the newline
-
-        body_start_idx = self.i
-        body = self._statements(self.parse_stmt)
-        body_end_idx = self.i
-        if self.at(tk.DEDENT):
-            self.advance()
-
-        body_tokens = self.toks[body_start_idx:body_end_idx]
-        if body_tokens:
-            first = body_tokens[0]
-            start_line, start_col = first.line, first.column
-            end_line = max(t.line for t in body_tokens)
-        else:
-            # Docstring-only (or empty) body: it ends on the docstring's line
-            # (or the def line), and the first statement would go below it.
-            start_line, start_col = doc_line + 1, 0
-            end_line = doc_line
         return FunctionDef(
             name=name.text,
             params=params,
             docstring=docstring,
-            body=body,
-            body_tokens=body_tokens,
+            body=[],
+            body_tokens=[],
             signature_text=signature,
             line=d.line,
-            body_start_line=start_line,
-            body_start_column=start_col,
-            end_line=end_line,
+            body_start_line=doc_line + 1,
+            body_start_column=0,
+            end_line=doc_line,
             owner_class=owner,
         )
+
+    def _with_body(self, func: FunctionDef, start: int, body: list[nodes.Stmt]) -> FunctionDef:
+        """func, a def's header, given the body whose first token is token
+        start and whose statement loop has just ended; the DEDENT closing the
+        body is consumed."""
+        end = self.i
+        if self.at(tk.DEDENT):
+            self.advance()
+        func.body, func.body_tokens = body, self.toks[start:end]
+        if end > start:
+            first = func.body_tokens[0]
+            func.body_start_line, func.body_start_column = first.line, first.column
+            func.end_line = func.body_tokens[-1].line  # tokens strictly increase
+        return func
 
     def parse_class(self) -> ClassDef:
         c = self.expect(tk.KEYWORD, "class")
@@ -370,17 +383,7 @@ class _Parser:
             self.advance()
         attributes: set[str] = set()
         for m in methods:
-            if not m.params:
-                continue
-            recv = m.params[0]
-            for stmt in nodes.walk_statements(m.body):
-                if (
-                    isinstance(stmt, nodes.Assign)
-                    and isinstance(stmt.target, nodes.Attribute)
-                    and isinstance(stmt.target.value, nodes.Name)
-                    and stmt.target.value.id == recv
-                ):
-                    attributes.add(stmt.target.attr)
+            attributes |= assigned_attributes(m, m.body)
         return ClassDef(name.text, methods, attributes, c.line, end_line)
 
     def _method(self, owner: str) -> FunctionDef:
@@ -435,11 +438,17 @@ class _Parser:
         return mod
 
 
+def parser_tokens(toks: list[LexToken], lex_diags: list[Diagnostic]) -> list[LexToken]:
+    """The tokens of a lex the parser reads: all but the error tokens. Each
+    error token has a diagnostic, so a lex without any is read as it is."""
+    return [t for t in toks if t.kind != tk.ERROR] if lex_diags else toks
+
+
 def _parser_for(source: str, path: str, lexed) -> _Parser:
     """A parser over the tokens of `source` (or `lexed`, its given lex), error
     tokens dropped and lexer diagnostics already recorded."""
     toks, lex_diags = lexed if lexed is not None else lex(source)
-    parser = _Parser([t for t in toks if t.kind != tk.ERROR], path)
+    parser = _Parser(parser_tokens(toks, lex_diags), path)
     parser.diags.extend(lex_diags)
     return parser
 
@@ -474,6 +483,67 @@ def parse_body(source: str, *, lexed=None):
         except _Recover as r:
             parser._recover(r)
     return stmts, parser.diags
+
+
+@dataclass(frozen=True)
+class BodyCheckpoint:
+    """A def's parse paused in its body's statement loop, at the start of a
+    statement.
+
+    func is the def's header (a function with an empty body), start the
+    index of the body's first token in the parser's tokens, index the
+    cursor, body the statements before it and diagnostics the parser's
+    diagnostics so far. Up to there the parse has read only the tokens up to
+    the cursor, so resuming it over any tokens that begin with those same
+    ones parses the body as a parse of the whole text does.
+    """
+
+    func: FunctionDef
+    start: int
+    index: int
+    body: tuple[nodes.Stmt, ...]
+    diagnostics: tuple[Diagnostic, ...]
+
+
+def resume_body(checkpoint: BodyCheckpoint, lexed, settled_line: int):
+    """The function whose body the tokens of lexed hold, parsed from
+    checkpoint, a checkpoint of a parse over tokens that lexed's begin with.
+
+    Returns (function, the parser's diagnostics, the checkpoint at the last
+    statement starting on a line up to settled_line, or checkpoint itself
+    when none after it does). The body's closing DEDENT ends the parse.
+    """
+    parser = _Parser(parser_tokens(*lexed), "<body>")
+    parser.i = checkpoint.index
+    parser.diags = list(checkpoint.diagnostics)
+    starts: list[tuple[int, int, int]] = []
+    body = [*checkpoint.body, *parser._statements(parser.parse_stmt, starts)]
+    func = parser._with_body(replace(checkpoint.func), checkpoint.start, body)
+    for i, n_items, n_diags in reversed(starts):
+        if parser.toks[i].line <= settled_line:
+            if i > checkpoint.index:
+                checkpoint = replace(
+                    checkpoint, index=i, body=tuple(body[:len(checkpoint.body) + n_items]),
+                    diagnostics=tuple(parser.diags[:n_diags]),
+                )
+            break
+    return func, parser.diags, checkpoint
+
+
+def assigned_attributes(func: FunctionDef, stmts: list[nodes.Stmt]) -> set[str]:
+    """The attributes that stmts, statements of the method func, assign on
+    its receiver (its first parameter), at any depth."""
+    if not func.params:
+        return set()
+    recv = func.params[0]
+    return {
+        stmt.target.attr
+        for stmt in nodes.walk_statements(stmts)
+        if isinstance(stmt, nodes.Assign)
+        and isinstance(stmt.target, nodes.Attribute)
+        and isinstance(stmt.target.value, nodes.Name)
+        and stmt.target.value.id == recv
+    }
 
 
 def extract_functions(module: Module) -> list[FunctionDef]:

@@ -4,8 +4,8 @@ Everything here recomputes results straight from definitions, sharing no
 code path with the implementations it checks. The whole-file scoring
 oracles splice a text into the blanked file and run the whole-file
 completion tool and linter on it, where scoring reads one task analysis.
-The trigger-path oracles recompute from the whole prefix what generation
-keeps up to date as the prefix grows.
+The trigger-path oracles recompute from the whole prefix, or the whole
+text, what generation keeps up to date as the prefix grows.
 """
 
 import math
@@ -14,16 +14,18 @@ import re
 
 import numpy as np
 
-from mpgen.analysis.complete import CaretContext
-from mpgen.analysis.insert import insert_text
+from mpgen.analysis.complete import CaretContext, TaskAnalysis
+from mpgen.analysis.insert import indent_body, insert_text
 from mpgen.analysis.lint import lint_check
 from mpgen.lm.ngram import train
 from mpgen.lm.tokenizer import detokenize, split_identifier
 from mpgen.lm.vocab import BOS_ID, COMP_ID, CONTROL_IDS, EOS_ID, build_vocab
 from mpgen.minilang import nodes
 from mpgen.minilang import tokens as tk
-from mpgen.minilang.lexer import Diagnostic
+from mpgen.minilang.lexer import Diagnostic, lex
+from mpgen.minilang.parser import extract_functions, parse
 from mpgen.minilang.tokens import LexToken
+from mpgen.repo import CaretPosition
 from mpgen.trigger import insert_triggers
 
 
@@ -161,8 +163,9 @@ def detokenized_body(prefix, vocab) -> str:
 def trigger_cache_key(prefix, vocab) -> tuple:
     """The generation cache's key at the trigger ending prefix, from a scan of
     the whole prefix: the receiver run before a `.` that precedes the
-    trigger, and the `=` items before the prefix's last newline."""
-    items = [vocab.item(t) for t in prefix[:-1]]  # exclude the trigger itself
+    trigger, and the `=` items before the prefix's last newline. Control
+    tokens are left out, as the tool reads the text without them."""
+    items = [vocab.item(t) for t in prefix[:-1] if t not in CONTROL_IDS]  # not the trigger
     last_nl = max((i for i, (kind, _) in enumerate(items) if kind == tk.NEWLINE), default=-1)
     n_assign = sum(1 for _, s in items[: last_nl + 1] if s == "=")
     if items and items[-1][1] == ".":
@@ -176,6 +179,18 @@ def trigger_cache_key(prefix, vocab) -> tuple:
             return ("attr-chain", receiver, n_assign)
         return ("attr", receiver, n_assign)
     return ("scope", n_assign)
+
+
+def whole_text_analysis(context, body) -> TaskAnalysis:
+    """`context.analyse(body)` from one lex and parse of the whole text: the
+    head with the body spliced in at the caret."""
+    text = context.head + indent_body(body, context.pos.column)
+    lexed = lex(text)
+    module = parse(text, context.pos.file, lexed=lexed)
+    (func,) = extract_functions(module)
+    written = module.classes[0].attributes if context.own_class is not None else ()
+    end = CaretPosition(context.pos.file, text.count("\n") + 1, len(text) - text.rfind("\n") - 1)
+    return TaskAnalysis(context, lexed[0], module.diagnostics, func, frozenset(written), end)
 
 
 # --- recursive tree walks ------------------------------------------------------

@@ -1,23 +1,29 @@
 """The trigger path keeps its work as generation grows, and equals the
-whole-prefix computations it replaces: the prefix's rendering and cache key
-against `oracles`, the task context's resumed lexing against `lex` of the
-whole text, and a renderer read mid-way against `render_items`."""
+whole-prefix and whole-text computations it replaces: the prefix's rendering
+and cache key, and the task context's resumed analysis, against `oracles`,
+and a renderer read mid-way against `render_items`."""
+
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mpgen import decode
+from mpgen.analysis import complete
 from mpgen.analysis.complete import TaskContext
 from mpgen.analysis.insert import indent_body
 from mpgen.decode import GenerationConfig, generate
 from mpgen.lm import tokenizer
-from mpgen.minilang import tokens as tk
-from mpgen.minilang.lexer import LineLexer, lex
-from mpgen.minilang.parser import parse
+from mpgen.lm.ngram import train
+from mpgen.lm.tokenizer import tokenize
+from mpgen.lm.vocab import BOS_ID, EOS_ID, build_vocab
+from mpgen.minilang import parser, tokens as tk
+from mpgen.minilang.lexer import LineLexer
 from mpgen.minilang.render import Renderer, render_items
 from mpgen.pipeline import derive_tasks, run_model_over_tasks
+from mpgen.repo import CaretPosition, Repository
 
-from oracles import detokenized_body, trigger_cache_key
+from oracles import detokenized_body, trigger_cache_key, whole_text_analysis
 from test_task_context import FUNCTION_TASK, METHOD_TASK, VOCAB
 
 
@@ -33,11 +39,14 @@ def test_prefix_state_equals_the_oracles_at_every_benchmark_trigger(
     trained_models, demo_tasks, monkeypatch, cache
 ):
     """At every trigger the kept key and body text equal the whole-prefix
-    ones; after every token the kept rendering equals the detokenized
-    prefix; and every generation returns the detokenized sequence."""
+    ones; at every tool invocation the task context's analysis equals the
+    whole text's; after every token the kept rendering equals the
+    detokenized prefix; and every generation returns the detokenized
+    sequence."""
     config, tool, vanilla = trained_models
     real_key, real_append = decode.Prefix.cache_key, decode.Prefix.append
-    triggers, steps = [], []
+    real_analyse = TaskContext.analyse
+    triggers, steps, analyses = [], [], []
 
     def checked_key(prefix):
         key = real_key(prefix)
@@ -51,8 +60,15 @@ def test_prefix_state_equals_the_oracles_at_every_benchmark_trigger(
         assert prefix.body.text() == detokenized_body(prefix.ids, prefix.vocab)
         steps.append(tok)
 
+    def checked_analyse(context, body):
+        analysis = real_analyse(context, body)
+        _assert_equal_analyses(analysis, whole_text_analysis(context, body))
+        analyses.append(body)
+        return analysis
+
     monkeypatch.setattr(decode.Prefix, "cache_key", checked_key)
     monkeypatch.setattr(decode.Prefix, "append", checked_append)
+    monkeypatch.setattr(TaskContext, "analyse", checked_analyse)
     gen_cfg = GenerationConfig(max_tokens=config.max_tokens, cache_enabled=cache)
     tool_triggers = 0
     for model in (tool, vanilla):
@@ -62,6 +78,7 @@ def test_prefix_state_equals_the_oracles_at_every_benchmark_trigger(
             if model is tool:
                 tool_triggers += trace.tool_invocations + trace.cache_hits
     assert len(triggers) == tool_triggers == 1620
+    assert len(analyses) == (732 if cache else 1620)
     assert len(steps) > len(triggers)
 
 
@@ -81,12 +98,52 @@ def test_the_key_counts_assignments_on_closed_lines_only():
     assert prefix.body.text() == "x = 1\nb = x." == detokenized_body(prefix.ids, vocab)
 
 
+TWO_CLASSES = (
+    "class K:\n"
+    "    def g(self):\n"
+    '        "Give"\n'
+    "        return 1\n"
+    "class C:\n"
+    "    def boot(self):\n"
+    '        "Prepare"\n'
+    "        self.foo = K()\n"
+    "    def m(self):\n"
+    '        "Use foo"\n'
+    "        \n"
+)
+
+
+def test_a_marker_inside_a_receiver_chain_keys_the_chain():
+    """`self.<COMP>foo.<COMP>` is the chain `self.foo.`, which the tool cannot
+    resolve, not the local `foo.`; keyed alike, a cached `foo.` list would
+    answer for it, and cached and uncached generations would differ."""
+    vocab = build_vocab(["foo = K()\nfoo.g()\nreturn self.foo.g()", "<COMP>"])
+    prefix = decode.Prefix(vocab)
+    for tok in tokenize("foo = K()\nfoo.<COMP>g()\nreturn self.<COMP>foo.<COMP>", vocab):
+        prefix.append(tok)
+    assert prefix.cache_key() == ("attr-chain", "foo", 1) == trigger_cache_key(prefix.ids, vocab)
+
+    body = tokenize("foo = K()\nfoo.<COMP>g()\nreturn self.<COMP>foo.<COMP>g()", vocab)
+    model = train([([], [BOS_ID] + body + [EOS_ID])] * 5, order=8, alpha=0.1, vocab=vocab)
+    repo, pos = Repository({"c.mp": TWO_CLASSES}), CaretPosition("c.mp", 11, 8)
+    runs = [
+        generate(model, repo, "d", pos, GenerationConfig(cache_enabled=cache))
+        for cache in (True, False)
+    ]
+    (on, trace_on), (off, trace_off) = runs
+    assert on == off == "foo = K()\nfoo.g()\nreturn self.foo."
+    assert trace_on.to_dict() == trace_off.to_dict()
+    assert trace_on.tokens == trace_off.tokens
+    assert trace_on.dropped_triggers == 1
+
+
 # --- the mechanism, counted over the benchmark ----------------------------------
 
 def test_the_trigger_path_does_each_piece_of_work_once(trained_models, demo_tasks, monkeypatch):
     """Over the 126 benchmark tasks with the tool model: one trie per tool
-    invocation, no detokenization, each context's head lexed once and each
-    closed body line once."""
+    invocation, no detokenization, each context's head lexed and parsed
+    once, each closed body line lexed once, and no body statement parsed
+    again once it has settled."""
     config, tool, _vanilla = trained_models
     tries, detokenized = [], []
     real_build = decode.build_trie
@@ -94,26 +151,53 @@ def test_the_trigger_path_does_each_piece_of_work_once(trained_models, demo_task
     monkeypatch.setattr(tokenizer, "detokenize", lambda *a: detokenized.append(a))
 
     real_analyse, real_line = TaskContext.analyse, LineLexer.line
-    open_contexts, contexts = [], {}  # id -> [context, head lines, body lines, calls, body]
+    real_parse, real_stmt = complete.parse, parser._Parser.parse_stmt
+    open_contexts, contexts = [], {}  # id(context) -> its counts
 
     def counted_analyse(context, body):
-        stats = contexts.setdefault(id(context), [context, 0, 0, 0, ""])
-        stats[3] += 1
-        stats[4] = body
+        stats = contexts.setdefault(id(context), SimpleNamespace(
+            context=context, head_lines=0, body_lines=0, calls=0, body="",
+            head_parses=0, statements=0, settled=(0, 0),
+        ))
+        stats.calls += 1
+        stats.body = body
         open_contexts.append(stats)
         try:
-            return real_analyse(context, body)
+            analysis = real_analyse(context, body)
         finally:
             open_contexts.pop()
+        if context._checkpoint is not None:
+            toks = [t for t in analysis.tokens if t.kind != tk.ERROR]
+            first = toks[context._checkpoint.body.index]  # the first unsettled statement's
+            stats.settled = (first.line, first.column)
+        return analysis
 
     def counted_line(lexer, lineno, raw):
         if open_contexts:
             stats = open_contexts[-1]
-            stats[1 if lineno < stats[0].pos.line else 2] += 1
+            if lineno < stats.context.pos.line:
+                stats.head_lines += 1
+            else:
+                stats.body_lines += 1
         return real_line(lexer, lineno, raw)
+
+    def counted_parse(*args, **kwargs):
+        open_contexts[-1].head_parses += 1
+        return real_parse(*args, **kwargs)
+
+    def counted_statement(p):
+        if open_contexts and p.depth == 0:  # a body-level statement
+            stats = open_contexts[-1]
+            # every body extends the one before, so the checkpoint of the
+            # last call holds what had settled
+            assert (p.peek().line, p.peek().column) >= stats.settled
+            stats.statements += 1
+        return real_stmt(p)
 
     monkeypatch.setattr(TaskContext, "analyse", counted_analyse)
     monkeypatch.setattr(LineLexer, "line", counted_line)
+    monkeypatch.setattr(complete, "parse", counted_parse)
+    monkeypatch.setattr(parser._Parser, "parse_stmt", counted_statement)
     _pairs, traces = run_model_over_tasks(
         tool, demo_tasks, GenerationConfig(max_tokens=config.max_tokens)
     )
@@ -121,38 +205,62 @@ def test_the_trigger_path_does_each_piece_of_work_once(trained_models, demo_task
     assert len(tries) == sum(t.tool_invocations for t in traces) == 732
     assert detokenized == []
     assert len(contexts) == sum(1 for t in traces if t.tool_invocations) > 0
-    for context, head_lines, body_lines, calls, last_body in contexts.values():
-        assert head_lines == context.pos.line - 1
-        # every body extends the one before: the open line at each call, and
-        # each closed line once
-        assert body_lines == calls + last_body.count("\n")
+    for stats in contexts.values():
+        assert stats.head_lines == stats.context.pos.line - 1
+        assert stats.head_parses == 1
+        # the open line at each call, and each closed line once
+        assert stats.body_lines == stats.calls + stats.body.count("\n")
+    # 11,298 when every call parsed the whole body
+    assert sum(stats.statements for stats in contexts.values()) == 1458
 
 
-# --- resumed lexing against lex of the whole text -------------------------------
+# --- the resumed analysis against the whole text's ----------------------------
 
+_DEEP = 101  # one level past the parser's nesting limit
 _LINES = st.tuples(
     st.sampled_from([0, 0, 0, 2, 4, 4, 6, 8]),  # body level, stray and nested indents
     st.sampled_from([
         "", "x = 1", "if x:", "else:", "while x:", "return self.", "self.size = 2",
         '"ab', '"s"', "y = $", "<COMP>", "x.<COMP>b(1)", "a = (1", ")", "return",
+        "if x", "x = = 1", "self.mark = x", "y = " + "(" * _DEEP + "1" + ")" * _DEEP,
     ]),
 ).map(lambda p: " " * p[0] + p[1])
 
 
+def _assert_equal_analyses(got, want):
+    assert got.tokens == want.tokens
+    assert got.diagnostics == want.diagnostics  # in order
+    assert got.function == want.function
+    assert got.own_attributes == want.own_attributes
+    assert got.end == want.end
+
+
 def _check(context, body):
-    text = context.head + indent_body(body, context.pos.column)
-    analysis = context.analyse(body)
-    assert analysis.tokens == lex(text)[0]
-    assert analysis.diagnostics == parse(text, context.pos.file).diagnostics
+    _assert_equal_analyses(context.analyse(body), whole_text_analysis(context, body))
 
 
 @pytest.mark.parametrize("task", [METHOD_TASK, FUNCTION_TASK], ids=["method", "function"])
 @settings(max_examples=150, deadline=None)
 @given(lines=st.lists(_LINES, min_size=1, max_size=8), data=st.data())
 @example(lines=["if x:", "    x = 1", "  y = 2", "x"], data=None)
-def test_resumed_lexing_equals_lex_of_the_whole_text(task, lines, data):
+# `else:` after an `if` block closed on an earlier line, then on the open one
+@example(lines=["if x:", "    self.a = 1", "y = 2", "else:", "    x = 1", "x = 2"], data=None)
+@example(lines=["if x:", "    self.a = 1", "else:", "    self.b = 1", "x = 2"], data=None)
+# a dedent back to body level after nested blocks
+@example(lines=["while x:", "    if x:", "        x = 1", "self.c = 2", "x"], data=None)
+# malformed lines that recover, each followed by a body-level line
+@example(lines=["if x", "    self.a = 1", "x = 1", "x = = 1", "y = 2"], data=None)
+@example(lines=["y = (1", "    z = 2", "self.a = 1"], data=None)
+# an unindent that matches no outer level, at a nested level and at body level
+@example(lines=["if x:", "        x = 1", "    y = 2", "self.a = 3", "x"], data=None)
+@example(lines=["if x:", "    x = 1", "  y = 2", "  z = 3", "w = 4"], data=None)
+# nesting past the limit, in blocks and in brackets
+@example(lines=[" " * k + "if x:" for k in range(_DEEP + 1)] + ["self.a = 1", "y = 1"], data=None)
+@example(lines=["y = " + "(" * _DEEP + "1" + ")" * _DEEP, "self.a = 1"], data=None)
+def test_resumed_analysis_equals_the_whole_text_analysis(task, lines, data):
     """Bodies grown line by line, and a character at a time within a line,
-    into one context; now and then a body that does not extend the last."""
+    into one context; now and then a body that does not extend the last, as
+    scoring's ground truth and predictions do not."""
     context = TaskContext.at(*task)
     for k, line in enumerate(lines):
         closed = "".join(l + "\n" for l in lines[:k])

@@ -97,6 +97,51 @@ def test_with_text_chains_share_exactly(tree, data):
             a = parents[a]
 
 
+# Pieces a fuzzed text splices in: MiniPy's characters, and what the lexer
+# and parser treat specially (markers, stray indents, tabs, illegal characters,
+# unterminated strings, block openers).
+_PIECES = st.sampled_from(
+    list(' \n\t"$#():.,=+-*/<>_aZ09') + ["<COMP>", "    ", "\n    ", "def ", "class ", "if x:", "else:"]
+)
+
+
+@st.composite
+def fuzzed_texts(draw):
+    """A corpus text with a few spans replaced by runs of pieces (an empty
+    span inserts, an empty run deletes)."""
+    text = draw(st.sampled_from(TEXT_POOL))
+    for _ in range(draw(st.integers(0, 6))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 8)))
+        text = text[:i] + "".join(draw(st.lists(_PIECES, max_size=3))) + text[j:]
+    return text
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzzed_chains_analyse_each_edit_afresh_and_leave_the_parent_alone(data):
+    """Each snapshot of a chain, made by giving an existing or a new path a
+    fuzzed text, lexes and parses that file as `lex` and `parse` do, while
+    the parent's caches for the path keep the objects they held."""
+    repo = Repository(ROOT_REPO.files)
+    for step in range(data.draw(st.integers(1, 5))):
+        path = data.draw(st.sampled_from(repo.paths() + [f"new{step}.mp"]))
+        text = data.draw(fuzzed_texts())
+        if path in repo.files and data.draw(st.booleans()):
+            repo.module(path)  # fill the cache of the repository that holds it
+        holder = repo._origin.get(path, repo)
+        lexed, module = holder._lex_cache.get(path), holder._module_cache.get(path)
+
+        snap = repo.with_text(path, text)
+        assert snap.lex(path) == lexer.lex(text)
+        assert snap.module(path) == parser.parse(text, path)
+        assert holder._lex_cache.get(path) is lexed and holder._module_cache.get(path) is module
+        assert snap.lex(path) is not lexed and snap.module(path) is not module
+        if lexed is not None:
+            assert repo.lex(path) is lexed and repo.module(path) is module
+        repo = snap
+
+
 def test_chain_keeps_no_intermediate_snapshot_alive():
     root = Repository(ROOT_REPO.files)
     first, second = PATHS[0], PATHS[1]
