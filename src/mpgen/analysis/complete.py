@@ -20,9 +20,7 @@ from ..repo import CaretPosition, Repository
 from .builtins import is_builtin
 from .insert import indent_body
 from .lint import LintError, function_errors, syntax_errors
-from .scope import (
-    ScopeIndex, build_scope_index, locals_before, receiver_members, scope_index_for,
-)
+from .scope import ScopeIndex, build_scope_index, locals_before, receiver_members
 
 
 @dataclass(frozen=True)
@@ -73,7 +71,7 @@ def tool_complete(repo: Repository, caret: CaretPosition) -> list[str]:
     unresolvable receiver yields an empty list rather than an error.
     """
     ctx = classify_caret(repo, caret)
-    index = scope_index_for(repo)
+    index = build_scope_index(repo)
     _, func = index.enclosing(caret.file, caret.line)
     return _suggestions(index, caret, ctx, func)
 
@@ -118,12 +116,15 @@ class _Checkpoint(NamedTuple):
 class TaskContext:
     """The one function being written at a blanked caret, analysed alone.
 
-    Holds the blanked repository's scope index and a head text of the lines
-    the function needs (class header, def line, docstring) at their own line
-    numbers; `analyse` lexes and parses only the head plus a body. That is
-    exact: lexing is line-local but for the indent stack, a def's parse ends
-    at the dedent closing its body, and every later line of the blanked file
-    sits below the body's indentation. Nor can a body change what the index
+    Holds a scope index of the blanked repository and a head text of the
+    lines the function needs (class header, def line, docstring) at their own
+    line numbers; `analyse` lexes and parses only the head plus a body. The
+    index is lazy (see `analysis.scope`): making the context lexes, parses
+    and scopes the blanked file alone, and another file is scoped only when
+    a receiver resolves through an import of it. That is exact: lexing is
+    line-local but for the indent stack, a def's parse ends at the dedent
+    closing its body, and every later line of the blanked file sits below
+    the body's indentation. Nor can a body change what the index
     holds, since every body line is indented past the module level; the one
     exception, the attributes a method assigns to its class, the analysis
     adds.

@@ -20,7 +20,7 @@ from ..minilang.lexer import Diagnostic
 from ..minilang.parser import ClassDef, FunctionDef, extract_functions
 from ..repo import Repository
 from .builtins import BUILTIN_NAMES, is_builtin
-from .scope import ScopeIndex, name_assignments, receiver_members, scope_index_for
+from .scope import ScopeIndex, build_scope_index, name_assignments, receiver_members
 
 SYNTAX_ERROR = "syntax-error"
 UNDEFINED_VARIABLE = "undefined-variable"
@@ -111,7 +111,7 @@ def function_errors(
 
 def lint_check(repo: Repository, file: str) -> list[LintError]:
     module = repo.module(file)
-    index = scope_index_for(repo)
+    index = build_scope_index(repo)
     errors = syntax_errors(file, module.diagnostics)
     _check_expressions(module.body, _module_names(index, file), index, file, None, errors)
     for fn in extract_functions(module):

@@ -23,6 +23,18 @@ mini-language: the receiver `self` (a method's first parameter) resolves to
 the class that encloses the method, a local resolves to the class it was
 most recently constructed from, a class or module name resolves to itself,
 and everything else is unresolvable.
+
+The index is lazy: `ScopeIndex.module_scope` builds a file's `ModuleScope`
+the first time a lookup reaches its path, and keeps it on the repository.
+A query therefore analyses only the files it reaches; a task context, for
+one, scopes its blanked file and the modules that a receiver resolves
+through. That is exact because a file's scope depends only on its own parse
+and on the repository's set of paths, which decides whether an import
+resolves, and a repository fixes both. The scopes are kept per repository,
+not inherited like lexes and parses: a snapshot that adds a path can
+resolve an import that its ancestor could not. The index holds its
+repository and the repository holds only scopes, so no reference cycle
+keeps either alive past its last use.
 """
 
 from __future__ import annotations
@@ -75,12 +87,21 @@ class ModuleScope:
         return self.members | set(self.imports)
 
 
-@dataclass
 class ScopeIndex:
-    modules: dict[str, ModuleScope]
+    """The scopes of one repository's files, each built on first use."""
+
+    def __init__(self, repo: Repository):
+        self.repo = repo
 
     def module_scope(self, path: str) -> Optional[ModuleScope]:
-        return self.modules.get(path)
+        """The scope of the file at path, or None when the repository has no
+        such file."""
+        cache = self.repo._scope_cache
+        scope = cache.get(path)
+        if scope is None and path in self.repo.files:
+            # setdefault: threads racing on one repository keep one result
+            scope = cache.setdefault(path, _module_scope(self.repo, path))
+        return scope
 
     def enclosing(self, path: str, line: int) -> tuple[Optional[ClassDef], Optional[FunctionDef]]:
         """Class and function whose span contains the given line.
@@ -89,7 +110,7 @@ class ScopeIndex:
         the class is the one holding that function, or, outside every
         function, the line itself.
         """
-        scope = self.modules.get(path)
+        scope = self.module_scope(path)
         if scope is None:
             return None, None
         func = next(
@@ -99,11 +120,11 @@ class ScopeIndex:
 
     def _class_at(self, path: str, line: int) -> Optional[ClassDef]:
         """The class whose header or methods' lines hold the line."""
-        classes = self.modules[path].module.classes
+        classes = self.module_scope(path).module.classes
         return next((c for c in classes if c.line <= line <= c.end_line), None)
 
     def resolve_class_name(self, path: str, name: str) -> Optional[ClassDef]:
-        scope = self.modules.get(path)
+        scope = self.module_scope(path)
         if scope is None:
             return None
         if name in scope.classes:
@@ -111,18 +132,18 @@ class ScopeIndex:
         target = scope.imports.get(name)
         if target and target[0] == "name":
             _, tpath, tname = target
-            other = self.modules.get(tpath)
+            other = self.module_scope(tpath)
             if other and tname in other.classes:
                 return other.classes[tname]
         return None
 
     def resolve_module_alias(self, path: str, name: str) -> Optional[ModuleScope]:
-        scope = self.modules.get(path)
+        scope = self.module_scope(path)
         if scope is None:
             return None
         target = scope.imports.get(name)
         if target and target[0] == "module":
-            return self.modules.get(target[1])
+            return self.module_scope(target[1])
         return None
 
     def resolve_receiver(
@@ -164,34 +185,29 @@ def receiver_members(
 
 
 def build_scope_index(repo: Repository) -> ScopeIndex:
-    """Build the repository-wide scope index."""
-    modules: dict[str, ModuleScope] = {}
-    for path in repo.paths():
-        mod = repo.module(path)
-        imports: dict[str, tuple] = {}
-        for imp in mod.imports:
-            target = imp.module + SOURCE_SUFFIX
-            if target not in repo.files:
-                imports.update(dict.fromkeys(imp.bound_names, ("unresolved",)))
-            elif imp.names:
-                imports.update((n, ("name", target, n)) for n in imp.names)
-            else:
-                imports[imp.module] = ("module", target)
-        classes = {cls.name: cls for cls in mod.classes}
-        members = (
-            {fn.name for fn in mod.functions}
-            | set(classes)
-            | {stmt.target.id for stmt in name_assignments(mod.body)}
-        )
-        modules[path] = ModuleScope(mod, members, classes, imports)
-    return ScopeIndex(modules)
+    """The repository's scope index; it builds each file's scope on first use."""
+    return ScopeIndex(repo)
 
 
-def scope_index_for(repo: Repository) -> ScopeIndex:
-    """Per-repository cached index (repositories are immutable)."""
-    if repo._index is None:
-        repo._index = build_scope_index(repo)
-    return repo._index
+def _module_scope(repo: Repository, path: str) -> ModuleScope:
+    """The scope of one file of the repository, from its cached parse."""
+    mod = repo.module(path)
+    imports: dict[str, tuple] = {}
+    for imp in mod.imports:
+        target = imp.module + SOURCE_SUFFIX
+        if target not in repo.files:
+            imports.update(dict.fromkeys(imp.bound_names, ("unresolved",)))
+        elif imp.names:
+            imports.update((n, ("name", target, n)) for n in imp.names)
+        else:
+            imports[imp.module] = ("module", target)
+    classes = {cls.name: cls for cls in mod.classes}
+    members = (
+        {fn.name for fn in mod.functions}
+        | set(classes)
+        | {stmt.target.id for stmt in name_assignments(mod.body)}
+    )
+    return ModuleScope(mod, members, classes, imports)
 
 
 def locals_before(func: FunctionDef, before: tuple[int, int]) -> set[str]:

@@ -24,7 +24,9 @@ class attributes the function assigns, the one thing the splice changes in
 the scope index.
 
 Each prediction and ground truth is lexed once on its own, and that lex
-feeds its token ids, its canonical text and its parse.
+feeds its token ids and its canonical text. Each is parsed once, in its
+task context, and that parse gives both its lint verdict and its access
+expressions.
 """
 
 from __future__ import annotations
@@ -33,15 +35,14 @@ from collections import Counter
 from dataclasses import dataclass
 from math import exp, log
 from statistics import mean
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from ._kernels import levenshtein
-from .analysis.complete import TaskContext
+from .analysis.complete import TaskAnalysis, TaskContext
 from .lm.tokenizer import tokenize
 from .lm.vocab import Vocab
 from .minilang import nodes
 from .minilang.lexer import lex
-from .minilang.parser import parse_body
 from .minilang.render import render_tokens
 from .repo import CaretPosition, Repository
 from .trigger import is_trigger
@@ -82,9 +83,10 @@ def _access_candidates(stmts: list[nodes.Stmt]) -> list[tuple[str, tuple[tuple[i
 
 
 def extract_expressions(stmts: list[nodes.Stmt]) -> set[str]:
-    """All attribute-access and call-target expressions in a prediction's
-    parse (`parse_body`); an unparseable prediction contributes whatever the
-    recovering parser keeps."""
+    """All attribute-access and call-target expressions in the statements,
+    a prediction's function body as its task analysis parses it; an
+    unparseable prediction contributes whatever the recovering parser
+    keeps."""
     return {text for text, _ in _access_candidates(stmts)}
 
 
@@ -107,10 +109,11 @@ def identify_dependencies(gt: str, task: TaskContext) -> set[str]:
     return deps
 
 
-def pair_is_valid(pair: EvalPair, task: TaskContext) -> bool:
-    """True iff the prediction's function, up to the end of the prediction,
-    lints clean; task is `task_context(pair.repo, pair.pos)`."""
-    return not task.analyse(pair.pred).lint()
+def pair_is_valid(analysis: TaskAnalysis) -> bool:
+    """True iff a prediction's function, up to the end of the prediction,
+    lints clean; analysis is the prediction analysed in its task context,
+    `task_context(pair.repo, pair.pos).analyse(pair.pred)`."""
+    return not analysis.lint()
 
 
 def edit_similarity(a: str, b: str) -> float:
@@ -185,9 +188,16 @@ class GroundTruth:
     ids: list[int]
 
 
-def ground_truth(pairs: Sequence[EvalPair], vocab: Vocab) -> tuple[GroundTruth, list[bool]]:
+class Verdict(NamedTuple):
+    """What scoring reads of one prediction's analysis in its task."""
+
+    valid: bool             # `pair_is_valid`
+    expressions: set[str]   # `extract_expressions` of its function body
+
+
+def ground_truth(pairs: Sequence[EvalPair], vocab: Vocab) -> tuple[GroundTruth, list[Verdict]]:
     """The task side of one task's pairs (one per model, say), and each
-    pair's `pair_is_valid` verdict in pair order, all from one task context."""
+    pair's verdict in pair order, all from one task context."""
     gt, repo, pos = pairs[0].gt, pairs[0].repo, pairs[0].pos
     if any((p.gt, p.pos) != (gt, pos) or p.repo is not repo for p in pairs):
         raise ValueError(f"pairs of more than one task at {pos.file}:{pos.line}")
@@ -198,23 +208,28 @@ def ground_truth(pairs: Sequence[EvalPair], vocab: Vocab) -> tuple[GroundTruth, 
         canonical=render_tokens(lexed[0]),
         ids=tokenize(gt, vocab, lexed=lexed),
     )
-    return truth, [pair_is_valid(p, task) for p in pairs]
+    verdicts = []
+    for pair in pairs:
+        analysis = task.analyse(pair.pred)
+        verdicts.append(
+            Verdict(pair_is_valid(analysis), extract_expressions(analysis.function.body))
+        )
+    return truth, verdicts
 
 
 def _score_pair(
-    pair: EvalPair, truth: GroundTruth, valid: bool, vocab: Vocab
+    pair: EvalPair, truth: GroundTruth, verdict: Verdict, vocab: Vocab
 ) -> tuple[dict, list[int]]:
     """The report row of one prediction, and its token ids for corpus BLEU."""
     lexed = lex(pair.pred)
     pred_ids = tokenize(pair.pred, vocab, lexed=lexed)
-    stmts, _diags = parse_body(pair.pred, lexed=lexed)
     row = {
         "label": pair.label,
         "file": pair.pos.file,
         "line": pair.pos.line,
         "dep_total": len(truth.deps),
-        "dep_covered": len(extract_expressions(stmts) & truth.deps),
-        "valid": valid,
+        "dep_covered": len(verdict.expressions & truth.deps),
+        "valid": verdict.valid,
         "exact_match": render_tokens(lexed[0]) == truth.canonical,
         "edit_sim": edit_similarity(pair.pred, pair.gt),
         "bleu4": corpus_bleu([(pred_ids, truth.ids)]),
@@ -241,7 +256,7 @@ def _aggregate(rows: list[dict], token_pairs: list[tuple[list[int], list[int]]])
 def evaluate_pairs(
     pairs: Sequence[EvalPair],
     vocab: Vocab,
-    judged: Optional[Sequence[tuple[GroundTruth, bool]]] = None,
+    judged: Optional[Sequence[tuple[GroundTruth, Verdict]]] = None,
 ) -> EvalReport:
     """All six headline metrics plus the per-pair breakdown.
 
@@ -253,12 +268,12 @@ def evaluate_pairs(
     if judged is None:
         judged = []
         for pair in pairs:
-            truth, (valid,) = ground_truth([pair], vocab)
-            judged.append((truth, valid))
+            truth, (verdict,) = ground_truth([pair], vocab)
+            judged.append((truth, verdict))
     rows: list[dict] = []
     token_pairs: list[tuple[list[int], list[int]]] = []
-    for pair, (truth, valid) in zip(pairs, judged, strict=True):
-        row, pred_ids = _score_pair(pair, truth, valid, vocab)
+    for pair, (truth, verdict) in zip(pairs, judged, strict=True):
+        row, pred_ids = _score_pair(pair, truth, verdict, vocab)
         rows.append(row)
         token_pairs.append((pred_ids, truth.ids))
     return _aggregate(rows, token_pairs)

@@ -352,8 +352,8 @@ def run_evaluate(config: RunConfig) -> dict:
     judged: dict[str, list] = {variant: [] for variant in runs}
     for task_pairs in zip(*(pairs for pairs, _traces in runs.values()), strict=True):
         truth, verdicts = ground_truth(task_pairs, vocab)
-        for variant, valid in zip(runs, verdicts, strict=True):
-            judged[variant].append((truth, valid))
+        for variant, verdict in zip(runs, verdicts, strict=True):
+            judged[variant].append((truth, verdict))
     report: dict = {"n_tasks": len(tasks), "models": {}}
     for variant, (pairs, traces) in runs.items():
         entry = evaluate_pairs(pairs, vocab, judged[variant]).to_dict()

@@ -7,8 +7,10 @@ that first held that text: a snapshot answers `lex` and `module` for every
 file it did not edit by asking the ancestor it inherited the text from, so
 a text is lexed and parsed once however many snapshots inherit it. A
 snapshot caches only its own edited files, which are freed with it.
-Generation makes one snapshot per completion trigger and so re-analyses
-only the file being written.
+Generation at a caret that is not a blanked task's makes one snapshot per
+completion trigger, and so re-analyses only the file being written. Each
+repository also keeps the scopes `analysis.scope.ScopeIndex` builds of its
+files; those are not inherited, since they depend on the set of paths.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ class Repository:
         self._module_cache: dict[str, _parser.Module] = {}
         # path -> the ancestor whose caches hold this path's (unchanged) text
         self._origin: dict[str, Repository] = {}
-        self._index = None  # built lazily by analysis.build_scope_index
+        # path -> its analysis.scope.ModuleScope, built lazily by ScopeIndex
+        self._scope_cache: dict = {}
 
     @classmethod
     def from_dir(cls, root: str) -> "Repository":

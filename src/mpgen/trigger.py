@@ -9,8 +9,8 @@ exactly.
 
 Each eligible identifier asks `tool_complete` once, with no cache of its
 own in front: the analysis a completion needs is already shared, since the
-repository lexes and parses each file once and `scope_index_for` builds one
-scope index per repository. `is_trigger` is the marking rule; the metrics
+repository lexes, parses and scopes each file once, the first time a
+completion reaches it. `is_trigger` is the marking rule; the metrics
 apply it, with a task analysis's completions, to mark a ground truth.
 """
 

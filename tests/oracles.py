@@ -17,6 +17,7 @@ import numpy as np
 from mpgen.analysis.complete import CaretContext, TaskAnalysis
 from mpgen.analysis.insert import indent_body, insert_text
 from mpgen.analysis.lint import lint_check
+from mpgen.analysis.scope import ModuleScope, name_assignments
 from mpgen.lm.ngram import train
 from mpgen.lm.tokenizer import detokenize, split_identifier
 from mpgen.lm.vocab import BOS_ID, COMP_ID, CONTROL_IDS, EOS_ID, build_vocab
@@ -25,7 +26,7 @@ from mpgen.minilang import tokens as tk
 from mpgen.minilang.lexer import Diagnostic, lex
 from mpgen.minilang.parser import extract_functions, parse
 from mpgen.minilang.tokens import LexToken
-from mpgen.repo import CaretPosition
+from mpgen.repo import SOURCE_SUFFIX, CaretPosition
 from mpgen.trigger import insert_triggers
 
 
@@ -69,6 +70,30 @@ def latest_enclosing_function(repo, file, line):
         if fn.line <= line <= max(fn.end_line, fn.body_start_line):
             return fn
     return None
+
+
+def eager_module_scopes(repo) -> dict:
+    """Every file's `ModuleScope`, built at once for the whole repository."""
+    modules = {}
+    for path in repo.paths():
+        mod = repo.module(path)
+        imports = {}
+        for imp in mod.imports:
+            target = imp.module + SOURCE_SUFFIX
+            if target not in repo.files:
+                imports.update(dict.fromkeys(imp.bound_names, ("unresolved",)))
+            elif imp.names:
+                imports.update((n, ("name", target, n)) for n in imp.names)
+            else:
+                imports[imp.module] = ("module", target)
+        classes = {cls.name: cls for cls in mod.classes}
+        members = (
+            {fn.name for fn in mod.functions}
+            | set(classes)
+            | {stmt.target.id for stmt in name_assignments(mod.body)}
+        )
+        modules[path] = ModuleScope(mod, members, classes, imports)
+    return modules
 
 
 # --- the lexer, one regex match per lexeme ------------------------------------
@@ -266,6 +291,14 @@ def whole_file_lint_in_span(pair):
 
 def whole_file_pair_is_valid(pair) -> bool:
     return not whole_file_lint_in_span(pair)
+
+
+def whole_file_expressions(pair) -> set:
+    """The access expressions of the prediction's function in the blanked
+    file with the prediction spliced in."""
+    snapshot, _caret = insert_text(pair.repo, pair.pos, pair.pred)
+    func = latest_enclosing_function(snapshot, pair.pos.file, pair.pos.line)
+    return {text for text, _positions in access_expressions(func.body)}
 
 
 def whole_file_dependencies(gt, repo, pos) -> set:

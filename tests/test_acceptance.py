@@ -17,6 +17,7 @@ from oracles import (
     naive_dep_cov,
     naive_edit_similarity,
     random_selection_case,
+    whole_file_expressions,
 )
 
 from conftest import CORPUS, ROOT, make_config
@@ -29,13 +30,12 @@ from mpgen.lm.vocab import BOS_ID, COMP_ID
 from mpgen.metrics import (
     corpus_bleu,
     edit_similarity,
-    extract_expressions,
     identify_dependencies,
     evaluate_pairs,
     task_context,
 )
 from mpgen.minilang import tokens as tk
-from mpgen.minilang.parser import extract_functions, parse_body
+from mpgen.minilang.parser import extract_functions
 from mpgen.minilang.render import render_tokens
 from mpgen.pipeline import (
     collect_repos,
@@ -184,7 +184,7 @@ def test_criterion_6_metric_oracle_equivalence(bench):
 
     dep_exp = [
         (
-            extract_expressions(parse_body(p.pred)[0]),
+            whole_file_expressions(p),
             identify_dependencies(p.gt, task_context(p.repo, p.pos)),
         )
         for p in pairs

@@ -36,14 +36,14 @@ def make_repo(**files):
 def test_module_table_contains_function():
     repo = make_repo(**{"a.mp": "def f():\n    return 1\n"})
     idx = build_scope_index(repo)
-    assert "f" in idx.modules["a.mp"].members
+    assert "f" in idx.module_scope("a.mp").members
 
 
 def test_counter_value_attribute_table():
     # the member _value in the class Counter
     repo = make_repo(**{"core.mp": COUNTER})
     idx = build_scope_index(repo)
-    assert idx.modules["core.mp"].classes["Counter"].attributes == {"_value"}
+    assert idx.module_scope("core.mp").classes["Counter"].attributes == {"_value"}
 
 
 def test_import_edge_resolution():
@@ -52,7 +52,7 @@ def test_import_edge_resolution():
         "app.mp": "from utils import g\ndef h():\n    return g()\n",
     })
     idx = build_scope_index(repo)
-    assert idx.modules["app.mp"].imports == {"g": ("name", "utils.mp", "g")}
+    assert idx.module_scope("app.mp").imports == {"g": ("name", "utils.mp", "g")}
     assert not [e for e in lint_check(repo, "app.mp")]
 
 
@@ -62,8 +62,8 @@ def test_import_cycle_resolves_both_ways():
         "b.mp": "import a\ndef g():\n    return a.f\n",
     })
     idx = build_scope_index(repo)
-    assert idx.modules["a.mp"].imports == {"b": ("module", "b.mp")}
-    assert idx.modules["b.mp"].imports == {"a": ("module", "a.mp")}
+    assert idx.module_scope("a.mp").imports == {"b": ("module", "b.mp")}
+    assert idx.module_scope("b.mp").imports == {"a": ("module", "a.mp")}
     assert tool_complete(repo, CaretPosition("a.mp", 3, len("    return b."))) == ["g"]
     assert lint_check(repo, "b.mp") == []
 

@@ -53,7 +53,7 @@ def deps_of(gt: str, repo: Repository, pos: CaretPosition) -> set[str]:
 
 
 def is_valid(pair: EvalPair) -> bool:
-    return pair_is_valid(pair, task_context(pair.repo, pair.pos))
+    return pair_is_valid(task_context(pair.repo, pair.pos).analyse(pair.pred))
 
 
 def expressions_of(text: str) -> set[str]:

@@ -201,9 +201,9 @@ def test_generate_leaves_the_task_snapshot_caches_alone(trained_models, demo_tas
     _config, tool, _vanilla = trained_models
     for task in demo_tasks[:20]:
         snap = task.snapshot
-        before = (snap._index, dict(snap._lex_cache), dict(snap._module_cache))
+        caches = (snap._lex_cache, snap._module_cache, snap._scope_cache)
+        before = [dict(cache) for cache in caches]
         generate(tool, snap, task.description, task.pos)
-        assert snap._index is before[0]
-        for cache, old in ((snap._lex_cache, before[1]), (snap._module_cache, before[2])):
+        for cache, old in zip(caches, before):
             assert cache.keys() == old.keys()
             assert all(cache[k] is old[k] for k in old)

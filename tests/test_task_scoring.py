@@ -14,12 +14,14 @@ from mpgen.decode import GenerationConfig
 from mpgen.lm.vocab import RESERVED_TOKENS, Vocab
 from mpgen.metrics import (
     EvalPair,
+    evaluate_pairs,
+    extract_expressions,
     ground_truth,
     identify_dependencies,
     pair_is_valid,
     task_context,
 )
-from mpgen.minilang.parser import extract_functions
+from mpgen.minilang.parser import extract_functions, parse_body
 from mpgen.minilang.render import render_tokens
 from mpgen.pipeline import (
     _blank_function, derive_tasks, load_tasks, run_evaluate, run_model_over_tasks,
@@ -27,7 +29,10 @@ from mpgen.pipeline import (
 from mpgen.repo import CaretPosition, Repository
 
 from conftest import make_config
-from oracles import whole_file_dependencies, whole_file_lint_in_span, whole_file_pair_is_valid
+from oracles import (
+    whole_file_dependencies, whole_file_expressions, whole_file_lint_in_span,
+    whole_file_pair_is_valid,
+)
 
 
 def _key(e):
@@ -52,18 +57,20 @@ def task_pairs(trained_models):
     return list(zip(*runs, strict=True))
 
 
-def test_task_scoring_equals_the_whole_file_on_the_benchmark(task_pairs):
+def test_task_scoring_equals_the_whole_file_on_the_benchmark(task_pairs, trained_models):
+    vocab = trained_models[1].vocab
     verdicts, dep_counts = [], []
     for pairs in task_pairs:
         gt, repo, pos = pairs[0].gt, pairs[0].repo, pairs[0].pos
         task = task_context(repo, pos)
-        deps = identify_dependencies(gt, task)
-        assert deps == whole_file_dependencies(gt, repo, pos)
-        dep_counts.append(len(deps))
-        for pair in pairs:
+        truth, judged = ground_truth(pairs, vocab)
+        assert truth.deps == whole_file_dependencies(gt, repo, pos)
+        dep_counts.append(len(truth.deps))
+        for pair, verdict in zip(pairs, judged, strict=True):
             assert _records(task, pair.pred) == whole_file_lint_in_span(pair), pair.label
-            verdicts.append(pair_is_valid(pair, task))
-            assert verdicts[-1] == whole_file_pair_is_valid(pair)
+            assert verdict.valid == whole_file_pair_is_valid(pair), pair.label
+            assert verdict.expressions == whole_file_expressions(pair), pair.label
+            verdicts.append(verdict.valid)
     assert len(dep_counts) == 126 and len(verdicts) == 252
     # both sides of each comparison occur
     assert 0 < sum(verdicts) < 252
@@ -106,7 +113,9 @@ def test_task_scoring_equals_the_whole_file_on_mutants(sampled_tasks, data):
             text = text[:i] + text[i + data.draw(st.integers(1, 6)):]
     pair = EvalPair(pairs[0].gt, text, pairs[0].repo, pairs[0].pos)
     assert _records(task, text) == whole_file_lint_in_span(pair)
-    assert pair_is_valid(pair, task) == whole_file_pair_is_valid(pair)
+    analysis = task.analyse(text)
+    assert pair_is_valid(analysis) == whole_file_pair_is_valid(pair)
+    assert extract_expressions(analysis.function.body) == whole_file_expressions(pair)
     assert identify_dependencies(text, task) == (
         whole_file_dependencies(text, pair.repo, pair.pos)
     )
@@ -131,7 +140,23 @@ def test_records_outside_the_function_do_not_count(pred):
     pair = EvalPair("return self._n", pred, repo, CaretPosition("c.mp", 7, 8))
     task = task_context(pair.repo, pair.pos)
     assert _records(task, pred) == whole_file_lint_in_span(pair)
-    assert pair_is_valid(pair, task) == whole_file_pair_is_valid(pair) == (pred != "return self._m")
+    assert pair_is_valid(task.analyse(pair.pred)) == whole_file_pair_is_valid(pair) == (pred != "return self._m")
+
+
+def test_dep_covered_reads_the_def_body_parse_of_stray_indentation():
+    """A prediction's access expressions come from its function as the task
+    analysis parses it, which drops an unexpectedly indented block as the
+    whole file's parse does; the bare text's `parse_body` keeps the block."""
+    src = 'import y\nimport w\n\ndef f():\n    "Touch both"\n    \n'
+    repo = Repository({"f.mp": src, "y.mp": "z = 1\n", "w.mp": "v = 1\n"})
+    pos = CaretPosition("f.mp", 6, 4)
+    pred = "x = 1\n    y.z = 2\nw.v = 3\n"
+    pair = EvalPair("y.z = 2\nw.v = 3\n", pred, repo, pos)
+    deps = whole_file_dependencies(pair.gt, repo, pos)
+    assert deps == {"y.z", "w.v"}
+    (row,) = evaluate_pairs([pair], Vocab(RESERVED_TOKENS)).per_pair
+    assert row["dep_covered"] == len(whole_file_expressions(pair) & deps) == 1
+    assert len(extract_expressions(parse_body(pred)[0]) & deps) == 2
 
 
 def test_scoring_refuses_a_caret_that_is_not_a_blanked_tasks():
@@ -272,5 +297,5 @@ def test_every_blanked_function_has_a_task_context(corpus_repos, data):
         assert task is not None, (path, func.name)
         gt = render_tokens(func.body_tokens)
         pair = EvalPair(gt, gt, snap, pos)
-        assert pair_is_valid(pair, task) == whole_file_pair_is_valid(pair)
+        assert pair_is_valid(task.analyse(pair.pred)) == whole_file_pair_is_valid(pair)
         assert identify_dependencies(gt, task) == whole_file_dependencies(gt, snap, pos)
