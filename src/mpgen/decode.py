@@ -25,11 +25,12 @@ cache key is the count plus a backward scan over the receiver before a
 trailing `.`, which passes over control tokens as the tool, reading the
 text without them, does.
 
-At a blanked task's caret the tool runs through a `TaskContext`, built at
-the first cache miss, that analyses only the function being written, and
-resumes from what the last trigger left: it lexes only the lines closed
-since then and the open one, and parses the body only from its last
-settled statement on. At any other caret each trigger splices the partial
+At a blanked task's caret the tool runs through a `TaskContext` that
+analyses only the function being written: the caller's, when it hands one
+in (scoring then reads the same context), or else one built at the first
+cache miss. The context resumes from what the last trigger left: it lexes
+only the lines closed since then and the open one, and parses the body
+only from its last settled statement on. At any other caret each trigger splices the partial
 function into a snapshot for `tool_complete`. Both give the same
 suggestions.
 
@@ -257,12 +258,20 @@ def generate(
     description: str,
     pos: CaretPosition,
     cfg: GenerationConfig = GenerationConfig(),
+    *,
+    task: Optional[TaskContext] = None,
 ) -> tuple[str, GenerationTrace]:
     """Generate a function body at pos, returning (canonical text, trace).
 
-    Raises CaretError when pos does not lie in the repository.
+    task, if given, is the task context at pos, which the tool completes
+    through; without it the call makes its own at the first cache miss, or
+    asks the whole-file tool when pos is not a blanked task's caret.
+    Raises CaretError when pos does not lie in the repository, and
+    ValueError when task is at another caret.
     """
     repo.validate_caret(pos)
+    if task is not None and task.pos != pos:
+        raise ValueError(f"a task context at {task.pos} cannot complete at {pos}")
     vocab = model.vocab
     bucket = description_bucket(tokenize(description, vocab), vocab, model.buckets)
     prefix = Prefix(vocab)
@@ -270,7 +279,7 @@ def generate(
     trace = GenerationTrace()
     # a trie and its shadowed count per key; None for an empty suggestion list
     cache: dict[tuple, Optional[tuple[PrefixTrie, int]]] = {}
-    task: Optional[TaskContext | bool] = None  # False: ask the whole-file tool
+    tool: Optional[TaskContext | bool] = task  # False: ask the whole-file tool
 
     while True:
         counts = model.next_counts(bucket, seq)
@@ -295,10 +304,10 @@ def generate(
             entry = cache[key]
             trace.cache_hits += 1
         else:
-            if task is None:  # decided once per call, at the first miss
-                task = TaskContext.at(repo, pos) or False
-            if task:
-                suggestions = task.complete(prefix.body.text())
+            if tool is None:  # decided once per call, at the first miss
+                tool = TaskContext.at(repo, pos) or False
+            if tool:
+                suggestions = tool.complete(prefix.body.text())
             else:
                 suggestions = tool_complete(*insert(repo, pos, seq, vocab))
             trace.tool_invocations += 1

@@ -1,8 +1,10 @@
 """Evaluation metrics over (generated, ground-truth) pairs.
 
 Both repository-aware metrics read one function of a benchmark task: the
-one whose body the task blanked. Scoring therefore builds one
-`TaskContext` per task at the blanked caret and asks it, through
+one whose body the task blanked. Scoring therefore reads one
+`TaskContext` per task at the blanked caret, the one generation completed
+through when the caller hands it in (`pipeline.run_evaluate` generates and
+scores task by task) or else a new one, and asks it, through
 `TaskContext.analyse`, about that function with a ground truth or a
 prediction written in; the context is dropped before the next task.
 
@@ -26,7 +28,10 @@ the scope index.
 Each prediction and ground truth is lexed once on its own, and that lex
 feeds its token ids and its canonical text. Each is parsed once, in its
 task context, and that parse gives both its lint verdict and its access
-expressions.
+expressions. Corpus BLEU is a ratio of summed clipped n-gram counts, so
+each pair's counts are taken once, while its task is scored (each ground
+truth's n-grams counted once for all models), and the pair's score and the
+corpus score are both read off them.
 """
 
 from __future__ import annotations
@@ -124,35 +129,65 @@ def edit_similarity(a: str, b: str) -> float:
 
 
 def _ngram_counts(ids: Sequence[int], n: int) -> Counter:
-    return Counter(tuple(ids[i: i + n]) for i in range(len(ids) - n + 1))
+    return Counter(zip(*(ids[i:] for i in range(n))))
 
 
-def corpus_bleu(token_pairs: Sequence[tuple[Sequence[int], Sequence[int]]]) -> float:
-    """Corpus BLEU, n<=4, brevity penalty, 1/(2*total) smoothing on zero matches.
+def reference_ngrams(ids: Sequence[int]) -> list[Counter]:
+    """A reference's n-gram counts, n = 1..4, for `bleu_counts`."""
+    return [_ngram_counts(ids, n) for n in range(1, 5)]
+
+
+class BleuCounts(NamedTuple):
+    """One candidate's BLEU statistics against its reference. Corpus BLEU
+    reads only their sums over the pairs."""
+
+    ref_len: int
+    orders: tuple[tuple[int, int], ...]  # (clipped matches, candidate n-grams), n = 1..4
+
+
+def bleu_counts(pred: Sequence[int], ref: Sequence[int], ref_ngrams: list[Counter]) -> BleuCounts:
+    """The candidate pred's counts against ref, whose `reference_ngrams` are
+    ref_ngrams."""
+    orders = []
+    for n, ref_counts in enumerate(ref_ngrams, start=1):
+        total = max(len(pred) - n + 1, 0)
+        matches = 0
+        if total:
+            pred_counts = _ngram_counts(pred, n)
+            matches = sum(min(c, ref_counts[gram]) for gram, c in pred_counts.items())
+        orders.append((matches, total))
+    return BleuCounts(len(ref), tuple(orders))
+
+
+def bleu_from_counts(counts: Sequence[BleuCounts]) -> float:
+    """Corpus BLEU, n<=4, brevity penalty, 1/(2*total) smoothing on zero
+    matches, from each pair's counts.
 
     Orders with no candidate n-grams at all are excluded from the geometric
-    mean (short-corpus guard).
+    mean (short-corpus guard). The sums are integers, so any grouping of
+    the pairs gives the same score.
     """
-    pred_len = sum(len(p) for p, _ in token_pairs)
-    gt_len = sum(len(g) for _, g in token_pairs)
+    pred_len = sum(c.orders[0][1] for c in counts)  # one unigram per token
     if pred_len == 0:
         return 0.0
+    ref_len = sum(c.ref_len for c in counts)
     logs: list[float] = []
-    for n in range(1, 5):
-        total = sum(max(len(p) - n + 1, 0) for p, _ in token_pairs)
+    for n in range(4):
+        total = sum(c.orders[n][1] for c in counts)
         if total == 0:
             continue
-        matches = 0
-        for p, g in token_pairs:
-            cp = _ngram_counts(p, n)
-            cg = _ngram_counts(g, n)
-            matches += sum(min(c, cg[gram]) for gram, c in cp.items())
+        matches = sum(c.orders[n][0] for c in counts)
         p_n = matches / total if matches > 0 else 1.0 / (2.0 * total)
         logs.append(log(p_n))
     if not logs:
         return 0.0
-    bp = 1.0 if pred_len > gt_len else exp(1.0 - gt_len / pred_len)
+    bp = 1.0 if pred_len > ref_len else exp(1.0 - ref_len / pred_len)
     return bp * exp(sum(logs) / len(logs))
+
+
+def corpus_bleu(token_pairs: Sequence[tuple[Sequence[int], Sequence[int]]]) -> float:
+    """Corpus BLEU of (candidate ids, reference ids) pairs; see `bleu_from_counts`."""
+    return bleu_from_counts([bleu_counts(p, g, reference_ngrams(g)) for p, g in token_pairs])
 
 
 @dataclass
@@ -184,60 +219,67 @@ class GroundTruth:
     """The task side of a pair, the same for every model scored on the task."""
 
     deps: set[str]
-    canonical: str
-    ids: list[int]
 
 
 class Verdict(NamedTuple):
-    """What scoring reads of one prediction's analysis in its task."""
+    """What scoring reads of one prediction in its task."""
 
     valid: bool             # `pair_is_valid`
     expressions: set[str]   # `extract_expressions` of its function body
+    exact_match: bool       # canonical text equal to the ground truth's
+    bleu: BleuCounts        # token ids against the ground truth's
 
 
-def ground_truth(pairs: Sequence[EvalPair], vocab: Vocab) -> tuple[GroundTruth, list[Verdict]]:
+def ground_truth(
+    pairs: Sequence[EvalPair], vocab: Vocab, task: Optional[TaskContext] = None
+) -> tuple[GroundTruth, list[Verdict]]:
     """The task side of one task's pairs (one per model, say), and each
-    pair's verdict in pair order, all from one task context."""
+    pair's verdict in pair order, all from one task context: task, if given,
+    which must be the context at the pairs' caret, or a new one.
+
+    The ground truth's n-gram counts live only as long as this call.
+    """
     gt, repo, pos = pairs[0].gt, pairs[0].repo, pairs[0].pos
     if any((p.gt, p.pos) != (gt, pos) or p.repo is not repo for p in pairs):
         raise ValueError(f"pairs of more than one task at {pos.file}:{pos.line}")
-    task = task_context(repo, pos)
+    if task is None:
+        task = task_context(repo, pos)
+    elif task.pos != pos:
+        raise ValueError(f"a task context at {task.pos} cannot score the task at {pos}")
+    truth = GroundTruth(identify_dependencies(gt, task))
     lexed = lex(gt)
-    truth = GroundTruth(
-        deps=identify_dependencies(gt, task),
-        canonical=render_tokens(lexed[0]),
-        ids=tokenize(gt, vocab, lexed=lexed),
-    )
+    canonical = render_tokens(lexed[0])
+    ids = tokenize(gt, vocab, lexed=lexed)
+    ref_ngrams = reference_ngrams(ids)
     verdicts = []
     for pair in pairs:
         analysis = task.analyse(pair.pred)
-        verdicts.append(
-            Verdict(pair_is_valid(analysis), extract_expressions(analysis.function.body))
-        )
+        pred_lexed = lex(pair.pred)
+        verdicts.append(Verdict(
+            valid=pair_is_valid(analysis),
+            expressions=extract_expressions(analysis.function.body),
+            exact_match=render_tokens(pred_lexed[0]) == canonical,
+            bleu=bleu_counts(tokenize(pair.pred, vocab, lexed=pred_lexed), ids, ref_ngrams),
+        ))
     return truth, verdicts
 
 
-def _score_pair(
-    pair: EvalPair, truth: GroundTruth, verdict: Verdict, vocab: Vocab
-) -> tuple[dict, list[int]]:
-    """The report row of one prediction, and its token ids for corpus BLEU."""
-    lexed = lex(pair.pred)
-    pred_ids = tokenize(pair.pred, vocab, lexed=lexed)
-    row = {
+def _score_pair(pair: EvalPair, truth: GroundTruth, verdict: Verdict) -> dict:
+    """The report row of one prediction."""
+    return {
         "label": pair.label,
         "file": pair.pos.file,
         "line": pair.pos.line,
         "dep_total": len(truth.deps),
         "dep_covered": len(verdict.expressions & truth.deps),
         "valid": verdict.valid,
-        "exact_match": render_tokens(lexed[0]) == truth.canonical,
+        "exact_match": verdict.exact_match,
         "edit_sim": edit_similarity(pair.pred, pair.gt),
-        "bleu4": corpus_bleu([(pred_ids, truth.ids)]),
+        "bleu4": bleu_from_counts([verdict.bleu]),
     }
-    return row, pred_ids
 
 
-def _aggregate(rows: list[dict], token_pairs: list[tuple[list[int], list[int]]]) -> EvalReport:
+def _aggregate(rows: list[dict], bleu: list[BleuCounts]) -> EvalReport:
     n = len(rows)
     dep_total = sum(r["dep_total"] for r in rows)
     dep_rows = [r for r in rows if r["dep_total"]]
@@ -248,7 +290,7 @@ def _aggregate(rows: list[dict], token_pairs: list[tuple[list[int], list[int]]])
         val_rate_dep=sum(r["valid"] for r in dep_rows) / len(dep_rows) if dep_rows else None,
         exact_match=sum(r["exact_match"] for r in rows) / n if n else 0.0,
         edit_sim=mean(r["edit_sim"] for r in rows) if rows else 0.0,
-        bleu4=corpus_bleu(token_pairs),
+        bleu4=bleu_from_counts(bleu),
         per_pair=rows,
     )
 
@@ -270,10 +312,8 @@ def evaluate_pairs(
         for pair in pairs:
             truth, (verdict,) = ground_truth([pair], vocab)
             judged.append((truth, verdict))
-    rows: list[dict] = []
-    token_pairs: list[tuple[list[int], list[int]]] = []
-    for pair, (truth, verdict) in zip(pairs, judged, strict=True):
-        row, pred_ids = _score_pair(pair, truth, verdict, vocab)
-        rows.append(row)
-        token_pairs.append((pred_ids, truth.ids))
-    return _aggregate(rows, token_pairs)
+    rows = [
+        _score_pair(pair, truth, verdict)
+        for pair, (truth, verdict) in zip(pairs, judged, strict=True)
+    ]
+    return _aggregate(rows, [verdict.bleu for _truth, verdict in judged])

@@ -17,7 +17,7 @@ from .decode import GenerationConfig, GenerationTrace, generate
 from .lm.ngram import NGramModel, train
 from .lm.tokenizer import tokenize
 from .lm.vocab import BOS_ID, COMP_ID, EOS_ID, Vocab, build_vocab
-from .metrics import EvalPair, evaluate_pairs, ground_truth
+from .metrics import EvalPair, evaluate_pairs, ground_truth, task_context
 from .minilang.parser import FunctionDef, extract_functions
 from .minilang.render import render_tokens
 from .repo import CaretPosition, Repository, load_repositories
@@ -203,6 +203,10 @@ class Task:
     description: str
     gt: str
 
+    def pair(self, pred: str) -> EvalPair:
+        """The task's pair with a prediction."""
+        return EvalPair(gt=self.gt, pred=pred, repo=self.snapshot, pos=self.pos, label=self.label)
+
 
 def _blank_function(repo: Repository, file: str, func: FunctionDef) -> tuple[Repository, CaretPosition]:
     """Snapshot with the function body removed, and the caret on its one
@@ -298,9 +302,7 @@ def run_model_over_tasks(
     traces: list[GenerationTrace] = []
     for task in tasks:
         pred, trace = generate(model, task.snapshot, task.description, task.pos, gen_cfg)
-        pairs.append(
-            EvalPair(gt=task.gt, pred=pred, repo=task.snapshot, pos=task.pos, label=task.label)
-        )
+        pairs.append(task.pair(pred))
         traces.append(trace)
     return pairs, traces
 
@@ -335,29 +337,38 @@ def run_evaluate(config: RunConfig) -> dict:
     if not tasks:
         raise DataError("no benchmark tasks found in the eval corpus")
 
-    runs = {}
-    for variant, model, tool_enabled in (
-        ("tool", tool_model, True),
-        ("vanilla", vanilla_model, False),
-    ):
-        gen_cfg = GenerationConfig(
-            max_tokens=config.max_tokens,
-            cache_enabled=config.cache,
-            tool_enabled=tool_enabled,
-        )
-        runs[variant] = run_model_over_tasks(model, tasks, gen_cfg)
     vocab = tool_model.vocab
-    # Both models are scored on the same tasks, so the task side is computed
-    # once, with both verdicts, from one task context alive at a time.
-    judged: dict[str, list] = {variant: [] for variant in runs}
-    for task_pairs in zip(*(pairs for pairs, _traces in runs.values()), strict=True):
-        truth, verdicts = ground_truth(task_pairs, vocab)
-        for variant, verdict in zip(runs, verdicts, strict=True):
+    variants = {
+        variant: (model, GenerationConfig(
+            max_tokens=config.max_tokens, cache_enabled=config.cache, tool_enabled=tool_enabled
+        ))
+        for variant, model, tool_enabled in (
+            ("tool", tool_model, True),
+            ("vanilla", vanilla_model, False),
+        )
+    }
+    pairs: dict[str, list] = {variant: [] for variant in variants}
+    traces: dict[str, list] = {variant: [] for variant in variants}
+    judged: dict[str, list] = {variant: [] for variant in variants}
+    # Task by task: one task context serves the tool model's generation and
+    # then the scoring of both models' predictions, and is dropped before
+    # the next task is analysed.
+    for task in tasks:
+        context = task_context(task.snapshot, task.pos)
+        for variant, (model, gen_cfg) in variants.items():
+            pred, trace = generate(
+                model, task.snapshot, task.description, task.pos, gen_cfg, task=context
+            )
+            pairs[variant].append(task.pair(pred))
+            traces[variant].append(trace)
+        truth, verdicts = ground_truth([pairs[v][-1] for v in variants], vocab, context)
+        for variant, verdict in zip(variants, verdicts, strict=True):
             judged[variant].append((truth, verdict))
+        del context
     report: dict = {"n_tasks": len(tasks), "models": {}}
-    for variant, (pairs, traces) in runs.items():
-        entry = evaluate_pairs(pairs, vocab, judged[variant]).to_dict()
-        entry["traces"] = trace_summary(traces)
+    for variant in variants:
+        entry = evaluate_pairs(pairs[variant], vocab, judged[variant]).to_dict()
+        entry["traces"] = trace_summary(traces[variant])
         report["models"][variant] = entry
 
     os.makedirs(os.path.dirname(os.path.abspath(config.report)), exist_ok=True)

@@ -5,12 +5,15 @@ code path with the implementations it checks. The whole-file scoring
 oracles splice a text into the blanked file and run the whole-file
 completion tool and linter on it, where scoring reads one task analysis.
 The trigger-path oracles recompute from the whole prefix, or the whole
-text, what generation keeps up to date as the prefix grows.
+text, what generation keeps up to date as the prefix grows. The evaluate
+oracle runs the stages in the order they once ran, generating for every
+task before scoring any, each stage with contexts of its own.
 """
 
 import math
 import random
 import re
+from collections import Counter
 
 import numpy as np
 
@@ -18,14 +21,17 @@ from mpgen.analysis.complete import CaretContext, TaskAnalysis
 from mpgen.analysis.insert import indent_body, insert_text
 from mpgen.analysis.lint import lint_check
 from mpgen.analysis.scope import ModuleScope, name_assignments
-from mpgen.lm.ngram import train
+from mpgen.decode import GenerationConfig
+from mpgen.lm.ngram import load_model, train
 from mpgen.lm.tokenizer import detokenize, split_identifier
 from mpgen.lm.vocab import BOS_ID, COMP_ID, CONTROL_IDS, EOS_ID, build_vocab
+from mpgen.metrics import evaluate_pairs, ground_truth
 from mpgen.minilang import nodes
 from mpgen.minilang import tokens as tk
 from mpgen.minilang.lexer import Diagnostic, lex
 from mpgen.minilang.parser import extract_functions, parse
 from mpgen.minilang.tokens import LexToken
+from mpgen.pipeline import derive_tasks, load_tasks, run_model_over_tasks, trace_summary
 from mpgen.repo import SOURCE_SUFFIX, CaretPosition
 from mpgen.trigger import insert_triggers
 
@@ -218,6 +224,38 @@ def whole_text_analysis(context, body) -> TaskAnalysis:
     return TaskAnalysis(context, lexed[0], module.diagnostics, func, frozenset(written), end)
 
 
+# --- the evaluate flow -----------------------------------------------------------
+
+def generate_then_score_report(config) -> dict:
+    """`run_evaluate`'s report, from both models generating for every task
+    (each generation making its own task context at its first cache miss)
+    and then every task scored from a new context; nothing is written."""
+    tool_model = load_model(config.tool_model_path)
+    vanilla_model = load_model(config.vanilla_model_path)
+    tasks = load_tasks(config.tasks, config) if config.tasks else derive_tasks(config)
+    runs = {}
+    for variant, model, tool_enabled in (
+        ("tool", tool_model, True),
+        ("vanilla", vanilla_model, False),
+    ):
+        gen_cfg = GenerationConfig(
+            max_tokens=config.max_tokens, cache_enabled=config.cache, tool_enabled=tool_enabled
+        )
+        runs[variant] = run_model_over_tasks(model, tasks, gen_cfg)
+    vocab = tool_model.vocab
+    judged = {variant: [] for variant in runs}
+    for task_pairs in zip(*(pairs for pairs, _traces in runs.values()), strict=True):
+        truth, verdicts = ground_truth(task_pairs, vocab)
+        for variant, verdict in zip(runs, verdicts, strict=True):
+            judged[variant].append((truth, verdict))
+    report = {"n_tasks": len(tasks), "models": {}}
+    for variant, (pairs, traces) in runs.items():
+        entry = evaluate_pairs(pairs, vocab, judged[variant]).to_dict()
+        entry["traces"] = trace_summary(traces)
+        report["models"][variant] = entry
+    return report
+
+
 # --- recursive tree walks ------------------------------------------------------
 
 def recursive_walk_expressions(stmts):
@@ -350,6 +388,32 @@ def naive_bleu(token_pairs) -> float:
         return 0.0
     bp = 1.0 if pred_len > gt_len else math.exp(1.0 - gt_len / pred_len)
     return bp * math.exp(log_sum / orders)
+
+
+def counter_corpus_bleu(token_pairs) -> float:
+    """Corpus BLEU counting every pair's n-grams afresh for each order, as
+    `metrics.corpus_bleu` did before it summed per-pair counts; the same
+    float operations on the same integers."""
+    pred_len = sum(len(p) for p, _ in token_pairs)
+    gt_len = sum(len(g) for _, g in token_pairs)
+    if pred_len == 0:
+        return 0.0
+    logs = []
+    for n in range(1, 5):
+        total = sum(max(len(p) - n + 1, 0) for p, _ in token_pairs)
+        if total == 0:
+            continue
+        matches = 0
+        for p, g in token_pairs:
+            cp = Counter(tuple(p[i: i + n]) for i in range(len(p) - n + 1))
+            cg = Counter(tuple(g[i: i + n]) for i in range(len(g) - n + 1))
+            matches += sum(min(c, cg[gram]) for gram, c in cp.items())
+        p_n = matches / total if matches > 0 else 1.0 / (2.0 * total)
+        logs.append(math.log(p_n))
+    if not logs:
+        return 0.0
+    bp = 1.0 if pred_len > gt_len else math.exp(1.0 - gt_len / pred_len)
+    return bp * math.exp(sum(logs) / len(logs))
 
 
 def naive_dep_cov(dep_exp_sets):

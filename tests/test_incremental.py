@@ -271,6 +271,44 @@ def test_resumed_analysis_equals_the_whole_text_analysis(task, lines, data):
     _check(context, "".join(l + "\n" for l in lines))
 
 
+_TEXTS = st.lists(_LINES, max_size=5).map("\n".join)
+
+
+def _assert_same_answers(got, want):
+    _assert_equal_analyses(got, want)
+    key = lambda e: (e.line, e.column, e.kind, e.message)
+    assert sorted(got.lint(), key=key) == sorted(want.lint(), key=key)
+    assert got.complete_at(got.end.line, got.end.column) == (
+        want.complete_at(want.end.line, want.end.column)
+    )
+
+
+@pytest.mark.parametrize("task", [METHOD_TASK, FUNCTION_TASK], ids=["method", "function"])
+@settings(max_examples=150, deadline=None)
+@given(
+    generated=_TEXTS,
+    cuts=st.lists(st.integers(0, 200), max_size=6),
+    others=st.lists(_TEXTS, max_size=3),
+    tail=_TEXTS,
+    start=st.sampled_from(["generated", "other", "none"]),
+)
+def test_a_used_context_analyses_any_body_as_a_fresh_one(
+    task, generated, cuts, others, tail, start
+):
+    """A context that a generation has grown a body in, and then scoring has
+    asked about unrelated texts, analyses any body as a new context does:
+    one that extends the generated text, the last text asked about, or
+    neither."""
+    used = TaskContext.at(*task)
+    for cut in sorted(cuts) + [len(generated)]:
+        used.analyse(generated[:cut])
+    for text in others:
+        used.analyse(text)
+    last = others[-1] if others else generated
+    body = {"generated": generated + "\n", "other": last + "\n", "none": ""}[start] + tail
+    _assert_same_answers(used.analyse(body), TaskContext.at(*task).analyse(body))
+
+
 # --- a renderer read mid-way ----------------------------------------------------
 
 _ITEMS = st.sampled_from([

@@ -3,17 +3,21 @@ import statistics
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mpgen.lm.tokenizer import tokenize
 from mpgen.lm.vocab import build_vocab
 from mpgen.metrics import (
     EvalPair,
+    bleu_counts,
+    bleu_from_counts,
     corpus_bleu,
     edit_similarity,
     evaluate_pairs,
     extract_expressions,
     identify_dependencies,
     pair_is_valid,
+    reference_ngrams,
     task_context,
 )
 from mpgen.minilang.lexer import lex
@@ -24,7 +28,7 @@ from mpgen.repo import CaretPosition, Repository
 
 # --- independent oracles ------------------------------------------------------
 
-from oracles import naive_bleu, naive_dep_cov, naive_levenshtein
+from oracles import counter_corpus_bleu, naive_bleu, naive_dep_cov, naive_levenshtein
 
 
 # --- fixtures -----------------------------------------------------------------
@@ -310,6 +314,23 @@ def test_bleu_matches_oracle_on_mixed_corpus():
         ([], tokenize("u", v)),
     ]
     assert corpus_bleu(pairs) == pytest.approx(naive_bleu(pairs), abs=1e-12)
+
+
+# short sequences over few ids, so that n-grams repeat and match
+_IDS = st.lists(st.integers(4, 8), max_size=12)
+
+
+@settings(max_examples=500, deadline=None)
+@given(token_pairs=st.lists(st.tuples(_IDS, _IDS), max_size=6), cut=st.integers(0, 6))
+def test_bleu_from_summed_counts_equals_the_per_call_count(token_pairs, cut):
+    """Exactly, not approximately: the sums are integers, and the score is
+    the same float operations on them in any grouping of the pairs."""
+    counts = [bleu_counts(p, g, reference_ngrams(g)) for p, g in token_pairs]
+    want = counter_corpus_bleu(token_pairs)
+    assert corpus_bleu(token_pairs) == bleu_from_counts(counts) == want
+    assert bleu_from_counts(counts[cut:] + counts[:cut]) == want
+    for pair, count in zip(token_pairs, counts):
+        assert bleu_from_counts([count]) == counter_corpus_bleu([pair])
 
 
 def test_sentence_bleu_perfect_pair():

@@ -197,6 +197,28 @@ def test_blanked_caret_never_calls_the_whole_file_tool(trained_models, demo_task
     assert calls == []
 
 
+def test_a_handed_in_context_generates_what_an_own_context_does(trained_models, demo_tasks):
+    """`generate(..., task=context)` completes through the caller's context,
+    and a context another generation has used answers the same."""
+    _config, tool, _vanilla = trained_models
+    for task in demo_tasks[:20]:
+        context = TaskContext.at(task.snapshot, task.pos)
+        own = generate(tool, task.snapshot, task.description, task.pos)
+        for _ in range(2):
+            handed = generate(
+                tool, task.snapshot, task.description, task.pos, GenerationConfig(), task=context
+            )
+            assert (handed[0], handed[1].to_dict()) == (own[0], own[1].to_dict())
+
+
+def test_generate_refuses_a_context_at_another_caret(trained_models, demo_tasks):
+    _config, tool, _vanilla = trained_models
+    first, second = demo_tasks[:2]
+    context = TaskContext.at(first.snapshot, first.pos)
+    with pytest.raises(ValueError, match="cannot complete at"):
+        generate(tool, second.snapshot, second.description, second.pos, task=context)
+
+
 def test_generate_leaves_the_task_snapshot_caches_alone(trained_models, demo_tasks):
     _config, tool, _vanilla = trained_models
     for task in demo_tasks[:20]:

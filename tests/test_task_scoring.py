@@ -2,6 +2,7 @@
 splicing the text into the blanked file and analysing the whole file gives
 (`tests/oracles.py`), on the benchmark and on mutated predictions."""
 
+import dataclasses
 import json
 import sys
 
@@ -11,9 +12,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from mpgen.analysis import complete, lint, scope
 from mpgen.analysis.complete import TaskContext
 from mpgen.decode import GenerationConfig
+from mpgen.lm.tokenizer import tokenize
 from mpgen.lm.vocab import RESERVED_TOKENS, Vocab
 from mpgen.metrics import (
     EvalPair,
+    corpus_bleu,
     evaluate_pairs,
     extract_expressions,
     ground_truth,
@@ -21,6 +24,7 @@ from mpgen.metrics import (
     pair_is_valid,
     task_context,
 )
+from mpgen.minilang.lexer import LineLexer
 from mpgen.minilang.parser import extract_functions, parse_body
 from mpgen.minilang.render import render_tokens
 from mpgen.pipeline import (
@@ -30,8 +34,8 @@ from mpgen.repo import CaretPosition, Repository
 
 from conftest import make_config
 from oracles import (
-    whole_file_dependencies, whole_file_expressions, whole_file_lint_in_span,
-    whole_file_pair_is_valid,
+    counter_corpus_bleu, generate_then_score_report, whole_file_dependencies,
+    whole_file_expressions, whole_file_lint_in_span, whole_file_pair_is_valid,
 )
 
 
@@ -169,6 +173,13 @@ def test_scoring_refuses_a_caret_that_is_not_a_blanked_tasks():
         ground_truth([EvalPair("return a", "return a", repo, live)], Vocab(RESERVED_TOKENS))
 
 
+def test_scoring_refuses_a_context_at_another_caret(task_pairs, trained_models):
+    vocab = trained_models[1].vocab
+    (a, _), (b, _) = task_pairs[:2]
+    with pytest.raises(ValueError, match="cannot score the task"):
+        ground_truth([a], vocab, task_context(b.repo, b.pos))
+
+
 def test_ground_truth_takes_the_pairs_of_one_task(task_pairs, trained_models):
     _config, tool, _vanilla = trained_models
     (a, _), (b, _) = task_pairs[:2]
@@ -193,16 +204,78 @@ def _count_calls(monkeypatch, *functions):
     return counts
 
 
-def test_evaluate_builds_one_index_per_task_per_stage(trained_models, tmp_path, monkeypatch):
-    """One scope index per task for generation and one for scoring; no
-    whole-file completion or lint."""
+def test_evaluate_builds_one_context_per_task(trained_models, tmp_path, monkeypatch):
+    """One task context per task, which generation and scoring share: one
+    scope index, and each head lexed and parsed once; no whole-file
+    completion or lint."""
     config, _tool, _vanilla = trained_models
     counts = _count_calls(
         monkeypatch, scope.build_scope_index, complete.tool_complete, lint.lint_check
     )
+    real_at, real_analyse = TaskContext.at.__func__, TaskContext.analyse
+    real_line, real_parse = LineLexer.line, complete.parse
+    contexts, open_contexts = {}, []  # id(context) -> [context, head lines, head parses]
+
+    def counted_at(cls, repo, pos):
+        context = real_at(cls, repo, pos)
+        contexts[id(context)] = [context, 0, 0]
+        return context
+
+    def counted_analyse(context, body):
+        open_contexts.append(contexts[id(context)])
+        try:
+            return real_analyse(context, body)
+        finally:
+            open_contexts.pop()
+
+    def counted_line(lexer, lineno, raw):
+        if open_contexts and lineno < open_contexts[-1][0].pos.line:
+            open_contexts[-1][1] += 1
+        return real_line(lexer, lineno, raw)
+
+    def counted_parse(*args, **kwargs):
+        open_contexts[-1][2] += 1
+        return real_parse(*args, **kwargs)
+
+    monkeypatch.setattr(TaskContext, "at", classmethod(counted_at))
+    monkeypatch.setattr(TaskContext, "analyse", counted_analyse)
+    monkeypatch.setattr(LineLexer, "line", counted_line)
+    monkeypatch.setattr(complete, "parse", counted_parse)
     monkeypatch.setattr(config, "report", str(tmp_path / "report.json"))
     run_evaluate(config)
-    assert counts == {"build_scope_index": 252, "tool_complete": 0, "lint_check": 0}
+    assert counts == {"build_scope_index": 126, "tool_complete": 0, "lint_check": 0}
+    assert len(contexts) == 126
+    for context, head_lines, head_parses in contexts.values():
+        assert (head_lines, head_parses) == (context.pos.line - 1, 1)
+
+
+@pytest.mark.parametrize("cache", [True, False], ids=["cache", "no-cache"])
+def test_evaluate_reports_what_generating_everything_then_scoring_reports(
+    trained_models, tmp_path, cache
+):
+    """Generating and scoring task by task through one context gives the
+    report of generating for every task first and scoring from new
+    contexts."""
+    config = dataclasses.replace(
+        trained_models[0], cache=cache, report=str(tmp_path / "report.json")
+    )
+    report = run_evaluate(config)
+    assert report == generate_then_score_report(config)
+    assert report["n_tasks"] == 126
+
+
+def test_bleu_equals_the_per_call_count_on_the_benchmark(task_pairs, trained_models):
+    """Every row's BLEU and each model's corpus BLEU, read off the summed
+    per-pair counts, equal counting each pair's n-grams afresh."""
+    vocab = trained_models[1].vocab
+    for k in range(2):
+        pairs = [task[k] for task in task_pairs]
+        report = evaluate_pairs(pairs, vocab)
+        token_pairs = [(tokenize(p.pred, vocab), tokenize(p.gt, vocab)) for p in pairs]
+        for row, token_pair in zip(report.per_pair, token_pairs, strict=True):
+            assert row["bleu4"] == counter_corpus_bleu([token_pair]), row["label"]
+        assert report.bleu4 == corpus_bleu(token_pairs) == counter_corpus_bleu(token_pairs)
+        assert 0 < report.bleu4 < 1
 
 
 # Ordinary source that the bundled corpus does not hold: trailing spaces, a
