@@ -8,6 +8,11 @@ identifiers, and a prefix-trie constrained greedy search picks one.
 
 __version__ = "0.1.0"
 
+
+class DataError(Exception):
+    """Missing or malformed input artifacts (exit code 2 at the CLI)."""
+
+
 from .repo import CaretPosition, Repository
 
-__all__ = ["CaretPosition", "Repository", "__version__"]
+__all__ = ["CaretPosition", "DataError", "Repository", "__version__"]

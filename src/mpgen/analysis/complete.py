@@ -20,7 +20,9 @@ from ..repo import CaretPosition, Repository
 from .builtins import is_builtin
 from .insert import indent_body
 from .lint import LintError, function_errors, syntax_errors
-from .scope import ScopeIndex, build_scope_index, locals_before, receiver_members
+from .scope import (
+    ScopeIndex, build_scope_index, locals_before, own_class_members, receiver_members,
+)
 
 
 @dataclass(frozen=True)
@@ -78,17 +80,17 @@ def tool_complete(repo: Repository, caret: CaretPosition) -> list[str]:
 
 def _suggestions(
     index: ScopeIndex, caret: CaretPosition, ctx: CaretContext, func: Optional[FunctionDef],
-    own_class: Optional[ClassDef] = None, own_attributes: frozenset = frozenset(),
+    own_class: Optional[ClassDef] = None, own_members: frozenset = frozenset(),
 ) -> list[str]:
     """Suggestions at the caret inside func; a class resolved to the node
-    own_class also has own_attributes, which index does not hold."""
+    own_class has own_members (see `receiver_members`)."""
     if ctx.kind == "attribute":
         if ctx.receiver is None:
             return []
         target = index.resolve_receiver(caret.file, func, ctx.receiver, (caret.line, caret.column))
         if target is None:
             return []
-        names = receiver_members(target, own_class, own_attributes)
+        names = receiver_members(target, own_class, own_members)
         return sorted(n for n in names if not is_builtin(n))
 
     names: set[str] = set()
@@ -116,18 +118,29 @@ class _Checkpoint(NamedTuple):
 class TaskContext:
     """The one function being written at a blanked caret, analysed alone.
 
-    Holds a scope index of the blanked repository and a head text of the
-    lines the function needs (class header, def line, docstring) at their own
-    line numbers; `analyse` lexes and parses only the head plus a body. The
-    index is lazy (see `analysis.scope`): making the context lexes, parses
-    and scopes the blanked file alone, and another file is scoped only when
-    a receiver resolves through an import of it. That is exact: lexing is
-    line-local but for the indent stack, a def's parse ends at the dedent
-    closing its body, and every later line of the blanked file sits below
-    the body's indentation. Nor can a body change what the index
-    holds, since every body line is indented past the module level; the one
-    exception, the attributes a method assigns to its class, the analysis
-    adds.
+    Holds a scope index, a head text of the lines the function needs (class
+    header, def line, docstring) at their own line numbers, the class that
+    holds the function (own_class) and that class's members which no body of
+    the function can change (own_members: its method names and what its
+    other methods assign, `own_class_members`). `analyse` lexes and parses
+    only the head plus a body; that is exact, since lexing is line-local but
+    for the indent stack, a def's parse ends at the dedent closing its body,
+    and every later line of the file sits below the body's indentation.
+
+    No body can change the rest of what the index holds, since every body
+    line is indented past the module level: the module members, classes,
+    imports and name rules are those of the file with the function blanked
+    or with its body written, alike. So a loaded task's context
+    (`of_function`) reads the index of the loaded repository the task was
+    blanked from, whose paths are the snapshot's, so every import resolves
+    the same way; each of its files is scoped at most once, for all their
+    tasks, and no file of the snapshot is lexed or parsed. At another caret
+    (`at`) the index is of a transient view of the blanked repository:
+    making the context lexes, parses and scopes the blanked file alone,
+    another file being scoped only when a receiver resolves through an
+    import of it (the index is lazy, see `analysis.scope`). Either way, the
+    own class has own_members plus the attributes the body being written
+    assigns, which the analysis adds.
 
     The analysis resumes from a checkpoint: the one after the closed lines
     of the head, or the one after the closed lines of the text last analysed
@@ -160,6 +173,7 @@ class TaskContext:
     pos: CaretPosition
     head: str
     own_class: Optional[ClassDef]  # the enclosing class in index, if any
+    own_members: frozenset         # own_class's members that the body cannot change
     _head_checkpoint: Optional[_Checkpoint] = field(default=None, init=False, repr=False, compare=False)
     _checkpoint: Optional[_Checkpoint] = field(default=None, init=False, repr=False, compare=False)
 
@@ -168,22 +182,46 @@ class TaskContext:
         """The context at pos, or None unless pos is a blanked task's caret: a
         line of exactly pos.column spaces directly below the docstring, also at
         pos.column and alone on its line, of a function with no body. Every
-        task `pipeline._blank_function` makes has this shape."""
+        task `pipeline._blank_function` makes has this shape.
+
+        This analyses the blanked file, through a transient view so that its
+        analysis dies with the context; a loaded task's context is
+        `TaskContext.of_function`'s, which does not."""
         lines = repo.files.get(pos.file, "").split("\n")
         if not 2 <= pos.line <= len(lines) or lines[pos.line - 1] != " " * pos.column:
             return None
-        # a transient view, so the blanked file's analysis dies with the context
         index = build_scope_index(repo.with_text(pos.file, repo.text(pos.file)))
         owner, func = index.enclosing(pos.file, pos.line)
         if func is None or func.body_tokens or func.docstring is None:
             return None
         if lines[pos.line - 2] != " " * pos.column + f'"{func.docstring}"':
             return None
+        return cls._of(index, pos, lines, owner, func)
+
+    @classmethod
+    def of_function(
+        cls, repo: Repository, func: FunctionDef, blanked: Repository, pos: CaretPosition
+    ) -> "TaskContext":
+        """The context at pos, the caret of the task that blanked func, a
+        function of the file pos.file of repo as repo parses it, in the
+        snapshot blanked; no file of blanked is analysed."""
+        index = build_scope_index(repo)
+        owner, _func = index.enclosing(pos.file, func.line)
+        return cls._of(index, pos, blanked.text(pos.file).split("\n"), owner, func)
+
+    @classmethod
+    def _of(
+        cls, index: ScopeIndex, pos: CaretPosition, lines: list[str],
+        owner: Optional[ClassDef], func: FunctionDef,
+    ) -> "TaskContext":
+        """The context at pos, in the blanked file of the given lines, of func
+        and its class owner as index holds them."""
         keep = set(range(func.line, pos.line))
         if owner is not None:
             keep.add(owner.line)
         head = [lines[n - 1] if n in keep else "" for n in range(1, pos.line)]
-        return cls(index, pos, "\n".join(head + [" " * pos.column]), owner)
+        members = own_class_members(owner, func) if owner is not None else frozenset()
+        return cls(index, pos, "\n".join(head + [" " * pos.column]), owner, members)
 
     def _head(self) -> _Checkpoint:
         """The checkpoint after the head's closed lines, where the body starts."""
@@ -254,21 +292,22 @@ class TaskAnalysis:
     own_attributes: frozenset      # what the function assigns to its class
     end: CaretPosition             # just past the body
 
+    @property
+    def own_members(self) -> frozenset:
+        """The members of the task's own class with this body written."""
+        return self.task.own_members | self.own_attributes
+
     def complete_at(self, line: int, column: int) -> list[str]:
         """tool_complete's suggestions at a caret inside the function."""
         task = self.task
         caret = CaretPosition(task.pos.file, line, column)
         ctx = caret_context(self.tokens, line, column)
-        return _suggestions(
-            task.index, caret, ctx, self.function, task.own_class, self.own_attributes
-        )
+        return _suggestions(task.index, caret, ctx, self.function, task.own_class, self.own_members)
 
     def lint(self) -> list[LintError]:
         """The records `lint_check` gives the spliced file from the def line
         to the end of the body, in no particular order."""
         task, path = self.task, self.task.pos.file
         errors = syntax_errors(path, self.diagnostics)
-        errors += function_errors(
-            task.index, path, self.function, task.own_class, self.own_attributes
-        )
+        errors += function_errors(task.index, path, self.function, task.own_class, self.own_members)
         return [e for e in errors if self.function.line <= e.line <= self.end.line]

@@ -44,7 +44,7 @@ def _check_expressions(
     func: Optional[FunctionDef],
     errors: list[LintError],
     own_class: Optional[ClassDef] = None,
-    own_attributes: frozenset = frozenset(),
+    own_members: frozenset = frozenset(),
 ) -> None:
     for expr, is_store in nodes.walk_expressions(stmts):
         if isinstance(expr, nodes.Name):
@@ -70,7 +70,7 @@ def _check_expressions(
             )
             if target is None:
                 continue
-            if expr.attr not in receiver_members(target, own_class, own_attributes):
+            if expr.attr not in receiver_members(target, own_class, own_members):
                 errors.append(
                     LintError(
                         NO_MEMBER,
@@ -98,14 +98,14 @@ def function_errors(
     path: str,
     fn: FunctionDef,
     own_class: Optional[ClassDef] = None,
-    own_attributes: frozenset = frozenset(),
+    own_members: frozenset = frozenset(),
 ) -> list[LintError]:
     """Undefined-variable and no-member records of one function. A receiver
-    resolved to own_class also has own_attributes (see `receiver_members`)."""
+    resolved to own_class has own_members (see `receiver_members`)."""
     local_targets = {stmt.target.id for stmt in name_assignments(fn.body)}
     defined = _module_names(index, path) | set(fn.params) | local_targets
     errors: list[LintError] = []
-    _check_expressions(fn.body, defined, index, path, fn, errors, own_class, own_attributes)
+    _check_expressions(fn.body, defined, index, path, fn, errors, own_class, own_members)
     return errors
 
 

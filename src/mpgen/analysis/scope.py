@@ -10,9 +10,10 @@ Each rule is decided in one place:
   body-start line is the next definition's header, and that line belongs to
   the next definition.
 - A receiver's members are `ClassDef.members` for a class and
-  `ModuleScope.members` for a module (`receiver_members`), plus, for the
-  class that holds the function being written at a task's caret, the
-  attributes that function assigns.
+  `ModuleScope.members` for a module (`receiver_members`). The class that
+  holds the function being written at a task's caret has instead its method
+  names and what its other methods assign (`own_class_members`), plus what
+  the body being written assigns.
 - A name resolves to its last definition in the file, as at run time.
 - `name_assignments` lists the plain-name assignments that make locals and
   module variables.
@@ -27,10 +28,13 @@ and everything else is unresolvable.
 The index is lazy: `ScopeIndex.module_scope` builds a file's `ModuleScope`
 the first time a lookup reaches its path, and keeps it on the repository.
 A query therefore analyses only the files it reaches; a task context, for
-one, scopes its blanked file and the modules that a receiver resolves
-through. That is exact because a file's scope depends only on its own parse
-and on the repository's set of paths, which decides whether an import
-resolves, and a repository fixes both. The scopes are kept per repository,
+one, scopes the file of its function and the modules that a receiver
+resolves through. A loaded task's context reads the loaded repository's
+index, so a blanked file is parsed and scoped only by a context made at a
+caret that is no loaded task's (`TaskContext.at`). Laziness is exact
+because a file's scope depends only on its own parse and on the
+repository's set of paths, which decides whether an import resolves, and a
+repository fixes both. The scopes are kept per repository,
 not inherited like lexes and parses: a snapshot that adds a path can
 resolve an import that its ancestor could not. The index holds its
 repository and the repository holds only scopes, so no reference cycle
@@ -44,7 +48,7 @@ from functools import cached_property
 from typing import Iterator, Optional
 
 from ..minilang import nodes
-from ..minilang.parser import ClassDef, FunctionDef, Module, extract_functions
+from ..minilang.parser import ClassDef, FunctionDef, Module, assigned_attributes, extract_functions
 from ..repo import SOURCE_SUFFIX, Repository
 
 
@@ -177,11 +181,22 @@ class ScopeIndex:
 def receiver_members(
     target: ClassDef | ModuleScope,
     own_class: Optional[ClassDef] = None,
-    own_attributes: frozenset = frozenset(),
+    own_members: frozenset = frozenset(),
 ) -> set[str]:
-    """The members of a resolved receiver. The class own_class also has
-    own_attributes: those assigned by a function the index does not hold."""
-    return target.members | own_attributes if target is own_class else target.members
+    """The members of a resolved receiver. The class own_class, which holds
+    the function being written, has own_members instead of what the index
+    holds of it (see `own_class_members`)."""
+    return own_members if target is own_class else target.members
+
+
+def own_class_members(cls: ClassDef, func: FunctionDef) -> frozenset:
+    """The members of cls that do not depend on the body of its method func:
+    its method names and what its other methods assign to their receiver."""
+    members = {m.name for m in cls.methods}
+    for m in cls.methods:
+        if m is not func:
+            members |= assigned_attributes(m, m.body)
+    return frozenset(members)
 
 
 def build_scope_index(repo: Repository) -> ScopeIndex:

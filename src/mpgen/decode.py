@@ -45,7 +45,7 @@ list depends on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Iterable, Optional, Sequence
 
@@ -95,6 +95,11 @@ class GenerationTrace:
             "truncated": self.truncated,
             "tags": list(self.tags),
         }
+
+    def counters(self) -> "GenerationTrace":
+        """This trace without its per-token record, which `trace_summary`
+        does not read."""
+        return replace(self, tokens=[], tags=[])
 
 
 class TrieNode:

@@ -13,19 +13,17 @@ import os
 from dataclasses import MISSING, dataclass, fields
 from typing import Iterable, Optional, Sequence
 
+from . import DataError
+from .analysis.complete import TaskContext
 from .decode import GenerationConfig, GenerationTrace, generate
 from .lm.ngram import NGramModel, train
 from .lm.tokenizer import tokenize
 from .lm.vocab import BOS_ID, COMP_ID, EOS_ID, Vocab, build_vocab
-from .metrics import EvalPair, evaluate_pairs, ground_truth, task_context
+from .metrics import EvalPair, evaluate_pairs, ground_truth
 from .minilang.parser import FunctionDef, extract_functions
 from .minilang.render import render_tokens
 from .repo import CaretPosition, Repository, load_repositories
 from .trigger import AugmentedDataset, augment_corpus, save_dataset
-
-
-class DataError(Exception):
-    """Missing or malformed input artifacts (exit code 2 at the CLI)."""
 
 
 @dataclass
@@ -202,10 +200,16 @@ class Task:
     pos: CaretPosition
     description: str
     gt: str
+    repo: Repository   # the loaded repository that snapshot blanks a function of
+    func: FunctionDef  # that function, as repo parses it
 
     def pair(self, pred: str) -> EvalPair:
         """The task's pair with a prediction."""
         return EvalPair(gt=self.gt, pred=pred, repo=self.snapshot, pos=self.pos, label=self.label)
+
+    def context(self) -> TaskContext:
+        """The task context at the caret, from the loaded file's analysis."""
+        return TaskContext.of_function(self.repo, self.func, self.snapshot, self.pos)
 
 
 def _blank_function(repo: Repository, file: str, func: FunctionDef) -> tuple[Repository, CaretPosition]:
@@ -252,9 +256,18 @@ def derive_tasks(config: RunConfig) -> list[Task]:
                         pos=pos,
                         description=func.description,
                         gt=render_tokens(func.body_tokens),
+                        repo=repo,
+                        func=func,
                     )
                 )
     return tasks
+
+
+# The fields a task record must have, each with its type. A record's line is
+# its task's caret line, two below the def.
+_TASK_FIELDS = (
+    ("label", str), ("repo", str), ("file", str), ("line", int), ("description", str), ("gt", str)
+)
 
 
 def load_tasks(path: str, config: RunConfig) -> list[Task]:
@@ -268,16 +281,28 @@ def load_tasks(path: str, config: RunConfig) -> list[Task]:
     for line in lines:
         try:
             rec = json.loads(line)
-            repo = repos[rec["repo"]]
-            module = repo.module(rec["file"])
-            # a record's line is its task's caret line, two below the def
-            func = next(
-                f
-                for f in extract_functions(module)
-                if _is_task(f) and f.line + 2 == rec["line"]
-            )
-        except (KeyError, StopIteration, json.JSONDecodeError) as exc:
+        except json.JSONDecodeError as exc:
             raise DataError(f"malformed task record {line!r}: {exc}") from exc
+        if type(rec) is not dict:
+            raise DataError(f"malformed task record {line!r}: not a JSON object")
+        for name, kind in _TASK_FIELDS:
+            if type(rec.get(name)) is not kind:  # bools are not lines
+                raise DataError(
+                    f"malformed task record {line!r}: {name!r} must be a {kind.__name__}"
+                )
+        repo = repos.get(rec["repo"])
+        if repo is None or rec["file"] not in repo.files:
+            raise DataError(f"task record {line!r} names no file of the eval corpus")
+        func = next(
+            (
+                f
+                for f in extract_functions(repo.module(rec["file"]))
+                if _is_task(f) and f.line + 2 == rec["line"]
+            ),
+            None,
+        )
+        if func is None:
+            raise DataError(f"task record {line!r} names no task's caret line")
         snap, pos = _blank_function(repo, rec["file"], func)
         tasks.append(
             Task(
@@ -288,6 +313,8 @@ def load_tasks(path: str, config: RunConfig) -> list[Task]:
                 pos=pos,
                 description=rec["description"],
                 gt=rec["gt"],
+                repo=repo,
+                func=func,
             )
         )
     return tasks
@@ -301,7 +328,9 @@ def run_model_over_tasks(
     pairs: list[EvalPair] = []
     traces: list[GenerationTrace] = []
     for task in tasks:
-        pred, trace = generate(model, task.snapshot, task.description, task.pos, gen_cfg)
+        pred, trace = generate(
+            model, task.snapshot, task.description, task.pos, gen_cfg, task=task.context()
+        )
         pairs.append(task.pair(pred))
         traces.append(trace)
     return pairs, traces
@@ -348,19 +377,19 @@ def run_evaluate(config: RunConfig) -> dict:
         )
     }
     pairs: dict[str, list] = {variant: [] for variant in variants}
-    traces: dict[str, list] = {variant: [] for variant in variants}
+    traces: dict[str, list] = {variant: [] for variant in variants}  # counters only
     judged: dict[str, list] = {variant: [] for variant in variants}
     # Task by task: one task context serves the tool model's generation and
     # then the scoring of both models' predictions, and is dropped before
     # the next task is analysed.
     for task in tasks:
-        context = task_context(task.snapshot, task.pos)
+        context = task.context()
         for variant, (model, gen_cfg) in variants.items():
             pred, trace = generate(
                 model, task.snapshot, task.description, task.pos, gen_cfg, task=context
             )
             pairs[variant].append(task.pair(pred))
-            traces[variant].append(trace)
+            traces[variant].append(trace.counters())
         truth, verdicts = ground_truth([pairs[v][-1] for v in variants], vocab, context)
         for variant, verdict in zip(variants, verdicts, strict=True):
             judged[variant].append((truth, verdict))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from statistics import mean
 from typing import Callable, Iterable, Optional
 
-from . import __version__
+from . import DataError, __version__
 from .analysis.builtins import is_builtin
 from .analysis.complete import tool_complete
 from .minilang import tokens as tk
@@ -181,10 +181,26 @@ def save_dataset(dataset: AugmentedDataset, path: str, meta_path: Optional[str] 
 
 
 def load_dataset_records(path: str) -> list[dict]:
+    """The records of a dataset file. DataError for a line that is not a JSON
+    object whose description and augmented_body are strings."""
     records: list[dict] = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
-            if line:
-                records.append(json.loads(line))
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"malformed dataset record {line!r}: {exc}") from exc
+            if not (
+                type(rec) is dict
+                and type(rec.get("description")) is str
+                and type(rec.get("augmented_body")) is str
+            ):
+                raise DataError(
+                    f"malformed dataset record {line!r}: not an object with string "
+                    "'description' and 'augmented_body'"
+                )
+            records.append(rec)
     return records

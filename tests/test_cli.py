@@ -1,8 +1,10 @@
+import functools
 import json
 import os
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mpgen.cli import main
 
@@ -298,6 +300,140 @@ def test_evaluate_missing_tasks_file_is_data_error(tmp_path, capsys):
     assert main(["evaluate", "--config", cfg, "--tasks", str(missing)]) == 2
     assert "cannot read tasks file" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+@functools.cache
+def _task_record():
+    """The first task of the bundled eval corpus, as a tasks-file record."""
+    from mpgen.pipeline import derive_tasks, load_config
+
+    cfg = load_config(str(ROOT / "configs" / "demo.json"))
+    task = derive_tasks(cfg)[0]
+    return {
+        "label": task.label, "repo": task.repo_name, "file": task.file, "line": task.pos.line,
+        "description": task.description, "gt": task.gt,
+    }
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "[1, 2]", "null", '"str"', "{",
+        {"gt": None}, {"label": None}, {"description": None}, {"repo": None}, {"file": None},
+        {"line": "5"}, {"line": 5.0}, {"line": True}, {"gt": 3}, {"description": ["d"]},
+    ],
+    ids=[
+        "array", "null", "string", "not-json",
+        "no-gt", "no-label", "no-description", "no-repo", "no-file",
+        "string-line", "float-line", "bool-line", "number-gt", "list-description",
+    ],
+)
+def test_evaluate_malformed_task_record_is_data_error(tmp_path, capsys, line):
+    if isinstance(line, dict):
+        rec = {**_task_record(), **line}
+        line = json.dumps({k: v for k, v in rec.items() if v is not None})
+    tasks = tmp_path / "tasks.jsonl"
+    tasks.write_text(json.dumps(_task_record()) + "\n" + line + "\n")
+    cfg = write_config(tmp_path, model_dir=str(GOLDEN_MODELS))
+    assert main(["evaluate", "--config", cfg, "--tasks", str(tasks)]) == 2
+    assert "malformed task record" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [({"repo": "repo99"}, "names no file"), ({"file": "absent.mp"}, "names no file"),
+     ({"line": 1}, "names no task")],
+    ids=["unknown-repo", "unknown-file", "no-task-at-line"],
+)
+def test_evaluate_task_record_naming_no_task_is_data_error(tmp_path, capsys, edit, message):
+    tasks = tmp_path / "tasks.jsonl"
+    tasks.write_text(json.dumps({**_task_record(), **edit}) + "\n")
+    cfg = write_config(tmp_path, model_dir=str(GOLDEN_MODELS))
+    assert main(["evaluate", "--config", cfg, "--tasks", str(tasks)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_evaluate_reads_a_valid_task_record(tmp_path, capsys):
+    tasks = tmp_path / "tasks.jsonl"
+    tasks.write_text(json.dumps(_task_record()) + "\n")
+    cfg = write_config(tmp_path, model_dir=str(GOLDEN_MODELS))
+    assert main(["evaluate", "--config", cfg, "--tasks", str(tasks)]) == 0
+    assert json.loads((tmp_path / "report.json").read_text())["n_tasks"] == 1
+
+
+_DATASET_RECORD = {"description": "def f(a): Return a", "augmented_body": "return a"}
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "[1, 2]", "null", '"str"', "{", "3",
+        json.dumps({"description": "d"}),
+        json.dumps({"augmented_body": "return a"}),
+        json.dumps({**_DATASET_RECORD, "description": 3}),
+        json.dumps({**_DATASET_RECORD, "augmented_body": ["return", "a"]}),
+    ],
+    ids=[
+        "array", "null", "string", "not-json", "number", "no-body", "no-description",
+        "number-description", "list-body",
+    ],
+)
+def test_train_malformed_dataset_record_is_data_error(tmp_path, capsys, line):
+    cfg = write_config(tmp_path)
+    (tmp_path / "dataset.jsonl").write_text(json.dumps(_DATASET_RECORD) + "\n" + line + "\n")
+    assert main(["train", "--config", cfg]) == 2
+    assert "malformed dataset record" in capsys.readouterr().err
+    assert not (tmp_path / "models").exists()
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+_DROP = object()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    task_edits=st.dictionaries(
+        st.sampled_from(["label", "repo", "file", "line", "description", "gt"]),
+        _JSON | st.just(_DROP), max_size=3,
+    ),
+    dataset_edits=st.dictionaries(
+        st.sampled_from(["description", "augmented_body"]), _JSON | st.just(_DROP), max_size=2
+    ),
+    whole=st.none() | _JSON,
+)
+def test_task_and_dataset_readers_raise_nothing_but_data_error(
+    tmp_path_factory, task_edits, dataset_edits, whole
+):
+    """A drawn JSON value as a line, or a valid record with drawn fields
+    replaced or dropped, is read or rejected as a data error."""
+    from mpgen import DataError
+    from mpgen.pipeline import load_config, load_tasks
+    from mpgen.trigger import load_dataset_records
+
+    def line(record, edits):
+        if whole is not None:
+            return json.dumps(whole)
+        record = {**record, **edits}
+        return json.dumps({k: v for k, v in record.items() if v is not _DROP})
+
+    tmp = tmp_path_factory.mktemp("readers")
+    (tmp / "tasks.jsonl").write_text(line(_task_record(), task_edits) + "\n")
+    (tmp / "dataset.jsonl").write_text(line(_DATASET_RECORD, dataset_edits) + "\n")
+    try:
+        load_tasks(str(tmp / "tasks.jsonl"), load_config(str(ROOT / "configs" / "demo.json")))
+    except DataError:
+        pass
+    try:
+        load_dataset_records(str(tmp / "dataset.jsonl"))
+    except DataError:
+        pass
 
 
 def test_lint_non_utf8_source_is_data_error(tmp_path, capsys):

@@ -1,19 +1,23 @@
 """The scope index builds each file's scope the first time a lookup reaches
 it: every scope equals the whole-repository build (`tests/oracles.py`), a
-task context scopes its blanked file and never touches a module nothing
-imports, and the per-repository scope cache keeps no repository alive."""
+task context scopes the loaded file of its function and never touches a
+module nothing imports, and the per-repository scope cache keeps no
+repository alive."""
 
 import dataclasses
 import gc
+import json
+import shutil
 import weakref
 
 from hypothesis import given, settings, strategies as st
 
-from mpgen.analysis.complete import TaskContext, tool_complete
+from mpgen.analysis import scope
+from mpgen.analysis.complete import tool_complete
 from mpgen.analysis.lint import lint_check
 from mpgen.analysis.scope import build_scope_index
 from mpgen.decode import GenerationConfig
-from mpgen.pipeline import derive_tasks, run_model_over_tasks
+from mpgen.pipeline import derive_tasks, load_tasks, run_model_over_tasks
 from mpgen.repo import CaretPosition, Repository
 
 from conftest import CORPUS
@@ -120,55 +124,60 @@ def _train_texts():
     return [(root / name).read_text(encoding="utf-8") for name in ("core.mp", "service.mp", "utils.mp")]
 
 
-def test_task_contexts_scope_only_what_their_function_reaches(trained_models, monkeypatch):
-    """Tool generation over the 126 benchmark tasks, with three modules that
-    no file imports added to every task's repository: none of them is lexed,
-    parsed or scoped, and each context scopes its blanked file alone, when
-    it is made and through all its generation (no benchmark generation
-    resolves a receiver through an import). The output is the output
-    without the extra modules."""
+def test_task_contexts_scope_only_what_their_function_reaches(
+    trained_models, tmp_path, monkeypatch
+):
+    """Tool generation over the 126 benchmark tasks, loaded from a tasks file
+    over a copy of the eval corpus with three modules that no file imports
+    added to every repository: none of them is lexed, parsed or scoped, no
+    blanked file is lexed or parsed, and each loaded file is scoped at most
+    once (no benchmark generation resolves a receiver through an import).
+    The output is the output without the extra modules."""
     config, tool, _vanilla = trained_models
     tasks = derive_tasks(config)
     extras = {f"extra_{i}.mp": text for i, text in enumerate(_train_texts())}
-    padded = []
-    for task in tasks:
-        snap = task.snapshot
+    for repo_dir in sorted((CORPUS / "eval").iterdir()):
+        shutil.copytree(repo_dir, tmp_path / "eval" / repo_dir.name)
         for path, text in extras.items():
-            snap = snap.with_text(path, text)
-        padded.append(dataclasses.replace(task, snapshot=snap))
+            (tmp_path / "eval" / repo_dir.name / path).write_text(text, encoding="utf-8")
+    records = [
+        {"label": t.label, "repo": t.repo_name, "file": t.file, "line": t.pos.line,
+         "description": t.description, "gt": t.gt}
+        for t in tasks
+    ]
+    (tmp_path / "tasks.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+    padded_config = dataclasses.replace(config, eval_roots=[str(tmp_path / "eval")])
+    padded = load_tasks(str(tmp_path / "tasks.jsonl"), padded_config)
 
-    touched = []
-    real_lex, real_module, real_at = Repository.lex, Repository.module, TaskContext.at.__func__
+    touched, scoped = [], []
+    real_lex, real_module, real_scope = Repository.lex, Repository.module, scope._module_scope
 
     def counted_lex(repo, path):
-        touched.append(path)
+        touched.append((repo, path))
         return real_lex(repo, path)
 
     def counted_module(repo, path):
-        touched.append(path)
+        touched.append((repo, path))
         return real_module(repo, path)
 
-    contexts = []
-
-    def counted_at(cls, repo, pos):
-        context = real_at(cls, repo, pos)
-        if context is not None:
-            assert list(context.index.repo._scope_cache) == [pos.file]
-            contexts.append(context)
-        return context
+    def counted_scope(repo, path):
+        scoped.append((repo, path))
+        return real_scope(repo, path)
 
     gen_cfg = GenerationConfig(max_tokens=config.max_tokens)
     want, _traces = run_model_over_tasks(tool, tasks, gen_cfg)
     monkeypatch.setattr(Repository, "lex", counted_lex)
     monkeypatch.setattr(Repository, "module", counted_module)
-    monkeypatch.setattr(TaskContext, "at", classmethod(counted_at))
+    monkeypatch.setattr(scope, "_module_scope", counted_scope)
     got, traces = run_model_over_tasks(tool, padded, gen_cfg)
 
     assert [p.pred for p in got] == [p.pred for p in want]
-    assert len(contexts) == sum(1 for t in traces if t.tool_invocations) > 0
-    assert touched and not set(touched) & set(extras)
-    for context in contexts:
-        assert list(context.index.repo._scope_cache) == [context.pos.file]
+    assert sum(t.tool_invocations for t in traces) > 0
+    loaded = {id(t.repo) for t in padded}
+    scoped = [(id(repo), path) for repo, path in scoped]
+    assert sorted(scoped) == sorted({(id(t.repo), t.file) for t in padded})
+    assert all(id(repo) in loaded and path not in extras for repo, path in touched)
+    assert all(not t.snapshot._lex_cache and not t.snapshot._module_cache for t in padded)
 
 
 def test_a_linted_repository_is_freed_by_reference_counting():

@@ -27,8 +27,9 @@ from mpgen.metrics import (
 from mpgen.minilang.lexer import LineLexer
 from mpgen.minilang.parser import extract_functions, parse_body
 from mpgen.minilang.render import render_tokens
+from mpgen import repo as repo_module
 from mpgen.pipeline import (
-    _blank_function, derive_tasks, load_tasks, run_evaluate, run_model_over_tasks,
+    _blank_function, collect_repos, derive_tasks, load_tasks, run_evaluate, run_model_over_tasks,
 )
 from mpgen.repo import CaretPosition, Repository
 
@@ -205,21 +206,33 @@ def _count_calls(monkeypatch, *functions):
 
 
 def test_evaluate_builds_one_context_per_task(trained_models, tmp_path, monkeypatch):
-    """One task context per task, which generation and scoring share: one
-    scope index, and each head lexed and parsed once; no whole-file
-    completion or lint."""
+    """One task context per task, which generation and scoring share, built
+    from the loaded file's analysis: no blanked file is lexed or parsed,
+    each loaded eval file is scoped at most once, and each head is lexed
+    and parsed once; no whole-file completion or lint."""
     config, _tool, _vanilla = trained_models
     counts = _count_calls(
         monkeypatch, scope.build_scope_index, complete.tool_complete, lint.lint_check
     )
-    real_at, real_analyse = TaskContext.at.__func__, TaskContext.analyse
+    loaded = sorted(
+        text for _name, repo in collect_repos(config.eval_roots) for text in repo.files.values()
+    )
+    real_of, real_at, real_analyse = (
+        TaskContext.of_function.__func__, TaskContext.at.__func__, TaskContext.analyse
+    )
     real_line, real_parse = LineLexer.line, complete.parse
+    real_lex, real_file_parse = repo_module._lexer.lex, repo_module._parser.parse
+    real_scope = scope._module_scope
     contexts, open_contexts = {}, []  # id(context) -> [context, head lines, head parses]
+    file_lexes, file_parses, scoped = [], [], []
 
-    def counted_at(cls, repo, pos):
-        context = real_at(cls, repo, pos)
+    def counted_of(cls, *args):
+        context = real_of(cls, *args)
         contexts[id(context)] = [context, 0, 0]
         return context
+
+    def refused_at(cls, repo, pos):
+        raise AssertionError("a loaded task's context analyses its blanked file")
 
     def counted_analyse(context, body):
         open_contexts.append(contexts[id(context)])
@@ -237,16 +250,37 @@ def test_evaluate_builds_one_context_per_task(trained_models, tmp_path, monkeypa
         open_contexts[-1][2] += 1
         return real_parse(*args, **kwargs)
 
-    monkeypatch.setattr(TaskContext, "at", classmethod(counted_at))
+    def counted_lex(text):
+        file_lexes.append(text)
+        return real_lex(text)
+
+    def counted_file_parse(text, *args, **kwargs):
+        file_parses.append(text)
+        return real_file_parse(text, *args, **kwargs)
+
+    def counted_scope(repo, path):
+        scoped.append((id(repo), path, repo.text(path)))
+        return real_scope(repo, path)
+
+    monkeypatch.setattr(TaskContext, "of_function", classmethod(counted_of))
+    monkeypatch.setattr(TaskContext, "at", classmethod(refused_at))
     monkeypatch.setattr(TaskContext, "analyse", counted_analyse)
     monkeypatch.setattr(LineLexer, "line", counted_line)
     monkeypatch.setattr(complete, "parse", counted_parse)
+    monkeypatch.setattr(repo_module._lexer, "lex", counted_lex)
+    monkeypatch.setattr(repo_module._parser, "parse", counted_file_parse)
+    monkeypatch.setattr(scope, "_module_scope", counted_scope)
     monkeypatch.setattr(config, "report", str(tmp_path / "report.json"))
     run_evaluate(config)
     assert counts == {"build_scope_index": 126, "tool_complete": 0, "lint_check": 0}
     assert len(contexts) == 126
     for context, head_lines, head_parses in contexts.values():
         assert (head_lines, head_parses) == (context.pos.line - 1, 1)
+    # deriving the tasks lexes and parses every eval file once, and nothing
+    # lexes or parses a blanked file
+    assert sorted(file_lexes) == sorted(file_parses) == loaded
+    assert len({(repo, path) for repo, path, _text in scoped}) == len(scoped)
+    assert scoped and {text for _repo, _path, text in scoped} <= set(loaded)
 
 
 @pytest.mark.parametrize("cache", [True, False], ids=["cache", "no-cache"])
