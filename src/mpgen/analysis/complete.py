@@ -185,8 +185,8 @@ class TaskContext:
         task `pipeline._blank_function` makes has this shape.
 
         This analyses the blanked file, through a transient view so that its
-        analysis dies with the context; a loaded task's context is
-        `TaskContext.of_function`'s, which does not."""
+        analysis dies with the context; a loaded task's context
+        (`of_function`) reads the loaded file's analysis instead."""
         lines = repo.files.get(pos.file, "").split("\n")
         if not 2 <= pos.line <= len(lines) or lines[pos.line - 1] != " " * pos.column:
             return None
