@@ -1,14 +1,12 @@
 """Splicing a partial function into a repository snapshot.
 
-Used during generation: the text rendered so far is inserted at the
-reserved position so the completion tool sees the caret in real context.
-Control tokens (<BOS>, <EOS>, <COMP>) are removed before rendering so the
-inserted text stays lexable. The input repository is never modified.
+Used during generation at a caret that is not a blanked task's: the body
+rendered so far, without control tokens, is inserted at the reserved
+position so the completion tool sees the caret in real context. The input
+repository is never modified.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 from ..repo import CaretPosition, Repository
 
@@ -18,7 +16,7 @@ def indent_body(body_text: str, column: int) -> str:
     return body_text.replace("\n", "\n" + " " * column)
 
 
-def insert_text(
+def insert(
     repo: Repository, pos: CaretPosition, body_text: str
 ) -> tuple[Repository, CaretPosition]:
     """Splice level-0 body text at pos, re-indented to pos.column.
@@ -33,22 +31,3 @@ def insert_text(
     snap = repo.with_text(pos.file, new_text)
     caret = snap.position_at(pos.file, offset + len(indented))
     return snap, caret
-
-
-def insert(
-    repo: Repository,
-    pos: CaretPosition,
-    partial_function: Sequence[int],
-    vocab,
-) -> tuple[Repository, CaretPosition]:
-    """Insert a partial function given as model token ids.
-
-    <BOS>, <EOS> and <COMP> ids are dropped before detokenizing; the rest is
-    rendered canonically and spliced at pos.
-    """
-    from ..lm.tokenizer import detokenize
-    from ..lm.vocab import CONTROL_IDS
-
-    kept = [t for t in partial_function if t not in CONTROL_IDS]
-    body_text = detokenize(kept, vocab)
-    return insert_text(repo, pos, body_text)

@@ -34,9 +34,9 @@ index, so a blanked file is parsed and scoped only by a context made at a
 caret that is no loaded task's (`TaskContext.at`). Laziness is exact
 because a file's scope depends only on its own parse and on the
 repository's set of paths, which decides whether an import resolves, and a
-repository fixes both. The scopes are kept per repository,
-not inherited like lexes and parses: a snapshot that adds a path can
-resolve an import that its ancestor could not. The index holds its
+repository fixes both. The scopes are kept per repository, as its lexes
+and parses are: a snapshot that adds a path can resolve an import that its
+parent could not. The index holds its
 repository and the repository holds only scopes, so no reference cycle
 keeps either alive past its last use.
 """

@@ -156,12 +156,7 @@ def _cmd_lint(args) -> int:
 
 def _cmd_complete(args) -> int:
     repo = _load_repo(args.repo)
-    pos = CaretPosition(args.file, args.line, args.column)
-    try:
-        suggestions = tool_complete(repo, pos)
-    except CaretError as exc:
-        raise DataError(str(exc)) from exc
-    for s in suggestions:
+    for s in tool_complete(repo, CaretPosition(args.file, args.line, args.column)):
         print(s)
     return 0
 

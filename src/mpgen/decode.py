@@ -314,7 +314,7 @@ def generate(
             if tool:
                 suggestions = tool.complete(prefix.body.text())
             else:
-                suggestions = tool_complete(*insert(repo, pos, seq, vocab))
+                suggestions = tool_complete(*insert(repo, pos, prefix.body.text()))
             trace.tool_invocations += 1
             entry = None
             if suggestions:

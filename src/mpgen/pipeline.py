@@ -52,6 +52,14 @@ class RunConfig:
                 raise DataError(f"config field {name!r} must be an integer >= 1, not {value!r}")
         if type(self.alpha) not in (int, float) or not 0 < self.alpha < math.inf:
             raise DataError(f"config field 'alpha' must be a finite number > 0, not {self.alpha!r}")
+        for name in ("dataset", "model_dir", "report"):
+            value = getattr(self, name)
+            if type(value) is not str:
+                raise DataError(f"config field {name!r} must be a path, not {value!r}")
+        if self.tasks is not None and type(self.tasks) is not str:
+            raise DataError(f"config field 'tasks' must be a path or null, not {self.tasks!r}")
+        if type(self.cache) is not bool:
+            raise DataError(f"config field 'cache' must be true or false, not {self.cache!r}")
 
     @property
     def dataset_meta(self) -> str:
@@ -196,12 +204,15 @@ class Task:
     label: str
     repo_name: str
     snapshot: Repository
-    file: str
     pos: CaretPosition
     description: str
     gt: str
     repo: Repository   # the loaded repository that snapshot blanks a function of
     func: FunctionDef  # that function, as repo parses it
+
+    @property
+    def file(self) -> str:
+        return self.pos.file
 
     def pair(self, pred: str) -> EvalPair:
         """The task's pair with a prediction."""
@@ -252,7 +263,6 @@ def derive_tasks(config: RunConfig) -> list[Task]:
                         label=f"{name}/{path}:{func.name}",
                         repo_name=name,
                         snapshot=snap,
-                        file=path,
                         pos=pos,
                         description=func.description,
                         gt=render_tokens(func.body_tokens),
@@ -309,7 +319,6 @@ def load_tasks(path: str, config: RunConfig) -> list[Task]:
                 label=rec["label"],
                 repo_name=rec["repo"],
                 snapshot=snap,
-                file=rec["file"],
                 pos=pos,
                 description=rec["description"],
                 gt=rec["gt"],

@@ -1,16 +1,12 @@
 """In-memory repositories of MiniPy files and caret positions into them.
 
 A Repository is an immutable mapping of repository-relative paths to file
-text. Edits produce copy-on-write snapshots. Lex and parse results are pure
-functions of (path, text) and are cached per file, lazily, on the repository
-that first held that text: a snapshot answers `lex` and `module` for every
-file it did not edit by asking the ancestor it inherited the text from, so
-a text is lexed and parsed once however many snapshots inherit it. A
-snapshot caches only its own edited files, which are freed with it.
-Generation at a caret that is not a blanked task's makes one snapshot per
-completion trigger, and so re-analyses only the file being written. Each
-repository also keeps the scopes `analysis.scope.ScopeIndex` builds of its
-files; those are not inherited, since they depend on the set of paths.
+text. An edit makes a snapshot that copies the file map with one file
+replaced and shares nothing else. Lex and parse results are pure functions
+of (path, text); each repository caches them lazily, for the paths asked of
+it only, and keeps the scopes `analysis.scope.ScopeIndex` builds of its
+files. Generation at a caret that is not a blanked task's makes one
+snapshot per completion trigger, which analyses the files the tool reaches.
 """
 
 from __future__ import annotations
@@ -42,8 +38,6 @@ class Repository:
         self.root = root
         self._lex_cache: dict[str, tuple[list, list]] = {}
         self._module_cache: dict[str, _parser.Module] = {}
-        # path -> the ancestor whose caches hold this path's (unchanged) text
-        self._origin: dict[str, Repository] = {}
         # path -> its analysis.scope.ModuleScope, built lazily by ScopeIndex
         self._scope_cache: dict = {}
 
@@ -79,21 +73,15 @@ class Repository:
 
     def lex(self, path: str):
         """Cached (tokens, lex diagnostics) for one file."""
-        origin = self._origin.get(path)
-        if origin is not None:
-            return origin.lex(path)
         lexed = self._lex_cache.get(path)
         if lexed is None:
             lexed = _lexer.lex(self.text(path))
-            # setdefault: threads racing on a shared ancestor keep one result
+            # setdefault: threads racing on one repository keep one result
             lexed = self._lex_cache.setdefault(path, lexed)
         return lexed
 
     def module(self, path: str) -> _parser.Module:
         """Cached parse of one file, built from the cached lex."""
-        origin = self._origin.get(path)
-        if origin is not None:
-            return origin.module(path)
         mod = self._module_cache.get(path)
         if mod is None:
             mod = _parser.parse(self.text(path), path, lexed=self.lex(path))
@@ -101,20 +89,10 @@ class Repository:
         return mod
 
     def with_text(self, path: str, text: str) -> "Repository":
-        """Copy-on-write snapshot with one file replaced (or added).
-
-        Every other file keeps its text, so the snapshot delegates its lex and
-        parse to the ancestor that first held that text: the parent's own
-        origin when it has one, else the parent. Chains therefore point
-        straight at that ancestor and keep no intermediate snapshot alive.
-        The replaced file is always analysed, and cached, on the snapshot
-        itself, even when its new text equals an ancestor's.
-        """
+        """Snapshot with one file replaced (or added), and empty caches."""
         files = dict(self._files)
         files[path] = text
-        snap = Repository(files, root=self.root)
-        snap._origin = {p: self._origin.get(p, self) for p in self._files if p != path}
-        return snap
+        return Repository(files, root=self.root)
 
     def validate_caret(self, caret: CaretPosition) -> None:
         text = self.text(caret.file)

@@ -18,7 +18,7 @@ from collections import Counter
 import numpy as np
 
 from mpgen.analysis.complete import CaretContext, TaskAnalysis
-from mpgen.analysis.insert import indent_body, insert_text
+from mpgen.analysis.insert import indent_body, insert
 from mpgen.analysis.lint import lint_check
 from mpgen.analysis.scope import ModuleScope, name_assignments
 from mpgen.decode import GenerationConfig
@@ -228,8 +228,9 @@ def whole_text_analysis(context, body) -> TaskAnalysis:
 
 def generate_then_score_report(config) -> dict:
     """`run_evaluate`'s report, from both models generating for every task
-    (each generation making its own task context at its first cache miss)
-    and then every task scored from a new context; nothing is written."""
+    (each generation through a new `task.context()`) and then every task
+    scored from a context `TaskContext.at` builds on the blanked file;
+    nothing is written."""
     tool_model = load_model(config.tool_model_path)
     vanilla_model = load_model(config.vanilla_model_path)
     tasks = load_tasks(config.tasks, config) if config.tasks else derive_tasks(config)
@@ -321,7 +322,7 @@ def access_expressions(stmts):
 def whole_file_lint_in_span(pair):
     """`lint_check` records of the blanked file with the prediction spliced in,
     from the def line of its function to the end of the prediction."""
-    snapshot, caret = insert_text(pair.repo, pair.pos, pair.pred)
+    snapshot, caret = insert(pair.repo, pair.pos, pair.pred)
     func = latest_enclosing_function(snapshot, pair.pos.file, pair.pos.line)
     start = func.line if func is not None else pair.pos.line
     return [e for e in lint_check(snapshot, pair.pos.file) if start <= e.line <= caret.line]
@@ -334,7 +335,7 @@ def whole_file_pair_is_valid(pair) -> bool:
 def whole_file_expressions(pair) -> set:
     """The access expressions of the prediction's function in the blanked
     file with the prediction spliced in."""
-    snapshot, _caret = insert_text(pair.repo, pair.pos, pair.pred)
+    snapshot, _caret = insert(pair.repo, pair.pos, pair.pred)
     func = latest_enclosing_function(snapshot, pair.pos.file, pair.pos.line)
     return {text for text, _positions in access_expressions(func.body)}
 
@@ -344,7 +345,7 @@ def whole_file_dependencies(gt, repo, pos) -> set:
     shortest access expression holding it. Expressions holding one position
     are nested chains, or a call target's name alone, so no two are equally
     short."""
-    snapshot, _caret = insert_text(repo, pos, gt)
+    snapshot, _caret = insert(repo, pos, gt)
     func = latest_enclosing_function(snapshot, pos.file, pos.line)
     body = insert_triggers(snapshot, pos.file, func).augmented_body
     marked = {(b.line, b.column) for a, b in zip(body, body[1:]) if a.kind == tk.MARKER}

@@ -3,7 +3,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from mpgen.analysis.builtins import is_builtin
 from mpgen.analysis.complete import classify_caret, tool_complete
-from mpgen.analysis.insert import insert, insert_text
+from mpgen.analysis.insert import insert
 from mpgen.analysis.lint import (
     NO_MEMBER,
     SYNTAX_ERROR,
@@ -396,35 +396,32 @@ def _blank_fixture():
 
 
 def test_insert_empty_tokens_is_identity():
-    from mpgen.lm.vocab import BOS_ID, Vocab, RESERVED_TOKENS
-
     repo, pos = _blank_fixture()
-    vocab = Vocab(tokens=RESERVED_TOKENS)
-    snap, caret = insert(repo, pos, [BOS_ID], vocab)
+    snap, caret = insert(repo, pos, "")
     assert snap.files == repo.files
     assert caret == pos
 
 
 def test_insert_strips_markers():
+    """The fallback splices the prefix's rendering, which leaves out the
+    control tokens."""
+    from mpgen.decode import Prefix
     from mpgen.lm.tokenizer import tokenize
-    from mpgen.lm.vocab import BOS_ID, build_vocab
+    from mpgen.lm.vocab import build_vocab
 
     repo, pos = _blank_fixture()
     vocab = build_vocab(["self.z = 1"])
-    ids = [BOS_ID] + tokenize("<COMP>self.<COMP>z = 1", vocab)
-    snap, _ = insert(repo, pos, ids, vocab)
+    prefix = Prefix(vocab)
+    for tok in tokenize("<COMP>self.<COMP>z = 1", vocab):
+        prefix.append(tok)
+    snap, _ = insert(repo, pos, prefix.body.text())
     assert "<COMP>" not in snap.text("c.mp")
     assert "self.z = 1" in snap.text("c.mp")
 
 
 def test_insert_caret_supports_attribute_context():
-    from mpgen.lm.tokenizer import tokenize
-    from mpgen.lm.vocab import BOS_ID, build_vocab
-
     repo, pos = _blank_fixture()
-    vocab = build_vocab(["self."])
-    ids = [BOS_ID] + tokenize("self.", vocab)
-    snap, caret = insert(repo, pos, ids, vocab)
+    snap, caret = insert(repo, pos, "self.")
     out = tool_complete(snap, caret)
     assert out == ["m", "other", "z"]
 
@@ -433,13 +430,13 @@ def test_insert_purity():
     repo, pos = _blank_fixture()
     before = dict(repo.files)
     for text in ("x = 1", "self.z = 2\nreturn self.z"):
-        insert_text(repo, pos, text)
+        insert(repo, pos, text)
     assert repo.files == before
 
 
 def test_insert_reindents_lines():
     repo, pos = _blank_fixture()
-    snap, caret = insert_text(repo, pos, "x = 1\nreturn x")
+    snap, caret = insert(repo, pos, "x = 1\nreturn x")
     lines = snap.text("c.mp").split("\n")
     assert lines[3] == "        x = 1"
     assert lines[4] == "        return x"
@@ -449,7 +446,7 @@ def test_insert_reindents_lines():
 def test_insert_invalid_position():
     repo, pos = _blank_fixture()
     with pytest.raises(CaretError):
-        insert_text(repo, CaretPosition("c.mp", 99, 0), "x = 1")
+        insert(repo, CaretPosition("c.mp", 99, 0), "x = 1")
 
 
 # --- caret classification ----------------------------------------------------

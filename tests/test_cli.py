@@ -519,6 +519,24 @@ def test_complete_out_of_range_is_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "file, line, column, message",
+    [
+        ("b.mp", 1, 0, "no such file in repository: 'b.mp'"),
+        ("a.mp", 0, 0, "line 0 out of range for 'a.mp'"),
+        ("a.mp", 1, 6, "column 6 out of range on line 1 of 'a.mp'"),
+    ],
+)
+def test_complete_bad_caret_prints_one_error_line(tmp_path, capsys, file, line, column, message):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    (repo / "a.mp").write_text("x = 1\n")
+    code = main(["complete", "--repo", str(repo), "--file", file,
+                 "--line", str(line), "--column", str(column)])
+    assert code == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_usage_error_exit_code():
     assert main(["augment"]) == 1          # missing --config
     assert main(["no-such-command"]) == 1
@@ -564,15 +582,26 @@ def test_config_that_is_not_an_object_is_data_error(tmp_path, capsys):
         ("alpha", "0.1"),
         ("alpha", float("inf")),
         ("alpha", float("nan")),
+        ("dataset", None),
+        ("dataset", 5),
+        ("model_dir", ["a"]),
+        ("report", 5),
+        ("report", None),
+        ("tasks", 7),
+        ("tasks", ["t.jsonl"]),
+        ("cache", "no"),
+        ("cache", 0),
+        ("cache", None),
     ],
 )
 def test_out_of_range_config_value_is_data_error(tmp_path, capsys, field, value):
-    # augment reads none of these fields, so only the config check can fail
-    # it; eval_roots stands for both root lists, because augment with an
+    # the config check rejects the value before augment writes anything;
+    # eval_roots stands for both root lists, because augment with an
     # unchecked string train_roots would walk "/" (one root per character)
     cfg = write_config(tmp_path, **{field: value})
     assert main(["augment", "--config", cfg]) == 2
     assert f"config field {field!r}" in capsys.readouterr().err
+    assert not (tmp_path / "dataset.jsonl").exists()
 
 
 def test_corpus_root_env_override(tmp_path, monkeypatch, capsys):

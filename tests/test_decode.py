@@ -404,10 +404,10 @@ def test_tool_vs_vanilla_on_stale_member():
     assert van_text == "return self._y_x"
     assert tool_text == "return self._x"
 
-    from mpgen.analysis.insert import insert_text
+    from mpgen.analysis.insert import insert
 
-    snap_v, _ = insert_text(repo, pos, van_text)
-    snap_t, _ = insert_text(repo, pos, tool_text)
+    snap_v, _ = insert(repo, pos, van_text)
+    snap_t, _ = insert(repo, pos, tool_text)
     assert any(e.kind == NO_MEMBER for e in lint_check(snap_v, "k.mp"))
     assert not lint_check(snap_t, "k.mp")
 

@@ -1,6 +1,6 @@
-"""Snapshot caches: every snapshot analyses a file exactly as a fresh parse
-would, unchanged files are shared with the repository that first held their
-text, and generation over shared caches matches cache-free repositories."""
+"""Repository caches: every repository, snapshots included, analyses a file
+exactly as a fresh parse would and caches only the paths asked of it, and
+generation over cached analyses matches cache-free repositories."""
 
 import gc
 import sys
@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mpgen import decode
 from mpgen.analysis.complete import TaskContext, tool_complete
-from mpgen.analysis.insert import insert_text
+from mpgen.analysis.insert import insert
 from mpgen.decode import GenerationConfig, generate
 from mpgen.minilang import lexer, parser
 from mpgen.pipeline import derive_tasks
@@ -30,16 +30,13 @@ TEXT_POOL = [ROOT_REPO.text(p) for p in PATHS] + [
 def edit_trees(draw):
     """A root plus snapshots, each made by one edit of an earlier repository.
 
-    Returns (snapshots, parents, edits): snapshots[0] is a fresh root,
-    parents[i] the index each snapshot was derived from and edits[i] the
-    path it replaced. Edits replace a file with (a prefix of) some corpus
-    text, revert a file to its root text, or add a new path.
+    snapshots[0] is a fresh root. Edits replace a file with (a prefix of)
+    some corpus text, revert a file to its root text, or add a new path.
     """
     root = Repository(ROOT_REPO.files)
-    snaps, parents, edits = [root], [None], [None]
+    snaps = [root]
     for _ in range(draw(st.integers(1, 6))):
-        i = draw(st.integers(0, len(snaps) - 1))
-        base = snaps[i]
+        base = draw(st.sampled_from(snaps))
         kind = draw(st.sampled_from(["edit", "revert", "add"]))
         if kind == "add":
             path = f"new{len(snaps)}.mp"
@@ -51,50 +48,27 @@ def edit_trees(draw):
             full = draw(st.sampled_from(TEXT_POOL))
             text = full[: draw(st.integers(0, len(full)))]
         snaps.append(base.with_text(path, text))
-        parents.append(i)
-        edits.append(path)
-    return snaps, parents, edits
-
-
-def _holder(k, path, parents, edits):
-    """Index of the nearest repository on k's lineage that set path's text."""
-    while parents[k] is not None and edits[k] != path:
-        k = parents[k]
-    return k
+    return snaps
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(tree=edit_trees(), data=st.data())
-def test_with_text_chains_share_exactly(tree, data):
-    snaps, parents, edits = tree
-    order = data.draw(st.permutations(range(len(snaps))))
-    for k in order:  # fill the caches in a random snapshot order
+@given(snaps=edit_trees(), data=st.data())
+def test_with_text_snapshots_analyse_exactly(snaps, data):
+    """Every snapshot of an edit tree lexes and parses each file as `lex`
+    and `parse` of its text do, and each repository caches the paths asked
+    of it and no others, whatever its ancestors or descendants were asked."""
+    asked = {}
+    for k in data.draw(st.permutations(range(len(snaps)))):  # fill the caches in a random snapshot order
         snap = snaps[k]
-        for path in data.draw(st.permutations(snap.paths())):
-            text = snap.text(path)
-            assert snap.lex(path) == lexer.lex(text)
-            assert snap.module(path) == parser.parse(text, path)
+        asked[k] = data.draw(st.lists(st.sampled_from(snap.paths()), unique=True))
+        for path in asked[k]:
+            assert snap.lex(path) is snap.lex(path) and snap.module(path) is snap.module(path)
 
     for k, snap in enumerate(snaps):
+        assert set(snap._lex_cache) == set(snap._module_cache) == set(asked[k])
         for path in snap.paths():
-            h = _holder(k, path, parents, edits)
-            if h != k:
-                # an unchanged file answers with its holder's very objects,
-                # the root's for every file no ancestor edited
-                assert snap.lex(path) is snaps[h].lex(path)
-                assert snap.module(path) is snaps[h].module(path)
-                assert snap._origin[path] is snaps[h]
-        # a snapshot caches its own edits only (the root: its own files)
-        own = set(snap.paths()) if k == 0 else {edits[k]}
-        assert set(snap._lex_cache) <= own
-        assert set(snap._module_cache) <= own
-
-    for k in range(1, len(snaps)):
-        path, a = edits[k], parents[k]
-        while a is not None:  # no ancestor holds the result of k's edit
-            assert snaps[a]._lex_cache.get(path) is not snaps[k].lex(path)
-            assert snaps[a]._module_cache.get(path) is not snaps[k].module(path)
-            a = parents[a]
+            assert snap.lex(path) == lexer.lex(snap.text(path))
+            assert snap.module(path) == parser.parse(snap.text(path), path)
 
 
 # Pieces a fuzzed text splices in: MiniPy's characters, and what the lexer
@@ -128,14 +102,13 @@ def test_fuzzed_chains_analyse_each_edit_afresh_and_leave_the_parent_alone(data)
         path = data.draw(st.sampled_from(repo.paths() + [f"new{step}.mp"]))
         text = data.draw(fuzzed_texts())
         if path in repo.files and data.draw(st.booleans()):
-            repo.module(path)  # fill the cache of the repository that holds it
-        holder = repo._origin.get(path, repo)
-        lexed, module = holder._lex_cache.get(path), holder._module_cache.get(path)
+            repo.module(path)  # fill the parent's cache
+        lexed, module = repo._lex_cache.get(path), repo._module_cache.get(path)
 
         snap = repo.with_text(path, text)
         assert snap.lex(path) == lexer.lex(text)
         assert snap.module(path) == parser.parse(text, path)
-        assert holder._lex_cache.get(path) is lexed and holder._module_cache.get(path) is module
+        assert repo._lex_cache.get(path) is lexed and repo._module_cache.get(path) is module
         assert snap.lex(path) is not lexed and snap.module(path) is not module
         if lexed is not None:
             assert repo.lex(path) is lexed and repo.module(path) is module
@@ -152,24 +125,22 @@ def test_chain_keeps_no_intermediate_snapshot_alive():
     del mid
     gc.collect()
     assert ref() is None
-    assert tip.module(PATHS[2]) is root.module(PATHS[2])
+    assert tip.module(PATHS[2]) == root.module(PATHS[2])
 
 
-def test_threads_filling_a_shared_root_see_one_result():
-    """Snapshots on several threads fill their common root's caches at once;
-    every thread must get the one object the root keeps."""
-    root = Repository(ROOT_REPO.files)
+def test_threads_filling_one_repository_see_one_result():
+    """Several threads fill one repository's caches at once; every thread
+    must get the one object per path the repository keeps."""
+    repo = Repository(ROOT_REPO.files)
     n_threads, rounds = 4, 20
     barrier = threading.Barrier(n_threads)
     seen = [[] for _ in range(n_threads)]
 
     def work(i):
-        snap = root.with_text(PATHS[i % len(PATHS)], f"x{i} = {i}\n")
         barrier.wait(timeout=10)
         for _ in range(rounds):
-            for path in PATHS:
-                if path != PATHS[i % len(PATHS)]:
-                    seen[i].append((path, snap.lex(path), snap.module(path)))
+            for path in PATHS[i:] + PATHS[:i]:
+                seen[i].append((path, repo.lex(path), repo.module(path)))
 
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -185,9 +156,9 @@ def test_threads_filling_a_shared_root_see_one_result():
     assert all(seen)
     for records in seen:
         for path, lexed, module in records:
-            assert lexed is root.lex(path)
-            assert module is root.module(path)
-    assert root.module(PATHS[0]) == parser.parse(root.text(PATHS[0]), PATHS[0])
+            assert lexed is repo.lex(path)
+            assert module is repo.module(path)
+    assert repo.module(PATHS[0]) == parser.parse(repo.text(PATHS[0]), PATHS[0])
 
 
 def test_parse_reuses_given_lex(monkeypatch):
@@ -217,7 +188,7 @@ def test_tool_complete_matches_cache_free_oracle(trained_models, monkeypatch):
     def compared(context, body):
         got = real(context, body)
         fresh = Repository(dict(task.snapshot.files))
-        want = tool_complete(*insert_text(fresh, task.pos, body))
+        want = tool_complete(*insert(fresh, task.pos, body))
         assert got == want, (task.label, body, got, want)
         checked.append(body)
         return got

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from mpgen import decode
 from mpgen.analysis.complete import TaskContext, tool_complete
-from mpgen.analysis.insert import insert, insert_text
+from mpgen.analysis.insert import insert
 from mpgen.decode import GenerationConfig, generate
 from mpgen.lm.tokenizer import detokenize
 from mpgen.lm.vocab import BOS_ID, CONTROL_IDS, RESERVED_TOKENS, Vocab
@@ -91,8 +91,8 @@ def test_task_context_matches_whole_file_tool(task, body, tail):
     ids = _ids(body + tail)
     context = TaskContext.at(repo, pos)
     assert context is not None
-    got = context.complete(detokenize([t for t in ids if t not in CONTROL_IDS], VOCAB))
-    assert got == tool_complete(*insert(repo, pos, ids, VOCAB))
+    text = detokenize([t for t in ids if t not in CONTROL_IDS], VOCAB)
+    assert context.complete(text) == tool_complete(*insert(repo, pos, text))
 
 
 def test_context_adds_the_partial_bodys_attributes():
@@ -111,7 +111,7 @@ def test_analysis_completes_every_ground_truth_identifier_as_the_whole_file_tool
     for task in demo_tasks:
         analysis = TaskContext.at(task.snapshot, task.pos).analyse(task.gt)
         fresh = Repository(dict(task.snapshot.files))
-        spliced, _caret = insert_text(fresh, task.pos, task.gt)
+        spliced, _caret = insert(fresh, task.pos, task.gt)
         for t in analysis.function.body_tokens:
             if t.kind == tk.IDENTIFIER:
                 caret = CaretPosition(task.pos.file, t.line, t.column)
