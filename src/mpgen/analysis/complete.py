@@ -134,13 +134,14 @@ class TaskContext:
     (`of_function`) reads the index of the loaded repository the task was
     blanked from, whose paths are the snapshot's, so every import resolves
     the same way; each of its files is scoped at most once, for all their
-    tasks, and no file of the snapshot is lexed or parsed. At another caret
-    (`at`) the index is of a transient view of the blanked repository:
-    making the context lexes, parses and scopes the blanked file alone,
-    another file being scoped only when a receiver resolves through an
-    import of it (the index is lazy, see `analysis.scope`). Either way, the
-    own class has own_members plus the attributes the body being written
-    assigns, which the analysis adds.
+    tasks, and no file of the snapshot is lexed or parsed. Scoring pairs
+    that come with no loaded task (`at`) reads the index of a transient
+    view of the blanked repository instead: making the context lexes,
+    parses and scopes the blanked file alone, another file being scoped
+    only when a receiver resolves through an import of it (the index is
+    lazy, see `analysis.scope`). Either way, the own class has own_members
+    plus the attributes the body being written assigns, which the analysis
+    adds.
 
     The analysis resumes from a checkpoint: the one after the closed lines
     of the head, or the one after the closed lines of the text last analysed
@@ -178,25 +179,28 @@ class TaskContext:
     _checkpoint: Optional[_Checkpoint] = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
-    def at(cls, repo: Repository, pos: CaretPosition) -> Optional["TaskContext"]:
-        """The context at pos, or None unless pos is a blanked task's caret: a
-        line of exactly pos.column spaces directly below the docstring, also at
-        pos.column and alone on its line, of a function with no body. Every
-        task `pipeline._blank_function` makes has this shape.
+    def at(cls, repo: Repository, pos: CaretPosition) -> "TaskContext":
+        """The context at pos, a blanked task's caret: a line of exactly
+        pos.column spaces directly below the docstring, also at pos.column
+        and alone on its line, of a function with no body. Every task
+        `pipeline._blank_function` makes has this shape. Raises ValueError at
+        any other caret.
 
         This analyses the blanked file, through a transient view so that its
-        analysis dies with the context; a loaded task's context
-        (`of_function`) reads the loaded file's analysis instead."""
+        analysis dies with the context. Only `metrics.evaluate_pairs` given
+        no verdicts needs it, having no loaded task to build the context
+        from (`of_function`)."""
         lines = repo.files.get(pos.file, "").split("\n")
-        if not 2 <= pos.line <= len(lines) or lines[pos.line - 1] != " " * pos.column:
-            return None
-        index = build_scope_index(repo.with_text(pos.file, repo.text(pos.file)))
-        owner, func = index.enclosing(pos.file, pos.line)
-        if func is None or func.body_tokens or func.docstring is None:
-            return None
-        if lines[pos.line - 2] != " " * pos.column + f'"{func.docstring}"':
-            return None
-        return cls._of(index, pos, lines, owner, func)
+        func = None
+        if 2 <= pos.line <= len(lines) and lines[pos.line - 1] == " " * pos.column:
+            view = repo.with_text(pos.file, repo.text(pos.file))
+            _owner, func = build_scope_index(view).enclosing(pos.file, pos.line)
+        if (
+            func is None or func.body_tokens or func.docstring is None
+            or lines[pos.line - 2] != " " * pos.column + f'"{func.docstring}"'
+        ):
+            raise ValueError(f"{pos.file}:{pos.line}:{pos.column} is not a blanked task's caret")
+        return cls.of_function(view, func, repo, pos)
 
     @classmethod
     def of_function(
@@ -207,15 +211,7 @@ class TaskContext:
         snapshot blanked; no file of blanked is analysed."""
         index = build_scope_index(repo)
         owner, _func = index.enclosing(pos.file, func.line)
-        return cls._of(index, pos, blanked.text(pos.file).split("\n"), owner, func)
-
-    @classmethod
-    def _of(
-        cls, index: ScopeIndex, pos: CaretPosition, lines: list[str],
-        owner: Optional[ClassDef], func: FunctionDef,
-    ) -> "TaskContext":
-        """The context at pos, in the blanked file of the given lines, of func
-        and its class owner as index holds them."""
+        lines = blanked.text(pos.file).split("\n")
         keep = set(range(func.line, pos.line))
         if owner is not None:
             keep.add(owner.line)

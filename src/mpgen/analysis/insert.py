@@ -1,6 +1,6 @@
 """Splicing a partial function into a repository snapshot.
 
-Used during generation at a caret that is not a blanked task's: the body
+Used during generation without a task context (`mpgen generate`): the body
 rendered so far, without control tokens, is inserted at the reserved
 position so the completion tool sees the caret in real context. The input
 repository is never modified.
@@ -22,12 +22,18 @@ def insert(
     """Splice level-0 body text at pos, re-indented to pos.column.
 
     Returns the snapshot plus the caret immediately after the last inserted
-    character.
+    character. Raises CaretError when pos does not lie in the repository.
     """
-    offset = repo.offset_of(pos)
-    text = repo.text(pos.file)
-    indented = indent_body(body_text, pos.column)
-    new_text = text[:offset] + indented + text[offset:]
-    snap = repo.with_text(pos.file, new_text)
-    caret = snap.position_at(pos.file, offset + len(indented))
-    return snap, caret
+    repo.validate_caret(pos)
+    lines = repo.text(pos.file).split("\n")
+    row = lines[pos.line - 1]
+    inserted = indent_body(body_text, pos.column).split("\n")
+    end = CaretPosition(
+        pos.file,
+        pos.line + len(inserted) - 1,
+        len(inserted[-1]) + (pos.column if len(inserted) == 1 else 0),
+    )
+    inserted[0] = row[: pos.column] + inserted[0]
+    inserted[-1] += row[pos.column:]
+    lines[pos.line - 1 : pos.line] = inserted
+    return repo.with_text(pos.file, "\n".join(lines)), end

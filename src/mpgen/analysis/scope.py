@@ -30,8 +30,9 @@ the first time a lookup reaches its path, and keeps it on the repository.
 A query therefore analyses only the files it reaches; a task context, for
 one, scopes the file of its function and the modules that a receiver
 resolves through. A loaded task's context reads the loaded repository's
-index, so a blanked file is parsed and scoped only by a context made at a
-caret that is no loaded task's (`TaskContext.at`). Laziness is exact
+index, so a blanked file is parsed and scoped only by a context
+`TaskContext.at` makes, for pairs scored without their loaded tasks.
+Laziness is exact
 because a file's scope depends only on its own parse and on the
 repository's set of paths, which decides whether an import resolves, and a
 repository fixes both. The scopes are kept per repository, as its lexes

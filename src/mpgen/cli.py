@@ -48,7 +48,6 @@ def _build_parser() -> _ArgumentParser:
     p_gen.add_argument("--column", type=int, required=True)
     p_gen.add_argument("--desc", required=True, help="function description")
     p_gen.add_argument("--vanilla", action="store_true", help="tool-free decoding")
-    p_gen.add_argument("--no-cache", action="store_true")
     p_gen.add_argument("--trace", action="store_true", help="emit per-step source tags")
 
     p_eval = sub.add_parser("evaluate", help="run the benchmark for both models")
@@ -113,7 +112,7 @@ def _cmd_generate(args) -> int:
     pos = CaretPosition(args.file, args.line, args.column)
     gen_cfg = GenerationConfig(
         max_tokens=config.max_tokens,
-        cache_enabled=config.cache and not args.no_cache,
+        cache_enabled=config.cache,
         tool_enabled=not args.vanilla,
     )
     text, trace = generate(model, repo, args.desc, pos, gen_cfg)

@@ -25,14 +25,14 @@ cache key is the count plus a backward scan over the receiver before a
 trailing `.`, which passes over control tokens as the tool, reading the
 text without them, does.
 
-At a blanked task's caret the tool runs through a `TaskContext` that
-analyses only the function being written: the caller's, when it hands one
-in (scoring then reads the same context), or else one built at the first
-cache miss. The context resumes from what the last trigger left: it lexes
-only the lines closed since then and the open one, and parses the body
-only from its last settled statement on. At any other caret each trigger splices the partial
-function into a snapshot for `tool_complete`. Both give the same
-suggestions.
+When the caller hands in the `TaskContext` at the caret, as `mpgen
+evaluate` does for each task (scoring then reads the same context), the
+tool runs through it and analyses only the function being written. The
+context resumes from what the last trigger left: it lexes only the lines
+closed since then and the open one, and parses the body only from its last
+settled statement on. Without one, as in `mpgen generate`, each trigger
+splices the partial function into a snapshot for `tool_complete`. Both
+give the same suggestions at a blanked task's caret.
 
 With tool_enabled=False the loop is plain greedy decoding (the vanilla
 baseline). A per-generation cache keyed on the receiver (and invalidated
@@ -269,8 +269,8 @@ def generate(
     """Generate a function body at pos, returning (canonical text, trace).
 
     task, if given, is the task context at pos, which the tool completes
-    through; without it the call makes its own at the first cache miss, or
-    asks the whole-file tool when pos is not a blanked task's caret.
+    through; without it the tool analyses the whole file with the partial
+    function spliced in (`insert`).
     Raises CaretError when pos does not lie in the repository, and
     ValueError when task is at another caret.
     """
@@ -284,7 +284,6 @@ def generate(
     trace = GenerationTrace()
     # a trie and its shadowed count per key; None for an empty suggestion list
     cache: dict[tuple, Optional[tuple[PrefixTrie, int]]] = {}
-    tool: Optional[TaskContext | bool] = task  # False: ask the whole-file tool
 
     while True:
         counts = model.next_counts(bucket, seq)
@@ -309,10 +308,8 @@ def generate(
             entry = cache[key]
             trace.cache_hits += 1
         else:
-            if tool is None:  # decided once per call, at the first miss
-                tool = TaskContext.at(repo, pos) or False
-            if tool:
-                suggestions = tool.complete(prefix.body.text())
+            if task is not None:
+                suggestions = task.complete(prefix.body.text())
             else:
                 suggestions = tool_complete(*insert(repo, pos, prefix.body.text()))
             trace.tool_invocations += 1

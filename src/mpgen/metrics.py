@@ -3,10 +3,11 @@
 Both repository-aware metrics read one function of a benchmark task: the
 one whose body the task blanked. Scoring therefore reads one
 `TaskContext` per task at the blanked caret, the one generation completed
-through when the caller hands it in (`pipeline.run_evaluate` generates and
-scores task by task) or else a new one, and asks it, through
-`TaskContext.analyse`, about that function with a ground truth or a
-prediction written in; the context is dropped before the next task.
+through (`pipeline.run_evaluate` generates and scores task by task), or,
+for pairs scored without their verdicts, one `TaskContext.at` builds, and
+asks it, through `TaskContext.analyse`, about that function with a ground
+truth or a prediction written in; the context is dropped before the next
+task.
 
 Dependency Coverage follows the micro-averaged formula: the dependency set
 of a ground truth is found by running the trigger-insertion rule on it in
@@ -62,14 +63,6 @@ class EvalPair:
     label: str = ""
 
 
-def task_context(repo: Repository, pos: CaretPosition) -> TaskContext:
-    """The task context at a blanked task's caret; ValueError at any other."""
-    task = TaskContext.at(repo, pos)
-    if task is None:
-        raise ValueError(f"{pos.file}:{pos.line}:{pos.column} is not a blanked task's caret")
-    return task
-
-
 def _access_candidates(stmts: list[nodes.Stmt]) -> list[tuple[str, tuple[tuple[int, int], ...]]]:
     """(canonical text, identifier positions) for every access expression.
 
@@ -117,7 +110,7 @@ def identify_dependencies(gt: str, task: TaskContext) -> set[str]:
 def pair_is_valid(analysis: TaskAnalysis) -> bool:
     """True iff a prediction's function, up to the end of the prediction,
     lints clean; analysis is the prediction analysed in its task context,
-    `task_context(pair.repo, pair.pos).analyse(pair.pred)`."""
+    `TaskContext.at(pair.repo, pair.pos).analyse(pair.pred)`."""
     return not analysis.lint()
 
 
@@ -214,13 +207,6 @@ class EvalReport:
         }
 
 
-@dataclass(frozen=True)
-class GroundTruth:
-    """The task side of a pair, the same for every model scored on the task."""
-
-    deps: set[str]
-
-
 class Verdict(NamedTuple):
     """What scoring reads of one prediction in its task."""
 
@@ -231,22 +217,20 @@ class Verdict(NamedTuple):
 
 
 def ground_truth(
-    pairs: Sequence[EvalPair], vocab: Vocab, task: Optional[TaskContext] = None
-) -> tuple[GroundTruth, list[Verdict]]:
-    """The task side of one task's pairs (one per model, say), and each
-    pair's verdict in pair order, all from one task context: task, if given,
-    which must be the context at the pairs' caret, or a new one.
+    pairs: Sequence[EvalPair], vocab: Vocab, task: TaskContext
+) -> tuple[set[str], list[Verdict]]:
+    """The ground truth's dependency set, the same for every model scored on
+    the task, and each pair's verdict in pair order, for one task's pairs
+    (one per model, say), all read from task, the context at their caret.
 
     The ground truth's n-gram counts live only as long as this call.
     """
     gt, repo, pos = pairs[0].gt, pairs[0].repo, pairs[0].pos
     if any((p.gt, p.pos) != (gt, pos) or p.repo is not repo for p in pairs):
         raise ValueError(f"pairs of more than one task at {pos.file}:{pos.line}")
-    if task is None:
-        task = task_context(repo, pos)
-    elif task.pos != pos:
+    if task.pos != pos:
         raise ValueError(f"a task context at {task.pos} cannot score the task at {pos}")
-    truth = GroundTruth(identify_dependencies(gt, task))
+    deps = identify_dependencies(gt, task)
     lexed = lex(gt)
     canonical = render_tokens(lexed[0])
     ids = tokenize(gt, vocab, lexed=lexed)
@@ -261,17 +245,17 @@ def ground_truth(
             exact_match=render_tokens(pred_lexed[0]) == canonical,
             bleu=bleu_counts(tokenize(pair.pred, vocab, lexed=pred_lexed), ids, ref_ngrams),
         ))
-    return truth, verdicts
+    return deps, verdicts
 
 
-def _score_pair(pair: EvalPair, truth: GroundTruth, verdict: Verdict) -> dict:
+def _score_pair(pair: EvalPair, deps: set[str], verdict: Verdict) -> dict:
     """The report row of one prediction."""
     return {
         "label": pair.label,
         "file": pair.pos.file,
         "line": pair.pos.line,
-        "dep_total": len(truth.deps),
-        "dep_covered": len(verdict.expressions & truth.deps),
+        "dep_total": len(deps),
+        "dep_covered": len(verdict.expressions & deps),
         "valid": verdict.valid,
         "exact_match": verdict.exact_match,
         "edit_sim": edit_similarity(pair.pred, pair.gt),
@@ -298,22 +282,23 @@ def _aggregate(rows: list[dict], bleu: list[BleuCounts]) -> EvalReport:
 def evaluate_pairs(
     pairs: Sequence[EvalPair],
     vocab: Vocab,
-    judged: Optional[Sequence[tuple[GroundTruth, Verdict]]] = None,
+    judged: Optional[Sequence[tuple[set[str], Verdict]]] = None,
 ) -> EvalReport:
     """All six headline metrics plus the per-pair breakdown.
 
-    `judged[i]` is the task side of pairs[i] and its verdict, as `ground_truth`
-    gives them for pairs[i] and the pairs of other models on the same task;
-    pass them in to score several models on the same tasks without
-    recomputing the task side.
+    `judged[i]` is the ground truth's dependency set of pairs[i] and its
+    verdict, as `ground_truth` gives them for pairs[i] and the pairs of
+    other models on the same task; pass them in to score several models on
+    the same tasks without recomputing the task side. Without them each
+    pair is judged in a context `TaskContext.at` builds at its caret.
     """
     if judged is None:
         judged = []
         for pair in pairs:
-            truth, (verdict,) = ground_truth([pair], vocab)
-            judged.append((truth, verdict))
+            deps, (verdict,) = ground_truth([pair], vocab, TaskContext.at(pair.repo, pair.pos))
+            judged.append((deps, verdict))
     rows = [
-        _score_pair(pair, truth, verdict)
-        for pair, (truth, verdict) in zip(pairs, judged, strict=True)
+        _score_pair(pair, deps, verdict)
+        for pair, (deps, verdict) in zip(pairs, judged, strict=True)
     ]
-    return _aggregate(rows, [verdict.bleu for _truth, verdict in judged])
+    return _aggregate(rows, [verdict.bleu for _deps, verdict in judged])

@@ -22,7 +22,6 @@ class Num:
 
 @dataclass
 class Str:
-    raw: str  # the literal including its quotes
     line: int
     column: int
 

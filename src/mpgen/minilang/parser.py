@@ -35,7 +35,6 @@ class FunctionDef:
     signature_text: str
     line: int
     body_start_line: int              # first non-docstring body line
-    body_start_column: int
     end_line: int
     owner_class: Optional[str] = None
 
@@ -222,7 +221,7 @@ class _Parser:
             return nodes.Num(t.text, t.line, t.column)
         if t.kind == tk.STRING:
             self.advance()
-            return nodes.Str(t.text, t.line, t.column)
+            return nodes.Str(t.line, t.column)
         if t.kind == tk.PUNCTUATOR and t.text == "(":
             self.advance()
             self._descend(t)
@@ -352,7 +351,6 @@ class _Parser:
             signature_text=signature,
             line=d.line,
             body_start_line=doc_line + 1,
-            body_start_column=0,
             end_line=doc_line,
             owner_class=owner,
         )
@@ -366,8 +364,7 @@ class _Parser:
             self.advance()
         func.body, func.body_tokens = body, self.toks[start:end]
         if end > start:
-            first = func.body_tokens[0]
-            func.body_start_line, func.body_start_column = first.line, first.column
+            func.body_start_line = func.body_tokens[0].line
             func.end_line = func.body_tokens[-1].line  # tokens strictly increase
         return func
 

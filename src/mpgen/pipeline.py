@@ -399,9 +399,9 @@ def run_evaluate(config: RunConfig) -> dict:
             )
             pairs[variant].append(task.pair(pred))
             traces[variant].append(trace.counters())
-        truth, verdicts = ground_truth([pairs[v][-1] for v in variants], vocab, context)
+        deps, verdicts = ground_truth([pairs[v][-1] for v in variants], vocab, context)
         for variant, verdict in zip(variants, verdicts, strict=True):
-            judged[variant].append((truth, verdict))
+            judged[variant].append((deps, verdict))
         del context
     report: dict = {"n_tasks": len(tasks), "models": {}}
     for variant in variants:

@@ -5,8 +5,8 @@ text. An edit makes a snapshot that copies the file map with one file
 replaced and shares nothing else. Lex and parse results are pure functions
 of (path, text); each repository caches them lazily, for the paths asked of
 it only, and keeps the scopes `analysis.scope.ScopeIndex` builds of its
-files. Generation at a caret that is not a blanked task's makes one
-snapshot per completion trigger, which analyses the files the tool reaches.
+files. Generation without a task context makes one snapshot per
+completion trigger, which analyses the files the tool reaches.
 """
 
 from __future__ import annotations
@@ -103,18 +103,6 @@ class Repository:
             raise CaretError(
                 f"column {caret.column} out of range on line {caret.line} of {caret.file!r}"
             )
-
-    def offset_of(self, caret: CaretPosition) -> int:
-        self.validate_caret(caret)
-        lines = self.text(caret.file).split("\n")
-        return sum(len(l) + 1 for l in lines[: caret.line - 1]) + caret.column
-
-    def position_at(self, path: str, offset: int) -> CaretPosition:
-        text = self.text(path)
-        head = text[:offset]
-        line = head.count("\n") + 1
-        col = len(head) - (head.rfind("\n") + 1)
-        return CaretPosition(path, line, col)
 
     def __repr__(self) -> str:
         return f"Repository({len(self._files)} files, root={self.root!r})"

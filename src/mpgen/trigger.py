@@ -20,7 +20,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from statistics import mean
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 from . import DataError, __version__
 from .analysis.builtins import is_builtin
@@ -153,7 +153,7 @@ def augment_corpus(repos: list[Repository]) -> AugmentedDataset:
     )
 
 
-def save_dataset(dataset: AugmentedDataset, path: str, meta_path: Optional[str] = None) -> None:
+def save_dataset(dataset: AugmentedDataset, path: str, meta_path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for p in dataset.pairs:
             fh.write(
@@ -169,15 +169,14 @@ def save_dataset(dataset: AugmentedDataset, path: str, meta_path: Optional[str] 
                 )
                 + "\n"
             )
-    if meta_path:
-        meta = {
-            "corpus_id": dataset.corpus_id,
-            "tool_version": dataset.tool_version,
-            "stats": dataset.stats,
-        }
-        with open(meta_path, "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+    meta = {
+        "corpus_id": dataset.corpus_id,
+        "tool_version": dataset.tool_version,
+        "stats": dataset.stats,
+    }
+    with open(meta_path, "w", encoding="utf-8") as fh:
+        json.dump(meta, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def load_dataset_records(path: str) -> list[dict]:

@@ -17,7 +17,7 @@ from collections import Counter
 
 import numpy as np
 
-from mpgen.analysis.complete import CaretContext, TaskAnalysis
+from mpgen.analysis.complete import CaretContext, TaskAnalysis, TaskContext
 from mpgen.analysis.insert import indent_body, insert
 from mpgen.analysis.lint import lint_check
 from mpgen.analysis.scope import ModuleScope, name_assignments
@@ -246,9 +246,10 @@ def generate_then_score_report(config) -> dict:
     vocab = tool_model.vocab
     judged = {variant: [] for variant in runs}
     for task_pairs in zip(*(pairs for pairs, _traces in runs.values()), strict=True):
-        truth, verdicts = ground_truth(task_pairs, vocab)
+        first = task_pairs[0]
+        deps, verdicts = ground_truth(task_pairs, vocab, TaskContext.at(first.repo, first.pos))
         for variant, verdict in zip(runs, verdicts, strict=True):
-            judged[variant].append((truth, verdict))
+            judged[variant].append((deps, verdict))
     report = {"n_tasks": len(tasks), "models": {}}
     for variant, (pairs, traces) in runs.items():
         entry = evaluate_pairs(pairs, vocab, judged[variant]).to_dict()

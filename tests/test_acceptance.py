@@ -22,7 +22,7 @@ from oracles import (
 
 from conftest import CORPUS, ROOT, make_config
 from mpgen import metrics
-from mpgen.analysis.complete import tool_complete
+from mpgen.analysis.complete import TaskContext, tool_complete
 from mpgen.decode import GenerationConfig, build_trie, select_suggestion
 from mpgen.lm.ngram import description_bucket
 from mpgen.lm.tokenizer import detokenize, tokenize
@@ -32,7 +32,6 @@ from mpgen.metrics import (
     edit_similarity,
     identify_dependencies,
     evaluate_pairs,
-    task_context,
 )
 from mpgen.minilang import tokens as tk
 from mpgen.minilang.parser import extract_functions
@@ -185,7 +184,7 @@ def test_criterion_6_metric_oracle_equivalence(bench):
     dep_exp = [
         (
             whole_file_expressions(p),
-            identify_dependencies(p.gt, task_context(p.repo, p.pos)),
+            identify_dependencies(p.gt, TaskContext.at(p.repo, p.pos)),
         )
         for p in pairs
     ]

@@ -105,10 +105,11 @@ def test_generate_tool_mode_lints_clean(cli_workspace, capsys):
     assert set(trace["tags"]) <= {"model", "tool-selection"}
 
     # the tool-mode output lints clean when spliced into the demo repo
-    from mpgen.metrics import pair_is_valid, task_context
+    from mpgen.analysis.complete import TaskContext
+    from mpgen.metrics import pair_is_valid
 
     pred = out.rstrip("\n")
-    assert pair_is_valid(task_context(task.snapshot, task.pos).analyse(pred))
+    assert pair_is_valid(TaskContext.at(task.snapshot, task.pos).analyse(pred))
 
 
 def test_generate_missing_model_is_data_error(tmp_path, capsys):

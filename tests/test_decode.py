@@ -258,7 +258,9 @@ def test_benchmark_choices_equal_dense_argmax(trained_models, monkeypatch):
         cfg = GenerationConfig(max_tokens=config.max_tokens, tool_enabled=tool_enabled)
         for task in tasks:
             description[:] = tokenize(task.description, model.vocab)
-            _text, trace = generate(model, task.snapshot, task.description, task.pos, cfg)
+            _text, trace = generate(
+                model, task.snapshot, task.description, task.pos, cfg, task=task.context()
+            )
             _check_outer_choices(model, task.description, trace, tool_enabled)
             outer_steps += trace.steps
     assert (outer_steps, len(trie_steps)) == (9804, 2670)
@@ -441,15 +443,17 @@ def _failing_tool(*_args):
 
 def test_task_context_error_propagates_out_of_generate(monkeypatch):
     repo, pos = _blank_repo()
+    context = decode.TaskContext.at(repo, pos)
     monkeypatch.setattr(decode.TaskContext, "complete", _failing_tool)
     with pytest.raises(_ToolFailure):
-        generate(_member_trigger_model(), repo, "d", pos, GenerationConfig())
+        generate(_member_trigger_model(), repo, "d", pos, GenerationConfig(), task=context)
 
 
 def test_whole_file_tool_error_propagates_out_of_generate(monkeypatch):
     repo, _blank_pos = _blank_repo()
     live = CaretPosition("k.mp", 7, 4)  # not a blanked caret: the line holds 8 spaces
-    assert decode.TaskContext.at(repo, live) is None
+    with pytest.raises(ValueError, match="is not a blanked task's caret"):
+        decode.TaskContext.at(repo, live)
     monkeypatch.setattr(decode, "tool_complete", _failing_tool)
     with pytest.raises(_ToolFailure):
         generate(_member_trigger_model(), repo, "d", live, GenerationConfig())

@@ -73,7 +73,9 @@ def test_prefix_state_equals_the_oracles_at_every_benchmark_trigger(
     tool_triggers = 0
     for model in (tool, vanilla):
         for task in demo_tasks:
-            text, trace = generate(model, task.snapshot, task.description, task.pos, gen_cfg)
+            text, trace = generate(
+                model, task.snapshot, task.description, task.pos, gen_cfg, task=task.context()
+            )
             assert text == detokenized_body(trace.tokens, model.vocab)
             if model is tool:
                 tool_triggers += trace.tool_invocations + trace.cache_hits

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mpgen.analysis.complete import TaskContext
 from mpgen.lm.tokenizer import tokenize
 from mpgen.lm.vocab import build_vocab
 from mpgen.metrics import (
@@ -18,7 +19,6 @@ from mpgen.metrics import (
     identify_dependencies,
     pair_is_valid,
     reference_ngrams,
-    task_context,
 )
 from mpgen.minilang.lexer import lex
 from mpgen.minilang.parser import parse_body
@@ -53,11 +53,11 @@ def score(pairs: list[EvalPair]):
 
 
 def deps_of(gt: str, repo: Repository, pos: CaretPosition) -> set[str]:
-    return identify_dependencies(gt, task_context(repo, pos))
+    return identify_dependencies(gt, TaskContext.at(repo, pos))
 
 
 def is_valid(pair: EvalPair) -> bool:
-    return pair_is_valid(task_context(pair.repo, pair.pos).analyse(pair.pred))
+    return pair_is_valid(TaskContext.at(pair.repo, pair.pos).analyse(pair.pred))
 
 
 def expressions_of(text: str) -> set[str]:

@@ -197,5 +197,5 @@ def test_tool_complete_matches_cache_free_oracle(trained_models, monkeypatch):
     monkeypatch.setattr(decode, "tool_complete", None)  # a call would raise
     gen_cfg = GenerationConfig(max_tokens=config.max_tokens)
     for task in derive_tasks(config):
-        generate(tool, task.snapshot, task.description, task.pos, gen_cfg)
+        generate(tool, task.snapshot, task.description, task.pos, gen_cfg, task=task.context())
     assert len(checked) == 732

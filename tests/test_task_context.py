@@ -164,26 +164,17 @@ def _unblanked_caret(tasks, case):
     return repo, pos, task.description
 
 
-class _NoContext:
-    @staticmethod
-    def at(repo, pos):
-        return None
-
-
 @pytest.mark.parametrize(
     "case", ["live-body", "blank-line-above", "column-0", "empty-caret-line"]
 )
 def test_unblanked_caret_takes_the_whole_file_path(trained_models, demo_tasks, monkeypatch, case):
     _config, tool, _vanilla = trained_models
     repo, pos, desc = _unblanked_caret(demo_tasks, case)
-    assert TaskContext.at(repo, pos) is None
+    with pytest.raises(ValueError, match="is not a blanked task's caret"):
+        TaskContext.at(repo, pos)
     calls = _tool_calls(monkeypatch)
-    text, trace = generate(tool, repo, desc, pos, GenerationConfig())
+    _text, trace = generate(tool, repo, desc, pos, GenerationConfig())
     assert len(calls) == trace.tool_invocations > 0
-
-    monkeypatch.setattr(decode, "TaskContext", _NoContext)
-    whole_text, whole_trace = generate(tool, repo, desc, pos, GenerationConfig())
-    assert (text, trace.to_dict()) == (whole_text, whole_trace.to_dict())
 
 
 def test_blanked_caret_never_calls_the_whole_file_tool(trained_models, demo_tasks, monkeypatch):
@@ -191,24 +182,29 @@ def test_blanked_caret_never_calls_the_whole_file_tool(trained_models, demo_task
     calls = _tool_calls(monkeypatch)
     invocations = 0
     for task in demo_tasks[:20]:
-        _text, trace = generate(tool, task.snapshot, task.description, task.pos)
+        _text, trace = generate(
+            tool, task.snapshot, task.description, task.pos, task=task.context()
+        )
         invocations += trace.tool_invocations
     assert invocations > 0
     assert calls == []
 
 
-def test_a_handed_in_context_generates_what_an_own_context_does(trained_models, demo_tasks):
-    """`generate(..., task=context)` completes through the caller's context,
-    and a context another generation has used answers the same."""
+def test_a_handed_in_context_generates_what_the_whole_file_tool_does(trained_models, demo_tasks):
+    """`generate(..., task=context)` completes through the caller's context
+    as `generate` with no context does through the whole-file tool, with the
+    cache on and off, and a context another generation has used answers the
+    same."""
     _config, tool, _vanilla = trained_models
-    for task in demo_tasks[:20]:
-        context = TaskContext.at(task.snapshot, task.pos)
-        own = generate(tool, task.snapshot, task.description, task.pos)
-        for _ in range(2):
-            handed = generate(
-                tool, task.snapshot, task.description, task.pos, GenerationConfig(), task=context
-            )
-            assert (handed[0], handed[1].to_dict()) == (own[0], own[1].to_dict())
+    for cfg in (GenerationConfig(), GenerationConfig(cache_enabled=False)):
+        for task in demo_tasks[:20]:
+            context = task.context()
+            whole = generate(tool, task.snapshot, task.description, task.pos, cfg)
+            for _ in range(2):
+                handed = generate(
+                    tool, task.snapshot, task.description, task.pos, cfg, task=context
+                )
+                assert (handed[0], handed[1].to_dict()) == (whole[0], whole[1].to_dict())
 
 
 def test_generate_refuses_a_context_at_another_caret(trained_models, demo_tasks):

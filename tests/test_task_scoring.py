@@ -22,7 +22,6 @@ from mpgen.metrics import (
     ground_truth,
     identify_dependencies,
     pair_is_valid,
-    task_context,
 )
 from mpgen.minilang.lexer import LineLexer
 from mpgen.minilang.parser import extract_functions, parse_body
@@ -67,10 +66,10 @@ def test_task_scoring_equals_the_whole_file_on_the_benchmark(task_pairs, trained
     verdicts, dep_counts = [], []
     for pairs in task_pairs:
         gt, repo, pos = pairs[0].gt, pairs[0].repo, pairs[0].pos
-        task = task_context(repo, pos)
-        truth, judged = ground_truth(pairs, vocab)
-        assert truth.deps == whole_file_dependencies(gt, repo, pos)
-        dep_counts.append(len(truth.deps))
+        task = TaskContext.at(repo, pos)
+        deps, judged = ground_truth(pairs, vocab, task)
+        assert deps == whole_file_dependencies(gt, repo, pos)
+        dep_counts.append(len(deps))
         for pair, verdict in zip(pairs, judged, strict=True):
             assert _records(task, pair.pred) == whole_file_lint_in_span(pair), pair.label
             assert verdict.valid == whole_file_pair_is_valid(pair), pair.label
@@ -98,7 +97,7 @@ def sampled_tasks(task_pairs):
     """Every seventh task: methods and module-level functions both, and a
     context for each."""
     sample = task_pairs[::7]
-    return [(pairs, task_context(pairs[0].repo, pairs[0].pos)) for pairs in sample]
+    return [(pairs, TaskContext.at(pairs[0].repo, pairs[0].pos)) for pairs in sample]
 
 
 @settings(
@@ -143,7 +142,7 @@ def test_records_outside_the_function_do_not_count(pred):
     )
     repo = Repository({"c.mp": src})
     pair = EvalPair("return self._n", pred, repo, CaretPosition("c.mp", 7, 8))
-    task = task_context(pair.repo, pair.pos)
+    task = TaskContext.at(pair.repo, pair.pos)
     assert _records(task, pred) == whole_file_lint_in_span(pair)
     assert pair_is_valid(task.analyse(pair.pred)) == whole_file_pair_is_valid(pair) == (pred != "return self._m")
 
@@ -169,23 +168,23 @@ def test_scoring_refuses_a_caret_that_is_not_a_blanked_tasks():
     repo = Repository({"f.mp": src})
     live = CaretPosition("f.mp", 3, 4)
     with pytest.raises(ValueError, match="not a blanked task's caret"):
-        task_context(repo, live)
+        TaskContext.at(repo, live)
     with pytest.raises(ValueError, match="not a blanked task's caret"):
-        ground_truth([EvalPair("return a", "return a", repo, live)], Vocab(RESERVED_TOKENS))
+        evaluate_pairs([EvalPair("return a", "return a", repo, live)], Vocab(RESERVED_TOKENS))
 
 
 def test_scoring_refuses_a_context_at_another_caret(task_pairs, trained_models):
     vocab = trained_models[1].vocab
     (a, _), (b, _) = task_pairs[:2]
     with pytest.raises(ValueError, match="cannot score the task"):
-        ground_truth([a], vocab, task_context(b.repo, b.pos))
+        ground_truth([a], vocab, TaskContext.at(b.repo, b.pos))
 
 
 def test_ground_truth_takes_the_pairs_of_one_task(task_pairs, trained_models):
     _config, tool, _vanilla = trained_models
     (a, _), (b, _) = task_pairs[:2]
     with pytest.raises(ValueError, match="more than one task"):
-        ground_truth([a, b], tool.vocab)
+        ground_truth([a, b], tool.vocab, TaskContext.at(a.repo, a.pos))
 
 
 def _count_calls(monkeypatch, *functions):
@@ -351,7 +350,8 @@ def test_tasks_of_every_shape_are_scored_as_the_whole_file(trained_models, tmp_p
     shaped = make_config(tmp_path, eval_roots=[str(tmp_path / "eval")], model_dir=config.model_dir)
     tasks = derive_tasks(shaped)
     assert len(tasks) == 5
-    assert all(TaskContext.at(t.snapshot, t.pos) is not None for t in tasks)
+    for t in tasks:
+        TaskContext.at(t.snapshot, t.pos)  # raises at a caret of another shape
 
     records = [
         {"label": t.label, "repo": t.repo_name, "file": t.file, "line": t.pos.line,
@@ -401,7 +401,6 @@ def test_every_blanked_function_has_a_task_context(corpus_repos, data):
     for func in funcs:
         snap, pos = _blank_function(mutated, path, func)
         task = TaskContext.at(snap, pos)
-        assert task is not None, (path, func.name)
         gt = render_tokens(func.body_tokens)
         pair = EvalPair(gt, gt, snap, pos)
         assert pair_is_valid(task.analyse(pair.pred)) == whole_file_pair_is_valid(pair)
