@@ -52,8 +52,6 @@ def _build_parser() -> _ArgumentParser:
 
     p_eval = sub.add_parser("evaluate", help="run the benchmark for both models")
     p_eval.add_argument("--config", required=True)
-    p_eval.add_argument("--tasks", default=None, help="JSONL tasks file (default: derive)")
-    p_eval.add_argument("--out", default=None, help="report path override")
 
     p_lint = sub.add_parser("lint", help="lint a repository")
     p_lint.add_argument("--repo", required=True)
@@ -76,8 +74,7 @@ def _load_repo(path: str) -> Repository:
 
 def _cmd_augment(args) -> int:
     config = load_config(args.config)
-    dataset = pipeline.run_augment(config)
-    stats = dataset.stats
+    stats = pipeline.run_augment(config)["stats"]
     if stats["pair_count"] == 0:
         print("warning: no docstring-bearing functions found; dataset is empty")
     print(f"dataset: {config.dataset}")
@@ -128,8 +125,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    overrides = {"tasks": args.tasks, "report": args.out}
-    config = load_config(args.config, overrides)
+    config = load_config(args.config)
     report = pipeline.run_evaluate(config)
     print(f"report: {config.report}")
     header = f"{'metric':<14}{'tool':>12}{'vanilla':>12}"

@@ -18,12 +18,11 @@ id never seen in the context counts zero. This picks exactly what the
 argmax of the masked `NGramModel.predict` vector would.
 
 The sequence is kept in a `Prefix` that updates, as each token is
-appended, its rendering without control tokens and its count of `=` items on
-closed lines. The partial function the tool reads and the text `generate`
-returns are that rendering, so no trigger re-renders the prefix; a trigger's
-cache key is the count plus a backward scan over the receiver before a
-trailing `.`, which passes over control tokens as the tool, reading the
-text without them, does.
+appended, its rendering without control tokens, the items of the line the
+caret is on and its count of `=` and `else` items on closed lines. The
+partial function the tool reads and the text `generate` returns are that
+rendering, so no trigger re-renders the prefix; a trigger's cache key is
+read from the caret's line and the count.
 
 When the caller hands in the `TaskContext` at the caret, as `mpgen
 evaluate` does for each task (scoring then reads the same context), the
@@ -35,18 +34,17 @@ splices the partial function into a snapshot for `tool_complete`. Both
 give the same suggestions at a blanked task's caret.
 
 With tool_enabled=False the loop is plain greedy decoding (the vanilla
-baseline). A per-generation cache keyed on the receiver (and invalidated
-whenever the partial function gains an assignment) holds, per key, the
-prefix trie built from the suggestion list and its shadowed count, or None
-for an empty list; a hit neither asks the tool nor builds a trie. Cached and
-uncached runs produce identical output because the key pins everything the
-list depends on.
+baseline). A per-generation cache holds, per key, the prefix trie built
+from the suggestion list and its shadowed count, or None for an empty list;
+a hit neither asks the tool nor builds a trie. The key, the receiver or the
+scope plus the count, pins everything the list depends on, and a trigger
+it cannot pin gets none and asks the tool (`Prefix.cache_key`). So cached
+and uncached runs produce identical output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 from .analysis.complete import TaskContext, tool_complete
@@ -192,60 +190,87 @@ class Prefix:
     """The sequence generated so far, kept rendered and counted as it grows.
 
     `body` renders the sequence without its control tokens, which is the
-    partial function the completion tool reads. `closed_assigns` counts the
-    `=` items on lines a newline has closed. Only `append` adds tokens; a
-    dropped trigger pops its `<COMP>` alone, which is a control token, so it
-    touches neither the rendering nor the counts.
+    partial function the completion tool reads. The prefix also keeps the
+    shown items of the caret's line, the last line the text shows, and
+    counts the `=` and `else` items on lines a newline has closed. Indents
+    and dedents render nothing mid-line, and the text drops its trailing
+    newlines, which close the caret's line without moving the caret. Only
+    `append` adds tokens; a dropped trigger pops its `<COMP>` alone, a
+    control token, so it touches neither the rendering nor the counts.
     """
 
     def __init__(self, vocab: Vocab):
         self.vocab = vocab
         self.ids: list[int] = [BOS_ID]
         self.body = Renderer()
-        self.closed_assigns = 0
-        self._open_assigns = 0
+        self._closed = 0
+        self._open = 0  # `=` and `else` items on the caret's line, while it is open
+        self._line: list[tuple[str, str]] = []
+        self._line_closed = False
+        self._unkeyed = False  # the caret's line holds an `else` or an unterminated string
 
     def append(self, tok: int) -> None:
         self.ids.append(tok)
         if tok in CONTROL_IDS:
             return
-        kind, text = self.vocab.item(tok)
+        kind, text = item = self.vocab.item(tok)
         self.body.add(kind, text)
         if kind == tk.NEWLINE:
-            self.closed_assigns += self._open_assigns
-            self._open_assigns = 0
-        elif text == "=":
-            self._open_assigns += 1
+            self._closed += self._open
+            self._open = 0
+            self._line_closed = True
+        elif kind != tk.INDENT and kind != tk.DEDENT:
+            if self._line_closed:
+                self._line, self._line_closed, self._unkeyed = [], False, False
+            self._line.append(item)
+            if text == "=" or text == "else":
+                self._open += 1
+            # a whole string literal has two quotes, the first and the last character
+            if text == "else" or kind == tk.STRING and (text.count('"') != 2 or text[-1] != '"'):
+                self._unkeyed = True
 
-    def cache_key(self) -> tuple:
-        """Cache key for the completion list at the trigger ending the sequence.
+    def cache_key(self) -> Optional[tuple]:
+        """Cache key for the completion list at the trigger ending the
+        sequence, or None when the trigger must ask the tool.
 
-        The key pins the resolved-receiver identity (by name) for attribute
-        contexts and folds in the number of assignments on completed lines,
-        which invalidates the entry whenever the partial function could have
-        gained a member, a local, or a rebound receiver. Assignments only
-        count once their line is closed: the recovering parser ignores the
-        statement still being generated, so a mid-line `=` has no effect on
-        scope yet. The receiver is the run of identifier items before a `.`
-        that precedes the trigger, read backwards over the sequence. Control
-        tokens are passed over, since the tool reads the text without them:
-        `self.<COMP>foo.` is the chain `self.foo.`.
+        The list depends on the caret context and on what the partial
+        function binds. An attribute context is keyed by its receiver, the
+        run of identifier items before the trailing `.` of the caret's line:
+        `self.<COMP>foo.` is the chain `self.foo.`. The count stands for the
+        bindings: a closed line binds only through an `=`, or drops an `if`
+        through an `else`. There is no key when the caret's line
+
+        - is open and ends in an operand (identifier, number, string or
+          `)`): it may be a whole assignment, which binds;
+        - holds an `else`, whose `if` the parser drops until a block opens
+          below it and then keeps;
+        - holds a string item that is not one whole literal, which the lexer
+          reads as an error running to the end of the line;
+        - has a number item just before the receiver run: `x_1.` is the
+          items `x`, `_`, `1`, whose run is empty.
+
+        This is exact as long as no run of word items, which render joined,
+        spells a keyword.
         """
-        item = self.vocab.item
-        before = (item(t) for t in islice(reversed(self.ids), 1, None) if t not in CONTROL_IDS)
-        if next(before, (None, None))[1] != ".":
-            return ("scope", self.closed_assigns)
-        run: list[str] = []
-        stop = None  # the item before the run
-        for kind, text in before:
-            if kind != tk.IDENTIFIER:
-                stop = text
-                break
-            run.append(text)
-        receiver = "".join(reversed(run))
-        if not run or stop == ".":
-            return ("attr-chain", receiver, self.closed_assigns)
-        return ("attr", receiver, self.closed_assigns)
+        line, n = self._line, self._closed
+        if self._unkeyed:
+            return None
+        last_kind, last = line[-1] if line else (None, None)
+        operand = last_kind in (tk.IDENTIFIER, tk.NUMBER, tk.STRING) or last == ")"
+        if operand and not self._line_closed:
+            return None
+        if last != ".":
+            return ("scope", n)
+        i = len(line) - 1
+        while i > 0 and line[i - 1][0] == tk.IDENTIFIER:
+            i -= 1
+        receiver = "".join([t for _, t in line[i:-1]])
+        stop_kind, stop = line[i - 1] if i > 0 else (None, None)
+        if stop_kind == tk.NUMBER:
+            return None
+        if not receiver or stop == ".":
+            return ("attr-chain", receiver, n)
+        return ("attr", receiver, n)
 
 
 def _choose_next(counts: dict[int, int], excluded: tuple[int, ...]) -> int:
@@ -317,7 +342,7 @@ def generate(
             if suggestions:
                 trie = build_trie(suggestions, vocab)
                 entry = (trie, trie.shadowed_count)
-            if cfg.cache_enabled:
+            if cfg.cache_enabled and key is not None:
                 cache[key] = entry
 
         if entry is None:

@@ -206,8 +206,8 @@ def save_model(model: NGramModel, path: str) -> None:
         "tables": _tables_to_json(model),
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        # dumps, not dump: dump streams through the pure-Python encoder
+        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_model(path: str) -> NGramModel:

@@ -23,7 +23,7 @@ from .metrics import EvalPair, evaluate_pairs, ground_truth
 from .minilang.parser import FunctionDef, extract_functions
 from .minilang.render import render_tokens
 from .repo import CaretPosition, Repository, load_repositories
-from .trigger import AugmentedDataset, augment_corpus, save_dataset
+from .trigger import augment_corpus, save_dataset
 
 
 @dataclass
@@ -86,7 +86,7 @@ def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
     if not isinstance(raw, dict):
         raise DataError(f"config {path!r} must be a JSON object")
     if overrides:
-        raw.update({k: v for k, v in overrides.items() if v is not None})
+        raw.update(overrides)
     base = os.path.dirname(os.path.abspath(path))
     corpus_base = os.environ.get(CORPUS_ROOT_ENV) or base
 
@@ -139,11 +139,12 @@ def corpus_vocab(config: RunConfig) -> Vocab:
     return build_vocab(texts)
 
 
-def run_augment(config: RunConfig) -> AugmentedDataset:
-    dataset = augment_corpus([repo for _, repo in collect_repos(config.train_roots)])
+def run_augment(config: RunConfig) -> dict:
+    """Write the dataset of the train repositories and its meta; returns the meta."""
+    records, meta = augment_corpus(collect_repos(config.train_roots))
     os.makedirs(os.path.dirname(os.path.abspath(config.dataset)), exist_ok=True)
-    save_dataset(dataset, config.dataset, config.dataset_meta)
-    return dataset
+    save_dataset(records, meta, config.dataset, config.dataset_meta)
+    return meta
 
 
 Pairs = list[tuple[list[int], list[int]]]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .minilang import lexer as _lexer
 from .minilang import parser as _parser
@@ -33,9 +33,8 @@ class CaretPosition:
 
 
 class Repository:
-    def __init__(self, files: Mapping[str, str], root: Optional[str] = None):
+    def __init__(self, files: Mapping[str, str]):
         self._files = dict(sorted(files.items()))
-        self.root = root
         self._lex_cache: dict[str, tuple[list, list]] = {}
         self._module_cache: dict[str, _parser.Module] = {}
         # path -> its analysis.scope.ModuleScope, built lazily by ScopeIndex
@@ -56,7 +55,7 @@ class Repository:
                     except UnicodeDecodeError as exc:
                         exc.reason = f"{exc.reason} in {full}"
                         raise
-        return cls(files, root=root)
+        return cls(files)
 
     @property
     def files(self) -> dict[str, str]:
@@ -92,7 +91,7 @@ class Repository:
         """Snapshot with one file replaced (or added), and empty caches."""
         files = dict(self._files)
         files[path] = text
-        return Repository(files, root=self.root)
+        return Repository(files)
 
     def validate_caret(self, caret: CaretPosition) -> None:
         text = self.text(caret.file)
@@ -105,7 +104,7 @@ class Repository:
             )
 
     def __repr__(self) -> str:
-        return f"Repository({len(self._files)} files, root={self.root!r})"
+        return f"Repository({len(self._files)} files)"
 
 
 def load_repositories(root: str) -> list[tuple[str, Repository]]:

@@ -12,73 +12,27 @@ own in front: the analysis a completion needs is already shared, since the
 repository lexes, parses and scopes each file once, the first time a
 completion reaches it. `is_trigger` is the marking rule; the metrics
 apply it, with a task analysis's completions, to mark a ground truth.
+
+A training pair exists only as the dataset record `save_dataset` writes
+and `load_dataset_records` reads back.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from statistics import mean
 from typing import Callable, Iterable
 
 from . import DataError, __version__
 from .analysis.builtins import is_builtin
 from .analysis.complete import tool_complete
+from .lm.tokenizer import token_strings
 from .minilang import tokens as tk
 from .minilang.parser import FunctionDef, extract_functions
 from .minilang.render import render_tokens
 from .minilang.tokens import LexToken
 from .repo import CaretPosition, Repository
-
-
-class MissingDocstringError(ValueError):
-    """The function has no docstring and cannot become a training pair."""
-
-
-@dataclass
-class AugmentedFunction:
-    description: str
-    augmented_body: list[LexToken]  # body tokens with marker tokens interleaved
-    file: str
-    line: int
-
-    @property
-    def comp_count(self) -> int:
-        """The number of markers inserted."""
-        return sum(1 for t in self.augmented_body if t.kind == tk.MARKER)
-
-    def body_text(self) -> str:
-        return render_tokens(self.augmented_body)
-
-
-@dataclass
-class AugmentedDataset:
-    pairs: list[AugmentedFunction]
-    corpus_id: str
-    tool_version: str
-
-    @property
-    def stats(self) -> dict:
-        if not self.pairs:
-            return {
-                "pair_count": 0,
-                "mean_description_tokens": 0.0,
-                "mean_body_tokens": 0.0,
-                "mean_comp_count": 0.0,
-            }
-        from .lm.tokenizer import token_strings
-
-        return {
-            "pair_count": len(self.pairs),
-            "mean_description_tokens": mean(
-                len(token_strings(p.description)) for p in self.pairs
-            ),
-            "mean_body_tokens": mean(
-                len(token_strings(p.body_text())) for p in self.pairs
-            ),
-            "mean_comp_count": mean(p.comp_count for p in self.pairs),
-        }
 
 
 def is_trigger(t: LexToken, complete: Callable[[int, int], list[str]]) -> bool:
@@ -89,9 +43,9 @@ def is_trigger(t: LexToken, complete: Callable[[int, int], list[str]]) -> bool:
     )
 
 
-def insert_triggers(repo: Repository, file: str, func: FunctionDef) -> AugmentedFunction:
-    if func.docstring is None:
-        raise MissingDocstringError(f"{file}:{func.line}: {func.name} has no docstring")
+def insert_triggers(repo: Repository, file: str, func: FunctionDef) -> list[LexToken]:
+    """The body tokens of func, a function of file, with a marker token
+    before each trigger."""
 
     def complete(line: int, column: int) -> list[str]:
         return tool_complete(repo, CaretPosition(file, line, column))
@@ -101,12 +55,7 @@ def insert_triggers(repo: Repository, file: str, func: FunctionDef) -> Augmented
         if is_trigger(t, complete):
             out.append(LexToken(tk.MARKER, tk.COMP_TEXT, t.line, t.column))
         out.append(t)
-    return AugmentedFunction(
-        description=func.description,
-        augmented_body=out,
-        file=file,
-        line=func.line,
-    )
+    return out
 
 
 def corpus_id_of(repos: Iterable[Repository]) -> str:
@@ -120,63 +69,55 @@ def corpus_id_of(repos: Iterable[Repository]) -> str:
     return h.hexdigest()[:16]
 
 
-def _repo_label(repo: Repository) -> str:
-    if repo.root:
-        import os
-
-        return os.path.basename(os.path.normpath(repo.root))
-    return ""
-
-
-def augment_corpus(repos: list[Repository]) -> AugmentedDataset:
-    """Apply trigger insertion to every docstring-bearing function.
+def augment_corpus(repos: list[tuple[str, Repository]]) -> tuple[list[dict], dict]:
+    """The dataset records of every docstring-bearing function of the named
+    repositories, and the dataset's meta: corpus id, tool version and stats.
 
     Output order is deterministic: repositories in the given order, files by
     path, functions by source position. Functions without docstrings are
     omitted. The parser recovers from syntax errors, so a file that does not
     fully parse still yields the functions it could read.
     """
-    pairs: list[AugmentedFunction] = []
-    for repo in repos:
-        label = _repo_label(repo)
+    records: list[dict] = []
+    for name, repo in repos:
         for path in repo.paths():
-            module = repo.module(path)
-            for func in extract_functions(module):
+            for func in extract_functions(repo.module(path)):
                 if func.docstring is None:
                     continue
-                aug = insert_triggers(repo, path, func)
-                if label:
-                    aug.file = f"{label}/{path}"
-                pairs.append(aug)
-    return AugmentedDataset(
-        pairs=pairs, corpus_id=corpus_id_of(repos), tool_version=__version__
-    )
+                body = insert_triggers(repo, path, func)
+                records.append({
+                    "description": func.description,
+                    "augmented_body": render_tokens(body),
+                    "file": f"{name}/{path}",
+                    "line": func.line,
+                    "comp_count": sum(1 for t in body if t.kind == tk.MARKER),
+                })
 
+    def mean_of(measure: Callable[[dict], int]):
+        # statistics.mean keeps a whole mean of ints an int: the meta says `3`, not `3.0`
+        return mean(map(measure, records)) if records else 0.0
 
-def save_dataset(dataset: AugmentedDataset, path: str, meta_path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for p in dataset.pairs:
-            fh.write(
-                json.dumps(
-                    {
-                        "description": p.description,
-                        "augmented_body": p.body_text(),
-                        "file": p.file,
-                        "line": p.line,
-                        "comp_count": p.comp_count,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-    meta = {
-        "corpus_id": dataset.corpus_id,
-        "tool_version": dataset.tool_version,
-        "stats": dataset.stats,
+    stats = {
+        "pair_count": len(records),
+        "mean_description_tokens": mean_of(lambda r: len(token_strings(r["description"]))),
+        "mean_body_tokens": mean_of(lambda r: len(token_strings(r["augmented_body"]))),
+        "mean_comp_count": mean_of(lambda r: r["comp_count"]),
     }
+    meta = {
+        "corpus_id": corpus_id_of(repo for _name, repo in repos),
+        "tool_version": __version__,
+        "stats": stats,
+    }
+    return records, meta
+
+
+def save_dataset(records: list[dict], meta: dict, path: str, meta_path: str) -> None:
+    """Write the records to path, one JSON line each, and meta to meta_path."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
     with open(meta_path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
 
 def load_dataset_records(path: str) -> list[dict]:

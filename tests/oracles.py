@@ -191,25 +191,45 @@ def detokenized_body(prefix, vocab) -> str:
     return detokenize([t for t in prefix if t not in CONTROL_IDS], vocab)
 
 
-def trigger_cache_key(prefix, vocab) -> tuple:
-    """The generation cache's key at the trigger ending prefix, from a scan of
-    the whole prefix: the receiver run before a `.` that precedes the
-    trigger, and the `=` items before the prefix's last newline. Control
-    tokens are left out, as the tool reads the text without them."""
-    items = [vocab.item(t) for t in prefix[:-1] if t not in CONTROL_IDS]  # not the trigger
-    last_nl = max((i for i, (kind, _) in enumerate(items) if kind == tk.NEWLINE), default=-1)
-    n_assign = sum(1 for _, s in items[: last_nl + 1] if s == "=")
-    if items and items[-1][1] == ".":
-        j = len(items) - 2
-        run = []
-        while j >= 0 and items[j][0] == tk.IDENTIFIER:
-            run.append(items[j][1])
-            j -= 1
-        receiver = "".join(reversed(run))
-        if not run or (j >= 0 and items[j][1] == "."):
-            return ("attr-chain", receiver, n_assign)
-        return ("attr", receiver, n_assign)
-    return ("scope", n_assign)
+def trigger_cache_key(prefix, vocab):
+    """The generation cache's key at the trigger ending prefix, or None, from
+    a scan of the whole prefix. The caret's line is the last line the text
+    shows: control, indent and dedent items render nothing, and trailing
+    newlines close that line but are dropped from the text. The count takes
+    the `=` and `else` items before the caret line's closing newline, or
+    before its start while it is open. There is no key when that line holds
+    an `else` or an unterminated string, or is open and ends in an operand,
+    or when the receiver run before its trailing `.` starts after a number."""
+    shown = [
+        vocab.item(t) for t in prefix[:-1]  # not the trigger
+        if t not in CONTROL_IDS and vocab.item(t)[0] not in (tk.INDENT, tk.DEDENT)
+    ]
+    closed = bool(shown) and shown[-1][0] == tk.NEWLINE
+    while shown and shown[-1][0] == tk.NEWLINE:
+        shown.pop()
+    start = max((i + 1 for i, (kind, _) in enumerate(shown) if kind == tk.NEWLINE), default=0)
+    line = shown[start:]
+    n = sum(1 for _, s in (shown if closed else shown[:start]) if s in ("=", "else"))
+    if any(s == "else" or (k == tk.STRING and not re.fullmatch(r'"[^"]*"', s)) for k, s in line):
+        return None
+    if not line:
+        return ("scope", n)
+    last_kind, last = line[-1]
+    if not closed and (last_kind in (tk.IDENTIFIER, tk.NUMBER, tk.STRING) or last == ")"):
+        return None
+    if last != ".":
+        return ("scope", n)
+    j = len(line) - 2
+    run = []
+    while j >= 0 and line[j][0] == tk.IDENTIFIER:
+        run.append(line[j][1])
+        j -= 1
+    if j >= 0 and line[j][0] == tk.NUMBER:
+        return None
+    receiver = "".join(reversed(run))
+    if not run or (j >= 0 and line[j][1] == "."):
+        return ("attr-chain", receiver, n)
+    return ("attr", receiver, n)
 
 
 def whole_text_analysis(context, body) -> TaskAnalysis:
@@ -348,7 +368,7 @@ def whole_file_dependencies(gt, repo, pos) -> set:
     short."""
     snapshot, _caret = insert(repo, pos, gt)
     func = latest_enclosing_function(snapshot, pos.file, pos.line)
-    body = insert_triggers(snapshot, pos.file, func).augmented_body
+    body = insert_triggers(snapshot, pos.file, func)
     marked = {(b.line, b.column) for a, b in zip(body, body[1:]) if a.kind == tk.MARKER}
     candidates = access_expressions(func.body)
     deps = set()

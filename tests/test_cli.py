@@ -45,6 +45,33 @@ def test_augment_writes_dataset_and_stats(cli_workspace, capsys):
     assert len(records) == meta["stats"]["pair_count"]
 
 
+def test_augment_prints_the_stats_it_writes_computed_once(tmp_path, capsys, monkeypatch):
+    """The printed stats are the meta file's, and one augment computes them
+    once: each record's description and body are split into tokens once."""
+    from mpgen import trigger
+
+    calls = 0
+    real = trigger.token_strings
+
+    def counting(text, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(text, **kwargs)
+
+    monkeypatch.setattr(trigger, "token_strings", counting)
+    cfg = write_config(tmp_path)
+    assert main(["augment", "--config", cfg]) == 0
+    stats = json.loads((tmp_path / "dataset.jsonl.meta.json").read_text())["stats"]
+    assert capsys.readouterr().out.splitlines() == [
+        f"dataset: {tmp_path / 'dataset.jsonl'}",
+        f"pairs: {stats['pair_count']}",
+        f"mean description tokens: {stats['mean_description_tokens']:.2f}",
+        f"mean body tokens: {stats['mean_body_tokens']:.2f}",
+        f"mean trigger count: {stats['mean_comp_count']:.2f}",
+    ]
+    assert calls == 2 * stats["pair_count"] > 0
+
+
 def test_augment_empty_corpus_warns_not_errors(tmp_path, capsys):
     bare = tmp_path / "bare" / "repo00"
     bare.mkdir(parents=True)
@@ -296,9 +323,9 @@ def test_evaluate_model_table_out_of_range_is_data_error(tmp_path, capsys, key, 
 
 
 def test_evaluate_missing_tasks_file_is_data_error(tmp_path, capsys):
-    cfg = write_config(tmp_path, model_dir=str(GOLDEN_MODELS))
     missing = tmp_path / "no-such-tasks.jsonl"
-    assert main(["evaluate", "--config", cfg, "--tasks", str(missing)]) == 2
+    cfg = write_config(tmp_path, model_dir=str(GOLDEN_MODELS), tasks=str(missing))
+    assert main(["evaluate", "--config", cfg]) == 2
     assert "cannot read tasks file" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
 
@@ -335,8 +362,8 @@ def test_evaluate_malformed_task_record_is_data_error(tmp_path, capsys, line):
         line = json.dumps({k: v for k, v in rec.items() if v is not None})
     tasks = tmp_path / "tasks.jsonl"
     tasks.write_text(json.dumps(_task_record()) + "\n" + line + "\n")
-    cfg = write_config(tmp_path, model_dir=str(GOLDEN_MODELS))
-    assert main(["evaluate", "--config", cfg, "--tasks", str(tasks)]) == 2
+    cfg = write_config(tmp_path, model_dir=str(GOLDEN_MODELS), tasks=str(tasks))
+    assert main(["evaluate", "--config", cfg]) == 2
     assert "malformed task record" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
 
@@ -350,16 +377,16 @@ def test_evaluate_malformed_task_record_is_data_error(tmp_path, capsys, line):
 def test_evaluate_task_record_naming_no_task_is_data_error(tmp_path, capsys, edit, message):
     tasks = tmp_path / "tasks.jsonl"
     tasks.write_text(json.dumps({**_task_record(), **edit}) + "\n")
-    cfg = write_config(tmp_path, model_dir=str(GOLDEN_MODELS))
-    assert main(["evaluate", "--config", cfg, "--tasks", str(tasks)]) == 2
+    cfg = write_config(tmp_path, model_dir=str(GOLDEN_MODELS), tasks=str(tasks))
+    assert main(["evaluate", "--config", cfg]) == 2
     assert message in capsys.readouterr().err
 
 
 def test_evaluate_reads_a_valid_task_record(tmp_path, capsys):
     tasks = tmp_path / "tasks.jsonl"
     tasks.write_text(json.dumps(_task_record()) + "\n")
-    cfg = write_config(tmp_path, model_dir=str(GOLDEN_MODELS))
-    assert main(["evaluate", "--config", cfg, "--tasks", str(tasks)]) == 0
+    cfg = write_config(tmp_path, model_dir=str(GOLDEN_MODELS), tasks=str(tasks))
+    assert main(["evaluate", "--config", cfg]) == 0
     assert json.loads((tmp_path / "report.json").read_text())["n_tasks"] == 1
 
 

@@ -24,7 +24,7 @@ from mpgen.pipeline import derive_tasks, run_model_over_tasks
 from mpgen.repo import CaretPosition, Repository
 
 from oracles import detokenized_body, trigger_cache_key, whole_text_analysis
-from test_task_context import FUNCTION_TASK, METHOD_TASK, VOCAB
+from test_task_context import FUNCTION_TASK, METHOD_TASK, VOCAB, WORDS
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +96,8 @@ def test_the_key_counts_assignments_on_closed_lines_only():
     prefix.ids.pop()
     prefix.append(vocab.id("<NL>"))
     prefix.append(vocab.id("<COMP>"))
-    assert prefix.cache_key() == ("scope", 2) == trigger_cache_key(prefix.ids, vocab)
+    # the text drops the trailing newline: the tool reads `x.` on a closed line
+    assert prefix.cache_key() == ("attr", "x", 2) == trigger_cache_key(prefix.ids, vocab)
     assert prefix.body.text() == "x = 1\nb = x." == detokenized_body(prefix.ids, vocab)
 
 
@@ -137,6 +138,87 @@ def test_a_marker_inside_a_receiver_chain_keys_the_chain():
     assert trace_on.to_dict() == trace_off.to_dict()
     assert trace_on.tokens == trace_off.tokens
     assert trace_on.dropped_triggers == 1
+
+
+FOO = 'def foo():\n    "make foo"\n    return 1\n\ndef g():\n    "use foo"\n    \n'
+
+
+def _cache_on_and_off(target, order, repo, pos, copies=1, extra=()):
+    """Both tool paths' generations, with the cache on and off, of a model
+    trained on copies of target plus the extra bodies."""
+    vocab = build_vocab([target, *extra])
+    bodies = [target] * copies + list(extra)
+    model = train(
+        [([], [BOS_ID] + tokenize(b, vocab) + [EOS_ID]) for b in bodies],
+        order=order, alpha=0.1, vocab=vocab,
+    )
+    return [
+        generate(model, repo, "d", pos, GenerationConfig(cache_enabled=cache), task=task)
+        for task in (None, TaskContext.at(repo, pos))
+        for cache in (True, False)
+    ]
+
+
+def _assert_one_generation(runs, want):
+    for text, trace in runs:
+        assert text == want
+        assert trace.to_dict() == runs[0][1].to_dict()
+        assert trace.tokens == runs[0][1].tokens
+
+
+def test_a_trigger_after_an_operand_on_the_open_line_asks_the_tool():
+    """`zzq = foo` is a whole assignment, so the tool offers `zzq` after it,
+    although no `=` is on a closed line yet; a key would serve the list from
+    `zzq = `, without `zzq`, and the cached run would write `foo` forever."""
+    repo, pos = Repository({"f.mp": FOO}), CaretPosition("f.mp", 7, 4)
+    runs = _cache_on_and_off("zzq = <COMP>foo <COMP>zzq", 3, repo, pos)
+    _assert_one_generation(runs, "zzq = foozzq")
+
+
+def test_an_else_line_keys_nothing_until_its_block_opens():
+    """An `else` line drops its whole `if` until a block opens below it, so
+    `xq` is not offered at the start of the block and is offered inside it,
+    with no `=` in between."""
+    repo, pos = Repository({"f.mp": FOO}), CaretPosition("f.mp", 7, 4)
+    target = "if 1:\n    xq = 1\nelse:\n    <COMP>foo(<COMP>xq)"
+    runs = _cache_on_and_off(target, 8, repo, pos, copies=5)
+    _assert_one_generation(runs, "if 1:\n    xq = 1\nelse:\n    foo(xq)")
+
+
+def test_a_receiver_ending_in_a_number_asks_the_tool():
+    """`x_1.` is the items `x`, `_`, `1`: the run of identifier items before
+    the `.` is empty, which would key it as `f().`, an unresolvable receiver."""
+    repo, pos = Repository({"c.mp": TWO_CLASSES}), CaretPosition("c.mp", 11, 8)
+    target = "x_1 = K()\nf().<COMP>g\nreturn x_1.<COMP>g()"
+    plain = target.replace("f().<COMP>g", "f().g")
+    runs = _cache_on_and_off(target, 8, repo, pos, copies=5, extra=[plain])
+    _assert_one_generation(runs, "x_1 = K()\nf().g\nreturn x_1.g()")
+    assert runs[0][1].dropped_triggers == 1
+
+
+@pytest.mark.parametrize("task", [METHOD_TASK, FUNCTION_TASK], ids=["method", "function"])
+@settings(max_examples=150, deadline=None)
+@given(words=st.lists(st.sampled_from(WORDS + ("<UNK>", "<COMP>")), max_size=40))
+@example(words="if 1 : <NL> <INDENT> x = 1 <NL> <DEDENT> else : <NL> <INDENT> b (".split())
+@example(words='x = Box ( ) <NL> x . <NL> "ab x .'.split())
+@example(words="b = x . <NL> <INDENT> x = 1 <NL> x _ 1 .".split())
+def test_triggers_with_one_key_get_one_list(task, words):
+    """Within one sequence, a trigger after any of its tokens that gets a key
+    gets the list that the first trigger with that key got. No run of the
+    vocabulary's word items spells a keyword, the condition `cache_key`
+    states."""
+    context = TaskContext.at(*task)
+    prefix = decode.Prefix(VOCAB)
+    lists = {}
+    for word in words:
+        prefix.append(VOCAB.id(word))
+        prefix.append(VOCAB.id("<COMP>"))
+        key = prefix.cache_key()
+        assert key == trigger_cache_key(prefix.ids, VOCAB)
+        prefix.ids.pop()
+        if key is not None:
+            got = context.complete(prefix.body.text())
+            assert lists.setdefault(key, got) == got, key
 
 
 # --- the mechanism, counted over the benchmark ----------------------------------

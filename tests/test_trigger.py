@@ -12,13 +12,7 @@ from mpgen.minilang.parser import extract_functions
 from mpgen.minilang.render import render_tokens
 from mpgen.pipeline import collect_repos
 from mpgen.repo import CaretPosition, Repository
-from mpgen.trigger import (
-    MissingDocstringError,
-    augment_corpus,
-    insert_triggers,
-    load_dataset_records,
-    save_dataset,
-)
+from mpgen.trigger import augment_corpus, insert_triggers, load_dataset_records, save_dataset
 
 UPDATER = (
     "class Updater:\n"
@@ -38,29 +32,31 @@ def _function(repo, path, name):
     return next(f for f in extract_functions(repo.module(path)) if f.name == name)
 
 
+def _markers(toks):
+    return sum(1 for t in toks if t.kind == tk.MARKER)
+
+
 def test_four_markers_on_updater_fixture():
     # the augmented function carries markers before updates,
     # _registered_updates, add and update; the first parameter is also
     # suggestible at statement positions, so self picks up markers too
     repo = Repository({"u.mp": UPDATER})
     fn = _function(repo, "u.mp", "register_updates")
-    aug = insert_triggers(repo, "u.mp", fn)
+    toks = insert_triggers(repo, "u.mp", fn)
     marked = []
-    toks = aug.augmented_body
     for i, t in enumerate(toks):
         if t.kind == tk.MARKER:
             marked.append(toks[i + 1].text)
     non_self = [m for m in marked if m != "self"]
     assert sorted(non_self) == ["_registered_updates", "add", "update", "updates"]
-    assert aug.comp_count == len(marked)
+    assert _markers(toks) == len(marked)
     assert marked.count("self") == 2
 
 
 def test_marker_always_immediately_precedes_identifier():
     repo = Repository({"u.mp": UPDATER})
     fn = _function(repo, "u.mp", "register_updates")
-    aug = insert_triggers(repo, "u.mp", fn)
-    toks = aug.augmented_body
+    toks = insert_triggers(repo, "u.mp", fn)
     for i, t in enumerate(toks):
         if t.kind == tk.MARKER:
             assert toks[i + 1].kind == tk.IDENTIFIER
@@ -70,8 +66,7 @@ def test_definition_sites_not_marked():
     # `update = 0` defines update: a tool cannot suggest a name before it exists
     repo = Repository({"u.mp": UPDATER})
     fn = _function(repo, "u.mp", "register_updates")
-    aug = insert_triggers(repo, "u.mp", fn)
-    toks = aug.augmented_body
+    toks = insert_triggers(repo, "u.mp", fn)
     for i, t in enumerate(toks):
         if t.kind == tk.IDENTIFIER and t.text == "update" and t.line == 9:
             assert toks[i - 1].kind != tk.MARKER
@@ -86,8 +81,7 @@ def test_builtin_identifiers_never_marked():
     )
     repo = Repository({"b.mp": src})
     fn = _function(repo, "b.mp", "f")
-    aug = insert_triggers(repo, "b.mp", fn)
-    toks = aug.augmented_body
+    toks = insert_triggers(repo, "b.mp", fn)
     for i, t in enumerate(toks):
         if t.kind == tk.MARKER:
             assert not is_builtin(toks[i + 1].text)
@@ -102,8 +96,7 @@ def test_markers_never_precede_non_identifiers(corpus_repos):
             for fn in extract_functions(repo.module(path)):
                 if fn.docstring is None:
                     continue
-                aug = insert_triggers(repo, path, fn)
-                toks = aug.augmented_body
+                toks = insert_triggers(repo, path, fn)
                 for i, t in enumerate(toks):
                     if t.kind == tk.MARKER:
                         nxt = toks[i + 1]
@@ -113,25 +106,16 @@ def test_markers_never_precede_non_identifiers(corpus_repos):
     assert checked > 50
 
 
-def test_missing_docstring_is_skip_signal():
-    repo = Repository({"s.mp": "def f():\n    return 1\n"})
-    fn = _function(repo, "s.mp", "f")
-    with pytest.raises(MissingDocstringError):
-        insert_triggers(repo, "s.mp", fn)
-
-
 def test_description_is_signature_plus_docstring():
-    repo = Repository({"u.mp": UPDATER})
-    fn = _function(repo, "u.mp", "add")
-    aug = insert_triggers(repo, "u.mp", fn)
-    assert aug.description == "def add(self, update): Store one update into the registry"
+    records, _meta = augment_corpus([("r", Repository({"u.mp": UPDATER}))])
+    assert records[0]["description"] == "def add(self, update): Store one update into the registry"
+    assert (records[0]["file"], records[0]["line"]) == ("r/u.mp", 2)
 
 
 def test_strip_insert_round_trip_single():
     repo = Repository({"u.mp": UPDATER})
     fn = _function(repo, "u.mp", "register_updates")
-    aug = insert_triggers(repo, "u.mp", fn)
-    unmarked = [t for t in aug.augmented_body if t.kind != tk.MARKER]
+    unmarked = [t for t in insert_triggers(repo, "u.mp", fn) if t.kind != tk.MARKER]
     assert render_tokens(unmarked) == render_tokens(fn.body_tokens)
 
 
@@ -139,8 +123,7 @@ def test_marker_validity_recheck():
     # every marker's identifier really is a fresh tool_complete member
     repo = Repository({"u.mp": UPDATER})
     fn = _function(repo, "u.mp", "register_updates")
-    aug = insert_triggers(repo, "u.mp", fn)
-    toks = aug.augmented_body
+    toks = insert_triggers(repo, "u.mp", fn)
     for i, t in enumerate(toks):
         if t.kind == tk.MARKER:
             nxt = toks[i + 1]
@@ -154,51 +137,47 @@ def test_augment_corpus_propagates_tool_errors(monkeypatch):
 
     monkeypatch.setattr("mpgen.trigger.tool_complete", failing)
     with pytest.raises(RuntimeError, match="tool broke"):
-        augment_corpus([Repository({"u.mp": UPDATER})])
+        augment_corpus([("r", Repository({"u.mp": UPDATER}))])
 
 
 def test_augment_corpus_counts_and_order(corpus_repos):
-    repos = [repo for _name, repo in corpus_repos[:2]]
-    ds = augment_corpus(repos)
+    repos = corpus_repos[:2]
+    records, _meta = augment_corpus(repos)
     expected = sum(
         1
-        for repo in repos
+        for _name, repo in repos
         for path in repo.paths()
         for fn in extract_functions(repo.module(path))
         if fn.docstring is not None
     )
-    assert len(ds.pairs) == expected
-    keys = [(p.file, p.line) for p in ds.pairs]
+    assert len(records) == expected
+    keys = [(r["file"], r["line"]) for r in records]
     assert keys == sorted(keys, key=lambda k: (k[0].split("/")[0], k))
 
 
 def test_augment_skips_docstringless_functions(corpus_repos):
-    repos = [corpus_repos[0][1]]
-    ds = augment_corpus(repos)
-    assert all("probe_" not in p.description for p in ds.pairs)
+    records, _meta = augment_corpus(corpus_repos[:1])
+    assert all("probe_" not in r["description"] for r in records)
 
 
 def test_dataset_round_trip_and_stats(tmp_path, corpus_repos):
-    repos = [repo for _name, repo in corpus_repos[:3]]
-    ds = augment_corpus(repos)
+    records, meta = augment_corpus(corpus_repos[:3])
     path = str(tmp_path / "d.jsonl")
-    meta = str(tmp_path / "d.meta.json")
-    save_dataset(ds, path, meta)
-    records = load_dataset_records(path)
-    assert len(records) == len(ds.pairs)
+    meta_path = str(tmp_path / "d.meta.json")
+    save_dataset(records, meta, path, meta_path)
+    assert load_dataset_records(path) == records
     assert set(records[0]) == {"description", "augmented_body", "file", "line", "comp_count"}
-    stats = json.load(open(meta))["stats"]
-    assert stats["pair_count"] == len(ds.pairs)
-    assert stats["mean_comp_count"] > 0
+    assert json.load(open(meta_path)) == meta
+    assert meta["stats"]["pair_count"] == len(records)
+    assert meta["stats"]["mean_comp_count"] > 0
 
 
 def test_augment_rerun_byte_identical(tmp_path, corpus_repos):
-    repos = [repo for _name, repo in corpus_repos[:2]]
     paths = []
     for tag in ("a", "b"):
-        ds = augment_corpus(repos)
+        records, meta = augment_corpus(corpus_repos[:2])
         p = str(tmp_path / f"{tag}.jsonl")
-        save_dataset(ds, p, p + ".meta.json")
+        save_dataset(records, meta, p, p + ".meta.json")
         paths.append(p)
     assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
     assert open(paths[0] + ".meta.json", "rb").read() == open(paths[1] + ".meta.json", "rb").read()
@@ -211,8 +190,7 @@ def test_strip_round_trip_over_full_corpus(corpus_repos):
             for fn in extract_functions(repo.module(path)):
                 if fn.docstring is None:
                     continue
-                aug = insert_triggers(repo, path, fn)
-                unmarked = [t for t in aug.augmented_body if t.kind != tk.MARKER]
+                unmarked = [t for t in insert_triggers(repo, path, fn) if t.kind != tk.MARKER]
                 assert render_tokens(unmarked) == render_tokens(fn.body_tokens)
                 total += 1
     assert total >= 200
@@ -221,9 +199,9 @@ def test_strip_round_trip_over_full_corpus(corpus_repos):
 def test_marker_rendered_as_literal_text():
     repo = Repository({"u.mp": UPDATER})
     fn = _function(repo, "u.mp", "register_updates")
-    aug = insert_triggers(repo, "u.mp", fn)
-    text = aug.body_text()
-    assert text.count("<COMP>") == aug.comp_count
+    toks = insert_triggers(repo, "u.mp", fn)
+    text = render_tokens(toks)
+    assert text.count("<COMP>") == _markers(toks)
     # markers adhere to the identifier that follows them
     assert "<COMP>_registered_updates" in text
     assert "<COMP> " not in text
@@ -232,8 +210,8 @@ def test_marker_rendered_as_literal_text():
 def test_bundled_corpus_marker_density_window(corpus_repos):
     # the corpus is tuned so functions average about five markers, loosely
     # matching the reported 5.54 within +/-2
-    ds = augment_corpus([repo for _name, repo in corpus_repos])
-    mean = ds.stats["mean_comp_count"]
+    _records, meta = augment_corpus(corpus_repos)
+    mean = meta["stats"]["mean_comp_count"]
     assert 5.54 - 2 <= mean <= 5.54 + 2
 
 
@@ -254,12 +232,31 @@ def test_augment_classifies_each_caret_once(monkeypatch):
         if name.startswith("mpgen") and getattr(module, "classify_caret", None) is real:
             monkeypatch.setattr(module, "classify_caret", counting)
     train_root = Path(__file__).resolve().parent.parent / "corpus" / "train"
-    ds = augment_corpus([repo for _name, repo in collect_repos([str(train_root)])])
+    repos = collect_repos([str(train_root)])
+    augment_corpus(repos)
     identifiers = sum(
         1
-        for p in ds.pairs
-        for t in p.augmented_body
+        for _name, repo in repos
+        for path in repo.paths()
+        for fn in extract_functions(repo.module(path))
+        if fn.docstring is not None
+        for t in fn.body_tokens
         if t.kind == tk.IDENTIFIER and not is_builtin(t.text)
     )
     assert identifiers > 1000
     assert calls <= identifiers
+
+
+def test_one_function_corpus_writes_whole_means_as_integers(tmp_path):
+    """statistics.mean keeps the whole mean of one record's counts an int, so
+    the meta file writes `3`, not `3.0`."""
+    src = 'def f(value):\n    "Show the value"\n    return value\n'
+    records, meta = augment_corpus([("r", Repository({"f.mp": src}))])
+    path = str(tmp_path / "d.jsonl")
+    save_dataset(records, meta, path, path + ".meta.json")
+    stats = json.loads(Path(path + ".meta.json").read_text())["stats"]
+    assert records[0]["augmented_body"] == "return <COMP>value"
+    assert stats == {
+        "pair_count": 1, "mean_description_tokens": 9, "mean_body_tokens": 3, "mean_comp_count": 1
+    }
+    assert all(type(v) is int for v in stats.values())
