@@ -249,11 +249,13 @@ class Prefix:
         - has a number item just before the receiver run: `x_1.` is the
           items `x`, `_`, `1`, whose run is empty.
 
-        This is exact as long as no run of word items, which render joined,
-        spells a keyword.
+        The key reads a keyword as one item, but word items render joined:
+        with the words `el` and `se`, the line `el se :` acts as `else`. So
+        when a run of the vocabulary's words can spell a keyword, no trigger
+        gets a key.
         """
         line, n = self._line, self._closed
-        if self._unkeyed:
+        if self._unkeyed or self.vocab.words_spell_keyword:
             return None
         last_kind, last = line[-1] if line else (None, None)
         operand = last_kind in (tk.IDENTIFIER, tk.NUMBER, tk.STRING) or last == ")"

@@ -2,7 +2,11 @@
 
 Training is maximum-likelihood counting: for every position in every target
 the (context -> next token) count is incremented at every order up to n-1,
-once under the description's hash bucket and once under a global bucket.
+once under the description's hash bucket and once under a global bucket;
+`train` builds each context once and counts it in both tables in the same
+loop. A description's bucket sums the FNV-1a hashes of its tokens, and each
+token is hashed once per process (`_fnv1a` is memoized).
+
 Prediction finds the longest context with counts inside the description's
 bucket, falling back order by order and finally across buckets; the counts
 are additively smoothed over the whole vocabulary, so every token (the
@@ -22,15 +26,18 @@ many prefixes of one description computes it once; `predict` and
 
 `load_model` checks the layout a model file brings in from outside: the
 vocabulary opens with the reserved tokens in id order and repeats no entry,
-the order and bucket count are at least 1, and every table key, context and
-token id is in range, so no count can name a token the vocabulary lacks.
+the order and bucket count are integers of at least 1, alpha is a finite
+number above 0, and every table key, context and token id is in range, so no
+count can name a token the vocabulary lacks. The order, buckets and alpha
+follow the type rules `RunConfig` applies to the same fields.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from math import log
+from functools import cache
+from math import inf, log
 from typing import Iterable, Sequence
 
 from .._kernels import smoothed_distribution
@@ -50,7 +57,10 @@ class ModelVersionError(ValueError):
     """Model file was written by an incompatible format version."""
 
 
+@cache
 def _fnv1a(text: str) -> int:
+    """32-bit FNV-1a of a token's UTF-8 bytes. Memoized: its inputs are
+    vocabulary tokens, so the memo holds at most the vocabularies loaded."""
     h = 0x811C9DC5
     for byte in text.encode("utf-8"):
         h ^= byte
@@ -60,10 +70,7 @@ def _fnv1a(text: str) -> int:
 
 def description_bucket(description_ids: Sequence[int], vocab: Vocab, buckets: int) -> int:
     """Bag-of-subwords hash bucket; order-independent by construction."""
-    total = 0
-    for i in description_ids:
-        total = (total + _fnv1a(vocab.token(i))) & 0xFFFFFFFF
-    return total % buckets
+    return (sum(_fnv1a(vocab.token(i)) for i in description_ids) & 0xFFFFFFFF) % buckets
 
 
 @dataclass
@@ -77,11 +84,6 @@ class NGramModel:
     tables: dict[tuple[int, int], dict[tuple[int, ...], dict[int, int]]] = field(
         default_factory=dict
     )
-
-    def _bump(self, bucket: int, k: int, ctx: tuple[int, ...], tok: int) -> None:
-        table = self.tables.setdefault((bucket, k), {})
-        counts = table.setdefault(ctx, {})
-        counts[tok] = counts.get(tok, 0) + 1
 
     def next_counts(self, bucket: int, prefix: Sequence[int]) -> dict[int, int]:
         """Next-token counts of the longest matching context, at most order - 1 long.
@@ -145,18 +147,24 @@ def train(
     if not alpha > 0:
         raise ValueError("smoothing alpha must be positive")
     model = NGramModel(vocab=vocab, order=order, alpha=alpha, buckets=buckets, variant=variant)
+    tables = model.tables
     for desc, target in dataset:
         if not target or target[0] != BOS_ID or target[-1] != EOS_ID:
             raise ValueError("every target sequence must begin <BOS> and end <EOS>")
         bucket = description_bucket(desc, vocab, buckets)
+        # (bucket table, global table) per context length; the last position
+        # counts every length below min(order, len(target)), so none stays empty
+        pools = [
+            (tables.setdefault((bucket, k), {}), tables.setdefault((GLOBAL_BUCKET, k), {}))
+            for k in range(min(order, len(target)))
+        ]
         for i in range(1, len(target)):
             tok = target[i]
-            for k in range(0, order):
-                if k > i:
-                    break
+            for k in range(min(order, i + 1)):
                 ctx = tuple(target[i - k:i])
-                model._bump(bucket, k, ctx, tok)
-                model._bump(GLOBAL_BUCKET, k, ctx, tok)
+                for table in pools[k]:
+                    counts = table.setdefault(ctx, {})
+                    counts[tok] = counts.get(tok, 0) + 1
     return model
 
 
@@ -229,19 +237,20 @@ def load_model(path: str) -> NGramModel:
             raise ValueError("vocabulary entries must be strings")
         if tokens[: len(RESERVED_TOKENS)] != RESERVED_TOKENS or len(set(tokens)) != len(tokens):
             raise ValueError("vocabulary must open with the reserved tokens and repeat no entry")
-        order, buckets = int(payload["order"]), int(payload["buckets"])
+        order, buckets, alpha = payload["order"], payload["buckets"], payload["alpha"]
+        if type(order) is not int or type(buckets) is not int:  # bools are rejected too
+            raise ValueError(f"order and buckets must be integers, not {order!r} and {buckets!r}")
         if order < 1 or buckets < 1:
             raise ValueError("order and buckets must be at least 1")
-        model = NGramModel(
+        if type(alpha) not in (int, float) or not 0 < alpha < inf:
+            raise ValueError(f"smoothing alpha must be a finite number > 0, not {alpha!r}")
+        return NGramModel(
             vocab=Vocab(tokens=tokens),
             order=order,
-            alpha=float(payload["alpha"]),
+            alpha=float(alpha),
             buckets=buckets,
             variant=str(payload.get("variant", "model")),
             tables=_tables_from_json(payload["tables"], order, buckets, len(tokens)),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ModelCorruptError(f"malformed model file {path!r}: {exc}") from exc
-    if not model.alpha > 0:
-        raise ModelCorruptError(f"model file {path!r} has non-positive smoothing alpha")
-    return model

@@ -8,7 +8,10 @@ is what makes it a legal prediction target at every step.
 The model-token spellings live here: the reserved tokens are the lexer's
 marker literals, and line structure is spelled by `STRUCTURE_TOKENS`. A
 vocabulary gives each of its tokens one lexer token kind when it is built,
-and `item` answers (kind, token) per id, which is all rendering needs.
+and `item` answers (kind, token) per id, which is all rendering needs. It
+also records then whether a run of its word tokens, which render joined, can
+spell a keyword (`words_spell_keyword`); the generation cache reads keywords
+as single items, so it keys nothing for such a vocabulary.
 """
 
 from __future__ import annotations
@@ -58,6 +61,15 @@ def _token_kind(token: str) -> str:
     return tk.IDENTIFIER
 
 
+def _is_run_of_words(text: str, words: set[str]) -> bool:
+    """Whether text is two or more of the words, joined."""
+    starts = [0]  # 0 and the ends of the prefixes of text that a run of words spells
+    for end in range(1, len(text)):
+        if any(text[i:end] in words for i in starts):
+            starts.append(end)
+    return any(text[i:] in words for i in starts[1:])
+
+
 @dataclass(frozen=True)
 class Vocab:
     tokens: tuple[str, ...]
@@ -68,6 +80,10 @@ class Vocab:
         )
         object.__setattr__(
             self, "_items", tuple((_token_kind(t), t) for t in self.tokens)
+        )
+        words = {t for kind, t in self._items if kind == tk.IDENTIFIER}
+        object.__setattr__(
+            self, "words_spell_keyword", any(_is_run_of_words(k, words) for k in tk.KEYWORDS)
         )
 
     @property
@@ -88,15 +104,11 @@ class Vocab:
         return self._items[idx]
 
 
-def build_vocab(corpus: Iterable[str]) -> Vocab:
-    """Vocabulary over a text corpus: reserved tokens plus sorted subwords."""
-    from .tokenizer import token_strings
-
-    texts = list(corpus)
-    if not texts:
+def build_vocab(streams: Iterable[Iterable[str]]) -> Vocab:
+    """Vocabulary over token-string streams, one per text as
+    `tokenizer.token_strings` splits it: reserved tokens plus sorted subwords."""
+    streams = list(streams)
+    if not streams:
         raise ValueError("cannot build a vocabulary from an empty corpus")
-    seen: set[str] = set()
-    for text in texts:
-        seen.update(token_strings(text))
-    seen.difference_update(RESERVED_TOKENS)
+    seen = set().union(*streams).difference(RESERVED_TOKENS)
     return Vocab(tokens=RESERVED_TOKENS + tuple(sorted(seen)))

@@ -17,7 +17,7 @@ from . import DataError
 from .analysis.complete import TaskContext
 from .decode import GenerationConfig, GenerationTrace, generate
 from .lm.ngram import NGramModel, train
-from .lm.tokenizer import tokenize
+from .lm.tokenizer import token_strings, tokenize
 from .lm.vocab import BOS_ID, COMP_ID, EOS_ID, Vocab, build_vocab
 from .metrics import EvalPair, evaluate_pairs, ground_truth
 from .minilang.parser import FunctionDef, extract_functions
@@ -127,16 +127,17 @@ def corpus_vocab(config: RunConfig) -> Vocab:
     string-literal tokens, while descriptions are tokenized as prose, so
     their words need their own vocabulary entries.
     """
-    texts: list[str] = []
+    streams: list[list[str]] = []
     for _, repo in collect_repos(config.train_roots + config.eval_roots):
         for path in repo.paths():
-            texts.append(repo.text(path))
+            # the lex the parse below reads too
+            streams.append(token_strings(repo.text(path), lexed=repo.lex(path)))
             for func in extract_functions(repo.module(path)):
                 if func.docstring is not None:
-                    texts.append(func.description)
-    if not texts:
+                    streams.append(token_strings(func.description))
+    if not streams:
         raise DataError("no source files found under the configured corpus roots")
-    return build_vocab(texts)
+    return build_vocab(streams)
 
 
 def run_augment(config: RunConfig) -> dict:

@@ -3,10 +3,17 @@ from pathlib import Path
 
 import pytest
 
+from mpgen.lm.tokenizer import token_strings
+from mpgen.lm.vocab import Vocab, build_vocab
 from mpgen.pipeline import RunConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
+
+
+def text_vocab(texts) -> Vocab:
+    """The vocabulary over texts, each split as the tokenizer splits it."""
+    return build_vocab(map(token_strings, texts))
 
 
 def make_config(out_dir: Path, **overrides) -> RunConfig:

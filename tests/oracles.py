@@ -5,11 +5,15 @@ code path with the implementations it checks. The whole-file scoring
 oracles splice a text into the blanked file and run the whole-file
 completion tool and linter on it, where scoring reads one task analysis.
 The trigger-path oracles recompute from the whole prefix, or the whole
-text, what generation keeps up to date as the prefix grows. The evaluate
-oracle runs the stages in the order they once ran, generating for every
-task before scoring any, each stage with contexts of its own.
+text, what generation keeps up to date as the prefix grows. The train-stage
+oracles build the vocabulary from texts, each lexed anew, and count every
+(position, order) into each table one call at a time, hashing every token
+of every description afresh. The evaluate oracle runs the stages in the
+order they once ran, generating for every task before scoring any, each
+stage with contexts of its own.
 """
 
+import itertools
 import math
 import random
 import re
@@ -22,9 +26,9 @@ from mpgen.analysis.insert import indent_body, insert
 from mpgen.analysis.lint import lint_check
 from mpgen.analysis.scope import ModuleScope, name_assignments
 from mpgen.decode import GenerationConfig
-from mpgen.lm.ngram import load_model, train
-from mpgen.lm.tokenizer import detokenize, split_identifier
-from mpgen.lm.vocab import BOS_ID, COMP_ID, CONTROL_IDS, EOS_ID, build_vocab
+from mpgen.lm.ngram import GLOBAL_BUCKET, load_model, train
+from mpgen.lm.tokenizer import detokenize, split_identifier, token_strings
+from mpgen.lm.vocab import BOS_ID, COMP_ID, CONTROL_IDS, EOS_ID, RESERVED_TOKENS, Vocab, build_vocab
 from mpgen.metrics import evaluate_pairs, ground_truth
 from mpgen.minilang import nodes
 from mpgen.minilang import tokens as tk
@@ -183,12 +187,77 @@ def match_loop_lex(source: str):
     return out, diags
 
 
+# --- the train stage, text by text and bump by bump -----------------------------
+
+def text_corpus_vocab(repos) -> Vocab:
+    """The vocabulary over (name, repository) pairs from texts: every file's
+    text and every docstring's description, each lexed anew, then the
+    reserved tokens and the sorted distinct rest."""
+    texts = []
+    for _name, repo in repos:
+        for path in repo.paths():
+            texts.append(repo.text(path))
+            texts.extend(
+                f.description for f in extract_functions(parse(repo.text(path), path))
+                if f.docstring is not None
+            )
+    seen = set()
+    for text in texts:
+        seen.update(token_strings(text))
+    return Vocab(tokens=RESERVED_TOKENS + tuple(sorted(seen - set(RESERVED_TOKENS))))
+
+
+def fnv1a_bucket(description, vocab, buckets) -> int:
+    """The description's bucket: 32-bit FNV-1a of each token's UTF-8 bytes,
+    summed modulo 2**32, modulo the bucket count."""
+    total = 0
+    for i in description:
+        h = 0x811C9DC5
+        for byte in vocab.token(i).encode("utf-8"):
+            h = ((h ^ byte) * 0x01000193) & 0xFFFFFFFF
+        total = (total + h) & 0xFFFFFFFF
+    return total % buckets
+
+
+def bump_train_tables(dataset, order, vocab, buckets) -> dict:
+    """`train`'s count tables, one bump per (position, order, table)."""
+    tables = {}
+
+    def bump(bucket, k, ctx, tok):
+        table = tables.setdefault((bucket, k), {})
+        counts = table.setdefault(ctx, {})
+        counts[tok] = counts.get(tok, 0) + 1
+
+    for desc, target in dataset:
+        bucket = fnv1a_bucket(desc, vocab, buckets)
+        for i in range(1, len(target)):
+            for k in range(order):
+                if k > i:
+                    break
+                bump(bucket, k, tuple(target[i - k:i]), target[i])
+                bump(GLOBAL_BUCKET, k, tuple(target[i - k:i]), target[i])
+    return tables
+
+
 # --- the trigger path, from the whole prefix -----------------------------------
 
 def detokenized_body(prefix, vocab) -> str:
     """The partial function a prefix of model token ids spells: every id but
     the control ids, detokenized at once."""
     return detokenize([t for t in prefix if t not in CONTROL_IDS], vocab)
+
+
+def words_spell_a_keyword(vocab) -> bool:
+    """Whether some keyword, cut into two or more pieces at some set of
+    cuts, has every piece among the vocabulary's word tokens."""
+    words = {token for kind, token in map(vocab.item, range(vocab.size)) if kind == tk.IDENTIFIER}
+    for keyword in tk.KEYWORDS:
+        for n in range(1, len(keyword)):
+            for cuts in itertools.combinations(range(1, len(keyword)), n):
+                bounds = (0, *cuts, len(keyword))
+                if all(keyword[a:b] in words for a, b in zip(bounds, bounds[1:])):
+                    return True
+    return False
 
 
 def trigger_cache_key(prefix, vocab):
@@ -199,7 +268,10 @@ def trigger_cache_key(prefix, vocab):
     the `=` and `else` items before the caret line's closing newline, or
     before its start while it is open. There is no key when that line holds
     an `else` or an unterminated string, or is open and ends in an operand,
-    or when the receiver run before its trailing `.` starts after a number."""
+    or when the receiver run before its trailing `.` starts after a number,
+    or when the vocabulary's word tokens can spell a keyword."""
+    if words_spell_a_keyword(vocab):
+        return None
     shown = [
         vocab.item(t) for t in prefix[:-1]  # not the trigger
         if t not in CONTROL_IDS and vocab.item(t)[0] not in (tk.INDENT, tk.DEDENT)
@@ -511,7 +583,7 @@ def random_selection_case(rng: random.Random):
         name = ("_" if rng.random() < 0.5 else "") + "_".join(parts)
         suggestions.add(name)
     suggestions = sorted(suggestions)
-    vocab = build_vocab([" ".join(words)] + list(suggestions))
+    vocab = build_vocab(map(token_strings, [" ".join(words)] + suggestions))
     ids = list(range(4, vocab.size))
     pairs = []
     for _ in range(rng.randint(1, 6)):

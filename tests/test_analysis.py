@@ -15,6 +15,7 @@ from mpgen.analysis.scope import build_scope_index
 from mpgen.minilang import tokens as tk
 from mpgen.repo import CaretError, CaretPosition, Repository
 
+from conftest import text_vocab
 from oracles import latest_enclosing_function, scan_classify_caret
 
 COUNTER = (
@@ -407,10 +408,9 @@ def test_insert_strips_markers():
     control tokens."""
     from mpgen.decode import Prefix
     from mpgen.lm.tokenizer import tokenize
-    from mpgen.lm.vocab import build_vocab
 
     repo, pos = _blank_fixture()
-    vocab = build_vocab(["self.z = 1"])
+    vocab = text_vocab(["self.z = 1"])
     prefix = Prefix(vocab)
     for tok in tokenize("<COMP>self.<COMP>z = 1", vocab):
         prefix.append(tok)

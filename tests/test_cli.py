@@ -1,6 +1,7 @@
 import functools
 import json
 import os
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -70,6 +71,44 @@ def test_augment_prints_the_stats_it_writes_computed_once(tmp_path, capsys, monk
         f"mean trigger count: {stats['mean_comp_count']:.2f}",
     ]
     assert calls == 2 * stats["pair_count"] > 0
+
+
+def test_train_lexes_each_corpus_file_once_and_hashes_each_token_once(cli_workspace, capsys, monkeypatch):
+    """One train lexes each corpus file once, for both its token strings and
+    its parse, and hashes each distinct description token once, though every
+    description's bucket is read four times (train and NLL, two variants)."""
+    from mpgen.lm import ngram, tokenizer
+    from mpgen.lm.ngram import load_model
+    from mpgen.minilang import lexer
+    from mpgen.pipeline import collect_repos
+    from mpgen.trigger import load_dataset_records
+
+    tmp, cfg = cli_workspace
+    lexed = Counter()
+    real = lexer.lex
+
+    def counting(text, *args, **kwargs):
+        lexed[text] += 1
+        return real(text, *args, **kwargs)
+
+    monkeypatch.setattr(lexer, "lex", counting)
+    monkeypatch.setattr(tokenizer, "lex", counting)
+    ngram._fnv1a.cache_clear()
+    assert main(["train", "--config", cfg]) == 0
+    files = Counter(
+        repo.text(path)
+        for _, repo in collect_repos([str(CORPUS / "train"), str(CORPUS / "eval")])
+        for path in repo.paths()
+    )
+    assert sum(files.values()) == 60
+    assert {text: lexed[text] for text in files} == files
+
+    vocab = load_model(str(tmp / "models" / "model_tool.json")).vocab
+    descriptions = [r["description"] for r in load_dataset_records(str(tmp / "dataset.jsonl"))]
+    tokens = [vocab.token(i) for d in descriptions for i in tokenizer.tokenize(d, vocab)]
+    info = ngram._fnv1a.cache_info()
+    assert info.misses == len(set(tokens))
+    assert info.hits + info.misses == 4 * len(tokens)
 
 
 def test_augment_empty_corpus_warns_not_errors(tmp_path, capsys):
@@ -227,6 +266,36 @@ def test_generate_model_with_bad_vocabulary_layout_is_data_error(tmp_path, capsy
     out, err = capsys.readouterr()
     assert out == ""
     assert "must open with the reserved tokens and repeat no entry" in err
+
+
+def _set_field(field: str, value):
+    def edit(payload):
+        payload[field] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("alpha", float("inf"), "smoothing alpha must be a finite number > 0, not inf"),
+        ("alpha", "0.1", "smoothing alpha must be a finite number > 0, not '0.1'"),
+        ("alpha", True, "smoothing alpha must be a finite number > 0, not True"),
+        ("order", 3.9, "order and buckets must be integers, not 3.9 and 16"),
+        ("buckets", "16", "order and buckets must be integers, not 3 and '16'"),
+    ],
+    ids=["alpha-infinity", "alpha-string", "alpha-bool", "order-float", "buckets-string"],
+)
+def test_generate_model_with_bad_header_field_is_data_error(tmp_path, capsys, field, value, message):
+    """The order, buckets and alpha of a model file follow `RunConfig`'s
+    type rules: integers that are not bools, and a finite alpha."""
+    models = _edited_models(tmp_path, _set_field(field, value))
+    cfg = write_config(tmp_path, model_dir=str(models))
+    assert main(_generate_args(cfg, "core.mp", 1)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: malformed model file ") and err.count("\n") == 1
+    assert err.endswith(f": {message}\n")
 
 
 def test_evaluate_report_shape(cli_workspace, capsys):

@@ -16,11 +16,11 @@ from mpgen.decode import (
 )
 from mpgen.lm.ngram import description_bucket, train
 from mpgen.lm.tokenizer import tokenize
-from mpgen.lm.vocab import BOS_ID, COMP_ID, EOS_ID, RESERVED_TOKENS, Vocab, build_vocab
+from mpgen.lm.vocab import BOS_ID, COMP_ID, EOS_ID, RESERVED_TOKENS, Vocab
 from mpgen.pipeline import derive_tasks
 from mpgen.repo import CaretPosition, Repository
 
-
+from conftest import text_vocab
 from oracles import (
     argmax,
     dense_next_token,
@@ -34,7 +34,7 @@ from oracles import (
 # --- trie --------------------------------------------------------------------
 
 def test_trie_prefix_of_another_suggestion():
-    vocab = build_vocab(["update updates"])
+    vocab = text_vocab(["update updates"])
     trie = build_trie(["update", "updates"], vocab)
     # distinct single subwords: two children of the root, both terminal
     assert len(trie.root.children) == 2
@@ -42,7 +42,7 @@ def test_trie_prefix_of_another_suggestion():
 
 
 def test_trie_token_level_shadowing():
-    vocab = build_vocab(["get_value get_value_str"])
+    vocab = text_vocab(["get_value get_value_str"])
     trie = build_trie(["get_value", "get_value_str"], vocab)
     # get_value's terminal lies on get_value_str's path: the longer one is
     # unreachable under the first-terminal stop
@@ -50,7 +50,7 @@ def test_trie_token_level_shadowing():
 
 
 def test_trie_single_suggestion():
-    vocab = build_vocab(["a"])
+    vocab = text_vocab(["a"])
     trie = build_trie(["a"], vocab)
     assert len(trie.root.children) == 1
     child = next(iter(trie.root.children.values()))
@@ -58,7 +58,7 @@ def test_trie_single_suggestion():
 
 
 def test_trie_shares_prefixes_and_bounds_node_count():
-    vocab = build_vocab(["_ax _ay _b"])
+    vocab = text_vocab(["_ax _ay _b"])
     trie = build_trie(["_ax", "_ay", "_b"], vocab)
     lengths = [len(tokenize_suggestion(s, vocab)) for s in ("_ax", "_ay", "_b")]
     nodes, stack = 0, [trie.root]
@@ -71,14 +71,14 @@ def test_trie_shares_prefixes_and_bounds_node_count():
 
 def test_trie_fanout_counts_distinct_first_subwords():
     names = [f"m{c}_x" for c in "abcdef"] + ["_hidden"]
-    vocab = build_vocab([" ".join(names)])
+    vocab = text_vocab([" ".join(names)])
     trie = build_trie(names, vocab)
     firsts = {tokenize_suggestion(s, vocab)[0] for s in names}
     assert len(trie.root.children) == len(firsts)
 
 
 def test_build_trie_rejects_empty():
-    vocab = build_vocab(["a"])
+    vocab = text_vocab(["a"])
     with pytest.raises(ValueError):
         build_trie([], vocab)
 
@@ -292,9 +292,9 @@ def _check_outer_choices(model, description, trace, tool_enabled):
 def test_single_suggestion_forced_regardless_of_model():
     rng = random.Random(0)
     model, desc, prefix, _sugs, vocab = random_case(rng)
-    trie = build_trie(["_only_one"], build_vocab(["_only_one"]))
+    trie = build_trie(["_only_one"], text_vocab(["_only_one"]))
     # rebuild with the case vocab so ids align
-    vocab2 = build_vocab(["_only_one"])
+    vocab2 = text_vocab(["_only_one"])
     model2 = train([([], [BOS_ID, 4, EOS_ID])], order=2, alpha=0.1, vocab=vocab2)
     bucket = description_bucket([], vocab2, model2.buckets)
     out = select_suggestion(model2, bucket, [BOS_ID, COMP_ID], build_trie(["_only_one"], vocab2))
@@ -304,7 +304,7 @@ def test_single_suggestion_forced_regardless_of_model():
 
 
 def test_model_bias_picks_between_two_suggestions():
-    vocab = build_vocab(["left right"])
+    vocab = text_vocab(["left right"])
     left, right = vocab.tokens.index("left"), vocab.tokens.index("right")
     pairs = [([], [BOS_ID, COMP_ID, right, EOS_ID])] * 5
     model = train(pairs, order=3, alpha=0.1, vocab=vocab)
@@ -316,7 +316,7 @@ def test_model_bias_picks_between_two_suggestions():
 def test_sixty_eight_candidate_selection_finds_trained_path():
     # model trained to prefer _registered_updates among 68 candidates
     names = ["_registered_updates"] + [f"_field_{c}{d}" for c in "abcdef" for d in "abcdefghij"][:67]
-    vocab = build_vocab([" ".join(names)])
+    vocab = text_vocab([" ".join(names)])
     target = tokenize_suggestion("_registered_updates", vocab)
     pairs = [([], [BOS_ID, COMP_ID] + target + [EOS_ID])] * 10
     model = train(pairs, order=3, alpha=0.1, vocab=vocab)
@@ -355,13 +355,13 @@ def _blank_repo():
 
 
 def _member_trigger_model():
-    vocab = build_vocab(["return self.x", "<COMP>"])
+    vocab = text_vocab(["return self.x", "<COMP>"])
     body = tokenize("return <COMP>self.<COMP>x", vocab)
     return train([([], [BOS_ID] + body + [EOS_ID])] * 5, order=3, alpha=0.1, vocab=vocab)
 
 
 def test_immediate_eos_gives_empty_output():
-    vocab = build_vocab(["x"])
+    vocab = text_vocab(["x"])
     model = train([([], [BOS_ID, EOS_ID])] * 3, order=2, alpha=0.1, vocab=vocab)
     repo, pos = _blank_repo()
     text, trace = generate(model, repo, "anything", pos, GenerationConfig())
@@ -395,7 +395,7 @@ def test_tool_vs_vanilla_on_stale_member():
     repo = Repository({"k.mp": src})
     pos = CaretPosition("k.mp", 7, 8)
     corpus = ["return self._x", "return self._y_x", "<COMP>", "boot m"]
-    vocab = build_vocab(corpus)
+    vocab = text_vocab(corpus)
     aug = tokenize("return <COMP>self.<COMP>_y_x", vocab)
     plain = tokenize("return self._y_x", vocab)
     tool_model = train([([], [BOS_ID] + aug + [EOS_ID])] * 5, order=3, alpha=0.1, vocab=vocab)
@@ -420,7 +420,7 @@ def test_empty_completion_drops_trigger_and_continues():
     src = "def f(a):\n    \"doc\"\n    \n"
     repo = Repository({"f.mp": src})
     pos = CaretPosition("f.mp", 3, 4)
-    vocab = build_vocab(["return a.b", "<COMP>"])
+    vocab = text_vocab(["return a.b", "<COMP>"])
     marked = tokenize("return a.<COMP>b", vocab)
     plain = tokenize("return a.b", vocab)
     # mixed corpus: the marker dominates, an unmarked variant supplies the
@@ -463,7 +463,7 @@ def test_dropped_trigger_replacement_is_dense_argmax_without_comp():
     src = "def f(a):\n    \"doc\"\n    \n"
     repo = Repository({"f.mp": src})
     pos = CaretPosition("f.mp", 3, 4)
-    vocab = build_vocab(["return a.b c", "<COMP>"])
+    vocab = text_vocab(["return a.b c", "<COMP>"])
     marked = tokenize("return a.<COMP>b", vocab)
     plain = tokenize("return a.c", vocab)
     pairs = [([], [BOS_ID] + marked + [EOS_ID])] * 5 + [([], [BOS_ID] + plain + [EOS_ID])] * 3
@@ -476,7 +476,7 @@ def test_dropped_trigger_replacement_is_dense_argmax_without_comp():
 
 
 def test_marker_hygiene_and_termination():
-    vocab = build_vocab(["a b"])
+    vocab = text_vocab(["a b"])
     a = vocab.tokens.index("a")
     # degenerate model that loops on `a`
     model = train([([], [BOS_ID] + [a] * 30 + [EOS_ID])], order=2, alpha=0.1, vocab=vocab)
@@ -524,7 +524,7 @@ def test_cache_hit_on_repeated_receiver():
     )
     repo = Repository({"k.mp": src})
     pos = CaretPosition("k.mp", 8, 8)
-    vocab = build_vocab(["return self.ax + self.bx", "<COMP>"])
+    vocab = text_vocab(["return self.ax + self.bx", "<COMP>"])
     body = tokenize("return self.<COMP>ax + self.<COMP>bx", vocab)
     model = train([([], [BOS_ID] + body + [EOS_ID])] * 5, order=3, alpha=0.1, vocab=vocab)
 

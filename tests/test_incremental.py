@@ -16,13 +16,14 @@ from mpgen.decode import GenerationConfig, generate
 from mpgen.lm import tokenizer
 from mpgen.lm.ngram import train
 from mpgen.lm.tokenizer import tokenize
-from mpgen.lm.vocab import BOS_ID, EOS_ID, build_vocab
+from mpgen.lm.vocab import BOS_ID, EOS_ID
 from mpgen.minilang import parser, tokens as tk
 from mpgen.minilang.lexer import LineLexer
 from mpgen.minilang.render import Renderer, render_items
 from mpgen.pipeline import derive_tasks, run_model_over_tasks
 from mpgen.repo import CaretPosition, Repository
 
+from conftest import text_vocab
 from oracles import detokenized_body, trigger_cache_key, whole_text_analysis
 from test_task_context import FUNCTION_TASK, METHOD_TASK, VOCAB, WORDS
 
@@ -120,7 +121,7 @@ def test_a_marker_inside_a_receiver_chain_keys_the_chain():
     """`self.<COMP>foo.<COMP>` is the chain `self.foo.`, which the tool cannot
     resolve, not the local `foo.`; keyed alike, a cached `foo.` list would
     answer for it, and cached and uncached generations would differ."""
-    vocab = build_vocab(["foo = K()\nfoo.g()\nreturn self.foo.g()", "<COMP>"])
+    vocab = text_vocab(["foo = K()\nfoo.g()\nreturn self.foo.g()", "<COMP>"])
     prefix = decode.Prefix(vocab)
     for tok in tokenize("foo = K()\nfoo.<COMP>g()\nreturn self.<COMP>foo.<COMP>", vocab):
         prefix.append(tok)
@@ -146,7 +147,7 @@ FOO = 'def foo():\n    "make foo"\n    return 1\n\ndef g():\n    "use foo"\n    
 def _cache_on_and_off(target, order, repo, pos, copies=1, extra=()):
     """Both tool paths' generations, with the cache on and off, of a model
     trained on copies of target plus the extra bodies."""
-    vocab = build_vocab([target, *extra])
+    vocab = text_vocab([target, *extra])
     bodies = [target] * copies + list(extra)
     model = train(
         [([], [BOS_ID] + tokenize(b, vocab) + [EOS_ID]) for b in bodies],
@@ -196,6 +197,18 @@ def test_a_receiver_ending_in_a_number_asks_the_tool():
     assert runs[0][1].dropped_triggers == 1
 
 
+def test_subwords_that_spell_a_keyword_key_nothing():
+    """With the words `el` and `se`, which render joined, the line `el se :`
+    is an `else` that drops the `if`. Read item by item it binds nothing, so
+    a key would serve the list from inside the `if` block, with `xq`, below
+    it; the cached run would write `xq` where the uncached one cannot."""
+    repo, pos = Repository({"f.mp": FOO}), CaretPosition("f.mp", 7, 4)
+    target = "if 1:\n    xq = 1\n    <COMP>foo()\nel se:\n    <COMP>xq"
+    runs = _cache_on_and_off(target, 8, repo, pos, copies=5)
+    _assert_one_generation(runs, "if 1:\n    xq = 1\n    foo()\nelse:\n    <UNK>\n        xq")
+    assert runs[0][1].cache_hits == 0
+
+
 @pytest.mark.parametrize("task", [METHOD_TASK, FUNCTION_TASK], ids=["method", "function"])
 @settings(max_examples=150, deadline=None)
 @given(words=st.lists(st.sampled_from(WORDS + ("<UNK>", "<COMP>")), max_size=40))
@@ -205,8 +218,8 @@ def test_a_receiver_ending_in_a_number_asks_the_tool():
 def test_triggers_with_one_key_get_one_list(task, words):
     """Within one sequence, a trigger after any of its tokens that gets a key
     gets the list that the first trigger with that key got. No run of the
-    vocabulary's word items spells a keyword, the condition `cache_key`
-    states."""
+    vocabulary's word items spells a keyword, or no trigger would get a key."""
+    assert not VOCAB.words_spell_keyword
     context = TaskContext.at(*task)
     prefix = decode.Prefix(VOCAB)
     lists = {}

@@ -2,8 +2,9 @@ from math import log
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from mpgen import pipeline
 from mpgen.lm.ngram import (
     ModelCorruptError,
     ModelVersionError,
@@ -27,25 +28,30 @@ from mpgen.minilang import tokens as tk
 from mpgen.minilang.parser import extract_functions
 from mpgen.minilang.render import render_tokens
 from mpgen.minilang.tokens import LexToken
+from mpgen.repo import Repository
+from mpgen.trigger import load_dataset_records
+
+from conftest import text_vocab
+from oracles import bump_train_tables, fnv1a_bucket, text_corpus_vocab, words_spell_a_keyword
 
 
 # --- vocabulary --------------------------------------------------------------
 
 def test_vocab_reserved_tokens_at_fixed_indices():
-    v = build_vocab(["x = 1"])
+    v = text_vocab(["x = 1"])
     assert v.tokens[:4] == ("<BOS>", "<EOS>", "<UNK>", "<COMP>")
     assert v.tokens.index("<COMP>") == 3
     assert {"x", "=", "1"} <= set(v.tokens)
 
 
 def test_vocab_comp_reserved_even_if_absent_from_corpus():
-    v = build_vocab(["a"])
+    v = text_vocab(["a"])
     assert v.tokens[COMP_ID] == "<COMP>"
 
 
 def test_vocab_order_independent_of_file_order():
     texts = ["x = alpha", "y = beta + 1"]
-    assert build_vocab(texts).tokens == build_vocab(reversed(texts)).tokens
+    assert text_vocab(texts).tokens == text_vocab(reversed(texts)).tokens
 
 
 def test_vocab_empty_corpus_rejected():
@@ -62,22 +68,22 @@ def test_subword_split_underscores_and_case():
 
 
 def test_marker_text_maps_to_comp_id():
-    v = build_vocab(["self"])
+    v = text_vocab(["self"])
     assert tokenize("<COMP>self", v) == [COMP_ID, v.tokens.index("self")]
 
 
 def test_tokenize_empty():
-    v = build_vocab(["x"])
+    v = text_vocab(["x"])
     assert tokenize("", v) == []
 
 
 def test_unknown_subword_maps_to_unk():
-    v = build_vocab(["x = 1"])
+    v = text_vocab(["x = 1"])
     assert tokenize("mystery", v) == [UNK_ID]
 
 
 def test_detokenize_simple():
-    v = build_vocab(["return 1"])
+    v = text_vocab(["return 1"])
     assert detokenize(tokenize("return 1", v), v) == "return 1"
 
 
@@ -87,10 +93,25 @@ def test_detokenize_marker_alone():
 
 
 def test_detokenize_unknown_id_rejected():
-    v = build_vocab(["x"])
+    v = text_vocab(["x"])
     for bad in (10_000, v.size, -1):
         with pytest.raises(ValueError):
             detokenize([bad], v)
+
+
+_KEYWORD_PIECES = sorted({k[i:j] for k in tk.KEYWORDS for i in range(len(k)) for j in range(i + 1, len(k) + 1)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(_KEYWORD_PIECES + ["x", "_", "1", "ss"]), max_size=8))
+@example(["el", "se"])
+@example(["i", "f", "else"])
+def test_vocab_knows_whether_its_words_spell_a_keyword(words):
+    """A keyword token is no word, so `else` alone spells nothing, while
+    `el` and `se` spell `else`; the vocabulary agrees with the brute force
+    over every way to cut every keyword."""
+    vocab = Vocab(tokens=RESERVED_TOKENS + tuple(sorted(set(words))))
+    assert vocab.words_spell_keyword == words_spell_a_keyword(vocab)
 
 
 @pytest.mark.parametrize(
@@ -161,7 +182,7 @@ def test_round_trip_over_corpus_functions(corpus_repos):
     for _name, repo in corpus_repos:
         for path in repo.paths():
             texts.append(repo.text(path))
-    v = build_vocab(texts)
+    v = text_vocab(texts)
     checked = 0
     for _name, repo in corpus_repos:
         for path in repo.paths():
@@ -172,10 +193,44 @@ def test_round_trip_over_corpus_functions(corpus_repos):
     assert checked >= 200
 
 
+def test_corpus_vocab_equals_the_text_by_text_vocab(demo_config, corpus_repos):
+    """The vocabulary from the lexes the parses read equals the one from
+    lexing every file text and description anew."""
+    assert pipeline.corpus_vocab(demo_config).tokens == text_corpus_vocab(corpus_repos).tokens
+
+
+# inserted at random offsets: lex errors, unterminated strings, marker texts,
+# line breaks that move indentation, docstrings and identifiers to split
+_CORPUS_EDITS = (
+    "$", '"', '"open', "<COMP>", "<UNK>", "<BOS>", "<NL>", "<INDENT>", "\n", "\n    ",
+    "\t", "  ", ":", "(", "def ", 'def f():\n    "a <COMP> doc $"\n', "x_yZ", "1.5", "\u00e9",
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_corpus_vocab_of_mutated_corpora_equals_the_text_by_text_vocab(demo_config, corpus_repos, data):
+    """The same on one corpus repository with drawn edits in one or two files."""
+    name, base = data.draw(st.sampled_from(corpus_repos))
+    files = dict(base.files)
+    for path in data.draw(st.lists(st.sampled_from(base.paths()), min_size=1, max_size=2, unique=True)):
+        text = files[path]
+        for _ in range(data.draw(st.integers(1, 8))):
+            j = data.draw(st.integers(0, len(text)))
+            text = text[:j] + data.draw(st.sampled_from(_CORPUS_EDITS)) + text[j:]
+        files[path] = text
+    repos = [(name, Repository(files))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "collect_repos", lambda roots: repos)
+        got = pipeline.corpus_vocab(demo_config)
+    assert got.tokens == text_corpus_vocab(repos).tokens
+
+
+# --- n-gram model ------------------------------------------------------------
 # --- n-gram model ------------------------------------------------------------
 
 def _tiny_vocab(*texts):
-    return build_vocab(list(texts))
+    return text_vocab(list(texts))
 
 
 def test_single_pair_puts_maximal_mass_on_observed_token():
@@ -307,6 +362,35 @@ def test_train_rejects_non_positive_alpha():
     for alpha in (0.0, -0.5, float("nan")):
         with pytest.raises(ValueError):
             train([([], [BOS_ID, EOS_ID])], order=2, alpha=alpha, vocab=v)
+
+
+def test_train_tables_equal_the_bump_by_bump_tables(trained_models):
+    config, tool, vanilla = trained_models
+    records = load_dataset_records(config.dataset)
+    for model in (tool, vanilla):
+        pairs = pipeline.training_pairs(records, model.vocab, model.variant)
+        assert model.tables == bump_train_tables(pairs, model.order, model.vocab, model.buckets)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_train_tables_of_drawn_pairs_equal_the_bump_by_bump_tables(data):
+    """Counting both tables in one loop, with each description token hashed
+    once, gives the tables and buckets of bump-by-bump counting."""
+    words = data.draw(st.lists(st.text("abé_Z", min_size=1, max_size=3), min_size=1, max_size=5, unique=True))
+    vocab = Vocab(tokens=RESERVED_TOKENS + tuple(sorted(set(words))))
+    ids = st.integers(2, vocab.size - 1)  # <UNK>, <COMP> and the words
+    pairs = data.draw(st.lists(
+        st.tuples(st.lists(ids, max_size=4), st.lists(ids, max_size=8)).map(
+            lambda p: (p[0], [BOS_ID] + p[1] + [EOS_ID])
+        ),
+        min_size=1, max_size=6,
+    ))
+    order, buckets = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
+    model = train(pairs, order=order, alpha=0.1, vocab=vocab, buckets=buckets)
+    assert model.tables == bump_train_tables(pairs, order, vocab, buckets)
+    for desc, _target in pairs:
+        assert description_bucket(desc, vocab, buckets) == fnv1a_bucket(desc, vocab, buckets)
 
 
 def test_hoisted_bucket_nll_is_bit_identical(trained_models):

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from mpgen.analysis.complete import TaskContext
 from mpgen.lm.tokenizer import tokenize
-from mpgen.lm.vocab import build_vocab
 from mpgen.metrics import (
     EvalPair,
     bleu_counts,
@@ -28,6 +27,7 @@ from mpgen.repo import CaretPosition, Repository
 
 # --- independent oracles ------------------------------------------------------
 
+from conftest import text_vocab
 from oracles import counter_corpus_bleu, naive_bleu, naive_dep_cov, naive_levenshtein
 
 
@@ -44,7 +44,7 @@ COUNTER = (
 )
 
 
-VOCAB = build_vocab([COUNTER])
+VOCAB = text_vocab([COUNTER])
 
 
 def score(pairs: list[EvalPair]):
@@ -280,7 +280,7 @@ def test_edit_similarity_matches_naive_oracle():
 # --- BLEU ----------------------------------------------------------------------------
 
 def test_bleu_identity_is_one():
-    v = build_vocab(["return self._value + 1"])
+    v = text_vocab(["return self._value + 1"])
     ids = tokenize("return self._value + 1", v)
     assert corpus_bleu([(ids, ids)]) == pytest.approx(1.0)
 
@@ -289,7 +289,7 @@ def test_bleu_disjoint_below_smoothing_floor():
     # disjoint tokens at a typical body length: only the smoothing floor remains
     left = " ".join(f"a{i}" for i in range(16))
     right = " ".join(f"b{i}" for i in range(16))
-    v = build_vocab([left, right])
+    v = text_vocab([left, right])
     p = tokenize(left, v)
     g = tokenize(right, v)
     assert not set(p) & set(g)
@@ -298,7 +298,7 @@ def test_bleu_disjoint_below_smoothing_floor():
 
 def test_bleu_hand_case_matches_oracle():
     # five-token prediction with one 4-gram missing
-    v = build_vocab(["a b c d e f"])
+    v = text_vocab(["a b c d e f"])
     p = tokenize("a b c d f", v)
     g = tokenize("a b c d e", v)
     got = corpus_bleu([(p, g)])
@@ -306,7 +306,7 @@ def test_bleu_hand_case_matches_oracle():
 
 
 def test_bleu_matches_oracle_on_mixed_corpus():
-    v = build_vocab(["u v w x y z"])
+    v = text_vocab(["u v w x y z"])
     pairs = [
         (tokenize("u v w x", v), tokenize("u v w x", v)),
         (tokenize("u v", v), tokenize("u w", v)),
@@ -334,7 +334,7 @@ def test_bleu_from_summed_counts_equals_the_per_call_count(token_pairs, cut):
 
 
 def test_sentence_bleu_perfect_pair():
-    v = build_vocab(["return 1 + 2"])
+    v = text_vocab(["return 1 + 2"])
     pair = counter_pair("return 1 + 2", gt="return 1 + 2")
     assert evaluate_pairs([pair], v).per_pair[0]["bleu4"] == pytest.approx(1.0)
 
@@ -342,7 +342,7 @@ def test_sentence_bleu_perfect_pair():
 # --- aggregate report ------------------------------------------------------------------
 
 def test_evaluate_pairs_report_shape():
-    v = build_vocab([COUNTER, "return amount", "return z"])
+    v = text_vocab([COUNTER, "return amount", "return z"])
     pairs = [
         counter_pair("self._value = self._value + 1"),
         counter_pair("return z"),
