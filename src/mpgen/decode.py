@@ -40,6 +40,15 @@ a hit neither asks the tool nor builds a trie. The key, the receiver or the
 scope plus the count, pins everything the list depends on, and a trigger
 it cannot pin gets none and asks the tool (`Prefix.cache_key`). So cached
 and uncached runs produce identical output.
+
+Below that cache sits a `TrieMemo`, which the caller may keep for a whole
+run (`pipeline.run_evaluate` keeps one per model): it builds the trie of
+each distinct suggestion list once, for one vocabulary, however many
+generations and tool invocations meet that list. Sharing a trie is exact,
+since nothing changes a trie after `build_trie` and `select_suggestion`
+only reads it. The memo does not touch the per-generation cache, which
+alone decides whether the tool is invoked, so the trace counters are the
+same with or without it, and it is used with the cache off too.
 """
 
 from __future__ import annotations
@@ -154,6 +163,24 @@ def build_trie(suggestions: Sequence[str], vocab: Vocab) -> PrefixTrie:
     for s in suggestions:
         trie.insert(tokenize_suggestion(s, vocab))
     return trie
+
+
+class TrieMemo:
+    """The prefix trie of each suggestion list met so far, with its shadowed
+    count, for one vocabulary; a list's trie is built on first use only."""
+
+    def __init__(self, vocab: Vocab):
+        self.vocab = vocab
+        self._entries: dict[tuple[str, ...], tuple[PrefixTrie, int]] = {}
+
+    def entry(self, suggestions: Sequence[str]) -> tuple[PrefixTrie, int]:
+        """(trie, shadowed count) of a non-empty suggestion list."""
+        key = tuple(suggestions)
+        entry = self._entries.get(key)
+        if entry is None:
+            trie = build_trie(key, self.vocab)
+            entry = self._entries[key] = (trie, trie.shadowed_count)
+        return entry
 
 
 def greedy_choice(counts: dict[int, int], candidates: Iterable[int]) -> int:
@@ -292,19 +319,26 @@ def generate(
     cfg: GenerationConfig = GenerationConfig(),
     *,
     task: Optional[TaskContext] = None,
+    tries: Optional[TrieMemo] = None,
 ) -> tuple[str, GenerationTrace]:
     """Generate a function body at pos, returning (canonical text, trace).
 
     task, if given, is the task context at pos, which the tool completes
     through; without it the tool analyses the whole file with the partial
-    function spliced in (`insert`).
+    function spliced in (`insert`). tries, if given, is the caller's trie
+    memo for model's vocabulary; without it the call keeps its own.
     Raises CaretError when pos does not lie in the repository, and
-    ValueError when task is at another caret.
+    ValueError when task is at another caret or tries is bound to another
+    vocabulary.
     """
     repo.validate_caret(pos)
     if task is not None and task.pos != pos:
         raise ValueError(f"a task context at {task.pos} cannot complete at {pos}")
     vocab = model.vocab
+    if tries is None:
+        tries = TrieMemo(vocab)
+    elif tries.vocab is not vocab:
+        raise ValueError("a trie memo of another vocabulary cannot serve this model")
     bucket = description_bucket(tokenize(description, vocab), vocab, model.buckets)
     prefix = Prefix(vocab)
     seq = prefix.ids
@@ -340,10 +374,7 @@ def generate(
             else:
                 suggestions = tool_complete(*insert(repo, pos, prefix.body.text()))
             trace.tool_invocations += 1
-            entry = None
-            if suggestions:
-                trie = build_trie(suggestions, vocab)
-                entry = (trie, trie.shadowed_count)
+            entry = tries.entry(suggestions) if suggestions else None
             if cfg.cache_enabled and key is not None:
                 cache[key] = entry
 

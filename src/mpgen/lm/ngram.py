@@ -183,7 +183,7 @@ def _tables_to_json(model: NGramModel) -> dict:
 def _tables_from_json(data: dict, order: int, buckets: int, vocab_size: int) -> dict:
     """The count tables of a model file; raises ValueError on a table key,
     context or token id out of range for the model's order, buckets and
-    vocabulary."""
+    vocabulary, and on a count below 1."""
     ids = frozenset(range(vocab_size))
     tables: dict = {}
     for bk, ctxs in data.items():
@@ -197,6 +197,8 @@ def _tables_from_json(data: dict, order: int, buckets: int, vocab_size: int) -> 
             row = {int(t): int(c) for t, c in counts.items()}
             if len(ctx) != k or not ids.issuperset(ctx) or not row.keys() <= ids:
                 raise ValueError(f"table {bk!r} context {ctx_s!r} is out of range")
+            if row and min(row.values()) < 1:
+                raise ValueError(f"table {bk!r} context {ctx_s!r} holds a count below 1")
             table[ctx] = row
         tables[(bucket, k)] = table
     return tables
@@ -222,7 +224,7 @@ def load_model(path: str) -> NGramModel:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise ModelCorruptError(f"cannot read model file {path!r}: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != FORMAT_NAME:
         raise ModelCorruptError(f"{path!r} is not an mpgen model file")

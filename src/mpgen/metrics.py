@@ -223,14 +223,16 @@ def ground_truth(
     the task, and each pair's verdict in pair order, for one task's pairs
     (one per model, say), all read from task, the context at their caret.
 
-    The ground truth's n-gram counts live only as long as this call.
+    The ground truth's n-gram counts live only as long as this call. The
+    predictions are analysed before the ground truth: a prediction the task
+    context generated through extends the text of its last trigger, so its
+    analysis resumes from the checkpoint that trigger left.
     """
     gt, repo, pos = pairs[0].gt, pairs[0].repo, pairs[0].pos
     if any((p.gt, p.pos) != (gt, pos) or p.repo is not repo for p in pairs):
         raise ValueError(f"pairs of more than one task at {pos.file}:{pos.line}")
     if task.pos != pos:
         raise ValueError(f"a task context at {task.pos} cannot score the task at {pos}")
-    deps = identify_dependencies(gt, task)
     lexed = lex(gt)
     canonical = render_tokens(lexed[0])
     ids = tokenize(gt, vocab, lexed=lexed)
@@ -245,7 +247,7 @@ def ground_truth(
             exact_match=render_tokens(pred_lexed[0]) == canonical,
             bleu=bleu_counts(tokenize(pair.pred, vocab, lexed=pred_lexed), ids, ref_ngrams),
         ))
-    return deps, verdicts
+    return identify_dependencies(gt, task), verdicts
 
 
 def _score_pair(pair: EvalPair, deps: set[str], verdict: Verdict) -> dict:

@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import DataError
 from .analysis.complete import TaskContext
-from .decode import GenerationConfig, GenerationTrace, generate
+from .decode import GenerationConfig, GenerationTrace, TrieMemo, generate
 from .lm.ngram import NGramModel, train
 from .lm.tokenizer import token_strings, tokenize
 from .lm.vocab import BOS_ID, COMP_ID, EOS_ID, Vocab, build_vocab
@@ -81,7 +81,7 @@ def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise DataError(f"cannot read config {path!r}: {exc}") from exc
     if not isinstance(raw, dict):
         raise DataError(f"config {path!r} must be a JSON object")
@@ -293,7 +293,7 @@ def load_tasks(path: str, config: RunConfig) -> list[Task]:
     for line in lines:
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
             raise DataError(f"malformed task record {line!r}: {exc}") from exc
         if type(rec) is not dict:
             raise DataError(f"malformed task record {line!r}: not a JSON object")
@@ -338,9 +338,11 @@ def run_model_over_tasks(
 ) -> tuple[list[EvalPair], list[GenerationTrace]]:
     pairs: list[EvalPair] = []
     traces: list[GenerationTrace] = []
+    tries = TrieMemo(model.vocab)  # for this run only
     for task in tasks:
         pred, trace = generate(
-            model, task.snapshot, task.description, task.pos, gen_cfg, task=task.context()
+            model, task.snapshot, task.description, task.pos, gen_cfg,
+            task=task.context(), tries=tries,
         )
         pairs.append(task.pair(pred))
         traces.append(trace)
@@ -378,8 +380,9 @@ def run_evaluate(config: RunConfig) -> dict:
         raise DataError("no benchmark tasks found in the eval corpus")
 
     vocab = tool_model.vocab
+    # each model's trie memo lives for this run only
     variants = {
-        variant: (model, GenerationConfig(
+        variant: (model, TrieMemo(model.vocab), GenerationConfig(
             max_tokens=config.max_tokens, cache_enabled=config.cache, tool_enabled=tool_enabled
         ))
         for variant, model, tool_enabled in (
@@ -395,9 +398,10 @@ def run_evaluate(config: RunConfig) -> dict:
     # the next task is analysed.
     for task in tasks:
         context = task.context()
-        for variant, (model, gen_cfg) in variants.items():
+        for variant, (model, tries, gen_cfg) in variants.items():
             pred, trace = generate(
-                model, task.snapshot, task.description, task.pos, gen_cfg, task=context
+                model, task.snapshot, task.description, task.pos, gen_cfg,
+                task=context, tries=tries,
             )
             pairs[variant].append(task.pair(pred))
             traces[variant].append(trace.counters())

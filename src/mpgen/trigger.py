@@ -131,7 +131,7 @@ def load_dataset_records(path: str) -> list[dict]:
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
                 raise DataError(f"malformed dataset record {line!r}: {exc}") from exc
             if not (
                 type(rec) is dict

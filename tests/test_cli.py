@@ -391,6 +391,21 @@ def test_evaluate_model_table_out_of_range_is_data_error(tmp_path, capsys, key, 
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("count", [-100000, 0])
+def test_evaluate_model_count_below_one_is_data_error(tmp_path, capsys, count):
+    """A count below 1 would make `predict` leave [0, 1]."""
+    payload = json.loads((GOLDEN_MODELS / "model_tool.json").read_text())
+    row = payload["tables"]["0:0"][""]
+    row[next(iter(row))] = count
+    models = _model_dir(tmp_path, json.dumps(payload).encode())
+    cfg = write_config(tmp_path, model_dir=str(models))
+    assert main(["evaluate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed model file ") and err.count("\n") == 1
+    assert err.endswith(": table '0:0' context '' holds a count below 1\n")
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_evaluate_missing_tasks_file_is_data_error(tmp_path, capsys):
     missing = tmp_path / "no-such-tasks.jsonl"
     cfg = write_config(tmp_path, model_dir=str(GOLDEN_MODELS), tasks=str(missing))
@@ -482,6 +497,48 @@ def test_train_malformed_dataset_record_is_data_error(tmp_path, capsys, line):
     assert main(["train", "--config", cfg]) == 2
     assert "malformed dataset record" in capsys.readouterr().err
     assert not (tmp_path / "models").exists()
+
+
+_DEEP_JSON = "[" * 2000 + "]" * 2000  # past the JSON decoder's recursion limit
+
+
+def _deep_config(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(_DEEP_JSON)
+    return ["train", "--config", str(path)], "cannot read config"
+
+
+def _deep_model(tmp_path):
+    models = _model_dir(tmp_path, _DEEP_JSON.encode())
+    cfg = write_config(tmp_path, model_dir=str(models))
+    return ["evaluate", "--config", cfg], "cannot read model file"
+
+
+def _deep_tasks(tmp_path):
+    tasks = tmp_path / "tasks.jsonl"
+    tasks.write_text(json.dumps(_task_record()) + "\n" + _DEEP_JSON + "\n")
+    cfg = write_config(tmp_path, model_dir=str(GOLDEN_MODELS), tasks=str(tasks))
+    return ["evaluate", "--config", cfg], "malformed task record"
+
+
+def _deep_dataset(tmp_path):
+    (tmp_path / "dataset.jsonl").write_text(json.dumps(_DATASET_RECORD) + "\n" + _DEEP_JSON + "\n")
+    return ["train", "--config", write_config(tmp_path)], "malformed dataset record"
+
+
+@pytest.mark.parametrize(
+    "reader", [_deep_config, _deep_model, _deep_tasks, _deep_dataset],
+    ids=["config", "model", "tasks", "dataset"],
+)
+def test_a_file_nested_2000_levels_deep_is_data_error(tmp_path, capsys, reader):
+    """The JSON decoder raises RecursionError on it; each reader maps that to
+    exit 2 like any other malformed file."""
+    argv, message = reader(tmp_path)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and message in err and "recursion" in err
+    assert not (tmp_path / "report.json").exists()
 
 
 _JSON = st.recursive(

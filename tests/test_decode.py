@@ -8,6 +8,7 @@ from mpgen import decode
 from mpgen.decode import (
     GenerationConfig,
     PrefixTrie,
+    TrieMemo,
     build_trie,
     generate,
     greedy_choice,
@@ -81,6 +82,51 @@ def test_build_trie_rejects_empty():
     vocab = text_vocab(["a"])
     with pytest.raises(ValueError):
         build_trie([], vocab)
+
+
+# --- trie memo ---------------------------------------------------------------
+
+_MEMO_WORDS = ["al", "be", "cu", "do", "el"]
+_MEMO_VOCAB = text_vocab([" ".join(_MEMO_WORDS)])
+_MEMO_MODEL = train(
+    [
+        ([], [BOS_ID, COMP_ID] + tokenize(text, _MEMO_VOCAB) + [EOS_ID])
+        for text in ("al_be", "_cu_do", "el al", "be_be_cu", "do")
+    ],
+    order=3, alpha=0.1, vocab=_MEMO_VOCAB,
+)
+_NAMES = st.builds(
+    lambda under, parts: ("_" if under else "") + "_".join(parts),
+    st.booleans(),
+    st.lists(st.sampled_from(_MEMO_WORDS), min_size=1, max_size=3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    # lists met in some order, most of them more than once
+    st.lists(st.lists(_NAMES, min_size=1, max_size=6), min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=10)
+    ),
+    st.lists(st.sampled_from(range(len(RESERVED_TOKENS), _MEMO_VOCAB.size)), max_size=4),
+)
+def test_memo_entries_equal_fresh_tries(lists, context):
+    """Each list's memo entry holds the sequences and shadowed count of a
+    trie built afresh and selects what it selects; a list met again gets
+    the trie built the first time."""
+    memo = TrieMemo(_MEMO_VOCAB)
+    bucket = description_bucket([], _MEMO_VOCAB, _MEMO_MODEL.buckets)
+    prefix = [BOS_ID] + context + [COMP_ID]
+    first: dict[tuple, PrefixTrie] = {}
+    for suggestions in lists:
+        trie, shadowed = memo.entry(suggestions)
+        fresh = build_trie(suggestions, _MEMO_VOCAB)
+        assert trie._sequences == fresh._sequences
+        assert shadowed == fresh.shadowed_count
+        assert select_suggestion(_MEMO_MODEL, bucket, prefix, trie) == select_suggestion(
+            _MEMO_MODEL, bucket, prefix, fresh
+        )
+        assert first.setdefault(tuple(suggestions), trie) is trie
 
 
 # --- mask / argmax -----------------------------------------------------------
@@ -264,6 +310,45 @@ def test_benchmark_choices_equal_dense_argmax(trained_models, monkeypatch):
             _check_outer_choices(model, task.description, trace, tool_enabled)
             outer_steps += trace.steps
     assert (outer_steps, len(trie_steps)) == (9804, 2670)
+
+
+@pytest.mark.parametrize("cache", [True, False], ids=["cache", "no-cache"])
+def test_a_memo_shared_by_the_run_generates_as_a_memo_per_generation(
+    trained_models, monkeypatch, cache
+):
+    """Over the 126 benchmark tasks, one trie memo shared by every
+    generation gives the predictions, token ids, tags and trace counters
+    that a memo of each generation's own gives, and that a memo which
+    builds a trie at every tool invocation gives; it builds the trie of
+    each of the 137 distinct suggestion lists once."""
+    config, tool, _vanilla = trained_models
+    tasks = derive_tasks(config)
+    cfg = GenerationConfig(max_tokens=config.max_tokens, cache_enabled=cache)
+
+    class Forgetful(TrieMemo):
+        def entry(self, suggestions):
+            self._entries.clear()
+            return super().entry(suggestions)
+
+    def run(tries_of):
+        built.clear()
+        return [
+            generate(
+                tool, t.snapshot, t.description, t.pos, cfg, task=t.context(), tries=tries_of()
+            )
+            for t in tasks
+        ]
+
+    real_build = decode.build_trie
+    built: list[tuple] = []
+    monkeypatch.setattr(decode, "build_trie", lambda *a: built.append(a[0]) or real_build(*a))
+    rebuilt = run(lambda: Forgetful(tool.vocab))
+    assert len(built) == sum(trace.tool_invocations for _text, trace in rebuilt)
+    assert run(lambda: None) == rebuilt  # each generation's own memo
+    shared = TrieMemo(tool.vocab)
+    assert run(lambda: shared) == rebuilt
+    assert len(built) == len(set(built)) == 137
+    assert len(rebuilt) == 126
 
 
 def _check_outer_choices(model, description, trace, tool_enabled):
@@ -535,6 +620,17 @@ def test_cache_hit_on_repeated_receiver():
     assert trace_on.tool_invocations < trace_off.tool_invocations
     assert trace_off.cache_hits == 0
     assert trace_off.tool_invocations == trace_on.tool_invocations + trace_on.cache_hits
+
+
+def test_generate_refuses_a_trie_memo_of_another_vocabulary():
+    repo, pos = _blank_repo()
+    model = _member_trigger_model()
+    # the same tokens, but another vocabulary
+    other = TrieMemo(text_vocab(["return self.x", "<COMP>"]))
+    with pytest.raises(ValueError, match="another vocabulary"):
+        generate(model, repo, "d", pos, GenerationConfig(), tries=other)
+    text, _trace = generate(model, repo, "d", pos, GenerationConfig(), tries=TrieMemo(model.vocab))
+    assert text == "return self.x"
 
 
 def test_generation_trace_tags_cover_all_tokens():

@@ -237,8 +237,8 @@ def test_triggers_with_one_key_get_one_list(task, words):
 # --- the mechanism, counted over the benchmark ----------------------------------
 
 def test_the_trigger_path_does_each_piece_of_work_once(trained_models, demo_tasks, monkeypatch):
-    """Over the 126 benchmark tasks with the tool model: one trie per tool
-    invocation, no detokenization, each context's head lexed and parsed
+    """Over the 126 benchmark tasks with the tool model: one trie per
+    distinct suggestion list, no detokenization, each context's head lexed and parsed
     once, each closed body line lexed once, and no body statement parsed
     again once it has settled."""
     config, tool, _vanilla = trained_models
@@ -299,7 +299,9 @@ def test_the_trigger_path_does_each_piece_of_work_once(trained_models, demo_task
         tool, demo_tasks, GenerationConfig(max_tokens=config.max_tokens)
     )
 
-    assert len(tries) == sum(t.tool_invocations for t in traces) == 732
+    # 732 tries, one per tool invocation, without the run's trie memo
+    assert sum(t.tool_invocations for t in traces) == 732
+    assert len(tries) == len({suggestions for suggestions, _vocab in tries}) == 137
     assert detokenized == []
     assert len(contexts) == sum(1 for t in traces if t.tool_invocations) > 0
     for stats in contexts.values():

@@ -24,6 +24,7 @@ from mpgen.metrics import (
     pair_is_valid,
 )
 from mpgen.minilang.lexer import LineLexer
+from mpgen.minilang import parser
 from mpgen.minilang.parser import extract_functions, parse_body
 from mpgen.minilang.render import render_tokens
 from mpgen import repo as repo_module
@@ -280,6 +281,27 @@ def test_evaluate_builds_one_context_per_task(trained_models, tmp_path, monkeypa
     assert sorted(file_lexes) == sorted(file_parses) == loaded
     assert len({(repo, path) for repo, path, _text in scoped}) == len(scoped)
     assert scoped and {text for _repo, _path, text in scoped} <= set(loaded)
+
+
+def test_scoring_resumes_the_tool_prediction_from_its_generation(
+    trained_models, tmp_path, monkeypatch
+):
+    """Scoring analyses a task's predictions before its ground truth, so the
+    tool model's prediction, which extends the text of its last trigger,
+    resumes from that trigger's checkpoint: one `run_evaluate` parses 2,826
+    statements (3,072 with the ground truth analysed first)."""
+    config = dataclasses.replace(trained_models[0], report=str(tmp_path / "report.json"))
+    real_stmt = parser._Parser.parse_stmt
+    statements = 0
+
+    def counted_statement(p):
+        nonlocal statements
+        statements += 1
+        return real_stmt(p)
+
+    monkeypatch.setattr(parser._Parser, "parse_stmt", counted_statement)
+    run_evaluate(config)
+    assert statements == 2826
 
 
 @pytest.mark.parametrize("cache", [True, False], ids=["cache", "no-cache"])
