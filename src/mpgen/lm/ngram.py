@@ -2,10 +2,12 @@
 
 Training is maximum-likelihood counting: for every position in every target
 the (context -> next token) count is incremented at every order up to n-1,
-once under the description's hash bucket and once under a global bucket;
-`train` builds each context once and counts it in both tables in the same
-loop. A description's bucket sums the FNV-1a hashes of its tokens, and each
-token is hashed once per process (`_fnv1a` is memoized).
+under the description's hash bucket. The global pool, which prediction falls
+back to across buckets, is the sum of the bucket tables; `_add_global_pool`
+derives it, after `train` counts and after `load_model` reads, so a model
+file stores each count once. A description's bucket sums the FNV-1a hashes
+of its tokens, and each token is hashed once per process (`_fnv1a` is
+memoized).
 
 Prediction finds the longest context with counts inside the description's
 bucket, falling back order by order and finally across buckets; the counts
@@ -27,14 +29,18 @@ many prefixes of one description computes it once; `predict` and
 `load_model` checks the layout a model file brings in from outside: the
 vocabulary opens with the reserved tokens in id order and repeats no entry,
 the order and bucket count are integers of at least 1, alpha is a finite
-number above 0, and every table key, context and token id is in range, so no
-count can name a token the vocabulary lacks. The order, buckets and alpha
-follow the type rules `RunConfig` applies to the same fields.
+number above 0, every table key, context and token id is in range, so no
+count can name a token the vocabulary lacks, and every count is an integer of
+at least 1. The order, buckets and alpha follow the type rules `RunConfig`
+applies to the same fields. A file holds bucket tables only: a global table
+in it is out of range, and a version-1 file, which held one, is rejected as
+an unsupported version (retrain it).
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from functools import cache
 from math import inf, log
@@ -46,7 +52,7 @@ from .vocab import BOS_ID, EOS_ID, RESERVED_TOKENS, Vocab
 GLOBAL_BUCKET = -1
 
 FORMAT_NAME = "mpgen-ngram"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class ModelCorruptError(ValueError):
@@ -79,7 +85,6 @@ class NGramModel:
     order: int
     alpha: float
     buckets: int
-    variant: str = "model"
     # (bucket, context_len) -> {context tuple -> {token id -> count}}
     tables: dict[tuple[int, int], dict[tuple[int, ...], dict[int, int]]] = field(
         default_factory=dict
@@ -139,38 +144,46 @@ def train(
     alpha: float,
     vocab: Vocab,
     buckets: int = 16,
-    variant: str = "model",
 ) -> NGramModel:
     """Count-based maximum-likelihood training over (description, target) pairs."""
     if not dataset:
         raise ValueError("training dataset is empty")
     if not alpha > 0:
         raise ValueError("smoothing alpha must be positive")
-    model = NGramModel(vocab=vocab, order=order, alpha=alpha, buckets=buckets, variant=variant)
+    model = NGramModel(vocab=vocab, order=order, alpha=alpha, buckets=buckets)
     tables = model.tables
     for desc, target in dataset:
         if not target or target[0] != BOS_ID or target[-1] != EOS_ID:
             raise ValueError("every target sequence must begin <BOS> and end <EOS>")
         bucket = description_bucket(desc, vocab, buckets)
-        # (bucket table, global table) per context length; the last position
-        # counts every length below min(order, len(target)), so none stays empty
-        pools = [
-            (tables.setdefault((bucket, k), {}), tables.setdefault((GLOBAL_BUCKET, k), {}))
-            for k in range(min(order, len(target)))
-        ]
+        # the bucket's table per context length; the last position counts
+        # every length below min(order, len(target)), so none stays empty
+        by_k = [tables.setdefault((bucket, k), {}) for k in range(min(order, len(target)))]
         for i in range(1, len(target)):
             tok = target[i]
             for k in range(min(order, i + 1)):
-                ctx = tuple(target[i - k:i])
-                for table in pools[k]:
-                    counts = table.setdefault(ctx, {})
-                    counts[tok] = counts.get(tok, 0) + 1
+                counts = by_k[k].setdefault(tuple(target[i - k:i]), {})
+                counts[tok] = counts.get(tok, 0) + 1
+    _add_global_pool(tables)
     return model
+
+
+def _add_global_pool(tables: dict) -> None:
+    """Add the global pool to bucket tables: per context length, the sum of
+    the bucket tables of that length."""
+    for (_bucket, k), table in list(tables.items()):
+        pool = tables.setdefault((GLOBAL_BUCKET, k), {})
+        for ctx, row in table.items():
+            counts = pool.setdefault(ctx, {})
+            for tok, c in row.items():
+                counts[tok] = counts.get(tok, 0) + c
 
 
 def _tables_to_json(model: NGramModel) -> dict:
     out: dict[str, dict] = {}
     for (bucket, k), table in model.tables.items():
+        if bucket == GLOBAL_BUCKET:  # derived where it is read
+            continue
         bk = f"{bucket}:{k}"
         ctxs = {}
         for ctx, counts in table.items():
@@ -181,20 +194,21 @@ def _tables_to_json(model: NGramModel) -> dict:
 
 
 def _tables_from_json(data: dict, order: int, buckets: int, vocab_size: int) -> dict:
-    """The count tables of a model file; raises ValueError on a table key,
+    """The bucket tables of a model file; raises ValueError on a table key,
     context or token id out of range for the model's order, buckets and
-    vocabulary, and on a count below 1."""
+    vocabulary, and on a count below 1. TypeError on a count that is not an
+    integer."""
     ids = frozenset(range(vocab_size))
     tables: dict = {}
     for bk, ctxs in data.items():
         bucket_s, k_s = bk.split(":")
         bucket, k = int(bucket_s), int(k_s)
-        if not (GLOBAL_BUCKET <= bucket < buckets and 0 <= k < order):
+        if not (0 <= bucket < buckets and 0 <= k < order):
             raise ValueError(f"table key {bk!r} out of range")
         table: dict = {}
         for ctx_s, counts in ctxs.items():
             ctx = tuple(int(x) for x in ctx_s.split(",")) if ctx_s else ()
-            row = {int(t): int(c) for t, c in counts.items()}
+            row = {int(t): operator.index(c) for t, c in counts.items()}
             if len(ctx) != k or not ids.issuperset(ctx) or not row.keys() <= ids:
                 raise ValueError(f"table {bk!r} context {ctx_s!r} is out of range")
             if row and min(row.values()) < 1:
@@ -211,7 +225,6 @@ def save_model(model: NGramModel, path: str) -> None:
         "order": model.order,
         "alpha": model.alpha,
         "buckets": model.buckets,
-        "variant": model.variant,
         "vocab": list(model.vocab.tokens),
         "tables": _tables_to_json(model),
     }
@@ -246,13 +259,10 @@ def load_model(path: str) -> NGramModel:
             raise ValueError("order and buckets must be at least 1")
         if type(alpha) not in (int, float) or not 0 < alpha < inf:
             raise ValueError(f"smoothing alpha must be a finite number > 0, not {alpha!r}")
+        tables = _tables_from_json(payload["tables"], order, buckets, len(tokens))
+        _add_global_pool(tables)
         return NGramModel(
-            vocab=Vocab(tokens=tokens),
-            order=order,
-            alpha=float(alpha),
-            buckets=buckets,
-            variant=str(payload.get("variant", "model")),
-            tables=_tables_from_json(payload["tables"], order, buckets, len(tokens)),
+            vocab=Vocab(tokens=tokens), order=order, alpha=float(alpha), buckets=buckets, tables=tables
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ModelCorruptError(f"malformed model file {path!r}: {exc}") from exc

@@ -186,9 +186,7 @@ def run_train(config: RunConfig) -> tuple[NGramModel, NGramModel, dict]:
     tokenized = tokenize_records(records, vocab)  # once, for both variants
     for variant in ("tool", "vanilla"):
         pairs = variant_pairs(tokenized, variant)
-        model = train(
-            pairs, config.order, config.alpha, vocab, buckets=config.buckets, variant=variant
-        )
+        model = train(pairs, config.order, config.alpha, vocab, buckets=config.buckets)
         nll, n_tokens = model.corpus_nll(pairs)
         stats[variant] = {
             "train_nll_per_token": nll / n_tokens,
@@ -225,9 +223,12 @@ class Task:
         return TaskContext.of_function(self.repo, self.func, self.snapshot, self.pos)
 
 
-def _blank_function(repo: Repository, file: str, func: FunctionDef) -> tuple[Repository, CaretPosition]:
-    """Snapshot with the function body removed, and the caret on its one
-    reserved line.
+def _blank_function(
+    repo: Repository, file: str, func: FunctionDef, *,
+    repo_name: str, label: str, description: str, gt: str,
+) -> Task:
+    """The task of func: its snapshot with the function body removed, and the
+    caret on its one reserved line.
 
     Every task has the shape `TaskContext.at` accepts: the def line, the
     docstring alone on the next line, then the reserved line, both at the
@@ -240,8 +241,11 @@ def _blank_function(repo: Repository, file: str, func: FunctionDef) -> tuple[Rep
     doc_line = next(line for line in lines[func.line:] if line.strip(" "))
     indent = " " * (len(doc_line) - len(doc_line.lstrip(" ")))
     blanked = lines[: func.line] + [f'{indent}"{func.docstring}"', indent] + lines[func.end_line:]
-    snap = repo.with_text(file, "\n".join(blanked))
-    return snap, CaretPosition(file, func.line + 2, len(indent))
+    return Task(
+        label=label, repo_name=repo_name, snapshot=repo.with_text(file, "\n".join(blanked)),
+        pos=CaretPosition(file, func.line + 2, len(indent)), description=description, gt=gt,
+        repo=repo, func=func,
+    )
 
 
 def _is_task(func: FunctionDef) -> bool:
@@ -259,19 +263,10 @@ def derive_tasks(config: RunConfig) -> list[Task]:
             for func in extract_functions(module):
                 if not _is_task(func):
                     continue
-                snap, pos = _blank_function(repo, path, func)
-                tasks.append(
-                    Task(
-                        label=f"{name}/{path}:{func.name}",
-                        repo_name=name,
-                        snapshot=snap,
-                        pos=pos,
-                        description=func.description,
-                        gt=render_tokens(func.body_tokens),
-                        repo=repo,
-                        func=func,
-                    )
-                )
+                tasks.append(_blank_function(
+                    repo, path, func, repo_name=name, label=f"{name}/{path}:{func.name}",
+                    description=func.description, gt=render_tokens(func.body_tokens),
+                ))
     return tasks
 
 
@@ -315,19 +310,10 @@ def load_tasks(path: str, config: RunConfig) -> list[Task]:
         )
         if func is None:
             raise DataError(f"task record {line!r} names no task's caret line")
-        snap, pos = _blank_function(repo, rec["file"], func)
-        tasks.append(
-            Task(
-                label=rec["label"],
-                repo_name=rec["repo"],
-                snapshot=snap,
-                pos=pos,
-                description=rec["description"],
-                gt=rec["gt"],
-                repo=repo,
-                func=func,
-            )
-        )
+        tasks.append(_blank_function(
+            repo, rec["file"], func, repo_name=rec["repo"], label=rec["label"],
+            description=rec["description"], gt=rec["gt"],
+        ))
     return tasks
 
 

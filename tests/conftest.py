@@ -16,6 +16,20 @@ def text_vocab(texts) -> Vocab:
     return build_vocab(map(token_strings, texts))
 
 
+def version_1_payload(payload: dict) -> dict:
+    """A format-2 model file's payload in the version-1 layout: a variant
+    field, and the global pool stored as `-1:k` tables, summed from the
+    bucket tables, beside them."""
+    tables = {key: dict(table) for key, table in payload["tables"].items()}
+    for key, table in payload["tables"].items():
+        pool = tables.setdefault("-1:" + key.split(":")[1], {})
+        for ctx, row in table.items():
+            counts = pool.setdefault(ctx, {})
+            for tok, c in row.items():
+                counts[tok] = counts.get(tok, 0) + c
+    return {**payload, "version": 1, "variant": "model", "tables": tables}
+
+
 def make_config(out_dir: Path, **overrides) -> RunConfig:
     defaults = dict(
         train_roots=[str(CORPUS / "train")],

@@ -1,13 +1,18 @@
+import contextlib
 import functools
+import io
 import json
 import os
+import tempfile
 from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mpgen.cli import main
+
+from conftest import version_1_payload
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -327,12 +332,17 @@ def test_evaluate_truncated_model_is_data_error(tmp_path, capsys):
 
 
 def test_evaluate_wrong_model_version_is_data_error(tmp_path, capsys):
+    """A later version, and version 1, which also stored the global pool as
+    `-1:k` tables, exit 2: an old model is retrained, not converted."""
     payload = json.loads((GOLDEN_MODELS / "model_tool.json").read_text())
-    payload["version"] = 99
-    models = _model_dir(tmp_path, json.dumps(payload).encode())
+    models = _model_dir(tmp_path, b"")
     cfg = write_config(tmp_path, model_dir=str(models))
-    assert main(["evaluate", "--config", cfg]) == 2
-    assert "version 99 unsupported" in capsys.readouterr().err
+    for written in ({**payload, "version": 99}, version_1_payload(payload)):
+        (models / "model_tool.json").write_text(json.dumps(written))
+        assert main(["evaluate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: model format version {written['version']} unsupported (expected 2)\n"
+    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize("entry", [{"": 5}, ["x"]], ids=["count-not-object", "list"])
@@ -363,6 +373,7 @@ def test_evaluate_model_scalar_below_one_is_data_error(tmp_path, capsys, field):
     [
         ("16:1", "0", {"5": 1}),
         ("-2:1", "0", {"5": 1}),
+        ("-1:1", "0", {"5": 1}),
         ("0:3", "0,5,6", {"5": 1}),
         ("0:-1", "", {"5": 1}),
         ("0:2", "0", {"5": 1}),
@@ -373,6 +384,7 @@ def test_evaluate_model_scalar_below_one_is_data_error(tmp_path, capsys, field):
     ids=[
         "bucket-past-last",
         "bucket-below-global",
+        "global-table",
         "context-as-long-as-order",
         "negative-context-length",
         "context-shorter-than-key",
@@ -391,9 +403,20 @@ def test_evaluate_model_table_out_of_range_is_data_error(tmp_path, capsys, key, 
     assert not (tmp_path / "report.json").exists()
 
 
-@pytest.mark.parametrize("count", [-100000, 0])
-def test_evaluate_model_count_below_one_is_data_error(tmp_path, capsys, count):
-    """A count below 1 would make `predict` leave [0, 1]."""
+@pytest.mark.parametrize(
+    "count,message",
+    [
+        (-100000, "table '0:0' context '' holds a count below 1"),
+        (0, "table '0:0' context '' holds a count below 1"),
+        (float("inf"), "'float' object cannot be interpreted as an integer"),
+        (2.7, "'float' object cannot be interpreted as an integer"),
+        ("3", "'str' object cannot be interpreted as an integer"),
+    ],
+    ids=["-100000", "0", "infinity", "float", "string"],
+)
+def test_evaluate_model_count_below_one_is_data_error(tmp_path, capsys, count, message):
+    """A count below 1 would make `predict` leave [0, 1]; Infinity would
+    overflow an integer conversion, and 2.7 would load as 2."""
     payload = json.loads((GOLDEN_MODELS / "model_tool.json").read_text())
     row = payload["tables"]["0:0"][""]
     row[next(iter(row))] = count
@@ -402,7 +425,7 @@ def test_evaluate_model_count_below_one_is_data_error(tmp_path, capsys, count):
     assert main(["evaluate", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: malformed model file ") and err.count("\n") == 1
-    assert err.endswith(": table '0:0' context '' holds a count below 1\n")
+    assert err.endswith(f": {message}\n")
     assert not (tmp_path / "report.json").exists()
 
 
@@ -541,8 +564,8 @@ def test_a_file_nested_2000_levels_deep_is_data_error(tmp_path, capsys, reader):
     assert not (tmp_path / "report.json").exists()
 
 
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+_JSON = st.recursive(  # floats include NaN and the infinities, which json writes and reads
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: (
         st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3)
     ),
@@ -588,6 +611,83 @@ def test_task_and_dataset_readers_raise_nothing_but_data_error(
         load_dataset_records(str(tmp / "dataset.jsonl"))
     except DataError:
         pass
+
+
+@functools.cache
+def _small_model_text() -> str:
+    """A format-2 model of order 2 and two buckets, trained on one pair."""
+    from mpgen.lm.ngram import save_model, train
+    from mpgen.lm.vocab import BOS_ID, EOS_ID, RESERVED_TOKENS, Vocab
+
+    vocab = Vocab(tokens=RESERVED_TOKENS + ("a", "return"))
+    a, ret = vocab.tokens.index("a"), vocab.tokens.index("return")
+    model = train([([a], [BOS_ID, ret, a, EOS_ID])], order=2, alpha=0.1, vocab=vocab, buckets=2)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_model(model, os.path.join(tmp, "m.json"))
+        return Path(tmp, "m.json").read_text()
+
+
+_MODEL_HEADER = ("format", "version", "order", "alpha", "buckets", "vocab")
+_MODEL_KEYS = ("table-key", "context", "token-id")
+_CONFIG_FIELDS = tuple(json.loads((ROOT / "configs" / "demo.json").read_text()))
+
+
+def _put(payload: dict, site: str, value) -> None:
+    """Put value in one place of a model or config payload: a field, the key
+    of a table, context or token id, or a count. _DROP removes the entry."""
+    if site in _MODEL_KEYS + ("count",):
+        tables = payload["tables"]
+        table = tables[max(tables)]  # the one table of context length 1
+        row = next(iter(table.values()))
+        mapping = {"table-key": tables, "context": table, "token-id": row, "count": row}[site]
+        key = next(iter(mapping))
+    else:
+        mapping, key = payload, site
+    if value is _DROP:
+        del mapping[key]
+    elif site in _MODEL_KEYS:
+        mapping[value if isinstance(value, str) else json.dumps(value)] = mapping.pop(key)
+    else:
+        mapping[key] = value
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    site=st.sampled_from(_MODEL_HEADER + _MODEL_KEYS + ("count",) + _CONFIG_FIELDS),
+    value=_JSON | st.just(_DROP),
+    cut=st.none() | st.integers(0, 10**6),
+)
+@example(site="count", value=float("inf"), cut=None)
+@example(site="count", value=2.7, cut=None)
+@example(site="max_tokens", value=float("nan"), cut=None)
+def test_model_and_config_readers_exit_0_or_2(tmp_path_factory, site, value, cut):
+    """A small model or a demo config with one drawn value put in one place,
+    and then perhaps cut short, is read or rejected through `mpgen generate`
+    with exit 2 and one error line, never a traceback."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    (tmp / "models").mkdir()
+    config_path, model_path = tmp / "config.json", tmp / "models" / "model_vanilla.json"
+    payloads = {
+        config_path: {
+            **json.loads((ROOT / "configs" / "demo.json").read_text()),
+            "train_roots": [str(CORPUS / "train")], "eval_roots": [str(CORPUS / "eval")],
+            "model_dir": str(tmp / "models"), "max_tokens": 8,
+        },
+        model_path: json.loads(_small_model_text()),
+    }
+    fuzzed = config_path if site in _CONFIG_FIELDS else model_path
+    _put(payloads[fuzzed], site, value)
+    for path, payload in payloads.items():
+        text = json.dumps(payload)
+        if path == fuzzed and cut is not None:
+            text = text[: cut % (len(text) + 1)]
+        path.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(_generate_args(str(config_path), "core.mp", 1, "--vanilla"))
+    assert code in (0, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def test_lint_non_utf8_source_is_data_error(tmp_path, capsys):

@@ -31,7 +31,7 @@ from mpgen.minilang.tokens import LexToken
 from mpgen.repo import Repository
 from mpgen.trigger import load_dataset_records
 
-from conftest import text_vocab
+from conftest import text_vocab, version_1_payload
 from oracles import bump_train_tables, fnv1a_bucket, text_corpus_vocab, words_spell_a_keyword
 
 
@@ -367,16 +367,18 @@ def test_train_rejects_non_positive_alpha():
 def test_train_tables_equal_the_bump_by_bump_tables(trained_models):
     config, tool, vanilla = trained_models
     records = load_dataset_records(config.dataset)
-    for model in (tool, vanilla):
-        pairs = pipeline.training_pairs(records, model.vocab, model.variant)
+    for variant, model in (("tool", tool), ("vanilla", vanilla)):
+        pairs = pipeline.training_pairs(records, model.vocab, variant)
         assert model.tables == bump_train_tables(pairs, model.order, model.vocab, model.buckets)
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_train_tables_of_drawn_pairs_equal_the_bump_by_bump_tables(data):
-    """Counting both tables in one loop, with each description token hashed
-    once, gives the tables and buckets of bump-by-bump counting."""
+def test_train_tables_of_drawn_pairs_equal_the_bump_by_bump_tables(tmp_path_factory, data):
+    """Counting the bucket tables, with each description token hashed once,
+    and deriving the global pool from them gives the tables and buckets of
+    bump-by-bump counting, both after `train` and after a save and load,
+    which rebuilds the pool from the saved bucket tables."""
     words = data.draw(st.lists(st.text("abé_Z", min_size=1, max_size=3), min_size=1, max_size=5, unique=True))
     vocab = Vocab(tokens=RESERVED_TOKENS + tuple(sorted(set(words))))
     ids = st.integers(2, vocab.size - 1)  # <UNK>, <COMP> and the words
@@ -388,7 +390,11 @@ def test_train_tables_of_drawn_pairs_equal_the_bump_by_bump_tables(data):
     ))
     order, buckets = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
     model = train(pairs, order=order, alpha=0.1, vocab=vocab, buckets=buckets)
-    assert model.tables == bump_train_tables(pairs, order, vocab, buckets)
+    expected = bump_train_tables(pairs, order, vocab, buckets)
+    assert model.tables == expected
+    path = str(tmp_path_factory.getbasetemp() / "drawn_model.json")
+    save_model(model, path)
+    assert load_model(path).tables == expected
     for desc, _target in pairs:
         assert description_bucket(desc, vocab, buckets) == fnv1a_bucket(desc, vocab, buckets)
 
@@ -404,8 +410,8 @@ def test_hoisted_bucket_nll_is_bit_identical(trained_models):
 
     config, tool, vanilla = trained_models
     records = load_dataset_records(config.dataset)
-    for model in (tool, vanilla):
-        pairs = training_pairs(records, model.vocab, model.variant)
+    for variant, model in (("tool", tool), ("vanilla", vanilla)):
+        pairs = training_pairs(records, model.vocab, variant)
         total, n_tokens = 0.0, 0
         for desc, target in pairs:
             nll = 0.0
@@ -526,15 +532,35 @@ def test_truncated_file_is_corrupt(tmp_path):
 
 
 def test_version_bump_is_version_error(tmp_path):
+    """A later version, and version 1, whose files also stored the global
+    pool, are rejected; an old model is retrained, not converted."""
     import json
 
     m, _ = _demo_model()
     path = str(tmp_path / "m.json")
     save_model(m, path)
     payload = json.load(open(path))
-    payload["version"] = 99
+    v1 = version_1_payload(payload)
+    assert any(key.startswith("-1:") for key in v1["tables"])
+    for written in ({**payload, "version": 99}, v1):
+        json.dump(written, open(path, "w"))
+        with pytest.raises(ModelVersionError, match=f"version {written['version']} unsupported"):
+            load_model(path)
+
+
+def test_saved_model_holds_bucket_tables_only_and_rejects_a_global_table(tmp_path):
+    """The global pool is derived at load, so a file that stores one is corrupt."""
+    import json
+
+    m, _ = _demo_model()
+    path = str(tmp_path / "m.json")
+    save_model(m, path)
+    payload = json.load(open(path))
+    assert "variant" not in payload and payload["version"] == 2
+    assert payload["tables"] and not any(key.startswith("-1:") for key in payload["tables"])
+    payload["tables"] = version_1_payload(payload)["tables"]
     json.dump(payload, open(path, "w"))
-    with pytest.raises(ModelVersionError):
+    with pytest.raises(ModelCorruptError, match="table key '-1:[0-9]' out of range"):
         load_model(path)
 
 

@@ -132,7 +132,10 @@ def test_tasks_of_mutated_files_get_the_blanked_files_context(corpus_repos, data
     for func in extract_functions(repo.module(path)):
         if not _is_task(func):
             continue
-        snap, pos = _blank_function(repo, path, func)
+        blanked = _blank_function(
+            repo, path, func, repo_name="", label=func.name, description=func.description, gt=""
+        )
+        snap, pos = blanked.snapshot, blanked.pos
         loaded = TaskContext.of_function(repo, func, snap, pos)
         reference = TaskContext.at(snap, pos)
         assert reference is not None, (path, func.name)

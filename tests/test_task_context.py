@@ -55,7 +55,10 @@ FULL = Repository({"utils.mp": UTILS, "core.mp": CORE})
 
 def _blanked(name):
     func = next(f for f in extract_functions(FULL.module("core.mp")) if f.name == name)
-    return _blank_function(FULL, "core.mp", func)
+    task = _blank_function(
+        FULL, "core.mp", func, repo_name="", label=name, description=func.description, gt=""
+    )
+    return task.snapshot, task.pos
 
 
 METHOD_TASK = _blanked("bump")

@@ -421,9 +421,12 @@ def test_every_blanked_function_has_a_task_context(corpus_repos, data):
     ]
     assert funcs
     for func in funcs:
-        snap, pos = _blank_function(mutated, path, func)
-        task = TaskContext.at(snap, pos)
         gt = render_tokens(func.body_tokens)
+        blanked = _blank_function(
+            mutated, path, func, repo_name="", label=func.name, description=func.description, gt=gt
+        )
+        snap, pos = blanked.snapshot, blanked.pos
+        task = TaskContext.at(snap, pos)
         pair = EvalPair(gt, gt, snap, pos)
         assert pair_is_valid(task.analyse(pair.pred)) == whole_file_pair_is_valid(pair)
         assert identify_dependencies(gt, task) == whole_file_dependencies(gt, snap, pos)
