@@ -6,14 +6,13 @@ function as `lint_check` would)."""
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
 from ..minilang import tokens as tk
 from ..minilang.lexer import Diagnostic, LineLexer
 from ..minilang.parser import (
-    BodyCheckpoint, ClassDef, FunctionDef, assigned_attributes, extract_functions, parse,
-    parser_tokens, resume_body,
+    BodyCheckpoint, ClassDef, FunctionDef, assigned_attributes, parser_tokens, resume_body,
 )
 from ..minilang.tokens import LexToken
 from ..repo import CaretPosition, Repository
@@ -107,8 +106,8 @@ class _Checkpoint(NamedTuple):
     """The analysis of a text's closed lines (all but its last), to resume
     from in a text that extends them."""
 
-    closed: str               # the text up to its last newline
-    lines: int                # the number of closed lines
+    closed: str               # the body's text, from the caret's line to its last newline
+    lines: int                # the line number of the last closed line
     lexer: LineLexer          # the lexer after them
     body: BodyCheckpoint      # the body's parse at its last settled statement
     attributes: frozenset     # what the settled statements assign to the class
@@ -118,14 +117,22 @@ class _Checkpoint(NamedTuple):
 class TaskContext:
     """The one function being written at a blanked caret, analysed alone.
 
-    Holds a scope index, a head text of the lines the function needs (class
-    header, def line, docstring) at their own line numbers, the class that
-    holds the function (own_class) and that class's members which no body of
-    the function can change (own_members: its method names and what its
-    other methods assign, `own_class_members`). `analyse` lexes and parses
-    only the head plus a body; that is exact, since lexing is line-local but
-    for the indent stack, a def's parse ends at the dedent closing its body,
-    and every later line of the file sits below the body's indentation.
+    Holds a scope index, the class that holds the function (own_class),
+    that class's members which no body of the function can change
+    (own_members: its method names and what its other methods assign,
+    `own_class_members`), and the checkpoint where the body starts (start):
+    the head, the lines the function needs (class header, def line,
+    docstring), lexed at their own line numbers, and the function's header.
+    `analyse` lexes and parses only a body after the head; that is exact,
+    since lexing is line-local but for the indent stack, a def's parse ends
+    at the dedent closing its body, and every later line of the file sits
+    below the body's indentation. Nor does the head need a parse: a blank
+    line adds no token, so the lines between the head's add nothing, and a
+    def whose header draws a parse diagnostic is dropped, so the header of
+    the head's parse is the loaded function's, its body emptied. (A head
+    whose first line is itself indented at module level is the exception:
+    the parse draws "unexpected indentation" records there, which the
+    analysis leaves out.)
 
     No body can change the rest of what the index holds, since every body
     line is indented past the module level: the module members, classes,
@@ -143,14 +150,13 @@ class TaskContext:
     plus the attributes the body being written assigns, which the analysis
     adds.
 
-    The analysis resumes from a checkpoint: the one after the closed lines
-    of the head, or the one after the closed lines of the text last analysed
-    (every line but its last) when the new text extends them. A body growing
-    during generation therefore has each closed line lexed once, and each
-    statement parsed again only until it settles; the head is lexed and
-    parsed once per context. A text that does not extend the last one, as
-    scoring's ground truth and predictions do not, resumes from the head.
-    Resuming is exact:
+    The analysis resumes from a checkpoint: start, or the one after the
+    closed lines of the text last analysed (every line but its last) when
+    the new text extends them. A body growing during generation therefore
+    has each closed line lexed once, and each statement parsed again only
+    until it settles; the head is lexed once per context, when it is made.
+    A text that does not extend the last one, as scoring's ground truth and
+    predictions do not, resumes from start. Resuming is exact:
 
     - Lexing. Between lines a lexer's whole state is its tokens and
       diagnostics, its indent stack and its dedent position, which the
@@ -172,10 +178,9 @@ class TaskContext:
 
     index: ScopeIndex
     pos: CaretPosition
-    head: str
     own_class: Optional[ClassDef]  # the enclosing class in index, if any
     own_members: frozenset         # own_class's members that the body cannot change
-    _head_checkpoint: Optional[_Checkpoint] = field(default=None, init=False, repr=False, compare=False)
+    start: _Checkpoint             # the checkpoint after the head, where the body starts
     _checkpoint: Optional[_Checkpoint] = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
@@ -188,7 +193,7 @@ class TaskContext:
 
         This analyses the blanked file, through a transient view so that its
         analysis dies with the context. Only `metrics.evaluate_pairs` given
-        no verdicts needs it, having no loaded task to build the context
+        no judged rows needs it, having no loaded task to build the context
         from (`of_function`)."""
         lines = repo.files.get(pos.file, "").split("\n")
         func = None
@@ -200,47 +205,39 @@ class TaskContext:
             or lines[pos.line - 2] != " " * pos.column + f'"{func.docstring}"'
         ):
             raise ValueError(f"{pos.file}:{pos.line}:{pos.column} is not a blanked task's caret")
-        return cls.of_function(view, func, repo, pos)
+        return cls.of_function(view, func, pos)
 
     @classmethod
-    def of_function(
-        cls, repo: Repository, func: FunctionDef, blanked: Repository, pos: CaretPosition
-    ) -> "TaskContext":
+    def of_function(cls, repo: Repository, func: FunctionDef, pos: CaretPosition) -> "TaskContext":
         """The context at pos, the caret of the task that blanked func, a
-        function of the file pos.file of repo as repo parses it, in the
-        snapshot blanked; no file of blanked is analysed."""
+        function of the file pos.file of repo as repo parses it. Nothing is
+        parsed: the head's lines are lexed at their own line numbers, the
+        docstring's as blanking writes it, and the header is func's with
+        its body emptied."""
         index = build_scope_index(repo)
         owner, _func = index.enclosing(pos.file, func.line)
-        lines = blanked.text(pos.file).split("\n")
-        keep = set(range(func.line, pos.line))
+        lines = repo.text(pos.file).split("\n")
+        lexer = LineLexer()
         if owner is not None:
-            keep.add(owner.line)
-        head = [lines[n - 1] if n in keep else "" for n in range(1, pos.line)]
+            lexer.line(owner.line, lines[owner.line - 1])
+        lexer.line(func.line, lines[func.line - 1])
+        lexer.line(pos.line - 1, " " * pos.column + f'"{func.docstring}"')
+        header = replace(
+            func, body=[], body_tokens=[], body_start_line=pos.line, end_line=pos.line - 1
+        )
+        first = len(parser_tokens(lexer.tokens, lexer.diagnostics))
+        body = BodyCheckpoint(header, first, first, (), ())
+        start = _Checkpoint("", pos.line - 1, lexer, body, frozenset())
         members = own_class_members(owner, func) if owner is not None else frozenset()
-        return cls(index, pos, "\n".join(head + [" " * pos.column]), owner, members)
-
-    def _head(self) -> _Checkpoint:
-        """The checkpoint after the head's closed lines, where the body starts."""
-        if self._head_checkpoint is None:
-            closed = self.head[: self.head.rfind("\n") + 1]
-            lines, lexer = self._lex_lines(LineLexer(), 0, closed)
-            # The head's last line, the caret's, is blank and adds no token.
-            lexed = lexer.copy().finish()
-            module = parse(self.head, self.pos.file, lexed=lexed)
-            (func,) = extract_functions(module)
-            start = len(parser_tokens(lexer.tokens, lexer.diagnostics))
-            head_diags = tuple(module.diagnostics[len(lexed[1]):])
-            body = BodyCheckpoint(func, start, start, (), head_diags)
-            self._head_checkpoint = _Checkpoint(closed, lines, lexer, body, frozenset())
-        return self._head_checkpoint
+        return cls(index, pos, owner, members, start)
 
     def analyse(self, body_text: str) -> "TaskAnalysis":
-        """The head plus level-0 body text spliced at pos, lexed and parsed
-        from the last checkpoint that the text extends."""
-        text = self.head + indent_body(body_text, self.pos.column)
+        """The level-0 body text spliced at pos, lexed and parsed after the
+        head from the last checkpoint that the text extends."""
+        text = " " * self.pos.column + indent_body(body_text, self.pos.column)
         start = self._checkpoint
         if start is None or not text.startswith(start.closed):
-            start = self._head()
+            start = self.start
         cut = text.rfind("\n") + 1
         lines, closed_lexer = start.lines, start.lexer
         if cut > len(start.closed):

@@ -4,10 +4,10 @@ Both repository-aware metrics read one function of a benchmark task: the
 one whose body the task blanked. Scoring therefore reads one
 `TaskContext` per task at the blanked caret, the one generation completed
 through (`pipeline.run_evaluate` generates and scores task by task), or,
-for pairs scored without their verdicts, one `TaskContext.at` builds, and
-asks it, through `TaskContext.analyse`, about that function with a ground
-truth or a prediction written in; the context is dropped before the next
-task.
+for pairs scored without their rows, one `TaskContext.at` builds, and asks
+it, through `TaskContext.analyse`, about that function with a ground truth
+or a prediction written in; the context is dropped before the next task.
+Scoring a task (`ground_truth`) writes each of its pairs' report rows.
 
 Dependency Coverage follows the micro-averaged formula: the dependency set
 of a ground truth is found by running the trigger-insertion rule on it in
@@ -28,10 +28,10 @@ the scope index.
 
 Each prediction and ground truth is lexed once on its own, and that lex
 feeds its token ids and its canonical text. Each is parsed once, in its
-task context, and that parse gives both its lint verdict and its access
+task context, and that parse gives both its lint records and its access
 expressions. Corpus BLEU is a ratio of summed clipped n-gram counts, so
 each pair's counts are taken once, while its task is scored (each ground
-truth's n-grams counted once for all models), and the pair's score and the
+truth's n-grams counted once for all models), and the pair's row and the
 corpus score are both read off them.
 """
 
@@ -207,21 +207,12 @@ class EvalReport:
         }
 
 
-class Verdict(NamedTuple):
-    """What scoring reads of one prediction in its task."""
-
-    valid: bool             # `pair_is_valid`
-    expressions: set[str]   # `extract_expressions` of its function body
-    exact_match: bool       # canonical text equal to the ground truth's
-    bleu: BleuCounts        # token ids against the ground truth's
-
-
 def ground_truth(
     pairs: Sequence[EvalPair], vocab: Vocab, task: TaskContext
-) -> tuple[set[str], list[Verdict]]:
-    """The ground truth's dependency set, the same for every model scored on
-    the task, and each pair's verdict in pair order, for one task's pairs
-    (one per model, say), all read from task, the context at their caret.
+) -> list[tuple[dict, BleuCounts]]:
+    """Each pair's report row and BLEU counts, in pair order, for one task's
+    pairs (one per model, say), all read from task, the context at their
+    caret. The ground truth's dependency set is found once for them all.
 
     The ground truth's n-gram counts live only as long as this call. The
     predictions are analysed before the ground truth: a prediction the task
@@ -237,35 +228,48 @@ def ground_truth(
     canonical = render_tokens(lexed[0])
     ids = tokenize(gt, vocab, lexed=lexed)
     ref_ngrams = reference_ngrams(ids)
-    verdicts = []
-    for pair in pairs:
-        analysis = task.analyse(pair.pred)
+    analyses = [task.analyse(pair.pred) for pair in pairs]
+    deps = identify_dependencies(gt, task)
+    judged = []
+    for pair, analysis in zip(pairs, analyses):
         pred_lexed = lex(pair.pred)
-        verdicts.append(Verdict(
-            valid=pair_is_valid(analysis),
-            expressions=extract_expressions(analysis.function.body),
-            exact_match=render_tokens(pred_lexed[0]) == canonical,
-            bleu=bleu_counts(tokenize(pair.pred, vocab, lexed=pred_lexed), ids, ref_ngrams),
-        ))
-    return identify_dependencies(gt, task), verdicts
+        bleu = bleu_counts(tokenize(pair.pred, vocab, lexed=pred_lexed), ids, ref_ngrams)
+        judged.append(({
+            "label": pair.label,
+            "file": pos.file,
+            "line": pos.line,
+            "dep_total": len(deps),
+            "dep_covered": len(extract_expressions(analysis.function.body) & deps),
+            "valid": pair_is_valid(analysis),
+            "exact_match": render_tokens(pred_lexed[0]) == canonical,
+            "edit_sim": edit_similarity(pair.pred, gt),
+            "bleu4": bleu_from_counts([bleu]),
+        }, bleu))
+    return judged
 
 
-def _score_pair(pair: EvalPair, deps: set[str], verdict: Verdict) -> dict:
-    """The report row of one prediction."""
-    return {
-        "label": pair.label,
-        "file": pair.pos.file,
-        "line": pair.pos.line,
-        "dep_total": len(deps),
-        "dep_covered": len(verdict.expressions & deps),
-        "valid": verdict.valid,
-        "exact_match": verdict.exact_match,
-        "edit_sim": edit_similarity(pair.pred, pair.gt),
-        "bleu4": bleu_from_counts([verdict.bleu]),
-    }
+def evaluate_pairs(
+    pairs: Sequence[EvalPair],
+    vocab: Vocab,
+    judged: Optional[Sequence[tuple[dict, BleuCounts]]] = None,
+) -> EvalReport:
+    """All six headline metrics plus the per-pair breakdown.
 
-
-def _aggregate(rows: list[dict], bleu: list[BleuCounts]) -> EvalReport:
+    `judged[i]` is the report row of pairs[i] and its BLEU counts, as
+    `ground_truth` gives them for pairs[i] and the pairs of other models on
+    the same task; pass them in to score several models on the same tasks
+    without recomputing the task side. Without them each pair is judged in
+    a context `TaskContext.at` builds at its caret.
+    """
+    if judged is None:
+        judged = [
+            row
+            for pair in pairs
+            for row in ground_truth([pair], vocab, TaskContext.at(pair.repo, pair.pos))
+        ]
+    elif len(judged) != len(pairs):
+        raise ValueError(f"{len(judged)} judged rows for {len(pairs)} pairs")
+    rows = [row for row, _bleu in judged]
     n = len(rows)
     dep_total = sum(r["dep_total"] for r in rows)
     dep_rows = [r for r in rows if r["dep_total"]]
@@ -276,31 +280,6 @@ def _aggregate(rows: list[dict], bleu: list[BleuCounts]) -> EvalReport:
         val_rate_dep=sum(r["valid"] for r in dep_rows) / len(dep_rows) if dep_rows else None,
         exact_match=sum(r["exact_match"] for r in rows) / n if n else 0.0,
         edit_sim=mean(r["edit_sim"] for r in rows) if rows else 0.0,
-        bleu4=bleu_from_counts(bleu),
+        bleu4=bleu_from_counts([bleu for _row, bleu in judged]),
         per_pair=rows,
     )
-
-
-def evaluate_pairs(
-    pairs: Sequence[EvalPair],
-    vocab: Vocab,
-    judged: Optional[Sequence[tuple[set[str], Verdict]]] = None,
-) -> EvalReport:
-    """All six headline metrics plus the per-pair breakdown.
-
-    `judged[i]` is the ground truth's dependency set of pairs[i] and its
-    verdict, as `ground_truth` gives them for pairs[i] and the pairs of
-    other models on the same task; pass them in to score several models on
-    the same tasks without recomputing the task side. Without them each
-    pair is judged in a context `TaskContext.at` builds at its caret.
-    """
-    if judged is None:
-        judged = []
-        for pair in pairs:
-            deps, (verdict,) = ground_truth([pair], vocab, TaskContext.at(pair.repo, pair.pos))
-            judged.append((deps, verdict))
-    rows = [
-        _score_pair(pair, deps, verdict)
-        for pair, (deps, verdict) in zip(pairs, judged, strict=True)
-    ]
-    return _aggregate(rows, [verdict.bleu for _deps, verdict in judged])

@@ -6,9 +6,10 @@ the lint checker and the completion tool run on files holding partially
 generated code. Recovery skips to the next line (inside a block) or to the
 next top-level definition (at module level). `parse`, `parse_body` and
 `resume_body` share the parser set-up, the statement rules and the one
-recovery rule `_recover`. `resume_body` runs the statement loop of a def's
-body from a `BodyCheckpoint`, so a body that grows at its end is parsed from
-its last settled statement on, not from its first.
+recovery rule `_recover`. `parse_body` parses its text with the statement
+loop of a def's body, and `resume_body` runs that loop from a
+`BodyCheckpoint`, so a body that grows at its end is parsed from its last
+settled statement on, not from its first.
 
 Every diagnostic, the lexer's included, is a syntax error in the lexer's one
 record type, `Diagnostic`. The parser checks syntax only: redefining a name
@@ -460,26 +461,14 @@ def parse(source: str, path: str = "<source>", *, lexed=None) -> Module:
 
 
 def parse_body(source: str, *, lexed=None):
-    """Parse statement-sequence text (a rendered function body).
+    """Parse statement-sequence text (a rendered function body) as a def's
+    body is parsed: an unexpectedly indented block is dropped.
 
     Returns (stmts, diagnostics); recovery keeps whatever prefix parsed.
     lexed, when given, must be `lex(source)`, as for `parse`.
     """
     parser = _parser_for(source, "<body>", lexed)
-    stmts: list[nodes.Stmt] = []
-    while parser.peek() is not None:
-        if parser.at(tk.NEWLINE):
-            parser.advance()
-            continue
-        if parser.at(tk.INDENT) or parser.at(tk.DEDENT):
-            parser.diags.append(Diagnostic("unexpected indentation", parser.peek().line, parser.peek().column))
-            parser.advance()
-            continue
-        try:
-            stmts.append(parser.parse_stmt())
-        except _Recover as r:
-            parser._recover(r)
-    return stmts, parser.diags
+    return parser._statements(parser.parse_stmt), parser.diags
 
 
 @dataclass(frozen=True)

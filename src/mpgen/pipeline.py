@@ -105,7 +105,7 @@ def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
     cfg.dataset = resolve(cfg.dataset, base)
     cfg.model_dir = resolve(cfg.model_dir, base)
     cfg.report = resolve(cfg.report, base)
-    if cfg.tasks:
+    if cfg.tasks is not None:
         cfg.tasks = resolve(cfg.tasks, base)
     return cfg
 
@@ -220,7 +220,7 @@ class Task:
 
     def context(self) -> TaskContext:
         """The task context at the caret, from the loaded file's analysis."""
-        return TaskContext.of_function(self.repo, self.func, self.snapshot, self.pos)
+        return TaskContext.of_function(self.repo, self.func, self.pos)
 
 
 def _blank_function(
@@ -358,7 +358,7 @@ def run_evaluate(config: RunConfig) -> dict:
             raise DataError(f"model {path!r} not found; run train first")
     tool_model = load_model(config.tool_model_path)
     vanilla_model = load_model(config.vanilla_model_path)
-    if config.tasks:
+    if config.tasks is not None:
         tasks = load_tasks(config.tasks, config)
     else:
         tasks = derive_tasks(config)
@@ -378,7 +378,7 @@ def run_evaluate(config: RunConfig) -> dict:
     }
     pairs: dict[str, list] = {variant: [] for variant in variants}
     traces: dict[str, list] = {variant: [] for variant in variants}  # counters only
-    judged: dict[str, list] = {variant: [] for variant in variants}
+    judged: dict[str, list] = {variant: [] for variant in variants}  # (row, BLEU counts)
     # Task by task: one task context serves the tool model's generation and
     # then the scoring of both models' predictions, and is dropped before
     # the next task is analysed.
@@ -391,9 +391,9 @@ def run_evaluate(config: RunConfig) -> dict:
             )
             pairs[variant].append(task.pair(pred))
             traces[variant].append(trace.counters())
-        deps, verdicts = ground_truth([pairs[v][-1] for v in variants], vocab, context)
-        for variant, verdict in zip(variants, verdicts, strict=True):
-            judged[variant].append((deps, verdict))
+        rows = ground_truth([pairs[v][-1] for v in variants], vocab, context)
+        for variant, row in zip(variants, rows, strict=True):
+            judged[variant].append(row)
         del context
     report: dict = {"n_tasks": len(tasks), "models": {}}
     for variant in variants:

@@ -304,15 +304,27 @@ def trigger_cache_key(prefix, vocab):
     return ("attr", receiver, n)
 
 
-def whole_text_analysis(context, body) -> TaskAnalysis:
+def whole_text_analysis(snapshot, context, body) -> TaskAnalysis:
     """`context.analyse(body)` from one lex and parse of the whole text: the
-    head with the body spliced in at the caret."""
-    text = context.head + indent_body(body, context.pos.column)
+    head, read off the blanked file of snapshot at the context's caret (the
+    class header, the def line and the docstring at their own line numbers,
+    every other line above the caret blank), with the body spliced in at the
+    caret."""
+    pos = context.pos
+    lines = snapshot.text(pos.file).split("\n")
+    def_line = pos.line - 2  # blanking puts the caret two lines below the def
+    keep = {def_line, def_line + 1} | {
+        cls.line
+        for cls in snapshot.module(pos.file).classes
+        if any(m.line == def_line for m in cls.methods)
+    }
+    head = "".join((lines[n - 1] if n in keep else "") + "\n" for n in range(1, pos.line))
+    text = head + " " * pos.column + indent_body(body, pos.column)
     lexed = lex(text)
-    module = parse(text, context.pos.file, lexed=lexed)
+    module = parse(text, pos.file, lexed=lexed)
     (func,) = extract_functions(module)
-    written = module.classes[0].attributes if context.own_class is not None else ()
-    end = CaretPosition(context.pos.file, text.count("\n") + 1, len(text) - text.rfind("\n") - 1)
+    written = module.classes[0].attributes if module.classes else ()
+    end = CaretPosition(pos.file, text.count("\n") + 1, len(text) - text.rfind("\n") - 1)
     return TaskAnalysis(context, lexed[0], module.diagnostics, func, frozenset(written), end)
 
 
@@ -325,7 +337,7 @@ def generate_then_score_report(config) -> dict:
     nothing is written."""
     tool_model = load_model(config.tool_model_path)
     vanilla_model = load_model(config.vanilla_model_path)
-    tasks = load_tasks(config.tasks, config) if config.tasks else derive_tasks(config)
+    tasks = load_tasks(config.tasks, config) if config.tasks is not None else derive_tasks(config)
     runs = {}
     for variant, model, tool_enabled in (
         ("tool", tool_model, True),
@@ -339,9 +351,9 @@ def generate_then_score_report(config) -> dict:
     judged = {variant: [] for variant in runs}
     for task_pairs in zip(*(pairs for pairs, _traces in runs.values()), strict=True):
         first = task_pairs[0]
-        deps, verdicts = ground_truth(task_pairs, vocab, TaskContext.at(first.repo, first.pos))
-        for variant, verdict in zip(runs, verdicts, strict=True):
-            judged[variant].append((deps, verdict))
+        rows = ground_truth(task_pairs, vocab, TaskContext.at(first.repo, first.pos))
+        for variant, row in zip(runs, rows, strict=True):
+            judged[variant].append(row)
     report = {"n_tasks": len(tasks), "models": {}}
     for variant, (pairs, traces) in runs.items():
         entry = evaluate_pairs(pairs, vocab, judged[variant]).to_dict()

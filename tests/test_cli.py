@@ -437,6 +437,17 @@ def test_evaluate_missing_tasks_file_is_data_error(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_evaluate_empty_tasks_path_is_data_error(tmp_path, capsys):
+    """An empty tasks path names the config's directory, not "no tasks
+    file": the derived tasks never replace a given tasks file."""
+    cfg = write_config(tmp_path, model_dir=str(GOLDEN_MODELS), tasks="")
+    assert main(["evaluate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read tasks file {str(tmp_path) + os.sep!r}: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "report.json").exists()
+
+
 @functools.cache
 def _task_record():
     """The first task of the bundled eval corpus, as a tasks-file record."""

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mpgen import decode
-from mpgen.analysis import complete
 from mpgen.analysis.complete import TaskContext
 from mpgen.analysis.insert import indent_body
 from mpgen.decode import GenerationConfig, generate
@@ -63,7 +62,7 @@ def test_prefix_state_equals_the_oracles_at_every_benchmark_trigger(
 
     def checked_analyse(context, body):
         analysis = real_analyse(context, body)
-        _assert_equal_analyses(analysis, whole_text_analysis(context, body))
+        _assert_equal_analyses(analysis, whole_text_analysis(task.snapshot, context, body))
         analyses.append(body)
         return analysis
 
@@ -238,24 +237,37 @@ def test_triggers_with_one_key_get_one_list(task, words):
 
 def test_the_trigger_path_does_each_piece_of_work_once(trained_models, demo_tasks, monkeypatch):
     """Over the 126 benchmark tasks with the tool model: one trie per
-    distinct suggestion list, no detokenization, each context's head lexed and parsed
-    once, each closed body line lexed once, and no body statement parsed
-    again once it has settled."""
+    distinct suggestion list, no detokenization, each context's head lexed
+    once, when the context is made, and nothing parsed then; each closed
+    body line lexed once, and no body statement parsed again once it has
+    settled."""
     config, tool, _vanilla = trained_models
     tries, detokenized = [], []
     real_build = decode.build_trie
     monkeypatch.setattr(decode, "build_trie", lambda *a: tries.append(a) or real_build(*a))
     monkeypatch.setattr(tokenizer, "detokenize", lambda *a: detokenized.append(a))
 
-    real_analyse, real_line = TaskContext.analyse, LineLexer.line
-    real_parse, real_stmt = complete.parse, parser._Parser.parse_stmt
+    real_of, real_analyse, real_line = (
+        TaskContext.of_function.__func__, TaskContext.analyse, LineLexer.line
+    )
+    real_module, real_stmt = parser._Parser.parse_module, parser._Parser.parse_stmt
     open_contexts, contexts = [], {}  # id(context) -> its counts
 
+    def counted_of(cls, repo, func, pos):
+        stats = SimpleNamespace(
+            pos=pos, head_lines=0, body_lines=0, calls=0, body="", parses=0, statements=0,
+            settled=(0, 0),
+        )
+        open_contexts.append(stats)
+        try:
+            stats.context = real_of(cls, repo, func, pos)
+        finally:
+            open_contexts.pop()
+        contexts[id(stats.context)] = stats
+        return stats.context
+
     def counted_analyse(context, body):
-        stats = contexts.setdefault(id(context), SimpleNamespace(
-            context=context, head_lines=0, body_lines=0, calls=0, body="",
-            head_parses=0, statements=0, settled=(0, 0),
-        ))
+        stats = contexts[id(context)]
         stats.calls += 1
         stats.body = body
         open_contexts.append(stats)
@@ -272,15 +284,16 @@ def test_the_trigger_path_does_each_piece_of_work_once(trained_models, demo_task
     def counted_line(lexer, lineno, raw):
         if open_contexts:
             stats = open_contexts[-1]
-            if lineno < stats.context.pos.line:
+            if lineno < stats.pos.line:
                 stats.head_lines += 1
             else:
                 stats.body_lines += 1
         return real_line(lexer, lineno, raw)
 
-    def counted_parse(*args, **kwargs):
-        open_contexts[-1].head_parses += 1
-        return real_parse(*args, **kwargs)
+    def counted_module(p):
+        if open_contexts:
+            open_contexts[-1].parses += 1
+        return real_module(p)
 
     def counted_statement(p):
         if open_contexts and p.depth == 0:  # a body-level statement
@@ -291,9 +304,10 @@ def test_the_trigger_path_does_each_piece_of_work_once(trained_models, demo_task
             stats.statements += 1
         return real_stmt(p)
 
+    monkeypatch.setattr(TaskContext, "of_function", classmethod(counted_of))
     monkeypatch.setattr(TaskContext, "analyse", counted_analyse)
     monkeypatch.setattr(LineLexer, "line", counted_line)
-    monkeypatch.setattr(complete, "parse", counted_parse)
+    monkeypatch.setattr(parser._Parser, "parse_module", counted_module)
     monkeypatch.setattr(parser._Parser, "parse_stmt", counted_statement)
     _pairs, traces = run_model_over_tasks(
         tool, demo_tasks, GenerationConfig(max_tokens=config.max_tokens)
@@ -303,10 +317,14 @@ def test_the_trigger_path_does_each_piece_of_work_once(trained_models, demo_task
     assert sum(t.tool_invocations for t in traces) == 732
     assert len(tries) == len({suggestions for suggestions, _vocab in tries}) == 137
     assert detokenized == []
-    assert len(contexts) == sum(1 for t in traces if t.tool_invocations) > 0
+    assert len(contexts) == len(demo_tasks) == 126
+    assert sum(1 for s in contexts.values() if s.calls) == sum(
+        1 for t in traces if t.tool_invocations
+    ) > 0
     for stats in contexts.values():
-        assert stats.head_lines == stats.context.pos.line - 1
-        assert stats.head_parses == 1
+        # the class header, the def line and the docstring, and no parse
+        assert stats.head_lines == (3 if stats.context.own_class is not None else 2)
+        assert stats.parses == 0
         # the open line at each call, and each closed line once
         assert stats.body_lines == stats.calls + stats.body.count("\n")
     # 11,298 when every call parsed the whole body
@@ -334,8 +352,8 @@ def _assert_equal_analyses(got, want):
     assert got.end == want.end
 
 
-def _check(context, body):
-    _assert_equal_analyses(context.analyse(body), whole_text_analysis(context, body))
+def _check(task, context, body):
+    _assert_equal_analyses(context.analyse(body), whole_text_analysis(task[0], context, body))
 
 
 @pytest.mark.parametrize("task", [METHOD_TASK, FUNCTION_TASK], ids=["method", "function"])
@@ -364,10 +382,10 @@ def test_resumed_analysis_equals_the_whole_text_analysis(task, lines, data):
     for k, line in enumerate(lines):
         closed = "".join(l + "\n" for l in lines[:k])
         for cut in sorted({0, len(line) // 2, len(line)}):
-            _check(context, closed + line[:cut])
+            _check(task, context, closed + line[:cut])
         if data is not None and data.draw(st.booleans()):
-            _check(context, "\n".join(data.draw(st.lists(_LINES, max_size=4))))
-    _check(context, "".join(l + "\n" for l in lines))
+            _check(task, context, "\n".join(data.draw(st.lists(_LINES, max_size=4))))
+    _check(task, context, "".join(l + "\n" for l in lines))
 
 
 _TEXTS = st.lists(_LINES, max_size=5).map("\n".join)

@@ -11,6 +11,7 @@ from mpgen.analysis.complete import TaskContext
 from mpgen.analysis.scope import receiver_members
 from mpgen.decode import GenerationConfig
 from mpgen.metrics import ground_truth
+from mpgen.minilang.lexer import LineLexer
 from mpgen.minilang.parser import extract_functions
 from mpgen.minilang.render import render_tokens
 from mpgen.pipeline import _blank_function, _is_task, derive_tasks, run_model_over_tasks
@@ -95,6 +96,14 @@ def _lines(stem, cls, ind):
     )
 
 
+def _start(context):
+    """What a context's start checkpoint holds: the lexer's whole state after
+    the head, and the function's header."""
+    start = context.start
+    lexer = tuple(getattr(start.lexer, slot) for slot in LineLexer.__slots__)
+    return start.closed, start.lines, lexer, start.body, start.attributes
+
+
 def _assert_same_index(loaded, reference, repo):
     """The module names, imports and every class's members, the own class's
     as its receiver sees them, agree."""
@@ -114,9 +123,9 @@ def _assert_same_index(loaded, reference, repo):
 @given(data=st.data())
 def test_tasks_of_mutated_files_get_the_blanked_files_context(corpus_repos, data):
     """Every task of a file with drawn lines inserted, and drawn characters
-    in its lines: the two contexts hold the same head, own class and index,
-    and answer and lint the ground truth, and some bodies extending it,
-    alike."""
+    in its lines: the two contexts hold the same start checkpoint, own class
+    and index, and answer and lint the ground truth, and some bodies
+    extending it, alike."""
     _name, base = data.draw(st.sampled_from(corpus_repos))
     path = data.draw(st.sampled_from(base.paths()))
     lines = base.text(path).split("\n")
@@ -136,12 +145,11 @@ def test_tasks_of_mutated_files_get_the_blanked_files_context(corpus_repos, data
             repo, path, func, repo_name="", label=func.name, description=func.description, gt=""
         )
         snap, pos = blanked.snapshot, blanked.pos
-        loaded = TaskContext.of_function(repo, func, snap, pos)
+        loaded = TaskContext.of_function(repo, func, pos)
         reference = TaskContext.at(snap, pos)
         assert reference is not None, (path, func.name)
-        assert (loaded.head, loaded.pos, loaded.own_members) == (
-            reference.head, reference.pos, reference.own_members
-        )
+        assert (loaded.pos, loaded.own_members) == (reference.pos, reference.own_members)
+        assert _start(loaded) == _start(reference)
         assert (loaded.own_class is None) == (reference.own_class is None)
         if reference.own_class is not None:
             assert loaded.own_class.line == reference.own_class.line

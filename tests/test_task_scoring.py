@@ -5,6 +5,7 @@ splicing the text into the blanked file and analysing the whole file gives
 import dataclasses
 import json
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -68,14 +69,19 @@ def test_task_scoring_equals_the_whole_file_on_the_benchmark(task_pairs, trained
     for pairs in task_pairs:
         gt, repo, pos = pairs[0].gt, pairs[0].repo, pairs[0].pos
         task = TaskContext.at(repo, pos)
-        deps, judged = ground_truth(pairs, vocab, task)
-        assert deps == whole_file_dependencies(gt, repo, pos)
+        rows = ground_truth(pairs, vocab, task)
+        deps = whole_file_dependencies(gt, repo, pos)
+        assert identify_dependencies(gt, task) == deps
         dep_counts.append(len(deps))
-        for pair, verdict in zip(pairs, judged, strict=True):
+        for pair, (row, _bleu) in zip(pairs, rows, strict=True):
+            expressions = whole_file_expressions(pair)
             assert _records(task, pair.pred) == whole_file_lint_in_span(pair), pair.label
-            assert verdict.valid == whole_file_pair_is_valid(pair), pair.label
-            assert verdict.expressions == whole_file_expressions(pair), pair.label
-            verdicts.append(verdict.valid)
+            assert extract_expressions(task.analyse(pair.pred).function.body) == expressions
+            assert row["valid"] == whole_file_pair_is_valid(pair), pair.label
+            assert (row["dep_total"], row["dep_covered"]) == (
+                len(deps), len(expressions & deps)
+            ), pair.label
+            verdicts.append(row["valid"])
     assert len(dep_counts) == 126 and len(verdicts) == 252
     # both sides of each comparison occur
     assert 0 < sum(verdicts) < 252
@@ -151,7 +157,7 @@ def test_records_outside_the_function_do_not_count(pred):
 def test_dep_covered_reads_the_def_body_parse_of_stray_indentation():
     """A prediction's access expressions come from its function as the task
     analysis parses it, which drops an unexpectedly indented block as the
-    whole file's parse does; the bare text's `parse_body` keeps the block."""
+    whole file's parse does; so does the bare text's `parse_body`."""
     src = 'import y\nimport w\n\ndef f():\n    "Touch both"\n    \n'
     repo = Repository({"f.mp": src, "y.mp": "z = 1\n", "w.mp": "v = 1\n"})
     pos = CaretPosition("f.mp", 6, 4)
@@ -161,7 +167,7 @@ def test_dep_covered_reads_the_def_body_parse_of_stray_indentation():
     assert deps == {"y.z", "w.v"}
     (row,) = evaluate_pairs([pair], Vocab(RESERVED_TOKENS)).per_pair
     assert row["dep_covered"] == len(whole_file_expressions(pair) & deps) == 1
-    assert len(extract_expressions(parse_body(pred)[0]) & deps) == 2
+    assert len(extract_expressions(parse_body(pred)[0]) & deps) == 1
 
 
 def test_scoring_refuses_a_caret_that_is_not_a_blanked_tasks():
@@ -208,8 +214,9 @@ def _count_calls(monkeypatch, *functions):
 def test_evaluate_builds_one_context_per_task(trained_models, tmp_path, monkeypatch):
     """One task context per task, which generation and scoring share, built
     from the loaded file's analysis: no blanked file is lexed or parsed,
-    each loaded eval file is scoped at most once, and each head is lexed
-    and parsed once; no whole-file completion or lint."""
+    each loaded eval file is scoped at most once, each head is lexed once,
+    when its context is made, and no context parses anything; no whole-file
+    completion or lint."""
     config, _tool, _vanilla = trained_models
     counts = _count_calls(
         monkeypatch, scope.build_scope_index, complete.tool_complete, lint.lint_check
@@ -217,38 +224,45 @@ def test_evaluate_builds_one_context_per_task(trained_models, tmp_path, monkeypa
     loaded = sorted(
         text for _name, repo in collect_repos(config.eval_roots) for text in repo.files.values()
     )
-    real_of, real_at, real_analyse = (
-        TaskContext.of_function.__func__, TaskContext.at.__func__, TaskContext.analyse
-    )
-    real_line, real_parse = LineLexer.line, complete.parse
+    real_of, real_analyse = TaskContext.of_function.__func__, TaskContext.analyse
+    real_line, real_module = LineLexer.line, parser._Parser.parse_module
     real_lex, real_file_parse = repo_module._lexer.lex, repo_module._parser.parse
     real_scope = scope._module_scope
-    contexts, open_contexts = {}, []  # id(context) -> [context, head lines, head parses]
+    # id(context) -> (context, its counts); the open ones' (caret, counts, phase)
+    contexts, open_contexts = {}, []
     file_lexes, file_parses, scoped = [], [], []
 
-    def counted_of(cls, *args):
-        context = real_of(cls, *args)
-        contexts[id(context)] = [context, 0, 0]
+    def counted_of(cls, repo, func, pos):
+        counted = Counter()
+        open_contexts.append((pos, counted, "make"))
+        try:
+            context = real_of(cls, repo, func, pos)
+        finally:
+            open_contexts.pop()
+        contexts[id(context)] = (context, counted)
         return context
 
     def refused_at(cls, repo, pos):
         raise AssertionError("a loaded task's context analyses its blanked file")
 
     def counted_analyse(context, body):
-        open_contexts.append(contexts[id(context)])
+        open_contexts.append((context.pos, contexts[id(context)][1], "analyse"))
         try:
             return real_analyse(context, body)
         finally:
             open_contexts.pop()
 
     def counted_line(lexer, lineno, raw):
-        if open_contexts and lineno < open_contexts[-1][0].pos.line:
-            open_contexts[-1][1] += 1
+        if open_contexts and lineno < open_contexts[-1][0].line:
+            _pos, counted, phase = open_contexts[-1]
+            counted[phase, "head lines"] += 1
         return real_line(lexer, lineno, raw)
 
-    def counted_parse(*args, **kwargs):
-        open_contexts[-1][2] += 1
-        return real_parse(*args, **kwargs)
+    def counted_module(p):
+        if open_contexts:
+            _pos, counted, phase = open_contexts[-1]
+            counted[phase, "parses"] += 1
+        return real_module(p)
 
     def counted_lex(text):
         file_lexes.append(text)
@@ -266,7 +280,7 @@ def test_evaluate_builds_one_context_per_task(trained_models, tmp_path, monkeypa
     monkeypatch.setattr(TaskContext, "at", classmethod(refused_at))
     monkeypatch.setattr(TaskContext, "analyse", counted_analyse)
     monkeypatch.setattr(LineLexer, "line", counted_line)
-    monkeypatch.setattr(complete, "parse", counted_parse)
+    monkeypatch.setattr(parser._Parser, "parse_module", counted_module)
     monkeypatch.setattr(repo_module._lexer, "lex", counted_lex)
     monkeypatch.setattr(repo_module._parser, "parse", counted_file_parse)
     monkeypatch.setattr(scope, "_module_scope", counted_scope)
@@ -274,8 +288,10 @@ def test_evaluate_builds_one_context_per_task(trained_models, tmp_path, monkeypa
     run_evaluate(config)
     assert counts == {"build_scope_index": 126, "tool_complete": 0, "lint_check": 0}
     assert len(contexts) == 126
-    for context, head_lines, head_parses in contexts.values():
-        assert (head_lines, head_parses) == (context.pos.line - 1, 1)
+    # making a context lexes the class header (of a method), the def line
+    # and the docstring; nothing else lexes a head line, and nothing parses
+    assert {counted["make", "head lines"] for _context, counted in contexts.values()} == {2, 3}
+    assert all(set(counted) == {("make", "head lines")} for _context, counted in contexts.values())
     # deriving the tasks lexes and parses every eval file once, and nothing
     # lexes or parses a blanked file
     assert sorted(file_lexes) == sorted(file_parses) == loaded
