@@ -155,8 +155,8 @@ class TaskContext:
     the new text extends them. A body growing during generation therefore
     has each closed line lexed once, and each statement parsed again only
     until it settles; the head is lexed once per context, when it is made.
-    A text that does not extend the last one, as scoring's ground truth and
-    predictions do not, resumes from start. Resuming is exact:
+    A text that does not extend the last one's closed lines resumes from
+    start. Resuming is exact:
 
     - Lexing. Between lines a lexer's whole state is its tokens and
       diagnostics, its indent stack and its dedent position, which the

@@ -104,8 +104,7 @@ class ScopeIndex:
         cache = self.repo._scope_cache
         scope = cache.get(path)
         if scope is None and path in self.repo.files:
-            # setdefault: threads racing on one repository keep one result
-            scope = cache.setdefault(path, _module_scope(self.repo, path))
+            scope = cache[path] = _module_scope(self.repo, path)
         return scope
 
     def enclosing(self, path: str, line: int) -> tuple[Optional[ClassDef], Optional[FunctionDef]]:

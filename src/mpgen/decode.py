@@ -24,8 +24,8 @@ partial function the tool reads and the text `generate` returns are that
 rendering, so no trigger re-renders the prefix; a trigger's cache key is
 read from the caret's line and the count.
 
-When the caller hands in the `TaskContext` at the caret, as `mpgen
-evaluate` does for each task (scoring then reads the same context), the
+When the caller hands in the `TaskContext` at the caret, as
+`pipeline.run_model_over_tasks` does for each tool-enabled generation, the
 tool runs through it and analyses only the function being written. The
 context resumes from what the last trigger left: it lexes only the lines
 closed since then and the open one, and parses the body only from its last
@@ -42,9 +42,9 @@ it cannot pin gets none and asks the tool (`Prefix.cache_key`). So cached
 and uncached runs produce identical output.
 
 Below that cache sits a `TrieMemo`, which the caller may keep for a whole
-run (`pipeline.run_evaluate` keeps one per model): it builds the trie of
-each distinct suggestion list once, for one vocabulary, however many
-generations and tool invocations meet that list. Sharing a trie is exact,
+run (`pipeline.run_model_over_tasks` keeps one per call): it builds the
+trie of each distinct suggestion list once, for one vocabulary, however
+many generations and tool invocations meet that list. Sharing a trie is exact,
 since nothing changes a trie after `build_trie` and `select_suggestion`
 only reads it. The memo does not touch the per-generation cache, which
 alone decides whether the tool is invoked, so the trace counters are the
@@ -53,7 +53,7 @@ same with or without it, and it is used with the cache off too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .analysis.complete import TaskContext, tool_complete
@@ -102,11 +102,6 @@ class GenerationTrace:
             "truncated": self.truncated,
             "tags": list(self.tags),
         }
-
-    def counters(self) -> "GenerationTrace":
-        """This trace without its per-token record, which `trace_summary`
-        does not read."""
-        return replace(self, tokens=[], tags=[])
 
 
 class TrieNode:

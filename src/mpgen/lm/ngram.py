@@ -40,7 +40,6 @@ an unsupported version (retrain it).
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass, field
 from functools import cache
 from math import inf, log
@@ -196,8 +195,8 @@ def _tables_to_json(model: NGramModel) -> dict:
 def _tables_from_json(data: dict, order: int, buckets: int, vocab_size: int) -> dict:
     """The bucket tables of a model file; raises ValueError on a table key,
     context or token id out of range for the model's order, buckets and
-    vocabulary, and on a count below 1. TypeError on a count that is not an
-    integer."""
+    vocabulary, on a token id given twice in one row (`"1"` and `"01"`), and
+    on a count that is not an integer (a bool is not one) or is below 1."""
     ids = frozenset(range(vocab_size))
     tables: dict = {}
     for bk, ctxs in data.items():
@@ -208,7 +207,12 @@ def _tables_from_json(data: dict, order: int, buckets: int, vocab_size: int) -> 
         table: dict = {}
         for ctx_s, counts in ctxs.items():
             ctx = tuple(int(x) for x in ctx_s.split(",")) if ctx_s else ()
-            row = {int(t): operator.index(c) for t, c in counts.items()}
+            row = {int(t): c for t, c in counts.items() if type(c) is int}
+            if len(row) != len(counts):
+                raise ValueError(
+                    f"table {bk!r} context {ctx_s!r} holds a count that is not an integer,"
+                    " or a token id twice"
+                )
             if len(ctx) != k or not ids.issuperset(ctx) or not row.keys() <= ids:
                 raise ValueError(f"table {bk!r} context {ctx_s!r} is out of range")
             if row and min(row.values()) < 1:

@@ -2,12 +2,12 @@
 
 Both repository-aware metrics read one function of a benchmark task: the
 one whose body the task blanked. Scoring therefore reads one
-`TaskContext` per task at the blanked caret, the one generation completed
-through (`pipeline.run_evaluate` generates and scores task by task), or,
-for pairs scored without their rows, one `TaskContext.at` builds, and asks
+`TaskContext` per task at the blanked caret (`pipeline.run_evaluate` makes
+a new one from each loaded task once both models have generated, and
+pairs scored without their rows get one `TaskContext.at` builds), and asks
 it, through `TaskContext.analyse`, about that function with a ground truth
-or a prediction written in; the context is dropped before the next task.
-Scoring a task (`ground_truth`) writes each of its pairs' report rows.
+or a prediction written in. Scoring a task (`ground_truth`) writes each of
+its pairs' report rows.
 
 Dependency Coverage follows the micro-averaged formula: the dependency set
 of a ground truth is found by running the trigger-insertion rule on it in
@@ -212,12 +212,8 @@ def ground_truth(
 ) -> list[tuple[dict, BleuCounts]]:
     """Each pair's report row and BLEU counts, in pair order, for one task's
     pairs (one per model, say), all read from task, the context at their
-    caret. The ground truth's dependency set is found once for them all.
-
-    The ground truth's n-gram counts live only as long as this call. The
-    predictions are analysed before the ground truth: a prediction the task
-    context generated through extends the text of its last trigger, so its
-    analysis resumes from the checkpoint that trigger left.
+    caret. The ground truth's dependency set and n-gram counts are found
+    once for them all, and live only as long as this call.
     """
     gt, repo, pos = pairs[0].gt, pairs[0].repo, pairs[0].pos
     if any((p.gt, p.pos) != (gt, pos) or p.repo is not repo for p in pairs):
@@ -228,10 +224,10 @@ def ground_truth(
     canonical = render_tokens(lexed[0])
     ids = tokenize(gt, vocab, lexed=lexed)
     ref_ngrams = reference_ngrams(ids)
-    analyses = [task.analyse(pair.pred) for pair in pairs]
     deps = identify_dependencies(gt, task)
     judged = []
-    for pair, analysis in zip(pairs, analyses):
+    for pair in pairs:
+        analysis = task.analyse(pair.pred)
         pred_lexed = lex(pair.pred)
         bleu = bleu_counts(tokenize(pair.pred, vocab, lexed=pred_lexed), ids, ref_ngrams)
         judged.append(({

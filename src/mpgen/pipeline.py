@@ -219,7 +219,9 @@ class Task:
         return EvalPair(gt=self.gt, pred=pred, repo=self.snapshot, pos=self.pos, label=self.label)
 
     def context(self) -> TaskContext:
-        """The task context at the caret, from the loaded file's analysis."""
+        """A new task context at the caret, from the loaded file's analysis.
+        `run_evaluate` makes one for each tool-model generation and one to
+        score both models' predictions."""
         return TaskContext.of_function(self.repo, self.func, self.pos)
 
 
@@ -326,9 +328,10 @@ def run_model_over_tasks(
     traces: list[GenerationTrace] = []
     tries = TrieMemo(model.vocab)  # for this run only
     for task in tasks:
+        # a vanilla generation never asks the tool, so it needs no context
         pred, trace = generate(
             model, task.snapshot, task.description, task.pos, gen_cfg,
-            task=task.context(), tries=tries,
+            task=task.context() if gen_cfg.tool_enabled else None, tries=tries,
         )
         pairs.append(task.pair(pred))
         traces.append(trace)
@@ -366,9 +369,8 @@ def run_evaluate(config: RunConfig) -> dict:
         raise DataError("no benchmark tasks found in the eval corpus")
 
     vocab = tool_model.vocab
-    # each model's trie memo lives for this run only
-    variants = {
-        variant: (model, TrieMemo(model.vocab), GenerationConfig(
+    runs = {
+        variant: run_model_over_tasks(model, tasks, GenerationConfig(
             max_tokens=config.max_tokens, cache_enabled=config.cache, tool_enabled=tool_enabled
         ))
         for variant, model, tool_enabled in (
@@ -376,29 +378,15 @@ def run_evaluate(config: RunConfig) -> dict:
             ("vanilla", vanilla_model, False),
         )
     }
-    pairs: dict[str, list] = {variant: [] for variant in variants}
-    traces: dict[str, list] = {variant: [] for variant in variants}  # counters only
-    judged: dict[str, list] = {variant: [] for variant in variants}  # (row, BLEU counts)
-    # Task by task: one task context serves the tool model's generation and
-    # then the scoring of both models' predictions, and is dropped before
-    # the next task is analysed.
-    for task in tasks:
-        context = task.context()
-        for variant, (model, tries, gen_cfg) in variants.items():
-            pred, trace = generate(
-                model, task.snapshot, task.description, task.pos, gen_cfg,
-                task=context, tries=tries,
-            )
-            pairs[variant].append(task.pair(pred))
-            traces[variant].append(trace.counters())
-        rows = ground_truth([pairs[v][-1] for v in variants], vocab, context)
-        for variant, row in zip(variants, rows, strict=True):
-            judged[variant].append(row)
-        del context
+    # each task's rows, one per model, scored from one new context
+    rows = [
+        ground_truth([pairs[i] for pairs, _traces in runs.values()], vocab, task.context())
+        for i, task in enumerate(tasks)
+    ]
     report: dict = {"n_tasks": len(tasks), "models": {}}
-    for variant in variants:
-        entry = evaluate_pairs(pairs[variant], vocab, judged[variant]).to_dict()
-        entry["traces"] = trace_summary(traces[variant])
+    for judged, (variant, (pairs, traces)) in zip(zip(*rows), runs.items(), strict=True):
+        entry = evaluate_pairs(pairs, vocab, judged).to_dict()
+        entry["traces"] = trace_summary(traces)
         report["models"][variant] = entry
 
     os.makedirs(os.path.dirname(os.path.abspath(config.report)), exist_ok=True)

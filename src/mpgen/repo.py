@@ -74,9 +74,7 @@ class Repository:
         """Cached (tokens, lex diagnostics) for one file."""
         lexed = self._lex_cache.get(path)
         if lexed is None:
-            lexed = _lexer.lex(self.text(path))
-            # setdefault: threads racing on one repository keep one result
-            lexed = self._lex_cache.setdefault(path, lexed)
+            lexed = self._lex_cache[path] = _lexer.lex(self.text(path))
         return lexed
 
     def module(self, path: str) -> _parser.Module:
@@ -84,7 +82,7 @@ class Repository:
         mod = self._module_cache.get(path)
         if mod is None:
             mod = _parser.parse(self.text(path), path, lexed=self.lex(path))
-            mod = self._module_cache.setdefault(path, mod)
+            self._module_cache[path] = mod
         return mod
 
     def with_text(self, path: str, text: str) -> "Repository":

@@ -332,9 +332,8 @@ def whole_text_analysis(snapshot, context, body) -> TaskAnalysis:
 
 def generate_then_score_report(config) -> dict:
     """`run_evaluate`'s report, from both models generating for every task
-    (each generation through a new `task.context()`) and then every task
-    scored from a context `TaskContext.at` builds on the blanked file;
-    nothing is written."""
+    (`run_model_over_tasks`) and then every task scored from a context
+    `TaskContext.at` builds on the blanked file; nothing is written."""
     tool_model = load_model(config.tool_model_path)
     vanilla_model = load_model(config.vanilla_model_path)
     tasks = load_tasks(config.tasks, config) if config.tasks is not None else derive_tasks(config)

@@ -403,20 +403,25 @@ def test_evaluate_model_table_out_of_range_is_data_error(tmp_path, capsys, key, 
     assert not (tmp_path / "report.json").exists()
 
 
+_NOT_AN_INTEGER = "table '0:0' context '' holds a count that is not an integer, or a token id twice"
+
+
 @pytest.mark.parametrize(
     "count,message",
     [
         (-100000, "table '0:0' context '' holds a count below 1"),
         (0, "table '0:0' context '' holds a count below 1"),
-        (float("inf"), "'float' object cannot be interpreted as an integer"),
-        (2.7, "'float' object cannot be interpreted as an integer"),
-        ("3", "'str' object cannot be interpreted as an integer"),
+        (float("inf"), _NOT_AN_INTEGER),
+        (2.7, _NOT_AN_INTEGER),
+        ("3", _NOT_AN_INTEGER),
+        (True, _NOT_AN_INTEGER),
+        (False, _NOT_AN_INTEGER),
     ],
-    ids=["-100000", "0", "infinity", "float", "string"],
+    ids=["-100000", "0", "infinity", "float", "string", "true", "false"],
 )
 def test_evaluate_model_count_below_one_is_data_error(tmp_path, capsys, count, message):
     """A count below 1 would make `predict` leave [0, 1]; Infinity would
-    overflow an integer conversion, and 2.7 would load as 2."""
+    overflow an integer conversion, 2.7 would load as 2 and `true` as 1."""
     payload = json.loads((GOLDEN_MODELS / "model_tool.json").read_text())
     row = payload["tables"]["0:0"][""]
     row[next(iter(row))] = count
@@ -426,6 +431,18 @@ def test_evaluate_model_count_below_one_is_data_error(tmp_path, capsys, count, m
     err = capsys.readouterr().err
     assert err.startswith("error: malformed model file ") and err.count("\n") == 1
     assert err.endswith(f": {message}\n")
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_evaluate_model_token_id_twice_is_data_error(tmp_path, capsys):
+    """`"5"` and `"05"` both name token 5, and the loaded row would keep
+    only one of their counts."""
+    payload = json.loads((GOLDEN_MODELS / "model_tool.json").read_text())
+    payload["tables"]["0:0"][""].update({"5": 1, "05": 2})
+    models = _model_dir(tmp_path, json.dumps(payload).encode())
+    cfg = write_config(tmp_path, model_dir=str(models))
+    assert main(["evaluate", "--config", cfg]) == 2
+    assert capsys.readouterr().err.endswith(f": {_NOT_AN_INTEGER}\n")
     assert not (tmp_path / "report.json").exists()
 
 

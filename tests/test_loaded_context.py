@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mpgen.analysis.complete import TaskContext
 from mpgen.analysis.scope import receiver_members
-from mpgen.decode import GenerationConfig
+from mpgen.decode import GenerationConfig, generate
 from mpgen.metrics import ground_truth
 from mpgen.minilang.lexer import LineLexer
 from mpgen.minilang.parser import extract_functions
@@ -51,6 +51,34 @@ def test_every_benchmark_invocation_is_answered_as_from_the_blanked_file(
     for repo, pos, body, got in calls:
         assert references[repo, pos].complete(body) == got, (pos, body)
     assert len(calls) == sum(t.tool_invocations for t in traces) == invocations
+
+
+@pytest.mark.parametrize("cache", [True, False], ids=["cache", "no-cache"])
+def test_a_vanilla_run_makes_no_task_context(trained_models, tasks, monkeypatch, cache):
+    """The vanilla model never asks the tool, so `run_model_over_tasks`
+    makes its generations no context, and each decodes as it would through
+    one: same prediction, token ids, tags and counters."""
+    config, _tool, vanilla = trained_models
+    gen_cfg = GenerationConfig(
+        max_tokens=config.max_tokens, cache_enabled=cache, tool_enabled=False
+    )
+    real_of = TaskContext.of_function.__func__
+    made = []
+
+    def counted_of(cls, repo, func, pos):
+        made.append(pos)
+        return real_of(cls, repo, func, pos)
+
+    monkeypatch.setattr(TaskContext, "of_function", classmethod(counted_of))
+    pairs, traces = run_model_over_tasks(vanilla, tasks, gen_cfg)
+    monkeypatch.undo()
+    assert made == []
+    for task, pair, trace in zip(tasks, pairs, traces, strict=True):
+        want = generate(
+            vanilla, task.snapshot, task.description, task.pos, gen_cfg, task=task.context()
+        )
+        assert (pair.pred, trace) == want, task.label
+    assert len(pairs) == 126
 
 
 def test_every_benchmark_verdict_is_the_blanked_files(trained_models, tasks):

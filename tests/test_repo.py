@@ -3,8 +3,6 @@ exactly as a fresh parse would and caches only the paths asked of it, and
 generation over cached analyses matches cache-free repositories."""
 
 import gc
-import sys
-import threading
 import weakref
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -126,39 +124,6 @@ def test_chain_keeps_no_intermediate_snapshot_alive():
     gc.collect()
     assert ref() is None
     assert tip.module(PATHS[2]) == root.module(PATHS[2])
-
-
-def test_threads_filling_one_repository_see_one_result():
-    """Several threads fill one repository's caches at once; every thread
-    must get the one object per path the repository keeps."""
-    repo = Repository(ROOT_REPO.files)
-    n_threads, rounds = 4, 20
-    barrier = threading.Barrier(n_threads)
-    seen = [[] for _ in range(n_threads)]
-
-    def work(i):
-        barrier.wait(timeout=10)
-        for _ in range(rounds):
-            for path in PATHS[i:] + PATHS[:i]:
-                seen[i].append((path, repo.lex(path), repo.module(path)))
-
-    previous = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(previous)
-    assert not any(t.is_alive() for t in threads)
-    assert all(seen)
-    for records in seen:
-        for path, lexed, module in records:
-            assert lexed is repo.lex(path)
-            assert module is repo.module(path)
-    assert repo.module(PATHS[0]) == parser.parse(repo.text(PATHS[0]), PATHS[0])
 
 
 def test_parse_reuses_given_lex(monkeypatch):

@@ -212,10 +212,11 @@ def _count_calls(monkeypatch, *functions):
 
 
 def test_evaluate_builds_one_context_per_task(trained_models, tmp_path, monkeypatch):
-    """One task context per task, which generation and scoring share, built
-    from the loaded file's analysis: no blanked file is lexed or parsed,
-    each loaded eval file is scoped at most once, each head is lexed once,
-    when its context is made, and no context parses anything; no whole-file
+    """One new task context per task for the tool model's generation and one
+    for scoring it, none for the vanilla model's, all built from the
+    loaded file's analysis: no blanked file is lexed or parsed, each loaded
+    eval file is scoped at most once, each head is lexed once, when its
+    context is made, and no context parses anything; no whole-file
     completion or lint."""
     config, _tool, _vanilla = trained_models
     counts = _count_calls(
@@ -228,9 +229,18 @@ def test_evaluate_builds_one_context_per_task(trained_models, tmp_path, monkeypa
     real_line, real_module = LineLexer.line, parser._Parser.parse_module
     real_lex, real_file_parse = repo_module._lexer.lex, repo_module._parser.parse
     real_scope = scope._module_scope
-    # id(context) -> (context, its counts); the open ones' (caret, counts, phase)
+    # id(context) -> (context, its counts, what it serves); the open ones'
+    # (caret, counts, phase)
     contexts, open_contexts = {}, []
     file_lexes, file_parses, scoped = [], [], []
+    serving = ["scoring"]  # what a context made now serves
+
+    def counted_run(model, tasks, gen_cfg):
+        serving[0] = "tool generation" if gen_cfg.tool_enabled else "vanilla generation"
+        try:
+            return run_model_over_tasks(model, tasks, gen_cfg)
+        finally:
+            serving[0] = "scoring"
 
     def counted_of(cls, repo, func, pos):
         counted = Counter()
@@ -239,7 +249,7 @@ def test_evaluate_builds_one_context_per_task(trained_models, tmp_path, monkeypa
             context = real_of(cls, repo, func, pos)
         finally:
             open_contexts.pop()
-        contexts[id(context)] = (context, counted)
+        contexts[id(context)] = (context, counted, serving[0])
         return context
 
     def refused_at(cls, repo, pos):
@@ -284,14 +294,17 @@ def test_evaluate_builds_one_context_per_task(trained_models, tmp_path, monkeypa
     monkeypatch.setattr(repo_module._lexer, "lex", counted_lex)
     monkeypatch.setattr(repo_module._parser, "parse", counted_file_parse)
     monkeypatch.setattr(scope, "_module_scope", counted_scope)
+    monkeypatch.setattr("mpgen.pipeline.run_model_over_tasks", counted_run)
     monkeypatch.setattr(config, "report", str(tmp_path / "report.json"))
     run_evaluate(config)
-    assert counts == {"build_scope_index": 126, "tool_complete": 0, "lint_check": 0}
-    assert len(contexts) == 126
+    assert counts == {"build_scope_index": 252, "tool_complete": 0, "lint_check": 0}
+    assert Counter(served for *_made, served in contexts.values()) == {
+        "tool generation": 126, "scoring": 126,
+    }
     # making a context lexes the class header (of a method), the def line
     # and the docstring; nothing else lexes a head line, and nothing parses
-    assert {counted["make", "head lines"] for _context, counted in contexts.values()} == {2, 3}
-    assert all(set(counted) == {("make", "head lines")} for _context, counted in contexts.values())
+    assert {counted["make", "head lines"] for _c, counted, _s in contexts.values()} == {2, 3}
+    assert all(set(counted) == {("make", "head lines")} for _c, counted, _s in contexts.values())
     # deriving the tasks lexes and parses every eval file once, and nothing
     # lexes or parses a blanked file
     assert sorted(file_lexes) == sorted(file_parses) == loaded
@@ -299,13 +312,11 @@ def test_evaluate_builds_one_context_per_task(trained_models, tmp_path, monkeypa
     assert scoped and {text for _repo, _path, text in scoped} <= set(loaded)
 
 
-def test_scoring_resumes_the_tool_prediction_from_its_generation(
-    trained_models, tmp_path, monkeypatch
-):
-    """Scoring analyses a task's predictions before its ground truth, so the
-    tool model's prediction, which extends the text of its last trigger,
-    resumes from that trigger's checkpoint: one `run_evaluate` parses 2,826
-    statements (3,072 with the ground truth analysed first)."""
+def test_evaluate_parses_a_fixed_number_of_statements(trained_models, tmp_path, monkeypatch):
+    """One `run_evaluate` parses 3,072 statements: the tool model's
+    generations, each trigger resuming from the last one's checkpoint, and
+    each task's scoring in a new context, where no prediction resumes from
+    its generation (scoring through the generation's context parsed 2,826)."""
     config = dataclasses.replace(trained_models[0], report=str(tmp_path / "report.json"))
     real_stmt = parser._Parser.parse_stmt
     statements = 0
@@ -317,16 +328,16 @@ def test_scoring_resumes_the_tool_prediction_from_its_generation(
 
     monkeypatch.setattr(parser._Parser, "parse_stmt", counted_statement)
     run_evaluate(config)
-    assert statements == 2826
+    assert statements == 3072
 
 
 @pytest.mark.parametrize("cache", [True, False], ids=["cache", "no-cache"])
 def test_evaluate_reports_what_generating_everything_then_scoring_reports(
     trained_models, tmp_path, cache
 ):
-    """Generating and scoring task by task through one context gives the
-    report of generating for every task first and scoring from new
-    contexts."""
+    """Scoring each task from a context built from its loaded task gives
+    the report of scoring from a context `TaskContext.at` builds on the
+    blanked file."""
     config = dataclasses.replace(
         trained_models[0], cache=cache, report=str(tmp_path / "report.json")
     )

@@ -4,9 +4,10 @@
 A generation is one model decoding one task. The digest covers 2,016 of
 them: the 126 tasks of `configs/demo.json`, each decoded by both golden
 models (`out/models/`), with the generation cache on and off, with the tool
-on and off, and through the task context (`run_model_over_tasks`, which
-shares one trie memo over the run) or through the whole-file tool
-(`generate` with no task context). Each one adds its prediction, token ids,
+on and off, and through `run_model_over_tasks` (which shares one trie memo
+over the run and, with the tool on, completes through each task's context)
+or through `generate` with no task context (the whole-file tool). With the
+tool off, the two ways decode alike. Each one adds its prediction, token ids,
 tags and trace counters, in that order. Two trees that print the same digest
 generate alike, so a change meant to keep every generation can be checked
 by running this on both:
