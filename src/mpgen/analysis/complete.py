@@ -12,7 +12,7 @@ from typing import NamedTuple, Optional
 from ..minilang import tokens as tk
 from ..minilang.lexer import Diagnostic, LineLexer
 from ..minilang.parser import (
-    BodyCheckpoint, ClassDef, FunctionDef, assigned_attributes, parser_tokens, resume_body,
+    BodyCheckpoint, ClassDef, FunctionDef, Module, assigned_attributes, parser_tokens, resume_body,
 )
 from ..minilang.tokens import LexToken
 from ..repo import CaretPosition, Repository
@@ -20,7 +20,7 @@ from .builtins import is_builtin
 from .insert import indent_body
 from .lint import LintError, function_errors, syntax_errors
 from .scope import (
-    ScopeIndex, build_scope_index, locals_before, own_class_members, receiver_members,
+    ScopeIndex, build_scope_index, class_at, locals_before, own_class_members, receiver_members,
 )
 
 
@@ -113,6 +113,16 @@ class _Checkpoint(NamedTuple):
     attributes: frozenset     # what the settled statements assign to the class
 
 
+def head_is_indented(module: Module, lines: list[str], func: FunctionDef) -> bool:
+    """Whether func's outermost head line, its class line for a method and
+    its def line otherwise, is indented; lines are module's. The parser
+    recovers from that line with "unexpected indentation" records that a
+    task's analysis does not see, so such a function is no task (the rule
+    of both `pipeline.derive_tasks` and `TaskContext.at`)."""
+    owner = class_at(module, func.line)
+    return lines[(func if owner is None else owner).line - 1].startswith(" ")
+
+
 @dataclass
 class TaskContext:
     """The one function being written at a blanked caret, analysed alone.
@@ -129,10 +139,10 @@ class TaskContext:
     below the body's indentation. Nor does the head need a parse: a blank
     line adds no token, so the lines between the head's add nothing, and a
     def whose header draws a parse diagnostic is dropped, so the header of
-    the head's parse is the loaded function's, its body emptied. (A head
-    whose first line is itself indented at module level is the exception:
-    the parse draws "unexpected indentation" records there, which the
-    analysis leaves out.)
+    the head's parse is the loaded function's, its body emptied. A function
+    whose outermost head line is itself indented is no task
+    (`head_is_indented`), since the parse draws "unexpected indentation"
+    records there, which the analysis would leave out.
 
     No body can change the rest of what the index holds, since every body
     line is indented past the module level: the module members, classes,
@@ -187,7 +197,8 @@ class TaskContext:
     def at(cls, repo: Repository, pos: CaretPosition) -> "TaskContext":
         """The context at pos, a blanked task's caret: a line of exactly
         pos.column spaces directly below the docstring, also at pos.column
-        and alone on its line, of a function with no body. Every task
+        and alone on its line, of a function with no body whose outermost
+        head line is not indented (`head_is_indented`). Every task
         `pipeline._blank_function` makes has this shape. Raises ValueError at
         any other caret.
 
@@ -203,6 +214,7 @@ class TaskContext:
         if (
             func is None or func.body_tokens or func.docstring is None
             or lines[pos.line - 2] != " " * pos.column + f'"{func.docstring}"'
+            or head_is_indented(view.module(pos.file), lines, func)
         ):
             raise ValueError(f"{pos.file}:{pos.line}:{pos.column} is not a blanked task's caret")
         return cls.of_function(view, func, pos)

@@ -120,12 +120,7 @@ class ScopeIndex:
         func = next(
             (fn for fn in reversed(scope.functions) if fn.line <= line <= span_end(fn)), None
         )
-        return self._class_at(path, func.line if func is not None else line), func
-
-    def _class_at(self, path: str, line: int) -> Optional[ClassDef]:
-        """The class whose header or methods' lines hold the line."""
-        classes = self.module_scope(path).module.classes
-        return next((c for c in classes if c.line <= line <= c.end_line), None)
+        return class_at(scope.module, func.line if func is not None else line), func
 
     def resolve_class_name(self, path: str, name: str) -> Optional[ClassDef]:
         scope = self.module_scope(path)
@@ -164,7 +159,7 @@ class ScopeIndex:
         (`name_assignments` yields them in source order).
         """
         if func is not None and func.is_method and func.params and name == func.params[0]:
-            return self._class_at(path, func.line)
+            return class_at(self.module_scope(path).module, func.line)
         if func is not None:
             latest: Optional[nodes.Assign] = None
             for stmt in name_assignments(func.body):
@@ -202,6 +197,11 @@ def own_class_members(cls: ClassDef, func: FunctionDef) -> frozenset:
 def build_scope_index(repo: Repository) -> ScopeIndex:
     """The repository's scope index; it builds each file's scope on first use."""
     return ScopeIndex(repo)
+
+
+def class_at(module: Module, line: int) -> Optional[ClassDef]:
+    """The class of module whose header or methods' lines hold the line."""
+    return next((c for c in module.classes if c.line <= line <= c.end_line), None)
 
 
 def _module_scope(repo: Repository, path: str) -> ModuleScope:

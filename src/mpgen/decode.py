@@ -7,7 +7,8 @@ prefix-trie constrained greedy walk picks one suggestion: at every trie
 node the most likely of the node's children is taken, descending until the
 first terminal node. The walk stops at the first terminal it reaches, so
 a suggestion whose token sequence extends another suggestion is
-unreachable; tries report how many suggestions are shadowed this way.
+unreachable; each trie counts the suggestions shadowed this way when it is
+built.
 
 Every choice is made from the n-gram counts, not from a dense distribution:
 additive smoothing, (count + alpha) / denominator with alpha > 0, is
@@ -35,11 +36,11 @@ give the same suggestions at a blanked task's caret.
 
 With tool_enabled=False the loop is plain greedy decoding (the vanilla
 baseline). A per-generation cache holds, per key, the prefix trie built
-from the suggestion list and its shadowed count, or None for an empty list;
-a hit neither asks the tool nor builds a trie. The key, the receiver or the
-scope plus the count, pins everything the list depends on, and a trigger
-it cannot pin gets none and asks the tool (`Prefix.cache_key`). So cached
-and uncached runs produce identical output.
+from the suggestion list, or None for an empty list; a hit neither asks the
+tool nor builds a trie. The key, the receiver or the scope plus the count,
+pins everything the list depends on, and a trigger it cannot pin gets none
+and asks the tool (`Prefix.cache_key`). So cached and uncached runs produce
+identical output.
 
 Below that cache sits a `TrieMemo`, which the caller may keep for a whole
 run (`pipeline.run_model_over_tasks` keeps one per call): it builds the
@@ -113,37 +114,31 @@ class TrieNode:
 
 
 class PrefixTrie:
-    """Trie over suggestion token sequences; shared prefixes share nodes."""
+    """Trie over suggestion token sequences; shared prefixes share nodes.
 
-    def __init__(self):
+    `shadowed` counts, once, when the trie is built, the sequences that a
+    proper prefix of theirs, itself a sequence, leaves unreachable.
+    """
+
+    def __init__(self, sequences: Iterable[Sequence[int]]):
         self.root = TrieNode()
-        self._sequences: list[tuple[int, ...]] = []
+        paths = [self._insert(seq) for seq in sequences]
+        self.shadowed = sum(any(node.is_terminal for node in path[:-1]) for path in paths)
 
-    def insert(self, seq: Sequence[int]) -> None:
+    def _insert(self, seq: Sequence[int]) -> list[TrieNode]:
+        """Insert one sequence; returns the nodes it passes, root excluded."""
         if not seq:
             raise ValueError("cannot insert an empty token sequence")
-        node = self.root
+        node, path = self.root, []
         for tok in seq:
             child = node.children.get(tok)
             if child is None:
                 child = TrieNode()
                 node.children[tok] = child
             node = child
+            path.append(node)
         node.is_terminal = True
-        self._sequences.append(tuple(seq))
-
-    @property
-    def shadowed_count(self) -> int:
-        """Suggestions unreachable because a proper prefix is itself terminal."""
-        shadowed = 0
-        for seq in self._sequences:
-            node = self.root
-            for tok in seq[:-1]:
-                node = node.children[tok]
-                if node.is_terminal:
-                    shadowed += 1
-                    break
-        return shadowed
+        return path
 
 
 def tokenize_suggestion(suggestion: str, vocab: Vocab) -> list[int]:
@@ -154,28 +149,24 @@ def tokenize_suggestion(suggestion: str, vocab: Vocab) -> list[int]:
 def build_trie(suggestions: Sequence[str], vocab: Vocab) -> PrefixTrie:
     if not suggestions:
         raise ValueError("cannot build a trie from an empty suggestion list")
-    trie = PrefixTrie()
-    for s in suggestions:
-        trie.insert(tokenize_suggestion(s, vocab))
-    return trie
+    return PrefixTrie(tokenize_suggestion(s, vocab) for s in suggestions)
 
 
 class TrieMemo:
-    """The prefix trie of each suggestion list met so far, with its shadowed
-    count, for one vocabulary; a list's trie is built on first use only."""
+    """The prefix trie of each suggestion list met so far, for one
+    vocabulary; a list's trie is built on first use only."""
 
     def __init__(self, vocab: Vocab):
         self.vocab = vocab
-        self._entries: dict[tuple[str, ...], tuple[PrefixTrie, int]] = {}
+        self._entries: dict[tuple[str, ...], PrefixTrie] = {}
 
-    def entry(self, suggestions: Sequence[str]) -> tuple[PrefixTrie, int]:
-        """(trie, shadowed count) of a non-empty suggestion list."""
+    def entry(self, suggestions: Sequence[str]) -> PrefixTrie:
+        """The trie of a non-empty suggestion list."""
         key = tuple(suggestions)
-        entry = self._entries.get(key)
-        if entry is None:
-            trie = build_trie(key, self.vocab)
-            entry = self._entries[key] = (trie, trie.shadowed_count)
-        return entry
+        trie = self._entries.get(key)
+        if trie is None:
+            trie = self._entries[key] = build_trie(key, self.vocab)
+        return trie
 
 
 def greedy_choice(counts: dict[int, int], candidates: Iterable[int]) -> int:
@@ -338,8 +329,8 @@ def generate(
     prefix = Prefix(vocab)
     seq = prefix.ids
     trace = GenerationTrace()
-    # a trie and its shadowed count per key; None for an empty suggestion list
-    cache: dict[tuple, Optional[tuple[PrefixTrie, int]]] = {}
+    # a trie per key; None for an empty suggestion list
+    cache: dict[tuple, Optional[PrefixTrie]] = {}
 
     while True:
         counts = model.next_counts(bucket, seq)
@@ -361,7 +352,7 @@ def generate(
 
         key = prefix.cache_key()
         if cfg.cache_enabled and key in cache:
-            entry = cache[key]
+            trie = cache[key]
             trace.cache_hits += 1
         else:
             if task is not None:
@@ -369,11 +360,11 @@ def generate(
             else:
                 suggestions = tool_complete(*insert(repo, pos, prefix.body.text()))
             trace.tool_invocations += 1
-            entry = tries.entry(suggestions) if suggestions else None
+            trie = tries.entry(suggestions) if suggestions else None
             if cfg.cache_enabled and key is not None:
-                cache[key] = entry
+                cache[key] = trie
 
-        if entry is None:
+        if trie is None:
             # Failed trigger: drop the marker and take the best non-trigger
             # token from the same distribution instead.
             seq.pop()
@@ -386,8 +377,7 @@ def generate(
                 break
             continue
 
-        trie, shadowed = entry
-        trace.shadowed_suggestions += shadowed
+        trace.shadowed_suggestions += trie.shadowed
         appended = select_suggestion(model, bucket, seq, trie)
         for t in appended:
             prefix.append(t)

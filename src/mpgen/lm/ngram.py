@@ -2,12 +2,12 @@
 
 Training is maximum-likelihood counting: for every position in every target
 the (context -> next token) count is incremented at every order up to n-1,
-under the description's hash bucket. The global pool, which prediction falls
-back to across buckets, is the sum of the bucket tables; `_add_global_pool`
-derives it, after `train` counts and after `load_model` reads, so a model
-file stores each count once. A description's bucket sums the FNV-1a hashes
-of its tokens, and each token is hashed once per process (`_fnv1a` is
-memoized).
+in the description's hash bucket, whose one table holds contexts of every
+length. The global pool, which prediction falls back to across buckets, is
+a table of its own, the sum of the bucket tables; `_pool` derives it, after
+`train` counts and after `load_model` reads, so a model file stores each
+count once. A description's bucket sums the FNV-1a hashes of its tokens,
+and each token is hashed once per process (`_fnv1a` is memoized).
 
 Prediction finds the longest context with counts inside the description's
 bucket, falling back order by order and finally across buckets; the counts
@@ -26,15 +26,18 @@ numpy. `next_counts` takes the description's bucket, so a caller that reads
 many prefixes of one description computes it once; `predict` and
 `sequence_nll` take the description's ids.
 
+A model file keeps one table per bucket and context length, keyed
+`bucket:length`; loading merges a bucket's tables into its one table.
 `load_model` checks the layout a model file brings in from outside: the
 vocabulary opens with the reserved tokens in id order and repeats no entry,
 the order and bucket count are integers of at least 1, alpha is a finite
 number above 0, every table key, context and token id is in range, so no
-count can name a token the vocabulary lacks, and every count is an integer of
-at least 1. The order, buckets and alpha follow the type rules `RunConfig`
-applies to the same fields. A file holds bucket tables only: a global table
-in it is out of range, and a version-1 file, which held one, is rejected as
-an unsupported version (retrain it).
+count can name a token the vocabulary lacks, no context or token id is
+written twice (`"0,4"` and `"00,4"` are one context), and every count is an
+integer of at least 1. The order, buckets and alpha follow the type rules
+`RunConfig` applies to the same fields. A file holds bucket tables only: a
+global table in it is out of range, and a version-1 file, which held one, is
+rejected as an unsupported version (retrain it).
 """
 
 from __future__ import annotations
@@ -47,8 +50,6 @@ from typing import Iterable, Sequence
 
 from .._kernels import smoothed_distribution
 from .vocab import BOS_ID, EOS_ID, RESERVED_TOKENS, Vocab
-
-GLOBAL_BUCKET = -1
 
 FORMAT_NAME = "mpgen-ngram"
 FORMAT_VERSION = 2
@@ -84,26 +85,27 @@ class NGramModel:
     order: int
     alpha: float
     buckets: int
-    # (bucket, context_len) -> {context tuple -> {token id -> count}}
-    tables: dict[tuple[int, int], dict[tuple[int, ...], dict[int, int]]] = field(
-        default_factory=dict
-    )
+    # bucket -> {context tuple -> {token id -> count}}, contexts of every length
+    tables: dict[int, dict[tuple[int, ...], dict[int, int]]] = field(default_factory=dict)
+    # context tuple -> {token id -> count}: the sum of the bucket tables
+    pool: dict[tuple[int, ...], dict[int, int]] = field(default_factory=dict)
 
     def next_counts(self, bucket: int, prefix: Sequence[int]) -> dict[int, int]:
         """Next-token counts of the longest matching context, at most order - 1 long.
 
-        The bucket is preferred over the global pool, but context length
-        dominates conditioning specificity: an order is only shortened once
-        neither the bucket nor the cross-bucket table has the context at the
+        The bucket's table is preferred over the global pool, but context
+        length dominates conditioning specificity: an order is only shortened
+        once neither the bucket's table nor the pool has the context at the
         current length. Empty when no context matches, i.e. the distribution
-        is pure smoothing. The dict is the model's own table: do not mutate it.
+        is pure smoothing. The dict is the model's own row: do not mutate it.
         """
+        tables = (self.tables.get(bucket, {}), self.pool)
         for k in range(min(self.order - 1, len(prefix)), -1, -1):
             ctx = tuple(prefix[len(prefix) - k:])
-            for b in (bucket, GLOBAL_BUCKET):
-                table = self.tables.get((b, k))
-                if table is not None and ctx in table:
-                    return table[ctx]
+            for table in tables:
+                counts = table.get(ctx)
+                if counts is not None:
+                    return counts
         return {}
 
     def predict(self, description: Sequence[int], prefix: Sequence[int]) -> list[float]:
@@ -149,54 +151,49 @@ def train(
         raise ValueError("training dataset is empty")
     if not alpha > 0:
         raise ValueError("smoothing alpha must be positive")
-    model = NGramModel(vocab=vocab, order=order, alpha=alpha, buckets=buckets)
-    tables = model.tables
+    tables: dict = {}
     for desc, target in dataset:
         if not target or target[0] != BOS_ID or target[-1] != EOS_ID:
             raise ValueError("every target sequence must begin <BOS> and end <EOS>")
-        bucket = description_bucket(desc, vocab, buckets)
-        # the bucket's table per context length; the last position counts
-        # every length below min(order, len(target)), so none stays empty
-        by_k = [tables.setdefault((bucket, k), {}) for k in range(min(order, len(target)))]
+        table = tables.setdefault(description_bucket(desc, vocab, buckets), {})
         for i in range(1, len(target)):
             tok = target[i]
             for k in range(min(order, i + 1)):
-                counts = by_k[k].setdefault(tuple(target[i - k:i]), {})
+                counts = table.setdefault(tuple(target[i - k:i]), {})
                 counts[tok] = counts.get(tok, 0) + 1
-    _add_global_pool(tables)
-    return model
+    return NGramModel(
+        vocab=vocab, order=order, alpha=alpha, buckets=buckets, tables=tables, pool=_pool(tables)
+    )
 
 
-def _add_global_pool(tables: dict) -> None:
-    """Add the global pool to bucket tables: per context length, the sum of
-    the bucket tables of that length."""
-    for (_bucket, k), table in list(tables.items()):
-        pool = tables.setdefault((GLOBAL_BUCKET, k), {})
+def _pool(tables: dict) -> dict:
+    """The global pool of bucket tables: each context's rows, summed over
+    the buckets."""
+    pool: dict = {}
+    for table in tables.values():
         for ctx, row in table.items():
             counts = pool.setdefault(ctx, {})
             for tok, c in row.items():
                 counts[tok] = counts.get(tok, 0) + c
+    return pool
 
 
 def _tables_to_json(model: NGramModel) -> dict:
     out: dict[str, dict] = {}
-    for (bucket, k), table in model.tables.items():
-        if bucket == GLOBAL_BUCKET:  # derived where it is read
-            continue
-        bk = f"{bucket}:{k}"
-        ctxs = {}
+    for bucket, table in model.tables.items():
         for ctx, counts in table.items():
             key = ",".join(str(i) for i in ctx)
-            ctxs[key] = {str(t): c for t, c in counts.items()}
-        out[bk] = ctxs
+            out.setdefault(f"{bucket}:{len(ctx)}", {})[key] = {str(t): c for t, c in counts.items()}
     return out
 
 
 def _tables_from_json(data: dict, order: int, buckets: int, vocab_size: int) -> dict:
-    """The bucket tables of a model file; raises ValueError on a table key,
-    context or token id out of range for the model's order, buckets and
-    vocabulary, on a token id given twice in one row (`"1"` and `"01"`), and
-    on a count that is not an integer (a bool is not one) or is below 1."""
+    """The bucket tables of a model file, each bucket's `bucket:length`
+    tables merged into one; raises ValueError on a table key, context or
+    token id out of range for the model's order, buckets and vocabulary, on
+    a context given twice in one bucket (`"0,4"` and `"00,4"`), on a token
+    id given twice in one row (`"1"` and `"01"`), and on a count that is not
+    an integer (a bool is not one) or is below 1."""
     ids = frozenset(range(vocab_size))
     tables: dict = {}
     for bk, ctxs in data.items():
@@ -204,7 +201,7 @@ def _tables_from_json(data: dict, order: int, buckets: int, vocab_size: int) -> 
         bucket, k = int(bucket_s), int(k_s)
         if not (0 <= bucket < buckets and 0 <= k < order):
             raise ValueError(f"table key {bk!r} out of range")
-        table: dict = {}
+        table = tables.setdefault(bucket, {})
         for ctx_s, counts in ctxs.items():
             ctx = tuple(int(x) for x in ctx_s.split(",")) if ctx_s else ()
             row = {int(t): c for t, c in counts.items() if type(c) is int}
@@ -217,8 +214,9 @@ def _tables_from_json(data: dict, order: int, buckets: int, vocab_size: int) -> 
                 raise ValueError(f"table {bk!r} context {ctx_s!r} is out of range")
             if row and min(row.values()) < 1:
                 raise ValueError(f"table {bk!r} context {ctx_s!r} holds a count below 1")
+            if ctx in table:
+                raise ValueError(f"table {bk!r} context {ctx_s!r} is written twice")
             table[ctx] = row
-        tables[(bucket, k)] = table
     return tables
 
 
@@ -264,9 +262,9 @@ def load_model(path: str) -> NGramModel:
         if type(alpha) not in (int, float) or not 0 < alpha < inf:
             raise ValueError(f"smoothing alpha must be a finite number > 0, not {alpha!r}")
         tables = _tables_from_json(payload["tables"], order, buckets, len(tokens))
-        _add_global_pool(tables)
         return NGramModel(
-            vocab=Vocab(tokens=tokens), order=order, alpha=float(alpha), buckets=buckets, tables=tables
+            vocab=Vocab(tokens=tokens), order=order, alpha=float(alpha), buckets=buckets,
+            tables=tables, pool=_pool(tables),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ModelCorruptError(f"malformed model file {path!r}: {exc}") from exc

@@ -14,7 +14,7 @@ from dataclasses import MISSING, dataclass, fields
 from typing import Iterable, Optional, Sequence
 
 from . import DataError
-from .analysis.complete import TaskContext
+from .analysis.complete import TaskContext, head_is_indented
 from .decode import GenerationConfig, GenerationTrace, TrieMemo, generate
 from .lm.ngram import NGramModel, train
 from .lm.tokenizer import token_strings, tokenize
@@ -250,10 +250,15 @@ def _blank_function(
     )
 
 
-def _is_task(func: FunctionDef) -> bool:
-    """Whether the function makes a benchmark task: it has a docstring and a
-    body below it."""
-    return func.docstring is not None and bool(func.body_tokens)
+def _tasks_of(repo: Repository, path: str) -> dict[int, FunctionDef]:
+    """The functions of a file that make benchmark tasks, by caret line (two
+    below the def), in source order: each has a docstring and a body below
+    it, and its outermost head line is not indented (`head_is_indented`)."""
+    module, lines = repo.module(path), repo.text(path).split("\n")
+    return {
+        f.line + 2: f for f in extract_functions(module)
+        if f.docstring is not None and f.body_tokens and not head_is_indented(module, lines, f)
+    }
 
 
 def derive_tasks(config: RunConfig) -> list[Task]:
@@ -261,10 +266,7 @@ def derive_tasks(config: RunConfig) -> list[Task]:
     tasks: list[Task] = []
     for name, repo in collect_repos(config.eval_roots):
         for path in repo.paths():
-            module = repo.module(path)
-            for func in extract_functions(module):
-                if not _is_task(func):
-                    continue
+            for func in _tasks_of(repo, path).values():
                 tasks.append(_blank_function(
                     repo, path, func, repo_name=name, label=f"{name}/{path}:{func.name}",
                     description=func.description, gt=render_tokens(func.body_tokens),
@@ -281,6 +283,7 @@ _TASK_FIELDS = (
 
 def load_tasks(path: str, config: RunConfig) -> list[Task]:
     repos = dict(collect_repos(config.eval_roots))
+    carets: dict[tuple[str, str], dict[int, FunctionDef]] = {}  # a file's tasks, found once
     tasks: list[Task] = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -302,14 +305,10 @@ def load_tasks(path: str, config: RunConfig) -> list[Task]:
         repo = repos.get(rec["repo"])
         if repo is None or rec["file"] not in repo.files:
             raise DataError(f"task record {line!r} names no file of the eval corpus")
-        func = next(
-            (
-                f
-                for f in extract_functions(repo.module(rec["file"]))
-                if _is_task(f) and f.line + 2 == rec["line"]
-            ),
-            None,
-        )
+        key = (rec["repo"], rec["file"])
+        if key not in carets:
+            carets[key] = _tasks_of(repo, rec["file"])
+        func = carets[key].get(rec["line"])
         if func is None:
             raise DataError(f"task record {line!r} names no task's caret line")
         tasks.append(_blank_function(

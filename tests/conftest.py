@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from mpgen.lm import ngram
 from mpgen.lm.tokenizer import token_strings
 from mpgen.lm.vocab import Vocab, build_vocab
 from mpgen.pipeline import RunConfig
@@ -18,15 +19,15 @@ def text_vocab(texts) -> Vocab:
 
 def version_1_payload(payload: dict) -> dict:
     """A format-2 model file's payload in the version-1 layout: a variant
-    field, and the global pool stored as `-1:k` tables, summed from the
-    bucket tables, beside them."""
+    field, and the global pool that loading derives from the bucket tables
+    (`NGramModel.pool`) stored beside them as `-1:length` tables."""
     tables = {key: dict(table) for key, table in payload["tables"].items()}
-    for key, table in payload["tables"].items():
-        pool = tables.setdefault("-1:" + key.split(":")[1], {})
-        for ctx, row in table.items():
-            counts = pool.setdefault(ctx, {})
-            for tok, c in row.items():
-                counts[tok] = counts.get(tok, 0) + c
+    buckets = ngram._tables_from_json(
+        payload["tables"], payload["order"], payload["buckets"], len(payload["vocab"])
+    )
+    for ctx, row in ngram._pool(buckets).items():
+        pool = tables.setdefault(f"-1:{len(ctx)}", {})
+        pool[",".join(map(str, ctx))] = {str(t): c for t, c in row.items()}
     return {**payload, "version": 1, "variant": "model", "tables": tables}
 
 

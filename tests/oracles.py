@@ -26,7 +26,7 @@ from mpgen.analysis.insert import indent_body, insert
 from mpgen.analysis.lint import lint_check
 from mpgen.analysis.scope import ModuleScope, name_assignments
 from mpgen.decode import GenerationConfig
-from mpgen.lm.ngram import GLOBAL_BUCKET, load_model, train
+from mpgen.lm.ngram import load_model, train
 from mpgen.lm.tokenizer import detokenize, split_identifier, token_strings
 from mpgen.lm.vocab import BOS_ID, COMP_ID, CONTROL_IDS, EOS_ID, RESERVED_TOKENS, Vocab, build_vocab
 from mpgen.metrics import evaluate_pairs, ground_truth
@@ -219,8 +219,10 @@ def fnv1a_bucket(description, vocab, buckets) -> int:
     return total % buckets
 
 
-def bump_train_tables(dataset, order, vocab, buckets) -> dict:
-    """`train`'s count tables, one bump per (position, order, table)."""
+def bump_train_tables(dataset, order, vocab, buckets) -> tuple[dict, dict]:
+    """`train`'s bucket tables and global pool, counted one bump per
+    (position, order, table) into one table per (bucket, context length),
+    then regrouped into one table per bucket and the pool."""
     tables = {}
 
     def bump(bucket, k, ctx, tok):
@@ -235,8 +237,12 @@ def bump_train_tables(dataset, order, vocab, buckets) -> dict:
                 if k > i:
                     break
                 bump(bucket, k, tuple(target[i - k:i]), target[i])
-                bump(GLOBAL_BUCKET, k, tuple(target[i - k:i]), target[i])
-    return tables
+                bump("pool", k, tuple(target[i - k:i]), target[i])
+    regrouped = {}
+    for (bucket, _k), table in tables.items():
+        regrouped.setdefault(bucket, {}).update(table)
+    pool = regrouped.pop("pool")
+    return regrouped, pool
 
 
 # --- the trigger path, from the whole prefix -----------------------------------

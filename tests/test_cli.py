@@ -446,6 +446,29 @@ def test_evaluate_model_token_id_twice_is_data_error(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "key,context,message",
+    [
+        ("0:2", "00,401", "table '0:2' context '00,401' is written twice"),
+        ("0:1", "3_17", "table '0:1' context '3_17' is written twice"),
+        ("00:2", "0,401", "table '00:2' context '0,401' is written twice"),
+    ],
+    ids=["leading-zero", "underscore", "table-key"],
+)
+def test_evaluate_model_context_twice_is_data_error(tmp_path, capsys, key, context, message):
+    """`"00,401"` and `"0,401"` name one context (as `"3_17"` and `"317"`
+    do, and the keys `"00:2"` and `"0:2"` one table), and the loaded table
+    would keep only the last row written."""
+    payload = json.loads((GOLDEN_MODELS / "model_tool.json").read_text())
+    payload["tables"].setdefault(key, {})[context] = {"5": 7}
+    models = _model_dir(tmp_path, json.dumps(payload).encode())
+    cfg = write_config(tmp_path, model_dir=str(models))
+    assert main(["evaluate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed model file ") and err.endswith(f": {message}\n")
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_evaluate_missing_tasks_file_is_data_error(tmp_path, capsys):
     missing = tmp_path / "no-such-tasks.jsonl"
     cfg = write_config(tmp_path, model_dir=str(GOLDEN_MODELS), tasks=str(missing))

@@ -39,15 +39,18 @@ def test_trie_prefix_of_another_suggestion():
     trie = build_trie(["update", "updates"], vocab)
     # distinct single subwords: two children of the root, both terminal
     assert len(trie.root.children) == 2
-    assert trie.shadowed_count == 0
+    assert trie.shadowed == 0
 
 
 def test_trie_token_level_shadowing():
     vocab = text_vocab(["get_value get_value_str"])
     trie = build_trie(["get_value", "get_value_str"], vocab)
     # get_value's terminal lies on get_value_str's path: the longer one is
-    # unreachable under the first-terminal stop
-    assert trie.shadowed_count == 1
+    # unreachable under the first-terminal stop, in either order, once per
+    # time it is listed
+    assert trie.shadowed == 1
+    assert build_trie(["get_value_str", "get_value"], vocab).shadowed == 1
+    assert build_trie(["get_value_str", "get_value", "get_value_str"], vocab).shadowed == 2
 
 
 def test_trie_single_suggestion():
@@ -102,6 +105,11 @@ _NAMES = st.builds(
 )
 
 
+def _trie_shape(node) -> tuple:
+    """A trie node's terminal flag and, per child token, its child's shape."""
+    return node.is_terminal, {tok: _trie_shape(child) for tok, child in node.children.items()}
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     # lists met in some order, most of them more than once
@@ -111,18 +119,22 @@ _NAMES = st.builds(
     st.lists(st.sampled_from(range(len(RESERVED_TOKENS), _MEMO_VOCAB.size)), max_size=4),
 )
 def test_memo_entries_equal_fresh_tries(lists, context):
-    """Each list's memo entry holds the sequences and shadowed count of a
-    trie built afresh and selects what it selects; a list met again gets
-    the trie built the first time."""
+    """Each list's memo entry has the nodes and shadowed count of a trie
+    built afresh and selects what it selects; a list met again gets the trie
+    built the first time. The shadowed count is that of a scan over every
+    pair of the list's token sequences."""
     memo = TrieMemo(_MEMO_VOCAB)
     bucket = description_bucket([], _MEMO_VOCAB, _MEMO_MODEL.buckets)
     prefix = [BOS_ID] + context + [COMP_ID]
     first: dict[tuple, PrefixTrie] = {}
     for suggestions in lists:
-        trie, shadowed = memo.entry(suggestions)
+        trie = memo.entry(suggestions)
         fresh = build_trie(suggestions, _MEMO_VOCAB)
-        assert trie._sequences == fresh._sequences
-        assert shadowed == fresh.shadowed_count
+        assert _trie_shape(trie.root) == _trie_shape(fresh.root)
+        seqs = [tokenize_suggestion(s, _MEMO_VOCAB) for s in suggestions]
+        assert trie.shadowed == fresh.shadowed == sum(
+            any(len(t) < len(s) and s[: len(t)] == t for t in seqs) for s in seqs
+        )
         assert select_suggestion(_MEMO_MODEL, bucket, prefix, trie) == select_suggestion(
             _MEMO_MODEL, bucket, prefix, fresh
         )
@@ -191,8 +203,8 @@ def _vocab_with_words(n):
 
 
 def _forget_unigrams(model):
-    for key in [k for k in model.tables if k[1] == 0]:
-        del model.tables[key]
+    for table in [*model.tables.values(), model.pool]:
+        table.pop((), None)
 
 
 def _model_case(bodies, prefix=(), paths=((4,),), forget_unigrams=False):
@@ -255,10 +267,7 @@ def test_count_choices_equal_dense_argmax(case):
     assert decode._choose_next(counts, (BOS_ID, COMP_ID)) == dense_next_token(
         model, desc, prefix, excluded=(BOS_ID, COMP_ID)
     )
-    trie = PrefixTrie()
-    for p in paths:
-        trie.insert(p)
-    got = select_suggestion(model, bucket, prefix, trie)
+    got = select_suggestion(model, bucket, prefix, PrefixTrie(paths))
     assert got == dense_path_walk(model, desc, prefix, paths)
 
 

@@ -268,6 +268,7 @@ def test_untrained_model_uniform():
     v = _tiny_vocab("a b c d")
     m = train([([], [BOS_ID, v.tokens.index("a"), EOS_ID])], order=2, alpha=0.1, vocab=v)
     m.tables.clear()
+    m.pool.clear()
     dist = m.predict([], [BOS_ID])
     assert np.allclose(dist, 1.0 / v.size)
 
@@ -299,8 +300,8 @@ def test_backoff_monotonicity():
     assert not np.array_equal(m.predict([], prefix), shorter.predict([], prefix))
     bucket = description_bucket([], v, m.buckets)
     ctx = (a, b)
-    for bk in (bucket, -1):
-        m.tables.get((bk, 2), {}).pop(ctx, None)
+    for table in (m.tables[bucket], m.pool):
+        table.pop(ctx, None)
     np.testing.assert_array_equal(m.predict([], prefix), shorter.predict([], prefix))
 
 
@@ -354,6 +355,7 @@ def test_next_counts_are_the_counts_predict_smooths():
     denom = 4 + 0.1 * m.vocab.size
     assert dist[ids[1]] == (0.1 + 4.0) / denom
     m.tables.clear()
+    m.pool.clear()
     assert m.next_counts(bucket, [BOS_ID]) == {}
 
 
@@ -369,7 +371,8 @@ def test_train_tables_equal_the_bump_by_bump_tables(trained_models):
     records = load_dataset_records(config.dataset)
     for variant, model in (("tool", tool), ("vanilla", vanilla)):
         pairs = pipeline.training_pairs(records, model.vocab, variant)
-        assert model.tables == bump_train_tables(pairs, model.order, model.vocab, model.buckets)
+        expected = bump_train_tables(pairs, model.order, model.vocab, model.buckets)
+        assert (model.tables, model.pool) == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -391,10 +394,11 @@ def test_train_tables_of_drawn_pairs_equal_the_bump_by_bump_tables(tmp_path_fact
     order, buckets = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
     model = train(pairs, order=order, alpha=0.1, vocab=vocab, buckets=buckets)
     expected = bump_train_tables(pairs, order, vocab, buckets)
-    assert model.tables == expected
+    assert (model.tables, model.pool) == expected
     path = str(tmp_path_factory.getbasetemp() / "drawn_model.json")
     save_model(model, path)
-    assert load_model(path).tables == expected
+    loaded = load_model(path)
+    assert (loaded.tables, loaded.pool) == expected
     for desc, _target in pairs:
         assert description_bucket(desc, vocab, buckets) == fnv1a_bucket(desc, vocab, buckets)
 
@@ -425,12 +429,12 @@ def test_hoisted_bucket_nll_is_bit_identical(trained_models):
 
 def _nll_case(bodies, targets, forget=()):
     """Order-2, one-bucket model over the words 4 and 5, trained on `bodies`,
-    with the (context length, context) entries in `forget` removed."""
+    with the contexts in `forget` removed."""
     vocab = Vocab(tokens=RESERVED_TOKENS + ("w0", "w1"))
     m = train([([], [BOS_ID] + b + [EOS_ID]) for b in bodies], order=2, alpha=0.1, vocab=vocab, buckets=1)
-    for k, ctx in forget:
-        for bk in (0, -1):
-            m.tables[(bk, k)].pop(ctx, None)
+    for ctx in forget:
+        for table in (m.tables[0], m.pool):
+            table.pop(ctx, None)
     return m, [([], [BOS_ID] + t + [EOS_ID]) for t in targets]
 
 
@@ -454,7 +458,7 @@ def nll_cases(draw):
         vocab=vocab,
         buckets=draw(st.sampled_from([1, 3])),
     )
-    for table in m.tables.values():
+    for table in [*m.tables.values(), m.pool]:
         for ctx in sorted(table):
             if draw(st.booleans()):
                 del table[ctx]
@@ -471,7 +475,7 @@ def _dense_nll(model, desc, target):
 @settings(max_examples=300, deadline=None)
 @given(nll_cases())
 # w1 never follows <BOS>, and after w1 no context is left at any length
-@example(_nll_case([[4]], [[5, 4]], forget=[(0, ())]))
+@example(_nll_case([[4]], [[5, 4]], forget=[()]))
 def test_count_nll_equals_dense_predict_nll(case):
     """sequence_nll reads the counts, not the dense vector; it must still
     equal the per-step predict sum bit for bit, whichever branch each step
@@ -486,7 +490,7 @@ def test_count_nll_equals_dense_predict_nll(case):
 
 
 def test_nll_example_hits_both_branches():
-    model, [(_desc, target)] = _nll_case([[4]], [[5, 4]], forget=[(0, ())])
+    model, [(_desc, target)] = _nll_case([[4]], [[5, 4]], forget=[()])
     assert 5 not in model.next_counts(0, target[:1])
     assert model.next_counts(0, target[:2]) == {}
 

@@ -12,9 +12,8 @@ from mpgen.analysis.scope import receiver_members
 from mpgen.decode import GenerationConfig, generate
 from mpgen.metrics import ground_truth
 from mpgen.minilang.lexer import LineLexer
-from mpgen.minilang.parser import extract_functions
 from mpgen.minilang.render import render_tokens
-from mpgen.pipeline import _blank_function, _is_task, derive_tasks, run_model_over_tasks
+from mpgen.pipeline import _blank_function, _tasks_of, derive_tasks, run_model_over_tasks
 from mpgen.repo import Repository
 
 
@@ -166,9 +165,7 @@ def test_tasks_of_mutated_files_get_the_blanked_files_context(corpus_repos, data
             j = data.draw(st.integers(0, len(lines[i])))
             lines[i] = lines[i][:j] + data.draw(st.sampled_from("$ (:\".\t")) + lines[i][j:]
     repo = Repository({**base.files, path: "\n".join(lines)})
-    for func in extract_functions(repo.module(path)):
-        if not _is_task(func):
-            continue
+    for func in _tasks_of(repo, path).values():
         blanked = _blank_function(
             repo, path, func, repo_name="", label=func.name, description=func.description, gt=""
         )

@@ -2,10 +2,12 @@
 does, is used only at the caret of a blanked task, and leaves the task
 snapshot's caches as they were."""
 
+import json
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mpgen import decode
+from mpgen import DataError, decode
 from mpgen.analysis.complete import TaskContext, tool_complete
 from mpgen.analysis.insert import insert
 from mpgen.decode import GenerationConfig, generate
@@ -13,10 +15,11 @@ from mpgen.lm.tokenizer import detokenize
 from mpgen.lm.vocab import BOS_ID, CONTROL_IDS, RESERVED_TOKENS, Vocab
 from mpgen.minilang import tokens as tk
 from mpgen.minilang.parser import extract_functions
-from mpgen.pipeline import _blank_function, derive_tasks
+from mpgen.pipeline import _blank_function, derive_tasks, load_tasks
 from mpgen.repo import CaretPosition, Repository
 
-from conftest import CORPUS
+from conftest import CORPUS, make_config
+from oracles import whole_file_pair_is_valid
 
 UTILS = (
     "class Box:\n"
@@ -228,3 +231,41 @@ def test_generate_leaves_the_task_snapshot_caches_alone(trained_models, demo_tas
         for cache, old in zip(caches, before):
             assert cache.keys() == old.keys()
             assert all(cache[k] is old[k] for k in old)
+
+
+# A module-level def line, and a class line, themselves indented: the parser
+# recovers with "unexpected indentation" records that a task's analysis,
+# lexing the head line by line, would not see.
+INDENTED_HEADS = {
+    "f.mp": '  def f(a):\n    "doc"\n    return a\n',
+    "k.mp": ' class K:\n    def g(self):\n        "doc"\n        return 1\n'
+    '    def h(self):\n        "doc"\n        return self\n',
+    "ok.mp": 'def f(a):\n    "doc"\n    return a\n',
+}
+
+
+def test_a_function_whose_outermost_head_line_is_indented_is_no_task(tmp_path):
+    """derive_tasks skips it, load_tasks refuses a record naming it and
+    TaskContext.at refuses its caret. The whole file finds `return a`
+    invalid in `f.mp`, where the task analysis would find it valid."""
+    (tmp_path / "eval" / "r").mkdir(parents=True)
+    for name, text in INDENTED_HEADS.items():
+        (tmp_path / "eval" / "r" / name).write_text(text)
+    config = make_config(tmp_path, eval_roots=[str(tmp_path / "eval")])
+    assert [t.label for t in derive_tasks(config)] == ["r/ok.mp:f"]
+
+    repo = Repository(INDENTED_HEADS)
+    tasks_file = tmp_path / "tasks.jsonl"
+    for path in ("f.mp", "k.mp"):
+        for func in extract_functions(repo.module(path)):
+            task = _blank_function(repo, path, func, repo_name="r", label="", description="", gt="")
+            with pytest.raises(ValueError, match="is not a blanked task's caret"):
+                TaskContext.at(task.snapshot, task.pos)
+            record = {"label": "", "repo": "r", "file": path, "line": task.pos.line,
+                      "description": "", "gt": ""}
+            tasks_file.write_text(json.dumps(record) + "\n")
+            with pytest.raises(DataError, match="names no task's caret line"):
+                load_tasks(str(tasks_file), config)
+            if path == "f.mp":
+                assert not whole_file_pair_is_valid(task.pair("return a"))
+                assert not task.context().analyse("return a").lint()
