@@ -42,14 +42,18 @@ pins everything the list depends on, and a trigger it cannot pin gets none
 and asks the tool (`Prefix.cache_key`). So cached and uncached runs produce
 identical output.
 
-Below that cache sits a `TrieMemo`, which the caller may keep for a whole
-run (`pipeline.run_model_over_tasks` keeps one per call): it builds the
-trie of each distinct suggestion list once, for one vocabulary, however
-many generations and tool invocations meet that list. Sharing a trie is exact,
-since nothing changes a trie after `build_trie` and `select_suggestion`
-only reads it. The memo does not touch the per-generation cache, which
-alone decides whether the tool is invoked, so the trace counters are the
-same with or without it, and it is used with the cache off too.
+Below that cache sits a `DecisionMemo` of the model, which the caller may
+keep for a whole run (`pipeline.run_model_over_tasks` keeps one per call).
+A state is the pair (description bucket, last order - 1 ids), all that
+`NGramModel.next_counts` reads. The memo builds the trie of each distinct
+suggestion list once, chooses the outer greedy token of each state once
+and walks each (state at the trigger, trie) once, however many
+generations meet them. That is exact: the choices are pure functions of
+the state's counts and the trie, and nothing changes a trie after
+`build_trie`. A dropped trigger's replacement is chosen afresh. The memo
+does not touch the per-generation cache, which alone decides whether the
+tool is invoked, so the trace counters are the same with or without it,
+and it is used with the cache off too.
 """
 
 from __future__ import annotations
@@ -150,23 +154,6 @@ def build_trie(suggestions: Sequence[str], vocab: Vocab) -> PrefixTrie:
     if not suggestions:
         raise ValueError("cannot build a trie from an empty suggestion list")
     return PrefixTrie(tokenize_suggestion(s, vocab) for s in suggestions)
-
-
-class TrieMemo:
-    """The prefix trie of each suggestion list met so far, for one
-    vocabulary; a list's trie is built on first use only."""
-
-    def __init__(self, vocab: Vocab):
-        self.vocab = vocab
-        self._entries: dict[tuple[str, ...], PrefixTrie] = {}
-
-    def entry(self, suggestions: Sequence[str]) -> PrefixTrie:
-        """The trie of a non-empty suggestion list."""
-        key = tuple(suggestions)
-        trie = self._entries.get(key)
-        if trie is None:
-            trie = self._entries[key] = build_trie(key, self.vocab)
-        return trie
 
 
 def greedy_choice(counts: dict[int, int], candidates: Iterable[int]) -> int:
@@ -297,6 +284,50 @@ def _choose_next(counts: dict[int, int], excluded: tuple[int, ...]) -> int:
     return greedy_choice(counts, [EOS_ID] + [t for t in counts if t not in excluded])
 
 
+class DecisionMemo:
+    """The decisions of one model's greedy decoding, each made on first use
+    only: the trie of each suggestion list, the outer token of each state
+    (description bucket, last order - 1 ids) and the walk of each (state at
+    the trigger, trie). A walk is the memo's own list: do not mutate it.
+    """
+
+    def __init__(self, model: NGramModel):
+        self.model = model
+        self._tail = model.order - 1
+        self._tries: dict[tuple[str, ...], PrefixTrie] = {}
+        self._steps: dict[tuple, int] = {}
+        self._walks: dict[tuple, list[int]] = {}
+
+    def _state(self, bucket: int, seq: Sequence[int]) -> tuple:
+        k = self._tail
+        return bucket, tuple(seq[-k:]) if k else ()  # seq[-0:] is all of seq
+
+    def trie(self, suggestions: Sequence[str]) -> PrefixTrie:
+        """The trie of a non-empty suggestion list."""
+        key = tuple(suggestions)
+        trie = self._tries.get(key)
+        if trie is None:
+            trie = self._tries[key] = build_trie(key, self.model.vocab)
+        return trie
+
+    def next_token(self, bucket: int, seq: Sequence[int]) -> int:
+        """The outer greedy token after seq, <BOS> excluded."""
+        state = self._state(bucket, seq)
+        tok = self._steps.get(state)
+        if tok is None:
+            counts = self.model.next_counts(bucket, seq)
+            tok = self._steps[state] = _choose_next(counts, excluded=(BOS_ID,))
+        return tok
+
+    def walk(self, bucket: int, seq: Sequence[int], trie: PrefixTrie) -> list[int]:
+        """`select_suggestion` at the trigger ending seq."""
+        key = (self._state(bucket, seq), trie)
+        appended = self._walks.get(key)
+        if appended is None:
+            appended = self._walks[key] = select_suggestion(self.model, bucket, seq, trie)
+        return appended
+
+
 def generate(
     model: NGramModel,
     repo: Repository,
@@ -305,26 +336,25 @@ def generate(
     cfg: GenerationConfig = GenerationConfig(),
     *,
     task: Optional[TaskContext] = None,
-    tries: Optional[TrieMemo] = None,
+    memo: Optional[DecisionMemo] = None,
 ) -> tuple[str, GenerationTrace]:
     """Generate a function body at pos, returning (canonical text, trace).
 
     task, if given, is the task context at pos, which the tool completes
     through; without it the tool analyses the whole file with the partial
-    function spliced in (`insert`). tries, if given, is the caller's trie
-    memo for model's vocabulary; without it the call keeps its own.
+    function spliced in (`insert`). memo, if given, is the caller's
+    decision memo of model; without it the call keeps its own.
     Raises CaretError when pos does not lie in the repository, and
-    ValueError when task is at another caret or tries is bound to another
-    vocabulary.
+    ValueError when task is at another caret or memo is another model's.
     """
     repo.validate_caret(pos)
     if task is not None and task.pos != pos:
         raise ValueError(f"a task context at {task.pos} cannot complete at {pos}")
+    if memo is None:
+        memo = DecisionMemo(model)
+    elif memo.model is not model:
+        raise ValueError("a decision memo of another model cannot serve this model")
     vocab = model.vocab
-    if tries is None:
-        tries = TrieMemo(vocab)
-    elif tries.vocab is not vocab:
-        raise ValueError("a trie memo of another vocabulary cannot serve this model")
     bucket = description_bucket(tokenize(description, vocab), vocab, model.buckets)
     prefix = Prefix(vocab)
     seq = prefix.ids
@@ -333,10 +363,9 @@ def generate(
     cache: dict[tuple, Optional[PrefixTrie]] = {}
 
     while True:
-        counts = model.next_counts(bucket, seq)
         # The sequence-start token is never a legal continuation. <EOS> is
         # the lowest legal id, so fully unseen contexts tie-break to it.
-        tok = _choose_next(counts, excluded=(BOS_ID,))
+        tok = memo.next_token(bucket, seq)
         trace.steps += 1
         prefix.append(tok)
         trace.tags.append("model")
@@ -360,7 +389,7 @@ def generate(
             else:
                 suggestions = tool_complete(*insert(repo, pos, prefix.body.text()))
             trace.tool_invocations += 1
-            trie = tries.entry(suggestions) if suggestions else None
+            trie = memo.trie(suggestions) if suggestions else None
             if cfg.cache_enabled and key is not None:
                 cache[key] = trie
 
@@ -370,7 +399,7 @@ def generate(
             seq.pop()
             trace.tags.pop()
             trace.dropped_triggers += 1
-            tok2 = _choose_next(counts, excluded=(BOS_ID, COMP_ID))
+            tok2 = _choose_next(model.next_counts(bucket, seq), excluded=(BOS_ID, COMP_ID))
             prefix.append(tok2)
             trace.tags.append("model")
             if tok2 == EOS_ID:
@@ -378,7 +407,7 @@ def generate(
             continue
 
         trace.shadowed_suggestions += trie.shadowed
-        appended = select_suggestion(model, bucket, seq, trie)
+        appended = memo.walk(bucket, seq, trie)
         for t in appended:
             prefix.append(t)
         trace.tags.extend(["tool-selection"] * len(appended))

@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import DataError
 from .analysis.complete import TaskContext, head_is_indented
-from .decode import GenerationConfig, GenerationTrace, TrieMemo, generate
+from .decode import DecisionMemo, GenerationConfig, GenerationTrace, generate
 from .lm.ngram import NGramModel, train
 from .lm.tokenizer import token_strings, tokenize
 from .lm.vocab import BOS_ID, COMP_ID, EOS_ID, Vocab, build_vocab
@@ -325,12 +325,12 @@ def run_model_over_tasks(
 ) -> tuple[list[EvalPair], list[GenerationTrace]]:
     pairs: list[EvalPair] = []
     traces: list[GenerationTrace] = []
-    tries = TrieMemo(model.vocab)  # for this run only
+    memo = DecisionMemo(model)  # for this run only
     for task in tasks:
         # a vanilla generation never asks the tool, so it needs no context
         pred, trace = generate(
             model, task.snapshot, task.description, task.pos, gen_cfg,
-            task=task.context() if gen_cfg.tool_enabled else None, tries=tries,
+            task=task.context() if gen_cfg.tool_enabled else None, memo=memo,
         )
         pairs.append(task.pair(pred))
         traces.append(trace)

@@ -19,7 +19,6 @@ and `load_dataset_records` reads back.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from statistics import mean
 from typing import Callable, Iterable
@@ -59,6 +58,10 @@ def insert_triggers(repo: Repository, file: str, func: FunctionDef) -> list[LexT
 
 
 def corpus_id_of(repos: Iterable[Repository]) -> str:
+    # imported here: hashlib maps OpenSSL, about 3.6 MB of resident memory
+    # that a process which never augments (evaluate, generate) need not hold
+    import hashlib
+
     h = hashlib.sha256()
     for repo in repos:
         for path in repo.paths():

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 from pathlib import Path
 
@@ -10,6 +11,14 @@ from mpgen.pipeline import RunConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
+
+
+def script_module(name: str):
+    """The script `tools/<name>.py`, imported as a module."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def text_vocab(texts) -> Vocab:

@@ -6,16 +6,16 @@ from hypothesis import example, given, settings, strategies as st
 
 from mpgen import decode
 from mpgen.decode import (
+    DecisionMemo,
     GenerationConfig,
     PrefixTrie,
-    TrieMemo,
     build_trie,
     generate,
     greedy_choice,
     select_suggestion,
     tokenize_suggestion,
 )
-from mpgen.lm.ngram import description_bucket, train
+from mpgen.lm.ngram import NGramModel, description_bucket, train
 from mpgen.lm.tokenizer import tokenize
 from mpgen.lm.vocab import BOS_ID, COMP_ID, EOS_ID, RESERVED_TOKENS, Vocab
 from mpgen.pipeline import derive_tasks
@@ -87,7 +87,23 @@ def test_build_trie_rejects_empty():
         build_trie([], vocab)
 
 
-# --- trie memo ---------------------------------------------------------------
+# --- decision memo -----------------------------------------------------------
+
+class _StoresNothing(dict):
+    def __setitem__(self, key, value):
+        pass
+
+
+class ForgetfulMemo(DecisionMemo):
+    """A decision memo that remembers nothing: every decision is made
+    afresh each time it is asked for."""
+
+    def __init__(self, model):
+        super().__init__(model)
+        for name, part in list(vars(self).items()):
+            if isinstance(part, dict):
+                setattr(self, name, _StoresNothing())
+
 
 _MEMO_WORDS = ["al", "be", "cu", "do", "el"]
 _MEMO_VOCAB = text_vocab([" ".join(_MEMO_WORDS)])
@@ -119,23 +135,24 @@ def _trie_shape(node) -> tuple:
     st.lists(st.sampled_from(range(len(RESERVED_TOKENS), _MEMO_VOCAB.size)), max_size=4),
 )
 def test_memo_entries_equal_fresh_tries(lists, context):
-    """Each list's memo entry has the nodes and shadowed count of a trie
-    built afresh and selects what it selects; a list met again gets the trie
-    built the first time. The shadowed count is that of a scan over every
-    pair of the list's token sequences."""
-    memo = TrieMemo(_MEMO_VOCAB)
+    """Each list's memo trie has the nodes and shadowed count of a trie
+    built afresh, and the memo's walk selects what `select_suggestion`
+    selects on it; a list met again gets the trie built the first time. The
+    shadowed count is that of a scan over every pair of the list's token
+    sequences."""
+    memo = DecisionMemo(_MEMO_MODEL)
     bucket = description_bucket([], _MEMO_VOCAB, _MEMO_MODEL.buckets)
     prefix = [BOS_ID] + context + [COMP_ID]
     first: dict[tuple, PrefixTrie] = {}
     for suggestions in lists:
-        trie = memo.entry(suggestions)
+        trie = memo.trie(suggestions)
         fresh = build_trie(suggestions, _MEMO_VOCAB)
         assert _trie_shape(trie.root) == _trie_shape(fresh.root)
         seqs = [tokenize_suggestion(s, _MEMO_VOCAB) for s in suggestions]
         assert trie.shadowed == fresh.shadowed == sum(
             any(len(t) < len(s) and s[: len(t)] == t for t in seqs) for s in seqs
         )
-        assert select_suggestion(_MEMO_MODEL, bucket, prefix, trie) == select_suggestion(
+        assert memo.walk(bucket, prefix, trie) == select_suggestion(
             _MEMO_MODEL, bucket, prefix, fresh
         )
         assert first.setdefault(tuple(suggestions), trie) is trie
@@ -207,10 +224,10 @@ def _forget_unigrams(model):
         table.pop((), None)
 
 
-def _model_case(bodies, prefix=(), paths=((4,),), forget_unigrams=False):
-    """Order-2, one-bucket model over the words 4, 5, 6, trained on `bodies`."""
+def _model_case(bodies, prefix=(), paths=((4,),), forget_unigrams=False, order=2):
+    """One-bucket model over the words 4, 5, 6, trained on `bodies`."""
     pairs = [([], [BOS_ID] + list(b) + [EOS_ID]) for b in bodies]
-    model = train(pairs, order=2, alpha=0.1, vocab=_vocab_with_words(3), buckets=1)
+    model = train(pairs, order=order, alpha=0.1, vocab=_vocab_with_words(3), buckets=1)
     if forget_unigrams:
         _forget_unigrams(model)
     return model, [], [BOS_ID] + list(prefix), [tuple(p) for p in paths]
@@ -236,7 +253,7 @@ def count_cases(draw):
     )
     model = train(
         [(d, [BOS_ID] + b + [EOS_ID]) for d, b in pairs],
-        order=draw(st.integers(1, 3)),
+        order=draw(st.integers(1, 4)),
         alpha=draw(st.sampled_from([0.1, 1.0, 1e-6])),
         vocab=vocab,
         buckets=draw(st.sampled_from([1, 3])),
@@ -287,7 +304,8 @@ def test_benchmark_choices_equal_dense_argmax(trained_models, monkeypatch):
     """Every decision of every tool and vanilla generation on the bundled
     benchmark equals the argmax of the dense predicted distribution: outer
     steps with <BOS> zeroed (and <COMP> too where a trigger was dropped),
-    trie steps with everything but the node's children zeroed."""
+    trie steps with everything but the node's children zeroed. The memo
+    remembers nothing, so every walk is made, and checked, where it is met."""
     config, tool, vanilla = trained_models
     real_select = decode.select_suggestion
     trie_steps = []
@@ -314,50 +332,172 @@ def test_benchmark_choices_equal_dense_argmax(trained_models, monkeypatch):
         for task in tasks:
             description[:] = tokenize(task.description, model.vocab)
             _text, trace = generate(
-                model, task.snapshot, task.description, task.pos, cfg, task=task.context()
+                model, task.snapshot, task.description, task.pos, cfg,
+                task=task.context(), memo=ForgetfulMemo(model),
             )
             _check_outer_choices(model, task.description, trace, tool_enabled)
             outer_steps += trace.steps
     assert (outer_steps, len(trie_steps)) == (9804, 2670)
 
 
+def _count_calls(monkeypatch, calls, owner, name):
+    real = getattr(owner, name)
+
+    def counted(*args):
+        calls[name] += 1
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
 @pytest.mark.parametrize("cache", [True, False], ids=["cache", "no-cache"])
 def test_a_memo_shared_by_the_run_generates_as_a_memo_per_generation(
     trained_models, monkeypatch, cache
 ):
-    """Over the 126 benchmark tasks, one trie memo shared by every
-    generation gives the predictions, token ids, tags and trace counters
-    that a memo of each generation's own gives, and that a memo which
-    builds a trie at every tool invocation gives; it builds the trie of
-    each of the 137 distinct suggestion lists once."""
-    config, tool, _vanilla = trained_models
+    """Over the 126 benchmark tasks, for each model, one decision memo
+    shared by every generation gives the predictions, token ids, tags and
+    trace counters that a memo of each generation's own gives, and that a
+    memo which remembers nothing gives. The forgetful memo reads the counts
+    at every outer step and every trie step and walks at every trigger; the
+    shared one reads them once per state and walks once per (state, trie),
+    and builds the trie of each of the 137 distinct suggestion lists once.
+    """
+    config, tool, vanilla = trained_models
     tasks = derive_tasks(config)
-    cfg = GenerationConfig(max_tokens=config.max_tokens, cache_enabled=cache)
+    calls: dict[str, int] = {}
+    built: list[tuple] = []
+    _count_calls(monkeypatch, calls, NGramModel, "next_counts")
+    _count_calls(monkeypatch, calls, decode, "select_suggestion")
+    real_build = decode.build_trie
+    monkeypatch.setattr(decode, "build_trie", lambda *a: built.append(a[0]) or real_build(*a))
 
-    class Forgetful(TrieMemo):
-        def entry(self, suggestions):
-            self._entries.clear()
-            return super().entry(suggestions)
-
-    def run(tries_of):
+    def run(model, tool_enabled, memo_of):
+        cfg = GenerationConfig(
+            max_tokens=config.max_tokens, cache_enabled=cache, tool_enabled=tool_enabled
+        )
+        calls.update(next_counts=0, select_suggestion=0)
         built.clear()
-        return [
+        generations = [
             generate(
-                tool, t.snapshot, t.description, t.pos, cfg, task=t.context(), tries=tries_of()
+                model, t.snapshot, t.description, t.pos, cfg,
+                task=t.context() if tool_enabled else None, memo=memo_of(),
             )
             for t in tasks
         ]
+        return generations, (calls["next_counts"], calls["select_suggestion"], len(built))
 
-    real_build = decode.build_trie
-    built: list[tuple] = []
-    monkeypatch.setattr(decode, "build_trie", lambda *a: built.append(a[0]) or real_build(*a))
-    rebuilt = run(lambda: Forgetful(tool.vocab))
-    assert len(built) == sum(trace.tool_invocations for _text, trace in rebuilt)
-    assert run(lambda: None) == rebuilt  # each generation's own memo
-    shared = TrieMemo(tool.vocab)
-    assert run(lambda: shared) == rebuilt
-    assert len(built) == len(set(built)) == 137
-    assert len(rebuilt) == 126
+    for model, tool_enabled, forgetful_calls, shared_calls in (
+        (tool, True, (6678, 1620, 732 if cache else 1620), (865, 309, 137)),
+        (vanilla, False, (5796, 0, 0), (175, 0, 0)),
+    ):
+        forgetful, made = run(model, tool_enabled, lambda: ForgetfulMemo(model))
+        traces = [trace for _text, trace in forgetful]
+        triggers = sum(t.tool_invocations + t.cache_hits for t in traces)
+        assert sum(t.dropped_triggers for t in traces) == 0
+        assert made == (
+            sum(t.steps + t.tags.count("tool-selection") for t in traces),
+            triggers,
+            sum(t.tool_invocations for t in traces),
+        ) == forgetful_calls
+        assert run(model, tool_enabled, lambda: None)[0] == forgetful  # each generation's own
+        shared = DecisionMemo(model)
+        generations, made = run(model, tool_enabled, lambda: shared)
+        assert generations == forgetful
+        assert made == shared_calls
+        assert len(set(built)) == len(built)
+        assert len(generations) == 126
+
+
+class _ScriptedTool:
+    """A task context whose tool answers from a script: its n-th completion
+    is the n-th suggestion list, cycling through them. One serves a whole
+    run, so a state met again may meet another list."""
+
+    def __init__(self, pos, script):
+        self.pos, self._script, self._calls = pos, script, 0
+
+    def complete(self, _body):
+        suggestions = self._script[self._calls % len(self._script)]
+        self._calls += 1
+        return suggestions
+
+
+@st.composite
+def memo_cases(draw):
+    """A small model, the descriptions of a run (some met more than once),
+    the tool's script and a generation config. The script holds empty lists,
+    which drop their triggers, and lists met again."""
+    model = draw(count_cases())[0]
+    word = st.sampled_from(model.vocab.tokens[len(RESERVED_TOKENS):])
+    name = st.lists(word, min_size=1, max_size=3).map("_".join)
+    lists = draw(st.lists(st.lists(name, max_size=3), min_size=1, max_size=3))
+    script = draw(st.lists(st.sampled_from(lists), min_size=1, max_size=6))
+    descriptions = draw(
+        st.lists(st.sampled_from(["", "w0", "w1 w0", "w0 w0 w0"]), min_size=1, max_size=6)
+    )
+    cfg = GenerationConfig(max_tokens=draw(st.integers(1, 40)), cache_enabled=draw(st.booleans()))
+    return model, descriptions, script, cfg
+
+
+# lines repeated until max_tokens, with kept and dropped triggers: order 1,
+# where every outer step meets one state; order 4, where two triggers
+# alternate and one suggestion shadows another
+_MEMO_EXAMPLES = (
+    (
+        _model_case([[COMP_ID, COMP_ID, 4, 4]], order=1)[0],
+        ["", ""], [["w0"], [], ["w1"]], GenerationConfig(max_tokens=30),
+    ),
+    (
+        _model_case([[4, COMP_ID, 5, 4, 6] * 3, [4, COMP_ID, 5] * 6], order=4)[0],
+        ["w0", ""], [["w1"], ["w1_w0", "w1"], []],
+        GenerationConfig(max_tokens=40, cache_enabled=False),
+    ),
+)
+
+
+def _run_generations(case, memo_of):
+    model, descriptions, script, cfg = case
+    repo, pos = _blank_repo()
+    tool = _ScriptedTool(pos, script)
+    return [generate(model, repo, d, pos, cfg, task=tool, memo=memo_of()) for d in descriptions]
+
+
+@settings(max_examples=300, deadline=None)
+@given(memo_cases())
+@example(_MEMO_EXAMPLES[0])
+@example(_MEMO_EXAMPLES[1])
+def test_a_memo_shared_by_generations_equals_a_forgetful_memo(case):
+    """Generations that share one decision memo give the predictions, token
+    ids, tags and trace counters of generations whose memo remembers
+    nothing, and every outer step is the dense argmax."""
+    model, descriptions = case[:2]
+    shared = DecisionMemo(model)
+    forgetful = _run_generations(case, lambda: ForgetfulMemo(model))
+    assert _run_generations(case, lambda: shared) == forgetful
+    for description, (_text, trace) in zip(descriptions, forgetful):
+        _check_outer_choices(model, description, trace, tool_enabled=True)
+
+
+def test_memo_examples_hit_the_edge_cases(monkeypatch):
+    """Each example repeats a line until max_tokens over kept and dropped
+    triggers, and a shared memo reads the counts once per state and per
+    trie step of each walk, and at each dropped trigger: at order 1, one
+    outer step, two walks of one token and 19 dropped triggers."""
+    calls: dict[str, int] = {}
+    _count_calls(monkeypatch, calls, NGramModel, "next_counts")
+
+    def counted_run(case, memo_of):
+        calls["next_counts"] = 0
+        return [t for _text, t in _run_generations(case, memo_of)], calls["next_counts"]
+
+    for case, want in zip(_MEMO_EXAMPLES, ((118, 22), (118, 22))):
+        model = case[0]
+        traces, forgetful = counted_run(case, lambda: ForgetfulMemo(model))
+        shared = DecisionMemo(model)
+        _traces, remembered = counted_run(case, lambda: shared)
+        for t in traces:
+            assert t.truncated and t.dropped_triggers and "tool-selection" in t.tags
+        assert (forgetful, remembered) == want
 
 
 def _check_outer_choices(model, description, trace, tool_enabled):
@@ -631,14 +771,14 @@ def test_cache_hit_on_repeated_receiver():
     assert trace_off.tool_invocations == trace_on.tool_invocations + trace_on.cache_hits
 
 
-def test_generate_refuses_a_trie_memo_of_another_vocabulary():
+def test_generate_refuses_a_memo_of_another_model():
     repo, pos = _blank_repo()
     model = _member_trigger_model()
-    # the same tokens, but another vocabulary
-    other = TrieMemo(text_vocab(["return self.x", "<COMP>"]))
-    with pytest.raises(ValueError, match="another vocabulary"):
-        generate(model, repo, "d", pos, GenerationConfig(), tries=other)
-    text, _trace = generate(model, repo, "d", pos, GenerationConfig(), tries=TrieMemo(model.vocab))
+    # another model of the same vocabulary, as the vanilla model is the tool model's
+    other = train([([], [BOS_ID, EOS_ID])] * 3, order=3, alpha=0.1, vocab=model.vocab)
+    with pytest.raises(ValueError, match="another model"):
+        generate(model, repo, "d", pos, GenerationConfig(), memo=DecisionMemo(other))
+    text, _trace = generate(model, repo, "d", pos, GenerationConfig(), memo=DecisionMemo(model))
     assert text == "return self.x"
 
 

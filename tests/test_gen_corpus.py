@@ -1,0 +1,15 @@
+"""The bundled corpus is what `tools/gen_corpus.py` writes: regenerating it
+into a fresh directory gives the files of `corpus/`, byte for byte."""
+
+from conftest import CORPUS, script_module
+
+
+def _files(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_gen_corpus_writes_the_bundled_corpus(tmp_path, capsys):
+    out = tmp_path / "corpus"
+    script_module("gen_corpus").main(str(out))
+    assert f"under {out}/" in capsys.readouterr().out
+    assert _files(out) == _files(CORPUS)

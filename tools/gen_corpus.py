@@ -19,8 +19,11 @@ dependency name stays repository-unique:
   hash bucket (16 families, 16 buckets, one each). That makes the model's
   coarse description conditioning informative at this corpus size.
 - Within any family, each attribute-read site is followed by a distinct
-  continuation token, so greedy decoding cannot fall into repetition loops
-  after a suggestion is spliced in.
+  continuation token, meant to keep greedy decoding out of repetition
+  loops after a suggestion is spliced in. It does not keep every
+  generation out: 30 of the 252 benchmark generations (12 tool, 18
+  vanilla) run to `max_tokens` repeating a line, such as
+  `self._kale_tern = 0`, or a term, such as `+ value`.
 - Repositories with index % 3 == 2 share the literal attribute "crest",
   giving the tool-free baseline a nonzero dependency-coverage floor.
 """
