@@ -37,10 +37,20 @@ def levenshtein(a: str, b: str) -> int:
     bit i of the vertical delta vectors pv/mv says whether D[i+1][j] is one
     more/less than D[i][j] for the current column j. The longer string is
     the bit pattern, held in one Python int, so the loop runs once per
-    character of the shorter string.
+    character of the shorter string. A common prefix and suffix cost
+    nothing, so they are trimmed first; the suffix only from what the
+    prefix leaves of the shorter string, so the two never overlap.
     """
     if a == b:
         return 0
+    n = min(len(a), len(b))
+    p = 0
+    while p < n and a[p] == b[p]:
+        p += 1
+    s = 0
+    while s < n - p and a[-1 - s] == b[-1 - s]:
+        s += 1
+    a, b = a[p:len(a) - s], b[p:len(b) - s]
     if len(a) < len(b):
         a, b = b, a
     m = len(a)

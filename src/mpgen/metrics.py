@@ -26,13 +26,18 @@ the rest of the file on the function's lines; and the analysis adds the
 class attributes the function assigns, the one thing the splice changes in
 the scope index.
 
-Each prediction and ground truth is lexed once on its own, and that lex
-feeds its token ids and its canonical text. Each is parsed once, in its
-task context, and that parse gives both its lint records and its access
-expressions. Corpus BLEU is a ratio of summed clipped n-gram counts, so
-each pair's counts are taken once, while its task is scored (each ground
-truth's n-grams counted once for all models), and the pair's row and the
-corpus score are both read off them.
+Scoring keeps a memo for its run (`ScoringMemo`), bound to one vocabulary.
+Each distinct text, whether ground truth or prediction, is lexed once on
+its own for the whole run, and that lex gives its token ids, its canonical
+text and its n-gram counts: all pure functions of the text and the
+vocabulary. Within a task, each distinct text is analysed once in the task
+context, and that analysis gives both its lint records and its access
+expressions; the ground truth's gives the dependency set too, and the row
+of any prediction equal to it. Analysing is a pure function of the context
+and the text (resuming from a checkpoint is exact, see `TaskContext`), so
+the memo changes no number. Corpus BLEU is a ratio of summed clipped n-gram
+counts, so each pair's counts are taken once, while its task is scored, and
+the pair's row and the corpus score are both read off them.
 """
 
 from __future__ import annotations
@@ -88,10 +93,10 @@ def extract_expressions(stmts: list[nodes.Stmt]) -> set[str]:
     return {text for text, _ in _access_candidates(stmts)}
 
 
-def identify_dependencies(gt: str, task: TaskContext) -> set[str]:
+def identify_dependencies(analysis: TaskAnalysis) -> set[str]:
     """DEP(gt): minimal access expressions covering trigger-marked
-    identifiers, with gt written in at the task's caret."""
-    analysis = task.analyse(gt)
+    identifiers; analysis is the ground truth analysed in its task context,
+    `TaskContext.at(pair.repo, pair.pos).analyse(pair.gt)`."""
     func = analysis.function
     marked = [(t.line, t.column) for t in func.body_tokens if is_trigger(t, analysis.complete_at)]
     candidates = _access_candidates(func.body)
@@ -121,13 +126,9 @@ def edit_similarity(a: str, b: str) -> float:
     return 100.0 * (1.0 - levenshtein(a, b) / max(len(a), len(b)))
 
 
-def _ngram_counts(ids: Sequence[int], n: int) -> Counter:
-    return Counter(zip(*(ids[i:] for i in range(n))))
-
-
 def reference_ngrams(ids: Sequence[int]) -> list[Counter]:
-    """A reference's n-gram counts, n = 1..4, for `bleu_counts`."""
-    return [_ngram_counts(ids, n) for n in range(1, 5)]
+    """A text's n-gram counts, n = 1..4, for `bleu_counts`."""
+    return [Counter(zip(*(ids[i:] for i in range(n)))) for n in range(1, 5)]
 
 
 class BleuCounts(NamedTuple):
@@ -138,18 +139,19 @@ class BleuCounts(NamedTuple):
     orders: tuple[tuple[int, int], ...]  # (clipped matches, candidate n-grams), n = 1..4
 
 
+def _clipped(pred_ngrams: list[Counter], ref_len: int, ref_ngrams: list[Counter]) -> BleuCounts:
+    """A candidate's counts, from its and its reference's `reference_ngrams`;
+    neither is changed."""
+    return BleuCounts(ref_len, tuple(
+        (sum(min(c, ref_counts[gram]) for gram, c in pred_counts.items()), sum(pred_counts.values()))
+        for pred_counts, ref_counts in zip(pred_ngrams, ref_ngrams)
+    ))
+
+
 def bleu_counts(pred: Sequence[int], ref: Sequence[int], ref_ngrams: list[Counter]) -> BleuCounts:
     """The candidate pred's counts against ref, whose `reference_ngrams` are
     ref_ngrams."""
-    orders = []
-    for n, ref_counts in enumerate(ref_ngrams, start=1):
-        total = max(len(pred) - n + 1, 0)
-        matches = 0
-        if total:
-            pred_counts = _ngram_counts(pred, n)
-            matches = sum(min(c, ref_counts[gram]) for gram, c in pred_counts.items())
-        orders.append((matches, total))
-    return BleuCounts(len(ref), tuple(orders))
+    return _clipped(reference_ngrams(pred), len(ref), ref_ngrams)
 
 
 def bleu_from_counts(counts: Sequence[BleuCounts]) -> float:
@@ -207,40 +209,81 @@ class EvalReport:
         }
 
 
+class _Text(NamedTuple):
+    """What scoring reads of a text on its own, from one bare lex."""
+
+    ids: list[int]
+    canonical: str          # the text as its lex renders
+    ngrams: list[Counter]   # reference_ngrams(ids)
+
+
+class ScoringMemo:
+    """What scoring reads of each distinct text on its own, read on first use
+    only: its token ids under vocab, its canonical text and its n-gram
+    counts. One entry serves a text both as a ground truth and as a
+    prediction. An entry is the memo's own: do not mutate it.
+    """
+
+    def __init__(self, vocab: Vocab):
+        self.vocab = vocab
+        self._texts: dict[str, _Text] = {}
+
+    def text(self, text: str) -> _Text:
+        entry = self._texts.get(text)
+        if entry is None:
+            lexed = lex(text)
+            ids = tokenize(text, self.vocab, lexed=lexed)
+            entry = self._texts[text] = _Text(ids, render_tokens(lexed[0]), reference_ngrams(ids))
+        return entry
+
+
 def ground_truth(
-    pairs: Sequence[EvalPair], vocab: Vocab, task: TaskContext
+    pairs: Sequence[EvalPair], vocab: Vocab, task: TaskContext, memo: Optional[ScoringMemo] = None
 ) -> list[tuple[dict, BleuCounts]]:
     """Each pair's report row and BLEU counts, in pair order, for one task's
     pairs (one per model, say), all read from task, the context at their
-    caret. The ground truth's dependency set and n-gram counts are found
-    once for them all, and live only as long as this call.
+    caret. memo, if given, is the caller's scoring memo of vocab; without it
+    the call keeps its own.
+
+    Each distinct text is analysed once, in task: the ground truth's
+    analysis gives the dependency set, and the row of any prediction equal
+    to it, and pairs with equal predictions share one analysis. Those
+    analyses live only as long as this call.
+
+    ValueError when the pairs are of more than one task, task is at another
+    caret or memo is another vocabulary's.
     """
     gt, repo, pos = pairs[0].gt, pairs[0].repo, pairs[0].pos
     if any((p.gt, p.pos) != (gt, pos) or p.repo is not repo for p in pairs):
         raise ValueError(f"pairs of more than one task at {pos.file}:{pos.line}")
     if task.pos != pos:
         raise ValueError(f"a task context at {task.pos} cannot score the task at {pos}")
-    lexed = lex(gt)
-    canonical = render_tokens(lexed[0])
-    ids = tokenize(gt, vocab, lexed=lexed)
-    ref_ngrams = reference_ngrams(ids)
-    deps = identify_dependencies(gt, task)
+    if memo is None:
+        memo = ScoringMemo(vocab)
+    elif memo.vocab is not vocab:
+        raise ValueError("a scoring memo of another vocabulary cannot serve this vocabulary")
+    ref = memo.text(gt)
+    gt_analysis = task.analyse(gt)
+    deps = identify_dependencies(gt_analysis)
+    scored: dict[str, tuple[dict, BleuCounts]] = {}  # by prediction
     judged = []
     for pair in pairs:
-        analysis = task.analyse(pair.pred)
-        pred_lexed = lex(pair.pred)
-        bleu = bleu_counts(tokenize(pair.pred, vocab, lexed=pred_lexed), ids, ref_ngrams)
-        judged.append(({
-            "label": pair.label,
-            "file": pos.file,
-            "line": pos.line,
-            "dep_total": len(deps),
-            "dep_covered": len(extract_expressions(analysis.function.body) & deps),
-            "valid": pair_is_valid(analysis),
-            "exact_match": render_tokens(pred_lexed[0]) == canonical,
-            "edit_sim": edit_similarity(pair.pred, gt),
-            "bleu4": bleu_from_counts([bleu]),
-        }, bleu))
+        if pair.pred not in scored:
+            analysis = gt_analysis if pair.pred == gt else task.analyse(pair.pred)
+            cand = memo.text(pair.pred)
+            bleu = _clipped(cand.ngrams, len(ref.ids), ref.ngrams)
+            scored[pair.pred] = ({
+                "file": pos.file,
+                "line": pos.line,
+                "dep_total": len(deps),
+                "dep_covered": len(extract_expressions(analysis.function.body) & deps),
+                "valid": pair_is_valid(analysis),
+                "exact_match": cand.canonical == ref.canonical,
+                "edit_sim": edit_similarity(pair.pred, gt),
+                "bleu4": bleu_from_counts([bleu]),
+            }, bleu)
+        row, bleu = scored[pair.pred]
+        judged.append(({"label": pair.label, **row}, bleu))
     return judged
 
 
@@ -255,13 +298,15 @@ def evaluate_pairs(
     `ground_truth` gives them for pairs[i] and the pairs of other models on
     the same task; pass them in to score several models on the same tasks
     without recomputing the task side. Without them each pair is judged in
-    a context `TaskContext.at` builds at its caret.
+    a context `TaskContext.at` builds at its caret, with one scoring memo
+    for all the pairs.
     """
     if judged is None:
+        memo = ScoringMemo(vocab)
         judged = [
             row
             for pair in pairs
-            for row in ground_truth([pair], vocab, TaskContext.at(pair.repo, pair.pos))
+            for row in ground_truth([pair], vocab, TaskContext.at(pair.repo, pair.pos), memo)
         ]
     elif len(judged) != len(pairs):
         raise ValueError(f"{len(judged)} judged rows for {len(pairs)} pairs")

@@ -19,7 +19,7 @@ from .decode import DecisionMemo, GenerationConfig, GenerationTrace, generate
 from .lm.ngram import NGramModel, train
 from .lm.tokenizer import token_strings, tokenize
 from .lm.vocab import BOS_ID, COMP_ID, EOS_ID, Vocab, build_vocab
-from .metrics import EvalPair, evaluate_pairs, ground_truth
+from .metrics import EvalPair, ScoringMemo, evaluate_pairs, ground_truth
 from .minilang.parser import FunctionDef, extract_functions
 from .minilang.render import render_tokens
 from .repo import CaretPosition, Repository, load_repositories
@@ -359,7 +359,6 @@ def run_evaluate(config: RunConfig) -> dict:
         if not os.path.exists(path):
             raise DataError(f"model {path!r} not found; run train first")
     tool_model = load_model(config.tool_model_path)
-    vanilla_model = load_model(config.vanilla_model_path)
     if config.tasks is not None:
         tasks = load_tasks(config.tasks, config)
     else:
@@ -367,19 +366,22 @@ def run_evaluate(config: RunConfig) -> dict:
     if not tasks:
         raise DataError("no benchmark tasks found in the eval corpus")
 
-    vocab = tool_model.vocab
-    runs = {
-        variant: run_model_over_tasks(model, tasks, GenerationConfig(
+    def run(model: NGramModel, tool_enabled: bool) -> tuple[list[EvalPair], list[GenerationTrace]]:
+        return run_model_over_tasks(model, tasks, GenerationConfig(
             max_tokens=config.max_tokens, cache_enabled=config.cache, tool_enabled=tool_enabled
         ))
-        for variant, model, tool_enabled in (
-            ("tool", tool_model, True),
-            ("vanilla", vanilla_model, False),
-        )
-    }
-    # each task's rows, one per model, scored from one new context
+
+    # the vanilla model is loaded once the tool model's run is done, so the
+    # two are never held at once; scoring reads only the tool model's vocabulary
+    vocab = tool_model.vocab
+    runs = {"tool": run(tool_model, True)}
+    del tool_model
+    runs["vanilla"] = run(load_model(config.vanilla_model_path), False)
+    # each task's rows, one per model, scored from one new context; each
+    # distinct text is lexed once for the whole run
+    memo = ScoringMemo(vocab)
     rows = [
-        ground_truth([pairs[i] for pairs, _traces in runs.values()], vocab, task.context())
+        ground_truth([pairs[i] for pairs, _traces in runs.values()], vocab, task.context(), memo)
         for i, task in enumerate(tasks)
     ]
     report: dict = {"n_tasks": len(tasks), "models": {}}

@@ -182,7 +182,7 @@ def test_criterion_6_metric_oracle_equivalence(bench):
     dep_exp = [
         (
             whole_file_expressions(p),
-            identify_dependencies(p.gt, TaskContext.at(p.repo, p.pos)),
+            identify_dependencies(TaskContext.at(p.repo, p.pos).analyse(p.gt)),
         )
         for p in pairs
     ]

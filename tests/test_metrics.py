@@ -53,7 +53,7 @@ def score(pairs: list[EvalPair]):
 
 
 def deps_of(gt: str, repo: Repository, pos: CaretPosition) -> set[str]:
-    return identify_dependencies(gt, TaskContext.at(repo, pos))
+    return identify_dependencies(TaskContext.at(repo, pos).analyse(gt))
 
 
 def is_valid(pair: EvalPair) -> bool:

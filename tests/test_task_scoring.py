@@ -3,26 +3,33 @@ splicing the text into the blanked file and analysing the whole file gives
 (`tests/oracles.py`), on the benchmark and on mutated predictions."""
 
 import dataclasses
+import gc
 import json
 import sys
+import weakref
 from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from mpgen import metrics
 from mpgen.analysis import complete, lint, scope
 from mpgen.analysis.complete import TaskContext
 from mpgen.decode import GenerationConfig
+from mpgen.lm import ngram
 from mpgen.lm.tokenizer import tokenize
 from mpgen.lm.vocab import RESERVED_TOKENS, Vocab
 from mpgen.metrics import (
     EvalPair,
+    ScoringMemo,
+    bleu_counts,
     corpus_bleu,
     evaluate_pairs,
     extract_expressions,
     ground_truth,
     identify_dependencies,
     pair_is_valid,
+    reference_ngrams,
 )
 from mpgen.minilang.lexer import LineLexer
 from mpgen.minilang import parser
@@ -71,7 +78,7 @@ def test_task_scoring_equals_the_whole_file_on_the_benchmark(task_pairs, trained
         task = TaskContext.at(repo, pos)
         rows = ground_truth(pairs, vocab, task)
         deps = whole_file_dependencies(gt, repo, pos)
-        assert identify_dependencies(gt, task) == deps
+        assert identify_dependencies(task.analyse(gt)) == deps
         dep_counts.append(len(deps))
         for pair, (row, _bleu) in zip(pairs, rows, strict=True):
             expressions = whole_file_expressions(pair)
@@ -107,6 +114,19 @@ def sampled_tasks(task_pairs):
     return [(pairs, TaskContext.at(pairs[0].repo, pairs[0].pos)) for pairs in sample]
 
 
+@st.composite
+def _mutants(draw, texts, edits):
+    """One of texts with a drawn number of pieces inserted or spans cut."""
+    text = draw(st.sampled_from(texts))
+    for _ in range(draw(edits)):
+        i = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:i] + draw(st.sampled_from(_PIECES)) + text[i:]
+        else:
+            text = text[:i] + text[i + draw(st.integers(1, 6)):]
+    return text
+
+
 @settings(
     max_examples=1000,
     deadline=None,
@@ -115,19 +135,13 @@ def sampled_tasks(task_pairs):
 @given(data=st.data())
 def test_task_scoring_equals_the_whole_file_on_mutants(sampled_tasks, data):
     pairs, task = data.draw(st.sampled_from(sampled_tasks))
-    text = data.draw(st.sampled_from([pairs[0].gt] + [p.pred for p in pairs]))
-    for _ in range(data.draw(st.integers(1, 4))):
-        i = data.draw(st.integers(0, len(text)))
-        if data.draw(st.booleans()):
-            text = text[:i] + data.draw(st.sampled_from(_PIECES)) + text[i:]
-        else:
-            text = text[:i] + text[i + data.draw(st.integers(1, 6)):]
+    text = data.draw(_mutants([pairs[0].gt] + [p.pred for p in pairs], st.integers(1, 4)))
     pair = EvalPair(pairs[0].gt, text, pairs[0].repo, pairs[0].pos)
     assert _records(task, text) == whole_file_lint_in_span(pair)
     analysis = task.analyse(text)
     assert pair_is_valid(analysis) == whole_file_pair_is_valid(pair)
     assert extract_expressions(analysis.function.body) == whole_file_expressions(pair)
-    assert identify_dependencies(text, task) == (
+    assert identify_dependencies(analysis) == (
         whole_file_dependencies(text, pair.repo, pair.pos)
     )
 
@@ -192,6 +206,75 @@ def test_ground_truth_takes_the_pairs_of_one_task(task_pairs, trained_models):
     (a, _), (b, _) = task_pairs[:2]
     with pytest.raises(ValueError, match="more than one task"):
         ground_truth([a, b], tool.vocab, TaskContext.at(a.repo, a.pos))
+
+
+def test_ground_truth_refuses_a_memo_of_another_vocabulary(task_pairs, trained_models):
+    vocab = trained_models[1].vocab
+    pairs = task_pairs[0]
+    task = TaskContext.at(pairs[0].repo, pairs[0].pos)
+    with pytest.raises(ValueError, match="another vocabulary"):
+        ground_truth(pairs, vocab, task, ScoringMemo(Vocab(RESERVED_TOKENS)))
+
+
+def test_scoring_memo_is_exact_on_the_benchmark(task_pairs, trained_models):
+    """Every benchmark task's rows and BLEU counts are the same with one
+    scoring memo for the run, a new memo per task and none, and scoring
+    each pair alone in a new context, where no text's analysis is shared."""
+    vocab = trained_models[1].vocab
+    shared = ScoringMemo(vocab)
+    for pairs in task_pairs:
+        task = TaskContext.at(pairs[0].repo, pairs[0].pos)
+        judged = ground_truth(pairs, vocab, task, shared)
+        assert ground_truth(pairs, vocab, task, ScoringMemo(vocab)) == judged
+        assert ground_truth(pairs, vocab, task) == judged
+        assert [
+            row for pair in pairs
+            for row in ground_truth([pair], vocab, TaskContext.at(pair.repo, pair.pos))
+        ] == judged
+
+
+@pytest.fixture(scope="module")
+def shared_memo(trained_models):
+    """One scoring memo for every drawn example of a module's tests."""
+    return ScoringMemo(trained_models[1].vocab)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_a_shared_scoring_memo_equals_a_fresh_one(sampled_tasks, shared_memo, data):
+    """A memo that has served earlier examples scores drawn predictions,
+    repeats, the ground truth, padded texts and empty texts among them, as
+    a new memo does, and as scoring each pair on its own does; each row
+    keeps its own pair's label."""
+    pairs, task = data.draw(st.sampled_from(sampled_tasks))
+    texts = [pairs[0].gt] + [p.pred for p in pairs]
+    # a text padded with spaces or newlines renders as the text does, but a
+    # leading space indents it past the body
+    padded = st.tuples(
+        st.sampled_from(["", " ", "\n"]), st.sampled_from(texts), st.sampled_from(["", " ", "\n"])
+    ).map("".join)
+    preds = data.draw(st.lists(
+        st.sampled_from(texts) | st.just("") | padded | _mutants(texts, st.integers(1, 3)),
+        min_size=1, max_size=4,
+    ))
+    preds += data.draw(st.lists(st.sampled_from(preds), max_size=2))
+    drawn = [
+        EvalPair(pairs[0].gt, pred, pairs[0].repo, pairs[0].pos, label=f"drawn {i}")
+        for i, pred in enumerate(preds)
+    ]
+    vocab = shared_memo.vocab
+    judged = ground_truth(drawn, vocab, task, shared_memo)
+    assert ground_truth(drawn, vocab, task, ScoringMemo(vocab)) == judged
+    assert [ground_truth([pair], vocab, task)[0] for pair in drawn] == judged
+    assert [row["label"] for row, _bleu in judged] == [pair.label for pair in drawn]
+    # and as each text's own analysis and counts give it
+    deps = identify_dependencies(task.analyse(pairs[0].gt))
+    ref = tokenize(pairs[0].gt, vocab)
+    for pair, (row, bleu) in zip(drawn, judged):
+        analysis = task.analyse(pair.pred)
+        assert row["valid"] == pair_is_valid(analysis)
+        assert row["dep_covered"] == len(extract_expressions(analysis.function.body) & deps)
+        assert bleu == bleu_counts(tokenize(pair.pred, vocab), ref, reference_ngrams(ref))
 
 
 def _count_calls(monkeypatch, *functions):
@@ -313,10 +396,11 @@ def test_evaluate_builds_one_context_per_task(trained_models, tmp_path, monkeypa
 
 
 def test_evaluate_parses_a_fixed_number_of_statements(trained_models, tmp_path, monkeypatch):
-    """One `run_evaluate` parses 3,072 statements: the tool model's
+    """One `run_evaluate` parses 2,914 statements: the tool model's
     generations, each trigger resuming from the last one's checkpoint, and
     each task's scoring in a new context, where no prediction resumes from
-    its generation (scoring through the generation's context parsed 2,826)."""
+    its generation, and each distinct text of the task is analysed once
+    (analysing every text of every pair parsed 3,072)."""
     config = dataclasses.replace(trained_models[0], report=str(tmp_path / "report.json"))
     real_stmt = parser._Parser.parse_stmt
     statements = 0
@@ -328,7 +412,68 @@ def test_evaluate_parses_a_fixed_number_of_statements(trained_models, tmp_path, 
 
     monkeypatch.setattr(parser._Parser, "parse_stmt", counted_statement)
     run_evaluate(config)
-    assert statements == 3072
+    assert statements == 2914
+
+
+def test_evaluate_reads_each_scored_text_once(trained_models, tmp_path, monkeypatch):
+    """One `run_evaluate` lexes each distinct scored text once for the whole
+    run (143 of the 378 ground truths and predictions), and each task
+    analyses each of its distinct texts once (264 of 378); the tool model's
+    generation analyses are not scoring's."""
+    config = dataclasses.replace(trained_models[0], report=str(tmp_path / "report.json"))
+    real_lex, real_analyse, real_ground_truth = metrics.lex, TaskContext.analyse, ground_truth
+    lexed, analysed, scored = [], [], []
+    scoring = [False]
+
+    def counted_lex(text):
+        lexed.append(text)
+        return real_lex(text)
+
+    def counted_analyse(context, body):
+        if scoring[0]:
+            analysed.append((id(context), body))
+        return real_analyse(context, body)
+
+    def counted_ground_truth(pairs, vocab, task, memo):
+        scored.append((task, pairs))  # keeps task alive, so no later context reuses its id
+        scoring[0] = True
+        try:
+            return real_ground_truth(pairs, vocab, task, memo)
+        finally:
+            scoring[0] = False
+
+    monkeypatch.setattr(metrics, "lex", counted_lex)
+    monkeypatch.setattr(TaskContext, "analyse", counted_analyse)
+    monkeypatch.setattr("mpgen.pipeline.ground_truth", counted_ground_truth)
+    run_evaluate(config)
+    task_texts = [
+        (id(task), text) for task, pairs in scored for pair in pairs for text in (pair.gt, pair.pred)
+    ]
+    assert len(scored) == 126 and all(len(pairs) == 2 for _task, pairs in scored)
+    assert Counter(lexed) == Counter({text for _task, text in task_texts}) and len(lexed) == 143
+    assert Counter(analysed) == Counter(set(task_texts)) and len(analysed) == 264
+
+
+def test_evaluate_releases_the_tool_model_before_loading_the_vanilla_model(
+    trained_models, tmp_path, monkeypatch
+):
+    """The two models are never held at once: when the vanilla model loads,
+    nothing reaches the tool model any more."""
+    config = dataclasses.replace(trained_models[0], report=str(tmp_path / "report.json"))
+    real_load = ngram.load_model
+    loaded, reachable = [], []
+
+    def load(path):
+        if loaded:
+            gc.collect()
+            reachable.append(loaded[-1]() is not None)
+        model = real_load(path)
+        loaded.append(weakref.ref(model))
+        return model
+
+    monkeypatch.setattr(ngram, "load_model", load)
+    run_evaluate(config)
+    assert len(loaded) == 2 and reachable == [False]
 
 
 @pytest.mark.parametrize("cache", [True, False], ids=["cache", "no-cache"])
@@ -456,4 +601,4 @@ def test_every_blanked_function_has_a_task_context(corpus_repos, data):
         task = TaskContext.at(snap, pos)
         pair = EvalPair(gt, gt, snap, pos)
         assert pair_is_valid(task.analyse(pair.pred)) == whole_file_pair_is_valid(pair)
-        assert identify_dependencies(gt, task) == whole_file_dependencies(gt, snap, pos)
+        assert identify_dependencies(task.analyse(gt)) == whole_file_dependencies(gt, snap, pos)
