@@ -22,9 +22,12 @@ decoding takes its argmax straight from the counts, `sequence_nll` smooths
 the one count it scores, and `predict` builds the dense distribution, a
 plain list indexed by token id. No production path calls `predict`: it is
 the reference the other two agree with bit for bit, and the module needs no
-numpy. `next_counts` takes the description's bucket, so a caller that reads
-many prefixes of one description computes it once; `predict` and
-`sequence_nll` take the description's ids.
+numpy. `next_counts`, `sequence_nll` and `corpus_nll` take the
+description's bucket, and `train` takes (bucket, target) pairs, so a caller
+computes each description's bucket once, however many prefixes, variants or
+passes read it; `predict`, the reference, takes the description's ids.
+`sequence_nll` looks up each step's context from the last `order - 1` ids
+before it, not the whole prefix.
 
 A model file keeps one table per bucket and context length, keyed
 `bucket:length`; loading merges a bucket's tables into its one table.
@@ -114,48 +117,53 @@ class NGramModel:
         counts = self.next_counts(bucket, prefix)
         return smoothed_distribution(self.vocab.size, counts, self.alpha)
 
-    def sequence_nll(self, description: Sequence[int], target: Sequence[int]) -> float:
-        """Negative log-likelihood of a <BOS>...<EOS> target, in nats.
+    def sequence_nll(self, bucket: int, target: Sequence[int]) -> float:
+        """Negative log-likelihood of a <BOS>...<EOS> target, in nats, in the
+        description's bucket.
 
         Each step reads only the target token's probability, with the float
         operations `smoothed_distribution` uses for that entry.
         """
-        bucket = description_bucket(description, self.vocab, self.buckets)
         alpha = float(self.alpha)
         smoothing = alpha * self.vocab.size
+        n = self.order - 1  # the longest context; at order 1 every window is empty
         nll = 0.0
         for i in range(1, len(target)):
-            counts = self.next_counts(bucket, target[:i])
+            counts = self.next_counts(bucket, target[max(0, i - n):i])
             denom = float(sum(counts.values())) + smoothing
             nll -= log((alpha + counts.get(target[i], 0)) / denom)
         return nll
 
-    def corpus_nll(self, dataset: Iterable[tuple[Sequence[int], Sequence[int]]]) -> tuple[float, int]:
+    def corpus_nll(self, dataset: Iterable[tuple[int, Sequence[int]]]) -> tuple[float, int]:
+        """Summed NLL and scored token count of (bucket, target) pairs."""
         total = 0.0
         n_tokens = 0
-        for desc, target in dataset:
-            total += self.sequence_nll(desc, target)
+        for bucket, target in dataset:
+            total += self.sequence_nll(bucket, target)
             n_tokens += len(target) - 1
         return total, n_tokens
 
 
 def train(
-    dataset: Sequence[tuple[Sequence[int], Sequence[int]]],
+    dataset: Sequence[tuple[int, Sequence[int]]],
     order: int,
     alpha: float,
     vocab: Vocab,
     buckets: int = 16,
 ) -> NGramModel:
-    """Count-based maximum-likelihood training over (description, target) pairs."""
+    """Count-based maximum-likelihood training over (bucket, target) pairs,
+    each bucket its description's `description_bucket`."""
     if not dataset:
         raise ValueError("training dataset is empty")
     if not alpha > 0:
         raise ValueError("smoothing alpha must be positive")
     tables: dict = {}
-    for desc, target in dataset:
+    for bucket, target in dataset:
         if not target or target[0] != BOS_ID or target[-1] != EOS_ID:
             raise ValueError("every target sequence must begin <BOS> and end <EOS>")
-        table = tables.setdefault(description_bucket(desc, vocab, buckets), {})
+        if not 0 <= bucket < buckets:
+            raise ValueError(f"bucket {bucket!r} is out of range for {buckets} buckets")
+        table = tables.setdefault(bucket, {})
         for i in range(1, len(target)):
             tok = target[i]
             for k in range(min(order, i + 1)):

@@ -8,11 +8,15 @@ the plain tokens <NL>, <INDENT>, <DEDENT> of `vocab.STRUCTURE_TOKENS`. The
 reserved marker literals map to their fixed ids. Splitting is injective:
 concatenating an identifier's subwords reproduces the identifier, so
 detokenization is exact up to the canonical whitespace normalization.
+Each identifier text is split once per process (`split_identifier` is
+memoized, and its split is a tuple, so no caller can alter the memo).
 Detokenizing renders each id's (kind, token) pair, which the vocabulary
 decided when it was built.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from ..minilang import render as rnd
 from ..minilang import tokens as tk
@@ -22,7 +26,10 @@ from .vocab import STRUCTURE_TOKENS, UNK_TOKEN, Vocab
 NL_TOKEN = STRUCTURE_TOKENS[tk.NEWLINE]
 
 
-def split_identifier(name: str) -> list[str]:
+@lru_cache(maxsize=1 << 16)
+def split_identifier(name: str) -> tuple[str, ...]:
+    """The subwords of an identifier. Memoized per identifier text, up to
+    65,536 distinct identifiers (the bundled corpus has under a thousand)."""
     parts: list[str] = []
     buf = ""
     for ch in name:
@@ -38,7 +45,7 @@ def split_identifier(name: str) -> list[str]:
             buf += ch
     if buf:
         parts.append(buf)
-    return parts
+    return tuple(parts)
 
 
 def token_strings(text: str, *, lexed=None) -> list[str]:

@@ -10,13 +10,14 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import MISSING, dataclass, fields
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence, TypeVar
 
 from . import DataError
 from .analysis.complete import TaskContext, head_is_indented
 from .decode import DecisionMemo, GenerationConfig, GenerationTrace, generate
-from .lm.ngram import NGramModel, train
+from .lm.ngram import NGramModel, description_bucket, train
 from .lm.tokenizer import token_strings, tokenize
 from .lm.vocab import BOS_ID, COMP_ID, EOS_ID, Vocab, build_vocab
 from .metrics import EvalPair, ScoringMemo, evaluate_pairs, ground_truth
@@ -119,25 +120,29 @@ def collect_repos(roots: Iterable[str]) -> list[tuple[str, Repository]]:
     return out
 
 
-def corpus_vocab(config: RunConfig) -> Vocab:
+def corpus_vocab(config: RunConfig, *, descriptions: Optional[dict[str, list[str]]] = None) -> Vocab:
     """Vocabulary over the train and eval corpora.
 
     Includes every source file plus the description text of every
     docstring-bearing function: docstrings sit inside files as single
     string-literal tokens, while descriptions are tokenized as prose, so
-    their words need their own vocabulary entries.
+    their words need their own vocabulary entries. Each distinct description
+    is split once; descriptions, when given, receives those splits by text.
     """
     streams: list[list[str]] = []
+    splits: dict[str, list[str]] = {}
     for _, repo in collect_repos(config.train_roots + config.eval_roots):
         for path in repo.paths():
             # the lex the parse below reads too
             streams.append(token_strings(repo.text(path), lexed=repo.lex(path)))
             for func in extract_functions(repo.module(path)):
-                if func.docstring is not None:
-                    streams.append(token_strings(func.description))
+                if func.docstring is not None and func.description not in splits:
+                    splits[func.description] = token_strings(func.description)
     if not streams:
         raise DataError("no source files found under the configured corpus roots")
-    return build_vocab(streams)
+    if descriptions is not None:
+        descriptions.update(splits)
+    return build_vocab(streams + list(splits.values()))
 
 
 def run_augment(config: RunConfig) -> dict:
@@ -149,20 +154,32 @@ def run_augment(config: RunConfig) -> dict:
 
 
 Pairs = list[tuple[list[int], list[int]]]
+K = TypeVar("K")
 
 
-def tokenize_records(records: Sequence[dict], vocab: Vocab) -> Pairs:
-    """(description ids, augmented body ids) of every dataset record."""
-    return [(tokenize(r["description"], vocab), tokenize(r["augmented_body"], vocab)) for r in records]
+def tokenize_records(
+    records: Sequence[dict], vocab: Vocab, descriptions: Optional[Mapping[str, Sequence[str]]] = None
+) -> Pairs:
+    """(description ids, augmented body ids) of every dataset record. A
+    description in descriptions, text to token strings as `corpus_vocab`
+    splits it, is not lexed again."""
+    splits = descriptions or {}
+
+    def description_ids(text: str) -> list[int]:
+        split = splits.get(text)
+        return tokenize(text, vocab) if split is None else [vocab.id(s) for s in split]
+
+    return [(description_ids(r["description"]), tokenize(r["augmented_body"], vocab)) for r in records]
 
 
-def variant_pairs(tokenized: Pairs, variant: str) -> Pairs:
-    """(description ids, <BOS>...<EOS> target ids) for one model variant."""
+def variant_pairs(tokenized: Sequence[tuple[K, list[int]]], variant: str) -> list[tuple[K, list[int]]]:
+    """(description key, <BOS>...<EOS> target ids) for one model variant; the
+    key, the description's ids or its bucket, is passed through."""
     pairs = []
-    for desc, body in tokenized:
+    for key, body in tokenized:
         if variant == "vanilla":
             body = [t for t in body if t != COMP_ID]
-        pairs.append((desc, [BOS_ID] + body + [EOS_ID]))
+        pairs.append((key, [BOS_ID] + body + [EOS_ID]))
     return pairs
 
 
@@ -179,11 +196,22 @@ def run_train(config: RunConfig) -> tuple[NGramModel, NGramModel, dict]:
     records = load_dataset_records(config.dataset)
     if not records:
         raise DataError(f"dataset {config.dataset!r} is empty")
-    vocab = corpus_vocab(config)
+    descriptions: dict[str, list[str]] = {}
+    vocab = corpus_vocab(config, descriptions=descriptions)
+    # the smoothing mass; an integer alpha compares exactly, a float one overflows to inf
+    if not config.alpha * vocab.size <= sys.float_info.max:
+        raise DataError(
+            f"smoothing alpha {config.alpha!r} times the vocabulary size {vocab.size}"
+            " overflows a float; use a smaller alpha"
+        )
     os.makedirs(config.model_dir, exist_ok=True)
     stats: dict = {}
     models = []
-    tokenized = tokenize_records(records, vocab)  # once, for both variants
+    # each record's text lexed and its bucket computed once, for both variants
+    tokenized = [
+        (description_bucket(desc, vocab, config.buckets), body)
+        for desc, body in tokenize_records(records, vocab, descriptions)
+    ]
     for variant in ("tool", "vanilla"):
         pairs = variant_pairs(tokenized, variant)
         model = train(pairs, config.order, config.alpha, vocab, buckets=config.buckets)

@@ -26,6 +26,12 @@ def text_vocab(texts) -> Vocab:
     return build_vocab(map(token_strings, texts))
 
 
+def bucketed(pairs, vocab: Vocab, buckets: int = 16) -> list:
+    """(description ids, target) pairs as the (bucket, target) pairs `train`
+    takes; 16 is `train`'s bucket count."""
+    return [(ngram.description_bucket(desc, vocab, buckets), target) for desc, target in pairs]
+
+
 def version_1_payload(payload: dict) -> dict:
     """A format-2 model file's payload in the version-1 layout: a variant
     field, and the global pool that loading derives from the bucket tables

@@ -189,6 +189,27 @@ def match_loop_lex(source: str):
 
 # --- the train stage, text by text and bump by bump -----------------------------
 
+def char_loop_split_identifier(name: str) -> list[str]:
+    """An identifier's subwords, one character at a time: each underscore
+    is its own subword, and a lowercase-to-uppercase step starts a new one."""
+    parts: list[str] = []
+    buf = ""
+    for ch in name:
+        if ch == "_":
+            if buf:
+                parts.append(buf)
+                buf = ""
+            parts.append("_")
+        elif buf and ch.isupper() and buf[-1].islower():
+            parts.append(buf)
+            buf = ch
+        else:
+            buf += ch
+    if buf:
+        parts.append(buf)
+    return parts
+
+
 def text_corpus_vocab(repos) -> Vocab:
     """The vocabulary over (name, repository) pairs from texts: every file's
     text and every docstring's description, each lexed anew, then the
@@ -606,7 +627,7 @@ def random_selection_case(rng: random.Random):
     for _ in range(rng.randint(1, 6)):
         body = [rng.choice(ids) for _ in range(rng.randint(1, 8))]
         desc = [rng.choice(ids) for _ in range(rng.randint(0, 3))]
-        pairs.append((desc, [BOS_ID] + body + [EOS_ID]))
+        pairs.append((fnv1a_bucket(desc, vocab, 16), [BOS_ID] + body + [EOS_ID]))
     model = train(pairs, order=rng.choice([2, 3]), alpha=0.1, vocab=vocab)
     desc = [rng.choice(ids) for _ in range(rng.randint(0, 3))]
     prefix = [BOS_ID] + [rng.choice(ids) for _ in range(rng.randint(0, 5))] + [COMP_ID]

@@ -80,8 +80,8 @@ def test_augment_prints_the_stats_it_writes_computed_once(tmp_path, capsys, monk
 
 def test_train_lexes_each_corpus_file_once_and_hashes_each_token_once(cli_workspace, capsys, monkeypatch):
     """One train lexes each corpus file once, for both its token strings and
-    its parse, and hashes each distinct description token once, though every
-    description's bucket is read four times (train and NLL, two variants)."""
+    its parse, and hashes each distinct description token once; each record's
+    bucket is computed once, and train and NLL of both variants read it."""
     from mpgen.lm import ngram, tokenizer
     from mpgen.lm.ngram import load_model
     from mpgen.minilang import lexer
@@ -113,7 +113,7 @@ def test_train_lexes_each_corpus_file_once_and_hashes_each_token_once(cli_worksp
     tokens = [vocab.token(i) for d in descriptions for i in tokenizer.tokenize(d, vocab)]
     info = ngram._fnv1a.cache_info()
     assert info.misses == len(set(tokens))
-    assert info.hits + info.misses == 4 * len(tokens)
+    assert info.hits + info.misses == len(tokens)
 
 
 def test_augment_empty_corpus_warns_not_errors(tmp_path, capsys):
@@ -573,6 +573,20 @@ def test_train_malformed_dataset_record_is_data_error(tmp_path, capsys, line):
     assert not (tmp_path / "models").exists()
 
 
+@pytest.mark.parametrize("alpha", [1e306, 10**400], ids=["float", "integer"])
+def test_train_with_an_overflowing_alpha_is_data_error(tmp_path, capsys, alpha):
+    """An alpha that passes the config check, but whose smoothing mass (alpha
+    times the vocabulary size) is past the largest float, stops train with
+    one error line before it writes a model."""
+    cfg = write_config(tmp_path, alpha=alpha)
+    (tmp_path / "dataset.jsonl").write_text(json.dumps(_DATASET_RECORD) + "\n")
+    assert main(["train", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: smoothing alpha ") and "overflows a float" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "models").exists()
+
+
 _DEEP_JSON = "[" * 2000 + "]" * 2000  # past the JSON decoder's recursion limit
 
 
@@ -667,12 +681,14 @@ def test_task_and_dataset_readers_raise_nothing_but_data_error(
 @functools.cache
 def _small_model_text() -> str:
     """A format-2 model of order 2 and two buckets, trained on one pair."""
-    from mpgen.lm.ngram import save_model, train
+    from mpgen.lm.ngram import description_bucket, save_model, train
     from mpgen.lm.vocab import BOS_ID, EOS_ID, RESERVED_TOKENS, Vocab
 
     vocab = Vocab(tokens=RESERVED_TOKENS + ("a", "return"))
     a, ret = vocab.tokens.index("a"), vocab.tokens.index("return")
-    model = train([([a], [BOS_ID, ret, a, EOS_ID])], order=2, alpha=0.1, vocab=vocab, buckets=2)
+    model = train(
+        [(description_bucket([a], vocab, 2), [BOS_ID, ret, a, EOS_ID])], order=2, alpha=0.1, vocab=vocab, buckets=2
+    )
     with tempfile.TemporaryDirectory() as tmp:
         save_model(model, os.path.join(tmp, "m.json"))
         return Path(tmp, "m.json").read_text()

@@ -21,7 +21,7 @@ from mpgen.lm.vocab import BOS_ID, COMP_ID, EOS_ID, RESERVED_TOKENS, Vocab
 from mpgen.pipeline import derive_tasks
 from mpgen.repo import CaretPosition, Repository
 
-from conftest import text_vocab
+from conftest import bucketed, text_vocab
 from oracles import (
     argmax,
     dense_next_token,
@@ -109,7 +109,7 @@ _MEMO_WORDS = ["al", "be", "cu", "do", "el"]
 _MEMO_VOCAB = text_vocab([" ".join(_MEMO_WORDS)])
 _MEMO_MODEL = train(
     [
-        ([], [BOS_ID, COMP_ID] + tokenize(text, _MEMO_VOCAB) + [EOS_ID])
+        (0, [BOS_ID, COMP_ID] + tokenize(text, _MEMO_VOCAB) + [EOS_ID])
         for text in ("al_be", "_cu_do", "el al", "be_be_cu", "do")
     ],
     order=3, alpha=0.1, vocab=_MEMO_VOCAB,
@@ -226,7 +226,7 @@ def _forget_unigrams(model):
 
 def _model_case(bodies, prefix=(), paths=((4,),), forget_unigrams=False, order=2):
     """One-bucket model over the words 4, 5, 6, trained on `bodies`."""
-    pairs = [([], [BOS_ID] + list(b) + [EOS_ID]) for b in bodies]
+    pairs = [(0, [BOS_ID] + list(b) + [EOS_ID]) for b in bodies]
     model = train(pairs, order=order, alpha=0.1, vocab=_vocab_with_words(3), buckets=1)
     if forget_unigrams:
         _forget_unigrams(model)
@@ -251,12 +251,13 @@ def count_cases(draw):
             max_size=5,
         )
     )
+    buckets = draw(st.sampled_from([1, 3]))
     model = train(
-        [(d, [BOS_ID] + b + [EOS_ID]) for d, b in pairs],
+        bucketed([(d, [BOS_ID] + b + [EOS_ID]) for d, b in pairs], vocab, buckets),
         order=draw(st.integers(1, 4)),
         alpha=draw(st.sampled_from([0.1, 1.0, 1e-6])),
         vocab=vocab,
-        buckets=draw(st.sampled_from([1, 3])),
+        buckets=buckets,
     )
     if draw(st.booleans()):
         _forget_unigrams(model)
@@ -529,7 +530,7 @@ def test_single_suggestion_forced_regardless_of_model():
     trie = build_trie(["_only_one"], text_vocab(["_only_one"]))
     # rebuild with the case vocab so ids align
     vocab2 = text_vocab(["_only_one"])
-    model2 = train([([], [BOS_ID, 4, EOS_ID])], order=2, alpha=0.1, vocab=vocab2)
+    model2 = train([(0, [BOS_ID, 4, EOS_ID])], order=2, alpha=0.1, vocab=vocab2)
     bucket = description_bucket([], vocab2, model2.buckets)
     out = select_suggestion(model2, bucket, [BOS_ID, COMP_ID], build_trie(["_only_one"], vocab2))
     from mpgen.lm.tokenizer import detokenize
@@ -540,7 +541,7 @@ def test_single_suggestion_forced_regardless_of_model():
 def test_model_bias_picks_between_two_suggestions():
     vocab = text_vocab(["left right"])
     left, right = vocab.tokens.index("left"), vocab.tokens.index("right")
-    pairs = [([], [BOS_ID, COMP_ID, right, EOS_ID])] * 5
+    pairs = [(0, [BOS_ID, COMP_ID, right, EOS_ID])] * 5
     model = train(pairs, order=3, alpha=0.1, vocab=vocab)
     bucket = description_bucket([], vocab, model.buckets)
     out = select_suggestion(model, bucket, [BOS_ID, COMP_ID], build_trie(["left", "right"], vocab))
@@ -552,7 +553,7 @@ def test_sixty_eight_candidate_selection_finds_trained_path():
     names = ["_registered_updates"] + [f"_field_{c}{d}" for c in "abcdef" for d in "abcdefghij"][:67]
     vocab = text_vocab([" ".join(names)])
     target = tokenize_suggestion("_registered_updates", vocab)
-    pairs = [([], [BOS_ID, COMP_ID] + target + [EOS_ID])] * 10
+    pairs = [(0, [BOS_ID, COMP_ID] + target + [EOS_ID])] * 10
     model = train(pairs, order=3, alpha=0.1, vocab=vocab)
     trie = build_trie(names, vocab)
     out = select_suggestion(model, description_bucket([], vocab, model.buckets), [BOS_ID, COMP_ID], trie)
@@ -591,12 +592,12 @@ def _blank_repo():
 def _member_trigger_model():
     vocab = text_vocab(["return self.x", "<COMP>"])
     body = tokenize("return <COMP>self.<COMP>x", vocab)
-    return train([([], [BOS_ID] + body + [EOS_ID])] * 5, order=3, alpha=0.1, vocab=vocab)
+    return train([(0, [BOS_ID] + body + [EOS_ID])] * 5, order=3, alpha=0.1, vocab=vocab)
 
 
 def test_immediate_eos_gives_empty_output():
     vocab = text_vocab(["x"])
-    model = train([([], [BOS_ID, EOS_ID])] * 3, order=2, alpha=0.1, vocab=vocab)
+    model = train([(0, [BOS_ID, EOS_ID])] * 3, order=2, alpha=0.1, vocab=vocab)
     repo, pos = _blank_repo()
     text, trace = generate(model, repo, "anything", pos, GenerationConfig())
     assert text == ""
@@ -632,8 +633,8 @@ def test_tool_vs_vanilla_on_stale_member():
     vocab = text_vocab(corpus)
     aug = tokenize("return <COMP>self.<COMP>_y_x", vocab)
     plain = tokenize("return self._y_x", vocab)
-    tool_model = train([([], [BOS_ID] + aug + [EOS_ID])] * 5, order=3, alpha=0.1, vocab=vocab)
-    vanilla_model = train([([], [BOS_ID] + plain + [EOS_ID])] * 5, order=3, alpha=0.1, vocab=vocab)
+    tool_model = train([(0, [BOS_ID] + aug + [EOS_ID])] * 5, order=3, alpha=0.1, vocab=vocab)
+    vanilla_model = train([(0, [BOS_ID] + plain + [EOS_ID])] * 5, order=3, alpha=0.1, vocab=vocab)
 
     tool_text, tool_trace = generate(tool_model, repo, "d", pos, GenerationConfig())
     van_text, _ = generate(vanilla_model, repo, "d", pos, GenerationConfig(tool_enabled=False))
@@ -659,7 +660,7 @@ def test_empty_completion_drops_trigger_and_continues():
     plain = tokenize("return a.b", vocab)
     # mixed corpus: the marker dominates, an unmarked variant supplies the
     # next-best continuation once the failed trigger is dropped
-    pairs = [([], [BOS_ID] + marked + [EOS_ID])] * 5 + [([], [BOS_ID] + plain + [EOS_ID])] * 3
+    pairs = [(0, [BOS_ID] + marked + [EOS_ID])] * 5 + [(0, [BOS_ID] + plain + [EOS_ID])] * 3
     model = train(pairs, order=3, alpha=0.1, vocab=vocab)
     text, trace = generate(model, repo, "d", pos, GenerationConfig())
     assert trace.dropped_triggers == 1
@@ -700,7 +701,7 @@ def test_dropped_trigger_replacement_is_dense_argmax_without_comp():
     vocab = text_vocab(["return a.b c", "<COMP>"])
     marked = tokenize("return a.<COMP>b", vocab)
     plain = tokenize("return a.c", vocab)
-    pairs = [([], [BOS_ID] + marked + [EOS_ID])] * 5 + [([], [BOS_ID] + plain + [EOS_ID])] * 3
+    pairs = [(0, [BOS_ID] + marked + [EOS_ID])] * 5 + [(0, [BOS_ID] + plain + [EOS_ID])] * 3
     model = train(pairs, order=3, alpha=0.1, vocab=vocab)
     text, trace = generate(model, repo, "d", pos, GenerationConfig())
     assert trace.dropped_triggers == 1
@@ -713,7 +714,7 @@ def test_marker_hygiene_and_termination():
     vocab = text_vocab(["a b"])
     a = vocab.tokens.index("a")
     # degenerate model that loops on `a`
-    model = train([([], [BOS_ID] + [a] * 30 + [EOS_ID])], order=2, alpha=0.1, vocab=vocab)
+    model = train([(0, [BOS_ID] + [a] * 30 + [EOS_ID])], order=2, alpha=0.1, vocab=vocab)
     repo, pos = _blank_repo()
     cfg = GenerationConfig(max_tokens=17)
     text, trace = generate(model, repo, "d", pos, cfg)
@@ -760,7 +761,7 @@ def test_cache_hit_on_repeated_receiver():
     pos = CaretPosition("k.mp", 8, 8)
     vocab = text_vocab(["return self.ax + self.bx", "<COMP>"])
     body = tokenize("return self.<COMP>ax + self.<COMP>bx", vocab)
-    model = train([([], [BOS_ID] + body + [EOS_ID])] * 5, order=3, alpha=0.1, vocab=vocab)
+    model = train([(0, [BOS_ID] + body + [EOS_ID])] * 5, order=3, alpha=0.1, vocab=vocab)
 
     on, trace_on = generate(model, repo, "d", pos, GenerationConfig(cache_enabled=True))
     off, trace_off = generate(model, repo, "d", pos, GenerationConfig(cache_enabled=False))
@@ -775,7 +776,7 @@ def test_generate_refuses_a_memo_of_another_model():
     repo, pos = _blank_repo()
     model = _member_trigger_model()
     # another model of the same vocabulary, as the vanilla model is the tool model's
-    other = train([([], [BOS_ID, EOS_ID])] * 3, order=3, alpha=0.1, vocab=model.vocab)
+    other = train([(0, [BOS_ID, EOS_ID])] * 3, order=3, alpha=0.1, vocab=model.vocab)
     with pytest.raises(ValueError, match="another model"):
         generate(model, repo, "d", pos, GenerationConfig(), memo=DecisionMemo(other))
     text, _trace = generate(model, repo, "d", pos, GenerationConfig(), memo=DecisionMemo(model))

@@ -127,7 +127,7 @@ def test_a_marker_inside_a_receiver_chain_keys_the_chain():
     assert prefix.cache_key() == ("attr-chain", "foo", 1) == trigger_cache_key(prefix.ids, vocab)
 
     body = tokenize("foo = K()\nfoo.<COMP>g()\nreturn self.<COMP>foo.<COMP>g()", vocab)
-    model = train([([], [BOS_ID] + body + [EOS_ID])] * 5, order=8, alpha=0.1, vocab=vocab)
+    model = train([(0, [BOS_ID] + body + [EOS_ID])] * 5, order=8, alpha=0.1, vocab=vocab)
     repo, pos = Repository({"c.mp": TWO_CLASSES}), CaretPosition("c.mp", 11, 8)
     runs = [
         generate(model, repo, "d", pos, GenerationConfig(cache_enabled=cache))
@@ -149,7 +149,7 @@ def _cache_on_and_off(target, order, repo, pos, copies=1, extra=()):
     vocab = text_vocab([target, *extra])
     bodies = [target] * copies + list(extra)
     model = train(
-        [([], [BOS_ID] + tokenize(b, vocab) + [EOS_ID]) for b in bodies],
+        [(0, [BOS_ID] + tokenize(b, vocab) + [EOS_ID]) for b in bodies],
         order=order, alpha=0.1, vocab=vocab,
     )
     return [

@@ -1,3 +1,5 @@
+import dataclasses
+from collections import Counter
 from math import log
 
 import numpy as np
@@ -25,14 +27,20 @@ from mpgen.lm.vocab import (
     build_vocab,
 )
 from mpgen.minilang import tokens as tk
-from mpgen.minilang.parser import extract_functions
+from mpgen.minilang.parser import extract_functions, parse
 from mpgen.minilang.render import render_tokens
 from mpgen.minilang.tokens import LexToken
 from mpgen.repo import Repository
 from mpgen.trigger import load_dataset_records
 
-from conftest import text_vocab, version_1_payload
-from oracles import bump_train_tables, fnv1a_bucket, text_corpus_vocab, words_spell_a_keyword
+from conftest import bucketed, text_vocab, version_1_payload
+from oracles import (
+    bump_train_tables,
+    char_loop_split_identifier,
+    fnv1a_bucket,
+    text_corpus_vocab,
+    words_spell_a_keyword,
+)
 
 
 # --- vocabulary --------------------------------------------------------------
@@ -236,7 +244,7 @@ def _tiny_vocab(*texts):
 def test_single_pair_puts_maximal_mass_on_observed_token():
     v = _tiny_vocab("a b")
     a = v.tokens.index("a")
-    m = train([([], [BOS_ID, a, EOS_ID])], order=2, alpha=0.1, vocab=v)
+    m = train([(0, [BOS_ID, a, EOS_ID])], order=2, alpha=0.1, vocab=v)
     dist = m.predict([], [BOS_ID])
     assert int(np.argmax(dist)) == a
 
@@ -247,7 +255,7 @@ def test_trigger_ranks_first_after_observed_contexts():
     ids = [v.tokens.index(t) for t in ("self", ".", "<COMP>", "x")]
     pairs = []
     for _ in range(20):
-        pairs.append(([], [BOS_ID, ids[0], ids[1], ids[2], ids[3], EOS_ID]))
+        pairs.append((0, [BOS_ID, ids[0], ids[1], ids[2], ids[3], EOS_ID]))
     m = train(pairs, order=3, alpha=0.1, vocab=v)
     dist = m.predict([], [BOS_ID, ids[0], ids[1]])
     assert int(np.argmax(dist)) == COMP_ID
@@ -257,7 +265,7 @@ def test_counts_dominate_smoothing():
     # context seen 9 times with next=a, once with next=b -> p(a) ~ 0.9
     v = _tiny_vocab("a b c")
     a, b, c = (v.tokens.index(t) for t in "abc")
-    pairs = [([], [BOS_ID, c, a, EOS_ID])] * 9 + [([], [BOS_ID, c, b, EOS_ID])]
+    pairs = [(0, [BOS_ID, c, a, EOS_ID])] * 9 + [(0, [BOS_ID, c, b, EOS_ID])]
     m = train(pairs, order=2, alpha=1e-9, vocab=v)
     dist = m.predict([], [BOS_ID, c])
     assert abs(dist[a] - 0.9) < 1e-6
@@ -266,7 +274,7 @@ def test_counts_dominate_smoothing():
 
 def test_untrained_model_uniform():
     v = _tiny_vocab("a b c d")
-    m = train([([], [BOS_ID, v.tokens.index("a"), EOS_ID])], order=2, alpha=0.1, vocab=v)
+    m = train([(0, [BOS_ID, v.tokens.index("a"), EOS_ID])], order=2, alpha=0.1, vocab=v)
     m.tables.clear()
     m.pool.clear()
     dist = m.predict([], [BOS_ID])
@@ -276,7 +284,7 @@ def test_untrained_model_uniform():
 def test_distribution_normalization_and_trigger_support():
     v = _tiny_vocab("a b c d e f g")
     ids = [v.tokens.index(t) for t in "abcdefg"]
-    pairs = [([ids[0]], [BOS_ID] + ids + [EOS_ID])] * 3
+    pairs = [(description_bucket([ids[0]], v, 16), [BOS_ID] + ids + [EOS_ID])] * 3
     m = train(pairs, order=3, alpha=0.1, vocab=v)
     rng = np.random.RandomState(7)
     for _ in range(200):
@@ -292,7 +300,7 @@ def test_backoff_monotonicity():
     # removing a full-order context makes predict equal the next-shorter order
     v = _tiny_vocab("a b c d")
     a, b, c, d = (v.tokens.index(t) for t in "abcd")
-    pairs = [([], [BOS_ID, a, b, c, EOS_ID]), ([], [BOS_ID, b, c, d, EOS_ID])]
+    pairs = [(0, [BOS_ID, a, b, c, EOS_ID]), (0, [BOS_ID, b, c, d, EOS_ID])]
     m = train(pairs, order=3, alpha=0.1, vocab=v)
     shorter = train(pairs, order=2, alpha=0.1, vocab=v)
     prefix = [BOS_ID, a, b]
@@ -310,7 +318,7 @@ def test_training_beats_uniform_nll():
 
     v = _tiny_vocab("a b c d e")
     ids = [v.tokens.index(t) for t in "abcde"]
-    pairs = [([], [BOS_ID] + ids + [EOS_ID])] * 5
+    pairs = [(0, [BOS_ID] + ids + [EOS_ID])] * 5
     m = train(pairs, order=3, alpha=0.1, vocab=v)
     nll, n = m.corpus_nll(pairs)
     assert nll / n <= math.log(v.size)
@@ -319,7 +327,7 @@ def test_training_beats_uniform_nll():
 def test_order_two_not_worse_than_unigram_on_training_set():
     v = _tiny_vocab("a b a c a b")
     a, b, c = (v.tokens.index(t) for t in "abc")
-    pairs = [([], [BOS_ID, a, b, a, c, a, b, EOS_ID])] * 2
+    pairs = [(0, [BOS_ID, a, b, a, c, a, b, EOS_ID])] * 2
     m1 = train(pairs, order=1, alpha=0.1, vocab=v)
     m2 = train(pairs, order=2, alpha=0.1, vocab=v)
     assert m2.corpus_nll(pairs)[0] <= m1.corpus_nll(pairs)[0] + 1e-12
@@ -329,9 +337,16 @@ def test_train_rejects_missing_bos_eos():
     v = _tiny_vocab("a")
     a = v.tokens.index("a")
     with pytest.raises(ValueError):
-        train([([], [a, EOS_ID])], order=2, alpha=0.1, vocab=v)
+        train([(0, [a, EOS_ID])], order=2, alpha=0.1, vocab=v)
     with pytest.raises(ValueError):
-        train([([], [BOS_ID, a])], order=2, alpha=0.1, vocab=v)
+        train([(0, [BOS_ID, a])], order=2, alpha=0.1, vocab=v)
+
+
+@pytest.mark.parametrize("bucket", [-1, 2])
+def test_train_rejects_a_bucket_out_of_range(bucket):
+    v = _tiny_vocab("a")
+    with pytest.raises(ValueError, match="out of range for 2 buckets"):
+        train([(0, [BOS_ID, EOS_ID]), (bucket, [BOS_ID, EOS_ID])], order=2, alpha=0.1, vocab=v, buckets=2)
 
 
 def test_description_conditioning_separates_buckets():
@@ -341,7 +356,7 @@ def test_description_conditioning_separates_buckets():
     d2 = [v.tokens.index("right")]
     assert description_bucket(d1, v, 16) != description_bucket(d2, v, 16)
     pairs = [(d1, [BOS_ID, a, EOS_ID])] * 5 + [(d2, [BOS_ID, b, EOS_ID])] * 5
-    m = train(pairs, order=2, alpha=0.1, vocab=v)
+    m = train(bucketed(pairs, v), order=2, alpha=0.1, vocab=v)
     assert int(np.argmax(m.predict(d1, [BOS_ID]))) == a
     assert int(np.argmax(m.predict(d2, [BOS_ID]))) == b
 
@@ -363,7 +378,7 @@ def test_train_rejects_non_positive_alpha():
     v = _tiny_vocab("a")
     for alpha in (0.0, -0.5, float("nan")):
         with pytest.raises(ValueError):
-            train([([], [BOS_ID, EOS_ID])], order=2, alpha=alpha, vocab=v)
+            train([(0, [BOS_ID, EOS_ID])], order=2, alpha=alpha, vocab=v)
 
 
 def test_train_tables_equal_the_bump_by_bump_tables(trained_models):
@@ -392,7 +407,7 @@ def test_train_tables_of_drawn_pairs_equal_the_bump_by_bump_tables(tmp_path_fact
         min_size=1, max_size=6,
     ))
     order, buckets = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
-    model = train(pairs, order=order, alpha=0.1, vocab=vocab, buckets=buckets)
+    model = train(bucketed(pairs, vocab, buckets), order=order, alpha=0.1, vocab=vocab, buckets=buckets)
     expected = bump_train_tables(pairs, order, vocab, buckets)
     assert (model.tables, model.pool) == expected
     path = str(tmp_path_factory.getbasetemp() / "drawn_model.json")
@@ -404,9 +419,11 @@ def test_train_tables_of_drawn_pairs_equal_the_bump_by_bump_tables(tmp_path_fact
 
 
 def test_hoisted_bucket_nll_is_bit_identical(trained_models):
-    """sequence_nll/corpus_nll compute the bucket once per description; the
-    sum must equal, bit for bit, the per-step predict(description, prefix)
-    sum on every training pair of the bundled corpus."""
+    """sequence_nll and corpus_nll take the description's bucket, computed
+    once per record, and read each step's context from the last order - 1
+    ids; the sum must equal, bit for bit, the per-step
+    predict(description, whole prefix) sum on every training pair of the
+    bundled corpus."""
     from math import log
 
     from mpgen.pipeline import training_pairs
@@ -421,17 +438,104 @@ def test_hoisted_bucket_nll_is_bit_identical(trained_models):
             nll = 0.0
             for i in range(1, len(target)):
                 nll -= log(float(model.predict(desc, target[:i])[target[i]]))
-            assert model.sequence_nll(desc, target) == nll
+            assert model.sequence_nll(description_bucket(desc, model.vocab, model.buckets), target) == nll
             total += nll
             n_tokens += len(target) - 1
-        assert model.corpus_nll(pairs) == (total, n_tokens)
+        assert model.corpus_nll(bucketed(pairs, model.vocab, model.buckets)) == (total, n_tokens)
 
 
-def _nll_case(bodies, targets, forget=()):
-    """Order-2, one-bucket model over the words 4 and 5, trained on `bodies`,
-    with the contexts in `forget` removed."""
+# The stats of `run_train` on the bundled corpus, as float.hex, from before
+# the stage read each text once.
+_TRAIN_STATS_BITS = {
+    "tool": {
+        "train_nll_per_token": "0x1.124a148c57368p+1",
+        "uniform_nll_per_token": "0x1.9d6f1317b584ep+2",
+        "perplexity": "0x1.10c49c4b02551p+3",
+    },
+    "vanilla": {
+        "train_nll_per_token": "0x1.2a8d193ab6bf3p+1",
+        "uniform_nll_per_token": "0x1.9d6f1317b584ep+2",
+        "perplexity": "0x1.49b1d3d8019b8p+3",
+    },
+}
+
+
+def test_train_stats_keep_their_bits(trained_models, tmp_path):
+    config, _tool, _vanilla = trained_models
+    _t, _v, stats = pipeline.run_train(dataclasses.replace(config, model_dir=str(tmp_path)))
+    assert {v: {k: x.hex() for k, x in s.items()} for v, s in stats.items()} == _TRAIN_STATS_BITS
+
+
+def test_reused_description_splits_equal_lexing_anew(trained_models):
+    """corpus_vocab hands out each corpus description's split without
+    changing the vocabulary, and the records' ids from those splits equal
+    the ids of lexing every description anew, a description the corpus
+    does not hold among them."""
+    config, tool, _vanilla = trained_models
+    descriptions = {}
+    assert pipeline.corpus_vocab(config, descriptions=descriptions).tokens == tool.vocab.tokens
+    assert all(split == token_strings(text) for text, split in descriptions.items())
+    records = load_dataset_records(config.dataset)
+    records.append({"description": "Return the kale twice", "augmented_body": "return kale"})
+    assert records[-1]["description"] not in descriptions
+    assert pipeline.tokenize_records(records, tool.vocab, descriptions) == pipeline.tokenize_records(
+        records, tool.vocab
+    )
+
+
+def test_train_reads_each_text_once(trained_models, tmp_path, monkeypatch):
+    """One run_train lexes each corpus file, each distinct corpus
+    description and each record body once, computes each record's bucket
+    once for both variants, and splits each distinct identifier once."""
+    from mpgen.lm import ngram, tokenizer
+    from mpgen.minilang import lexer, parser
+
+    config, _tool, _vanilla = trained_models
+    records = load_dataset_records(config.dataset)
+    files = [
+        repo.text(path)
+        for _, repo in pipeline.collect_repos(config.train_roots + config.eval_roots)
+        for path in repo.paths()
+    ]
+    descriptions = {
+        f.description for text in files for f in extract_functions(parse(text)) if f.docstring is not None
+    }
+    bodies = [r["augmented_body"] for r in records]
+    assert (len(files), len(descriptions), len(bodies)) == (60, 405, 294)
+    lexed, buckets = [], []
+    real_lex, real_bucket = lexer.lex, ngram.description_bucket
+
+    def counting_lex(text):
+        lexed.append(text)
+        return real_lex(text)
+
+    def counting_bucket(*args):
+        buckets.append(args)
+        return real_bucket(*args)
+
+    for module in (lexer, parser, tokenizer):
+        monkeypatch.setattr(module, "lex", counting_lex)
+    for module in (ngram, pipeline):
+        monkeypatch.setattr(module, "description_bucket", counting_bucket)
+    tokenizer.split_identifier.cache_clear()
+    pipeline.run_train(dataclasses.replace(config, model_dir=str(tmp_path)))
+    split = tokenizer.split_identifier.cache_info()
+
+    assert len(buckets) == len(records) == 294
+    assert len(lexed) == 759
+    assert Counter(lexed) == Counter(files) + Counter(descriptions) + Counter(bodies)
+    identifiers = {
+        t.text for text in lexed for t in real_lex(text)[0] if t.kind == tk.IDENTIFIER
+    }
+    assert split.misses == len(identifiers) == split.currsize == 777
+
+
+def _nll_case(bodies, targets, forget=(), order=2):
+    """One-bucket model over the words 4 and 5, trained on `bodies`, with
+    the contexts in `forget` removed, and (description ids, target) pairs of
+    `targets`."""
     vocab = Vocab(tokens=RESERVED_TOKENS + ("w0", "w1"))
-    m = train([([], [BOS_ID] + b + [EOS_ID]) for b in bodies], order=2, alpha=0.1, vocab=vocab, buckets=1)
+    m = train([(0, [BOS_ID] + b + [EOS_ID]) for b in bodies], order=order, alpha=0.1, vocab=vocab, buckets=1)
     for ctx in forget:
         for table in (m.tables[0], m.pool):
             table.pop(ctx, None)
@@ -451,12 +555,13 @@ def nll_cases(draw):
     pair = st.tuples(st.lists(ids, max_size=2), st.lists(ids, max_size=6)).map(
         lambda p: (p[0], [BOS_ID] + p[1] + [EOS_ID])
     )
+    buckets = draw(st.sampled_from([1, 3]))
     m = train(
-        draw(st.lists(pair, min_size=1, max_size=5)),
+        bucketed(draw(st.lists(pair, min_size=1, max_size=5)), vocab, buckets),
         order=draw(st.integers(1, 3)),
         alpha=draw(st.sampled_from([0.1, 1.0, 1e-6, 2.5])),
         vocab=vocab,
-        buckets=draw(st.sampled_from([1, 3])),
+        buckets=buckets,
     )
     for table in [*m.tables.values(), m.pool]:
         for ctx in sorted(table):
@@ -476,17 +581,22 @@ def _dense_nll(model, desc, target):
 @given(nll_cases())
 # w1 never follows <BOS>, and after w1 no context is left at any length
 @example(_nll_case([[4]], [[5, 4]], forget=[()]))
+# order 1: every step's context window is empty
+@example(_nll_case([[4, 5], [5]], [[5, 4, 4]], order=1))
+# order 5: both targets are shorter than order - 1, so no step's window is full
+@example(_nll_case([[4, 5, 4, 5]], [[], [4]], order=5))
 def test_count_nll_equals_dense_predict_nll(case):
-    """sequence_nll reads the counts, not the dense vector; it must still
-    equal the per-step predict sum bit for bit, whichever branch each step
-    takes: observed next token, unseen next token, or no matching context."""
+    """sequence_nll reads the counts of the last order - 1 ids, not the
+    dense vector of the whole prefix; it must still equal the per-step
+    predict sum bit for bit, whichever branch each step takes: observed next
+    token, unseen next token, or no matching context."""
     model, pairs = case
     total = 0.0
     for desc, target in pairs:
         nll = _dense_nll(model, desc, target)
-        assert model.sequence_nll(desc, target) == nll
+        assert model.sequence_nll(description_bucket(desc, model.vocab, model.buckets), target) == nll
         total += nll
-    assert model.corpus_nll(pairs)[0] == total
+    assert model.corpus_nll(bucketed(pairs, model.vocab, model.buckets))[0] == total
 
 
 def test_nll_example_hits_both_branches():
@@ -495,13 +605,21 @@ def test_nll_example_hits_both_branches():
     assert model.next_counts(0, target[:2]) == {}
 
 
+def test_nll_examples_reach_order_1_and_short_targets():
+    unigram, _pairs = _nll_case([[4, 5], [5]], [[5, 4, 4]], order=1)
+    assert unigram.tables[0].keys() == {()}
+    long, pairs = _nll_case([[4, 5, 4, 5]], [[], [4]], order=5)
+    assert [len(target) for _desc, target in pairs] == [2, 3]
+    assert all(len(target) < long.order - 1 for _desc, target in pairs)
+
+
 # --- persistence -------------------------------------------------------------
 
 def _demo_model():
     v = _tiny_vocab("a b c d e f")
     ids = [v.tokens.index(t) for t in "abcdef"]
     pairs = [([ids[0], ids[1]], [BOS_ID] + ids + [EOS_ID])] * 4
-    return train(pairs, order=3, alpha=0.1, vocab=v), ids
+    return train(bucketed(pairs, v), order=3, alpha=0.1, vocab=v), ids
 
 
 def test_save_load_round_trip_bitwise_equal_predictions(tmp_path):
@@ -595,3 +713,16 @@ def test_identifier_subword_concatenation_recovers_text(chars):
     from mpgen.lm.tokenizer import split_identifier
 
     assert "".join(split_identifier(name)) == name
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.from_regex(r"[A-Za-z_][A-Za-z0-9_]*", fullmatch=True))
+def test_memoized_split_equals_the_character_loop(name):
+    """The memoized split of an identifier is the per-character loop's, and
+    a tuple, so a caller cannot alter what the memo hands the next one."""
+    from mpgen.lm.tokenizer import split_identifier
+
+    split = split_identifier(name)
+    assert type(split) is tuple
+    assert list(split) == char_loop_split_identifier(name)
+    assert split_identifier(name) is split
