@@ -110,7 +110,6 @@ class _Checkpoint(NamedTuple):
     lines: int                # the line number of the last closed line
     lexer: LineLexer          # the lexer after them
     body: BodyCheckpoint      # the body's parse at its last settled statement
-    attributes: frozenset     # what the settled statements assign to the class
 
 
 def head_is_indented(module: Module, lines: list[str], func: FunctionDef) -> bool:
@@ -182,8 +181,7 @@ class TaskContext:
       block, and `_recover` skips only to the next line, or past the block
       that line opens. The body's parse ends at the dedent closing it; what
       follows is that dedent and the class's, which the whole parse reads
-      without a diagnostic. A method assigns to its class what its settled
-      statements assign plus what the statements after them do.
+      without a diagnostic.
     """
 
     index: ScopeIndex
@@ -239,7 +237,7 @@ class TaskContext:
         )
         first = len(parser_tokens(lexer.tokens, lexer.diagnostics))
         body = BodyCheckpoint(header, first, first, (), ())
-        start = _Checkpoint("", pos.line - 1, lexer, body, frozenset())
+        start = _Checkpoint("", pos.line - 1, lexer, body)
         members = own_class_members(owner, func) if owner is not None else frozenset()
         return cls(index, pos, owner, members, start)
 
@@ -258,16 +256,13 @@ class TaskContext:
         lexer.line(lines + 1, text[cut:])
         toks, lex_diags = lexer.finish()
         func, parse_diags, body = resume_body(start.body, (toks, lex_diags), lines)
-
-        settled, written = start.attributes, frozenset()
-        if self.own_class is not None:  # walk only the statements after start's
-            k, m = len(start.body.body), len(body.body)
-            settled = settled | assigned_attributes(func, func.body[k:m])
-            written = settled | assigned_attributes(func, func.body[m:])
         if cut > len(start.closed):
-            self._checkpoint = _Checkpoint(text[:cut], lines, closed_lexer, body, settled)
+            self._checkpoint = _Checkpoint(text[:cut], lines, closed_lexer, body)
+        attributes = frozenset()
+        if self.own_class is not None:
+            attributes = frozenset(assigned_attributes(func, func.body))
         end = CaretPosition(self.pos.file, lines + 1, len(text) - cut)
-        return TaskAnalysis(self, toks, lex_diags + parse_diags, func, written, end)
+        return TaskAnalysis(self, toks, lex_diags + parse_diags, func, attributes, end)
 
     @staticmethod
     def _lex_lines(lexer: LineLexer, lineno: int, lines: str) -> tuple[int, LineLexer]:

@@ -6,8 +6,8 @@ one whose body the task blanked. Scoring therefore reads one
 a new one from each loaded task once both models have generated, and
 pairs scored without their rows get one `TaskContext.at` builds), and asks
 it, through `TaskContext.analyse`, about that function with a ground truth
-or a prediction written in. Scoring a task (`ground_truth`) writes each of
-its pairs' report rows.
+or a prediction written in. Scoring the tasks (`ground_truth`) writes each
+pair's report row.
 
 Dependency Coverage follows the micro-averaged formula: the dependency set
 of a ground truth is found by running the trigger-insertion rule on it in
@@ -26,16 +26,16 @@ the rest of the file on the function's lines; and the analysis adds the
 class attributes the function assigns, the one thing the splice changes in
 the scope index.
 
-Scoring keeps a memo for its run (`ScoringMemo`), bound to one vocabulary.
-Each distinct text, whether ground truth or prediction, is lexed once on
-its own for the whole run, and that lex gives its token ids, its canonical
-text and its n-gram counts: all pure functions of the text and the
-vocabulary. Within a task, each distinct text is analysed once in the task
-context, and that analysis gives both its lint records and its access
-expressions; the ground truth's gives the dependency set too, and the row
-of any prediction equal to it. Analysing is a pure function of the context
-and the text (resuming from a checkpoint is exact, see `TaskContext`), so
-the memo changes no number. Corpus BLEU is a ratio of summed clipped n-gram
+A run is scored in one `ground_truth` call over its tasks. Each distinct
+text, whether ground truth or prediction, is lexed once on its own for the
+whole call, and that lex gives its token ids, its canonical text and its
+n-gram counts: all pure functions of the text and the vocabulary. Within a
+task, each distinct text is analysed once in the task context, and that
+analysis gives both its lint records and its access expressions; the ground
+truth's gives the dependency set too, and the row of any prediction equal
+to it. Analysing is a pure function of the context and the text (resuming
+from a checkpoint is exact, see `TaskContext`), so reading each text once
+changes no number. Corpus BLEU is a ratio of summed clipped n-gram
 counts, so each pair's counts are taken once, while its task is scored, and
 the pair's row and the corpus score are both read off them.
 """
@@ -46,7 +46,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import exp, log
 from statistics import mean
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from ._kernels import levenshtein
 from .analysis.complete import TaskAnalysis, TaskContext
@@ -217,73 +217,65 @@ class _Text(NamedTuple):
     ngrams: list[Counter]   # reference_ngrams(ids)
 
 
-class ScoringMemo:
-    """What scoring reads of each distinct text on its own, read on first use
-    only: its token ids under vocab, its canonical text and its n-gram
-    counts. One entry serves a text both as a ground truth and as a
-    prediction. An entry is the memo's own: do not mutate it.
+def ground_truth(
+    tasks: Iterable[tuple[TaskContext, Sequence[EvalPair]]], vocab: Vocab
+) -> list[list[tuple[dict, BleuCounts]]]:
+    """Each task's report rows and BLEU counts, in task and pair order, for
+    a run's tasks: each item is the context at a task's caret and the task's
+    pairs (one per model, say). Items are read one at a time, so a generator
+    can make each task's context when its turn comes; the previous task's
+    is dropped once the next item is read.
+
+    Each distinct text, ground truth or prediction, is lexed once on its own
+    for the whole call, for its token ids under vocab, its canonical text and
+    its n-gram counts. Within a task each distinct text is analysed once, in
+    its context: the ground truth's analysis gives the dependency set, and
+    the row of any prediction equal to it, and pairs with equal predictions
+    share one analysis. The analyses are not kept once their task is scored.
+
+    ValueError when an item's pairs are of more than one task or its context
+    is at another caret.
     """
+    texts: dict[str, _Text] = {}
 
-    def __init__(self, vocab: Vocab):
-        self.vocab = vocab
-        self._texts: dict[str, _Text] = {}
-
-    def text(self, text: str) -> _Text:
-        entry = self._texts.get(text)
+    def read(text: str) -> _Text:
+        entry = texts.get(text)
         if entry is None:
             lexed = lex(text)
-            ids = tokenize(text, self.vocab, lexed=lexed)
-            entry = self._texts[text] = _Text(ids, render_tokens(lexed[0]), reference_ngrams(ids))
+            ids = tokenize(text, vocab, lexed=lexed)
+            entry = texts[text] = _Text(ids, render_tokens(lexed[0]), reference_ngrams(ids))
         return entry
 
-
-def ground_truth(
-    pairs: Sequence[EvalPair], vocab: Vocab, task: TaskContext, memo: Optional[ScoringMemo] = None
-) -> list[tuple[dict, BleuCounts]]:
-    """Each pair's report row and BLEU counts, in pair order, for one task's
-    pairs (one per model, say), all read from task, the context at their
-    caret. memo, if given, is the caller's scoring memo of vocab; without it
-    the call keeps its own.
-
-    Each distinct text is analysed once, in task: the ground truth's
-    analysis gives the dependency set, and the row of any prediction equal
-    to it, and pairs with equal predictions share one analysis. Those
-    analyses live only as long as this call.
-
-    ValueError when the pairs are of more than one task, task is at another
-    caret or memo is another vocabulary's.
-    """
-    gt, repo, pos = pairs[0].gt, pairs[0].repo, pairs[0].pos
-    if any((p.gt, p.pos) != (gt, pos) or p.repo is not repo for p in pairs):
-        raise ValueError(f"pairs of more than one task at {pos.file}:{pos.line}")
-    if task.pos != pos:
-        raise ValueError(f"a task context at {task.pos} cannot score the task at {pos}")
-    if memo is None:
-        memo = ScoringMemo(vocab)
-    elif memo.vocab is not vocab:
-        raise ValueError("a scoring memo of another vocabulary cannot serve this vocabulary")
-    ref = memo.text(gt)
-    gt_analysis = task.analyse(gt)
-    deps = identify_dependencies(gt_analysis)
-    scored: dict[str, tuple[dict, BleuCounts]] = {}  # by prediction
     judged = []
-    for pair in pairs:
-        if pair.pred not in scored:
-            analysis = gt_analysis if pair.pred == gt else task.analyse(pair.pred)
-            cand = memo.text(pair.pred)
-            bleu = _clipped(cand.ngrams, len(ref.ids), ref.ngrams)
-            scored[pair.pred] = ({
-                "file": pos.file,
-                "line": pos.line,
-                "dep_total": len(deps),
-                "dep_covered": len(extract_expressions(analysis.function.body) & deps),
-                "valid": pair_is_valid(analysis),
-                "exact_match": cand.canonical == ref.canonical,
-                "edit_sim": edit_similarity(pair.pred, gt),
-                "bleu4": bleu_from_counts([bleu]),
-            }, bleu)
-        row, bleu = scored[pair.pred]
-        judged.append(({"label": pair.label, **row}, bleu))
+    for task, pairs in tasks:
+        gt, repo, pos = pairs[0].gt, pairs[0].repo, pairs[0].pos
+        if any((p.gt, p.pos) != (gt, pos) or p.repo is not repo for p in pairs):
+            raise ValueError(f"pairs of more than one task at {pos.file}:{pos.line}")
+        if task.pos != pos:
+            raise ValueError(f"a task context at {task.pos} cannot score the task at {pos}")
+        ref = read(gt)
+        gt_analysis = task.analyse(gt)
+        deps = identify_dependencies(gt_analysis)
+        scored: dict[str, tuple[dict, BleuCounts]] = {}  # by prediction
+        rows = []
+        for pair in pairs:
+            if pair.pred not in scored:
+                analysis = gt_analysis if pair.pred == gt else task.analyse(pair.pred)
+                cand = read(pair.pred)
+                bleu = _clipped(cand.ngrams, len(ref.ids), ref.ngrams)
+                scored[pair.pred] = ({
+                    "file": pos.file,
+                    "line": pos.line,
+                    "dep_total": len(deps),
+                    "dep_covered": len(extract_expressions(analysis.function.body) & deps),
+                    "valid": pair_is_valid(analysis),
+                    "exact_match": cand.canonical == ref.canonical,
+                    "edit_sim": edit_similarity(pair.pred, gt),
+                    "bleu4": bleu_from_counts([bleu]),
+                }, bleu)
+            row, bleu = scored[pair.pred]
+            rows.append(({"label": pair.label, **row}, bleu))
+        judged.append(rows)
     return judged
 
 
@@ -297,16 +289,15 @@ def evaluate_pairs(
     `judged[i]` is the report row of pairs[i] and its BLEU counts, as
     `ground_truth` gives them for pairs[i] and the pairs of other models on
     the same task; pass them in to score several models on the same tasks
-    without recomputing the task side. Without them each pair is judged in
-    a context `TaskContext.at` builds at its caret, with one scoring memo
-    for all the pairs.
+    without recomputing the task side. Without them one `ground_truth` call
+    judges each pair on its own, in a context `TaskContext.at` builds at its
+    caret.
     """
     if judged is None:
-        memo = ScoringMemo(vocab)
         judged = [
             row
-            for pair in pairs
-            for row in ground_truth([pair], vocab, TaskContext.at(pair.repo, pair.pos), memo)
+            for rows in ground_truth(((TaskContext.at(p.repo, p.pos), [p]) for p in pairs), vocab)
+            for row in rows
         ]
     elif len(judged) != len(pairs):
         raise ValueError(f"{len(judged)} judged rows for {len(pairs)} pairs")

@@ -20,7 +20,7 @@ from .decode import DecisionMemo, GenerationConfig, GenerationTrace, generate
 from .lm.ngram import NGramModel, description_bucket, train
 from .lm.tokenizer import token_strings, tokenize
 from .lm.vocab import BOS_ID, COMP_ID, EOS_ID, Vocab, build_vocab
-from .metrics import EvalPair, ScoringMemo, evaluate_pairs, ground_truth
+from .metrics import EvalPair, evaluate_pairs, ground_truth
 from .minilang.parser import FunctionDef, extract_functions
 from .minilang.render import render_tokens
 from .repo import CaretPosition, Repository, load_repositories
@@ -405,13 +405,12 @@ def run_evaluate(config: RunConfig) -> dict:
     runs = {"tool": run(tool_model, True)}
     del tool_model
     runs["vanilla"] = run(load_model(config.vanilla_model_path), False)
-    # each task's rows, one per model, scored from one new context; each
-    # distinct text is lexed once for the whole run
-    memo = ScoringMemo(vocab)
-    rows = [
-        ground_truth([pairs[i] for pairs, _traces in runs.values()], vocab, task.context(), memo)
+    # each task's rows, one per model, scored from a new context made when
+    # the task's turn comes
+    rows = ground_truth((
+        (task.context(), [pairs[i] for pairs, _traces in runs.values()])
         for i, task in enumerate(tasks)
-    ]
+    ), vocab)
     report: dict = {"n_tasks": len(tasks), "models": {}}
     for judged, (variant, (pairs, traces)) in zip(zip(*rows), runs.items(), strict=True):
         entry = evaluate_pairs(pairs, vocab, judged).to_dict()

@@ -359,8 +359,9 @@ def whole_text_analysis(snapshot, context, body) -> TaskAnalysis:
 
 def generate_then_score_report(config) -> dict:
     """`run_evaluate`'s report, from both models generating for every task
-    (`run_model_over_tasks`) and then every task scored from a context
-    `TaskContext.at` builds on the blanked file; nothing is written."""
+    (`run_model_over_tasks`) and then every task scored in a `ground_truth`
+    call of its own, from a context `TaskContext.at` builds on the blanked
+    file; nothing is written."""
     tool_model = load_model(config.tool_model_path)
     vanilla_model = load_model(config.vanilla_model_path)
     tasks = load_tasks(config.tasks, config) if config.tasks is not None else derive_tasks(config)
@@ -377,7 +378,7 @@ def generate_then_score_report(config) -> dict:
     judged = {variant: [] for variant in runs}
     for task_pairs in zip(*(pairs for pairs, _traces in runs.values()), strict=True):
         first = task_pairs[0]
-        rows = ground_truth(task_pairs, vocab, TaskContext.at(first.repo, first.pos))
+        (rows,) = ground_truth([(TaskContext.at(first.repo, first.pos), task_pairs)], vocab)
         for variant, row in zip(runs, rows, strict=True):
             judged[variant].append(row)
     report = {"n_tasks": len(tasks), "models": {}}

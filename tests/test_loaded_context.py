@@ -91,7 +91,8 @@ def test_every_benchmark_verdict_is_the_blanked_files(trained_models, tasks):
     verdicts = 0
     for task, pairs in zip(tasks, zip(*runs), strict=True):
         loaded, reference = task.context(), TaskContext.at(task.snapshot, task.pos)
-        assert ground_truth(pairs, tool.vocab, loaded) == ground_truth(pairs, tool.vocab, reference)
+        rows = ground_truth([(loaded, pairs)], tool.vocab)
+        assert rows == ground_truth([(reference, pairs)], tool.vocab)
         for text in [task.gt] + [pair.pred for pair in pairs]:
             got = sorted(loaded.analyse(text).lint(), key=_key)
             assert got == sorted(reference.analyse(text).lint(), key=_key), (task.label, text)
@@ -128,7 +129,7 @@ def _start(context):
     the head, and the function's header."""
     start = context.start
     lexer = tuple(getattr(start.lexer, slot) for slot in LineLexer.__slots__)
-    return start.closed, start.lines, lexer, start.body, start.attributes
+    return start.closed, start.lines, lexer, start.body
 
 
 def _assert_same_index(loaded, reference, repo):

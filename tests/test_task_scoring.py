@@ -21,7 +21,6 @@ from mpgen.lm.tokenizer import tokenize
 from mpgen.lm.vocab import RESERVED_TOKENS, Vocab
 from mpgen.metrics import (
     EvalPair,
-    ScoringMemo,
     bleu_counts,
     corpus_bleu,
     evaluate_pairs,
@@ -76,7 +75,7 @@ def test_task_scoring_equals_the_whole_file_on_the_benchmark(task_pairs, trained
     for pairs in task_pairs:
         gt, repo, pos = pairs[0].gt, pairs[0].repo, pairs[0].pos
         task = TaskContext.at(repo, pos)
-        rows = ground_truth(pairs, vocab, task)
+        (rows,) = ground_truth([(task, pairs)], vocab)
         deps = whole_file_dependencies(gt, repo, pos)
         assert identify_dependencies(task.analyse(gt)) == deps
         dep_counts.append(len(deps))
@@ -198,83 +197,80 @@ def test_scoring_refuses_a_context_at_another_caret(task_pairs, trained_models):
     vocab = trained_models[1].vocab
     (a, _), (b, _) = task_pairs[:2]
     with pytest.raises(ValueError, match="cannot score the task"):
-        ground_truth([a], vocab, TaskContext.at(b.repo, b.pos))
+        ground_truth([(TaskContext.at(b.repo, b.pos), [a])], vocab)
 
 
 def test_ground_truth_takes_the_pairs_of_one_task(task_pairs, trained_models):
     _config, tool, _vanilla = trained_models
     (a, _), (b, _) = task_pairs[:2]
     with pytest.raises(ValueError, match="more than one task"):
-        ground_truth([a, b], tool.vocab, TaskContext.at(a.repo, a.pos))
-
-
-def test_ground_truth_refuses_a_memo_of_another_vocabulary(task_pairs, trained_models):
-    vocab = trained_models[1].vocab
-    pairs = task_pairs[0]
-    task = TaskContext.at(pairs[0].repo, pairs[0].pos)
-    with pytest.raises(ValueError, match="another vocabulary"):
-        ground_truth(pairs, vocab, task, ScoringMemo(Vocab(RESERVED_TOKENS)))
+        ground_truth([(TaskContext.at(a.repo, a.pos), [a, b])], tool.vocab)
 
 
 def test_scoring_memo_is_exact_on_the_benchmark(task_pairs, trained_models):
-    """Every benchmark task's rows and BLEU counts are the same with one
-    scoring memo for the run, a new memo per task and none, and scoring
-    each pair alone in a new context, where no text's analysis is shared."""
+    """Every benchmark task's rows and BLEU counts are the same from one
+    `ground_truth` call over all 126 tasks, where each distinct text is
+    lexed once for the run, from one call per task, and from one call per
+    pair in a new context, where no text's analysis is shared."""
     vocab = trained_models[1].vocab
-    shared = ScoringMemo(vocab)
-    for pairs in task_pairs:
+    judged = ground_truth(
+        ((TaskContext.at(pairs[0].repo, pairs[0].pos), pairs) for pairs in task_pairs), vocab
+    )
+    assert len(judged) == 126
+    for pairs, rows in zip(task_pairs, judged, strict=True):
         task = TaskContext.at(pairs[0].repo, pairs[0].pos)
-        judged = ground_truth(pairs, vocab, task, shared)
-        assert ground_truth(pairs, vocab, task, ScoringMemo(vocab)) == judged
-        assert ground_truth(pairs, vocab, task) == judged
+        assert ground_truth([(task, pairs)], vocab) == [rows]
         assert [
             row for pair in pairs
-            for row in ground_truth([pair], vocab, TaskContext.at(pair.repo, pair.pos))
-        ] == judged
+            for (row,) in ground_truth([(TaskContext.at(pair.repo, pair.pos), [pair])], vocab)
+        ] == rows
 
 
-@pytest.fixture(scope="module")
-def shared_memo(trained_models):
-    """One scoring memo for every drawn example of a module's tests."""
-    return ScoringMemo(trained_models[1].vocab)
-
-
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data())
-def test_a_shared_scoring_memo_equals_a_fresh_one(sampled_tasks, shared_memo, data):
-    """A memo that has served earlier examples scores drawn predictions,
-    repeats, the ground truth, padded texts and empty texts among them, as
-    a new memo does, and as scoring each pair on its own does; each row
-    keeps its own pair's label."""
-    pairs, task = data.draw(st.sampled_from(sampled_tasks))
-    texts = [pairs[0].gt] + [p.pred for p in pairs]
+@st.composite
+def _drawn_pairs(draw, task_pairs):
+    """Drawn predictions for one task's ground truth: repeats, the ground
+    truth, padded texts, empty texts and mutants among them."""
+    texts = [task_pairs[0].gt] + [p.pred for p in task_pairs]
     # a text padded with spaces or newlines renders as the text does, but a
     # leading space indents it past the body
     padded = st.tuples(
         st.sampled_from(["", " ", "\n"]), st.sampled_from(texts), st.sampled_from(["", " ", "\n"])
     ).map("".join)
-    preds = data.draw(st.lists(
+    preds = draw(st.lists(
         st.sampled_from(texts) | st.just("") | padded | _mutants(texts, st.integers(1, 3)),
         min_size=1, max_size=4,
     ))
-    preds += data.draw(st.lists(st.sampled_from(preds), max_size=2))
-    drawn = [
-        EvalPair(pairs[0].gt, pred, pairs[0].repo, pairs[0].pos, label=f"drawn {i}")
+    preds += draw(st.lists(st.sampled_from(preds), max_size=2))
+    first = task_pairs[0]
+    return [
+        EvalPair(first.gt, pred, first.repo, first.pos, label=f"drawn {i}")
         for i, pred in enumerate(preds)
     ]
-    vocab = shared_memo.vocab
-    judged = ground_truth(drawn, vocab, task, shared_memo)
-    assert ground_truth(drawn, vocab, task, ScoringMemo(vocab)) == judged
-    assert [ground_truth([pair], vocab, task)[0] for pair in drawn] == judged
-    assert [row["label"] for row, _bleu in judged] == [pair.label for pair in drawn]
-    # and as each text's own analysis and counts give it
-    deps = identify_dependencies(task.analyse(pairs[0].gt))
-    ref = tokenize(pairs[0].gt, vocab)
-    for pair, (row, bleu) in zip(drawn, judged):
-        analysis = task.analyse(pair.pred)
-        assert row["valid"] == pair_is_valid(analysis)
-        assert row["dep_covered"] == len(extract_expressions(analysis.function.body) & deps)
-        assert bleu == bleu_counts(tokenize(pair.pred, vocab), ref, reference_ngrams(ref))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_a_shared_scoring_memo_equals_a_fresh_one(sampled_tasks, trained_models, data):
+    """One `ground_truth` call over two or three drawn tasks, whose texts
+    share the call's memo, scores each task's drawn pairs as a call of its
+    own does, and as scoring each pair on its own does; each row keeps its
+    own pair's label."""
+    vocab = trained_models[1].vocab
+    chosen = data.draw(st.lists(st.sampled_from(sampled_tasks), min_size=2, max_size=3))
+    items = [(task, data.draw(_drawn_pairs(pairs))) for pairs, task in chosen]
+    judged = ground_truth(items, vocab)
+    assert judged == [ground_truth([item], vocab)[0] for item in items]
+    for (task, drawn), rows in zip(items, judged, strict=True):
+        assert [ground_truth([(task, [pair])], vocab)[0][0] for pair in drawn] == rows
+        assert [row["label"] for row, _bleu in rows] == [pair.label for pair in drawn]
+        # and as each text's own analysis and counts give it
+        deps = identify_dependencies(task.analyse(drawn[0].gt))
+        ref = tokenize(drawn[0].gt, vocab)
+        for pair, (row, bleu) in zip(drawn, rows, strict=True):
+            analysis = task.analyse(pair.pred)
+            assert row["valid"] == pair_is_valid(analysis)
+            assert row["dep_covered"] == len(extract_expressions(analysis.function.body) & deps)
+            assert bleu == bleu_counts(tokenize(pair.pred, vocab), ref, reference_ngrams(ref))
 
 
 def _count_calls(monkeypatch, *functions):
@@ -416,13 +412,14 @@ def test_evaluate_parses_a_fixed_number_of_statements(trained_models, tmp_path, 
 
 
 def test_evaluate_reads_each_scored_text_once(trained_models, tmp_path, monkeypatch):
-    """One `run_evaluate` lexes each distinct scored text once for the whole
-    run (143 of the 378 ground truths and predictions), and each task
-    analyses each of its distinct texts once (264 of 378); the tool model's
-    generation analyses are not scoring's."""
+    """One `run_evaluate` scores in one `ground_truth` call, which lexes each
+    distinct scored text once for the whole run (143 of the 378 ground
+    truths and predictions), and each task analyses each of its distinct
+    texts once (264 of 378); the tool model's generation analyses are not
+    scoring's."""
     config = dataclasses.replace(trained_models[0], report=str(tmp_path / "report.json"))
     real_lex, real_analyse, real_ground_truth = metrics.lex, TaskContext.analyse, ground_truth
-    lexed, analysed, scored = [], [], []
+    lexed, analysed, scored, calls = [], [], [], []
     scoring = [False]
 
     def counted_lex(text):
@@ -434,11 +431,16 @@ def test_evaluate_reads_each_scored_text_once(trained_models, tmp_path, monkeypa
             analysed.append((id(context), body))
         return real_analyse(context, body)
 
-    def counted_ground_truth(pairs, vocab, task, memo):
-        scored.append((task, pairs))  # keeps task alive, so no later context reuses its id
+    def counted_ground_truth(tasks, vocab):
+        def recorded():
+            for task, pairs in tasks:
+                scored.append((task, pairs))  # keeps task alive, so no later context reuses its id
+                yield task, pairs
+
+        calls.append(tasks)
         scoring[0] = True
         try:
-            return real_ground_truth(pairs, vocab, task, memo)
+            return real_ground_truth(recorded(), vocab)
         finally:
             scoring[0] = False
 
@@ -449,6 +451,7 @@ def test_evaluate_reads_each_scored_text_once(trained_models, tmp_path, monkeypa
     task_texts = [
         (id(task), text) for task, pairs in scored for pair in pairs for text in (pair.gt, pair.pred)
     ]
+    assert len(calls) == 1
     assert len(scored) == 126 and all(len(pairs) == 2 for _task, pairs in scored)
     assert Counter(lexed) == Counter({text for _task, text in task_texts}) and len(lexed) == 143
     assert Counter(analysed) == Counter(set(task_texts)) and len(analysed) == 264

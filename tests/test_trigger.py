@@ -1,4 +1,5 @@
 import json
+import statistics
 import sys
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 from mpgen.analysis import complete
 from mpgen.analysis.builtins import is_builtin
 from mpgen.analysis.complete import tool_complete
+from mpgen.lm.tokenizer import token_strings
 from mpgen.minilang import tokens as tk
 from mpgen.minilang.parser import extract_functions
 from mpgen.minilang.render import render_tokens
@@ -170,6 +172,20 @@ def test_dataset_round_trip_and_stats(tmp_path, corpus_repos):
     assert json.load(open(meta_path)) == meta
     assert meta["stats"]["pair_count"] == len(records)
     assert meta["stats"]["mean_comp_count"] > 0
+
+
+def test_body_token_stats_count_the_text_train_reads():
+    """`mean_body_tokens` is the mean token count of the records'
+    `augmented_body` texts, which `train` reads, not of the tokens
+    augmentation held. The parser drops the `$` of `q$r`, so the text reads
+    `qr`, one identifier where augmentation held two: 7 tokens, not 8."""
+    repo = Repository({"f.mp": 'def f():\n    "Join q and r"\n    x = q$r\n    return -x\n'})
+    records, meta = augment_corpus([("r", repo)])
+    assert [r["augmented_body"] for r in records] == ["x = qr\nreturn - x"]
+    counts = [len(token_strings(r["augmented_body"])) for r in records]
+    assert meta["stats"]["mean_body_tokens"] == statistics.mean(counts) == 7
+    (func,) = extract_functions(repo.module("f.mp"))
+    assert len(token_strings("", lexed=(insert_triggers(repo, "f.mp", func), []))) == 8
 
 
 def test_augment_rerun_byte_identical(tmp_path, corpus_repos):
