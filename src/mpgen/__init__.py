@@ -6,11 +6,51 @@ trigger token makes the model ask the autocompletion tool for valid
 identifiers, and a prefix-trie constrained greedy search picks one.
 """
 
+import json
+
 __version__ = "0.1.0"
 
 
 class DataError(Exception):
     """Missing or malformed input artifacts (exit code 2 at the CLI)."""
+
+
+def read_json(path: str, what: str):
+    """The JSON value of the UTF-8 file at path. DataError, naming what and
+    path, for a file that cannot be opened, decoded or parsed."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    # ValueError: bad UTF-8 or bad JSON; RecursionError: nested too deeply
+    except (OSError, ValueError, RecursionError) as exc:
+        raise DataError(f"cannot read {what} {path!r}: {exc}") from exc
+
+
+def read_json_lines(path: str, what: str, record: str, fields) -> list[tuple[dict, str]]:
+    """(record, line) for each non-blank line of the UTF-8 JSON-lines file at
+    path: a JSON object whose (name, type) fields hold exactly that type, so a
+    bool is not an int. DataError otherwise, quoting a malformed record."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot read {what} {path!r}: {exc}") from exc
+    records = []
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise DataError(f"malformed {record} {line!r}: {exc}") from exc
+        if type(rec) is not dict:
+            raise DataError(f"malformed {record} {line!r}: not a JSON object")
+        for name, kind in fields:
+            if type(rec.get(name)) is not kind:
+                raise DataError(f"malformed {record} {line!r}: {name!r} must be a {kind.__name__}")
+        records.append((rec, line))
+    return records
 
 
 from .repo import CaretPosition, Repository

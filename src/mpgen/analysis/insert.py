@@ -22,7 +22,7 @@ def insert(
     """Splice level-0 body text at pos, re-indented to pos.column.
 
     Returns the snapshot plus the caret immediately after the last inserted
-    character. Raises CaretError when pos does not lie in the repository.
+    character. Raises DataError when pos does not lie in the repository.
     """
     repo.validate_caret(pos)
     lines = repo.text(pos.file).split("\n")

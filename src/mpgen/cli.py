@@ -12,13 +12,13 @@ import os
 import sys
 from typing import Optional
 
-from . import pipeline
+from . import DataError, pipeline
 from .analysis.complete import tool_complete
 from .analysis.lint import lint_check, serialize_lint_errors
 from .decode import GenerationConfig, InternalInvariantError, generate
-from .lm.ngram import ModelCorruptError, ModelVersionError, load_model
-from .pipeline import DataError, load_config
-from .repo import CaretError, CaretPosition, Repository
+from .lm.ngram import load_model
+from .pipeline import load_config
+from .repo import CaretPosition, Repository
 
 
 class UsageError(Exception):
@@ -174,9 +174,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (
-        DataError, CaretError, OSError, ModelCorruptError, ModelVersionError, UnicodeDecodeError
-    ) as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalInvariantError as exc:

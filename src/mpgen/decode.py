@@ -344,7 +344,7 @@ def generate(
     through; without it the tool analyses the whole file with the partial
     function spliced in (`insert`). memo, if given, is the caller's
     decision memo of model; without it the call keeps its own.
-    Raises CaretError when pos does not lie in the repository, and
+    Raises DataError when pos does not lie in the repository, and
     ValueError when task is at another caret or memo is another model's.
     """
     repo.validate_caret(pos)

@@ -51,19 +51,12 @@ from functools import cache
 from math import inf, log
 from typing import Iterable, Sequence
 
+from .. import DataError, read_json
 from .._kernels import smoothed_distribution
 from .vocab import BOS_ID, EOS_ID, RESERVED_TOKENS, Vocab
 
 FORMAT_NAME = "mpgen-ngram"
 FORMAT_VERSION = 2
-
-
-class ModelCorruptError(ValueError):
-    """Model file is unreadable or structurally invalid."""
-
-
-class ModelVersionError(ValueError):
-    """Model file was written by an incompatible format version."""
 
 
 @cache
@@ -244,15 +237,11 @@ def save_model(model: NGramModel, path: str) -> None:
 
 
 def load_model(path: str) -> NGramModel:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
-        raise ModelCorruptError(f"cannot read model file {path!r}: {exc}") from exc
+    payload = read_json(path, "model file")
     if not isinstance(payload, dict) or payload.get("format") != FORMAT_NAME:
-        raise ModelCorruptError(f"{path!r} is not an mpgen model file")
+        raise DataError(f"{path!r} is not an mpgen model file")
     if payload.get("version") != FORMAT_VERSION:
-        raise ModelVersionError(
+        raise DataError(
             f"model format version {payload.get('version')!r} unsupported "
             f"(expected {FORMAT_VERSION})"
         )
@@ -275,4 +264,4 @@ def load_model(path: str) -> NGramModel:
             tables=tables, pool=_pool(tables),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ModelCorruptError(f"malformed model file {path!r}: {exc}") from exc
+        raise DataError(f"malformed model file {path!r}: {exc}") from exc

@@ -25,15 +25,22 @@ class Diagnostic:
     column: int
 
 
+def _any_of(texts) -> str:
+    """A regex for any one of texts: the longer ones first, which the regex
+    then prefers, and the single characters in one class."""
+    longer = [re.escape(t) for t in sorted(texts, key=len, reverse=True) if len(t) > 1]
+    return "|".join(longer + ["[" + "".join(re.escape(t) for t in texts if len(t) == 1) + "]"])
+
+
 _TOKEN_RE = re.compile(
-    "(?P<marker>" + "|".join(map(re.escape, tk.MARKER_TEXTS)) + ")"
-    + r"""
+    rf"""
+      (?P<marker>{'|'.join(map(re.escape, tk.MARKER_TEXTS))})
     | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<number>[0-9]+(?:\.[0-9]+)?)
     | (?P<string>"[^"\n]*")
     | (?P<unterminated>"[^"\n]*)
-    | (?P<op>==|!=|[<>+\-*/=])
-    | (?P<punct>[(),.:])
+    | (?P<op>{_any_of(tk.OPERATORS)})
+    | (?P<punct>{_any_of(tk.PUNCTUATORS)})
     | (?P<space>\ +)
     | (?P<illegal>.)
     """,

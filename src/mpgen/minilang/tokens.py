@@ -26,7 +26,8 @@ ERROR = "error"
 
 KEYWORDS = frozenset({"def", "class", "return", "if", "else", "while", "import", "from"})
 
-# Multi-character operators must come first so the regex prefers them.
+# The only spelling of each operator and punctuator: the lexer's regex groups
+# and the vocabulary's token kinds are built from these.
 OPERATORS = ("==", "!=", "<", ">", "+", "-", "*", "/", "=")
 PUNCTUATORS = ("(", ")", ",", ".", ":")
 

@@ -14,7 +14,7 @@ import sys
 from dataclasses import MISSING, dataclass, fields
 from typing import Iterable, Mapping, Optional, Sequence, TypeVar
 
-from . import DataError
+from . import DataError, read_json, read_json_lines
 from .analysis.complete import TaskContext, head_is_indented
 from .decode import DecisionMemo, GenerationConfig, GenerationTrace, generate
 from .lm.ngram import NGramModel, description_bucket, train
@@ -79,11 +79,7 @@ CORPUS_ROOT_ENV = "MPGEN_CORPUS_ROOT"
 
 
 def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
-        raise DataError(f"cannot read config {path!r}: {exc}") from exc
+    raw = read_json(path, "config")
     if not isinstance(raw, dict):
         raise DataError(f"config {path!r} must be a JSON object")
     if overrides:
@@ -112,12 +108,16 @@ def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
 
 
 def collect_repos(roots: Iterable[str]) -> list[tuple[str, Repository]]:
-    out: list[tuple[str, Repository]] = []
+    """(name, repository) of every repository under the roots. A name is a
+    task label's first part, so two roots giving one name are a data error."""
+    out: dict[str, Repository] = {}
     for root in sorted(roots):
         if not os.path.isdir(root):
             raise DataError(f"corpus root {root!r} does not exist")
-        out.extend(load_repositories(root))
-    return out
+        for name, repo in load_repositories(root):
+            if out.setdefault(name, repo) is not repo:
+                raise DataError(f"repository {name!r} is under two corpus roots, the second {root!r}")
+    return list(out.items())
 
 
 def corpus_vocab(config: RunConfig, *, descriptions: Optional[dict[str, list[str]]] = None) -> Vocab:
@@ -131,7 +131,9 @@ def corpus_vocab(config: RunConfig, *, descriptions: Optional[dict[str, list[str
     """
     streams: list[list[str]] = []
     splits: dict[str, list[str]] = {}
-    for _, repo in collect_repos(config.train_roots + config.eval_roots):
+    # one call per root list: a directory may be both a train and an eval root
+    repos = collect_repos(config.train_roots) + collect_repos(config.eval_roots)
+    for _, repo in repos:
         for path in repo.paths():
             # the lex the parse below reads too
             streams.append(token_strings(repo.text(path), lexed=repo.lex(path)))
@@ -313,23 +315,7 @@ def load_tasks(path: str, config: RunConfig) -> list[Task]:
     repos = dict(collect_repos(config.eval_roots))
     carets: dict[tuple[str, str], dict[int, FunctionDef]] = {}  # a file's tasks, found once
     tasks: list[Task] = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [l for l in fh.read().split("\n") if l.strip()]
-    except OSError as exc:
-        raise DataError(f"cannot read tasks file {path!r}: {exc}") from exc
-    for line in lines:
-        try:
-            rec = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
-            raise DataError(f"malformed task record {line!r}: {exc}") from exc
-        if type(rec) is not dict:
-            raise DataError(f"malformed task record {line!r}: not a JSON object")
-        for name, kind in _TASK_FIELDS:
-            if type(rec.get(name)) is not kind:  # bools are not lines
-                raise DataError(
-                    f"malformed task record {line!r}: {name!r} must be a {kind.__name__}"
-                )
+    for rec, line in read_json_lines(path, "tasks file", "task record", _TASK_FIELDS):
         repo = repos.get(rec["repo"])
         if repo is None or rec["file"] not in repo.files:
             raise DataError(f"task record {line!r} names no file of the eval corpus")

@@ -15,14 +15,11 @@ import os
 from dataclasses import dataclass
 from typing import Mapping
 
+from . import DataError
 from .minilang import lexer as _lexer
 from .minilang import parser as _parser
 
 SOURCE_SUFFIX = ".mp"
-
-
-class CaretError(ValueError):
-    """Caret position does not lie within the repository's text bounds."""
 
 
 @dataclass(frozen=True)
@@ -53,8 +50,7 @@ class Repository:
                         with open(full, "r", encoding="utf-8") as fh:
                             files[rel] = fh.read()
                     except UnicodeDecodeError as exc:
-                        exc.reason = f"{exc.reason} in {full}"
-                        raise
+                        raise DataError(f"cannot read source file {full!r}: {exc}") from exc
         return cls(files)
 
     @property
@@ -68,7 +64,7 @@ class Repository:
         try:
             return self._files[path]
         except KeyError:
-            raise CaretError(f"no such file in repository: {path!r}") from None
+            raise DataError(f"no such file in repository: {path!r}") from None
 
     def lex(self, path: str):
         """Cached (tokens, lex diagnostics) for one file."""
@@ -95,9 +91,9 @@ class Repository:
         text = self.text(caret.file)
         lines = text.split("\n")
         if not (1 <= caret.line <= len(lines)):
-            raise CaretError(f"line {caret.line} out of range for {caret.file!r}")
+            raise DataError(f"line {caret.line} out of range for {caret.file!r}")
         if not (0 <= caret.column <= len(lines[caret.line - 1])):
-            raise CaretError(
+            raise DataError(
                 f"column {caret.column} out of range on line {caret.line} of {caret.file!r}"
             )
 

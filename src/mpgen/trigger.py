@@ -23,7 +23,7 @@ import json
 from statistics import mean
 from typing import Callable, Iterable
 
-from . import DataError, __version__
+from . import __version__, read_json_lines
 from .analysis.builtins import is_builtin
 from .analysis.complete import tool_complete
 from .lm.tokenizer import token_strings
@@ -126,24 +126,5 @@ def save_dataset(records: list[dict], meta: dict, path: str, meta_path: str) -> 
 def load_dataset_records(path: str) -> list[dict]:
     """The records of a dataset file. DataError for a line that is not a JSON
     object whose description and augmented_body are strings."""
-    records: list[dict] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
-                raise DataError(f"malformed dataset record {line!r}: {exc}") from exc
-            if not (
-                type(rec) is dict
-                and type(rec.get("description")) is str
-                and type(rec.get("augmented_body")) is str
-            ):
-                raise DataError(
-                    f"malformed dataset record {line!r}: not an object with string "
-                    "'description' and 'augmented_body'"
-                )
-            records.append(rec)
-    return records
+    fields = (("description", str), ("augmented_body", str))
+    return [rec for rec, _line in read_json_lines(path, "dataset", "dataset record", fields)]

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from mpgen import DataError
 from mpgen.analysis.builtins import is_builtin
 from mpgen.analysis.complete import classify_caret, tool_complete
 from mpgen.analysis.insert import insert
@@ -13,7 +14,7 @@ from mpgen.analysis.lint import (
 )
 from mpgen.analysis.scope import build_scope_index
 from mpgen.minilang import tokens as tk
-from mpgen.repo import CaretError, CaretPosition, Repository
+from mpgen.repo import CaretPosition, Repository
 
 from conftest import text_vocab
 from oracles import latest_enclosing_function, scan_classify_caret
@@ -270,9 +271,9 @@ def test_builtins_excluded_from_completions():
 
 def test_caret_out_of_bounds_raises():
     repo = make_repo(**{"s.mp": "x = 1\n"})
-    with pytest.raises(CaretError):
+    with pytest.raises(DataError):
         tool_complete(repo, CaretPosition("s.mp", 99, 0))
-    with pytest.raises(CaretError):
+    with pytest.raises(DataError):
         tool_complete(repo, CaretPosition("missing.mp", 1, 0))
 
 
@@ -445,7 +446,7 @@ def test_insert_reindents_lines():
 
 def test_insert_invalid_position():
     repo, pos = _blank_fixture()
-    with pytest.raises(CaretError):
+    with pytest.raises(DataError):
         insert(repo, CaretPosition("c.mp", 99, 0), "x = 1")
 
 

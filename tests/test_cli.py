@@ -3,16 +3,18 @@ import functools
 import io
 import json
 import os
+import shutil
 import tempfile
 from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from mpgen.cli import main
 
 from conftest import version_1_payload
+from test_task_scoring import _mutants
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -587,46 +589,129 @@ def test_train_with_an_overflowing_alpha_is_data_error(tmp_path, capsys, alpha):
     assert not (tmp_path / "models").exists()
 
 
-_DEEP_JSON = "[" * 2000 + "]" * 2000  # past the JSON decoder's recursion limit
+def _config_file(tmp_path, data: bytes):
+    path = tmp_path / "config.json"
+    path.write_bytes(data)
+    return ["train", "--config", str(path)], path
 
 
-def _deep_config(tmp_path):
-    path = tmp_path / "deep.json"
-    path.write_text(_DEEP_JSON)
-    return ["train", "--config", str(path)], "cannot read config"
+def _model_file(tmp_path, data: bytes):
+    models = _model_dir(tmp_path, data)
+    return ["evaluate", "--config", write_config(tmp_path, model_dir=str(models))], models / "model_tool.json"
 
 
-def _deep_model(tmp_path):
-    models = _model_dir(tmp_path, _DEEP_JSON.encode())
-    cfg = write_config(tmp_path, model_dir=str(models))
-    return ["evaluate", "--config", cfg], "cannot read model file"
-
-
-def _deep_tasks(tmp_path):
+def _tasks_file(tmp_path, data: bytes):
     tasks = tmp_path / "tasks.jsonl"
-    tasks.write_text(json.dumps(_task_record()) + "\n" + _DEEP_JSON + "\n")
+    tasks.write_bytes(json.dumps(_task_record()).encode() + b"\n" + data + b"\n")
     cfg = write_config(tmp_path, model_dir=str(GOLDEN_MODELS), tasks=str(tasks))
-    return ["evaluate", "--config", cfg], "malformed task record"
+    return ["evaluate", "--config", cfg], tasks
 
 
-def _deep_dataset(tmp_path):
-    (tmp_path / "dataset.jsonl").write_text(json.dumps(_DATASET_RECORD) + "\n" + _DEEP_JSON + "\n")
-    return ["train", "--config", write_config(tmp_path)], "malformed dataset record"
+def _dataset_file(tmp_path, data: bytes):
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_bytes(json.dumps(_DATASET_RECORD).encode() + b"\n" + data + b"\n")
+    return ["train", "--config", write_config(tmp_path)], dataset
 
 
-@pytest.mark.parametrize(
-    "reader", [_deep_config, _deep_model, _deep_tasks, _deep_dataset],
-    ids=["config", "model", "tasks", "dataset"],
-)
+# Each reader: a function writing the file the reader reads, with data in it,
+# and giving the command and the file's path; the file's noun; and, for a
+# JSON-lines file, its record's noun.
+_READERS = {
+    "config": (_config_file, "config", None),
+    "model": (_model_file, "model file", None),
+    "tasks": (_tasks_file, "tasks file", "task record"),
+    "dataset": (_dataset_file, "dataset", "dataset record"),
+}
+
+
+@pytest.mark.parametrize("reader", list(_READERS))
 def test_a_file_nested_2000_levels_deep_is_data_error(tmp_path, capsys, reader):
-    """The JSON decoder raises RecursionError on it; each reader maps that to
-    exit 2 like any other malformed file."""
-    argv, message = reader(tmp_path)
+    """The JSON decoder raises RecursionError on it, as on a file nested
+    100,000 levels deep; each reader maps that to exit 2 like any other
+    malformed file, with one error line."""
+    write, noun, record = _READERS[reader]
+    for depth in (2000, 100_000):  # 2000 is just past the decoder's recursion limit
+        run = tmp_path / str(depth)
+        run.mkdir()
+        argv, path = write(run, ("[" * depth + "]" * depth).encode())
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        expected = f"error: malformed {record} " if record else f"error: cannot read {noun} {str(path)!r}: "
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(expected) and "recursion" in err
+        assert not (run / "report.json").exists()
+
+
+_UNREADABLE = {
+    "latin-1": '"caf\xe9"'.encode("latin-1"),
+    "truncated": b'{"a": [1, 2',
+}
+
+
+@pytest.mark.parametrize("content", list(_UNREADABLE))
+@pytest.mark.parametrize("reader", list(_READERS))
+def test_every_reader_names_the_file_it_cannot_read(tmp_path, capsys, reader, content):
+    """A file that is not UTF-8 is named as unreadable by every reader, as is
+    bad JSON in a JSON file; a bad line of a JSON-lines file is quoted as a
+    malformed record. Each exits 2 with one error line."""
+    write, noun, record = _READERS[reader]
+    argv, path = write(tmp_path, _UNREADABLE[content])
     assert main(argv) == 2
     out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: ") and message in err and "recursion" in err
-    assert not (tmp_path / "report.json").exists()
+    assert out == "" and err.count("\n") == 1
+    if record is None or content == "latin-1":
+        assert err.startswith(f"error: cannot read {noun} {str(path)!r}: ")
+    else:
+        assert err.startswith(f"error: malformed {record} ")
+
+
+@pytest.mark.parametrize("command", ["augment", "evaluate"])
+def test_a_corpus_root_listed_twice_is_data_error(tmp_path, capsys, command):
+    """Its repositories' names, and so the labels of its tasks, would each
+    come twice: the report would count every task twice."""
+    cfg = write_config(
+        tmp_path, train_roots=[str(CORPUS / "train")] * 2, eval_roots=[str(CORPUS / "eval")] * 2,
+        model_dir=str(GOLDEN_MODELS),
+    )
+    assert main([command, "--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: repository 'repo") and "under two corpus roots" in err
+    assert not (tmp_path / "dataset.jsonl").exists() and not (tmp_path / "report.json").exists()
+
+
+def test_a_directory_may_be_both_a_train_and_an_eval_root(tmp_path):
+    from mpgen.pipeline import corpus_vocab, load_config
+
+    cfg = load_config(write_config(tmp_path, eval_roots=[str(CORPUS / "train")]))
+    assert corpus_vocab(cfg).size > 0
+
+
+_CORPUS_FILES = sorted(p.relative_to(CORPUS).as_posix() for p in CORPUS.rglob("*.mp"))
+
+
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_the_pipeline_on_a_mutated_corpus_exits_0_or_2(tmp_path_factory, data):
+    """augment, train and evaluate, run on a copy of the corpus with a few
+    drawn files mutated, each exit 0, or exit 2 with one error line, and
+    never raise; the chain stops at the first command that fails."""
+    tmp = tmp_path_factory.mktemp("mutated")
+    shutil.copytree(CORPUS, tmp / "corpus")
+    for rel in data.draw(st.lists(st.sampled_from(_CORPUS_FILES), min_size=1, max_size=4, unique=True)):
+        path = tmp / "corpus" / rel
+        path.write_text(data.draw(_mutants([path.read_text()], st.integers(1, 6))))
+    cfg = write_config(
+        tmp, train_roots=[str(tmp / "corpus" / "train")], eval_roots=[str(tmp / "corpus" / "eval")]
+    )
+    for command in ("augment", "train", "evaluate"):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, "--config", cfg])
+        assert code in (0, 2)
+        if code == 2:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            break
 
 
 _JSON = st.recursive(  # floats include NaN and the infinities, which json writes and reads

@@ -34,7 +34,8 @@ import os
 import shutil
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from mpgen.lm.tokenizer import token_strings  # noqa: E402
 
@@ -42,6 +43,9 @@ BUCKETS = 16
 N_TRAIN_REPOS = 14
 N_EVAL_REPOS = 6
 N_REPOS = N_TRAIN_REPOS + N_EVAL_REPOS
+# The default output, found from this script and not from the working
+# directory, since main deletes its output directory first.
+CORPUS_DIR = os.path.join(ROOT, "corpus")
 SHARED_PAIR = ("crest", "ridge")  # both hash residue 0: shared classes keep their family bucket
 
 CANDIDATE_WORDS = """
@@ -355,7 +359,10 @@ class {c_cls}:
     return {"utils.mp": utils, "core.mp": core, "service.mp": service}
 
 
-def main(out_root: str = "corpus") -> None:
+def main(out_root: str | None = None) -> None:
+    """Write the corpus under out_root, the repository's corpus/ by default,
+    replacing whatever is there."""
+    out_root = CORPUS_DIR if out_root is None else out_root
     pairs = allocate_pairs()
     prefix = assign_prefixes()
     print("family buckets:")
