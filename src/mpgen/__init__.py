@@ -26,30 +26,44 @@ def read_json(path: str, what: str):
         raise DataError(f"cannot read {what} {path!r}: {exc}") from exc
 
 
+# The most characters of a value's repr that an error message quotes.
+QUOTE_LIMIT = 80
+
+
+def quote(value) -> str:
+    """value's repr for an error message, cut to QUOTE_LIMIT characters and
+    then marked by "...", so that a message stays one short line."""
+    text = repr(value)
+    return text if len(text) <= QUOTE_LIMIT else text[:QUOTE_LIMIT] + "..."
+
+
 def read_json_lines(path: str, what: str, record: str, fields) -> list[tuple[dict, str]]:
-    """(record, line) for each non-blank line of the UTF-8 JSON-lines file at
-    path: a JSON object whose (name, type) fields hold exactly that type, so a
-    bool is not an int. DataError otherwise, quoting a malformed record."""
+    """(record, where) for each non-blank line of the UTF-8 JSON-lines file
+    at path: a JSON object whose (name, type) fields hold exactly that type,
+    so a bool is not an int, and where the record is, for an error message:
+    the file, the 1-based line number and the `quote`d line. DataError
+    otherwise, saying where the malformed record is."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().split("\n")
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot read {what} {path!r}: {exc}") from exc
     records = []
-    for line in lines:
+    for number, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
+        where = f"at {path!r} line {number} {quote(line)}"
         try:
             rec = json.loads(line)
         except (ValueError, RecursionError) as exc:
-            raise DataError(f"malformed {record} {line!r}: {exc}") from exc
+            raise DataError(f"malformed {record} {where}: {exc}") from exc
         if type(rec) is not dict:
-            raise DataError(f"malformed {record} {line!r}: not a JSON object")
+            raise DataError(f"malformed {record} {where}: not a JSON object")
         for name, kind in fields:
             if type(rec.get(name)) is not kind:
-                raise DataError(f"malformed {record} {line!r}: {name!r} must be a {kind.__name__}")
-        records.append((rec, line))
+                raise DataError(f"malformed {record} {where}: {name!r} must be a {kind.__name__}")
+        records.append((rec, where))
     return records
 
 

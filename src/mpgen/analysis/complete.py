@@ -7,21 +7,19 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from ..minilang import tokens as tk
 from ..minilang.lexer import Diagnostic, LineLexer
 from ..minilang.parser import (
-    BodyCheckpoint, ClassDef, FunctionDef, Module, assigned_attributes, parser_tokens, resume_body,
+    BodyCheckpoint, FunctionDef, assigned_attributes, parser_tokens, resume_body,
 )
 from ..minilang.tokens import LexToken
 from ..repo import CaretPosition, Repository
 from .builtins import is_builtin
 from .insert import indent_body
 from .lint import LintError, function_errors, syntax_errors
-from .scope import (
-    ScopeIndex, build_scope_index, class_at, locals_before, own_class_members, receiver_members,
-)
+from .scope import ScopeIndex, build_scope_index, class_at, locals_before, own_class_members
 
 
 @dataclass(frozen=True)
@@ -78,18 +76,17 @@ def tool_complete(repo: Repository, caret: CaretPosition) -> list[str]:
 
 
 def _suggestions(
-    index: ScopeIndex, caret: CaretPosition, ctx: CaretContext, func: Optional[FunctionDef],
-    own_class: Optional[ClassDef] = None, own_members: frozenset = frozenset(),
+    index: ScopeIndex, caret: CaretPosition, ctx: CaretContext, func: Optional[FunctionDef]
 ) -> list[str]:
-    """Suggestions at the caret inside func; a class resolved to the node
-    own_class has own_members (see `receiver_members`)."""
+    """Suggestions at the caret inside func; a receiver's members are the
+    index's (`ScopeIndex.members`)."""
     if ctx.kind == "attribute":
         if ctx.receiver is None:
             return []
         target = index.resolve_receiver(caret.file, func, ctx.receiver, (caret.line, caret.column))
         if target is None:
             return []
-        names = receiver_members(target, own_class, own_members)
+        names = index.members(target)
         return sorted(n for n in names if not is_builtin(n))
 
     names: set[str] = set()
@@ -102,70 +99,67 @@ def _suggestions(
     return sorted(n for n in names if not is_builtin(n))
 
 
-class _Checkpoint(NamedTuple):
-    """The analysis of a text's closed lines (all but its last), to resume
-    from in a text that extends them."""
-
-    closed: str               # the body's text, from the caret's line to its last newline
-    lines: int                # the line number of the last closed line
-    lexer: LineLexer          # the lexer after them
-    body: BodyCheckpoint      # the body's parse at its last settled statement
-
-
-def head_is_indented(module: Module, lines: list[str], func: FunctionDef) -> bool:
-    """Whether func's outermost head line, its class line for a method and
-    its def line otherwise, is indented; lines are module's. The parser
-    recovers from that line with "unexpected indentation" records that a
-    task's analysis does not see, so such a function is no task (the rule
-    of both `pipeline.derive_tasks` and `TaskContext.at`)."""
+def head_is_clean(repo: Repository, path: str, lines: list[str], func: FunctionDef) -> bool:
+    """Whether the outermost head line of func, a function of the file at
+    path whose lines are lines, is not indented and draws no parse record;
+    that line is the class line for a method and the def line otherwise. A
+    task's analysis lexes the head's lines but parses none of them, so it
+    would miss what the whole file's parser reports for an indented head
+    line, there or where its level closes, and for a token before the head's
+    keyword or a class or def line above it left with no block. Such a
+    function is no task (the rule of both `pipeline.derive_tasks` and
+    `TaskContext.at`)."""
+    module, lex_records = repo.module(path), set(repo.lex(path)[1])
     owner = class_at(module, func.line)
-    return lines[(func if owner is None else owner).line - 1].startswith(" ")
+    line = (func if owner is None else owner).line
+    return not lines[line - 1].startswith(" ") and all(
+        d.line != line or d in lex_records for d in module.diagnostics
+    )
 
 
 @dataclass
 class TaskContext:
     """The one function being written at a blanked caret, analysed alone.
 
-    Holds a scope index, the class that holds the function (own_class),
-    that class's members which no body of the function can change
-    (own_members: its method names and what its other methods assign,
-    `own_class_members`), and the checkpoint where the body starts (start):
-    the head, the lines the function needs (class header, def line,
-    docstring), lexed at their own line numbers, and the function's header.
-    `analyse` lexes and parses only a body after the head; that is exact,
-    since lexing is line-local but for the indent stack, a def's parse ends
-    at the dedent closing its body, and every later line of the file sits
-    below the body's indentation. Nor does the head need a parse: a blank
-    line adds no token, so the lines between the head's add nothing, and a
-    def whose header draws a parse diagnostic is dropped, so the header of
-    the head's parse is the loaded function's, its body emptied. A function
-    whose outermost head line is itself indented is no task
-    (`head_is_indented`), since the parse draws "unexpected indentation"
-    records there, which the analysis would leave out.
+    Holds a scope index that knows the class holding the function (its own
+    class) and that class's members which no body of the function can
+    change: its method names and what its other methods assign
+    (`own_class_members`, `ScopeIndex.members`). Holds too the checkpoint
+    where the body starts (start): the head, the lines the function needs
+    (class header, def line, docstring), lexed at their own line numbers,
+    and the function's header. `analyse` lexes and parses only a body after
+    the head; that is exact, since lexing is line-local but for the indent
+    stack, a def's parse ends at the dedent closing its body, and every
+    later line of the file sits below the body's indentation. Nor does the
+    head need a parse: a blank line adds no token, so the lines between the
+    head's add nothing, and a def whose header draws a parse diagnostic is
+    dropped, so the header of the head's parse is the loaded function's,
+    its body emptied. A function whose outermost head line is indented or
+    draws a parse record is no task (`head_is_clean`), since the analysis
+    would leave records of the whole file out.
 
     No body can change the rest of what the index holds, since every body
     line is indented past the module level: the module members, classes,
     imports and name rules are those of the file with the function blanked
     or with its body written, alike. So a loaded task's context
-    (`of_function`) reads the index of the loaded repository the task was
+    (`of_function`) reads the scopes of the loaded repository the task was
     blanked from, whose paths are the snapshot's, so every import resolves
     the same way; each of its files is scoped at most once, for all their
     tasks, and no file of the snapshot is lexed or parsed. Scoring pairs
-    that come with no loaded task (`at`) reads the index of a transient
+    that come with no loaded task (`at`) reads the scopes of a transient
     view of the blanked repository instead: making the context lexes,
     parses and scopes the blanked file alone, another file being scoped
     only when a receiver resolves through an import of it (the index is
-    lazy, see `analysis.scope`). Either way, the own class has own_members
-    plus the attributes the body being written assigns, which the analysis
-    adds.
+    lazy, see `analysis.scope`). Either way, each analysis reads an index
+    whose own class also has the attributes the body being written assigns.
 
-    The analysis resumes from a checkpoint: start, or the one after the
-    closed lines of the text last analysed (every line but its last) when
-    the new text extends them. A body growing during generation therefore
-    has each closed line lexed once, and each statement parsed again only
-    until it settles; the head is lexed once per context, when it is made.
-    A text that does not extend the last one's closed lines resumes from
-    start. Resuming is exact:
+    The analysis resumes from a checkpoint (`parser.resume_body`): start, or
+    the one after the closed lines of the text last analysed (every line
+    but its last) when the new text extends them. A body growing during
+    generation therefore has each closed line lexed once, and each
+    statement parsed again only until it settles; the head is lexed once
+    per context, when it is made. A text that does not extend the last
+    one's closed lines resumes from start. Resuming is exact:
 
     - Lexing. Between lines a lexer's whole state is its tokens and
       diagnostics, its indent stack and its dedent position, which the
@@ -186,17 +180,15 @@ class TaskContext:
 
     index: ScopeIndex
     pos: CaretPosition
-    own_class: Optional[ClassDef]  # the enclosing class in index, if any
-    own_members: frozenset         # own_class's members that the body cannot change
-    start: _Checkpoint             # the checkpoint after the head, where the body starts
-    _checkpoint: Optional[_Checkpoint] = field(default=None, init=False, repr=False, compare=False)
+    start: BodyCheckpoint  # after the head, where the body starts
+    _checkpoint: Optional[BodyCheckpoint] = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def at(cls, repo: Repository, pos: CaretPosition) -> "TaskContext":
         """The context at pos, a blanked task's caret: a line of exactly
         pos.column spaces directly below the docstring, also at pos.column
         and alone on its line, of a function with no body whose outermost
-        head line is not indented (`head_is_indented`). Every task
+        head line is clean (`head_is_clean`). Every task
         `pipeline._blank_function` makes has this shape. Raises ValueError at
         any other caret.
 
@@ -212,7 +204,7 @@ class TaskContext:
         if (
             func is None or func.body_tokens or func.docstring is None
             or lines[pos.line - 2] != " " * pos.column + f'"{func.docstring}"'
-            or head_is_indented(view.module(pos.file), lines, func)
+            or not head_is_clean(view, pos.file, lines, func)
         ):
             raise ValueError(f"{pos.file}:{pos.line}:{pos.column} is not a blanked task's caret")
         return cls.of_function(view, func, pos)
@@ -224,8 +216,8 @@ class TaskContext:
         parsed: the head's lines are lexed at their own line numbers, the
         docstring's as blanking writes it, and the header is func's with
         its body emptied."""
-        index = build_scope_index(repo)
-        owner, _func = index.enclosing(pos.file, func.line)
+        owner, _func = build_scope_index(repo).enclosing(pos.file, func.line)
+        members = own_class_members(owner, func) if owner is not None else frozenset()
         lines = repo.text(pos.file).split("\n")
         lexer = LineLexer()
         if owner is not None:
@@ -236,10 +228,8 @@ class TaskContext:
             func, body=[], body_tokens=[], body_start_line=pos.line, end_line=pos.line - 1
         )
         first = len(parser_tokens(lexer.tokens, lexer.diagnostics))
-        body = BodyCheckpoint(header, first, first, (), ())
-        start = _Checkpoint("", pos.line - 1, lexer, body)
-        members = own_class_members(owner, func) if owner is not None else frozenset()
-        return cls(index, pos, owner, members, start)
+        start = BodyCheckpoint("", pos.line - 1, lexer, header, first, first, (), ())
+        return cls(ScopeIndex(repo, owner, members), pos, start)
 
     def analyse(self, body_text: str) -> "TaskAnalysis":
         """The level-0 body text spliced at pos, lexed and parsed after the
@@ -248,31 +238,15 @@ class TaskContext:
         start = self._checkpoint
         if start is None or not text.startswith(start.closed):
             start = self.start
-        cut = text.rfind("\n") + 1
-        lines, closed_lexer = start.lines, start.lexer
-        if cut > len(start.closed):
-            lines, closed_lexer = self._lex_lines(closed_lexer, lines, text[len(start.closed):cut])
-        lexer = closed_lexer.copy()
-        lexer.line(lines + 1, text[cut:])
-        toks, lex_diags = lexer.finish()
-        func, parse_diags, body = resume_body(start.body, (toks, lex_diags), lines)
-        if cut > len(start.closed):
-            self._checkpoint = _Checkpoint(text[:cut], lines, closed_lexer, body)
-        attributes = frozenset()
-        if self.own_class is not None:
-            attributes = frozenset(assigned_attributes(func, func.body))
-        end = CaretPosition(self.pos.file, lines + 1, len(text) - cut)
-        return TaskAnalysis(self, toks, lex_diags + parse_diags, func, attributes, end)
-
-    @staticmethod
-    def _lex_lines(lexer: LineLexer, lineno: int, lines: str) -> tuple[int, LineLexer]:
-        """A copy of lexer, whose last line was number lineno, fed lines, whole
-        lines each ending in a newline; and the number of its last line."""
-        lexer = lexer.copy()
-        for raw in lines.split("\n")[:-1]:
-            lineno += 1
-            lexer.line(lineno, raw)
-        return lineno, lexer
+        func, toks, diagnostics, self._checkpoint = resume_body(start, text)
+        index = self.index
+        if index.own_class is not None:
+            written = index.own_members | assigned_attributes(func, func.body)
+            index = ScopeIndex(index.repo, index.own_class, written)
+        end = CaretPosition(
+            self.pos.file, self.pos.line + text.count("\n"), len(text) - text.rfind("\n") - 1
+        )
+        return TaskAnalysis(self.pos.file, index, toks, diagnostics, func, end)
 
     def complete(self, body_text: str) -> list[str]:
         """tool_complete's suggestions after splicing level-0 body text at pos."""
@@ -285,29 +259,22 @@ class TaskAnalysis:
     """A task's function with a whole body written, as the blanked file with
     that body spliced in would show it; positions are that file's."""
 
-    task: TaskContext
+    path: str
+    index: ScopeIndex              # the task's, its own class with what the body assigns
     tokens: list[LexToken]
     diagnostics: list[Diagnostic]  # the lexer's and the parser's
     function: FunctionDef
-    own_attributes: frozenset      # what the function assigns to its class
     end: CaretPosition             # just past the body
-
-    @property
-    def own_members(self) -> frozenset:
-        """The members of the task's own class with this body written."""
-        return self.task.own_members | self.own_attributes
 
     def complete_at(self, line: int, column: int) -> list[str]:
         """tool_complete's suggestions at a caret inside the function."""
-        task = self.task
-        caret = CaretPosition(task.pos.file, line, column)
+        caret = CaretPosition(self.path, line, column)
         ctx = caret_context(self.tokens, line, column)
-        return _suggestions(task.index, caret, ctx, self.function, task.own_class, self.own_members)
+        return _suggestions(self.index, caret, ctx, self.function)
 
     def lint(self) -> list[LintError]:
         """The records `lint_check` gives the spliced file from the def line
         to the end of the body, in no particular order."""
-        task, path = self.task, self.task.pos.file
-        errors = syntax_errors(path, self.diagnostics)
-        errors += function_errors(task.index, path, self.function, task.own_class, self.own_members)
+        errors = syntax_errors(self.path, self.diagnostics)
+        errors += function_errors(self.index, self.path, self.function)
         return [e for e in errors if self.function.line <= e.line <= self.end.line]

@@ -6,7 +6,9 @@ kinds reported here are exactly the categories the validity-rate metric
 inspects. Every lex or parse diagnostic of a file is one syntax-error record;
 redefining a name is not an error. `function_errors` holds the rule for the
 names and members in one function, which `lint_check` applies to every
-function of a file and the task analysis to the function being written.
+function of a file and the task analysis to the function being written. A
+receiver's members are the scope index's (`ScopeIndex.members`): the index
+of a task analysis knows the own class of the function being written.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ from typing import Iterable, Optional
 
 from ..minilang import nodes
 from ..minilang.lexer import Diagnostic
-from ..minilang.parser import ClassDef, FunctionDef, extract_functions
+from ..minilang.parser import FunctionDef, extract_functions
 from ..repo import Repository
 from .builtins import BUILTIN_NAMES, is_builtin
-from .scope import ScopeIndex, build_scope_index, name_assignments, receiver_members
+from .scope import ScopeIndex, build_scope_index, name_assignments
 
 SYNTAX_ERROR = "syntax-error"
 UNDEFINED_VARIABLE = "undefined-variable"
@@ -43,8 +45,6 @@ def _check_expressions(
     path: str,
     func: Optional[FunctionDef],
     errors: list[LintError],
-    own_class: Optional[ClassDef] = None,
-    own_members: frozenset = frozenset(),
 ) -> None:
     for expr, is_store in nodes.walk_expressions(stmts):
         if isinstance(expr, nodes.Name):
@@ -70,7 +70,7 @@ def _check_expressions(
             )
             if target is None:
                 continue
-            if expr.attr not in receiver_members(target, own_class, own_members):
+            if expr.attr not in index.members(target):
                 errors.append(
                     LintError(
                         NO_MEMBER,
@@ -93,19 +93,13 @@ def _module_names(index: ScopeIndex, path: str) -> set[str]:
     return (scope.visible_names if scope is not None else set()) | BUILTIN_NAMES
 
 
-def function_errors(
-    index: ScopeIndex,
-    path: str,
-    fn: FunctionDef,
-    own_class: Optional[ClassDef] = None,
-    own_members: frozenset = frozenset(),
-) -> list[LintError]:
-    """Undefined-variable and no-member records of one function. A receiver
-    resolved to own_class has own_members (see `receiver_members`)."""
+def function_errors(index: ScopeIndex, path: str, fn: FunctionDef) -> list[LintError]:
+    """Undefined-variable and no-member records of one function; a
+    receiver's members are the index's (`ScopeIndex.members`)."""
     local_targets = {stmt.target.id for stmt in name_assignments(fn.body)}
     defined = _module_names(index, path) | set(fn.params) | local_targets
     errors: list[LintError] = []
-    _check_expressions(fn.body, defined, index, path, fn, errors, own_class, own_members)
+    _check_expressions(fn.body, defined, index, path, fn, errors)
     return errors
 
 

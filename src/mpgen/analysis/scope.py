@@ -10,10 +10,11 @@ Each rule is decided in one place:
   body-start line is the next definition's header, and that line belongs to
   the next definition.
 - A receiver's members are `ClassDef.members` for a class and
-  `ModuleScope.members` for a module (`receiver_members`). The class that
-  holds the function being written at a task's caret has instead its method
-  names and what its other methods assign (`own_class_members`), plus what
-  the body being written assigns.
+  `ModuleScope.members` for a module (`ScopeIndex.members`). An index made
+  for a task's caret knows the class that holds the function being written
+  (its own class), which has instead its method names and what its other
+  methods assign (`own_class_members`), plus what the body being written
+  assigns.
 - A name resolves to its last definition in the file, as at run time.
 - `name_assignments` lists the plain-name assignments that make locals and
   module variables.
@@ -93,10 +94,22 @@ class ModuleScope:
 
 
 class ScopeIndex:
-    """The scopes of one repository's files, each built on first use."""
+    """The scopes of one repository's files, each built on first use, and
+    the members of own_class, which holds the function being written, if
+    any (see `members`)."""
 
-    def __init__(self, repo: Repository):
+    def __init__(
+        self, repo: Repository, own_class: Optional[ClassDef] = None,
+        own_members: frozenset = frozenset(),
+    ):
         self.repo = repo
+        self.own_class = own_class
+        self.own_members = own_members
+
+    def members(self, target: ClassDef | ModuleScope) -> set[str] | frozenset:
+        """The members of a resolved receiver: own_members for own_class,
+        what the index holds of it for any other class or module."""
+        return self.own_members if target is self.own_class else target.members
 
     def module_scope(self, path: str) -> Optional[ModuleScope]:
         """The scope of the file at path, or None when the repository has no
@@ -171,17 +184,6 @@ class ScopeIndex:
                     return self.resolve_class_name(path, value.func.id)
                 return None
         return self.resolve_class_name(path, name) or self.resolve_module_alias(path, name)
-
-
-def receiver_members(
-    target: ClassDef | ModuleScope,
-    own_class: Optional[ClassDef] = None,
-    own_members: frozenset = frozenset(),
-) -> set[str]:
-    """The members of a resolved receiver. The class own_class, which holds
-    the function being written, has own_members instead of what the index
-    holds of it (see `own_class_members`)."""
-    return own_members if target is own_class else target.members
 
 
 def own_class_members(cls: ClassDef, func: FunctionDef) -> frozenset:

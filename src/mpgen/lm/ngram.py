@@ -51,7 +51,7 @@ from functools import cache
 from math import inf, log
 from typing import Iterable, Sequence
 
-from .. import DataError, read_json
+from .. import DataError, quote, read_json
 from .._kernels import smoothed_distribution
 from .vocab import BOS_ID, EOS_ID, RESERVED_TOKENS, Vocab
 
@@ -201,22 +201,24 @@ def _tables_from_json(data: dict, order: int, buckets: int, vocab_size: int) -> 
         bucket_s, k_s = bk.split(":")
         bucket, k = int(bucket_s), int(k_s)
         if not (0 <= bucket < buckets and 0 <= k < order):
-            raise ValueError(f"table key {bk!r} out of range")
+            raise ValueError(f"table key {quote(bk)} out of range")
         table = tables.setdefault(bucket, {})
         for ctx_s, counts in ctxs.items():
             ctx = tuple(int(x) for x in ctx_s.split(",")) if ctx_s else ()
             row = {int(t): c for t, c in counts.items() if type(c) is int}
             if len(row) != len(counts):
                 raise ValueError(
-                    f"table {bk!r} context {ctx_s!r} holds a count that is not an integer,"
-                    " or a token id twice"
+                    f"table {quote(bk)} context {quote(ctx_s)} holds a count that is not an"
+                    " integer, or a token id twice"
                 )
             if len(ctx) != k or not ids.issuperset(ctx) or not row.keys() <= ids:
-                raise ValueError(f"table {bk!r} context {ctx_s!r} is out of range")
+                raise ValueError(f"table {quote(bk)} context {quote(ctx_s)} is out of range")
             if row and min(row.values()) < 1:
-                raise ValueError(f"table {bk!r} context {ctx_s!r} holds a count below 1")
+                raise ValueError(
+                    f"table {quote(bk)} context {quote(ctx_s)} holds a count below 1"
+                )
             if ctx in table:
-                raise ValueError(f"table {bk!r} context {ctx_s!r} is written twice")
+                raise ValueError(f"table {quote(bk)} context {quote(ctx_s)} is written twice")
             table[ctx] = row
     return tables
 
@@ -242,7 +244,7 @@ def load_model(path: str) -> NGramModel:
         raise DataError(f"{path!r} is not an mpgen model file")
     if payload.get("version") != FORMAT_VERSION:
         raise DataError(
-            f"model format version {payload.get('version')!r} unsupported "
+            f"model format version {quote(payload.get('version'))} unsupported "
             f"(expected {FORMAT_VERSION})"
         )
     try:
@@ -253,11 +255,13 @@ def load_model(path: str) -> NGramModel:
             raise ValueError("vocabulary must open with the reserved tokens and repeat no entry")
         order, buckets, alpha = payload["order"], payload["buckets"], payload["alpha"]
         if type(order) is not int or type(buckets) is not int:  # bools are rejected too
-            raise ValueError(f"order and buckets must be integers, not {order!r} and {buckets!r}")
+            raise ValueError(
+                f"order and buckets must be integers, not {quote(order)} and {quote(buckets)}"
+            )
         if order < 1 or buckets < 1:
             raise ValueError("order and buckets must be at least 1")
         if type(alpha) not in (int, float) or not 0 < alpha < inf:
-            raise ValueError(f"smoothing alpha must be a finite number > 0, not {alpha!r}")
+            raise ValueError(f"smoothing alpha must be a finite number > 0, not {quote(alpha)}")
         tables = _tables_from_json(payload["tables"], order, buckets, len(tokens))
         return NGramModel(
             vocab=Vocab(tokens=tokens), order=order, alpha=float(alpha), buckets=buckets,

@@ -22,9 +22,9 @@ Both equal what splicing the text into the blanked file and analysing the
 whole file gives (`tests/oracles.py` keeps that computation). The spliced
 text sits at the caret, indented past the module level, so it changes no
 name the rest of the file defines; a whole-file lint records nothing from
-the rest of the file on the function's lines; and the analysis adds the
-class attributes the function assigns, the one thing the splice changes in
-the scope index.
+the rest of the file on the function's lines; and each analysis reads a
+scope index whose own class has the attributes the function assigns, the
+one thing the splice changes in the index (`ScopeIndex.members`).
 
 A run is scored in one `ground_truth` call over its tasks. Each distinct
 text, whether ground truth or prediction, is lexed once on its own for the

@@ -7,9 +7,10 @@ generated code. Recovery skips to the next line (inside a block) or to the
 next top-level definition (at module level). `parse`, `parse_body` and
 `resume_body` share the parser set-up, the statement rules and the one
 recovery rule `_recover`. `parse_body` parses its text with the statement
-loop of a def's body, and `resume_body` runs that loop from a
-`BodyCheckpoint`, so a body that grows at its end is parsed from its last
-settled statement on, not from its first.
+loop of a def's body, and `resume_body` lexes and runs that loop from a
+`BodyCheckpoint`, so a body that grows at its end is lexed from its last
+closed line and parsed from its last settled statement on, not from its
+first.
 
 Every diagnostic, the lexer's included, is a syntax error in the lexer's one
 record type, `Diagnostic`. The parser checks syntax only: redefining a name
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional
 
 from . import nodes, tokens as tk
-from .lexer import Diagnostic, lex
+from .lexer import Diagnostic, LineLexer, lex
 from .tokens import LexToken
 
 
@@ -473,47 +474,57 @@ def parse_body(source: str, *, lexed=None):
 
 @dataclass(frozen=True)
 class BodyCheckpoint:
-    """A def's parse paused in its body's statement loop, at the start of a
-    statement.
+    """A def's lex paused after a line, and its parse paused in its body's
+    statement loop at the start of a statement. The parse has read only the
+    tokens before the cursor, all from lines up to lines, so resuming it
+    over the lex of any text that begins with closed parses the body as a
+    parse of the whole text does."""
 
-    func is the def's header (a function with an empty body), start the
-    index of the body's first token in the parser's tokens, index the
-    cursor, body the statements before it and diagnostics the parser's
-    diagnostics so far. Up to there the parse has read only the tokens up to
-    the cursor, so resuming it over any tokens that begin with those same
-    ones parses the body as a parse of the whole text does.
+    closed: str                          # the body's text lexed so far, whole lines
+    lines: int                           # the number of the last line lexed
+    lexer: LineLexer                     # the lexer after it
+    func: FunctionDef                    # the def's header, its body empty
+    start: int                           # the body's first token in the parser's tokens
+    index: int                           # the cursor
+    body: tuple[nodes.Stmt, ...]         # the statements before the cursor
+    diagnostics: tuple[Diagnostic, ...]  # the parser's so far
+
+
+def resume_body(checkpoint: BodyCheckpoint, text: str):
+    """The function whose body is text, a text that begins with
+    checkpoint.closed, lexed and parsed from checkpoint.
+
+    The lines of text past closed are lexed after it, its last line, with no
+    newline, as the open one. Returns (function, tokens, diagnostics, the
+    checkpoint to keep): the diagnostics are the lexer's and then the
+    parser's, and the checkpoint is after text's closed lines, at the last
+    statement starting on one of them, or checkpoint itself when text closes
+    no line past closed. The body's closing DEDENT ends the parse.
     """
-
-    func: FunctionDef
-    start: int
-    index: int
-    body: tuple[nodes.Stmt, ...]
-    diagnostics: tuple[Diagnostic, ...]
-
-
-def resume_body(checkpoint: BodyCheckpoint, lexed, settled_line: int):
-    """The function whose body the tokens of lexed hold, parsed from
-    checkpoint, a checkpoint of a parse over tokens that lexed's begin with.
-
-    Returns (function, the parser's diagnostics, the checkpoint at the last
-    statement starting on a line up to settled_line, or checkpoint itself
-    when none after it does). The body's closing DEDENT ends the parse.
-    """
-    parser = _Parser(parser_tokens(*lexed), "<body>")
+    cut = text.rfind("\n") + 1
+    lines, lexer = checkpoint.lines, checkpoint.lexer.copy()
+    for raw in text[len(checkpoint.closed):cut].split("\n")[:-1]:
+        lines += 1
+        lexer.line(lines, raw)
+    closed_lexer = lexer.copy() if lines > checkpoint.lines else None
+    lexer.line(lines + 1, text[cut:])
+    toks, lex_diags = lexer.finish()
+    parser = _Parser(parser_tokens(toks, lex_diags), "<body>")
     parser.i = checkpoint.index
     parser.diags = list(checkpoint.diagnostics)
     starts: list[tuple[int, int, int]] = []
     body = [*checkpoint.body, *parser._statements(parser.parse_stmt, starts)]
     func = parser._with_body(replace(checkpoint.func), checkpoint.start, body)
-    for i, n_items, n_diags in reversed(starts):
-        if parser.toks[i].line <= settled_line:
-            if i > checkpoint.index:
-                checkpoint = replace(
-                    checkpoint, index=i, body=tuple(body[:len(checkpoint.body) + n_items]),
-                    diagnostics=tuple(parser.diags[:n_diags]),
-                )
-            break
-    return func, parser.diags, checkpoint
+    if closed_lexer is not None:
+        i, n_items, n_diags = next(
+            (s for s in reversed(starts) if parser.toks[s[0]].line <= lines),
+            (checkpoint.index, 0, len(checkpoint.diagnostics)),
+        )
+        checkpoint = BodyCheckpoint(
+            text[:cut], lines, closed_lexer, checkpoint.func, checkpoint.start, i,
+            tuple(body[:len(checkpoint.body) + n_items]), tuple(parser.diags[:n_diags]),
+        )
+    return func, toks, lex_diags + parser.diags, checkpoint
 
 
 def assigned_attributes(func: FunctionDef, stmts: list[nodes.Stmt]) -> set[str]:

@@ -15,7 +15,7 @@ from dataclasses import MISSING, dataclass, fields
 from typing import Iterable, Mapping, Optional, Sequence, TypeVar
 
 from . import DataError, read_json, read_json_lines
-from .analysis.complete import TaskContext, head_is_indented
+from .analysis.complete import TaskContext, head_is_clean
 from .decode import DecisionMemo, GenerationConfig, GenerationTrace, generate
 from .lm.ngram import NGramModel, description_bucket, train
 from .lm.tokenizer import token_strings, tokenize
@@ -283,11 +283,11 @@ def _blank_function(
 def _tasks_of(repo: Repository, path: str) -> dict[int, FunctionDef]:
     """The functions of a file that make benchmark tasks, by caret line (two
     below the def), in source order: each has a docstring and a body below
-    it, and its outermost head line is not indented (`head_is_indented`)."""
-    module, lines = repo.module(path), repo.text(path).split("\n")
+    it, and its outermost head line is clean (`head_is_clean`)."""
+    lines = repo.text(path).split("\n")
     return {
-        f.line + 2: f for f in extract_functions(module)
-        if f.docstring is not None and f.body_tokens and not head_is_indented(module, lines, f)
+        f.line + 2: f for f in extract_functions(repo.module(path))
+        if f.docstring is not None and f.body_tokens and head_is_clean(repo, path, lines, f)
     }
 
 
@@ -315,16 +315,16 @@ def load_tasks(path: str, config: RunConfig) -> list[Task]:
     repos = dict(collect_repos(config.eval_roots))
     carets: dict[tuple[str, str], dict[int, FunctionDef]] = {}  # a file's tasks, found once
     tasks: list[Task] = []
-    for rec, line in read_json_lines(path, "tasks file", "task record", _TASK_FIELDS):
+    for rec, where in read_json_lines(path, "tasks file", "task record", _TASK_FIELDS):
         repo = repos.get(rec["repo"])
         if repo is None or rec["file"] not in repo.files:
-            raise DataError(f"task record {line!r} names no file of the eval corpus")
+            raise DataError(f"task record {where} names no file of the eval corpus")
         key = (rec["repo"], rec["file"])
         if key not in carets:
             carets[key] = _tasks_of(repo, rec["file"])
         func = carets[key].get(rec["line"])
         if func is None:
-            raise DataError(f"task record {line!r} names no task's caret line")
+            raise DataError(f"task record {where} names no task's caret line")
         tasks.append(_blank_function(
             repo, rec["file"], func, repo_name=rec["repo"], label=rec["label"],
             description=rec["description"], gt=rec["gt"],

@@ -127,4 +127,4 @@ def load_dataset_records(path: str) -> list[dict]:
     """The records of a dataset file. DataError for a line that is not a JSON
     object whose description and augmented_body are strings."""
     fields = (("description", str), ("augmented_body", str))
-    return [rec for rec, _line in read_json_lines(path, "dataset", "dataset record", fields)]
+    return [rec for rec, _where in read_json_lines(path, "dataset", "dataset record", fields)]

@@ -24,7 +24,7 @@ import numpy as np
 from mpgen.analysis.complete import CaretContext, TaskAnalysis, TaskContext
 from mpgen.analysis.insert import indent_body, insert
 from mpgen.analysis.lint import lint_check
-from mpgen.analysis.scope import ModuleScope, name_assignments
+from mpgen.analysis.scope import ModuleScope, ScopeIndex, name_assignments
 from mpgen.decode import GenerationConfig
 from mpgen.lm.ngram import load_model, train
 from mpgen.lm.tokenizer import detokenize, split_identifier, token_strings
@@ -350,9 +350,11 @@ def whole_text_analysis(snapshot, context, body) -> TaskAnalysis:
     lexed = lex(text)
     module = parse(text, pos.file, lexed=lexed)
     (func,) = extract_functions(module)
+    own = context.index
     written = module.classes[0].attributes if module.classes else ()
+    index = ScopeIndex(own.repo, own.own_class, own.own_members | frozenset(written))
     end = CaretPosition(pos.file, text.count("\n") + 1, len(text) - text.rfind("\n") - 1)
-    return TaskAnalysis(context, lexed[0], module.diagnostics, func, frozenset(written), end)
+    return TaskAnalysis(pos.file, index, lexed[0], module.diagnostics, func, end)
 
 
 # --- the evaluate flow -----------------------------------------------------------

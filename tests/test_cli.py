@@ -624,11 +624,23 @@ _READERS = {
 }
 
 
+# The most characters an error line may hold besides the name of its file.
+_MAX_ERROR = 300
+
+
+def _assert_one_short_line(err: str, path) -> None:
+    """err is one line that names the file at path and is short besides."""
+    named = repr(str(path))
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert named in err and len(err) - len(named) <= _MAX_ERROR
+
+
 @pytest.mark.parametrize("reader", list(_READERS))
 def test_a_file_nested_2000_levels_deep_is_data_error(tmp_path, capsys, reader):
     """The JSON decoder raises RecursionError on it, as on a file nested
     100,000 levels deep; each reader maps that to exit 2 like any other
-    malformed file, with one error line."""
+    malformed file, with one short error line that names the file, and the
+    line of a JSON-lines file."""
     write, noun, record = _READERS[reader]
     for depth in (2000, 100_000):  # 2000 is just past the decoder's recursion limit
         run = tmp_path / str(depth)
@@ -639,6 +651,9 @@ def test_a_file_nested_2000_levels_deep_is_data_error(tmp_path, capsys, reader):
         expected = f"error: malformed {record} " if record else f"error: cannot read {noun} {str(path)!r}: "
         assert out == "" and err.count("\n") == 1
         assert err.startswith(expected) and "recursion" in err
+        _assert_one_short_line(err, path)
+        if record:
+            assert err.startswith(f"{expected}at {str(path)!r} line 2 ")
         assert not (run / "report.json").exists()
 
 
@@ -653,16 +668,19 @@ _UNREADABLE = {
 def test_every_reader_names_the_file_it_cannot_read(tmp_path, capsys, reader, content):
     """A file that is not UTF-8 is named as unreadable by every reader, as is
     bad JSON in a JSON file; a bad line of a JSON-lines file is quoted as a
-    malformed record. Each exits 2 with one error line."""
+    malformed record, with its file and line number. Each exits 2 with one
+    short error line."""
     write, noun, record = _READERS[reader]
     argv, path = write(tmp_path, _UNREADABLE[content])
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
+    _assert_one_short_line(err, path)
     if record is None or content == "latin-1":
         assert err.startswith(f"error: cannot read {noun} {str(path)!r}: ")
     else:
         assert err.startswith(f"error: malformed {record} ")
+        assert err.startswith(f"error: malformed {record} at {str(path)!r} line 2 ")
 
 
 @pytest.mark.parametrize("command", ["augment", "evaluate"])
@@ -840,6 +858,151 @@ def test_model_and_config_readers_exit_0_or_2(tmp_path_factory, site, value, cut
     assert code in (0, 2)
     if code == 2:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+def _run(argv) -> tuple[int, str]:
+    """main's exit code and stderr for argv, stdout dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+_LONG = st.integers(0, 10**6).map(lambda n: "x" * n)  # a string up to 1 MB long
+_NESTED = st.integers(1, 10**5).map(lambda n: "[" * n + "]" * n)  # past the decoder's limit too
+
+
+@st.composite
+def _bad_record(draw, record: dict, fields) -> str:
+    """A JSON-lines line that its reader rejects as malformed: the valid
+    record, perhaps with a long field added, with one field of another type
+    (a long string among them) or dropped, or cut short; or a JSON value
+    that is not an object, an array nested deep among them."""
+    record = {**record, "pad": draw(_LONG | st.just(""))}
+    shape = draw(st.sampled_from(["wrong-type", "cut", "not-object", "nested"]))
+    if shape == "nested":
+        return draw(_NESTED)
+    if shape == "not-object":
+        return json.dumps(draw(_JSON.filter(lambda v: not isinstance(v, dict))))
+    if shape == "cut":
+        text = json.dumps(record)
+        return text[: draw(st.integers(1, len(text) - 1))]
+    name, kind = draw(st.sampled_from(fields))
+    value = draw((_JSON | _LONG | st.just(_DROP)).filter(lambda v: type(v) is not kind))
+    if value is _DROP:
+        del record[name]
+        return json.dumps(record)
+    return json.dumps({**record, name: value})
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), reader=st.sampled_from(["tasks", "dataset"]), blank=st.integers(0, 2))
+def test_a_bad_json_lines_record_is_one_short_line_that_locates_it(
+    tmp_path_factory, data, reader, blank
+):
+    """A long, deeply nested, cut or wrongly typed record, or a tasks record
+    naming no task, below a valid record and some blank lines: the command
+    exits 2 with one error line that names the file and the record's line
+    number, quotes at most a prefix of the line and starts with its
+    documented prefix."""
+    from mpgen import QUOTE_LIMIT
+    from mpgen.pipeline import _TASK_FIELDS
+
+    write, _noun, record = _READERS[reader]
+    if reader == "tasks":
+        valid, fields = _task_record(), _TASK_FIELDS
+    else:
+        valid, fields = _DATASET_RECORD, (("description", str), ("augmented_body", str))
+    names_no = reader == "tasks" and data.draw(st.booleans())
+    if names_no:  # well typed, but no eval repository, or no caret line, is named
+        line = json.dumps(data.draw(st.sampled_from([
+            {**valid, "repo": "absent" + data.draw(_LONG), "description": data.draw(_LONG)},
+            {**valid, "line": data.draw(st.integers(max_value=0) | st.integers(min_value=10**5))},
+        ])))
+    else:
+        line = data.draw(_bad_record(valid, fields))
+    argv, path = write(tmp_path_factory.mktemp("bad"), ("\n" * blank + line).encode())
+    code, err = _run(argv)
+    assert code == 2
+    _assert_one_short_line(err, path)
+    where = f"at {str(path)!r} line {blank + 2} "
+    if names_no:
+        assert err.startswith(f"error: task record {where}") and " names no " in err
+    else:
+        assert err.startswith(f"error: malformed {record} {where}")
+    if len(repr(line.strip())) > QUOTE_LIMIT:
+        assert "..." in err
+
+
+def _small_model_workspace(tmp) -> tuple[str, Path]:
+    """A config for `mpgen generate --vanilla` at tmp, and the path of its
+    model, which holds the small model."""
+    (tmp / "models").mkdir()
+    model = tmp / "models" / "model_vanilla.json"
+    model.write_text(_small_model_text())
+    return write_config(tmp, model_dir=str(tmp / "models"), max_tokens=8), model
+
+
+_CORE_LINES = (CORPUS / "eval" / "repo14" / "core.mp").read_text().split("\n")
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_a_caret_outside_the_file_is_one_line_naming_it(tmp_path_factory, data):
+    """A --line out of the file's range, or a --column out of its line's:
+    generate exits 2 with the one line that says which, naming the file."""
+    cfg, _model = _small_model_workspace(tmp_path_factory.mktemp("caret"))
+    line = data.draw(st.integers())
+    if 1 <= line <= len(_CORE_LINES):
+        width = len(_CORE_LINES[line - 1])
+        column = data.draw(st.integers(max_value=-1) | st.integers(min_value=width + 1))
+        want = f"error: column {column} out of range on line {line} of 'core.mp'\n"
+    else:
+        column = data.draw(st.integers())
+        want = f"error: line {line} out of range for 'core.mp'\n"
+    argv = _generate_args(cfg, "core.mp", line, "--vanilla")
+    argv[argv.index("--column") + 1] = str(column)
+    assert _run(argv) == (2, want)
+
+
+# The documented starts of a model file's error lines, given its path.
+_MODEL_PREFIXES = (
+    "error: cannot read model file {}: ", "error: malformed model file {}: ",
+    "error: {} is not an mpgen model file\n", "error: model format version ",
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["cut", "nested", "header", "key"]),
+    site=st.sampled_from(("format", "version", "order", "buckets", "alpha")),
+    key=st.sampled_from(_MODEL_KEYS),
+    value=(_JSON | _LONG).filter(lambda v: type(v) not in (int, float)),
+    data=st.data(),
+)
+def test_a_corrupt_model_file_is_one_short_line(tmp_path_factory, kind, site, key, value, data):
+    """The small model cut short, replaced by a deeply nested array, with a
+    header field of a type no model has (a long string among them), or with
+    a long table key, context or token id: generate exits 2 with one short
+    error line that starts with a documented prefix."""
+    cfg, model = _small_model_workspace(tmp_path_factory.mktemp("model"))
+    text = _small_model_text()
+    if kind == "cut":
+        text = text[: data.draw(st.integers(0, len(text) - 1))]
+    elif kind == "nested":
+        text = data.draw(_NESTED)
+    else:
+        payload = json.loads(text)
+        if kind == "header":
+            _put(payload, site, value)
+        else:
+            _put(payload, key, "x" + data.draw(_LONG))
+        text = json.dumps(payload)
+    model.write_text(text)
+    code, err = _run(_generate_args(cfg, "core.mp", 1, "--vanilla"))
+    assert code == 2 and err.count("\n") == 1
+    assert any(err.startswith(p.format(repr(str(model)))) for p in _MODEL_PREFIXES), err
+    assert len(err) - len(repr(str(model))) <= _MAX_ERROR
 
 
 def test_lint_non_utf8_source_is_data_error(tmp_path, capsys):

@@ -277,7 +277,7 @@ def test_the_trigger_path_does_each_piece_of_work_once(trained_models, demo_task
             open_contexts.pop()
         if context._checkpoint is not None:
             toks = [t for t in analysis.tokens if t.kind != tk.ERROR]
-            first = toks[context._checkpoint.body.index]  # the first unsettled statement's
+            first = toks[context._checkpoint.index]  # the first unsettled statement's
             stats.settled = (first.line, first.column)
         return analysis
 
@@ -323,7 +323,7 @@ def test_the_trigger_path_does_each_piece_of_work_once(trained_models, demo_task
     ) > 0
     for stats in contexts.values():
         # the class header, the def line and the docstring, and no parse
-        assert stats.head_lines == (3 if stats.context.own_class is not None else 2)
+        assert stats.head_lines == (3 if stats.context.index.own_class is not None else 2)
         assert stats.parses == 0
         # the open line at each call, and each closed line once
         assert stats.body_lines == stats.calls + stats.body.count("\n")
@@ -348,7 +348,7 @@ def _assert_equal_analyses(got, want):
     assert got.tokens == want.tokens
     assert got.diagnostics == want.diagnostics  # in order
     assert got.function == want.function
-    assert got.own_attributes == want.own_attributes
+    assert got.index.own_members == want.index.own_members
     assert got.end == want.end
 
 

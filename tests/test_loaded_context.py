@@ -4,11 +4,12 @@ context `TaskContext.at` builds from the blanked file, the reference here:
 at every benchmark tool invocation, on every benchmark verdict, and on the
 tasks of mutated files."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mpgen.analysis.complete import TaskContext
-from mpgen.analysis.scope import receiver_members
 from mpgen.decode import GenerationConfig, generate
 from mpgen.metrics import ground_truth
 from mpgen.minilang.lexer import LineLexer
@@ -126,10 +127,10 @@ def _lines(stem, cls, ind):
 
 def _start(context):
     """What a context's start checkpoint holds: the lexer's whole state after
-    the head, and the function's header."""
+    the head, and the rest, the function's header among it."""
     start = context.start
     lexer = tuple(getattr(start.lexer, slot) for slot in LineLexer.__slots__)
-    return start.closed, start.lines, lexer, start.body
+    return lexer, replace(start, lexer=None)
 
 
 def _assert_same_index(loaded, reference, repo):
@@ -140,10 +141,8 @@ def _assert_same_index(loaded, reference, repo):
         assert (got.members, got.imports) == (want.members, want.imports), path
         assert got.classes.keys() == want.classes.keys(), path
         for name in want.classes:
-            assert receiver_members(
-                got.classes[name], loaded.own_class, loaded.own_members
-            ) == receiver_members(
-                want.classes[name], reference.own_class, reference.own_members
+            assert loaded.index.members(got.classes[name]) == reference.index.members(
+                want.classes[name]
             ), (path, name)
 
 
@@ -174,11 +173,12 @@ def test_tasks_of_mutated_files_get_the_blanked_files_context(corpus_repos, data
         loaded = TaskContext.of_function(repo, func, pos)
         reference = TaskContext.at(snap, pos)
         assert reference is not None, (path, func.name)
-        assert (loaded.pos, loaded.own_members) == (reference.pos, reference.own_members)
+        loaded_own, reference_own = loaded.index.own_class, reference.index.own_class
+        assert (loaded.pos, loaded.index.own_members) == (reference.pos, reference.index.own_members)
         assert _start(loaded) == _start(reference)
-        assert (loaded.own_class is None) == (reference.own_class is None)
-        if reference.own_class is not None:
-            assert loaded.own_class.line == reference.own_class.line
+        assert (loaded_own is None) == (reference_own is None)
+        if reference_own is not None:
+            assert loaded_own.line == reference_own.line
         _assert_same_index(loaded, reference, repo)
 
         gt = render_tokens(func.body_tokens)

@@ -19,7 +19,7 @@ from mpgen.pipeline import _blank_function, derive_tasks, load_tasks
 from mpgen.repo import CaretPosition, Repository
 
 from conftest import CORPUS, make_config
-from oracles import whole_file_pair_is_valid
+from oracles import whole_file_lint_in_span, whole_file_pair_is_valid
 
 UTILS = (
     "class Box:\n"
@@ -269,3 +269,43 @@ def test_a_function_whose_outermost_head_line_is_indented_is_no_task(tmp_path):
             if path == "f.mp":
                 assert not whole_file_pair_is_valid(task.pair("return a"))
                 assert not task.context().analyse("return a").lint()
+
+
+# A module-level def line that draws a parse record although it is not
+# indented: a token before its `def`, or a class line above it left with no
+# block. The parser reports it and then parses the def, a record that a
+# task's analysis, lexing the def line but parsing none of the head, would
+# not see.
+RECORD_ON_DEF_LINE = {
+    "d.mp": ')def f(a):\n    "Doc"\n    return a\n',
+    "c.mp": 'class K:\ndef f(a):\n    "Doc"\n    return a\n',
+    "ok.mp": 'def f(a):\n    "doc"\n    return a\n',
+}
+
+
+def test_a_function_whose_def_line_draws_a_parse_record_is_no_task(tmp_path):
+    """derive_tasks skips it, load_tasks refuses a record naming it and
+    TaskContext.at refuses its caret. The whole file finds `return a`
+    invalid, since its lint reports the def line, inside the function's
+    span, where the task analysis would find it valid."""
+    (tmp_path / "eval" / "r").mkdir(parents=True)
+    for name, text in RECORD_ON_DEF_LINE.items():
+        (tmp_path / "eval" / "r" / name).write_text(text)
+    config = make_config(tmp_path, eval_roots=[str(tmp_path / "eval")])
+    assert [t.label for t in derive_tasks(config)] == ["r/ok.mp:f"]
+
+    repo = Repository(RECORD_ON_DEF_LINE)
+    tasks_file = tmp_path / "tasks.jsonl"
+    for path in ("d.mp", "c.mp"):
+        (func,) = extract_functions(repo.module(path))
+        task = _blank_function(repo, path, func, repo_name="r", label="", description="", gt="")
+        with pytest.raises(ValueError, match="is not a blanked task's caret"):
+            TaskContext.at(task.snapshot, task.pos)
+        record = {"label": "", "repo": "r", "file": path, "line": task.pos.line,
+                  "description": "", "gt": ""}
+        tasks_file.write_text(json.dumps(record) + "\n")
+        with pytest.raises(DataError, match="names no task's caret line"):
+            load_tasks(str(tasks_file), config)
+        (error,) = whole_file_lint_in_span(task.pair("return a"))
+        assert (error.kind, error.line) == ("syntax-error", func.line)
+        assert not task.context().analyse("return a").lint()

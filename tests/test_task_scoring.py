@@ -14,7 +14,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mpgen import metrics
 from mpgen.analysis import complete, lint, scope
-from mpgen.analysis.complete import TaskContext
+from mpgen.analysis.complete import TaskContext, tool_complete
+from mpgen.analysis.insert import insert
 from mpgen.decode import GenerationConfig
 from mpgen.lm import ngram
 from mpgen.lm.tokenizer import tokenize
@@ -31,16 +32,17 @@ from mpgen.metrics import (
     reference_ngrams,
 )
 from mpgen.minilang.lexer import LineLexer
-from mpgen.minilang import parser
+from mpgen.minilang import parser, tokens as tk
 from mpgen.minilang.parser import extract_functions, parse_body
 from mpgen.minilang.render import render_tokens
 from mpgen import repo as repo_module
 from mpgen.pipeline import (
-    _blank_function, collect_repos, derive_tasks, load_tasks, run_evaluate, run_model_over_tasks,
+    _blank_function, _tasks_of, collect_repos, derive_tasks, load_tasks, run_evaluate,
+    run_model_over_tasks,
 )
 from mpgen.repo import CaretPosition, Repository
 
-from conftest import make_config
+from conftest import CORPUS, make_config
 from oracles import (
     counter_corpus_bleu, generate_then_score_report, whole_file_dependencies,
     whole_file_expressions, whole_file_lint_in_span, whole_file_pair_is_valid,
@@ -143,6 +145,52 @@ def test_task_scoring_equals_the_whole_file_on_mutants(sampled_tasks, data):
     assert identify_dependencies(analysis) == (
         whole_file_dependencies(text, pair.repo, pair.pos)
     )
+
+
+@pytest.fixture(scope="module")
+def eval_files():
+    """(repository, path) of every file of the bundled eval corpus."""
+    return [
+        (repo, path) for _name, repo in collect_repos([str(CORPUS / "eval")])
+        for path in repo.paths()
+    ]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_task_analysis_equals_the_whole_file_on_mutated_files(eval_files, data):
+    """An eval file with drawn pieces inserted and spans cut, some of them
+    at the start of a line, and every task derived from it: the loaded task's context analyses the ground truth and
+    a mutation of it as splicing each into the blanked file and analysing
+    the whole file does. Its lint records, verdict, access expressions and
+    dependencies agree, and so do its suggestions at every identifier of
+    the body with the whole-file tool's (McKeeman 1998, differential
+    testing)."""
+    base, path = data.draw(st.sampled_from(eval_files))
+    lines = data.draw(_mutants([base.text(path)], st.integers(1, 6))).split("\n")
+    for _ in range(data.draw(st.integers(0, 2))):  # where a head line's records start
+        i = data.draw(st.integers(0, len(lines) - 1))
+        lines[i] = data.draw(st.sampled_from(_PIECES)) + lines[i]
+    repo = Repository({**base.files, path: "\n".join(lines)})
+    for func in _tasks_of(repo, path).values():
+        gt = render_tokens(func.body_tokens)
+        task = _blank_function(
+            repo, path, func, repo_name="", label=func.name, description=func.description, gt=gt
+        )
+        context = task.context()
+        for body in (gt, data.draw(_mutants([gt], st.integers(1, 3)))):
+            pair, analysis = task.pair(body), context.analyse(body)
+            assert sorted(analysis.lint(), key=_key) == whole_file_lint_in_span(pair), (func.name, body)
+            assert pair_is_valid(analysis) == whole_file_pair_is_valid(pair)
+            assert extract_expressions(analysis.function.body) == whole_file_expressions(pair)
+            assert identify_dependencies(analysis) == (
+                whole_file_dependencies(body, task.snapshot, task.pos)
+            )
+            spliced, _end = insert(task.snapshot, task.pos, body)
+            for t in analysis.function.body_tokens:
+                if t.kind == tk.IDENTIFIER:
+                    caret = CaretPosition(path, t.line, t.column)
+                    assert analysis.complete_at(t.line, t.column) == tool_complete(spliced, caret)
 
 
 @pytest.mark.parametrize(

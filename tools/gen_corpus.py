@@ -37,6 +37,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
+from mpgen.lm.ngram import _fnv1a as fnv1a  # noqa: E402  (the model's description hash)
 from mpgen.lm.tokenizer import token_strings  # noqa: E402
 
 BUCKETS = 16
@@ -120,14 +121,6 @@ SUFFIXES = ["Box", "Unit", "Desk", "Rack", "Node", "Case"]
 # name pairs, class A's two attributes plus its setup-method name, class B's
 # attribute, class C's attribute, class D's two attributes plus setup name.
 SLOTS = ["t0", "t1", "t2", "t3", "t4", "p0", "p1", "sA", "p2", "p3", "q0", "q1", "sD"]
-
-
-def fnv1a(text: str) -> int:
-    h = 0x811C9DC5
-    for b in text.encode("utf-8"):
-        h ^= b
-        h = (h * 0x01000193) & 0xFFFFFFFF
-    return h
 
 
 def bucket_of(description: str) -> int:
