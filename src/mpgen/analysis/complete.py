@@ -1,7 +1,9 @@
 """The autocompletion tool: identifier suggestions at any caret position
 (`tool_complete`), or inside the function being written at a blanked task's
 caret (`TaskContext`, which answers as `tool_complete` would, and lints that
-function as `lint_check` would)."""
+function as `lint_check` would). One completion rule serves both:
+`FunctionCompletions` answers carets inside one function, and trigger
+insertion asks one about every identifier of a function's body."""
 
 from __future__ import annotations
 
@@ -9,6 +11,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+from ..minilang import nodes
 from ..minilang import tokens as tk
 from ..minilang.lexer import Diagnostic, LineLexer
 from ..minilang.parser import (
@@ -16,10 +19,12 @@ from ..minilang.parser import (
 )
 from ..minilang.tokens import LexToken
 from ..repo import CaretPosition, Repository
-from .builtins import is_builtin
+from .builtins import BUILTIN_NAMES
 from .insert import indent_body
 from .lint import LintError, function_errors, syntax_errors
-from .scope import ScopeIndex, build_scope_index, class_at, locals_before, own_class_members
+from .scope import (
+    ScopeIndex, build_scope_index, class_at, name_assignments, own_class_members,
+)
 
 
 @dataclass(frozen=True)
@@ -67,36 +72,66 @@ def tool_complete(repo: Repository, caret: CaretPosition) -> list[str]:
     type. Scope context: everything visible in the enclosing scope (params,
     locals defined before the caret, module-level names, imported names).
     Builtins are excluded; the result is sorted and duplicate-free. An
-    unresolvable receiver yields an empty list rather than an error.
+    unresolvable receiver yields an empty list rather than an error. The
+    rule is `FunctionCompletions`', here made for the caret's enclosing
+    function and asked once.
     """
-    ctx = classify_caret(repo, caret)
+    repo.validate_caret(caret)
     index = build_scope_index(repo)
     _, func = index.enclosing(caret.file, caret.line)
-    return _suggestions(index, caret, ctx, func)
+    completions = FunctionCompletions(index, caret.file, repo.lex(caret.file)[0], func)
+    return completions.at(caret.line, caret.column)
 
 
-def _suggestions(
-    index: ScopeIndex, caret: CaretPosition, ctx: CaretContext, func: Optional[FunctionDef]
-) -> list[str]:
-    """Suggestions at the caret inside func; a receiver's members are the
-    index's (`ScopeIndex.members`)."""
-    if ctx.kind == "attribute":
-        if ctx.receiver is None:
-            return []
-        target = index.resolve_receiver(caret.file, func, ctx.receiver, (caret.line, caret.column))
-        if target is None:
-            return []
-        names = index.members(target)
-        return sorted(n for n in names if not is_builtin(n))
+class FunctionCompletions:
+    """The completion tool's suggestions at carets inside func, a function of
+    the file at path (None: outside every function), whose tokens are tokens
+    and whose receivers' members are index's (`ScopeIndex.members`).
 
-    names: set[str] = set()
-    scope = index.module_scope(caret.file)
-    if scope is not None:
-        names |= scope.visible_names
-    if func is not None:
-        names |= set(func.params)
-        names |= locals_before(func, (caret.line, caret.column))
-    return sorted(n for n in names if not is_builtin(n))
+    It keeps what no caret changes: the names the file makes visible with
+    func's parameters, and, listed on the first query that needs them,
+    func's plain-name assignments in source order. A scope caret adds the
+    targets of the assignments before it; an attribute caret's receiver
+    resolves through the latest of them (`ScopeIndex.resolve_receiver`).
+    Asking about many carets of one function therefore walks its body once.
+    """
+
+    def __init__(
+        self, index: ScopeIndex, path: str, tokens: list[LexToken], func: Optional[FunctionDef]
+    ):
+        self.index = index
+        self.path = path
+        self.tokens = tokens
+        self.func = func
+        scope = index.module_scope(path)
+        names = scope.visible_names if scope is not None else frozenset()
+        self.names = names.union(func.params) if func is not None else names
+        self._assignments: Optional[list[nodes.Assign]] = None
+
+    def assignments(self) -> list[nodes.Assign]:
+        if self._assignments is None:
+            self._assignments = [] if self.func is None else list(name_assignments(self.func.body))
+        return self._assignments
+
+    def at(self, line: int, column: int) -> list[str]:
+        """The suggestions at the caret (line, column), builtins left out."""
+        ctx = caret_context(self.tokens, line, column)
+        before = (line, column)
+        if ctx.kind == "attribute":
+            if ctx.receiver is None:
+                return []
+            target = self.index.resolve_receiver(
+                self.path, self.func, self.assignments, ctx.receiver, before
+            )
+            if target is None:
+                return []
+            return sorted(self.index.members(target).difference(BUILTIN_NAMES))
+        local = {
+            stmt.target.id
+            for stmt in self.assignments()
+            if (stmt.target.line, stmt.target.column) < before
+        }
+        return sorted(self.names.union(local).difference(BUILTIN_NAMES))
 
 
 def head_is_clean(repo: Repository, path: str, lines: list[str], func: FunctionDef) -> bool:
@@ -266,11 +301,14 @@ class TaskAnalysis:
     function: FunctionDef
     end: CaretPosition             # just past the body
 
+    completions: FunctionCompletions = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.completions = FunctionCompletions(self.index, self.path, self.tokens, self.function)
+
     def complete_at(self, line: int, column: int) -> list[str]:
         """tool_complete's suggestions at a caret inside the function."""
-        caret = CaretPosition(self.path, line, column)
-        ctx = caret_context(self.tokens, line, column)
-        return _suggestions(self.index, caret, ctx, self.function)
+        return self.completions.at(line, column)
 
     def lint(self) -> list[LintError]:
         """The records `lint_check` gives the spliced file from the def line

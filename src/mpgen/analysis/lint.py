@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from ..minilang import nodes
 from ..minilang.lexer import Diagnostic
@@ -44,6 +44,7 @@ def _check_expressions(
     index: ScopeIndex,
     path: str,
     func: Optional[FunctionDef],
+    assignments: Callable[[], Sequence[nodes.Assign]],
     errors: list[LintError],
 ) -> None:
     for expr, is_store in nodes.walk_expressions(stmts):
@@ -66,7 +67,7 @@ def _check_expressions(
             if is_builtin(expr.attr):
                 continue
             target = index.resolve_receiver(
-                path, func, expr.value.id, (expr.line, expr.column)
+                path, func, assignments, expr.value.id, (expr.line, expr.column)
             )
             if target is None:
                 continue
@@ -96,10 +97,11 @@ def _module_names(index: ScopeIndex, path: str) -> set[str]:
 def function_errors(index: ScopeIndex, path: str, fn: FunctionDef) -> list[LintError]:
     """Undefined-variable and no-member records of one function; a
     receiver's members are the index's (`ScopeIndex.members`)."""
-    local_targets = {stmt.target.id for stmt in name_assignments(fn.body)}
+    assignments = list(name_assignments(fn.body))
+    local_targets = {stmt.target.id for stmt in assignments}
     defined = _module_names(index, path) | set(fn.params) | local_targets
     errors: list[LintError] = []
-    _check_expressions(fn.body, defined, index, path, fn, errors)
+    _check_expressions(fn.body, defined, index, path, fn, lambda: assignments, errors)
     return errors
 
 
@@ -107,7 +109,9 @@ def lint_check(repo: Repository, file: str) -> list[LintError]:
     module = repo.module(file)
     index = build_scope_index(repo)
     errors = syntax_errors(file, module.diagnostics)
-    _check_expressions(module.body, _module_names(index, file), index, file, None, errors)
+    _check_expressions(
+        module.body, _module_names(index, file), index, file, None, lambda: (), errors
+    )
     for fn in extract_functions(module):
         errors += function_errors(index, file, fn)
     errors.sort(key=lambda e: (e.line, e.column, e.kind, e.message))

@@ -17,7 +17,9 @@ Each rule is decided in one place:
   assigns.
 - A name resolves to its last definition in the file, as at run time.
 - `name_assignments` lists the plain-name assignments that make locals and
-  module variables.
+  module variables, in source order. A caller asking about many carets of
+  one function lists them once and passes the list to `resolve_receiver`
+  (`complete.FunctionCompletions`, `lint.function_errors`).
 
 Type resolution is deliberately flow-insensitive and single-hop, the level
 of inference a static tool can honestly sustain for a dynamically typed
@@ -47,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from ..minilang import nodes
 from ..minilang.parser import ClassDef, FunctionDef, Module, assigned_attributes, extract_functions
@@ -88,9 +90,10 @@ class ModuleScope:
         """The module as a receiver is named by its path."""
         return self.module.path
 
-    @property
-    def visible_names(self) -> set[str]:
-        return self.members | set(self.imports)
+    @cached_property
+    def visible_names(self) -> frozenset[str]:
+        """The names the file defines or imports; computed once per scope."""
+        return frozenset(self.members.union(self.imports))
 
 
 class ScopeIndex:
@@ -162,27 +165,32 @@ class ScopeIndex:
         self,
         path: str,
         func: Optional[FunctionDef],
+        assignments: Callable[[], Sequence[nodes.Assign]],
         name: str,
         before: tuple[int, int],
     ) -> Optional[ClassDef | ModuleScope]:
         """The class or module that the receiver of `name.` resolves to, or None.
 
-        `before` bounds the local-assignment search: only assignments
-        lexically preceding the access count, and the latest of them decides
-        (`name_assignments` yields them in source order).
+        assignments() gives func's plain-name assignments in source order
+        (`name_assignments`), none outside every function; it is called only
+        when name is not a method's first parameter. Only the assignments
+        lexically preceding the access (`before`) count, and the latest of
+        them decides.
         """
         if func is not None and func.is_method and func.params and name == func.params[0]:
             return class_at(self.module_scope(path).module, func.line)
-        if func is not None:
-            latest: Optional[nodes.Assign] = None
-            for stmt in name_assignments(func.body):
-                if stmt.target.id == name and (stmt.target.line, stmt.target.column) < before:
-                    latest = stmt
-            if latest is not None:
-                value = latest.value
-                if isinstance(value, nodes.Call) and isinstance(value.func, nodes.Name):
-                    return self.resolve_class_name(path, value.func.id)
-                return None
+        latest = next(
+            (
+                stmt for stmt in reversed(assignments())
+                if stmt.target.id == name and (stmt.target.line, stmt.target.column) < before
+            ),
+            None,
+        )
+        if latest is not None:
+            value = latest.value
+            if isinstance(value, nodes.Call) and isinstance(value.func, nodes.Name):
+                return self.resolve_class_name(path, value.func.id)
+            return None
         return self.resolve_class_name(path, name) or self.resolve_module_alias(path, name)
 
 
@@ -225,12 +233,3 @@ def _module_scope(repo: Repository, path: str) -> ModuleScope:
         | {stmt.target.id for stmt in name_assignments(mod.body)}
     )
     return ModuleScope(mod, members, classes, imports)
-
-
-def locals_before(func: FunctionDef, before: tuple[int, int]) -> set[str]:
-    """Names assigned in the function strictly before a position."""
-    return {
-        stmt.target.id
-        for stmt in name_assignments(func.body)
-        if (stmt.target.line, stmt.target.column) < before
-    }

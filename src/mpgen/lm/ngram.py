@@ -49,7 +49,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cache
 from math import inf, log
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .. import DataError, quote, read_json
 from .._kernels import smoothed_distribution
@@ -110,29 +110,37 @@ class NGramModel:
         counts = self.next_counts(bucket, prefix)
         return smoothed_distribution(self.vocab.size, counts, self.alpha)
 
-    def sequence_nll(self, bucket: int, target: Sequence[int]) -> float:
+    def sequence_nll(self, bucket: int, target: Sequence[int], rows: Optional[dict] = None) -> float:
         """Negative log-likelihood of a <BOS>...<EOS> target, in nats, in the
         description's bucket.
 
         Each step reads only the target token's probability, with the float
-        operations `smoothed_distribution` uses for that entry.
+        operations `smoothed_distribution` uses for that entry. rows, when
+        given, maps each (bucket, *context window) read to its counts and
+        their smoothed total, so a caller scoring many targets (`corpus_nll`)
+        looks up and sums each window's row once.
         """
+        rows = {} if rows is None else rows
         alpha = float(self.alpha)
         smoothing = alpha * self.vocab.size
         n = self.order - 1  # the longest context; at order 1 every window is empty
         nll = 0.0
         for i in range(1, len(target)):
-            counts = self.next_counts(bucket, target[max(0, i - n):i])
-            denom = float(sum(counts.values())) + smoothing
-            nll -= log((alpha + counts.get(target[i], 0)) / denom)
+            key = (bucket, *target[max(0, i - n):i])
+            row = rows.get(key)
+            if row is None:
+                counts = self.next_counts(bucket, key[1:])
+                row = rows[key] = (counts, float(sum(counts.values())) + smoothing)
+            nll -= log((alpha + row[0].get(target[i], 0)) / row[1])
         return nll
 
     def corpus_nll(self, dataset: Iterable[tuple[int, Sequence[int]]]) -> tuple[float, int]:
         """Summed NLL and scored token count of (bucket, target) pairs."""
+        rows: dict[tuple, tuple] = {}
         total = 0.0
         n_tokens = 0
         for bucket, target in dataset:
-            total += self.sequence_nll(bucket, target)
+            total += self.sequence_nll(bucket, target, rows)
             n_tokens += len(target) - 1
         return total, n_tokens
 
@@ -244,7 +252,7 @@ def load_model(path: str) -> NGramModel:
         raise DataError(f"{path!r} is not an mpgen model file")
     if payload.get("version") != FORMAT_VERSION:
         raise DataError(
-            f"model format version {quote(payload.get('version'))} unsupported "
+            f"model file {path!r}: format version {quote(payload.get('version'))} unsupported "
             f"(expected {FORMAT_VERSION})"
         )
     try:

@@ -7,8 +7,10 @@ emitted immediately before it. All body tokens, identifier or not, are
 appended in order, so stripping the markers recovers the original body
 exactly.
 
-Each eligible identifier asks `tool_complete` once, with no cache of its
-own in front: the analysis a completion needs is already shared, since the
+Each function's eligible identifiers ask one completion session
+(`FunctionCompletions`), which gives what `tool_complete` gives at each of
+them but finds the enclosing function and walks the body once per
+function, not once per identifier. The analysis it reads is shared: the
 repository lexes, parses and scopes each file once, the first time a
 completion reaches it. `is_trigger` is the marking rule; the metrics
 apply it, with a task analysis's completions, to mark a ground truth.
@@ -25,13 +27,14 @@ from typing import Callable, Iterable
 
 from . import __version__, read_json_lines
 from .analysis.builtins import is_builtin
-from .analysis.complete import tool_complete
+from .analysis.complete import FunctionCompletions
+from .analysis.scope import build_scope_index
 from .lm.tokenizer import token_strings
 from .minilang import tokens as tk
 from .minilang.parser import FunctionDef, extract_functions
 from .minilang.render import render_tokens
 from .minilang.tokens import LexToken
-from .repo import CaretPosition, Repository
+from .repo import Repository
 
 
 def is_trigger(t: LexToken, complete: Callable[[int, int], list[str]]) -> bool:
@@ -45,10 +48,7 @@ def is_trigger(t: LexToken, complete: Callable[[int, int], list[str]]) -> bool:
 def insert_triggers(repo: Repository, file: str, func: FunctionDef) -> list[LexToken]:
     """The body tokens of func, a function of file, with a marker token
     before each trigger."""
-
-    def complete(line: int, column: int) -> list[str]:
-        return tool_complete(repo, CaretPosition(file, line, column))
-
+    complete = FunctionCompletions(build_scope_index(repo), file, repo.lex(file)[0], func).at
     out: list[LexToken] = []
     for t in func.body_tokens:
         if is_trigger(t, complete):

@@ -46,6 +46,39 @@ def version_1_payload(payload: dict) -> dict:
     return {**payload, "version": 1, "variant": "model", "tables": tables}
 
 
+def assert_completions_match_reference(repo, path: str) -> int:
+    """The completion tool against its per-call reference on one file of
+    repo (`oracles.per_call_complete`): `tool_complete` at every identifier
+    and at the end of every line; for each function, one completion session
+    asked at every identifier of its body, and `insert_triggers`. Returns
+    the number of carets `tool_complete` was asked about."""
+    from oracles import eager_module_scopes, per_call_complete, per_call_insert_triggers
+
+    from mpgen.analysis.complete import FunctionCompletions, tool_complete
+    from mpgen.analysis.scope import build_scope_index
+    from mpgen.minilang import tokens as tk
+    from mpgen.minilang.parser import extract_functions
+    from mpgen.repo import CaretPosition
+    from mpgen.trigger import insert_triggers
+
+    scopes = eager_module_scopes(repo)
+    toks = repo.lex(path)[0]
+    carets = {(t.line, t.column) for t in toks if t.kind == tk.IDENTIFIER}
+    carets |= {(n, len(line)) for n, line in enumerate(repo.text(path).split("\n"), start=1)}
+    for line, column in sorted(carets):
+        caret = CaretPosition(path, line, column)
+        assert tool_complete(repo, caret) == per_call_complete(repo, scopes, caret), caret
+    index = build_scope_index(repo)
+    for func in extract_functions(repo.module(path)):
+        session = FunctionCompletions(index, path, toks, func)
+        for t in func.body_tokens:
+            if t.kind == tk.IDENTIFIER:
+                caret = CaretPosition(path, t.line, t.column)
+                assert session.at(t.line, t.column) == per_call_complete(repo, scopes, caret), caret
+        assert insert_triggers(repo, path, func) == per_call_insert_triggers(repo, path, func)
+    return len(carets)
+
+
 def make_config(out_dir: Path, **overrides) -> RunConfig:
     defaults = dict(
         train_roots=[str(CORPUS / "train")],

@@ -5,8 +5,10 @@ code path with the implementations it checks. The whole-file scoring
 oracles splice a text into the blanked file and run the whole-file
 completion tool and linter on it, where scoring reads one task analysis.
 The trigger-path oracles recompute from the whole prefix, or the whole
-text, what generation keeps up to date as the prefix grows. The train-stage
-oracles build the vocabulary from texts, each lexed anew, and count every
+text, what generation keeps up to date as the prefix grows. The completion
+oracles ask one whole-file query per caret, where trigger insertion asks one
+completion session per function. The train-stage oracles build the
+vocabulary from texts, each lexed anew, and count every
 (position, order) into each table one call at a time, hashing every token
 of every description afresh. The evaluate oracle runs the stages in the
 order they once ran, generating for every task before scoring any, each
@@ -21,6 +23,7 @@ from collections import Counter
 
 import numpy as np
 
+from mpgen.analysis.builtins import BUILTIN_NAMES
 from mpgen.analysis.complete import CaretContext, TaskAnalysis, TaskContext
 from mpgen.analysis.insert import indent_body, insert
 from mpgen.analysis.lint import lint_check
@@ -37,7 +40,6 @@ from mpgen.minilang.parser import extract_functions, parse
 from mpgen.minilang.tokens import LexToken
 from mpgen.pipeline import derive_tasks, load_tasks, run_model_over_tasks, trace_summary
 from mpgen.repo import SOURCE_SUFFIX, CaretPosition
-from mpgen.trigger import insert_triggers
 
 
 def naive_levenshtein(a: str, b: str) -> int:
@@ -104,6 +106,70 @@ def eager_module_scopes(repo) -> dict:
         )
         modules[path] = ModuleScope(mod, members, classes, imports)
     return modules
+
+
+# --- completion: one whole-file query per caret --------------------------------
+
+def per_call_complete(repo, scopes, caret) -> list[str]:
+    """The completion tool's suggestions at the caret as one query about the
+    whole file: the caret classified from every token left of it, the
+    enclosing function found among all the file's, and its body walked
+    anew, by recursion, for the locals before the caret and a receiver's
+    latest assignment; scopes are `eager_module_scopes(repo)`."""
+    ctx = scan_classify_caret(repo, caret)
+    func = latest_enclosing_function(repo, caret.file, caret.line)
+    scope = scopes[caret.file]
+    before = (caret.line, caret.column)
+    assigned = [
+        s for s in recursive_statements(func.body if func is not None else [])
+        if isinstance(s, nodes.Assign) and isinstance(s.target, nodes.Name)
+        and (s.target.line, s.target.column) < before
+    ]
+
+    def class_named(name):
+        imported = scope.imports.get(name, ("unresolved",))
+        if name in scope.classes:
+            return scope.classes[name]
+        if imported[0] == "name":
+            return scopes[imported[1]].classes.get(imported[2])
+        return None
+
+    if ctx.kind == "scope":
+        names = scope.members | set(scope.imports) | {s.target.id for s in assigned}
+        names |= set(func.params) if func is not None else set()
+    else:
+        target = None
+        receiver = ctx.receiver
+        if receiver is None:
+            pass
+        elif func is not None and func.is_method and func.params and receiver == func.params[0]:
+            classes = repo.module(caret.file).classes
+            target = next((c for c in classes if c.line <= func.line <= c.end_line), None)
+        elif any(s.target.id == receiver for s in assigned):
+            value = [s for s in assigned if s.target.id == receiver][-1].value
+            if isinstance(value, nodes.Call) and isinstance(value.func, nodes.Name):
+                target = class_named(value.func.id)
+        else:
+            imported = scope.imports.get(receiver, ("unresolved",))
+            target = class_named(receiver) or (
+                scopes[imported[1]] if imported[0] == "module" else None
+            )
+        names = target.members if target is not None else set()
+    return sorted(n for n in names if n not in BUILTIN_NAMES)
+
+
+def per_call_insert_triggers(repo, file, func) -> list[LexToken]:
+    """`insert_triggers` asking one whole-file query (`per_call_complete`)
+    about each body identifier that is not a builtin."""
+    scopes = eager_module_scopes(repo)
+    out = []
+    for t in func.body_tokens:
+        if t.kind == tk.IDENTIFIER and t.text not in BUILTIN_NAMES and t.text in per_call_complete(
+            repo, scopes, CaretPosition(file, t.line, t.column)
+        ):
+            out.append(LexToken(tk.MARKER, tk.COMP_TEXT, t.line, t.column))
+        out.append(t)
+    return out
 
 
 # --- the lexer, one regex match per lexeme ------------------------------------
@@ -393,18 +459,20 @@ def generate_then_score_report(config) -> dict:
 
 # --- recursive tree walks ------------------------------------------------------
 
+def recursive_statements(stmts):
+    """Every statement, nested ones too, in pre-order, by recursion."""
+    for s in stmts:
+        yield s
+        if isinstance(s, nodes.If):
+            yield from recursive_statements(s.body)
+            yield from recursive_statements(s.orelse)
+        elif isinstance(s, nodes.While):
+            yield from recursive_statements(s.body)
+
+
 def recursive_walk_expressions(stmts):
     """(expr, is_store_target) of every expression, statements and
     expressions both in pre-order, by recursion."""
-
-    def statements(ss):
-        for s in ss:
-            yield s
-            if isinstance(s, nodes.If):
-                yield from statements(s.body)
-                yield from statements(s.orelse)
-            elif isinstance(s, nodes.While):
-                yield from statements(s.body)
 
     def visit(e, store):
         yield e, store
@@ -416,7 +484,7 @@ def recursive_walk_expressions(stmts):
         for c in children:
             yield from visit(c, False)
 
-    for s in statements(stmts):
+    for s in recursive_statements(stmts):
         if isinstance(s, nodes.Assign):
             yield from visit(s.target, True)
             yield from visit(s.value, False)
@@ -481,7 +549,7 @@ def whole_file_dependencies(gt, repo, pos) -> set:
     short."""
     snapshot, _caret = insert(repo, pos, gt)
     func = latest_enclosing_function(snapshot, pos.file, pos.line)
-    body = insert_triggers(snapshot, pos.file, func)
+    body = per_call_insert_triggers(snapshot, pos.file, func)
     marked = {(b.line, b.column) for a, b in zip(body, body[1:]) if a.kind == tk.MARKER}
     candidates = access_expressions(func.body)
     deps = set()

@@ -16,7 +16,7 @@ from mpgen.analysis.scope import build_scope_index
 from mpgen.minilang import tokens as tk
 from mpgen.repo import CaretPosition, Repository
 
-from conftest import text_vocab
+from conftest import assert_completions_match_reference, text_vocab
 from oracles import latest_enclosing_function, scan_classify_caret
 
 COUNTER = (
@@ -267,6 +267,68 @@ def test_builtins_excluded_from_completions():
     repo = make_repo(**{"s.mp": src})
     out = tool_complete(repo, CaretPosition("s.mp", 2, len("    return ")))
     assert "print" not in out and "len" not in out
+
+
+# --- completion sessions against the per-call reference ----------------------
+
+def test_completions_equal_the_per_call_reference_on_the_corpus(corpus_repos):
+    compared = sum(
+        assert_completions_match_reference(repo, path)
+        for _name, repo in corpus_repos for path in repo.paths()
+    )
+    assert compared > 3_000
+
+
+_OTHER = (
+    "class K:\n"
+    "    def kick(self):\n"
+    "        self.kept = 1\n"
+    "def helper():\n"
+    "    return K()\n"
+    "TOP = 2\n"
+)
+_HEADS = st.sampled_from(
+    ["import other", "from other import K", "from other import helper, TOP", "import ghost", ""]
+)
+# receivers of every kind: self, constructed locals (redefined, or assigned
+# after the caret), module aliases, imported classes, unresolvable names
+_STATEMENTS = st.sampled_from([
+    "x = A()", "x = K()", "x = B()", "x = 1", "x = helper()", "y = x.", "return x.", "z = x.m",
+    "self.y = x", "z = self.y", "return self.", "self.", "w = other.", "v = other.helper",
+    "return v", "q = z + y", "k = f(x)", "return k.", "a = print", "return a.b.", "x = x.n",
+    "if x:", "while y:", "else:", "return K.", "t = TOP", "return ghost.", "max = x", "return ",
+])
+# mostly at the body's level; deeper lines open blocks or misindent
+_BODY = st.lists(st.tuples(st.sampled_from([0, 0, 0, 1, 2]), _STATEMENTS), min_size=1, max_size=7)
+_DEFS = st.builds(
+    lambda name, params, body: [f"def {name}({params}):"] + [
+        "    " * (1 + depth) + stmt for depth, stmt in body
+    ],
+    st.sampled_from(["f", "g", "len"]),
+    st.sampled_from(["", "a", "self", "self, x", "x, self", "str"]),
+    _BODY,
+)
+_CLASS_DEFS = st.builds(
+    lambda name, methods: [f"class {name}:"] + ["    " + line for m in methods for line in m],
+    st.sampled_from(["A", "B"]), st.lists(_DEFS, min_size=1, max_size=2),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_HEADS, max_size=2), st.lists(_DEFS | _CLASS_DEFS, min_size=1, max_size=4))
+@example(
+    ["from other import K"],
+    [["def f(self, x):", "    y = x.", "    x = K()", "    x = 1", "    return x."]],
+)
+@example([], [["def len(str):", "    max = 1", "    return "]])
+@example(["from other import K"], [["def f(x):", "    y = x.", "    x = K()"]])
+def test_completions_equal_the_per_call_reference_on_drawn_functions(heads, defs):
+    """Drawn functions and methods, names redefined (builtins too), blocks
+    nested or misindented; a receiver's local may be assigned after the
+    caret, or again."""
+    src = "\n".join(heads + sum(defs, [])) + "\n"
+    repo = make_repo(**{"r.mp": src, "other.mp": _OTHER})
+    assert_completions_match_reference(repo, "r.mp")
 
 
 def test_caret_out_of_bounds_raises():

@@ -664,8 +664,9 @@ def test_version_bump_is_version_error(tmp_path):
     assert any(key.startswith("-1:") for key in v1["tables"])
     for written in ({**payload, "version": 99}, v1):
         json.dump(written, open(path, "w"))
-        with pytest.raises(DataError, match=f"version {written['version']} unsupported"):
+        with pytest.raises(DataError, match=f"version {written['version']} unsupported") as raised:
             load_model(path)
+        assert str(raised.value).startswith(f"model file {path!r}: ")
 
 
 def test_saved_model_holds_bucket_tables_only_and_rejects_a_global_table(tmp_path):

@@ -42,7 +42,7 @@ from mpgen.pipeline import (
 )
 from mpgen.repo import CaretPosition, Repository
 
-from conftest import CORPUS, make_config
+from conftest import CORPUS, assert_completions_match_reference, make_config
 from oracles import (
     counter_corpus_bleu, generate_then_score_report, whole_file_dependencies,
     whole_file_expressions, whole_file_lint_in_span, whole_file_pair_is_valid,
@@ -191,6 +191,17 @@ def test_task_analysis_equals_the_whole_file_on_mutated_files(eval_files, data):
                 if t.kind == tk.IDENTIFIER:
                     caret = CaretPosition(path, t.line, t.column)
                     assert analysis.complete_at(t.line, t.column) == tool_complete(spliced, caret)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_completions_equal_the_per_call_reference_on_mutated_files(eval_files, data):
+    """An eval file with drawn pieces inserted and spans cut: the completion
+    tool, a completion session per function and trigger insertion suggest
+    and mark what one whole-file query per caret does."""
+    base, path = data.draw(st.sampled_from(eval_files))
+    text = data.draw(_mutants([base.text(path)], st.integers(1, 6)))
+    assert_completions_match_reference(Repository({**base.files, path: text}), path)
 
 
 @pytest.mark.parametrize(

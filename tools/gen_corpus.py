@@ -3,7 +3,15 @@
 
 The corpus is fully deterministic (pure index arithmetic, no randomness) and
 is committed to the repository; this script only exists to rebuild or resize
-it. The layout is engineered so that a small count-based model can learn the
+it:
+
+    python3 tools/gen_corpus.py [OUT] [--train N] [--eval M]
+
+writes N train and M eval repositories (14 and 6, the bundled corpus, by
+default) under OUT (the repository's corpus/ by default). A count the word
+grids cannot serve exits with a message naming the largest one they can.
+
+The layout is engineered so that a small count-based model can learn the
 function-family skeletons from the train split while every repository-level
 dependency name stays repository-unique:
 
@@ -30,6 +38,8 @@ dependency name stays repository-unique:
 
 from __future__ import annotations
 
+import argparse
+import itertools
 import os
 import shutil
 import sys
@@ -43,7 +53,6 @@ from mpgen.lm.tokenizer import token_strings  # noqa: E402
 BUCKETS = 16
 N_TRAIN_REPOS = 14
 N_EVAL_REPOS = 6
-N_REPOS = N_TRAIN_REPOS + N_EVAL_REPOS
 # The default output, found from this script and not from the working
 # directory, since main deletes its output directory first.
 CORPUS_DIR = os.path.join(ROOT, "corpus")
@@ -142,8 +151,9 @@ def build_pools() -> tuple[dict[int, list[str]], dict[int, list[str]]]:
     return firsts, seconds
 
 
-def allocate_pairs() -> dict[tuple[str, int], tuple[str, str]]:
+def allocate_pairs(n_train: int, n_eval: int) -> dict[tuple[str, int], tuple[str, str]] | None:
     """(slot, repo) -> (first word, second word); pairs globally unique.
+    None when a slot's word grid runs out of pairs for the counts.
 
     Train repositories walk each slot's word grid along diagonal stripes;
     eval repositories may only use words the train split already used in the
@@ -167,8 +177,10 @@ def allocate_pairs() -> dict[tuple[str, int], tuple[str, str]]:
         it = iter(grid)
         train_f: set[str] = set()
         train_s: set[str] = set()
-        for r in range(N_TRAIN_REPOS):
-            pair = next(p for p in it if p not in used)
+        for r in range(n_train):
+            pair = next((p for p in it if p not in used), None)
+            if pair is None:
+                return None
             used.add(pair)
             # Shared repositories replace their p2 pair with the shared
             # attribute, so that pair never reaches the corpus and must not
@@ -181,11 +193,26 @@ def allocate_pairs() -> dict[tuple[str, int], tuple[str, str]]:
             p for p in grid
             if p not in used and p[0] in train_f and p[1] in train_s
         ]
-        for j, r in enumerate(range(N_TRAIN_REPOS, N_REPOS)):
-            pair = eval_grid[j]
+        if len(eval_grid) < n_eval:
+            return None
+        for r, pair in enumerate(eval_grid[:n_eval], start=n_train):
             used.add(pair)
             out[(slot, r)] = pair
     return out
+
+
+def size_limit(n_train: int, n_eval: int) -> str:
+    """Why the word grids cannot serve the counts: the largest train count
+    they serve, or, when n_train fits, the largest eval count beside it: the
+    count before the first that does not fit."""
+    if allocate_pairs(n_train, 0) is None:
+        most = next(n for n in itertools.count() if allocate_pairs(n + 1, 0) is None)
+        return f"the word grids serve at most {most} train repositories, not {n_train}"
+    most = next(n for n in itertools.count() if allocate_pairs(n_train, n + 1) is None)
+    return (
+        f"beside {n_train} train repositories the word grids serve at most {most} eval"
+        f" repositories, not {n_eval}"
+    )
 
 
 def assign_prefixes() -> dict[str, str]:
@@ -352,11 +379,18 @@ class {c_cls}:
     return {"utils.mp": utils, "core.mp": core, "service.mp": service}
 
 
-def main(out_root: str | None = None) -> None:
-    """Write the corpus under out_root, the repository's corpus/ by default,
-    replacing whatever is there."""
+def main(
+    out_root: str | None = None, n_train: int = N_TRAIN_REPOS, n_eval: int = N_EVAL_REPOS
+) -> None:
+    """Write a corpus of n_train train and n_eval eval repositories under
+    out_root, the repository's corpus/ by default, replacing whatever is
+    there. Exits with a message when the word grids cannot serve the counts."""
     out_root = CORPUS_DIR if out_root is None else out_root
-    pairs = allocate_pairs()
+    if n_train < 1 or n_eval < 1:
+        sys.exit(f"gen_corpus: repository counts must be at least 1, not {n_train} and {n_eval}")
+    pairs = allocate_pairs(n_train, n_eval)
+    if pairs is None:
+        sys.exit(f"gen_corpus: {size_limit(n_train, n_eval)}")
     prefix = assign_prefixes()
     print("family buckets:")
     for fam in FAMILY_PROTO:
@@ -364,15 +398,20 @@ def main(out_root: str | None = None) -> None:
         print(f"  {fam:8s} prefix={prefix[fam]:8s} bucket={bucket_of(desc)}")
     if os.path.exists(out_root):
         shutil.rmtree(out_root)
-    for r in range(N_REPOS):
-        split = "train" if r < N_TRAIN_REPOS else "eval"
+    for r in range(n_train + n_eval):
+        split = "train" if r < n_train else "eval"
         repo_dir = os.path.join(out_root, split, f"repo{r:02d}")
         os.makedirs(repo_dir)
         for fname, content in repo_files(r, pairs, prefix).items():
             with open(os.path.join(repo_dir, fname), "w", encoding="utf-8") as fh:
                 fh.write(content)
-    print(f"wrote {N_TRAIN_REPOS} train + {N_EVAL_REPOS} eval repositories under {out_root}/")
+    print(f"wrote {n_train} train + {n_eval} eval repositories under {out_root}/")
 
 
 if __name__ == "__main__":
-    main(*sys.argv[1:])
+    parser = argparse.ArgumentParser(description="Regenerate the MiniPy corpus.")
+    parser.add_argument("out_root", nargs="?", help="output directory (default: corpus/)")
+    parser.add_argument("--train", type=int, default=N_TRAIN_REPOS, help="train repositories")
+    parser.add_argument("--eval", type=int, default=N_EVAL_REPOS, help="eval repositories")
+    args = parser.parse_args()
+    main(args.out_root, args.train, args.eval)
