@@ -2,8 +2,9 @@
 (`tool_complete`), or inside the function being written at a blanked task's
 caret (`TaskContext`, which answers as `tool_complete` would, and lints that
 function as `lint_check` would). One completion rule serves both:
-`FunctionCompletions` answers carets inside one function, and trigger
-insertion asks one about every identifier of a function's body."""
+`complete_in` answers a caret inside one function scope
+(`scope.FunctionScope`), and trigger insertion asks it about every
+identifier of a function's body in one scope."""
 
 from __future__ import annotations
 
@@ -11,7 +12,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from ..minilang import nodes
 from ..minilang import tokens as tk
 from ..minilang.lexer import Diagnostic, LineLexer
 from ..minilang.parser import (
@@ -21,10 +21,8 @@ from ..minilang.tokens import LexToken
 from ..repo import CaretPosition, Repository
 from .builtins import BUILTIN_NAMES
 from .insert import indent_body
-from .lint import LintError, function_errors, syntax_errors
-from .scope import (
-    ScopeIndex, build_scope_index, class_at, name_assignments, own_class_members,
-)
+from .lint import LintError, name_errors, syntax_errors
+from .scope import FunctionScope, ScopeIndex, build_scope_index, class_at, own_class_members
 
 
 @dataclass(frozen=True)
@@ -73,65 +71,39 @@ def tool_complete(repo: Repository, caret: CaretPosition) -> list[str]:
     locals defined before the caret, module-level names, imported names).
     Builtins are excluded; the result is sorted and duplicate-free. An
     unresolvable receiver yields an empty list rather than an error. The
-    rule is `FunctionCompletions`', here made for the caret's enclosing
-    function and asked once.
+    rule is `complete_in`'s, asked in the caret's enclosing function.
     """
     repo.validate_caret(caret)
     index = build_scope_index(repo)
     _, func = index.enclosing(caret.file, caret.line)
-    completions = FunctionCompletions(index, caret.file, repo.lex(caret.file)[0], func)
-    return completions.at(caret.line, caret.column)
+    scope = FunctionScope(index, caret.file, func)
+    return complete_in(scope, repo.lex(caret.file)[0], caret.line, caret.column)
 
 
-class FunctionCompletions:
-    """The completion tool's suggestions at carets inside func, a function of
-    the file at path (None: outside every function), whose tokens are tokens
-    and whose receivers' members are index's (`ScopeIndex.members`).
+def complete_in(scope: FunctionScope, tokens: list[LexToken], line: int, column: int) -> list[str]:
+    """The suggestions at the caret (line, column) inside scope's function,
+    in the file whose tokens are tokens, builtins left out. A scope caret
+    adds the targets of the assignments before it to the names the scope
+    sees; an attribute caret offers the members of what its receiver
+    resolves to (`FunctionScope.receiver`)."""
+    ctx = caret_context(tokens, line, column)
+    before = (line, column)
+    if ctx.kind == "attribute":
+        target = None if ctx.receiver is None else scope.receiver(ctx.receiver, before)
+        if target is None:
+            return []
+        return sorted(scope.index.members(target).difference(BUILTIN_NAMES))
+    local = {
+        stmt.target.id
+        for stmt in scope.assignments()
+        if (stmt.target.line, stmt.target.column) < before
+    }
+    return sorted(scope.names.union(local).difference(BUILTIN_NAMES))
 
-    It keeps what no caret changes: the names the file makes visible with
-    func's parameters, and, listed on the first query that needs them,
-    func's plain-name assignments in source order. A scope caret adds the
-    targets of the assignments before it; an attribute caret's receiver
-    resolves through the latest of them (`ScopeIndex.resolve_receiver`).
-    Asking about many carets of one function therefore walks its body once.
-    """
 
-    def __init__(
-        self, index: ScopeIndex, path: str, tokens: list[LexToken], func: Optional[FunctionDef]
-    ):
-        self.index = index
-        self.path = path
-        self.tokens = tokens
-        self.func = func
-        scope = index.module_scope(path)
-        names = scope.visible_names if scope is not None else frozenset()
-        self.names = names.union(func.params) if func is not None else names
-        self._assignments: Optional[list[nodes.Assign]] = None
-
-    def assignments(self) -> list[nodes.Assign]:
-        if self._assignments is None:
-            self._assignments = [] if self.func is None else list(name_assignments(self.func.body))
-        return self._assignments
-
-    def at(self, line: int, column: int) -> list[str]:
-        """The suggestions at the caret (line, column), builtins left out."""
-        ctx = caret_context(self.tokens, line, column)
-        before = (line, column)
-        if ctx.kind == "attribute":
-            if ctx.receiver is None:
-                return []
-            target = self.index.resolve_receiver(
-                self.path, self.func, self.assignments, ctx.receiver, before
-            )
-            if target is None:
-                return []
-            return sorted(self.index.members(target).difference(BUILTIN_NAMES))
-        local = {
-            stmt.target.id
-            for stmt in self.assignments()
-            if (stmt.target.line, stmt.target.column) < before
-        }
-        return sorted(self.names.union(local).difference(BUILTIN_NAMES))
+def docstring_line(column: int, docstring: str) -> str:
+    """The docstring's line of a blanked task, at the caret's column."""
+    return " " * column + f'"{docstring}"'
 
 
 def head_is_clean(repo: Repository, path: str, lines: list[str], func: FunctionDef) -> bool:
@@ -238,7 +210,7 @@ class TaskContext:
             _owner, func = build_scope_index(view).enclosing(pos.file, pos.line)
         if (
             func is None or func.body_tokens or func.docstring is None
-            or lines[pos.line - 2] != " " * pos.column + f'"{func.docstring}"'
+            or lines[pos.line - 2] != docstring_line(pos.column, func.docstring)
             or not head_is_clean(view, pos.file, lines, func)
         ):
             raise ValueError(f"{pos.file}:{pos.line}:{pos.column} is not a blanked task's caret")
@@ -258,7 +230,7 @@ class TaskContext:
         if owner is not None:
             lexer.line(owner.line, lines[owner.line - 1])
         lexer.line(func.line, lines[func.line - 1])
-        lexer.line(pos.line - 1, " " * pos.column + f'"{func.docstring}"')
+        lexer.line(pos.line - 1, docstring_line(pos.column, func.docstring))
         header = replace(
             func, body=[], body_tokens=[], body_start_line=pos.line, end_line=pos.line - 1
         )
@@ -281,7 +253,7 @@ class TaskContext:
         end = CaretPosition(
             self.pos.file, self.pos.line + text.count("\n"), len(text) - text.rfind("\n") - 1
         )
-        return TaskAnalysis(self.pos.file, index, toks, diagnostics, func, end)
+        return TaskAnalysis(FunctionScope(index, self.pos.file, func), toks, diagnostics, end)
 
     def complete(self, body_text: str) -> list[str]:
         """tool_complete's suggestions after splicing level-0 body text at pos."""
@@ -294,25 +266,18 @@ class TaskAnalysis:
     """A task's function with a whole body written, as the blanked file with
     that body spliced in would show it; positions are that file's."""
 
-    path: str
-    index: ScopeIndex              # the task's, its own class with what the body assigns
+    scope: FunctionScope           # the function; its index's own class has what the body assigns
     tokens: list[LexToken]
     diagnostics: list[Diagnostic]  # the lexer's and the parser's
-    function: FunctionDef
     end: CaretPosition             # just past the body
-
-    completions: FunctionCompletions = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.completions = FunctionCompletions(self.index, self.path, self.tokens, self.function)
 
     def complete_at(self, line: int, column: int) -> list[str]:
         """tool_complete's suggestions at a caret inside the function."""
-        return self.completions.at(line, column)
+        return complete_in(self.scope, self.tokens, line, column)
 
     def lint(self) -> list[LintError]:
         """The records `lint_check` gives the spliced file from the def line
         to the end of the body, in no particular order."""
-        errors = syntax_errors(self.path, self.diagnostics)
-        errors += function_errors(self.index, self.path, self.function)
-        return [e for e in errors if self.function.line <= e.line <= self.end.line]
+        scope, func = self.scope, self.scope.func
+        errors = syntax_errors(scope.path, self.diagnostics) + name_errors(scope, func.body)
+        return [e for e in errors if func.line <= e.line <= self.end.line]

@@ -16,10 +16,11 @@ Each rule is decided in one place:
   methods assign (`own_class_members`), plus what the body being written
   assigns.
 - A name resolves to its last definition in the file, as at run time.
-- `name_assignments` lists the plain-name assignments that make locals and
-  module variables, in source order. A caller asking about many carets of
-  one function lists them once and passes the list to `resolve_receiver`
-  (`complete.FunctionCompletions`, `lint.function_errors`).
+- `FunctionScope` says what one function, or a file's module level, sees:
+  the visible names, the parameters, the plain-name assignments
+  (`name_assignments`, listed once per scope) and what a receiver resolves
+  to (`FunctionScope.receiver`). The completion tool (`complete.complete_in`)
+  and the lint (`lint.name_errors`) both ask it.
 
 Type resolution is deliberately flow-insensitive and single-hop, the level
 of inference a static tool can honestly sustain for a dynamically typed
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from ..minilang import nodes
 from ..minilang.parser import ClassDef, FunctionDef, Module, assigned_attributes, extract_functions
@@ -161,27 +162,48 @@ class ScopeIndex:
             return self.module_scope(target[1])
         return None
 
-    def resolve_receiver(
-        self,
-        path: str,
-        func: Optional[FunctionDef],
-        assignments: Callable[[], Sequence[nodes.Assign]],
-        name: str,
-        before: tuple[int, int],
-    ) -> Optional[ClassDef | ModuleScope]:
+
+class FunctionScope:
+    """What func, a function of the file at path (None: the file's module
+    level), sees, for the completion tool and the lint alike.
+
+    names are the names the file makes visible with func's parameters.
+    assignments are func's plain-name assignments in source order
+    (`name_assignments`), none at the module level, listed on first use; a
+    caller asking about many positions of one function therefore walks its
+    body once. A receiver's members are index's (`ScopeIndex.members`).
+    """
+
+    def __init__(self, index: ScopeIndex, path: str, func: Optional[FunctionDef]):
+        self.index = index
+        self.path = path
+        self.func = func
+        scope = index.module_scope(path)
+        names = scope.visible_names if scope is not None else frozenset()
+        self.names = names.union(func.params) if func is not None else names
+        self._assignments: Optional[list[nodes.Assign]] = None
+
+    def assignments(self) -> list[nodes.Assign]:
+        # not a cached_property, whose first read takes a lock on Python 3.11:
+        # a scope is made per function of trigger insertion and per task analysis
+        if self._assignments is None:
+            self._assignments = [] if self.func is None else list(name_assignments(self.func.body))
+        return self._assignments
+
+    def receiver(self, name: str, before: tuple[int, int]) -> Optional[ClassDef | ModuleScope]:
         """The class or module that the receiver of `name.` resolves to, or None.
 
-        assignments() gives func's plain-name assignments in source order
-        (`name_assignments`), none outside every function; it is called only
-        when name is not a method's first parameter. Only the assignments
-        lexically preceding the access (`before`) count, and the latest of
-        them decides.
+        A method's first parameter is its class. Otherwise only the
+        assignments lexically preceding the access (`before`) count, and the
+        latest of them decides; with none, the name is looked up as a class
+        or a module alias of the file.
         """
+        func, index, path = self.func, self.index, self.path
         if func is not None and func.is_method and func.params and name == func.params[0]:
-            return class_at(self.module_scope(path).module, func.line)
+            return class_at(index.module_scope(path).module, func.line)
         latest = next(
             (
-                stmt for stmt in reversed(assignments())
+                stmt for stmt in reversed(self.assignments())
                 if stmt.target.id == name and (stmt.target.line, stmt.target.column) < before
             ),
             None,
@@ -189,9 +211,9 @@ class ScopeIndex:
         if latest is not None:
             value = latest.value
             if isinstance(value, nodes.Call) and isinstance(value.func, nodes.Name):
-                return self.resolve_class_name(path, value.func.id)
+                return index.resolve_class_name(path, value.func.id)
             return None
-        return self.resolve_class_name(path, name) or self.resolve_module_alias(path, name)
+        return index.resolve_class_name(path, name) or index.resolve_module_alias(path, name)
 
 
 def own_class_members(cls: ClassDef, func: FunctionDef) -> frozenset:

@@ -97,7 +97,7 @@ def identify_dependencies(analysis: TaskAnalysis) -> set[str]:
     """DEP(gt): minimal access expressions covering trigger-marked
     identifiers; analysis is the ground truth analysed in its task context,
     `TaskContext.at(pair.repo, pair.pos).analyse(pair.gt)`."""
-    func = analysis.function
+    func = analysis.scope.func
     marked = [(t.line, t.column) for t in func.body_tokens if is_trigger(t, analysis.complete_at)]
     candidates = _access_candidates(func.body)
     deps: set[str] = set()
@@ -267,7 +267,7 @@ def ground_truth(
                     "file": pos.file,
                     "line": pos.line,
                     "dep_total": len(deps),
-                    "dep_covered": len(extract_expressions(analysis.function.body) & deps),
+                    "dep_covered": len(extract_expressions(analysis.scope.func.body) & deps),
                     "valid": pair_is_valid(analysis),
                     "exact_match": cand.canonical == ref.canonical,
                     "edit_sim": edit_similarity(pair.pred, gt),

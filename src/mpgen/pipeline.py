@@ -15,7 +15,7 @@ from dataclasses import MISSING, dataclass, fields
 from typing import Iterable, Mapping, Optional, Sequence, TypeVar
 
 from . import DataError, read_json, read_json_lines
-from .analysis.complete import TaskContext, head_is_clean
+from .analysis.complete import TaskContext, docstring_line, head_is_clean
 from .decode import DecisionMemo, GenerationConfig, GenerationTrace, generate
 from .lm.ngram import NGramModel, description_bucket, train
 from .lm.tokenizer import token_strings, tokenize
@@ -271,11 +271,14 @@ def _blank_function(
     """
     lines = repo.text(file).split("\n")
     doc_line = next(line for line in lines[func.line:] if line.strip(" "))
-    indent = " " * (len(doc_line) - len(doc_line.lstrip(" ")))
-    blanked = lines[: func.line] + [f'{indent}"{func.docstring}"', indent] + lines[func.end_line:]
+    column = len(doc_line) - len(doc_line.lstrip(" "))
+    blanked = (
+        lines[: func.line] + [docstring_line(column, func.docstring), " " * column]
+        + lines[func.end_line:]
+    )
     return Task(
         label=label, repo_name=repo_name, snapshot=repo.with_text(file, "\n".join(blanked)),
-        pos=CaretPosition(file, func.line + 2, len(indent)), description=description, gt=gt,
+        pos=CaretPosition(file, func.line + 2, column), description=description, gt=gt,
         repo=repo, func=func,
     )
 

@@ -7,12 +7,12 @@ emitted immediately before it. All body tokens, identifier or not, are
 appended in order, so stripping the markers recovers the original body
 exactly.
 
-Each function's eligible identifiers ask one completion session
-(`FunctionCompletions`), which gives what `tool_complete` gives at each of
-them but finds the enclosing function and walks the body once per
-function, not once per identifier. The analysis it reads is shared: the
-repository lexes, parses and scopes each file once, the first time a
-completion reaches it. `is_trigger` is the marking rule; the metrics
+Each function's eligible identifiers ask the completion rule
+(`complete_in`) in one function scope (`FunctionScope`), which gives what
+`tool_complete` gives at each of them but finds the enclosing function and
+walks the body once per function, not once per identifier. The analysis it
+reads is shared: the repository lexes, parses and scopes each file once,
+the first time a completion reaches it. `is_trigger` is the marking rule; the metrics
 apply it, with a task analysis's completions, to mark a ground truth.
 
 A training pair exists only as the dataset record `save_dataset` writes
@@ -22,13 +22,14 @@ and `load_dataset_records` reads back.
 from __future__ import annotations
 
 import json
+from functools import partial
 from statistics import mean
 from typing import Callable, Iterable
 
 from . import __version__, read_json_lines
 from .analysis.builtins import is_builtin
-from .analysis.complete import FunctionCompletions
-from .analysis.scope import build_scope_index
+from .analysis.complete import complete_in
+from .analysis.scope import FunctionScope, build_scope_index
 from .lm.tokenizer import token_strings
 from .minilang import tokens as tk
 from .minilang.parser import FunctionDef, extract_functions
@@ -48,7 +49,8 @@ def is_trigger(t: LexToken, complete: Callable[[int, int], list[str]]) -> bool:
 def insert_triggers(repo: Repository, file: str, func: FunctionDef) -> list[LexToken]:
     """The body tokens of func, a function of file, with a marker token
     before each trigger."""
-    complete = FunctionCompletions(build_scope_index(repo), file, repo.lex(file)[0], func).at
+    scope = FunctionScope(build_scope_index(repo), file, func)
+    complete = partial(complete_in, scope, repo.lex(file)[0])
     out: list[LexToken] = []
     for t in func.body_tokens:
         if is_trigger(t, complete):

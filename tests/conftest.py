@@ -49,13 +49,13 @@ def version_1_payload(payload: dict) -> dict:
 def assert_completions_match_reference(repo, path: str) -> int:
     """The completion tool against its per-call reference on one file of
     repo (`oracles.per_call_complete`): `tool_complete` at every identifier
-    and at the end of every line; for each function, one completion session
-    asked at every identifier of its body, and `insert_triggers`. Returns
+    and at the end of every line; for each function, `complete_in` in one
+    function scope asked at every identifier of its body, and `insert_triggers`. Returns
     the number of carets `tool_complete` was asked about."""
     from oracles import eager_module_scopes, per_call_complete, per_call_insert_triggers
 
-    from mpgen.analysis.complete import FunctionCompletions, tool_complete
-    from mpgen.analysis.scope import build_scope_index
+    from mpgen.analysis.complete import complete_in, tool_complete
+    from mpgen.analysis.scope import FunctionScope, build_scope_index
     from mpgen.minilang import tokens as tk
     from mpgen.minilang.parser import extract_functions
     from mpgen.repo import CaretPosition
@@ -70,11 +70,12 @@ def assert_completions_match_reference(repo, path: str) -> int:
         assert tool_complete(repo, caret) == per_call_complete(repo, scopes, caret), caret
     index = build_scope_index(repo)
     for func in extract_functions(repo.module(path)):
-        session = FunctionCompletions(index, path, toks, func)
+        scope = FunctionScope(index, path, func)
         for t in func.body_tokens:
             if t.kind == tk.IDENTIFIER:
                 caret = CaretPosition(path, t.line, t.column)
-                assert session.at(t.line, t.column) == per_call_complete(repo, scopes, caret), caret
+                got = complete_in(scope, toks, t.line, t.column)
+                assert got == per_call_complete(repo, scopes, caret), caret
         assert insert_triggers(repo, path, func) == per_call_insert_triggers(repo, path, func)
     return len(carets)
 

@@ -7,7 +7,9 @@ completion tool and linter on it, where scoring reads one task analysis.
 The trigger-path oracles recompute from the whole prefix, or the whole
 text, what generation keeps up to date as the prefix grows. The completion
 oracles ask one whole-file query per caret, where trigger insertion asks one
-completion session per function. The train-stage oracles build the
+function scope per function; the lint oracle walks each function by
+recursion and searches each receiver afresh, where the lint asks one
+function scope per function. The train-stage oracles build the
 vocabulary from texts, each lexed anew, and count every
 (position, order) into each table one call at a time, hashing every token
 of every description afresh. The evaluate oracle runs the stages in the
@@ -26,8 +28,8 @@ import numpy as np
 from mpgen.analysis.builtins import BUILTIN_NAMES
 from mpgen.analysis.complete import CaretContext, TaskAnalysis, TaskContext
 from mpgen.analysis.insert import indent_body, insert
-from mpgen.analysis.lint import lint_check
-from mpgen.analysis.scope import ModuleScope, ScopeIndex, name_assignments
+from mpgen.analysis.lint import LintError, lint_check
+from mpgen.analysis.scope import FunctionScope, ModuleScope, ScopeIndex, name_assignments
 from mpgen.decode import GenerationConfig
 from mpgen.lm.ngram import load_model, train
 from mpgen.lm.tokenizer import detokenize, split_identifier, token_strings
@@ -110,21 +112,14 @@ def eager_module_scopes(repo) -> dict:
 
 # --- completion: one whole-file query per caret --------------------------------
 
-def per_call_complete(repo, scopes, caret) -> list[str]:
-    """The completion tool's suggestions at the caret as one query about the
-    whole file: the caret classified from every token left of it, the
-    enclosing function found among all the file's, and its body walked
-    anew, by recursion, for the locals before the caret and a receiver's
-    latest assignment; scopes are `eager_module_scopes(repo)`."""
-    ctx = scan_classify_caret(repo, caret)
-    func = latest_enclosing_function(repo, caret.file, caret.line)
-    scope = scopes[caret.file]
-    before = (caret.line, caret.column)
-    assigned = [
-        s for s in recursive_statements(func.body if func is not None else [])
-        if isinstance(s, nodes.Assign) and isinstance(s.target, nodes.Name)
-        and (s.target.line, s.target.column) < before
-    ]
+def per_call_receiver(repo, scopes, path, func, name, before):
+    """The class or module the receiver `name.` resolves to in func (None:
+    the module level) of the file at path, searched afresh: a method's first
+    parameter is its class, else the latest assignment to the name before
+    the access decides, found by a recursive walk of func's body, else the
+    name as a class, an imported class or a module alias of the file;
+    scopes are `eager_module_scopes(repo)`."""
+    scope = scopes[path]
 
     def class_named(name):
         imported = scope.imports.get(name, ("unresolved",))
@@ -134,26 +129,46 @@ def per_call_complete(repo, scopes, caret) -> list[str]:
             return scopes[imported[1]].classes.get(imported[2])
         return None
 
+    if func is not None and func.is_method and func.params and name == func.params[0]:
+        classes = repo.module(path).classes
+        return next((c for c in classes if c.line <= func.line <= c.end_line), None)
+    assigned = [
+        s for s in recursive_statements(func.body if func is not None else [])
+        if isinstance(s, nodes.Assign) and isinstance(s.target, nodes.Name)
+        and s.target.id == name and (s.target.line, s.target.column) < before
+    ]
+    if assigned:
+        value = assigned[-1].value
+        if isinstance(value, nodes.Call) and isinstance(value.func, nodes.Name):
+            return class_named(value.func.id)
+        return None
+    imported = scope.imports.get(name, ("unresolved",))
+    return class_named(name) or (scopes[imported[1]] if imported[0] == "module" else None)
+
+
+def per_call_complete(repo, scopes, caret) -> list[str]:
+    """The completion tool's suggestions at the caret as one query about the
+    whole file: the caret classified from every token left of it, the
+    enclosing function found among all the file's, and its body walked
+    anew, by recursion, for the locals before the caret and a receiver's
+    latest assignment (`per_call_receiver`); scopes are
+    `eager_module_scopes(repo)`."""
+    ctx = scan_classify_caret(repo, caret)
+    func = latest_enclosing_function(repo, caret.file, caret.line)
+    scope = scopes[caret.file]
+    before = (caret.line, caret.column)
     if ctx.kind == "scope":
+        assigned = [
+            s for s in recursive_statements(func.body if func is not None else [])
+            if isinstance(s, nodes.Assign) and isinstance(s.target, nodes.Name)
+            and (s.target.line, s.target.column) < before
+        ]
         names = scope.members | set(scope.imports) | {s.target.id for s in assigned}
         names |= set(func.params) if func is not None else set()
     else:
-        target = None
-        receiver = ctx.receiver
-        if receiver is None:
-            pass
-        elif func is not None and func.is_method and func.params and receiver == func.params[0]:
-            classes = repo.module(caret.file).classes
-            target = next((c for c in classes if c.line <= func.line <= c.end_line), None)
-        elif any(s.target.id == receiver for s in assigned):
-            value = [s for s in assigned if s.target.id == receiver][-1].value
-            if isinstance(value, nodes.Call) and isinstance(value.func, nodes.Name):
-                target = class_named(value.func.id)
-        else:
-            imported = scope.imports.get(receiver, ("unresolved",))
-            target = class_named(receiver) or (
-                scopes[imported[1]] if imported[0] == "module" else None
-            )
+        target = None if ctx.receiver is None else per_call_receiver(
+            repo, scopes, caret.file, func, ctx.receiver, before
+        )
         names = target.members if target is not None else set()
     return sorted(n for n in names if n not in BUILTIN_NAMES)
 
@@ -170,6 +185,47 @@ def per_call_insert_triggers(repo, file, func) -> list[LexToken]:
             out.append(LexToken(tk.MARKER, tk.COMP_TEXT, t.line, t.column))
         out.append(t)
     return out
+
+
+# --- lint: a recursive walk, a fresh receiver search per access ----------------
+
+def per_call_lint(repo, file) -> list[LintError]:
+    """`lint_check`'s records of the file from its definitions: a syntax
+    error per lex or parse diagnostic; then, walking the module level and
+    each function by recursion, each read of a name that neither the file,
+    the builtins, the function's parameters nor an assignment anywhere in
+    its body defines, and each attribute, not a builtin, of a name receiver
+    whose class or module (`per_call_receiver`, searched at each access)
+    lacks it."""
+    scopes = eager_module_scopes(repo)
+    module, scope = repo.module(file), scopes[file]
+    errors = [
+        LintError("syntax-error", file, d.line, d.column, d.message) for d in module.diagnostics
+    ]
+    functions = module.functions + [m for cls in module.classes for m in cls.methods]
+    for func, body in [(None, module.body)] + [(f, f.body) for f in functions]:
+        defined = scope.members | set(scope.imports) | BUILTIN_NAMES
+        if func is not None:
+            defined |= set(func.params) | {
+                s.target.id for s in recursive_statements(body)
+                if isinstance(s, nodes.Assign) and isinstance(s.target, nodes.Name)
+            }
+        for e, store in recursive_walk_expressions(body):
+            if isinstance(e, nodes.Name) and not store and e.id not in defined:
+                errors.append(LintError(
+                    "undefined-variable", file, e.line, e.column, f"undefined variable {e.id!r}"
+                ))
+            elif (
+                isinstance(e, nodes.Attribute) and isinstance(e.value, nodes.Name)
+                and e.attr not in BUILTIN_NAMES
+            ):
+                target = per_call_receiver(repo, scopes, file, func, e.value.id, (e.line, e.column))
+                if target is not None and e.attr not in target.members:
+                    errors.append(LintError(
+                        "no-member", file, e.line, e.column,
+                        f"{target.name!r} has no member {e.attr!r}",
+                    ))
+    return sorted(errors, key=lambda e: (e.line, e.column, e.kind, e.message))
 
 
 # --- the lexer, one regex match per lexeme ------------------------------------
@@ -420,7 +476,7 @@ def whole_text_analysis(snapshot, context, body) -> TaskAnalysis:
     written = module.classes[0].attributes if module.classes else ()
     index = ScopeIndex(own.repo, own.own_class, own.own_members | frozenset(written))
     end = CaretPosition(pos.file, text.count("\n") + 1, len(text) - text.rfind("\n") - 1)
-    return TaskAnalysis(pos.file, index, lexed[0], module.diagnostics, func, end)
+    return TaskAnalysis(FunctionScope(index, pos.file, func), lexed[0], module.diagnostics, end)
 
 
 # --- the evaluate flow -----------------------------------------------------------

@@ -17,7 +17,7 @@ from mpgen.minilang import tokens as tk
 from mpgen.repo import CaretPosition, Repository
 
 from conftest import assert_completions_match_reference, text_vocab
-from oracles import latest_enclosing_function, scan_classify_caret
+from oracles import latest_enclosing_function, per_call_lint, scan_classify_caret
 
 COUNTER = (
     "class Counter:\n"
@@ -269,7 +269,7 @@ def test_builtins_excluded_from_completions():
     assert "print" not in out and "len" not in out
 
 
-# --- completion sessions against the per-call reference ----------------------
+# --- function scopes against the per-call reference --------------------------
 
 def test_completions_equal_the_per_call_reference_on_the_corpus(corpus_repos):
     compared = sum(
@@ -298,24 +298,30 @@ _STATEMENTS = st.sampled_from([
     "return v", "q = z + y", "k = f(x)", "return k.", "a = print", "return a.b.", "x = x.n",
     "if x:", "while y:", "else:", "return K.", "t = TOP", "return ghost.", "max = x", "return ",
 ])
-# mostly at the body's level; deeper lines open blocks or misindent
-_BODY = st.lists(st.tuples(st.sampled_from([0, 0, 0, 1, 2]), _STATEMENTS), min_size=1, max_size=7)
-_DEFS = st.builds(
-    lambda name, params, body: [f"def {name}({params}):"] + [
-        "    " * (1 + depth) + stmt for depth, stmt in body
-    ],
-    st.sampled_from(["f", "g", "len"]),
-    st.sampled_from(["", "a", "self", "self, x", "x, self", "str"]),
-    _BODY,
-)
-_CLASS_DEFS = st.builds(
-    lambda name, methods: [f"class {name}:"] + ["    " + line for m in methods for line in m],
-    st.sampled_from(["A", "B"]), st.lists(_DEFS, min_size=1, max_size=2),
-)
+
+
+def _definitions(statements):
+    """Drawn functions and classes of drawn methods, each body drawn from
+    statements, mostly at the body's level; deeper lines open blocks or
+    misindent."""
+    body = st.lists(st.tuples(st.sampled_from([0, 0, 0, 1, 2]), statements), min_size=1, max_size=7)
+    defs = st.builds(
+        lambda name, params, body: [f"def {name}({params}):"] + [
+            "    " * (1 + depth) + stmt for depth, stmt in body
+        ],
+        st.sampled_from(["f", "g", "len"]),
+        st.sampled_from(["", "a", "self", "self, x", "x, self", "str"]),
+        body,
+    )
+    classes = st.builds(
+        lambda name, methods: [f"class {name}:"] + ["    " + line for m in methods for line in m],
+        st.sampled_from(["A", "B"]), st.lists(defs, min_size=1, max_size=2),
+    )
+    return defs | classes
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(_HEADS, max_size=2), st.lists(_DEFS | _CLASS_DEFS, min_size=1, max_size=4))
+@given(st.lists(_HEADS, max_size=2), st.lists(_definitions(_STATEMENTS), min_size=1, max_size=4))
 @example(
     ["from other import K"],
     [["def f(self, x):", "    y = x.", "    x = K()", "    x = 1", "    return x."]],
@@ -420,6 +426,55 @@ def test_lint_serialization_is_line_delimited_json():
     lines = [l for l in out.split("\n") if l]
     rec = json.loads(lines[0])
     assert set(rec) == {"file", "line", "column", "kind", "message"}
+
+
+# --- lint against the per-call reference -----------------------------------
+
+def test_lint_equals_the_per_call_reference_on_the_corpus(corpus_repos):
+    for _name, repo in corpus_repos:
+        for path in repo.paths():
+            assert lint_check(repo, path) == per_call_lint(repo, path), path
+
+
+# module-level reads of every receiver kind, and names defined or not
+_TOP_LINES = st.sampled_from([
+    "print(other.TOP)", "g = other.gone", "h = K.kick", "u = K.gone", "v = K()", "n = v.kept",
+    "print(ghost)", "w = A.f", "A.nope", "s = len(TOP)",
+])
+# receivers of every kind, read and assigned: self, constructed locals
+# (assigned again, or only after the access), a module alias, an imported
+# class, unresolvable names; builtins read and redefined
+_LINT_STATEMENTS = st.sampled_from([
+    "x = K()", "x = A()", "x = 1", "x = other", "x = helper()", "y = x.kept", "return x.kick",
+    "z = x.gone", "x.kept = 2", "return self.kick", "return self.y", "self.y = 1",
+    "return other.TOP", "return other.gone", "return K.kick", "return K.gone", "t = TOP + ghost",
+    "print(len(x))", "return x.__class__", "q = z + w", "w = q", "if x:", "while y:", "else:",
+    "return A.f", "max = x", "return max.y", "return str.y", "k = f(x)", "return k.kick",
+    "return self.gone", "return self.f", "a = A()", "return a.f", "return a.gone",
+])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(_HEADS, min_size=1, max_size=3, unique=True), st.lists(_TOP_LINES, max_size=3),
+    st.lists(_definitions(_LINT_STATEMENTS), min_size=1, max_size=3),
+)
+# an access before the local's one assignment, and one before a reassignment
+@example(["from other import K"], [], [["def f():", "    y = x.kept", "    x = K()"]])
+@example(
+    ["from other import K"], [],
+    [["def f():", "    x = K()", "    y = x.gone", "    x = 1", "    y = x.gone"]],
+)
+# a method with no parameters reads no receiver as its class
+@example([], [], [["class A:", "    def f():", "        return self.y"]])
+# module-level reads through a module alias and a from-import
+@example(["import other", "from other import K"], ["g = other.gone", "u = K.gone"], [["def f():"]])
+def test_lint_equals_the_per_call_reference_on_drawn_functions(heads, top, defs):
+    """Drawn module-level lines, functions and methods: `lint_check` gives
+    what the per-call reference does."""
+    src = "\n".join(heads + top + sum(defs, [])) + "\n"
+    repo = make_repo(**{"r.mp": src, "other.mp": _OTHER})
+    assert lint_check(repo, "r.mp") == per_call_lint(repo, "r.mp")
 
 
 def test_oracle_self_consistency_on_corpus(corpus_repos):

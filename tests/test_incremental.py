@@ -347,8 +347,8 @@ _LINES = st.tuples(
 def _assert_equal_analyses(got, want):
     assert got.tokens == want.tokens
     assert got.diagnostics == want.diagnostics  # in order
-    assert got.function == want.function
-    assert got.index.own_members == want.index.own_members
+    assert got.scope.func == want.scope.func
+    assert got.scope.index.own_members == want.scope.index.own_members
     assert got.end == want.end
 
 

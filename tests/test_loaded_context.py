@@ -184,7 +184,7 @@ def test_tasks_of_mutated_files_get_the_blanked_files_context(corpus_repos, data
         gt = render_tokens(func.body_tokens)
         got, want = loaded.analyse(gt), reference.analyse(gt)
         assert sorted(got.lint(), key=_key) == sorted(want.lint(), key=_key)
-        for t in want.function.body_tokens:
+        for t in want.scope.func.body_tokens:
             assert got.complete_at(t.line, t.column) == want.complete_at(t.line, t.column)
         for tail in ("self.", "x.", "y = ", "self.solo_attr = 1\nreturn self."):
             body = gt + "\n" + tail

@@ -118,7 +118,7 @@ def test_analysis_completes_every_ground_truth_identifier_as_the_whole_file_tool
         analysis = TaskContext.at(task.snapshot, task.pos).analyse(task.gt)
         fresh = Repository(dict(task.snapshot.files))
         spliced, _caret = insert(fresh, task.pos, task.gt)
-        for t in analysis.function.body_tokens:
+        for t in analysis.scope.func.body_tokens:
             if t.kind == tk.IDENTIFIER:
                 caret = CaretPosition(task.pos.file, t.line, t.column)
                 assert analysis.complete_at(t.line, t.column) == tool_complete(spliced, caret)

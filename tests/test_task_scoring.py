@@ -44,7 +44,7 @@ from mpgen.repo import CaretPosition, Repository
 
 from conftest import CORPUS, assert_completions_match_reference, make_config
 from oracles import (
-    counter_corpus_bleu, generate_then_score_report, whole_file_dependencies,
+    counter_corpus_bleu, generate_then_score_report, per_call_lint, whole_file_dependencies,
     whole_file_expressions, whole_file_lint_in_span, whole_file_pair_is_valid,
 )
 
@@ -84,7 +84,7 @@ def test_task_scoring_equals_the_whole_file_on_the_benchmark(task_pairs, trained
         for pair, (row, _bleu) in zip(pairs, rows, strict=True):
             expressions = whole_file_expressions(pair)
             assert _records(task, pair.pred) == whole_file_lint_in_span(pair), pair.label
-            assert extract_expressions(task.analyse(pair.pred).function.body) == expressions
+            assert extract_expressions(task.analyse(pair.pred).scope.func.body) == expressions
             assert row["valid"] == whole_file_pair_is_valid(pair), pair.label
             assert (row["dep_total"], row["dep_covered"]) == (
                 len(deps), len(expressions & deps)
@@ -141,7 +141,7 @@ def test_task_scoring_equals_the_whole_file_on_mutants(sampled_tasks, data):
     assert _records(task, text) == whole_file_lint_in_span(pair)
     analysis = task.analyse(text)
     assert pair_is_valid(analysis) == whole_file_pair_is_valid(pair)
-    assert extract_expressions(analysis.function.body) == whole_file_expressions(pair)
+    assert extract_expressions(analysis.scope.func.body) == whole_file_expressions(pair)
     assert identify_dependencies(analysis) == (
         whole_file_dependencies(text, pair.repo, pair.pos)
     )
@@ -182,12 +182,12 @@ def test_task_analysis_equals_the_whole_file_on_mutated_files(eval_files, data):
             pair, analysis = task.pair(body), context.analyse(body)
             assert sorted(analysis.lint(), key=_key) == whole_file_lint_in_span(pair), (func.name, body)
             assert pair_is_valid(analysis) == whole_file_pair_is_valid(pair)
-            assert extract_expressions(analysis.function.body) == whole_file_expressions(pair)
+            assert extract_expressions(analysis.scope.func.body) == whole_file_expressions(pair)
             assert identify_dependencies(analysis) == (
                 whole_file_dependencies(body, task.snapshot, task.pos)
             )
             spliced, _end = insert(task.snapshot, task.pos, body)
-            for t in analysis.function.body_tokens:
+            for t in analysis.scope.func.body_tokens:
                 if t.kind == tk.IDENTIFIER:
                     caret = CaretPosition(path, t.line, t.column)
                     assert analysis.complete_at(t.line, t.column) == tool_complete(spliced, caret)
@@ -197,11 +197,23 @@ def test_task_analysis_equals_the_whole_file_on_mutated_files(eval_files, data):
 @given(data=st.data())
 def test_completions_equal_the_per_call_reference_on_mutated_files(eval_files, data):
     """An eval file with drawn pieces inserted and spans cut: the completion
-    tool, a completion session per function and trigger insertion suggest
+    tool, a function scope per function and trigger insertion suggest
     and mark what one whole-file query per caret does."""
     base, path = data.draw(st.sampled_from(eval_files))
     text = data.draw(_mutants([base.text(path)], st.integers(1, 6)))
     assert_completions_match_reference(Repository({**base.files, path: text}), path)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_lint_equals_the_per_call_reference_on_mutated_files(eval_files, data):
+    """An eval file with drawn pieces inserted and spans cut: `lint_check`
+    gives what a recursive walk with a fresh receiver search at each access
+    does."""
+    base, path = data.draw(st.sampled_from(eval_files))
+    text = data.draw(_mutants([base.text(path)], st.integers(1, 6)))
+    repo = Repository({**base.files, path: text})
+    assert lint.lint_check(repo, path) == per_call_lint(repo, path)
 
 
 @pytest.mark.parametrize(
@@ -328,7 +340,7 @@ def test_a_shared_scoring_memo_equals_a_fresh_one(sampled_tasks, trained_models,
         for pair, (row, bleu) in zip(drawn, rows, strict=True):
             analysis = task.analyse(pair.pred)
             assert row["valid"] == pair_is_valid(analysis)
-            assert row["dep_covered"] == len(extract_expressions(analysis.function.body) & deps)
+            assert row["dep_covered"] == len(extract_expressions(analysis.scope.func.body) & deps)
             assert bleu == bleu_counts(tokenize(pair.pred, vocab), ref, reference_ngrams(ref))
 
 

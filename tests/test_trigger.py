@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from mpgen import trigger
 from mpgen.analysis import complete
 from mpgen.analysis.builtins import is_builtin
 from mpgen.analysis.complete import tool_complete
@@ -134,10 +135,10 @@ def test_marker_validity_recheck():
 
 
 def test_augment_corpus_propagates_tool_errors(monkeypatch):
-    def failing(completions, line, column):
+    def failing(scope, tokens, line, column):
         raise RuntimeError("tool broke")
 
-    monkeypatch.setattr(complete.FunctionCompletions, "at", failing)
+    monkeypatch.setattr(trigger, "complete_in", failing)
     with pytest.raises(RuntimeError, match="tool broke"):
         augment_corpus([("r", Repository({"u.mp": UPDATER}))])
 
@@ -232,10 +233,10 @@ def test_bundled_corpus_marker_density_window(corpus_repos):
 
 
 def test_augment_classifies_each_caret_once(monkeypatch):
-    """Trigger insertion asks its completion session once per non-builtin
+    """Trigger insertion asks the completion rule once per non-builtin
     body identifier, so no caret is classified twice. Every binding of
     `caret_context` in the package is counted, not only the one
-    `FunctionCompletions.at` reads."""
+    `complete_in` reads."""
     real = complete.caret_context
     calls = 0
 
